@@ -149,6 +149,19 @@ def cexp(w: complex) -> complex:
     return cmath.exp(w)
 
 
+def fold_pole_factor(num_exp: complex, den_exp: complex, plus: bool = False):
+    """Split e^num / (1 -+ e^den) into (w, d) with e^w / d the same value.
+
+    Once e^den is large, 1 -+ e^den = -+e^den (1 -+ e^-den) and e^-den is
+    folded into the numerator exponent, so neither factor overflows.
+    """
+    if den_exp.real > 40.0:
+        small = cexp(-den_exp)
+        return num_exp - den_exp, (1.0 + small) if plus else -(1.0 - small)
+    ex = cexp(den_exp)
+    return num_exp, (1.0 + ex) if plus else (1.0 - ex)
+
+
 def sum_ladder(term, policy: TruncationPolicy, start: int = 0) -> SeriesValue:
     """Sum ``term(l)`` over all integers l, walking outward from ``start``.
 
@@ -208,11 +221,3 @@ def as_fraction(x) -> Fraction:
             raise ValueError(f"{x} is not recognizably rational")
         return frac
     raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-def is_integer(x) -> bool:
-    return as_fraction(x).denominator == 1
-
-
-def is_half_integer(x) -> bool:
-    return as_fraction(x).denominator in (1, 2)

@@ -8,6 +8,11 @@ lattice and isotropic vectors beta_1..beta_n with (gamma_i|beta_j) =
 carried as coordinate tuples in the combined {gamma_1..gamma_m,
 beta_1..beta_n} frame, with every pairing going through the full Gram
 matrix, which keeps the arithmetic exact until series evaluation.
+
+Both series here run over the lattice window of ``theta._lattice_sum``:
+the direct sum over gamma, and the residual-lattice theta factor of the
+modification, which is ``lattice_theta`` on M at the parts of lambda and
+z that lie in M.
 """
 
 from __future__ import annotations
@@ -26,16 +31,16 @@ from .core import (
     TruncationPolicy,
     as_fraction,
     cexp,
+    fold_pole_factor,
 )
 from .errors import (
     ConditionViolation,
-    NonConvergent,
     PoleProximity,
     SingularDecomposition,
 )
-from .mock import MockIndex
+from .mock import SIGNS, MockIndex
 from .modifier import phi_tilde
-from .theta import enumerate_ellipsoid
+from .theta import LatticeData, SignCharacter, _lattice_sum, lattice_theta
 
 _I_PI = 1j * math.pi
 _2PI_I = 2j * math.pi
@@ -295,62 +300,31 @@ def lattice_mock_theta(
     k = float(ctx.k)
     lam = np.asarray([float(x) for x in weight.coords], dtype=float)
     z = np.asarray(point.z, dtype=complex)
-    y = tau.imag
 
-    z_im = np.asarray([w.imag for w in point.z])
-    im_n2 = float(z_im @ G @ z_im)
+    im_n2 = float(z.imag @ G @ z.imag)
     im_norm = math.sqrt(im_n2) if im_n2 > 0 else 0.0
     lam_min = float(np.linalg.eigvalsh(gamma_gram)[0])
-    log_tol = math.log(policy.abs_tol) - math.log(1e6)
-    a_coef = math.pi * y / k
     # denominator growth per unit of |lam + k gamma|: each factor can
     # amplify by exp(2 pi y |c_j|) and |c_j| <= r / (k sqrt(lam_min)).
-    b_coef = 2.0 * math.pi * im_norm + 2.0 * math.pi * n * y / math.sqrt(lam_min)
-    r_star = (b_coef + math.sqrt(b_coef * b_coef - 4.0 * a_coef * log_tol)) / (
-        2.0 * a_coef
-    )
-    radius2 = r_star * r_star
-
+    growth = 2.0 * math.pi * im_norm + 2.0 * math.pi * n * tau.imag / math.sqrt(lam_min)
     lam_gamma_coords = np.linalg.solve(gamma_gram, lam @ G[:, :m])
-    coords, _ = enumerate_ellipsoid(gamma_gram, lam_gamma_coords / k, radius2 / (k * k))
-    if coords.shape[0] == 0:
-        coords = np.zeros((1, m), dtype=int)
-    if coords.shape[0] > policy.max_terms:
-        raise NonConvergent("lattice enumeration exceeds max_terms")
+    sgn = SIGNS[ctx.mode]
 
-    sgn = {"unsigned": 1, "plus": 1, "minus": -1}[ctx.mode]
-    use_eps = ctx.mode in ("plus", "minus")
-    total = 0.0 + 0.0j
-    boundary = 0.0
-    for c in coords:
-        gamma_full = np.concatenate([c.astype(float), np.zeros(n)])
-        v = lam + k * gamma_full
-        vnorm2 = float(v @ G @ v)
-        w = _I_PI * tau * vnorm2 / k + _2PI_I * complex(v @ G @ z)
+    def term(c, n2):
+        v = lam + k * np.concatenate([c.astype(float), np.zeros(n)])
+        w = _I_PI * tau * float(v @ G @ v) / k + _2PI_I * complex(v @ G @ z)
         den = 1.0 + 0.0j
         for j in range(n):
             gb = float(c @ G[:m, m + j])
             bz = complex(G[m + j] @ z)
-            dexp = _2PI_I * (-gb * tau - bz)
-            if dexp.real > 40.0:
-                # 1 -+ e^x = -+ e^x (1 -+ e^-x): fold e^x into the exponent
-                w -= dexp
-                small = cexp(-dexp)
-                dj = (1.0 + small) if denominator_plus else -(1.0 - small)
-            else:
-                ex = cexp(dexp)
-                dj = (1.0 + ex) if denominator_plus else (1.0 - ex)
+            w, dj = fold_pole_factor(w, _2PI_I * (-gb * tau - bz), denominator_plus)
             if abs(dj) < 1e-8:
                 raise PoleProximity(f"denominator factor {j+1} vanishes")
             den *= dj
-        s = eps_lattice_sign(ctx, sgn, [int(x) for x in c]) if use_eps else 1
-        term = s * cexp(w) / den
-        total += term
-        if vnorm2 >= 0.5 * radius2:
-            boundary = max(boundary, abs(term))
-    err = max(boundary * 8.0, policy.abs_tol * 0.01)
-    value = cexp(_2PI_I * k * complex(point.t)) * total
-    return SeriesValue(value, err, coords.shape[0])
+        return eps_lattice_sign(ctx, sgn, c.tolist()) * cexp(w) / den
+
+    out = _lattice_sum(gamma_gram, lam_gamma_coords / k, k, tau, growth, term, policy)
+    return cexp(_2PI_I * k * complex(point.t)) * out
 
 
 @dataclass(frozen=True)
@@ -493,70 +467,33 @@ def _theta_factor(
     lam_frame,
     point: ModularPoint,
     policy: TruncationPolicy,
-    signed: int,
+    eps: SignCharacter,
 ) -> SeriesValue:
-    """(Signed) theta of the residual lattice, evaluated at the full z."""
+    """(Signed) theta of the residual lattice M, evaluated at the full z.
+
+    The frame vectors lambda and z split orthogonally into parts in M and
+    parts orthogonal to M; lambda_n lies in M, but a xi0 shift generally
+    does not.  The factor is lattice_theta on M at the M-coordinates of the
+    parts in M, times e^(pi i tau |lambda_perp|^2 / k).
+    """
     ctx = res.ctx
     tau = policy.require_tau(point.tau)
     k = float(ctx.k)
-    rank = len(res.m_basis)
     G = ctx.full_gram_float()
     lamf = np.asarray([float(x) for x in lam_frame])
-    t_factor = cexp(_2PI_I * k * complex(point.t))
-    if rank == 0:
-        norm2 = float(lamf @ G @ lamf)
+    perp2 = float(lamf @ G @ lamf)
+    if res.m_basis:
+        basis = np.asarray([[float(x) for x in vec] for vec in res.m_basis])
+        gram_m = np.asarray([[float(x) for x in row] for row in res.m_gram])
+        lam_m = np.linalg.solve(gram_m, basis @ G @ lamf)
+        z_m = np.linalg.solve(gram_m, basis @ G @ np.asarray(point.z, dtype=complex))
+        perp2 -= float(lam_m @ gram_m @ lam_m)
+        pt_m = ModularPoint(tau, z_m, point.t)
+        theta = lattice_theta(lam_m, ctx.k, LatticeData(gram_m), eps, pt_m, policy)
+    else:
         # z^(1) = 0 when the residual lattice is trivial
-        w = _I_PI * tau * norm2 / k
-        return SeriesValue(t_factor * cexp(w), 0.0, 1)
-
-    basis = np.asarray([[float(x) for x in vec] for vec in res.m_basis])
-    gram_m = np.asarray([[float(x) for x in row] for row in res.m_gram])
-    # the theta factor sees only the component of z along the residual
-    # lattice; lambda_n lies there, but a xi0 shift generally does not
-    z_raw = np.asarray(point.z, dtype=complex)
-    z = basis.T @ np.linalg.solve(gram_m, basis @ G @ z_raw)
-    y = tau.imag
-    norm_l = math.sqrt(max(float(lamf @ G @ lamf), 0.0))
-    z_im = np.asarray([w.imag for w in point.z])
-    im_n2 = float(z_im @ G @ z_im)
-    im_norm = math.sqrt(im_n2) if im_n2 > 0 else 0.0
-    log_tol = math.log(policy.abs_tol) - math.log(1e6)
-    a_coef = math.pi * y / k
-    b_coef = 2.0 * math.pi * im_norm
-    r_star = (b_coef + math.sqrt(b_coef * b_coef - 4.0 * a_coef * log_tol)) / (
-        2.0 * a_coef
-    )
-    radius2 = (r_star + norm_l) ** 2
-
-    centre = np.linalg.solve(gram_m, basis @ G @ lamf) / k
-    coords, _ = enumerate_ellipsoid(gram_m, centre, radius2 / (k * k))
-    if coords.shape[0] == 0:
-        coords = np.zeros((1, rank), dtype=int)
-    m_gram_exact = [list(row) for row in res.m_gram]
-    total = 0.0 + 0.0j
-    boundary = 0.0
-    for c in coords:
-        vfull = lamf + k * (c @ basis)
-        norm2 = float(vfull @ G @ vfull)
-        w = _I_PI * tau * norm2 / k + _2PI_I * complex(vfull @ G @ z)
-        s = 1
-        if signed == -1:
-            ci = [int(x) for x in c]
-            gnorm = sum(
-                ci[i] * m_gram_exact[i][j] * ci[j]
-                for i in range(rank)
-                for j in range(rank)
-            )
-            e = ctx.k * gnorm
-            if e.denominator != 1:
-                raise ConditionViolation(["theta sign exponent not integral"])
-            s = -1 if e.numerator % 2 else 1
-        term = s * cexp(w)
-        total += term
-        if norm2 >= 0.5 * radius2:
-            boundary = max(boundary, abs(term))
-    err = max(boundary * 8.0, policy.abs_tol * 0.01)
-    return SeriesValue(t_factor * total, err, coords.shape[0])
+        theta = SeriesValue(cexp(_2PI_I * k * complex(point.t)), 0.0, 1)
+    return cexp(_I_PI * tau * perp2 / k) * theta
 
 
 def eval_modified(
@@ -577,8 +514,11 @@ def eval_modified(
             raise ValueError("context has no xi0 shift (unsigned mode)")
         lam_frame = [a + b for a, b in zip(lam_frame, res.xi0)]
 
-    signed = {"unsigned": 0, "plus": 1, "minus": -1}[res.sign_mode]
-    out = _theta_factor(res, lam_frame, point, policy, signed)
+    if SIGNS[res.sign_mode] == -1:
+        eps = SignCharacter("parity_of_norm", ctx.k)
+    else:
+        eps = SignCharacter()
+    out = _theta_factor(res, lam_frame, point, policy, eps)
 
     for fac in res.phi_factors:
         a1 = np.asarray([float(x) for x in fac.arg1])

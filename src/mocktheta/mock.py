@@ -22,17 +22,19 @@ from .core import (
     TruncationPolicy,
     as_fraction,
     cexp,
+    fold_pole_factor,
     q_pow,
     sum_ladder,
 )
 from .errors import PoleAtZ1
-from .theta import theta_jm_signed
+from .theta import _theta_ladder
 
 _2PI_I = 2j * math.pi
 
 POLE_THRESHOLD = 1e-8
 
-SIGNS = {"unsigned": 0, "plus": 1, "minus": -1}
+# sign label -> the (+-1)^n of the series; unsigned is the + series
+SIGNS = {"unsigned": 1, "plus": 1, "minus": -1}
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,11 @@ def phi(
     sgn = idx.sign_value
 
     def term(n: int) -> complex:
-        num_exp = _2PI_I * (m * n * (z1 + z2) + s * z1 + tau * (m * n * n + s * n))
-        den_exp = _2PI_I * (z1 + n * tau)
-        if den_exp.real > 40.0:
-            # 1/(1 - e^w) = -e^(-w) / (1 - e^(-w)); fold e^(-w) into the
-            # numerator exponent so neither factor overflows.
-            val = -cexp(num_exp - den_exp) / (1.0 - cexp(-den_exp))
-        else:
-            val = cexp(num_exp) / (1.0 - cexp(den_exp))
+        w, den = fold_pole_factor(
+            _2PI_I * (m * n * (z1 + z2) + s * z1 + tau * (m * n * n + s * n)),
+            _2PI_I * (z1 + n * tau),
+        )
+        val = cexp(w) / den
         if sgn == -1 and n % 2:
             val = -val
         return val
@@ -141,13 +140,13 @@ def phi_shift_residual_a(
     two_m = int(2 * m) if (2 * m).denominator == 1 else None
     if two_m is None:
         raise ValueError("2m must be an integer for the shift identity window")
+    u = complex(z1 + z2)
     for kk in range(two_m):
         c = float(kk + s)
         pref = cexp(1j * math.pi * c * (z1 - z2)) * q_pow(tau, -c * c / (4 * float(m)))
-        if idx.sign == "unsigned":
-            th = theta_jm_signed(1, kk + s, m, tau, z1 + z2, policy)
-        else:
-            th = theta_jm_signed(idx.sign_value, kk + s, m, tau, z1 + z2, policy)
+        th = _theta_ladder(
+            idx.sign_value, float((kk + s) / (2 * m)), float(m), tau, u, policy
+        )
         total = total - pref * th
     return total
 

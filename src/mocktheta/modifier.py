@@ -26,7 +26,7 @@ from .core import (
     sum_ladder,
 )
 from .mock import MockIndex, phi
-from .theta import theta_jm_signed
+from .theta import _theta_ladder
 
 _I_PI = 1j * math.pi
 _2PI_I = 2j * math.pi
@@ -132,14 +132,15 @@ def phi_add(
     z2 = complex(z2)
     v = (z1 - z2) / 2.0
     u = z1 + z2
-    sgn = 1 if idx.sign != "minus" else -1
+    sgn = idx.sign_value
+    m = float(idx.m)
     total = SeriesValue(0.0, 0.0, 0)
     for j in _window(idx):
         if idx.sign == "unsigned":
             rr = r_jm(int(j), int(idx.m), tau, v, policy)
         else:
             rr = r_jm_signed(sgn, j, idx.m, tau, v, policy)
-        th = theta_jm_signed(sgn, j, idx.m, tau, u, policy)
+        th = _theta_ladder(sgn, float(j / (2 * idx.m)), m, tau, u, policy)
         total = total + rr * th
     return total
 

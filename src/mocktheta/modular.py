@@ -33,10 +33,6 @@ class SL2Element:
             self.c * other.b + self.d * other.d,
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
 
 S = SL2Element(0, -1, 1, 0)
 T = SL2Element(1, 1, 0, 1)

@@ -20,10 +20,6 @@ from .errors import InfiniteSet, UnsupportedCase
 F = Fraction
 
 
-def _vec(*xs):
-    return tuple(as_fraction(x) for x in xs)
-
-
 def _dot_gram(gram, u, v):
     return sum(
         gram[i][j] * u[i] * v[j]
@@ -52,11 +48,6 @@ class WeylElement:
     eps_plus: int
     eps_minus: int
     word: tuple = ()
-
-    def apply(self, v):
-        return tuple(
-            sum(row[j] * v[j] for j in range(len(v))) for row in self.matrix
-        )
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ pin tests in the verification suite hold; see tests/test_characters.py):
 
 With these choices theta11 is odd in z and theta11(tau, z + 1/2) equals
 -theta10(tau, z).
+
+One ladder, ``_theta_ladder``, sums every rank-1 theta
+Theta^(sign)_(j,m)(tau, z) = sum_n sign^n e^(2 pi i m (z c + tau c^2)),
+c = n + j/2m; theta_ab(tau, z) is i^(ab) Theta^((-1)^b)_(a/2, 1/2)(tau, 2z).
+One window, ``_lattice_sum``, fixes the radius, the term cap and the error
+bound of every positive definite lattice sum, here and in ``lattice``.
 """
 
 from __future__ import annotations
@@ -66,18 +72,8 @@ def theta_ab(
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("theta_ab indices must be 0 or 1")
     tau = policy.require_tau(tau)
-    z = complex(z)
-    shift = 0.5 if a == 1 else 0.0
-
-    def term(n: int) -> complex:
-        c = n + shift
-        w = _I_PI * tau * c * c + _2PI_I * c * z
-        val = cexp(w)
-        if b == 1 and n % 2:
-            val = -val
-        return val
-
-    out = sum_ladder(term, policy)
+    # theta_ab(tau, z) = Theta^((-1)^b)_(a/2, 1/2)(tau, 2z)
+    out = _theta_ladder(-1 if b else 1, 0.5 * a, 0.5, tau, 2.0 * complex(z), policy)
     if (a, b) == (1, 1):
         out = SeriesValue(1j * out.value, out.err_bound, out.terms_used)
     return out
@@ -94,14 +90,7 @@ def theta_jm(
     if m < 1:
         raise ValueError("theta_jm needs m >= 1")
     tau = policy.require_tau(tau)
-    z = complex(z)
-    c0 = j / (2.0 * m)
-
-    def term(n: int) -> complex:
-        c = n + c0
-        return cexp(_2PI_I * (m * z * c + tau * m * c * c))
-
-    return sum_ladder(term, policy)
+    return _theta_ladder(1, j / (2.0 * m), float(m), tau, complex(z), policy)
 
 
 def theta_jm_signed(
@@ -122,13 +111,18 @@ def theta_jm_signed(
     if (2 * jf).denominator != 1:
         raise ValueError("index j must lie in (1/2)Z")
     tau = policy.require_tau(tau)
-    z = complex(z)
-    mfl = float(mf)
-    c0 = float(jf / (2 * mf))
+    return _theta_ladder(sign, float(jf / (2 * mf)), float(mf), tau, complex(z), policy)
+
+
+def _theta_ladder(
+    sign: int, c0: float, m: float, tau: complex, z: complex, policy: TruncationPolicy
+) -> SeriesValue:
+    """sum_n sign^n e^(2 pi i m (z c + tau c^2)), c = n + c0, for checked
+    arguments: m > 0, sign = +-1, tau already through ``policy``."""
 
     def term(n: int) -> complex:
         c = n + c0
-        val = cexp(_2PI_I * (mfl * z * c + tau * mfl * c * c))
+        val = cexp(_2PI_I * (m * z * c + tau * m * c * c))
         if sign == -1 and n % 2:
             val = -val
         return val
@@ -165,9 +159,6 @@ class LatticeData:
             return True
         except np.linalg.LinAlgError:
             return False
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.gram)[0])
 
 
 @dataclass(frozen=True)
@@ -225,6 +216,42 @@ def enumerate_ellipsoid(gram: np.ndarray, center: np.ndarray, radius2: float):
     return coords[keep], norms[keep]
 
 
+# At the window's edge the summands are pushed this far below abs_tol.
+_WINDOW_MARGIN = 1e6
+
+
+def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, term, policy):
+    """Sum ``term(c, n2)`` over the integer vectors c of one lattice window.
+
+    ``n2`` is |centre + c|^2 in the Gram metric.  The summands must be
+    bounded by exp(-pi y r^2 / k + growth * r) in r = k |centre + c|; the
+    window radius r* makes that bound abs_tol / _WINDOW_MARGIN.  The
+    err_bound is eight times the largest summand in the outer shell
+    r^2 >= 0.7 r*^2, and at least abs_tol / 100.
+    """
+    log_tol = math.log(policy.abs_tol) - math.log(_WINDOW_MARGIN)
+    a_coef = math.pi * tau.imag / k
+    r_star = (growth + math.sqrt(growth * growth - 4.0 * a_coef * log_tol)) / (
+        2.0 * a_coef
+    )
+    radius2 = r_star * r_star
+    coords, norms = enumerate_ellipsoid(gram, centre, radius2 / (k * k))
+    if coords.shape[0] == 0:
+        coords = np.zeros((1, gram.shape[0]), dtype=int)
+        norms = np.array([float(centre @ gram @ centre)])
+    if coords.shape[0] > policy.max_terms:
+        raise NonConvergent("lattice enumeration exceeds max_terms")
+    total = 0.0 + 0.0j
+    boundary = 0.0
+    for c, n2 in zip(coords, norms):
+        t = term(c, n2)
+        total += t
+        if n2 * k * k >= 0.7 * radius2:
+            boundary = max(boundary, abs(t))
+    err = max(boundary * 8.0, policy.abs_tol * 0.01)
+    return SeriesValue(total, err, coords.shape[0])
+
+
 def lattice_theta(
     lambda_bar,
     k,
@@ -244,56 +271,27 @@ def lattice_theta(
     if not lattice.is_positive_definite():
         raise NotPositiveDefinite("lattice_theta requires positive definite Gram")
     tau = policy.require_tau(point.tau)
-    y = tau.imag
     gram = lattice.gram
     lam = np.asarray([float(x) for x in lambda_bar], dtype=float)
     z = np.asarray(point.z, dtype=complex)
     kf = float(k)
+    im_norm = math.sqrt(max(float(z.imag @ gram @ z.imag), 0.0))
+    # only the parity character reads |gamma|^2, and it needs it exactly
+    exact = None
+    if eps.kind == "parity_of_norm":
+        exact = [[as_fraction(round(float(x), 9)) for x in row] for row in gram]
 
-    # |term| = exp(-pi y |lam/k + c|^2 k / 1 ... ) * exp(-2 pi Im((v|z))),
-    # v = lam + k c.  Solve a quadratic for the radius that pushes the
-    # boundary magnitude below abs_tol with margin.
-    z_im = np.asarray(z.imag, dtype=float)
-    im_norm = math.sqrt(max(float(z_im @ gram @ z_im), 0.0))
-    log_tol = math.log(policy.abs_tol) - math.log(1e4)
-    a_coef = math.pi * y / kf
-    b_coef = 2.0 * math.pi * im_norm
-    r_star = (b_coef + math.sqrt(b_coef * b_coef - 4.0 * a_coef * log_tol)) / (
-        2.0 * a_coef
-    )
-    radius2 = r_star * r_star
-
-    # Enumerate c with |lam + k c|^2 <= radius2, i.e. |lam/k + c|^2 <=
-    # radius2 / k^2 in the Gram metric.
-    coords, norms = enumerate_ellipsoid(gram, lam / kf, radius2 / (kf * kf))
-    if coords.shape[0] == 0:
-        coords = np.zeros((1, lattice.rank), dtype=int)
-        norms = np.array([float((lam / kf) @ gram @ (lam / kf))])
-    if coords.shape[0] > policy.max_terms:
-        raise NonConvergent("lattice enumeration exceeds max_terms")
-
-    total = 0.0 + 0.0j
-    boundary_mag = 0.0
-    for c, n2 in zip(coords, norms):
+    def term(c, n2):
+        # |term| = exp(-pi y |v|^2 / k - 2 pi Im (v|z)), v = lam + k c
         v = lam + kf * c
-        vnorm2 = n2 * kf * kf
-        pairing = complex(v @ gram @ z)
-        w = _I_PI * tau * vnorm2 / kf + _2PI_I * pairing
-        term = eps(c, _coord_norm2(gram, c)) * cexp(w)
-        total += term
-        if n2 * kf * kf >= 0.7 * radius2:
-            boundary_mag = max(boundary_mag, abs(term))
-    err = max(boundary_mag * 8.0, policy.abs_tol * 0.01)
-    value = cexp(_2PI_I * kf * complex(point.t)) * total
-    return SeriesValue(value, err, coords.shape[0])
+        w = _I_PI * tau * (n2 * kf * kf) / kf + _2PI_I * complex(v @ gram @ z)
+        norm = None
+        if exact is not None:
+            ci = c.tolist()
+            norm = sum(
+                exact[i][j] * ci[i] * ci[j] for i in range(len(ci)) for j in range(len(ci))
+            )
+        return eps(c, norm) * cexp(w)
 
-
-def _coord_norm2(gram: np.ndarray, coords) -> Fraction:
-    """Exact |gamma|^2 for integer coordinates when gram entries are rational."""
-    c = [int(x) for x in coords]
-    total = Fraction(0)
-    n = len(c)
-    for i in range(n):
-        for j in range(n):
-            total += as_fraction(round(float(gram[i, j]), 9)) * c[i] * c[j]
-    return total
+    out = _lattice_sum(gram, lam / kf, kf, tau, 2.0 * math.pi * im_norm, term, policy)
+    return cexp(_2PI_I * kf * complex(point.t)) * out

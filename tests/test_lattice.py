@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from conftest import random_points
 
 from mocktheta.core import ModularPoint
 from mocktheta.errors import ConditionViolation, PoleProximity
@@ -70,6 +71,25 @@ class TestMockTheta:
                 MockIndex(k, s), TAU, -beta_z, beta_z + gam_z
             ).value
             assert abs(direct - ref) < 1e-10
+
+    @pytest.mark.parametrize("lam1", [0, F(1, 2), 1, -1, F(3, 2)])
+    @pytest.mark.parametrize("k", [F(1, 2), F(3, 2), F(5, 2)])
+    @pytest.mark.parametrize("mode", ["plus", "minus"])
+    def test_signed_sum_factorizes_through_rank_one(self, mode, k, lam1):
+        # the minus mode reads eps_lattice_sign on every lattice vector
+        ctx = LatticeContext(((2,),), 1, k, mode)
+        w = Weight(k, (0, lam1))
+        s = ctx.pair(w.coords, ctx.gamma_vec(1))
+        G = ctx.full_gram_float()
+        for tau, z1, z2 in random_points(35, 3):
+            pt = ModularPoint(tau, (z1, z2), 0.07)
+            direct = lattice_mock_theta(ctx, w, pt).value
+            beta_z = complex(G[1] @ np.array(pt.z))
+            gam_z = complex(G[0] @ np.array(pt.z))
+            ref = cmath.exp(2j * math.pi * k * pt.t) * phi(
+                MockIndex(k, s, mode), tau, -beta_z, beta_z + gam_z
+            ).value
+            assert abs(direct - ref) / max(1.0, abs(ref)) < 1e-12
 
     def test_rank2_naive_oracle(self):
         w = Weight(1, (0, 0, 1))

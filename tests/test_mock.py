@@ -49,6 +49,11 @@ class TestMockIndex:
         with pytest.raises(ValueError):
             MockIndex(-1, 0, "plus")
 
+    def test_sign_value(self):
+        assert MockIndex(1, 0).sign_value == 1
+        assert MockIndex(F(1, 2), 0, "plus").sign_value == 1
+        assert MockIndex(F(1, 2), 0, "minus").sign_value == -1
+
     def test_flip(self):
         idx = MockIndex(F(1, 2), 0, "plus")
         assert idx.flipped().sign == "minus"
