@@ -1,8 +1,10 @@
 """Pinned values of the theta layers, for refactors that must not move them.
 
-Evaluates about 120 values (rank-1 and level-2 thetas, Phi and its
-modifier, lattice thetas, lattice mock thetas, the factored modification
-and the superdenominators) at seeded points with Im tau in [0.3, 2] and
+Evaluates about 180 values (rank-1 and level-2 thetas, Phi and its
+modifier, lattice thetas, lattice mock thetas, the factored modification,
+the superdenominators, and the character layer built on them: the
+normalized supercharacters, the subprincipal spanning functions and the
+level-1 closed forms) at seeded points with Im tau in [0.3, 2] and
 |Im z| <= 0.3 Im tau, and compares them with ``tests/data/golden.json``.
 
     PYTHONPATH=src python tests/golden.py           # report the worst deviation
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 import mocktheta as mt
+from mocktheta.characters import VARIANTS
 
 DATA = Path(__file__).with_name("data") / "golden.json"
 SEED = 1505_01047
@@ -57,6 +60,18 @@ CONTEXTS = {
     "odd_plus": (((2,),), 1, F(3, 2), "plus", (0, 1)),
 }
 DENOMINATORS = (("sl21", 2), ("osp32", 2), ("osp42", 3), ("d21a", 3))
+# (case, params, level, labels) of the supercharacters pinned next to sl21's
+CHARACTERS = (
+    ("osp32", None, 1, (0,)),
+    ("osp32", None, 1, (1,)),
+    ("osp42", None, 1, (F(1, 2), F(1, 2))),
+    ("osp42", None, 1, (1, 0)),
+    ("d21a", (1, 1), F(-1, 2), (0, 1)),
+    ("d21a", (1, 1), F(-1, 2), (0, 0)),
+    ("d21a", (1, 2), F(-2, 3), (0, 1)),
+)
+LEVEL1 = {(3, 2): ("sum01", "diff01", "twisted"),
+          (4, 2): ("sum01", "diff01", "twisted", "diff_top")}
 
 
 class _Points:
@@ -155,6 +170,30 @@ def cases():
             add(f"ch_tilde({case},denominator_only)#{rep}",
                 lambda c=case, w=w, p=point:
                 mt.ch_tilde(c, w, p, variant="denominator_only"))
+    for rep in range(2):
+        tau, zs, t = pt(3)
+        point = mt.ModularPoint(tau, zs[:2], t)
+        w = mt.WeightSpec(1, (0,))
+        for variant in VARIANTS:
+            add(f"ch_tilde(sl21,None,0,{variant})#{rep}",
+                lambda v=variant, w=w, p=point: mt.ch_tilde("sl21", w, p, variant=v))
+        for case, params, k, labels in CHARACTERS:
+            w = mt.WeightSpec(k, labels)
+            p = mt.ModularPoint(tau, zs[: mt.system(case, params).n_z], t)
+            add(f"ch_tilde({case},{params},{','.join(map(str, labels))})#{rep}",
+                lambda c=case, w=w, p=p, params=params:
+                mt.ch_tilde(c, w, p, params=params))
+        sub = mt.system("osp32_sub")
+        for i in (1, 2, 3, 4):
+            add(f"f_function({i})#{rep}",
+                lambda i=i, p=point: sub.f_function(i, F(-3, 4), p))
+            add(f"f_closed_quotient({i})#{rep}",
+                lambda i=i, p=point: sub.f_closed_quotient(i, p))
+        for (M, N), combos in LEVEL1.items():
+            p = mt.ModularPoint(tau, zs[: M // 2 + N // 2], t)
+            for combo in combos:
+                add(f"level1({M}|{N},{combo})#{rep}",
+                    lambda f=mt.level1_osp_supercharacter(M, N, combo), p=p: f(p))
     return out
 
 
