@@ -12,8 +12,6 @@ Run:  python demos/02_lattice_modification.py
 import cmath
 import math
 
-import numpy as np
-
 from mocktheta import (
     LatticeContext,
     ModularPoint,
@@ -24,6 +22,7 @@ from mocktheta import (
     mu_class_representatives,
     validate_context,
 )
+from mocktheta.modular import S, T, act, gram_quad
 
 tau = 0.13 + 0.92j
 
@@ -57,11 +56,8 @@ for r in reps:
 
 print()
 print("== S-law with both sides evaluated independently ==")
-G = ctx.full_gram_float()
-z = np.array(pt.z)
-zz = complex(z @ G @ z)
-ptS = ModularPoint(-1 / tau, tuple(z / tau), pt.t - zz / (2 * tau))
-lhs = eval_modified(res, ptS).value
+quad = gram_quad(ctx.full_gram_float())
+lhs = eval_modified(res, act(S, pt, quad)).value
 pref = 1j * (-1j * tau) ** 1.5 * res.mu_group_order() ** -0.5
 rhs = 0j
 for rep in reps:
@@ -73,7 +69,7 @@ print(f"residual = {abs(lhs - rhs):.3e}")
 
 print()
 print("== and the T-law ==")
-lhsT = eval_modified(res, ModularPoint(tau + 1, pt.z, pt.t)).value
+lhsT = eval_modified(res, act(T, pt, quad)).value
 lam2 = float(ctx.pair(w.coords, w.coords))
 rhsT = cmath.exp(1j * math.pi * lam2) * factored.value
 print(f"residual = {abs(lhsT - rhsT):.3e}")

@@ -14,6 +14,7 @@ import cmath
 from fractions import Fraction as F
 
 from mocktheta import ModularPoint, WeightSpec, ch_tilde, system
+from mocktheta.modular import S, T, act
 from mocktheta.superalg import enumerate_omega, preset
 
 tau = 0.13 + 0.92j
@@ -29,10 +30,9 @@ print(f"modified numerator (level 1) = {num.value:.10f}")
 ch = ch_tilde("sl21", w, pt)
 print(f"modified normalized supercharacter = {ch.value:.10f}")
 
-zz = sl.quad(pt.z, pt.z)
-ptS = ModularPoint(-1 / tau, tuple(x / tau for x in pt.z), pt.t - zz / (2 * tau))
+ptS = act(S, pt, sl.quad)
 print(f"S-invariance residual: {abs(ch_tilde('sl21', w, ptS).value - ch.value):.3e}")
-ptT = ModularPoint(tau + 1, pt.z, pt.t)
+ptT = act(T, pt, sl.quad)
 print(f"T-invariance residual: {abs(ch_tilde('sl21', w, ptT).value - ch.value):.3e}")
 
 print()

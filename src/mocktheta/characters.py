@@ -34,6 +34,7 @@ from .errors import UnsupportedCase, InvalidXi, ZeroDivisorProximity
 from .lattice import LatticeContext, Weight, build_modification, eval_modified, lattice_mock_theta
 from .mock import MockIndex, phi
 from .modifier import phi_tilde
+from .modular import gram_quad
 from .superalg import WeightSpec, preset
 from .theta import eta, theta_ab, theta_jm
 
@@ -85,12 +86,7 @@ def _denominator_product(
             )
             if abs(th.value) < 1e-10:
                 raise ZeroDivisorProximity(f"theta factor vanishes at {arg}")
-            inv = SeriesValue(
-                1.0 / th.value,
-                th.err_bound / abs(th.value) ** 2,
-                th.terms_used,
-            )
-            value = value * inv
+            value = value / th
     return value
 
 
@@ -111,6 +107,15 @@ class CharacterSystem:
     def quad(self, za, zb):
         return self.quad_signature(za, zb)
 
+    def _weyl_sum(self, point: ModularPoint, evaluate) -> SeriesValue:
+        """Sum of eps * evaluate(pz) over the Weyl images (z, eps) of
+        point.z, each carried to the lattice frame as pz."""
+        total = SeriesValue(0.0, 0.0, 0)
+        for zi, eps in self.weyl_images(point.z):
+            pz = ModularPoint(point.tau, self._frame_to_ctx(zi), point.t)
+            total = total + eps * evaluate(pz)
+        return total
+
     def denominator(self, sign, point: ModularPoint, policy=DEFAULT_POLICY) -> SeriesValue:
         return _denominator_product(
             self.pos_roots,
@@ -129,23 +134,16 @@ class CharacterSystem:
 # sl(2|1)
 
 
-def _quad_from_matrix(M):
-    M = np.asarray(M, dtype=complex)
-
-    def quad(za, zb):
-        return complex(np.asarray(za) @ M @ np.asarray(zb))
-
-    return quad
-
-
 class Sl21System(CharacterSystem):
     """sl(2|1): frame z = -z1 a2 - z2 a1; weights k Lambda_0 + k1 beta."""
+
+    n_labels = 1  # length of WeightSpec.labels
 
     def __init__(self):
         super().__init__(
             name="sl21",
             n_z=2,
-            quad_signature=_quad_from_matrix([[0, 1], [1, 0]]),
+            quad_signature=gram_quad([[0, 1], [1, 0]]),
             h_dual=F(1),
             sdim=0,
             pos_roots=(
@@ -184,19 +182,14 @@ class Sl21System(CharacterSystem):
         K = w.k + self.h_dual
         ctx = self.ctx_template(K)
         lam = Weight(K, (F(0), as_fraction(k1)))
-        total = SeriesValue(0.0, 0.0, 0)
-        for zi, eps in self.weyl_images(point.z):
-            pz = ModularPoint(point.tau, self._frame_to_ctx(zi), point.t)
-            if modified:
-                res = build_modification(ctx, lam)
-                val = eval_modified(res, pz, policy)
-            else:
-                val = lattice_mock_theta(
-                    ctx, lam, pz, policy, denominator_plus=plus
-                )
-            sgn = eps if not plus else eps  # eps_plus = eps_minus here
-            total = total + sgn * val
-        return total
+        if modified:
+            res = build_modification(ctx, lam)
+            return self._weyl_sum(point, lambda pz: eval_modified(res, pz, policy))
+        # eps_plus = eps_minus here
+        return self._weyl_sum(
+            point,
+            lambda pz: lattice_mock_theta(ctx, lam, pz, policy, denominator_plus=plus),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +199,13 @@ class Sl21System(CharacterSystem):
 class Osp32System(CharacterSystem):
     """osp(3|2): frame z = z1 (a1 + 2 a2) + z2 a1 (a1 = d1-e1, a2 = e1)."""
 
+    n_labels = 1  # length of WeightSpec.labels
+
     def __init__(self):
         super().__init__(
             name="osp32",
             n_z=2,
-            quad_signature=_quad_from_matrix([[0, -1], [-1, 0]]),
+            quad_signature=gram_quad([[0, -1], [-1, 0]]),
             h_dual=F(1, 2),
             sdim=0,
             pos_roots=(
@@ -252,12 +247,10 @@ class Osp32System(CharacterSystem):
             gamma_gram=((2,),), n_isotropic=1, k=K, mode="minus"
         )
         lam = Weight(K, (F(0), as_fraction(k1) + 1))
-        total = SeriesValue(0.0, 0.0, 0)
         res = build_modification(ctx, lam, mode="minus")
-        for zi, eps in self.weyl_images(point.z):
-            pz = ModularPoint(point.tau, self._frame_to_ctx(zi), point.t)
-            total = total + eps * eval_modified(res, pz, policy, xi_shift=True)
-        return total
+        return self._weyl_sum(
+            point, lambda pz: eval_modified(res, pz, policy, xi_shift=True)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +260,13 @@ class Osp32System(CharacterSystem):
 class Osp42System(CharacterSystem):
     """osp(4|2): orthogonal frame (x1, x2, y1)."""
 
+    n_labels = 2  # length of WeightSpec.labels
+
     def __init__(self):
         super().__init__(
             name="osp42",
             n_z=3,
-            quad_signature=_quad_from_matrix(np.diag([1.0, 1.0, -1.0])),
+            quad_signature=gram_quad(np.diag([1.0, 1.0, -1.0])),
             h_dual=F(0),
             sdim=17 - 2 * 8,  # dim0 = 9, dim1 = 8
             # odd a1 = e1-d1, a2 = d1-e2, a3 = d1+e2, theta-like e1+d1;
@@ -321,11 +316,7 @@ class Osp42System(CharacterSystem):
         )
         lam = Weight(K, (F(0), as_fraction(k2) / 2, as_fraction(k1)))
         res = build_modification(ctx, lam)
-        total = SeriesValue(0.0, 0.0, 0)
-        for zi, eps in self.weyl_images(point.z):
-            pz = ModularPoint(point.tau, self._frame_to_ctx(zi), point.t)
-            total = total + eps * eval_modified(res, pz, policy)
-        return total
+        return self._weyl_sum(point, lambda pz: eval_modified(res, pz, policy))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +325,8 @@ class Osp42System(CharacterSystem):
 
 class D21aSystem(CharacterSystem):
     """D(2,1;a), a = -p/(p+q): frame z = u1 a1 + u2 a2 + u3 a3."""
+
+    n_labels = 2  # length of WeightSpec.labels
 
     def __init__(self, p: int = 1, q: int = 1):
         self.p, self.q = p, q
@@ -349,7 +342,7 @@ class D21aSystem(CharacterSystem):
         super().__init__(
             name="d21a",
             n_z=3,
-            quad_signature=_quad_from_matrix(gram),
+            quad_signature=gram_quad(gram),
             h_dual=F(0),
             sdim=1,  # 9 even - 8 odd
             pos_roots=(
@@ -420,6 +413,11 @@ def psi_fn(
     return cexp(-_2PI_I * float(M) * complex(t)) * (one - two)
 
 
+# i -> (a, b, prefactor): R^- f_i = prefactor e^{-pi i t/2} eta^3
+# theta11((z1+z2)/2) / (theta_ab(z1/2) theta_ab(z2/2))
+_F_CLOSED = {1: (1, 1, -1j), 2: (1, 0, 1j), 3: (0, 1, -1j), 4: (0, 0, -1j)}
+
+
 class Osp32SubSystem(Osp32System):
     """osp(3|2) with the subprincipal sl(2); reuses the osp(3|2) frame."""
 
@@ -435,29 +433,19 @@ class Osp32SubSystem(Osp32System):
         M = -4 * k - 2
         if M <= 0:
             raise UnsupportedCase("need k < -1/2")
+        if i not in (1, 2, 3, 4):
+            raise ValueError("i must be 1..4")
         tau, (z1, z2), t = point.tau, point.z, point.t
         den = self.denominator(-1, point, policy)
         if abs(den.value) < 1e-12:
             raise ZeroDivisorProximity("superdenominator vanishes")
-        if i == 1:
-            num = psi_fn(M, 0, tau, z1 / 2, z2 / 2, t / 4, policy)
-        elif i == 2:
-            num = psi_fn(M, 0, tau, (z1 + 1) / 2, (z2 + 1) / 2, t / 4, policy)
-        elif i == 3:
-            pref = cexp(-1j * math.pi * float(2 * k + 1) * (z1 + z2 + tau))
-            num = pref * psi_fn(M, 0, tau, (z1 + tau) / 2, (z2 + tau) / 2, t / 4, policy)
-        elif i == 4:
-            pref = cexp(-1j * math.pi * float(2 * k + 1) * (z1 + z2 + tau))
-            num = pref * psi_fn(
-                M, 0, tau, (z1 + tau + 1) / 2, (z2 + tau + 1) / 2, t / 4, policy
-            )
-        else:
-            raise ValueError("i must be 1..4")
-        return SeriesValue(
-            num.value / den.value,
-            num.err_bound / abs(den.value),
-            num.terms_used + den.terms_used,
+        a, b = divmod(i - 1, 2)  # f_i reads psi at z + a tau + b
+        num = psi_fn(
+            M, 0, tau, (z1 + a * tau + b) / 2, (z2 + a * tau + b) / 2, t / 4, policy
         )
+        if a:
+            num = cexp(-1j * math.pi * float(2 * k + 1) * (z1 + z2 + tau)) * num
+        return num / den
 
     def f_closed_quotient(
         self, i: int, point: ModularPoint, policy=DEFAULT_POLICY
@@ -467,36 +455,25 @@ class Osp32SubSystem(Osp32System):
         The fourth one carries theta11 in the numerator; a theta00 there
         would contradict the tau -> tau+1 relation, which swaps f3 and f4.
         """
+        if i not in _F_CLOSED:
+            raise ValueError("i must be 1..4")
+        a, b, pref = _F_CLOSED[i]
         tau, (z1, z2), t = point.tau, point.z, point.t
         e3 = eta(tau, policy)
         e3 = e3 * e3 * e3
-        x = (z1 + z2) / 2
         tphase = cexp(-1j * math.pi * t / 2)
-        t11 = theta_ab(1, 1, tau, x, policy)
-        if i == 1:
-            den = theta_ab(1, 1, tau, z1 / 2, policy) * theta_ab(1, 1, tau, z2 / 2, policy)
-            pref = -1j
-        elif i == 2:
-            den = theta_ab(1, 0, tau, z1 / 2, policy) * theta_ab(1, 0, tau, z2 / 2, policy)
-            pref = 1j
-        elif i == 3:
-            den = theta_ab(0, 1, tau, z1 / 2, policy) * theta_ab(0, 1, tau, z2 / 2, policy)
-            pref = -1j
-        elif i == 4:
-            den = theta_ab(0, 0, tau, z1 / 2, policy) * theta_ab(0, 0, tau, z2 / 2, policy)
-            pref = -1j
-        else:
-            raise ValueError("i must be 1..4")
+        t11 = theta_ab(1, 1, tau, (z1 + z2) / 2, policy)
+        den = theta_ab(a, b, tau, z1 / 2, policy) * theta_ab(a, b, tau, z2 / 2, policy)
         num = pref * tphase * (e3 * t11)
-        return SeriesValue(
-            num.value / den.value,
-            num.err_bound / abs(den.value),
-            num.terms_used,
-        )
+        return num / den
 
 
 # ---------------------------------------------------------------------------
 # level-1 osp(M|N) closed forms
+
+
+# combo -> the theta_ab index of every x and y factor
+_LEVEL1_THETA = {"sum01": (0, 0), "diff01": (0, 1), "twisted": (1, 0), "diff_top": (1, 1)}
 
 
 @dataclass
@@ -523,58 +500,34 @@ def level1_osp_supercharacter(M: int, N: int, combo: str) -> CharacterFunction:
     n = N // 2
     m = M // 2
     odd = M % 2 == 1
-    if combo not in ("sum01", "diff01", "twisted", "diff_top"):
+    if combo not in _LEVEL1_THETA:
         raise UnsupportedCase(f"unknown combo {combo!r}")
     if combo == "diff_top" and odd:
         raise UnsupportedCase("diff_top exists only for even M")
+    ab = _LEVEL1_THETA[combo]
+    units = {"twisted": (-1j) ** (n % 4), "diff_top": (-1) ** (n % 2) * 1j ** (m % 4)}
+    unit = units.get(combo, 1)
 
     def fn(tau, z, t, policy=DEFAULT_POLICY):
         xs = z[:m]
         ys = z[m:]
         e = eta(tau, policy)
         val = SeriesValue(cexp(_2PI_I * complex(t)), 0.0, 0)
+        if odd and combo == "sum01":
+            val = val * e * e / (eta(tau / 2, policy) * eta(2 * tau, policy))
+        elif odd:
+            val = val * eta(tau / 2 if combo == "diff01" else 2 * tau, policy) / e
+        val = val * unit
         power = n - m
-        if odd:
-            if combo == "sum01":
-                e_half = eta(tau / 2, policy)
-                e_double = eta(2 * tau, policy)
-                val = val * e * e
-                val = val * SeriesValue(
-                    1.0 / (e_half.value * e_double.value), 0.0, 0
-                )
-                ab = (0, 0)
-            elif combo == "diff01":
-                e_half = eta(tau / 2, policy)
-                val = val * SeriesValue(e_half.value / e.value, 0.0, 0)
-                ab = (0, 1)
-            else:  # twisted
-                e_double = eta(2 * tau, policy)
-                val = val * SeriesValue(e_double.value / e.value, 0.0, 0)
-                val = val * (-1j) ** (n % 4)
-                ab = (1, 0)
-        else:
-            if combo == "sum01":
-                ab = (0, 0)
-            elif combo == "diff01":
-                ab = (0, 1)
-            elif combo == "twisted":
-                val = val * (-1j) ** (n % 4)
-                ab = (1, 0)
-            else:
-                val = val * ((-1) ** (n % 2)) * (1j) ** (m % 4)
-                ab = (1, 1)
-        if power >= 0:
-            for _ in range(power):
-                val = val * e
-        else:
-            val = val * SeriesValue(e.value ** power, 0.0, e.terms_used)
+        for _ in range(abs(power)):
+            val = val * e if power > 0 else val / e
         for x in xs:
             val = val * theta_ab(*ab, tau, x, policy)
         for y in ys:
             th = theta_ab(*ab, tau, y, policy)
             if abs(th.value) < 1e-12:
                 raise ZeroDivisorProximity("theta factor vanishes")
-            val = val * SeriesValue(1.0 / th.value, 0.0, th.terms_used)
+            val = val / th
         return val
 
     return CharacterFunction(
@@ -586,13 +539,7 @@ def level1_osp_supercharacter(M: int, N: int, combo: str) -> CharacterFunction:
 
 
 def level1_quad(M: int, N: int):
-    m, n = M // 2, N // 2
-    sig = [1.0] * m + [-1.0] * n
-
-    def quad(za, zb):
-        return sum(s * a * b for s, a, b in zip(sig, za, zb))
-
-    return quad
+    return gram_quad(np.diag([1.0] * (M // 2) + [-1.0] * (N // 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -634,44 +581,27 @@ def ch_tilde(
     sys = system(case, params)
     if variant == "denominator_only":
         return sys.denominator(-1, point, policy)
-    modified = variant != "ch_minus"
-    if not modified and case != "sl21":
+    if variant in ("ch_plus_modified", "tw_minus_modified", "tw_plus_modified"):
+        return _twist(sys, case, w, point, policy, variant)
+    if variant == "ch_minus" and case != "sl21":
         raise UnsupportedCase(
             f"unmodified supercharacters are wired only for sl21, not {case!r}"
         )
-    if case in ("sl21", "osp32", "osp42"):
-        if case == "sl21":
-            num = sys.numerator(w, point, policy, modified=modified)
-        elif case == "osp32":
-            num = sys.numerator(w, point, policy)
-        else:
-            num = sys.numerator(w, point, policy)
-        if variant == "numerator_only":
-            return num
-        den = sys.denominator(-1, point, policy)
-        if abs(den.value) < 1e-10 * max(1.0, abs(num.value)):
-            raise ZeroDivisorProximity("superdenominator too small")
-        base = SeriesValue(
-            num.value / den.value,
-            (num.err_bound + abs(num.value / den.value) * den.err_bound)
-            / abs(den.value),
-            num.terms_used + den.terms_used,
-        )
-        if variant in ("ch_minus", "ch_minus_modified"):
-            return base
-        return _twist(sys, case, w, point, policy, variant)
-    if case == "d21a":
-        nu = d21a_nu(sys, w)
+    if case == "sl21":
+        num = sys.numerator(w, point, policy, modified=variant != "ch_minus")
+    elif case in ("osp32", "osp42"):
+        num = sys.numerator(w, point, policy)
+    elif case == "d21a":
         n = int(-w.k * (sys.p + sys.q) / (sys.p * sys.q))
-        num = sys.numerator_nu(nu, n, point, policy)
-        if variant == "numerator_only":
-            return num
-        den = sys.denominator(-1, point, policy)
-        base = SeriesValue(num.value / den.value, num.err_bound / abs(den.value), num.terms_used)
-        if variant == "ch_minus_modified":
-            return base
-        return _twist(sys, case, w, point, policy, variant)
-    raise UnsupportedCase(case)
+        num = sys.numerator_nu(d21a_nu(sys, w), n, point, policy)
+    else:
+        raise UnsupportedCase(case)
+    if variant == "numerator_only":
+        return num
+    den = sys.denominator(-1, point, policy)
+    if abs(den.value) < 1e-10 * max(1.0, abs(num.value)):
+        raise ZeroDivisorProximity("superdenominator too small")
+    return num / den
 
 
 def d21a_nu(sys: D21aSystem, w: WeightSpec) -> int:
@@ -703,11 +633,10 @@ def _twist(sys, case, w, point, policy, variant):
     if variant == "tw_minus_modified":
         zp = tuple(a + tau * b for a, b in zip(z, xi))
         return ch_tilde(case, w, ModularPoint(tau, zp, t_shift), policy)
-    if variant == "tw_plus_modified":
-        zp = tuple(a + tau * b + b for a, b in zip(z, xi))
-        val = ch_tilde(case, w, ModularPoint(tau, zp, t_shift), policy)
-        return cmath.exp(-_2PI_I * lam_xi) * val
-    raise ValueError(variant)
+    # tw_plus_modified
+    zp = tuple(a + tau * b + b for a, b in zip(z, xi))
+    val = ch_tilde(case, w, ModularPoint(tau, zp, t_shift), policy)
+    return cmath.exp(-_2PI_I * lam_xi) * val
 
 
 def _lambda_pairing_xi(case, w: WeightSpec) -> float:

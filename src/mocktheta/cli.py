@@ -216,6 +216,10 @@ def cmd_chartable(args) -> int:
         return 2
     k = parse_rational(args.k)
     labels = tuple(parse_rational(x) for x in (args.labels or "0").split(","))
+    if len(labels) != sys_obj.n_labels:
+        print(f"error: case {args.case} takes {sys_obj.n_labels} weight label(s), "
+              f"got {len(labels)}", file=sys.stderr)
+        return 2
     w = WeightSpec(k, labels)
     pts = sample_points(args.points, n_z=sys_obj.n_z, seed=args.seed)
     rows = []

@@ -96,6 +96,14 @@ class SeriesValue:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: "SeriesValue") -> "SeriesValue":
+        quot = self.value / other.value
+        return SeriesValue(
+            quot,
+            (self.err_bound + abs(quot) * other.err_bound) / abs(other.value),
+            self.terms_used + other.terms_used,
+        )
+
 
 @dataclass(frozen=True)
 class ModularPoint:

@@ -60,12 +60,7 @@ def slash(F, w, k, A: SL2Element, tau: complex, z, quad) -> complex:
 
 def diag_quad(signature):
     """Quadratic form (z|z) = sum_i s_i z_i^2 for a diagonal signature."""
-    sig = tuple(float(s) for s in signature)
-
-    def quad(za, zb):
-        return sum(s * x * y for s, x, y in zip(sig, za, zb))
-
-    return quad
+    return gram_quad(np.diag([float(s) for s in signature]))
 
 
 def gram_quad(gram):

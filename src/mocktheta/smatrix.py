@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_POLICY, ModularPoint, as_fraction
+from .core import DEFAULT_POLICY, ModularPoint, SeriesValue, as_fraction
 from .characters import (
     ch_tilde,
     level1_osp_supercharacter,
@@ -23,7 +23,11 @@ from .characters import (
     system,
 )
 from .errors import UnsupportedCase
+from .mock import MockIndex
+from .modifier import phi_tilde
+from .modular import S, T, act
 from .superalg import WeightSpec
+from .theta import theta_jm
 
 F = Fraction
 
@@ -183,17 +187,17 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
     raise UnsupportedCase(case)
 
 
-def _basis_functions(case: str, k, params):
+def _basis_functions(case: str, k, params, policy):
     """Evaluable basis functions matching the smatrix labels."""
     if case == "sl21":
         w = WeightSpec(k, (0,))
-        return [lambda pt, w=w: ch_tilde("sl21", w, pt).value], system("sl21").quad
+        return [lambda pt, w=w: ch_tilde("sl21", w, pt, policy).value], system("sl21").quad
     if case == "d21a":
         p, q = params or (1, 1)
         sys = system("d21a", (p, q))
         n = int(-as_fraction(k) * (p + q) / (p * q))
         fns = [
-            (lambda pt, nu=nu: ch_tilde("d21a", WeightSpec(k, (0, nu)), pt,
+            (lambda pt, nu=nu: ch_tilde("d21a", WeightSpec(k, (0, nu)), pt, policy,
                                         params=(p, q)).value)
             for nu in sys.nu_range(n)
         ]
@@ -208,13 +212,14 @@ def _basis_functions(case: str, k, params):
                 jj = j - 2 * kk  # mirror-side class: k2 = jj/2 on T' side
                 w = WeightSpec(k, (abs(F(jj, 2)), F(jj, 2)), side="Tp")
             fns.append(
-                lambda pt, w=w: _osp42_class_value(w, pt)
+                lambda pt, w=w: _osp42_class_value(w, pt, policy).value
             )
         return fns, system("osp42").quad
     if case == "osp32_sub":
         sub = system("osp32_sub")
         fns = [
-            (lambda pt, i=i: sub.f_function(i, k, pt).value) for i in (1, 2, 3, 4)
+            (lambda pt, i=i: sub.f_function(i, k, pt, policy).value)
+            for i in (1, 2, 3, 4)
         ]
         return fns, sub.quad
     if case == "osp_level1":
@@ -223,66 +228,54 @@ def _basis_functions(case: str, k, params):
             () if M % 2 else ("diff_top",)
         )
         fns = [
-            (lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt).value)
+            (lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt, policy).value)
             for c in combos
         ]
         return fns, level1_quad(M, N)
     raise UnsupportedCase(case)
 
 
-def _osp42_class_value(w: WeightSpec, pt: ModularPoint):
+def _osp42_class_value(w: WeightSpec, pt: ModularPoint, policy) -> SeriesValue:
     """ch~ for an osp(4|2) class; mirror-side classes use the shifted theta."""
     sys = system("osp42")
     if w.side == "T":
-        num = sys.numerator(w, pt)
+        num = sys.numerator(w, pt, policy)
     else:
         # T'-side: theta index 2 k2 + 2k at the same z arguments
-        from .theta import theta_jm
-        from .modifier import phi_tilde
-        from .mock import MockIndex
-        import cmath as _c
-
         k = int(w.k)
         k2 = w.labels[1]
-        tot = 0j
+        tot = SeriesValue(0.0, 0.0, 0)
         for zi, eps in sys.weyl_images(pt.z):
             x1, x2, y1 = zi
-            th = theta_jm(int(2 * k2) + 2 * k, 2 * k, pt.tau, x1 + x2 + y1)
-            ph = phi_tilde(MockIndex(k, 0), pt.tau, -x1 - y1, x2 + y1)
-            tot += eps * th.value * ph.value
-        num_val = _c.exp(2j * _c.pi * k * complex(pt.t)) * tot
-        den = sys.denominator(-1, pt)
-        return num_val / den.value
-    den = sys.denominator(-1, pt)
-    return num.value / den.value
+            th = theta_jm(int(2 * k2) + 2 * k, 2 * k, pt.tau, x1 + x2 + y1, policy)
+            ph = phi_tilde(MockIndex(k, 0), pt.tau, -x1 - y1, x2 + y1, policy)
+            tot = tot + eps * (th * ph)
+        num = tot * cmath.exp(2j * cmath.pi * k * complex(pt.t))
+    return num / sys.denominator(-1, pt, policy)
+
+
+def _apply_residuals(case, k, points, params, policy, g):
+    """F_i|g against tau^w sum_j M_ij F_j at the points, for g = S (M the
+    S-matrix, w its weight) or g = T (M the T-matrix, w = 0)."""
+    sm = smatrix(case, k, params)
+    fns, quad = _basis_functions(case, k, params, policy)
+    matrix, weight = (sm.entries, sm.weight) if g == S else (sm.t_matrix, 0)
+    records = []
+    for pt in points:
+        moved = act(g, pt, quad)
+        vals = [f(pt) for f in fns]
+        for i, f in enumerate(fns):
+            rhs = pt.tau ** weight * sum(matrix[i, j] * vals[j] for j in range(len(fns)))
+            res = abs(f(moved) - rhs)
+            records.append({"label": str(sm.labels[i]), "tau": str(pt.tau), "residual": res})
+    return sm, records, max([0.0] + [r["residual"] for r in records])
 
 
 def apply_smatrix_check(
     case: str, k, points, params: tuple = None, policy=DEFAULT_POLICY
 ):
     """Numerically verify F_i|S = tau^w sum_j S_ij F_j at the points."""
-    sm = smatrix(case, k, params)
-    fns, quad = _basis_functions(case, k, params)
-    records = []
-    max_res = 0.0
-    for pt in points:
-        zz = quad(pt.z, pt.z)
-        ptS = ModularPoint(
-            -1 / pt.tau,
-            tuple(x / pt.tau for x in pt.z),
-            pt.t - zz / (2 * pt.tau),
-        )
-        vals = [f(pt) for f in fns]
-        for i, f in enumerate(fns):
-            lhs = f(ptS)
-            rhs = pt.tau ** sm.weight * sum(
-                sm.entries[i, j] * vals[j] for j in range(len(fns))
-            )
-            res = abs(lhs - rhs)
-            max_res = max(max_res, res)
-            records.append(
-                {"label": str(sm.labels[i]), "tau": str(pt.tau), "residual": res}
-            )
+    sm, records, max_res = _apply_residuals(case, k, points, params, policy, S)
     return {
         "case": case,
         "k": str(k),
@@ -297,14 +290,5 @@ def apply_tmatrix_check(
     case: str, k, points, params: tuple = None, policy=DEFAULT_POLICY
 ):
     """Numerically verify F_i|T = sum_j T_ij F_j at the points."""
-    sm = smatrix(case, k, params)
-    fns, _ = _basis_functions(case, k, params)
-    max_res = 0.0
-    for pt in points:
-        ptT = ModularPoint(pt.tau + 1, pt.z, pt.t)
-        vals = [f(pt) for f in fns]
-        for i, f in enumerate(fns):
-            lhs = f(ptT)
-            rhs = sum(sm.t_matrix[i, j] * vals[j] for j in range(len(fns)))
-            max_res = max(max_res, abs(lhs - rhs))
+    _, _, max_res = _apply_residuals(case, k, points, params, policy, T)
     return {"case": case, "k": str(k), "max_residual": max_res}

@@ -28,6 +28,7 @@ from .lattice import (
 )
 from .mock import MockIndex, phi, phi_elliptic_residual, phi_shift_residual_a
 from .modifier import phi_tilde, r_jm, r_jm_signed
+from .modular import S, T, act, gram_quad
 from .smatrix import apply_smatrix_check, apply_tmatrix_check, smatrix
 from .superalg import WeightSpec, enumerate_omega, preset
 from .theta import eta, theta_ab, theta_jm, theta_jm_signed
@@ -66,6 +67,11 @@ def _report(suite_id, anchor, tol, checks, notes=""):
         "checks": checks,
         "notes": notes,
     }
+
+
+def _rec(label, residual):
+    """A check whose residual comes from an apply-check, not a value pair."""
+    return {"check": label, "residual": residual, "lhs": "", "rhs": "", "point": None}
 
 
 def _chk(label, lhs, rhs, point=None):
@@ -511,11 +517,8 @@ def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
             w = Weight(ctx.k, (0,) * ctx.rank + (F(-1),))
             res = build_modification(ctx, w)
             pt = ModularPoint(tau, zc, 0.06)
-            G = ctx.full_gram_float()
-            z = np.array(pt.z)
-            zz = complex(z @ G @ z)
-            ptS = ModularPoint(-1 / tau, tuple(z / tau), pt.t - zz / (2 * tau))
-            lhs = eval_modified(res, ptS, policy).value
+            quad = gram_quad(ctx.full_gram_float())
+            lhs = eval_modified(res, act(S, pt, quad), policy).value
             reps = mu_class_representatives(res)
             kf = float(ctx.k)
             pref = (
@@ -531,7 +534,7 @@ def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
                     rr, pt, policy
                 ).value
             checks.append(_chk(f"S {label}", lhs, pref * tot, tau))
-            lhsT = eval_modified(res, ModularPoint(tau + 1, pt.z, pt.t), policy).value
+            lhsT = eval_modified(res, act(T, pt, quad), policy).value
             lam2 = float(ctx.pair(w.coords, w.coords))
             rhsT = cmath.exp(1j * PI * lam2 / kf) * eval_modified(res, pt, policy).value
             checks.append(_chk(f"T {label}", lhsT, rhsT, tau))
@@ -547,10 +550,7 @@ def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
         res_m = build_modification(ctx, w, mode="minus")
         res_p = build_modification(ctx, w, mode="plus")
         pt = ModularPoint(tau, (z1, z2), 0.04)
-        G = ctx.full_gram_float()
-        z = np.array(pt.z)
-        zz = complex(z @ G @ z)
-        ptS = ModularPoint(-1 / tau, tuple(z / tau), pt.t - zz / (2 * tau))
+        ptS = act(S, pt, gram_quad(ctx.full_gram_float()))
         reps = mu_class_representatives(res_m)
         kf = float(k)
         pref = 1j * (-1j * tau) ** 1.0 * res_m.mu_group_order() ** -0.5
@@ -604,7 +604,7 @@ def suite_prop33c(seed=34, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
         res_m = build_modification(ctx, w, mode="minus")
         res_p = build_modification(ctx, w, mode="plus")
         pt = ModularPoint(tau, (z1, z2), 0.04)
-        ptT = ModularPoint(tau + 1, pt.z, pt.t)
+        ptT = act(T, pt, gram_quad(ctx.full_gram_float()))
         kf = float(k)
         lam2 = float(ctx.pair(w.coords, w.coords))
         lhs = eval_modified(res_p, ptT, policy).value
@@ -695,9 +695,7 @@ def suite_eq56(seed=41, tol=1e-8, n_points=6, policy=DEFAULT_POLICY):
         for case in ("sl21", "osp32_sub"):
             sys = system(case)
             pt = ModularPoint(tau, (z1, z2), 0.05)
-            zz = sys.quad(pt.z, pt.z)
-            ptS = ModularPoint(-1 / tau, tuple(x / tau for x in pt.z), pt.t - zz / (2 * tau))
-            lhs = sys.denominator(-1, ptS, policy).value
+            lhs = sys.denominator(-1, act(S, pt, sys.quad), policy).value
             d0 = sum(1 for _, par in sys.pos_roots if par == 0)
             d1 = sum(1 for _, par in sys.pos_roots if par == 1)
             rhs = (
@@ -706,7 +704,7 @@ def suite_eq56(seed=41, tol=1e-8, n_points=6, policy=DEFAULT_POLICY):
                 * sys.denominator(-1, pt, policy).value
             )
             checks.append(_chk(f"S {case}", lhs, rhs, tau))
-            lhsT = sys.denominator(-1, ModularPoint(tau + 1, pt.z, pt.t), policy).value
+            lhsT = sys.denominator(-1, act(T, pt, sys.quad), policy).value
             rhsT = cmath.exp(1j * PI * sys.sdim / 12) * sys.denominator(-1, pt, policy).value
             checks.append(_chk(f"T {case}", lhsT, rhsT, tau))
     return _report("eq5.6", "eq5.6", tol, checks)
@@ -782,10 +780,9 @@ def suite_sl21_modular(seed=45, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
     for tau, z1, z2 in _points(seed, n_points):
         pt = ModularPoint(tau, (z1, z2), 0.06)
         base = ch_tilde("sl21", w, pt, policy).value
-        zz = sys.quad(pt.z, pt.z)
-        ptS = ModularPoint(-1 / tau, (z1 / tau, z2 / tau), pt.t - zz / (2 * tau))
+        ptS = act(S, pt, sys.quad)
         checks.append(_chk("S-invariance", ch_tilde("sl21", w, ptS, policy).value, base, tau))
-        ptT = ModularPoint(tau + 1, pt.z, pt.t)
+        ptT = act(T, pt, sys.quad)
         checks.append(_chk("T-invariance", ch_tilde("sl21", w, ptT, policy).value, base, tau))
         other = ch_tilde("sl21", WeightSpec(1, (1,)), pt, policy).value
         checks.append(_chk("label-independence", other, base, tau))
@@ -827,20 +824,21 @@ def suite_eq44(seed=47, tol=1e-8, n_points=5, policy=DEFAULT_POLICY):
 # section 6
 
 
-def suite_thm614(seed=51, tol=1e-7, policy=DEFAULT_POLICY, p=1, q=1, n=1):
-    k = F(-p * q * n, p + q)
-    sm = smatrix("d21a", k, (p, q))
+def _span_checks(case, k, params, seed, policy):
+    """Unitarity and the S/T apply-checks of a three-coordinate span."""
     pts = [
         ModularPoint(tau, (z1, 0.8 * z2, z2), 0.05)
         for tau, z1, z2 in _points(seed, 3)
     ]
-    rep = apply_smatrix_check("d21a", k, pts, (p, q), policy)
-    rept = apply_tmatrix_check("d21a", k, pts, (p, q), policy)
-    checks = [
-        {"check": "unitarity", "residual": sm.unitarity_defect(), "lhs": "", "rhs": "", "point": None},
-        {"check": "S apply", "residual": rep["max_residual"], "lhs": "", "rhs": "", "point": None},
-        {"check": "T apply", "residual": rept["max_residual"], "lhs": "", "rhs": "", "point": None},
+    return [
+        _rec("unitarity", smatrix(case, k, params).unitarity_defect()),
+        _rec("S apply", apply_smatrix_check(case, k, pts, params, policy)["max_residual"]),
+        _rec("T apply", apply_tmatrix_check(case, k, pts, params, policy)["max_residual"]),
     ]
+
+
+def suite_thm614(seed=51, tol=1e-7, policy=DEFAULT_POLICY, p=1, q=1, n=1):
+    checks = _span_checks("d21a", F(-p * q * n, p + q), (p, q), seed, policy)
     out = _report("thm6.14", "thm6.14", tol, checks)
     out["conjectural"] = True
     out["notes"] = (
@@ -888,36 +886,29 @@ def suite_osp32_sub_f(seed=52, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
     return _report("osp32-sub-f", "rem6.21-f", tol, checks, notes)
 
 
-def suite_eq620(seed=53, tol=1e-7, policy=DEFAULT_POLICY):
+def _subprincipal_span(suite_id, which, seed, tol, policy, notes=""):
+    """The S or T relations of the subprincipal span at k = -3/4 and -1."""
+    check = apply_smatrix_check if which == "S" else apply_tmatrix_check
     checks = []
     for k in (F(-3, 4), F(-1)):
         pts = [
             ModularPoint(tau, (z1, z2), 0.04) for tau, z1, z2 in _points(seed, 3)
         ]
-        rep = apply_smatrix_check("osp32_sub", k, pts, policy=policy)
-        checks.append(
-            {"check": f"S span k={k}", "residual": rep["max_residual"],
-             "lhs": "", "rhs": "", "point": None}
-        )
+        rep = check("osp32_sub", k, pts, policy=policy)
+        checks.append(_rec(f"{which} span k={k}", rep["max_residual"]))
+    return _report(suite_id, suite_id, tol, checks, notes)
+
+
+def suite_eq620(seed=53, tol=1e-7, policy=DEFAULT_POLICY):
     notes = (
         "the quotients transform with no weight factor: the numerator's "
         "tau cancels against the superdenominator's"
     )
-    return _report("eq6.20", "eq6.20", tol, checks, notes)
+    return _subprincipal_span("eq6.20", "S", seed, tol, policy, notes)
 
 
 def suite_eq621(seed=54, tol=1e-7, policy=DEFAULT_POLICY):
-    checks = []
-    for k in (F(-3, 4), F(-1)):
-        pts = [
-            ModularPoint(tau, (z1, z2), 0.04) for tau, z1, z2 in _points(seed, 3)
-        ]
-        rep = apply_tmatrix_check("osp32_sub", k, pts, policy=policy)
-        checks.append(
-            {"check": f"T span k={k}", "residual": rep["max_residual"],
-             "lhs": "", "rhs": "", "point": None}
-        )
-    return _report("eq6.21", "eq6.21", tol, checks)
+    return _subprincipal_span("eq6.21", "T", seed, tol, policy)
 
 
 def suite_lem619(seed=55, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
@@ -935,7 +926,9 @@ def suite_lem619(seed=55, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
     return _report("lem6.19", "lem6.19", tol, checks)
 
 
-def suite_level1_S(seed=56, tol=1e-9, policy=DEFAULT_POLICY):
+def _level1_relations(which, label, seed, policy):
+    """S or T apply-checks of the level-1 spans osp(2m+p|2n)."""
+    check = apply_smatrix_check if which == "S" else apply_tmatrix_check
     checks = []
     for m, n in ((1, 1), (2, 1)):
         for parity in (1, 0):
@@ -945,34 +938,23 @@ def suite_level1_S(seed=56, tol=1e-9, policy=DEFAULT_POLICY):
                 + [0.37 - 0.02 * j for j in range(n)]
             )
             pts = [ModularPoint(tau, zs, 0.05) for tau, _, _ in _points(seed, 2)]
-            rep = apply_smatrix_check("osp_level1", 1, pts, (M, N), policy)
-            checks.append(
-                {"check": f"S relations M={M} N={N}", "residual": rep["max_residual"],
-                 "lhs": "", "rhs": "", "point": None}
-            )
+            rep = check("osp_level1", 1, pts, (M, N), policy)
+            checks.append(_rec(f"{which} {label} M={M} N={N}", rep["max_residual"]))
+    return checks
+
+
+def suite_level1_S(seed=56, tol=1e-9, policy=DEFAULT_POLICY):
+    checks = _level1_relations("S", "relations", seed, policy)
     return _report("osp-level1-S", "sec6.5-S", tol, checks)
 
 
 def suite_level1_T(seed=57, tol=1e-9, policy=DEFAULT_POLICY):
-    checks = []
-    for m, n in ((1, 1), (2, 1)):
-        for parity in (1, 0):
-            M, N = 2 * m + parity, 2 * n
-            zs = tuple(
-                [0.21 + 0.013 * i for i in range(M // 2)]
-                + [0.37 - 0.02 * j for j in range(n)]
-            )
-            pts = [ModularPoint(tau, zs, 0.05) for tau, _, _ in _points(seed, 2)]
-            rep = apply_tmatrix_check("osp_level1", 1, pts, (M, N), policy)
-            checks.append(
-                {"check": f"T eigenvalues M={M} N={N}", "residual": rep["max_residual"],
-                 "lhs": "", "rhs": "", "point": None}
-            )
     notes = (
         "odd-M third eigenvalue is exp(i pi (m-n+1/2)/6); the variant "
         "with -1/2 in the exponent fails (ST)^3 = S^2 and direct "
         "evaluation"
     )
+    checks = _level1_relations("T", "eigenvalues", seed, policy)
     return _report("osp-level1-T", "sec6.5-T", tol, checks, notes)
 
 
@@ -982,9 +964,8 @@ def suite_prop622(seed=58, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
     w = WeightSpec(1, (0,))
     for tau, z1, z2 in _points(seed, n_points):
         pt = ModularPoint(tau, (z1, z2), 0.05)
-        zz = sys.quad(pt.z, pt.z)
-        ptS = ModularPoint(-1 / tau, (z1 / tau, z2 / tau), pt.t - zz / (2 * tau))
-        ptT = ModularPoint(tau + 1, pt.z, pt.t)
+        ptS = act(S, pt, sys.quad)
+        ptT = act(T, pt, sys.quad)
         chp = lambda p: ch_tilde("sl21", w, p, policy, variant="ch_plus_modified").value
         twm = lambda p: ch_tilde("sl21", w, p, policy, variant="tw_minus_modified").value
         twp = lambda p: ch_tilde("sl21", w, p, policy, variant="tw_plus_modified").value
@@ -998,19 +979,7 @@ def suite_prop622(seed=58, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
 
 
 def suite_eq66(seed=59, tol=1e-7, policy=DEFAULT_POLICY):
-    pts = [
-        ModularPoint(tau, (z1, 0.8 * z2, z2), 0.05)
-        for tau, z1, z2 in _points(seed, 3)
-    ]
-    rep = apply_smatrix_check("osp42", 1, pts, policy=policy)
-    rept = apply_tmatrix_check("osp42", 1, pts, policy=policy)
-    sm = smatrix("osp42", 1)
-    checks = [
-        {"check": "unitarity", "residual": sm.unitarity_defect(), "lhs": "", "rhs": "", "point": None},
-        {"check": "S apply", "residual": rep["max_residual"], "lhs": "", "rhs": "", "point": None},
-        {"check": "T apply", "residual": rept["max_residual"], "lhs": "", "rhs": "", "point": None},
-    ]
-    return _report("eq6.6", "eq6.6", tol, checks)
+    return _report("eq6.6", "eq6.6", tol, _span_checks("osp42", 1, None, seed, policy))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from mocktheta.core import ModularPoint
 from mocktheta.errors import InvalidXi, UnsupportedCase
 from mocktheta.mock import MockIndex, phi
 from mocktheta.modifier import phi_tilde
+from mocktheta.modular import sample_points
 from mocktheta.superalg import WeightSpec
 from mocktheta.theta import eta, theta_ab, theta_jm
 from conftest import random_points
@@ -351,6 +352,52 @@ class TestErrBoundHonesty:
             loose_v = pt_f(MI(1, 0), tau, z1, z2)
             tight_v = pt_f(MI(1, 0), tau, z1, z2, tight)
             assert abs(loose_v.value - tight_v.value) <= loose_v.err_bound + 1e-14
+
+
+class TestQuotientBounds:
+    """A quotient's err_bound carries its divisor's: at least
+    |value| * den.err_bound / |den.value|."""
+
+    @staticmethod
+    def _covers(val, den):
+        assert val.err_bound >= abs(val.value) * den.err_bound / abs(den.value)
+
+    def test_supercharacters(self):
+        rows = (
+            ("sl21", None, WeightSpec(1, (0,))),
+            ("osp32", None, WeightSpec(1, (1,))),
+            ("osp42", None, WeightSpec(1, (F(1, 2), F(1, 2)))),
+            ("d21a", (1, 1), WeightSpec(F(-1, 2), (0, 1))),
+            ("d21a", (1, 1), WeightSpec(F(-1, 2), (0, 0))),
+            ("d21a", (1, 2), WeightSpec(F(-2, 3), (0, 1))),
+        )
+        for case, params, w in rows:
+            sys = system(case, params)
+            for pt in sample_points(6, n_z=sys.n_z, seed=20240):
+                self._covers(ch_tilde(case, w, pt, params=params), sys.denominator(-1, pt))
+
+    def test_subprincipal_functions(self):
+        sub = system("osp32_sub")
+        ab = {1: (1, 1), 2: (1, 0), 3: (0, 1), 4: (0, 0)}
+        for pt in sample_points(6, n_z=2, seed=20240):
+            den = sub.denominator(-1, pt)
+            z1, z2 = pt.z
+            for i in (1, 2, 3, 4):
+                self._covers(sub.f_function(i, F(-3, 4), pt), den)
+                a, b = ab[i]
+                closed_den = theta_ab(a, b, pt.tau, z1 / 2) * theta_ab(a, b, pt.tau, z2 / 2)
+                self._covers(sub.f_closed_quotient(i, pt), closed_den)
+
+    def test_level1(self):
+        ab = {"sum01": (0, 0), "diff01": (0, 1), "twisted": (1, 0), "diff_top": (1, 1)}
+        for M, N in ((3, 2), (4, 2)):
+            m = M // 2
+            for combo in ("sum01", "diff01", "twisted") + (() if M % 2 else ("diff_top",)):
+                f = level1_osp_supercharacter(M, N, combo)
+                for pt in sample_points(6, n_z=m + N // 2, seed=20240):
+                    val = f(pt)
+                    for y in pt.z[m:]:
+                        self._covers(val, theta_ab(*ab[combo], pt.tau, y))
 
 
 def test_unmodified_variant_gated():

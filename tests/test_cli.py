@@ -133,6 +133,15 @@ class TestCharTable:
         assert lines[0] == "err_bound,im,re,t,tau,z"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("args", [
+        ("--case", "osp42", "--k", "1"),
+        ("--case", "sl21", "--k", "1", "--labels", "1,2"),
+    ])
+    def test_wrong_label_count_is_a_configuration_error(self, args, capsys):
+        assert main(["chartable", *args, "--points", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_preset_export(self):
         rc, out, _ = run_cli("table", "preset", "--case", "sl21")
         assert rc == 0

@@ -163,3 +163,14 @@ class TestSeriesValue:
         assert p.value == 6.0
         assert p.err_bound >= 3 * 1e-12
         assert complex(a) == 2.0 + 0j
+
+    def test_quotient(self):
+        a = SeriesValue(2.0 + 1.0j, 1e-12, 5)
+        b = SeriesValue(0.3 - 0.7j, 1e-13, 7)
+        q = a / b
+        quot = a.value / b.value
+        assert q.value == quot
+        assert q.err_bound == (a.err_bound + abs(quot) * b.err_bound) / abs(b.value)
+        assert q.terms_used == 12
+        # an exact dividend keeps the divisor's relative error
+        assert (SeriesValue(1.0, 0.0, 0) / b).err_bound >= b.err_bound / abs(b.value) ** 2

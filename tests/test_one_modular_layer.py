@@ -1,0 +1,85 @@
+"""One S/T point action and one quotient rule in the library.
+
+``modular.act`` is the only code that builds the point (-1/tau, z/tau,
+t - (z|z)/2tau) or (tau+1, z, t), and ``SeriesValue.__truediv__`` the only
+code that divides one series value by another.  This walks the AST of
+``src/mocktheta`` and fails on a hand-written copy of either:
+
+- a ``ModularPoint(...)`` call outside ``modular.py`` whose tau argument
+  is ``-1 / x`` or ``x + 1``;
+- a ``SeriesValue(...)`` call outside ``core.py`` whose value argument
+  divides by, or divides, a ``.value``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mocktheta"
+
+
+def _argument(call, position, name):
+    if len(call.args) > position:
+        return call.args[position]
+    return next((kw.value for kw in call.keywords if kw.arg == name), None)
+
+
+def _is_constant(node, value):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _is_constant(node.operand, -value)
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _reads_value(node):
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "value" for n in ast.walk(node)
+    )
+
+
+def _hand_action(tau):
+    if isinstance(tau, ast.BinOp) and isinstance(tau.op, ast.Div):
+        return _is_constant(tau.left, -1)
+    return (
+        isinstance(tau, ast.BinOp)
+        and isinstance(tau.op, ast.Add)
+        and _is_constant(tau.right, 1)
+    )
+
+
+def _hand_quotient(value):
+    return any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Div)
+        and (_reads_value(n.left) or _reads_value(n.right))
+        for n in ast.walk(value)
+    )
+
+
+def _calls(name, skip):
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == name
+            ):
+                yield path.name, node
+
+
+def test_point_actions_go_through_act():
+    sites = [
+        f"{fname}:{call.lineno}"
+        for fname, call in _calls("ModularPoint", "modular.py")
+        if _hand_action(_argument(call, 0, "tau"))
+    ]
+    assert not sites, sites
+
+
+def test_quotients_go_through_series_value():
+    sites = [
+        f"{fname}:{call.lineno}"
+        for fname, call in _calls("SeriesValue", "core.py")
+        if _hand_quotient(_argument(call, 0, "value"))
+    ]
+    assert not sites, sites

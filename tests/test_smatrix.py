@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mocktheta.core import ModularPoint
+from mocktheta.core import ModularPoint, TruncationPolicy
 from mocktheta.errors import UnsupportedCase
 from mocktheta.smatrix import apply_smatrix_check, apply_tmatrix_check, smatrix
 
@@ -80,6 +80,22 @@ class TestApplyChecks:
     def test_sl21_trivial_span(self):
         pts = [ModularPoint(TAU, (0.23, 0.41), 0.07)]
         assert apply_smatrix_check("sl21", 1, pts)["max_residual"] < 1e-7
+
+    @pytest.mark.parametrize("case,k,params,z", [
+        ("sl21", 1, None, (0.23, 0.41)),
+        ("osp32_sub", F(-3, 4), None, (0.27, 0.43)),
+        ("osp_level1", 1, (3, 2), (0.21, 0.37)),
+        ("osp42", 1, None, (0.19, 0.32, 0.27)),
+        ("d21a", F(-1, 2), (1, 1), (0.21, 0.17, 0.33)),
+    ])
+    def test_policy_reaches_the_basis(self, case, k, params, z):
+        # Im tau = 1.2 is below this policy's floor, so every evaluation
+        # made under it must refuse the point
+        policy = TruncationPolicy(min_im_tau=5.0)
+        pts = [ModularPoint(0.13 + 1.2j, z, 0.05)]
+        for check in (apply_smatrix_check, apply_tmatrix_check):
+            with pytest.raises(ValueError):
+                check(case, k, pts, params, policy)
 
 
 def test_osp42_level_two():
