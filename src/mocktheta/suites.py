@@ -889,11 +889,9 @@ def suite_osp32_sub_f(seed=52, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
 def _subprincipal_span(suite_id, which, seed, tol, policy, notes=""):
     """The S or T relations of the subprincipal span at k = -3/4 and -1."""
     check = apply_smatrix_check if which == "S" else apply_tmatrix_check
+    pts = [ModularPoint(tau, (z1, z2), 0.04) for tau, z1, z2 in _points(seed, 3)]
     checks = []
     for k in (F(-3, 4), F(-1)):
-        pts = [
-            ModularPoint(tau, (z1, z2), 0.04) for tau, z1, z2 in _points(seed, 3)
-        ]
         rep = check("osp32_sub", k, pts, policy=policy)
         checks.append(_rec(f"{which} span k={k}", rep["max_residual"]))
     return _report(suite_id, suite_id, tol, checks, notes)
