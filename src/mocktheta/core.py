@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.special import erfcx as _erfcx
-
 from .errors import NonConvergent
 
 TWO_PI = 2.0 * math.pi
@@ -26,6 +24,7 @@ SQRT_PI = math.sqrt(math.pi)
 # term builders keep combined exponents far below it at any point that
 # satisfies the policy preconditions.
 _EXP_GUARD = 700.0
+_SQRT_EXP_GUARD = math.sqrt(_EXP_GUARD)
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,24 @@ def gauss_E_complement_scaled(x: float) -> float:
     This is the form the real-analytic correction sums need: their weights
     underflow while the paired phase factors overflow, so both are carried
     as a single combined exponent plus this scaled residue.
+
+    With a = sqrt(pi) x: erfc(a) e^{a^2} below a = 26, where e^{a^2} is
+    split as e^{ah^2} e^{(a-ah)(a+ah)} around the Veltkamp high half ah of
+    a, so ah^2 is exact and only exp itself rounds; above it, a 5-level
+    continued fraction of erfcx (Numerical Recipes 6.2).  Below
+    a = -sqrt(_EXP_GUARD) the value overflows, which raises NonConvergent.
     """
-    return float(_erfcx(SQRT_PI * x))
+    a = SQRT_PI * x
+    if a >= 26.0:
+        t = a
+        for k in range(5, 0, -1):
+            t = a + 0.5 * k / t
+        return 1.0 / (SQRT_PI * t)
+    if a < -_SQRT_EXP_GUARD:
+        raise NonConvergent(f"scaled complement overflow: x = {x:.3g}")
+    c = a * 134217729.0  # 2**27 + 1
+    ah = c - (c - a)
+    return math.erfc(a) * math.exp(ah * ah) * math.exp((a - ah) * (a + ah))
 
 
 def q_pow(tau: complex, a) -> complex:

@@ -1,9 +1,9 @@
 """S- and T-transformation matrices on the wired spans of modified
 normalized supercharacters, with numeric apply-checks.
 
-Row convention: F_i | S = tau^weight * sum_j S[i, j] F_j, where weight is
-0 for the degree-carried characters and 1 for the four spanning functions
-of the subprincipal case.
+Row convention: F_i | S = sum_j S[i, j] F_j and F_i | T = sum_j T[i, j] F_j,
+with no tau^weight factor: the functions are normalized quotients, whose
+numerator's weight cancels against the superdenominator's.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class SMatrix:
     labels: tuple
     entries: np.ndarray
     t_matrix: np.ndarray
-    weight: int = 0
     conjectural: bool = False
     note: str = ""
 
@@ -255,17 +254,17 @@ def _osp42_class_value(w: WeightSpec, pt: ModularPoint, policy) -> SeriesValue:
 
 
 def _apply_residuals(case, k, points, params, policy, g):
-    """F_i|g against tau^w sum_j M_ij F_j at the points, for g = S (M the
-    S-matrix, w its weight) or g = T (M the T-matrix, w = 0)."""
+    """F_i|g against sum_j M_ij F_j at the points, for g = S (M the
+    S-matrix) or g = T (M the T-matrix)."""
     sm = smatrix(case, k, params)
     fns, quad = _basis_functions(case, k, params, policy)
-    matrix, weight = (sm.entries, sm.weight) if g == S else (sm.t_matrix, 0)
+    matrix = sm.entries if g == S else sm.t_matrix
     records = []
     for pt in points:
         moved = act(g, pt, quad)
         vals = [f(pt) for f in fns]
         for i, f in enumerate(fns):
-            rhs = pt.tau ** weight * sum(matrix[i, j] * vals[j] for j in range(len(fns)))
+            rhs = sum(matrix[i, j] * vals[j] for j in range(len(fns)))
             res = abs(f(moved) - rhs)
             records.append({"label": str(sm.labels[i]), "tau": str(pt.tau), "residual": res})
     return sm, records, max([0.0] + [r["residual"] for r in records])
@@ -274,7 +273,7 @@ def _apply_residuals(case, k, points, params, policy, g):
 def apply_smatrix_check(
     case: str, k, points, params: tuple = None, policy=DEFAULT_POLICY
 ):
-    """Numerically verify F_i|S = tau^w sum_j S_ij F_j at the points."""
+    """Numerically verify F_i|S = sum_j S_ij F_j at the points."""
     sm, records, max_res = _apply_residuals(case, k, points, params, policy, S)
     return {
         "case": case,

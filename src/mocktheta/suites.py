@@ -960,19 +960,20 @@ def suite_prop622(seed=58, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
     checks = []
     sys = system("sl21")
     w = WeightSpec(1, (0,))
+    chp = lambda p: ch_tilde("sl21", w, p, policy, variant="ch_plus_modified").value
+    twm = lambda p: ch_tilde("sl21", w, p, policy, variant="tw_minus_modified").value
+    twp = lambda p: ch_tilde("sl21", w, p, policy, variant="tw_plus_modified").value
     for tau, z1, z2 in _points(seed, n_points):
         pt = ModularPoint(tau, (z1, z2), 0.05)
         ptS = act(S, pt, sys.quad)
         ptT = act(T, pt, sys.quad)
-        chp = lambda p: ch_tilde("sl21", w, p, policy, variant="ch_plus_modified").value
-        twm = lambda p: ch_tilde("sl21", w, p, policy, variant="tw_minus_modified").value
-        twp = lambda p: ch_tilde("sl21", w, p, policy, variant="tw_plus_modified").value
-        checks.append(_chk("(a) ch+|S = tw-", chp(ptS), twm(pt), tau))
-        checks.append(_chk("(a) tw-|S = ch+", twm(ptS), chp(pt), tau))
-        checks.append(_chk("(a) tw+|S = -tw+", twp(ptS), -twp(pt), tau))
-        checks.append(_chk("(b) ch+|T = ch+", chp(ptT), chp(pt), tau))
-        checks.append(_chk("(b) tw-|T = i tw+", twm(ptT), 1j * twp(pt), tau))
-        checks.append(_chk("(b) tw+|T = i tw-", twp(ptT), 1j * twm(pt), tau))
+        chp0, twm0, twp0 = chp(pt), twm(pt), twp(pt)
+        checks.append(_chk("(a) ch+|S = tw-", chp(ptS), twm0, tau))
+        checks.append(_chk("(a) tw-|S = ch+", twm(ptS), chp0, tau))
+        checks.append(_chk("(a) tw+|S = -tw+", twp(ptS), -twp0, tau))
+        checks.append(_chk("(b) ch+|T = ch+", chp(ptT), chp0, tau))
+        checks.append(_chk("(b) tw-|T = i tw+", twm(ptT), 1j * twp0, tau))
+        checks.append(_chk("(b) tw+|T = i tw-", twp(ptT), 1j * twm0, tau))
     return _report("prop6.22", "prop6.22", tol, checks)
 
 

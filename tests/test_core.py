@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
+from mocktheta import _oracles
 from mocktheta.core import (
+    SQRT_PI,
     SeriesValue,
     TruncationPolicy,
     gauss_E,
@@ -18,8 +20,15 @@ from mocktheta.errors import NonConvergent
 
 
 def quad_E(x):
-    val, _ = quad(lambda u: math.exp(-math.pi * u * u), 0.0, x)
-    return 2.0 * val
+    with mpmath.workdps(30):
+        return 2.0 * float(mpmath.quad(lambda u: mpmath.exp(-mpmath.pi * u * u), [0, x]))
+
+
+def erfcx_ref(x):
+    """erfc(a) exp(a^2) at the double a = sqrt(pi) x, to 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(SQRT_PI * x)
+        return mpmath.erfc(a) * mpmath.exp(a * a)
 
 
 class TestPolicy:
@@ -92,10 +101,46 @@ class TestGaussE:
             assert abs(gauss_E_complement_scaled(x) - plain) < 1e-12 * plain
         assert gauss_E_complement_scaled(200.0) > 0.0
 
+    def test_scaled_complement_against_mpmath(self):
+        # both branches: erfc(a) e^{a^2} below a = 26, continued fraction above
+        xs = np.concatenate(
+            [
+                np.linspace(-14.9, 0.0, 80),
+                np.linspace(0.0, 15.0, 80),
+                np.geomspace(15.0, 1e6, 60),
+            ]
+        )
+        for x in xs:
+            ref = erfcx_ref(float(x))
+            assert abs(gauss_E_complement_scaled(float(x)) - ref) <= 1e-15 * ref
+
+    def test_scaled_complement_overflow_is_loud(self):
+        # e^{a^2} overflows below a = -sqrt(_EXP_GUARD), i.e. x < -14.93
+        assert math.isfinite(gauss_E_complement_scaled(-14.9))
+        for x in (-15.0, -20.0):
+            with pytest.raises(NonConvergent):
+                gauss_E_complement_scaled(x)
+
+    def test_quadrature_oracles_against_mpmath(self):
+        with mpmath.workdps(40):
+            for x in np.linspace(-40.0, 12.0, 521):
+                a = mpmath.sqrt(mpmath.pi) * mpmath.mpf(float(x))
+                assert abs(_oracles.gauss_E_quad(float(x)) - mpmath.erf(a)) <= 1e-14
+                comp = mpmath.erfc(a)
+                err = abs(_oracles.gauss_E_complement_quad(float(x)) - comp)
+                assert err <= 1e-12 * comp
+
     def test_complement_relative_accuracy_large_x(self):
-        # the complement must not lose relative accuracy where it is tiny
+        # the complement must not lose relative accuracy where it is tiny;
+        # u = x + v keeps the reference integrand O(1), which mpmath.quad
+        # needs (on [x, inf) directly it is off by 2e-5 relative at x = 6)
         x = 6.0
-        tail, _ = quad(lambda u: math.exp(-math.pi * u * u), x, np.inf)
+        with mpmath.workdps(30):
+            pi = mpmath.pi
+            tail = float(
+                mpmath.exp(-pi * x * x)
+                * mpmath.quad(lambda v: mpmath.exp(-pi * (v * v + 2 * x * v)), [0, mpmath.inf])
+            )
         assert abs(gauss_E_complement(x) - 2 * tail) / (2 * tail) < 1e-12
 
 

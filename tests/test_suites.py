@@ -1,5 +1,6 @@
 import pytest
 
+from mocktheta import suites
 from mocktheta.suites import SUITES, list_suites, run_suite
 
 
@@ -30,3 +31,19 @@ def test_single_product_form_recorded():
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("nope")
+
+
+def test_prop622_evaluates_each_variant_once_per_point(monkeypatch):
+    # six checks per point share the three unmoved values: 3 at pt, 3 at
+    # S pt and 3 at T pt
+    calls = []
+    real = suites.ch_tilde
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["variant"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "ch_tilde", counting)
+    rep = suites.suite_prop622(n_points=2)
+    assert rep["pass"] and rep["n_checks"] == 12
+    assert len(calls) == 9 * 2
