@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
+import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from mocktheta.errors import UnsupportedCase
+from mocktheta.errors import MockThetaError, UnsupportedCase
 from mocktheta.superalg import (
     WeightSpec,
     enumerate_omega,
@@ -385,3 +389,91 @@ class TestEnumerations:
     def test_f4_g3_finite(self):
         assert len(enumerate_omega(preset("f4"), 1)) > 0
         assert len(enumerate_omega(preset("g3"), 1)) > 0
+
+
+# ---------------------------------------------------------------------------
+# pinned enumerations and preset exports
+#
+#     PYTHONPATH=src python tests/test_superalg.py --write   # re-pin
+#
+# Re-pin only when a change is meant to move an Omega list or a preset.
+
+PINS = Path(__file__).with_name("data") / "superalg.json"
+ALIASES = ("sl21", "sl32", "osp32", "osp32_sub", "osp42", "d21a", "f4", "g3")
+
+
+def _levels(name, params):
+    """Levels with a finite Omega (at least two per family), then one
+    level that each family's enumeration refuses."""
+    if name == "d21a":
+        p, q = params
+        return [F(-p * q * n, p + q) for n in (1, 2)], F(1)
+    if name == "osp32_sub":
+        return [F(-1, 2), F(-3, 4), F(-5, 4)], F(1)
+    return [F(1), F(2)], F(1, 2)
+
+
+def _pin_key(name, params, k):
+    return f"{name}{tuple(params)}@{k}"
+
+
+def _omega_rows(pre, k):
+    return [[w.side, [str(x) for x in w.labels]] for w in enumerate_omega(pre, k)]
+
+
+def pinned_values():
+    omega, errors = {}, {}
+    for name, params in ALL_PRESETS:
+        pre = preset(name, params)
+        good, bad = _levels(name, params)
+        for k in good:
+            omega[_pin_key(name, params, k)] = _omega_rows(pre, k)
+        try:
+            enumerate_omega(pre, bad)
+        except MockThetaError as exc:
+            errors[_pin_key(name, params, bad)] = f"{type(exc).__name__}: {exc}"
+    presets = {alias: preset(alias).to_json() for alias in ALIASES}
+    return {"omega": omega, "errors": errors, "preset_json": presets}
+
+
+class TestPinned:
+    """Omega lists, level errors and preset exports against
+    ``tests/data/superalg.json``."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(PINS.read_text())
+
+    @pytest.mark.parametrize("name,params", ALL_PRESETS)
+    def test_omega_lists(self, pinned, name, params):
+        pre = preset(name, params)
+        good, bad = _levels(name, params)
+        for k in good:
+            assert _omega_rows(pre, k) == pinned["omega"][_pin_key(name, params, k)]
+        with pytest.raises(MockThetaError) as err:
+            enumerate_omega(pre, bad)
+        got = f"{type(err.value).__name__}: {err.value}"
+        assert got == pinned["errors"][_pin_key(name, params, bad)]
+
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_preset_json(self, pinned, alias):
+        assert preset(alias).to_json() == pinned["preset_json"][alias]
+
+
+@pytest.mark.parametrize("name,params", ALL_PRESETS)
+def test_answers_do_not_depend_on_the_display_name(name, params):
+    pre = preset(name, params)
+    renamed = dataclasses.replace(pre, name="renamed")
+    for k in _levels(name, params)[0]:
+        om = enumerate_omega(pre, k)
+        assert enumerate_omega(renamed, k) == om
+        assert all(integrable(renamed, w) for w in om)
+        for w in om:
+            off = WeightSpec(k, (w.labels[0] + F(1, 3),) + w.labels[1:], side=w.side)
+            assert integrable(renamed, off) == integrable(pre, off)
+
+
+if __name__ == "__main__":
+    if "--write" in sys.argv[1:]:
+        PINS.write_text(json.dumps(pinned_values(), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {PINS}")
