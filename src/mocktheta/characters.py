@@ -35,7 +35,7 @@ from .lattice import LatticeContext, Weight, build_modification, eval_modified, 
 from .mock import MockIndex, phi
 from .modifier import phi_tilde
 from .modular import gram_quad
-from .superalg import WeightSpec, preset
+from .superalg import WeightSpec, d21a_level, preset
 from .theta import eta, theta_ab, theta_jm
 
 F = Fraction
@@ -592,7 +592,7 @@ def ch_tilde(
     elif case in ("osp32", "osp42"):
         num = sys.numerator(w, point, policy)
     elif case == "d21a":
-        n = int(-w.k * (sys.p + sys.q) / (sys.p * sys.q))
+        n = d21a_level(sys.p, sys.q, w.k)
         num = sys.numerator_nu(d21a_nu(sys, w), n, point, policy)
     else:
         raise UnsupportedCase(case)

@@ -22,7 +22,7 @@ from .mock import MockIndex, phi
 from .modifier import phi_add, phi_tilde, r_jm, r_jm_signed
 from .smatrix import smatrix
 from .suites import SUITES, list_suites, run_suite
-from .superalg import WeightSpec, enumerate_omega, integrable, preset
+from .superalg import WeightSpec, d21a_level, enumerate_omega, integrable, preset
 from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
 F = Fraction
@@ -211,10 +211,12 @@ def cmd_chartable(args) -> int:
 
     try:
         sys_obj = system(args.case, _case_params(args))
+        k = parse_rational(args.k)
+        if args.case == "d21a":
+            d21a_level(sys_obj.p, sys_obj.q, k)
     except MockThetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    k = parse_rational(args.k)
     labels = tuple(parse_rational(x) for x in (args.labels or "0").split(","))
     if len(labels) != sys_obj.n_labels:
         print(f"error: case {args.case} takes {sys_obj.n_labels} weight label(s), "

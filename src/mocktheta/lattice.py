@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .mock import SIGNS, MockIndex
 from .modifier import phi_tilde
+from .superalg import _dot_gram
 from .theta import LatticeData, SignCharacter, _lattice_sum, lattice_theta
 
 _I_PI = 1j * math.pi
@@ -123,38 +125,27 @@ class LatticeContext:
     def ambient_dim(self) -> int:
         return self.rank + self.n_isotropic
 
-    def full_gram(self):
-        m, n = self.rank, self.n_isotropic
-        dim = m + n
-        G = [[Fraction(0)] * dim for _ in range(dim)]
-        for i in range(m):
-            for j in range(m):
-                G[i][j] = self.gamma_gram[i][j]
-        for i in range(m):
-            for j in range(n):
-                G[i][m + j] = self.gamma_beta[i][j]
-                G[m + j][i] = self.gamma_beta[i][j]
-        for i in range(n):
-            for j in range(n):
-                G[m + i][m + j] = self.beta_beta[i][j]
-        return G
+    @cached_property
+    def full_gram(self) -> tuple:
+        """Exact Gram of the combined frame, built once per context."""
+        m = self.rank
+        gb, bb = self.gamma_beta, self.beta_beta
+        return tuple(
+            self.gamma_gram[i] + gb[i] for i in range(m)
+        ) + tuple(
+            tuple(row[j] for row in gb) + bb[j] for j in range(self.n_isotropic)
+        )
 
     def full_gram_float(self) -> np.ndarray:
         return np.asarray(
-            [[float(x) for x in row] for row in self.full_gram()], dtype=float
+            [[float(x) for x in row] for row in self.full_gram], dtype=float
         )
 
     def pair(self, u, v) -> Fraction:
         """Exact pairing of two rational frame vectors."""
-        G = self.full_gram()
         u = [as_fraction(x) for x in u]
         v = [as_fraction(x) for x in v]
-        return sum(
-            u[i] * G[i][j] * v[j]
-            for i in range(len(u))
-            for j in range(len(v))
-            if u[i] and v[j]
-        ) or Fraction(0)
+        return _dot_gram(self.full_gram, u, v)
 
     def gamma_vec(self, i: int):
         e = [Fraction(0)] * self.ambient_dim
@@ -256,23 +247,20 @@ def validate_context(ctx: LatticeContext, mode: str = None, weight: Weight = Non
     return out
 
 
-def eps_lattice_sign(ctx: LatticeContext, sign: int, coords) -> int:
-    """Translation sign character on L; exponent is exactly integral."""
-    if sign == 1:
-        return 1
+def translation_sign(ctx: LatticeContext) -> SignCharacter:
+    """The sign of the minus-mode sum on L, trivial in the other modes.
+
+    The sign of gamma = sum c_i gamma_i is (-1)^e with
+    e = sum_{i<=n} (gamma|beta_i) + k|gamma'|^2, where gamma' drops the
+    first n coordinates.  Under the conditions ``validate_context`` checks
+    ((gamma_i|beta_j) = -delta_ij, k(gamma_i|gamma_j) integral), e is
+    v . c mod 2 with v_i = 1 for i <= n and v_l = k|gamma_l|^2 mod 2 after.
+    """
+    if ctx.mode != "minus":
+        return SignCharacter()
     n = ctx.n_isotropic
-    gamma = [as_fraction(c) for c in coords] + [Fraction(0)] * n
-    expo = Fraction(0)
-    shifted = list(gamma)
-    for i in range(1, n + 1):
-        gb = ctx.pair(gamma, ctx.beta_vec(i))
-        expo += gb
-        gi = ctx.gamma_vec(i)
-        shifted = [a + gb * b for a, b in zip(shifted, gi)]
-    expo += ctx.k * ctx.pair(shifted, shifted)
-    if expo.denominator != 1:
-        raise ConditionViolation([f"sign exponent {expo} is not an integer"])
-    return -1 if expo.numerator % 2 else 1
+    tail = (int(ctx.k * ctx.gamma_gram[l][l]) % 2 for l in range(n, ctx.rank))
+    return SignCharacter("custom_vector", vector=(1,) * n + tuple(tail))
 
 
 def lattice_mock_theta(
@@ -308,7 +296,7 @@ def lattice_mock_theta(
     # amplify by exp(2 pi y |c_j|) and |c_j| <= r / (k sqrt(lam_min)).
     growth = 2.0 * math.pi * im_norm + 2.0 * math.pi * n * tau.imag / math.sqrt(lam_min)
     lam_gamma_coords = np.linalg.solve(gamma_gram, lam @ G[:, :m])
-    sgn = SIGNS[ctx.mode]
+    sign = translation_sign(ctx)
 
     def term(c, n2):
         v = lam + k * np.concatenate([c.astype(float), np.zeros(n)])
@@ -321,7 +309,7 @@ def lattice_mock_theta(
             if abs(dj) < 1e-8:
                 raise PoleProximity(f"denominator factor {j+1} vanishes")
             den *= dj
-        return eps_lattice_sign(ctx, sgn, c.tolist()) * cexp(w) / den
+        return sign(c.tolist(), n2) * cexp(w) / den
 
     out = _lattice_sum(gamma_gram, lam_gamma_coords / k, k, tau, growth, term, policy)
     return cexp(_2PI_I * k * complex(point.t)) * out

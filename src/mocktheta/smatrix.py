@@ -26,7 +26,7 @@ from .errors import UnsupportedCase
 from .mock import MockIndex
 from .modifier import phi_tilde
 from .modular import S, T, act
-from .superalg import WeightSpec
+from .superalg import WeightSpec, d21a_level
 from .theta import theta_jm
 
 F = Fraction
@@ -75,10 +75,7 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
     if case == "d21a":
         p, q = params or (1, 1)
         sys = system("d21a", (p, q))
-        n = -k * (p + q) / (p * q)
-        if n.denominator != 1 or n <= 0:
-            raise UnsupportedCase("level must be -pqn/(p+q)")
-        n = int(n)
+        n = d21a_level(p, q, k)
         nus = sys.nu_range(n)
         N = (p + q) * n
         size = len(nus)
@@ -194,7 +191,7 @@ def _basis_functions(case: str, k, params, policy):
     if case == "d21a":
         p, q = params or (1, 1)
         sys = system("d21a", (p, q))
-        n = int(-as_fraction(k) * (p + q) / (p * q))
+        n = d21a_level(p, q, k)
         fns = [
             (lambda pt, nu=nu: ch_tilde("d21a", WeightSpec(k, (0, nu)), pt, policy,
                                         params=(p, q)).value)

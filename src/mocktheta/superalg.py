@@ -4,6 +4,13 @@ the defect-zero orthogonal subalgebra, Weyl-group generators with their
 two sign characters, integrability predicates, and the finite weight
 enumerations that index the modular families.
 
+One table, ``_FAMILIES``, holds each family's three parts side by side:
+the preset constructor, the integrability predicate and the candidate
+labels for the finite weight set Omega.  ``preset()`` records the family
+key on the preset it builds, and ``integrable`` and ``enumerate_omega``
+look that key up; the display name ``SuperalgebraPreset.name`` is only
+shown, never parsed.
+
 All label arithmetic is exact (fractions.Fraction); floats appear only
 once series get evaluated elsewhere.
 """
@@ -11,8 +18,9 @@ once series get evaluated elsewhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .core import as_fraction
 from .errors import InfiniteSet, UnsupportedCase
@@ -67,6 +75,7 @@ class SuperalgebraPreset:
     weyl_gens: tuple = ()  # (root vector, eps_minus) pairs; eps_plus = -1
     eps_minus_translations: str = "trivial"
     notes: str = ""
+    family: str = ""  # the _FAMILIES key preset() built this from
 
     def pair(self, u, v) -> Fraction:
         return _dot_gram(self.gram, u, v)
@@ -113,7 +122,7 @@ class SuperalgebraPreset:
             raise ValueError("cannot reflect in an isotropic root")
         cols = []
         for j in range(dim):
-            e = tuple(F(int(i == j)) for i in range(dim))
+            e = _unit(dim, j)
             coef = 2 * self.pair(e, root) / n2
             cols.append(tuple(e[i] - coef * root[i] for i in range(dim)))
         # cols[j] is the image of e_j; matrix rows from columns
@@ -125,7 +134,7 @@ class SuperalgebraPreset:
 def _weyl_group(preset: SuperalgebraPreset, cap: int = 4000):
     """BFS closure of the generator reflections with both sign characters."""
     dim = len(preset.gram)
-    ident = tuple(tuple(F(int(i == j)) for j in range(dim)) for i in range(dim))
+    ident = tuple(_unit(dim, i) for i in range(dim))
     gens = []
     for root, eps_m in preset.weyl_gens:
         gens.append((preset.reflection_matrix(root), -1, eps_m))
@@ -182,48 +191,60 @@ def weyl_sharp_orbit(preset: SuperalgebraPreset, bound: int = 0):
 # preset constructors
 
 
+def _unit(dim: int, i: int):
+    """The standard basis vector e_i (0-based) of Q^dim."""
+    return tuple(F(int(r == i)) for r in range(dim))
+
+
+def _add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _sigma0(v, n: int):
+    """Flip the eps_1 and eps_{n+1} coordinates."""
+    w = list(v)
+    w[0] = -w[0]
+    w[n] = -w[n]
+    return tuple(w)
+
+
+def _osp_basis(m: int, n: int, eps_norm: Fraction):
+    """Orthogonal basis data: eps_1..eps_m of square eps_norm, then
+    delta_1..delta_n of square -eps_norm (both 1-based)."""
+    dim = m + n
+    gram = tuple(
+        tuple(
+            (eps_norm if i < m else -eps_norm) * int(i == j) for j in range(dim)
+        )
+        for i in range(dim)
+    )
+    return gram, (lambda i: _unit(dim, i - 1)), (lambda j: _unit(dim, m + j - 1))
+
+
 def _preset_sl(m: int, n: int) -> SuperalgebraPreset:
     """sl(m+1|n), m >= n >= 1; supertrace form on eps_1..eps_{m+1},
     delta_1..delta_n."""
     if not (m >= n >= 1):
         raise UnsupportedCase("sl(m+1|n) needs m >= n >= 1")
-    dim = m + 1 + n
-    gram = tuple(
-        tuple(
-            F(int(i == j)) if i < m + 1 else F(-int(i == j))
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
-
-    def eps(i):  # 1-based
-        return tuple(F(int(r == i - 1)) for r in range(dim))
-
-    def delta(j):
-        return tuple(F(int(r == m + j)) for r in range(dim))
-
-    def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
+    gram, eps, delta = _osp_basis(m + 1, n, F(1))
     simple = []
     for i in range(1, n + 1):
-        simple.append((sub(eps(i), delta(i)), 1))
-        simple.append((sub(delta(i), eps(i + 1)), 1))
+        simple.append((_sub(eps(i), delta(i)), 1))
+        simple.append((_sub(delta(i), eps(i + 1)), 1))
     for i in range(2 * n + 1, m + n + 1):
-        simple.append((sub(eps(i - n), eps(i - n + 1)), 0))
-    gammas = tuple(sub(eps(m + 1), eps(i)) for i in range(1, m + 1))
-    ts = tuple(sub(eps(i), delta(i)) for i in range(1, n + 1))
+        simple.append((_sub(eps(i - n), eps(i - n + 1)), 0))
+    gammas = tuple(_sub(eps(m + 1), eps(i)) for i in range(1, m + 1))
+    ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
     rho = tuple(
-        sum(
-            (F(m - n) * t[r] for t in ts),
-            start=F(0),
-        )
+        sum((F(m - n) * t[r] for t in ts), start=F(0))
         + sum((F(m + 1 - i) * eps(i)[r] for i in range(n + 1, m + 1)), start=F(0))
-        for r in range(dim)
+        for r in range(m + 1 + n)
     )
-    gens = tuple(
-        (sub(eps(i), eps(i + 1)), -1) for i in range(1, m + 1)
-    )
+    gens = tuple((_sub(eps(i), eps(i + 1)), -1) for i in range(1, m + 1))
     return SuperalgebraPreset(
         name=f"sl({m+1}|{n})",
         params=(m, n),
@@ -241,51 +262,28 @@ def _preset_sl(m: int, n: int) -> SuperalgebraPreset:
     )
 
 
-def _osp_basis(m: int, n: int, eps_norm: Fraction):
-    """Orthogonal basis data: eps_1..eps_m of square eps_norm, then
-    delta_1..delta_n of square -eps_norm."""
-    dim = m + n
-    gram = tuple(
-        tuple(
-            (eps_norm if i < m else -eps_norm) * int(i == j) for j in range(dim)
-        )
-        for i in range(dim)
-    )
-
-    def eps(i):
-        return tuple(F(int(r == i - 1)) for r in range(dim))
-
-    def delta(j):
-        return tuple(F(int(r == m + j - 1)) for r in range(dim))
-
-    return gram, eps, delta
-
-
 def _preset_osp_even_low(n: int, m: int) -> SuperalgebraPreset:
     """osp(2n|2m), m >= n >= 1: sp side eps_1..eps_m of square 1/2."""
     if not (m >= n >= 1):
         raise UnsupportedCase("osp(2n|2m) preset needs m >= n >= 1")
     gram, eps, delta = _osp_basis(m, n, F(1, 2))
 
-    def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
     gammas = tuple(tuple(-2 * x for x in eps(i)) for i in range(1, m + 1))
-    ts = tuple(sub(eps(i), delta(i)) for i in range(1, n + 1))
+    ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
     rho = tuple(
         sum((F(i - n) * eps(i)[r] for i in range(n + 1, m + 1)), start=F(0))
         for r in range(m + n)
     )
     simple = []
     for i in range(1, m - n + 1):
-        simple.append((sub(eps(m - i + 1), eps(m - i)), 0))
+        simple.append((_sub(eps(m - i + 1), eps(m - i)), 0))
     # alternating odd tail down to eps_1 +- delta_1
     for j in range(n, 1, -1):
-        simple.append((sub(eps(j), delta(j)), 1))
-        simple.append((sub(delta(j), eps(j - 1)), 1))
-    simple.append((sub(eps(1), delta(1)), 1))
-    simple.append((tuple(a + b for a, b in zip(eps(1), delta(1))), 1))
-    gens = [(sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
+        simple.append((_sub(eps(j), delta(j)), 1))
+        simple.append((_sub(delta(j), eps(j - 1)), 1))
+    simple.append((_sub(eps(1), delta(1)), 1))
+    simple.append((_add(eps(1), delta(1)), 1))
+    gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
     gens.append((tuple(2 * x for x in eps(m)), -1))
     return SuperalgebraPreset(
         name=f"osp({2*n}|{2*m})",
@@ -311,19 +309,16 @@ def _preset_osp_odd_low(n: int, m: int) -> SuperalgebraPreset:
     base = _preset_osp_even_low(n, m)
     gram, eps, delta = _osp_basis(m, n, F(1, 2))
 
-    def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
     # simple roots per the alternating chain ending at the short odd eps_1
     simple = []
     for i in range(1, m - n):
-        simple.append((sub(eps(m - i + 1), eps(m - i)), 0))
+        simple.append((_sub(eps(m - i + 1), eps(m - i)), 0))
     if m > n:
-        simple.append((sub(eps(n + 1), delta(n)), 1))
+        simple.append((_sub(eps(n + 1), delta(n)), 1))
     for j in range(n, 0, -1):
-        simple.append((sub(delta(j), eps(j)), 1))
+        simple.append((_sub(delta(j), eps(j)), 1))
         if j > 1:
-            simple.append((sub(eps(j), delta(j - 1)), 1))
+            simple.append((_sub(eps(j), delta(j - 1)), 1))
     simple.append((eps(1), 1))
     rho = tuple(
         F(1, 2) * sum((t[r] for t in base.isotropic_t), start=F(0))
@@ -333,7 +328,7 @@ def _preset_osp_odd_low(n: int, m: int) -> SuperalgebraPreset:
         )
         for r in range(m + n)
     )
-    gens = [(sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
+    gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
     gens.append((tuple(2 * x for x in eps(m)), 1))  # half 2eps is the odd eps
     return SuperalgebraPreset(
         name=f"osp({2*n+1}|{2*m})",
@@ -358,25 +353,22 @@ def _preset_osp_odd_high(m: int, n: int) -> SuperalgebraPreset:
         raise UnsupportedCase("osp(2m+1|2n) preset needs m > n >= 1")
     gram, eps, delta = _osp_basis(m, n, F(1))
 
-    def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
-    gammas = [sub(eps(n + 1), eps(i)) for i in range(1, n + 1)]
+    gammas = [_sub(eps(n + 1), eps(i)) for i in range(1, n + 1)]
     gammas.append(tuple(2 * x for x in eps(n + 1)))
-    gammas.extend(sub(eps(i), eps(i - 1)) for i in range(n + 2, m + 1))
-    ts = tuple(sub(eps(i), delta(i)) for i in range(1, n + 1))
+    gammas.extend(_sub(eps(i), eps(i - 1)) for i in range(n + 2, m + 1))
+    ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
     rho = tuple(
         sum(((F(i - n) - F(1, 2)) * eps(i)[r] for i in range(n + 1, m + 1)), start=F(0))
         - F(1, 2) * sum((t[r] for t in ts), start=F(0))
         for r in range(m + n)
     )
-    simple = [(sub(eps(m - i + 1), eps(m - i)), 0) for i in range(1, m - n + 1)]
+    simple = [(_sub(eps(m - i + 1), eps(m - i)), 0) for i in range(1, m - n + 1)]
     for j in range(n, 1, -1):
-        simple.append((sub(eps(j), delta(j)), 1))
-        simple.append((sub(delta(j), eps(j - 1)), 1))
-    simple.append((sub(eps(1), delta(1)), 1))
+        simple.append((_sub(eps(j), delta(j)), 1))
+        simple.append((_sub(delta(j), eps(j - 1)), 1))
+    simple.append((_sub(eps(1), delta(1)), 1))
     simple.append((delta(1), 1))
-    gens = [(sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
+    gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
     gens.append((eps(m), -1))
     return SuperalgebraPreset(
         name=f"osp({2*m+1}|{2*n})",
@@ -401,33 +393,24 @@ def _preset_osp_even_high(m: int, n: int) -> SuperalgebraPreset:
         raise UnsupportedCase("osp(2m|2n) preset needs m > n + 2")
     gram, eps, delta = _osp_basis(m, n, F(1))
 
-    def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
-    gammas = [sub(eps(i), eps(m)) for i in range(1, n + 1)]
-    gammas.append(tuple(a + b for a, b in zip(eps(n + 2), eps(n + 1))))
-    gammas.extend(sub(eps(i), eps(i - 1)) for i in range(n + 2, m + 1))
-    ts = tuple(sub(delta(i), eps(i)) for i in range(1, n + 1))
-    # sigma0 flips eps_1 and eps_{n+1}
-    def sigma0(v):
-        w = list(v)
-        w[0] = -w[0]
-        w[n] = -w[n]
-        return tuple(w)
-    ts_prime = tuple(sigma0(t) for t in ts)
+    gammas = [_sub(eps(i), eps(m)) for i in range(1, n + 1)]
+    gammas.append(_add(eps(n + 2), eps(n + 1)))
+    gammas.extend(_sub(eps(i), eps(i - 1)) for i in range(n + 2, m + 1))
+    ts = tuple(_sub(delta(i), eps(i)) for i in range(1, n + 1))
+    ts_prime = tuple(_sigma0(t, n) for t in ts)
     rho = tuple(
         sum((F(i - n - 1) * eps(i)[r] for i in range(n + 2, m + 1)), start=F(0))
         for r in range(m + n)
     )
-    simple = [(sub(eps(m - i + 1), eps(m - i)), 0) for i in range(1, m - n - 1)]
-    simple.append((sub(eps(n + 1), delta(n)), 1))
+    simple = [(_sub(eps(m - i + 1), eps(m - i)), 0) for i in range(1, m - n - 1)]
+    simple.append((_sub(eps(n + 1), delta(n)), 1))
     for j in range(n, 1, -1):
-        simple.append((sub(delta(j), eps(j)), 1))
-        simple.append((sub(eps(j), delta(j - 1)), 1))
-    simple.append((sub(delta(1), eps(1)), 1))
-    simple.append((tuple(a + b for a, b in zip(delta(1), eps(1))), 1))
-    gens = [(sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
-    gens.append((tuple(a + b for a, b in zip(eps(m - 1), eps(m))), -1))
+        simple.append((_sub(delta(j), eps(j)), 1))
+        simple.append((_sub(eps(j), delta(j - 1)), 1))
+    simple.append((_sub(delta(1), eps(1)), 1))
+    simple.append((_add(delta(1), eps(1)), 1))
+    gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
+    gens.append((_add(eps(m - 1), eps(m)), -1))
     return SuperalgebraPreset(
         name=f"osp({2*m}|{2*n})",
         params=(m, n),
@@ -453,30 +436,20 @@ def _preset_osp_h0(n: int) -> SuperalgebraPreset:
     m = n + 1
     gram, eps, delta = _osp_basis(m, n, F(1))
 
-    def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
-    gammas = [sub(eps(n + 1), eps(i)) for i in range(1, n + 1)]
+    gammas = [_sub(eps(n + 1), eps(i)) for i in range(1, n + 1)]
     gammas.append(tuple(2 * x for x in eps(n + 1)))
-    ts = tuple(sub(eps(i), delta(i)) for i in range(1, n + 1))
-
-    def sigma0(v):
-        w = list(v)
-        w[0] = -w[0]
-        w[n] = -w[n]
-        return tuple(w)
-
-    ts_prime = tuple(sigma0(t) for t in ts)
+    ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
+    ts_prime = tuple(_sigma0(t, n) for t in ts)
     rho = tuple(F(0) for _ in range(m + n))
     simple = []
-    simple.append((sub(eps(1), delta(1)), 1))
+    simple.append((_sub(eps(1), delta(1)), 1))
     for j in range(1, n):
-        simple.append((sub(delta(j), eps(j + 1)), 1))
-        simple.append((sub(eps(j + 1), delta(j + 1)), 1))
-    simple.append((sub(delta(n), eps(n + 1)), 1))
-    simple.append((tuple(a + b for a, b in zip(delta(n), eps(n + 1))), 1))
-    gens = [(sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
-    gens.append((tuple(a + b for a, b in zip(eps(m - 1), eps(m))), -1))
+        simple.append((_sub(delta(j), eps(j + 1)), 1))
+        simple.append((_sub(eps(j + 1), delta(j + 1)), 1))
+    simple.append((_sub(delta(n), eps(n + 1)), 1))
+    simple.append((_add(delta(n), eps(n + 1)), 1))
+    gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
+    gens.append((_add(eps(m - 1), eps(m)), -1))
     return SuperalgebraPreset(
         name=f"osp({2*n+2}|{2*n})",
         params=(n,),
@@ -507,15 +480,15 @@ def _preset_d21a(p: int, q: int) -> SuperalgebraPreset:
         (a, F(0), F(1)),
         (-(a + 1), F(1), F(0)),
     )
-    a1, a2, a3 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
+    a1, a2, a3 = (_unit(3, i) for i in range(3))
     simple = ((a1, 1), (a2, 1), (a3, 1))
     g1 = tuple((x + y) / (a + 1) for x, y in zip(a1, a3))
     g2 = tuple(
         (x + y) / a + (x2 + y2) / (a + 1)
         for (x, y), (x2, y2) in zip(zip(a1, a2), zip(a1, a3))
     )
-    even1 = tuple(x + y for x, y in zip(a1, a2))
-    even2 = tuple(x + y for x, y in zip(a1, a3))
+    even1 = _add(a1, a2)
+    even2 = _add(a1, a3)
     return SuperalgebraPreset(
         name=f"D(2,1;{a})",
         params=(p, q),
@@ -541,19 +514,16 @@ def _preset_f4() -> SuperalgebraPreset:
         (F(0), F(1), F(0), F(-3, 2)),
         (F(0), F(1, 2), F(-3, 2), F(0)),
     )
-    a1 = (F(1), F(0), F(0), F(0))
-    a2 = (F(0), F(1), F(0), F(0))
-    a3 = (F(0), F(0), F(1), F(0))
-    a4 = (F(0), F(0), F(0), F(1))
+    a1, a2, a3, a4 = (_unit(4, i) for i in range(4))
     simple = ((a1, 0), (a2, 1), (a3, 1), (a4, 1))
     g1 = a1
     g2 = tuple(x + y + z for x, y, z in zip(a1, a2, a3))
     g3 = tuple(x + 2 * y + 2 * w for x, y, w in zip(a1, a2, a4))
-    rho = tuple(x + y for x, y in zip(g2, g3))
+    rho = _add(g2, g3)
     # so(7) simple roots: a2+a3, a1, a2+a4
-    r1 = tuple(x + y for x, y in zip(a2, a3))
+    r1 = _add(a2, a3)
     r2 = a1
-    r3 = tuple(x + y for x, y in zip(a2, a4))
+    r3 = _add(a2, a4)
     return SuperalgebraPreset(
         name="F(4)",
         params=(),
@@ -577,13 +547,11 @@ def _preset_g3() -> SuperalgebraPreset:
         (F(-1), F(0), F(2, 3)),
         (F(0), F(2, 3), F(-2, 3)),
     )
-    a1 = (F(1), F(0), F(0))
-    a2 = (F(0), F(1), F(0))
-    a3 = (F(0), F(0), F(1))
+    a1, a2, a3 = (_unit(3, i) for i in range(3))
     simple = ((a1, 0), (a2, 1), (a3, 1))
     theta = tuple(2 * x + 3 * y + 3 * z for x, y, z in zip(a1, a2, a3))
     rho = tuple(-F(1, 2) * b + F(1, 2) * t for b, t in zip(a2, theta))
-    g2_root = tuple(x + y for x, y in zip(a2, a3))  # G2 short simple root
+    g2_root = _add(a2, a3)  # G2 short simple root
     return SuperalgebraPreset(
         name="G(3)",
         params=(),
@@ -626,6 +594,270 @@ def _preset_osp32_sub() -> SuperalgebraPreset:
     )
 
 
+# ---------------------------------------------------------------------------
+# integrability predicates: (preset, WeightSpec) -> bool, one per family
+
+
+def _is_nonneg_int(x) -> bool:
+    x = as_fraction(x)
+    return x.denominator == 1 and x >= 0
+
+
+def _integrable_chain(pre, w):
+    """osp(2n+1|2m) and sl(m+1|n): integers k > 0 and k >= k_1 >= ... >= 0."""
+    chain = (w.k, *w.labels)
+    return w.k > 0 and all(_is_nonneg_int(x) for x in chain) and all(
+        a >= b for a, b in zip(chain, chain[1:])
+    )
+
+
+def _integrable_sl(pre, w):
+    if w.k.denominator == 1 and w.k > 0 and len(w.labels) != len(pre.gamma_basis):
+        raise ValueError("label count must equal rank")
+    return _integrable_chain(pre, w)
+
+
+def _integrable_osp_even_low(pre, w):
+    # osp(2n|2m): the chain runs from the last label up to k
+    return _integrable_chain(pre, replace(w, labels=w.labels[::-1]))
+
+
+def _integrable_osp_odd_high(pre, w):
+    k = w.k
+    if not (k.denominator == 1 and k > 0):
+        return False
+    ks = list(w.labels)
+    k1 = ks[0]
+    if (2 * k1).denominator != 1 or k1 < 0:
+        return False
+    if any((x - k1).denominator != 1 or x - k1 < 0 for x in ks[1:]):
+        return False
+    if sorted(ks) != ks:
+        return False
+    if len(ks) >= 2 and k < ks[-1] + ks[-2]:
+        return False
+    return True
+
+
+def _integrable_osp_even_high(pre, w):
+    k = w.k
+    if not (k.denominator == 1 and k > 0):
+        return False
+    ks = list(w.labels)
+    k1 = ks[0]
+    if (2 * k1).denominator != 1:
+        return False
+    if any((x - k1).denominator != 1 for x in ks[1:]):
+        return False
+    rest = ks[1:]
+    if sorted(rest) != rest:
+        return False
+    if rest and rest[0] < abs(k1):
+        return False
+    if len(ks) >= 2 and k < ks[-1] + (ks[-2] if len(ks) >= 3 else abs(k1)):
+        return False
+    if len(ks) >= 2 and ks[1] == -k1 and k1 != 0:
+        return False
+    return True
+
+
+def _integrable_osp_h0(pre, w):
+    n = pre.params[0]
+    k = w.k
+    if not (k.denominator == 1 and k > 0):
+        return False
+    *ks, klast = w.labels
+    if len(ks) != n:
+        raise ValueError("need n+1 labels")
+    if (2 * klast).denominator != 1:
+        return False
+    if any((x - klast).denominator != 1 for x in ks):
+        return False
+    if any(x < 0 for x in ks):
+        return False
+    if sorted(ks, reverse=True) != list(ks):
+        return False
+    if ks and ks[-1] < abs(klast):
+        return False
+    second = ks[1] if n >= 2 else klast
+    if k < ks[0] + second:
+        return False
+    if k == ks[0] + second and ks[0] != second:
+        return False
+    return True
+
+
+def _integrable_d21a(pre, w):
+    p, q = pre.params
+    k, labels = w.k, w.labels
+    if len(labels) == 4:
+        m0, m1, m2, m3 = labels
+    else:
+        k1, k2 = labels
+        n = -k * (p + q) / (p * q)
+        if n.denominator != 1:
+            return False
+        if w.side != "T":
+            # mirror-side labels correspond to sigma0 of the weight
+            # with labels (k1 - qn, (p+q)n - k2)
+            k1, k2 = k1 - q * n, (p + q) * n - k2
+        m0 = (-p * q * n + p * k2 + (p + q) * k1) / (p + q)
+        m1 = F(0)
+        m2 = -p * (k1 + k2) / (p + q)
+        m3 = -q * k1 / (p + q)
+        if w.side != "T":
+            m0, m1, m2, m3 = m1, m0, m3, m2
+    a = F(-p, p + q)
+    c1 = (m1 + m2) / a
+    c2 = (m0 + m3) / a
+    c3 = -(m1 + m3) / (a + 1)
+    c4 = -(m0 + m2) / (a + 1)
+    if not all(_is_nonneg_int(c) for c in (c1, c2, c3, c4)):
+        return False
+    for mi in (m0, m1):
+        for mj in (m2, m3):
+            if mi + mj == 0 and not (mi == 0 and mj == 0):
+                return False
+    return True
+
+
+def _integrable_f4(pre, w):
+    k1, k2, k3 = w.labels
+    marks = (w.k - k2 - k3, k2 - k1, k1 + k2 - k3, k1 - 2 * k2 + 2 * k3)
+    return all(_is_nonneg_int(x) for x in marks)
+
+
+def _integrable_g3(pre, w):
+    k1, k2 = w.labels
+    marks = (w.k - 2 * k2, 2 * k1, 2 * k2, k2 - k1)
+    return all(_is_nonneg_int(x) for x in marks)
+
+
+def _integrable_osp32_sub(pre, w):
+    k, labels = w.k, w.labels
+    if len(labels) != 1:
+        return False
+    mlab = labels[0]
+    if (4 * k).denominator != 1 or mlab.denominator != 1:
+        return False
+    if k == F(-1, 2) and mlab == 1:
+        return True
+    return k <= F(-1, 2) and 0 <= mlab <= -(4 * k + 2)
+
+
+# ---------------------------------------------------------------------------
+# Omega candidates: (preset, k) -> a finite list of WeightSpecs holding every
+# integrable weight at level k, or InfiniteSet/UnsupportedCase for a level
+# the family does not enumerate
+
+
+def d21a_level(p: int, q: int, k) -> int:
+    """The positive integer n with k = -pqn/(p+q) on D(2,1;-p/(p+q))."""
+    k = as_fraction(k)
+    n = -k * (p + q) / (p * q)
+    if n.denominator != 1 or n <= 0:
+        raise UnsupportedCase(f"level {k} is not -pqn/(p+q) for integer n")
+    return int(n)
+
+
+def _positive_level(k, message: str) -> int:
+    if k.denominator != 1 or k <= 0:
+        raise InfiniteSet(message)
+    return int(k)
+
+
+def _grid(k, *axes, sides=("T",)):
+    return [
+        WeightSpec(k, labels, side=side)
+        for side in sides
+        for labels in itertools.product(*axes)
+    ]
+
+
+def _halves(lo: int, hi: int):
+    """lo, lo + 1/2, ..., hi."""
+    return [F(i, 2) for i in range(2 * lo, 2 * hi + 1)]
+
+
+def _chain_grid(pre, k, values):
+    top = _positive_level(k, f"level {k} admits no finite enumeration here")
+    return _grid(k, *[values(top)] * len(pre.gamma_basis))
+
+
+def _omega_chain(pre, k):
+    # sl(m+1|n), osp(2n|2m), osp(2n+1|2m): integers 0 <= k_i <= k
+    return _chain_grid(pre, k, lambda top: range(top + 1))
+
+
+def _omega_osp_odd_high(pre, k):
+    # half-integers 0 <= k_1 <= ... <= k_m, and k_m <= k - k_{m-1} <= k
+    return _chain_grid(pre, k, lambda top: _halves(0, top))
+
+
+def _omega_osp_even_high(pre, k):
+    # half-integers |k_1| <= k_2 <= ... <= k_m, and k_m <= k - k_{m-1} <= k
+    return _chain_grid(pre, k, lambda top: _halves(-top, top))
+
+
+def _omega_osp_h0(pre, k):
+    top = _positive_level(k, "need positive integer k")
+    return _grid(k, *[range(top + 1)] * pre.params[0], _halves(-top, top))
+
+
+def _omega_d21a(pre, k):
+    p, q = pre.params
+    span = (p + q) * d21a_level(p, q, k) * 3 + 3
+    labels = range(-span, span + 1)
+    return _grid(k, labels, labels, sides=("T", "Tp"))
+
+
+def _omega_f4(pre, k):
+    top = _positive_level(k, "F(4) enumeration needs positive integer k")
+    # the marks a1, a2, a3 of the so(7) part, with a0 = k - 2a1 - a2 - a3
+    return [
+        WeightSpec(k, (F(2 * a2 + a3, 3), F(3 * a1 + 2 * a2 + a3, 3),
+                       F(3 * a1 + a2 + 2 * a3, 3)))
+        for a1, a2, a3 in itertools.product(
+            range(top // 2 + 1), range(top + 1), range(top + 1)
+        )
+        if 2 * a1 + a2 + a3 <= top
+    ]
+
+
+def _omega_g3(pre, k):
+    top = _positive_level(k, "G(3) enumeration needs positive integer k")
+    return _grid(k, _halves(0, top), _halves(0, top))
+
+
+def _omega_osp32_sub(pre, k):
+    if (4 * k).denominator != 1 or k > F(-1, 2):
+        raise UnsupportedCase("subprincipal needs k in (1/4)Z, k <= -1/2")
+    return _grid(k, range(int(-(4 * k + 2)) + 1), sides=("T", "Tp"))
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+class _Family(NamedTuple):
+    build: Callable  # (*params) -> SuperalgebraPreset
+    integrable: Callable  # (preset, WeightSpec) -> bool
+    candidates: Callable  # (preset, k) -> list of WeightSpec
+
+
+_FAMILIES = {
+    "sl": _Family(_preset_sl, _integrable_sl, _omega_chain),
+    "osp_even_low": _Family(_preset_osp_even_low, _integrable_osp_even_low, _omega_chain),
+    "osp_odd_low": _Family(_preset_osp_odd_low, _integrable_chain, _omega_chain),
+    "osp_odd_high": _Family(_preset_osp_odd_high, _integrable_osp_odd_high, _omega_osp_odd_high),
+    "osp_even_high": _Family(_preset_osp_even_high, _integrable_osp_even_high, _omega_osp_even_high),
+    "osp_h0": _Family(_preset_osp_h0, _integrable_osp_h0, _omega_osp_h0),
+    "d21a": _Family(_preset_d21a, _integrable_d21a, _omega_d21a),
+    "f4": _Family(_preset_f4, _integrable_f4, _omega_f4),
+    "g3": _Family(_preset_g3, _integrable_g3, _omega_g3),
+    "osp32_sub": _Family(_preset_osp32_sub, _integrable_osp32_sub, _omega_osp32_sub),
+}
+
 _ALIASES = {
     "sl21": ("sl", (1, 1)),
     "sl32": ("sl", (2, 1)),
@@ -637,280 +869,33 @@ _ALIASES = {
     "g3": ("g3", ()),
 }
 
-_FAMILIES = {
-    "sl": _preset_sl,
-    "osp_even_low": _preset_osp_even_low,
-    "osp_odd_low": _preset_osp_odd_low,
-    "osp_odd_high": _preset_osp_odd_high,
-    "osp_even_high": _preset_osp_even_high,
-    "osp_h0": _preset_osp_h0,
-    "d21a": _preset_d21a,
-    "f4": _preset_f4,
-    "g3": _preset_g3,
-    "osp32_sub": _preset_osp32_sub,
-}
-
 
 def preset(name: str, params: tuple = None) -> SuperalgebraPreset:
     """Construct a preset by family name (or an alias like 'sl21')."""
     if name in _ALIASES and params is None:
-        fam, params = _ALIASES[name]
-        return _FAMILIES[fam](*params)
+        name, params = _ALIASES[name]
     if name not in _FAMILIES:
         raise UnsupportedCase(f"unknown case {name!r}")
-    return _FAMILIES[name](*(params or ()))
+    return replace(_FAMILIES[name].build(*(params or ())), family=name)
 
 
-# ---------------------------------------------------------------------------
-# integrability predicates
-
-
-def _is_nonneg_int(x) -> bool:
-    x = as_fraction(x)
-    return x.denominator == 1 and x >= 0
+def _family(pre: SuperalgebraPreset) -> _Family:
+    if pre.family not in _FAMILIES:
+        raise UnsupportedCase(f"unknown family {pre.family!r}")
+    return _FAMILIES[pre.family]
 
 
 def integrable(pre: SuperalgebraPreset, w: WeightSpec) -> bool:
-    """Case-by-case exact integrability test for level-k highest weights
-    orthogonal to the isotropic set."""
-    name = pre.name
-    k = w.k
-    labels = w.labels
-    if name.startswith("sl("):
-        if not (k.denominator == 1 and k > 0):
-            return False
-        ks = list(labels)
-        if len(ks) != len(pre.gamma_basis):
-            raise ValueError("label count must equal rank")
-        if any(not _is_nonneg_int(x) for x in ks):
-            return False
-        chain = [k] + ks
-        return all(a >= b for a, b in zip(chain, chain[1:]))
-    if name.startswith("osp(") and pre.h_dual == F(0):
-        # osp(2n+2|2n)
-        n = pre.params[0]
-        if not (k.denominator == 1 and k > 0):
-            return False
-        *ks, klast = labels
-        if len(ks) != n:
-            raise ValueError("need n+1 labels")
-        if (2 * klast).denominator != 1:
-            return False
-        if any((x - klast).denominator != 1 for x in ks):
-            return False
-        if any(x < 0 for x in ks):
-            return False
-        if sorted(ks, reverse=True) != list(ks):
-            return False
-        if ks and ks[-1] < abs(klast):
-            return False
-        second = ks[1] if n >= 2 else klast
-        if k < ks[0] + second:
-            return False
-        if k == ks[0] + second and ks[0] != second:
-            return False
-        return True
-    if "subprincipal" in name:
-        if labels and len(labels) == 1:
-            mlab = labels[0]
-            if (4 * k).denominator != 1 or mlab.denominator != 1:
-                return False
-            if k == F(-1, 2) and mlab == 1:
-                return True
-            return k <= F(-1, 2) and 0 <= mlab <= -(4 * k + 2)
-        return False
-    if name.startswith("osp("):
-        mm, nn = [int(x) for x in name[4:-1].split("|")]
-        if mm % 2 == 0 and mm <= nn + 2:
-            # osp(2n|2m): the chain runs from the last label up to k
-            if not (k.denominator == 1 and k > 0):
-                return False
-            ks = list(labels)
-            if any(not _is_nonneg_int(x) for x in ks):
-                return False
-            chain = [k] + ks[::-1]
-            return all(a >= b for a, b in zip(chain, chain[1:]))
-        if mm % 2 == 1 and mm <= nn + 2:
-            # osp(2n+1|2m): same inequalities as the sl chain
-            if not (k.denominator == 1 and k > 0):
-                return False
-            ks = list(labels)
-            if any(not _is_nonneg_int(x) for x in ks):
-                return False
-            chain = [k] + ks
-            return all(a >= b for a, b in zip(chain, chain[1:]))
-        if mm % 2 == 1:
-            # osp(2m+1|2n), m > n
-            if not (k.denominator == 1 and k > 0):
-                return False
-            ks = list(labels)
-            k1 = ks[0]
-            if (2 * k1).denominator != 1 or k1 < 0:
-                return False
-            if any((x - k1).denominator != 1 or x - k1 < 0 for x in ks[1:]):
-                return False
-            if sorted(ks) != ks:
-                return False
-            if len(ks) >= 2 and k < ks[-1] + ks[-2]:
-                return False
-            return True
-        # osp(2m|2n), m > n + 2
-        if not (k.denominator == 1 and k > 0):
-            return False
-        ks = list(labels)
-        k1 = ks[0]
-        if (2 * k1).denominator != 1:
-            return False
-        if any((x - k1).denominator != 1 for x in ks[1:]):
-            return False
-        rest = ks[1:]
-        if sorted(rest) != rest:
-            return False
-        if rest and rest[0] < abs(k1):
-            return False
-        if len(ks) >= 2 and k < ks[-1] + (ks[-2] if len(ks) >= 3 else abs(k1)):
-            return False
-        if len(ks) >= 2 and ks[1] == -k1 and k1 != 0:
-            return False
-        return True
-    if name.startswith("D(2,1"):
-        p, q = pre.params
-        if len(labels) == 4:
-            m0, m1, m2, m3 = labels
-        else:
-            k1, k2 = labels
-            n = -k * (p + q) / (p * q)
-            if n.denominator != 1:
-                return False
-            if w.side != "T":
-                # mirror-side labels correspond to sigma0 of the weight
-                # with labels (k1 - qn, (p+q)n - k2)
-                k1, k2 = k1 - q * n, (p + q) * n - k2
-            m0 = (-p * q * n + p * k2 + (p + q) * k1) / (p + q)
-            m1 = F(0)
-            m2 = -p * (k1 + k2) / (p + q)
-            m3 = -q * k1 / (p + q)
-            if w.side != "T":
-                m0, m1, m2, m3 = m1, m0, m3, m2
-        a = F(-p, p + q)
-        c1 = (m1 + m2) / a
-        c2 = (m0 + m3) / a
-        c3 = -(m1 + m3) / (a + 1)
-        c4 = -(m0 + m2) / (a + 1)
-        if not all(_is_nonneg_int(c) for c in (c1, c2, c3, c4)):
-            return False
-        for mi in (m0, m1):
-            for mj in (m2, m3):
-                if mi + mj == 0 and not (mi == 0 and mj == 0):
-                    return False
-        return True
-    if name == "F(4)":
-        k1, k2, k3 = labels
-        a0 = k - k2 - k3
-        a1 = k2 - k1
-        a2 = k1 + k2 - k3
-        a3 = k1 - 2 * k2 + 2 * k3
-        return all(_is_nonneg_int(x) for x in (a0, a1, a2, a3))
-    if name == "G(3)":
-        k1, k2 = labels
-        return all(
-            _is_nonneg_int(x) for x in (k - 2 * k2, 2 * k1, 2 * k2, k2 - k1)
-        )
-    raise UnsupportedCase(name)
+    """Exact integrability test for a level-k highest weight orthogonal to
+    the isotropic set, by the predicate of the preset's family."""
+    return _family(pre).integrable(pre, w)
 
 
 def enumerate_omega(pre: SuperalgebraPreset, k) -> list:
-    """Complete list of admissible label vectors at level k, sorted."""
+    """Complete list of integrable weights at level k: the family's
+    candidates its predicate accepts, sorted by side, then labels."""
     k = as_fraction(k)
-    name = pre.name
-    out = []
-    if name.startswith("sl(") or (
-        name.startswith("osp(") and "subprincipal" not in name and pre.h_dual != 0
-    ):
-        if k.denominator != 1 or k <= 0:
-            raise InfiniteSet(f"level {k} admits no finite enumeration here")
-        rank = len(pre.gamma_basis)
-        mm_nn = None
-        half_first = False
-        signed_first = False
-        if name.startswith("osp("):
-            mm, nn = [int(x) for x in name[4:-1].split("|")]
-            if mm % 2 == 1 and mm > nn:
-                half_first = True
-            if mm % 2 == 0 and mm > nn + 2:
-                half_first = True
-                signed_first = True
-        max_label = int(k)
-        if half_first:
-            base_vals = [F(i, 2) for i in range(0, 4 * max_label + 5)]
-            if signed_first:
-                base_vals = [F(i, 2) for i in range(-4 * max_label - 4, 4 * max_label + 5)]
-        else:
-            base_vals = [F(i) for i in range(0, max_label + 1)]
-        for combo in itertools.product(base_vals, repeat=rank):
-            wspec = WeightSpec(k, combo)
-            try:
-                ok = integrable(pre, wspec)
-            except ValueError:
-                continue
-            if ok:
-                out.append(wspec)
-        return sorted(out, key=lambda w: w.labels)
-    if name.startswith("D(2,1"):
-        p, q = pre.params
-        n = -k * (p + q) / (p * q)
-        if n.denominator != 1 or n <= 0:
-            raise UnsupportedCase(f"level {k} is not -pqn/(p+q) for integer n")
-        n = int(n)
-        for side in ("T", "Tp"):
-            span = (p + q) * n * 3 + 3
-            for k1 in range(-span, span + 1):
-                for k2 in range(-span, span + 1):
-                    wspec = WeightSpec(k, (k1, k2), side=side)
-                    if integrable(pre, wspec):
-                        out.append(wspec)
-        return sorted(out, key=lambda w: (w.side, w.labels))
-    if "subprincipal" in name:
-        if (4 * k).denominator != 1 or k > F(-1, 2):
-            raise UnsupportedCase("subprincipal needs k in (1/4)Z, k <= -1/2")
-        top = -(4 * k + 2)
-        for side in ("T", "Tp"):
-            for mlab in range(0, int(top) + 1):
-                out.append(WeightSpec(k, (mlab,), side=side))
-        return out
-    if name == "F(4)":
-        if k.denominator != 1 or k <= 0:
-            raise InfiniteSet("F(4) enumeration needs positive integer k")
-        for a1 in range(0, int(k) // 2 + 1):
-            for a2 in range(0, int(k) + 1):
-                for a3 in range(0, int(k) + 1):
-                    if 2 * a1 + a2 + a3 > k:
-                        continue
-                    k1 = F(2 * a2 + a3, 3)
-                    k2 = F(3 * a1 + 2 * a2 + a3, 3)
-                    k3 = F(3 * a1 + a2 + 2 * a3, 3)
-                    out.append(WeightSpec(k, (k1, k2, k3)))
-        return sorted(out, key=lambda w: w.labels)
-    if name == "G(3)":
-        if k.denominator != 1 or k <= 0:
-            raise InfiniteSet("G(3) enumeration needs positive integer k")
-        vals = [F(i, 2) for i in range(0, 2 * int(k) + 1)]
-        for k1 in vals:
-            for k2 in vals:
-                wspec = WeightSpec(k, (k1, k2))
-                if integrable(pre, wspec):
-                    out.append(wspec)
-        return sorted(out, key=lambda w: w.labels)
-    if name.startswith("osp(") and pre.h_dual == 0:
-        if k.denominator != 1 or k <= 0:
-            raise InfiniteSet("need positive integer k")
-        n = pre.params[0]
-        vals = [F(i) for i in range(0, int(k) + 1)]
-        half_vals = [F(i, 2) for i in range(-2 * int(k), 2 * int(k) + 1)]
-        for combo in itertools.product(vals, repeat=n):
-            for klast in half_vals:
-                wspec = WeightSpec(k, combo + (klast,))
-                if integrable(pre, wspec):
-                    out.append(wspec)
-        return sorted(out, key=lambda w: w.labels)
-    raise UnsupportedCase(name)
+    return sorted(
+        (w for w in _family(pre).candidates(pre, k) if integrable(pre, w)),
+        key=lambda w: (w.side, w.labels),
+    )

@@ -142,6 +142,17 @@ class TestCharTable:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    @pytest.mark.parametrize("k", ["-1", "-1/2"])
+    def test_d21a_level_off_the_family_is_a_configuration_error(self, k, capsys):
+        # before: k = -1 printed the k = -2/3 table and exited 0, and
+        # k = -1/2 died with a ValueError traceback
+        args = ["chartable", "--case", "d21a", "--p", "1", "--q", "2", f"--k={k}",
+                "--labels", "0,1", "--points", "1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: level {k} is not -pqn/(p+q) for integer n\n"
+        assert captured.out == ""
+
     def test_preset_export(self):
         rc, out, _ = run_cli("table", "preset", "--case", "sl21")
         assert rc == 0

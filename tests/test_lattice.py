@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from mocktheta.lattice import (
     lattice_mock_theta,
     mu_class_representatives,
     projection_split,
+    translation_sign,
     validate_context,
 )
 from mocktheta.mock import MockIndex, phi
@@ -108,6 +110,28 @@ class TestMockTheta:
                     2j * math.pi * (-(float(g @ G[:, 2])) * pt.tau - complex(G[2] @ z))
                 )
                 tot += cmath.exp(1j * math.pi * pt.tau * n2 + 2j * math.pi * complex(v @ G @ z)) / den
+        assert abs(mine - tot) < 1e-9
+
+    def test_rank2_minus_naive_oracle(self):
+        # k|gamma_2|^2 = 3 is odd, so the sign reads the second coordinate
+        w = Weight(1, (0, F(1, 2), 1))
+        pt = ModularPoint(TAU, (0.21, -0.17, 0.33), 0.0)
+        mine = lattice_mock_theta(MINUS2, w, pt).value
+        G = MINUS2.full_gram_float()
+        lam = np.array([float(x) for x in w.coords])
+        z = np.array(pt.z)
+        tot = 0j
+        for c1 in range(-8, 9):
+            for c2 in range(-8, 9):
+                g = np.array([c1, c2, 0.0])
+                v = lam + g
+                n2 = float(v @ G @ v)
+                den = 1 - cmath.exp(
+                    2j * math.pi * (-(float(g @ G[:, 2])) * pt.tau - complex(G[2] @ z))
+                )
+                tot += _exact_sign(MINUS2, (c1, c2)) * cmath.exp(
+                    1j * math.pi * pt.tau * n2 + 2j * math.pi * complex(v @ G @ z)
+                ) / den
         assert abs(mine - tot) < 1e-9
 
     def test_pole_proximity(self):
@@ -383,3 +407,43 @@ class TestTwoStepModification:
         lam2 = float(self.CTX.pair(self.W.coords, self.W.coords))
         lhsT = eval_modified(res, ptT).value
         assert abs(lhsT - cmath.exp(1j * math.pi * lam2) * base) < 1e-12
+
+
+MINUS2 = LatticeContext(((2, -1), (-1, 3)), 1, 1, "minus")
+
+
+def _exact_sign(ctx, coords):
+    """(-1)^e, e = sum_{i<=n} (gamma|beta_i) + k|gamma'|^2 with gamma' =
+    gamma + sum_i (gamma|beta_i) gamma_i, in exact arithmetic."""
+    n = ctx.n_isotropic
+    gamma = [F(c) for c in coords] + [F(0)] * n
+    expo = F(0)
+    shifted = list(gamma)
+    for i in range(1, n + 1):
+        gb = ctx.pair(gamma, ctx.beta_vec(i))
+        expo += gb
+        shifted = [a + gb * b for a, b in zip(shifted, ctx.gamma_vec(i))]
+    expo += ctx.k * ctx.pair(shifted, shifted)
+    assert expo.denominator == 1
+    return -1 if expo.numerator % 2 else 1
+
+
+@pytest.mark.parametrize("ctx", [
+    LatticeContext(((2,),), 1, F(1, 2), "minus"),
+    LatticeContext(((2,),), 1, F(3, 2), "minus"),
+    MINUS2,
+    LatticeContext(((2, -1), (-1, 2)), 1, 1, "minus"),
+    LatticeContext(((2, 0), (0, F(2, 3))), 1, F(3, 2), "minus"),
+    LatticeContext(((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 2, 1, "minus"),
+    LatticeContext(((2, -1, 0), (-1, 2, -1), (0, -1, 3)), 1, 1, "minus"),
+])
+def test_translation_sign_is_the_exact_sign(ctx):
+    assert validate_context(ctx) == []
+    sign = translation_sign(ctx)
+    for coords in itertools.product(range(-3, 4), repeat=ctx.rank):
+        assert sign(list(coords), None) == _exact_sign(ctx, coords), coords
+
+
+@pytest.mark.parametrize("mode", ["unsigned", "plus"])
+def test_translation_sign_is_trivial_outside_minus_mode(mode):
+    assert translation_sign(LatticeContext(((2,),), 1, 1, mode)).kind == "trivial"

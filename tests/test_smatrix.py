@@ -118,3 +118,13 @@ def test_d21a_asymmetric_parameters():
     pts = [ModularPoint(TAU, (0.21, 0.17, 0.33), 0.05)]
     assert apply_smatrix_check("d21a", k, pts, (1, 2))["max_residual"] < 1e-7
     assert apply_tmatrix_check("d21a", k, pts, (1, 2))["max_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("k", [F(-1), F(-1, 2), F(1, 3)])
+def test_d21a_level_off_the_family_is_refused(k):
+    pts = [ModularPoint(TAU, (0.21, 0.17, 0.33), 0.05)]
+    for call in (lambda: smatrix("d21a", k, (1, 2)),
+                 lambda: apply_smatrix_check("d21a", k, pts, (1, 2)),
+                 lambda: apply_tmatrix_check("d21a", k, pts, (1, 2))):
+        with pytest.raises(UnsupportedCase, match="-pqn/"):
+            call()
