@@ -186,8 +186,7 @@ class TestD21a:
 
     @pytest.mark.parametrize("k", [F(-1), F(-1, 2), F(1, 3), F(0)])
     def test_level_off_the_family_is_refused(self, k):
-        # (p, q) = (1, 2) takes only k = -2n/3; k = -1 used to be evaluated
-        # at n = int(3/2) = 1, i.e. as k = -2/3
+        # (p, q) = (1, 2) takes only k = -2n/3; k = -1 gives n = 3/2
         pt = ModularPoint(TAU, (0.21, 0.17, 0.33), 0.07)
         with pytest.raises(UnsupportedCase, match="-pqn/"):
             ch_tilde("d21a", WeightSpec(k, (0, 1)), pt, params=(1, 2))

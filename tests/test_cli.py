@@ -144,8 +144,7 @@ class TestCharTable:
 
     @pytest.mark.parametrize("k", ["-1", "-1/2"])
     def test_d21a_level_off_the_family_is_a_configuration_error(self, k, capsys):
-        # before: k = -1 printed the k = -2/3 table and exited 0, and
-        # k = -1/2 died with a ValueError traceback
+        # (p, q) = (1, 2) takes only k = -2n/3
         args = ["chartable", "--case", "d21a", "--p", "1", "--q", "2", f"--k={k}",
                 "--labels", "0,1", "--points", "1"]
         assert main(args) == 2
