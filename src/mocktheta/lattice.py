@@ -128,12 +128,9 @@ class LatticeContext:
     @cached_property
     def full_gram(self) -> tuple:
         """Exact Gram of the combined frame, built once per context."""
-        m = self.rank
-        gb, bb = self.gamma_beta, self.beta_beta
-        return tuple(
-            self.gamma_gram[i] + gb[i] for i in range(m)
-        ) + tuple(
-            tuple(row[j] for row in gb) + bb[j] for j in range(self.n_isotropic)
+        gb = self.gamma_beta
+        return tuple(g + b for g, b in zip(self.gamma_gram, gb)) + tuple(
+            col + bb for col, bb in zip(zip(*gb), self.beta_beta)
         )
 
     def full_gram_float(self) -> np.ndarray:
@@ -251,10 +248,12 @@ def translation_sign(ctx: LatticeContext) -> SignCharacter:
     """The sign of the minus-mode sum on L, trivial in the other modes.
 
     The sign of gamma = sum c_i gamma_i is (-1)^e with
-    e = sum_{i<=n} (gamma|beta_i) + k|gamma'|^2, where gamma' drops the
-    first n coordinates.  Under the conditions ``validate_context`` checks
-    ((gamma_i|beta_j) = -delta_ij, k(gamma_i|gamma_j) integral), e is
-    v . c mod 2 with v_i = 1 for i <= n and v_l = k|gamma_l|^2 mod 2 after.
+    e = sum_{i<=n} (gamma|beta_i) + k|gamma'|^2 and
+    gamma' = gamma + sum_{i<=n} (gamma|beta_i) gamma_i.  Under the
+    conditions ``validate_context`` checks ((gamma_i|beta_j) = -delta_ij,
+    k(gamma_i|gamma_j) integral), gamma' is gamma without its first n
+    coordinates, and e = v . c mod 2 with v_i = 1 for i <= n and
+    v_l = k|gamma_l|^2 mod 2 for l > n.
     """
     if ctx.mode != "minus":
         return SignCharacter()

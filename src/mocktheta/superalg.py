@@ -267,7 +267,6 @@ def _preset_osp_even_low(n: int, m: int) -> SuperalgebraPreset:
     if not (m >= n >= 1):
         raise UnsupportedCase("osp(2n|2m) preset needs m >= n >= 1")
     gram, eps, delta = _osp_basis(m, n, F(1, 2))
-
     gammas = tuple(tuple(-2 * x for x in eps(i)) for i in range(1, m + 1))
     ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
     rho = tuple(
@@ -308,7 +307,6 @@ def _preset_osp_odd_low(n: int, m: int) -> SuperalgebraPreset:
         raise UnsupportedCase("osp(2n+1|2m) preset needs m >= n >= 1")
     base = _preset_osp_even_low(n, m)
     gram, eps, delta = _osp_basis(m, n, F(1, 2))
-
     # simple roots per the alternating chain ending at the short odd eps_1
     simple = []
     for i in range(1, m - n):
@@ -352,7 +350,6 @@ def _preset_osp_odd_high(m: int, n: int) -> SuperalgebraPreset:
     if not (m > n >= 1):
         raise UnsupportedCase("osp(2m+1|2n) preset needs m > n >= 1")
     gram, eps, delta = _osp_basis(m, n, F(1))
-
     gammas = [_sub(eps(n + 1), eps(i)) for i in range(1, n + 1)]
     gammas.append(tuple(2 * x for x in eps(n + 1)))
     gammas.extend(_sub(eps(i), eps(i - 1)) for i in range(n + 2, m + 1))
@@ -392,7 +389,6 @@ def _preset_osp_even_high(m: int, n: int) -> SuperalgebraPreset:
     if not (m > n + 2):
         raise UnsupportedCase("osp(2m|2n) preset needs m > n + 2")
     gram, eps, delta = _osp_basis(m, n, F(1))
-
     gammas = [_sub(eps(i), eps(m)) for i in range(1, n + 1)]
     gammas.append(_add(eps(n + 2), eps(n + 1)))
     gammas.extend(_sub(eps(i), eps(i - 1)) for i in range(n + 2, m + 1))
@@ -435,7 +431,6 @@ def _preset_osp_h0(n: int) -> SuperalgebraPreset:
         raise UnsupportedCase("osp(2n+2|2n) needs n >= 1")
     m = n + 1
     gram, eps, delta = _osp_basis(m, n, F(1))
-
     gammas = [_sub(eps(n + 1), eps(i)) for i in range(1, n + 1)]
     gammas.append(tuple(2 * x for x in eps(n + 1)))
     ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
@@ -572,7 +567,7 @@ def _preset_g3() -> SuperalgebraPreset:
 def _preset_osp32_sub() -> SuperalgebraPreset:
     """osp(3|2) with the subprincipal sl(2) inside the even part."""
     gram, eps, delta = _osp_basis(1, 1, F(1, 2))
-    a1 = tuple(d - e for d, e in zip(delta(1), eps(1)))
+    a1 = _sub(delta(1), eps(1))
     a2 = eps(1)
     delta1 = delta(1)
     return SuperalgebraPreset(
