@@ -16,8 +16,6 @@ from .core import (
 from .errors import (
     ConditionViolation,
     InfiniteSet,
-    InvalidXi,
-    LossOfPrecision,
     MockThetaError,
     NonConvergent,
     NotPositiveDefinite,
@@ -38,14 +36,7 @@ from .theta import (
 )
 from .mock import MockIndex, phi, phi_elliptic_residual, phi_shift_residual_a
 from .modifier import phi_add, phi_tilde, r_jm, r_jm_signed
-from .modular import (
-    SL2Element,
-    TransformLaw,
-    act,
-    sample_points,
-    slash,
-    verify_law,
-)
+from .modular import SL2Element, act, sample_points, verify_law
 from .lattice import (
     LatticeContext,
     ModificationResult,
@@ -71,7 +62,6 @@ from .characters import (
     level1_osp_supercharacter,
     psi_fn,
     system,
-    twisted_and_plus_variants,
 )
 from .smatrix import SMatrix, apply_smatrix_check, apply_tmatrix_check, smatrix
 from .suites import SUITES, list_suites, run_suite

@@ -30,7 +30,7 @@ from .core import (
     as_fraction,
     cexp,
 )
-from .errors import UnsupportedCase, InvalidXi, ZeroDivisorProximity
+from .errors import UnsupportedCase, ZeroDivisorProximity
 from .lattice import LatticeContext, Weight, build_modification, eval_modified, lattice_mock_theta
 from .mock import MockIndex, phi
 from .modifier import phi_tilde
@@ -644,28 +644,3 @@ def _lambda_pairing_xi(case, w: WeightSpec) -> float:
         # lambda-bar = k1 beta1; (beta1|xi) = 1/2
         return float(w.labels[0]) / 2.0
     raise UnsupportedCase(case)
-
-
-def twisted_and_plus_variants(
-    case: str,
-    w: WeightSpec,
-    variant: str,
-    point: ModularPoint,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    xi=None,
-) -> SeriesValue:
-    """Spec surface for the xi-shift variants; validates custom xi."""
-    if xi is not None:
-        _validate_xi(case, xi)
-    return ch_tilde(case, w, point, policy, variant=variant)
-
-
-def _validate_xi(case, xi):
-    sys = system(case)
-    for coeffs, parity in sys.pos_roots:
-        val = sum(float(c) * x for c, x in zip(coeffs, xi))
-        target = 0.5 * parity
-        if abs((val - target) - round(val - target)) > 1e-9:
-            raise InvalidXi(
-                f"alpha(xi) = {val} not in {target} + Z for root {coeffs}"
-            )

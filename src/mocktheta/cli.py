@@ -134,8 +134,7 @@ def cmd_verify(args) -> int:
     reports = []
     ok = True
     for sid in ids:
-        fn, _ = SUITES[sid]
-        accepted = inspect.signature(fn).parameters
+        accepted = inspect.signature(SUITES[sid][0]).parameters
         kwargs = {}
         for key in ("p", "q", "n", "m"):
             val = getattr(args, key, None)

@@ -185,8 +185,8 @@ def fold_pole_factor(num_exp: complex, den_exp: complex, plus: bool = False):
     return num_exp, (1.0 + ex) if plus else (1.0 - ex)
 
 
-def sum_ladder(term, policy: TruncationPolicy, start: int = 0) -> SeriesValue:
-    """Sum ``term(l)`` over all integers l, walking outward from ``start``.
+def sum_ladder(term, policy: TruncationPolicy) -> SeriesValue:
+    """Sum ``term(l)`` over all integers l, walking outward from 0.
 
     ``term`` must have Gaussian-type tails: beyond some index the magnitudes
     decrease with a ratio that keeps shrinking.  Each direction is stopped
@@ -195,14 +195,14 @@ def sum_ladder(term, policy: TruncationPolicy, start: int = 0) -> SeriesValue:
     with the last observed ratio.
     """
     tol = policy.abs_tol
-    total = term(start)
+    total = term(0)
     terms_used = 1
     err = 0.0
     for step in (1, -1):
         prev_mag = None
         small_run = 0
         zero_run = 0
-        idx = start
+        idx = 0
         while True:
             if terms_used >= policy.max_terms:
                 raise NonConvergent(

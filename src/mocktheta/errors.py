@@ -9,10 +9,6 @@ class NonConvergent(MockThetaError):
     """A series hit the term cap before its tail bound reached the target."""
 
 
-class LossOfPrecision(MockThetaError):
-    """The joint truncation bound cannot reach the target at this point."""
-
-
 class PoleAtZ1(MockThetaError):
     """First elliptic argument is within the pole threshold of Z + Z*tau."""
 
@@ -47,7 +43,3 @@ class UnsupportedCase(MockThetaError):
 
 class InfiniteSet(MockThetaError):
     """A weight enumeration would be infinite for the requested level."""
-
-
-class InvalidXi(MockThetaError):
-    """Shift vector fails the root-parity congruences."""

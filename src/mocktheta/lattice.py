@@ -80,16 +80,24 @@ class Weight:
         object.__setattr__(self, "coords", tuple(as_fraction(c) for c in self.coords))
 
 
+def _frame_pairings(m: int, n: int):
+    """The fixed pairings (gamma_i|beta_j) = -delta_ij, (beta_i|beta_j) = 0."""
+    gb = tuple(tuple(Fraction(-int(i == j)) for j in range(n)) for i in range(m))
+    bb = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+    return gb, bb
+
+
 @dataclass(frozen=True)
 class LatticeContext:
-    """Gram data for gamma_1..gamma_m, isotropic beta_1..beta_n, level k."""
+    """Gram data for gamma_1..gamma_m, isotropic beta_1..beta_n, level k.
+
+    The frame pairings are fixed: (gamma_i|beta_j) = -delta_ij and
+    (beta_i|beta_j) = 0."""
 
     gamma_gram: tuple  # m x m rational entries
     n_isotropic: int
     k: Fraction
     mode: str = "unsigned"
-    gamma_beta: tuple = None  # m x n pairings, defaults to -delta_ij
-    beta_beta: tuple = None  # n x n pairings, defaults to 0
 
     def __post_init__(self):
         gg = tuple(tuple(as_fraction(x) for x in row) for row in self.gamma_gram)
@@ -100,22 +108,6 @@ class LatticeContext:
             raise ValueError(f"mode must be one of {MODES}")
         if n > m:
             raise ValueError("need n <= m isotropic directions")
-        if self.gamma_beta is None:
-            gb = tuple(
-                tuple(Fraction(-int(i == j)) for j in range(n)) for i in range(m)
-            )
-        else:
-            gb = tuple(
-                tuple(as_fraction(x) for x in row) for row in self.gamma_beta
-            )
-        object.__setattr__(self, "gamma_beta", gb)
-        if self.beta_beta is None:
-            bb = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-        else:
-            bb = tuple(
-                tuple(as_fraction(x) for x in row) for row in self.beta_beta
-            )
-        object.__setattr__(self, "beta_beta", bb)
 
     @property
     def rank(self) -> int:
@@ -128,9 +120,9 @@ class LatticeContext:
     @cached_property
     def full_gram(self) -> tuple:
         """Exact Gram of the combined frame, built once per context."""
-        gb = self.gamma_beta
+        gb, bb = _frame_pairings(self.rank, self.n_isotropic)
         return tuple(g + b for g, b in zip(self.gamma_gram, gb)) + tuple(
-            col + bb for col, bb in zip(zip(*gb), self.beta_beta)
+            col + row for col, row in zip(zip(*gb), bb)
         )
 
     def full_gram_float(self) -> np.ndarray:
@@ -164,10 +156,11 @@ class LatticeContext:
         return v
 
     def to_json(self) -> str:
+        gb, bb = _frame_pairings(self.rank, self.n_isotropic)
         doc = {
             "gram": [[str(x) for x in row] for row in self.gamma_gram],
-            "beta_pairings": [[str(x) for x in row] for row in self.gamma_beta],
-            "beta_gram": [[str(x) for x in row] for row in self.beta_beta],
+            "beta_pairings": [[str(x) for x in row] for row in gb],
+            "beta_gram": [[str(x) for x in row] for row in bb],
             "k": str(self.k),
             "mode": self.mode,
         }
@@ -175,18 +168,26 @@ class LatticeContext:
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeContext":
+        """Parse ``to_json`` output; any pairings other than the fixed
+        frame pairings raise ``ConditionViolation``."""
         doc = json.loads(text)
         gram = [[Fraction(x) for x in row] for row in doc["gram"]]
-        gb = [[Fraction(x) for x in row] for row in doc["beta_pairings"]]
-        bb = [[Fraction(x) for x in row] for row in doc.get("beta_gram", [])]
+        gb = tuple(tuple(Fraction(x) for x in row) for row in doc["beta_pairings"])
+        bb = tuple(tuple(Fraction(x) for x in row) for row in doc.get("beta_gram", []))
         n = len(gb[0]) if gb else 0
+        want_gb, want_bb = _frame_pairings(len(gram), n)
+        bad = []
+        if gb != want_gb:
+            bad.append(f"beta_pairings {doc['beta_pairings']} are not (gamma_i|beta_j) = -delta_ij")
+        if bb and bb != want_bb:
+            bad.append(f"beta_gram {doc['beta_gram']} is not (beta_i|beta_j) = 0")
+        if bad:
+            raise ConditionViolation(bad)
         return cls(
             gamma_gram=gram,
             n_isotropic=n,
             k=Fraction(doc["k"]),
             mode=doc.get("mode", "unsigned"),
-            gamma_beta=gb,
-            beta_beta=bb or None,
         )
 
 
@@ -195,17 +196,6 @@ def validate_context(ctx: LatticeContext, mode: str = None, weight: Weight = Non
     mode = mode or ctx.mode
     out = []
     m, n = ctx.rank, ctx.n_isotropic
-    for i in range(n):
-        for j in range(n):
-            if ctx.beta_beta[i][j] != 0:
-                out.append(f"(beta_{i+1}|beta_{j+1}) = {ctx.beta_beta[i][j]} != 0")
-    for i in range(m):
-        for j in range(n):
-            want = Fraction(-int(i == j))
-            if ctx.gamma_beta[i][j] != want:
-                out.append(
-                    f"(gamma_{i+1}|beta_{j+1}) = {ctx.gamma_beta[i][j]} != {want}"
-                )
     gf = np.asarray([[float(x) for x in row] for row in ctx.gamma_gram])
     if m and np.linalg.eigvalsh(gf)[0] <= 0:
         out.append("gamma Gram is not positive definite")
@@ -249,11 +239,11 @@ def translation_sign(ctx: LatticeContext) -> SignCharacter:
 
     The sign of gamma = sum c_i gamma_i is (-1)^e with
     e = sum_{i<=n} (gamma|beta_i) + k|gamma'|^2 and
-    gamma' = gamma + sum_{i<=n} (gamma|beta_i) gamma_i.  Under the
-    conditions ``validate_context`` checks ((gamma_i|beta_j) = -delta_ij,
-    k(gamma_i|gamma_j) integral), gamma' is gamma without its first n
-    coordinates, and e = v . c mod 2 with v_i = 1 for i <= n and
-    v_l = k|gamma_l|^2 mod 2 for l > n.
+    gamma' = gamma + sum_{i<=n} (gamma|beta_i) gamma_i.  With the fixed
+    frame pairings (gamma_i|beta_j) = -delta_ij and the condition
+    ``validate_context`` checks (k(gamma_i|gamma_j) integral), gamma' is
+    gamma without its first n coordinates, and e = v . c mod 2 with
+    v_i = 1 for i <= n and v_l = k|gamma_l|^2 mod 2 for l > n.
     """
     if ctx.mode != "minus":
         return SignCharacter()
@@ -331,7 +321,6 @@ class ModificationResult:
     m_basis: tuple  # frame coordinates of the residual lattice basis
     m_gram: tuple
     lambda_n: tuple  # frame coordinates of the shifted weight
-    lambda_n_m_coords: tuple
     phi_factors: tuple
     xi0: tuple = None
 
@@ -405,7 +394,6 @@ def build_modification(
     if bad:
         raise ConditionViolation(bad)
     m, n = ctx.rank, ctx.n_isotropic
-    dim = ctx.ambient_dim
 
     m_basis = tuple(tuple(ctx.gamma_tilde(p)) for p in range(n + 1, m + 1))
     m_gram = tuple(tuple(ctx.pair(u, v) for v in m_basis) for u in m_basis)
@@ -415,13 +403,6 @@ def build_modification(
         li = ctx.pair(weight.coords, ctx.gamma_vec(i))
         bi = ctx.beta_vec(i)
         lam_n = [a + li * b for a, b in zip(lam_n, bi)]
-
-    if m_basis:
-        A = [[ctx.pair(b1, b2) for b2 in m_basis] for b1 in m_basis]
-        b = [ctx.pair(b1, lam_n) for b1 in m_basis]
-        lam_m = _solve_rational(A, b)
-    else:
-        lam_m = []
 
     factors = []
     for p in range(1, n + 1):
@@ -443,7 +424,6 @@ def build_modification(
         m_basis=m_basis,
         m_gram=m_gram,
         lambda_n=tuple(lam_n),
-        lambda_n_m_coords=tuple(lam_m),
         phi_factors=tuple(factors),
         xi0=xi0,
     )

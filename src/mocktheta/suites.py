@@ -2,9 +2,11 @@
 
 Each suite pins one transformation law or closed-form identity, evaluates
 both sides independently at seeded sample points, and reports the maximum
-residual against its registered tolerance.  The CLI ``verify`` command and
-the acceptance tests both dispatch through :func:`run_suite`, so there is
-a single source of truth for every check.
+residual against its registered tolerance through ``modular.verify_law``.
+``SUITES`` holds each suite's function, paper anchor and description;
+:func:`run_suite` stamps the id and anchor on the report.  The CLI
+``verify`` command and the acceptance tests both dispatch through
+:func:`run_suite`, so there is a single source of truth for every check.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .lattice import (
 )
 from .mock import MockIndex, phi, phi_elliptic_residual, phi_shift_residual_a
 from .modifier import phi_tilde, r_jm, r_jm_signed
-from .modular import S, T, act, gram_quad
+from .modular import S, T, act, check_pair, check_residual, gram_quad, verify_law
 from .smatrix import apply_smatrix_check, apply_tmatrix_check, smatrix
 from .superalg import WeightSpec, enumerate_omega, preset
 from .theta import eta, theta_ab, theta_jm, theta_jm_signed
@@ -37,54 +39,17 @@ F = Fraction
 PI = math.pi
 
 
-def _rng(seed):
-    return np.random.RandomState(seed)
-
-
-def _points(seed, n, im=(0.8, 2.0), re=(-0.4, 0.4), zb=0.45):
-    rng = _rng(seed)
+def _points(seed, n, im=(0.8, 2.0)):
+    rng = np.random.RandomState(seed)
     pts = []
     while len(pts) < n:
-        tau = complex(rng.uniform(*re), rng.uniform(*im))
-        z1 = complex(rng.uniform(-zb, zb), rng.uniform(-0.08, 0.08))
-        z2 = complex(rng.uniform(-zb, zb), rng.uniform(-0.08, 0.08))
+        tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(*im))
+        z1 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.08, 0.08))
+        z2 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.08, 0.08))
         if min(abs(z1), abs(z2), abs(z1 - z2), abs(z1 + z2)) < 0.05:
             continue
         pts.append((tau, z1, z2))
     return pts
-
-
-def _report(suite_id, anchor, tol, checks, notes=""):
-    finite = [c["residual"] for c in checks if c["residual"] is not None]
-    max_res = max(finite) if finite else 0.0
-    return {
-        "suite": suite_id,
-        "anchor": anchor,
-        "tol": tol,
-        "max_residual": max_res,
-        "pass": bool(max_res < tol),
-        "n_checks": len(checks),
-        "checks": checks,
-        "notes": notes,
-    }
-
-
-def _rec(label, residual):
-    """A check whose residual comes from an apply-check, not a value pair."""
-    return {"check": label, "residual": residual, "lhs": "", "rhs": "", "point": None}
-
-
-def _chk(label, lhs, rhs, point=None):
-    # mixed metric: absolute while the values are O(1), relative once an
-    # elliptic prefactor pushes them to exponential scale
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return {
-        "check": label,
-        "residual": abs(lhs - rhs) / scale,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "point": str(point) if point is not None else None,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +65,11 @@ def suite_thm11a(seed=11, tol=1e-8, n_points=10, policy=DEFAULT_POLICY, m=None):
                 lhs = phi_tilde(MockIndex(m, s), -1 / tau, z1 / tau, z2 / tau, policy).value
                 pref = tau * cmath.exp(2j * PI * m * z1 * z2 / tau)
                 rhs = pref * phi_tilde(MockIndex(m, s1), tau, z1, z2, policy).value
-                checks.append(_chk(f"S m={m} s={s} s1={s1}", lhs, rhs, tau))
+                checks.append(check_pair(f"S m={m} s={s} s1={s1}", lhs, rhs, tau))
             lhs = phi_tilde(MockIndex(m, 0), tau + 1, z1, z2, policy).value
             rhs = phi_tilde(MockIndex(m, 0), tau, z1, z2, policy).value
-            checks.append(_chk(f"T m={m}", lhs, rhs, tau))
-    return _report("thm1.1a", "thm1.1a", tol, checks)
+            checks.append(check_pair(f"T m={m}", lhs, rhs, tau))
+    return verify_law(tol, checks)
 
 
 def suite_thm11b(seed=12, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
@@ -118,10 +83,10 @@ def suite_thm11b(seed=12, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
                 pref = cmath.exp(-2j * PI * m * (b * z1 + a * z2)) * cmath.exp(
                     -2j * PI * tau * m * a * b
                 )
-                checks.append(_chk(f"tau-shift m={m} a={a} b={b}", lhs, pref * base, tau))
+                checks.append(check_pair(f"tau-shift m={m} a={a} b={b}", lhs, pref * base, tau))
                 lhs = phi_tilde(idx, tau, z1 + a, z2 + b, policy).value
-                checks.append(_chk(f"int-shift m={m} a={a} b={b}", lhs, base, tau))
-    return _report("thm1.1b", "thm1.1b", tol, checks)
+                checks.append(check_pair(f"int-shift m={m} a={a} b={b}", lhs, base, tau))
+    return verify_law(tol, checks)
 
 
 def suite_cor12(seed=13, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
@@ -130,8 +95,8 @@ def suite_cor12(seed=13, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
         for m in (1, 2):
             a = phi_tilde(MockIndex(m, 0), tau, z1, z2, policy).value
             b = phi_tilde(MockIndex(m, 1), tau, z1, z2, policy).value
-            checks.append(_chk(f"s-independence m={m}", a, b, tau))
-    return _report("cor1.2", "cor1.2", tol, checks)
+            checks.append(check_pair(f"s-independence m={m}", a, b, tau))
+    return verify_law(tol, checks)
 
 
 def suite_thm13a(seed=14, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
@@ -151,9 +116,9 @@ def suite_thm13a(seed=14, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
                 pref = tau * cmath.exp(2j * PI * float(m) * z1 * z2 / tau)
                 rhs = pref * phi_tilde(MockIndex(m, s_r, sgn_r), tau, z1, z2, policy).value
                 checks.append(
-                    _chk(f"S m={m} {sgn_l}[{s_l}] -> {sgn_r}[{s_r}]", lhs, rhs, tau)
+                    check_pair(f"S m={m} {sgn_l}[{s_l}] -> {sgn_r}[{s_r}]", lhs, rhs, tau)
                 )
-    return _report("thm1.3a", "thm1.3a", tol, checks)
+    return verify_law(tol, checks)
 
 
 def suite_thm13b(seed=15, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
@@ -165,19 +130,19 @@ def suite_thm13b(seed=15, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
             for sgn in ("plus", "minus"):
                 lhs = phi_tilde(MockIndex(m, s, sgn), tau + 1, z1, z2, policy).value
                 rhs = phi_tilde(MockIndex(m, s, sgn), tau, z1, z2, policy).value
-                checks.append(_chk(f"T-fix m={m} {sgn}[{s}]", lhs, rhs, tau))
+                checks.append(check_pair(f"T-fix m={m} {sgn}[{s}]", lhs, rhs, tau))
             # m + s' half-integral: sign label swaps
             sp = F(0) if m == F(1, 2) else F(1, 2)
             for sgn, other in (("plus", "minus"), ("minus", "plus")):
                 lhs = phi_tilde(MockIndex(m, sp, sgn), tau + 1, z1, z2, policy).value
                 rhs = phi_tilde(MockIndex(m, sp, other), tau, z1, z2, policy).value
-                checks.append(_chk(f"T-swap m={m} {sgn}[{sp}]", lhs, rhs, tau))
+                checks.append(check_pair(f"T-swap m={m} {sgn}[{sp}]", lhs, rhs, tau))
     notes = (
         "the m+s integral case is plain T-invariance; a variant with an "
         "extra half shift in the label would contradict the integer "
         "s-periodicity and direct term-by-term computation"
     )
-    return _report("thm1.3b", "thm1.3b", tol, checks, notes)
+    return verify_law(tol, checks, notes)
 
 
 def suite_thm13c(seed=16, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
@@ -201,15 +166,15 @@ def suite_thm13c(seed=16, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
                             * cmath.exp(-2j * PI * tau * float(m) * a * b)
                         )
                         checks.append(
-                            _chk(f"tau m={m} s={s} {sgn} (a,b)=({a},{b})", lhs, pref * base, tau)
+                            check_pair(f"tau m={m} s={s} {sgn} (a,b)=({a},{b})", lhs, pref * base, tau)
                         )
                     a, b = 1, 1
                     lhs = phi_tilde(idx, tau, z1 + a, z2 + b, policy).value
                     pref = cmath.exp(2j * PI * float(s) * a)
                     checks.append(
-                        _chk(f"int m={m} s={s} {sgn}", lhs, pref * base, tau)
+                        check_pair(f"int m={m} s={s} {sgn}", lhs, pref * base, tau)
                     )
-    return _report("thm1.3c", "thm1.3c", tol, checks)
+    return verify_law(tol, checks)
 
 
 def suite_thm13d(seed=17, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
@@ -231,7 +196,7 @@ def suite_thm13d(seed=17, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
                         * cmath.exp(-2j * PI * tau * float(m) * a * b)
                     )
                     checks.append(
-                        _chk(
+                        check_pair(
                             f"tau s={s} {sgn} (a,b)=({a},{b})",
                             lhs,
                             pref * base_half,
@@ -242,8 +207,8 @@ def suite_thm13d(seed=17, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
                 lhs = phi_tilde(idx, tau, z1 + a, z2 + b, policy).value
                 pref = cmath.exp(2j * PI * float(s) * a)
                 rhs = pref * phi_tilde(MockIndex(m, s, other), tau, z1, z2, policy).value
-                checks.append(_chk(f"int s={s} {sgn}", lhs, rhs, tau))
-    return _report("thm1.3d", "thm1.3d", tol, checks)
+                checks.append(check_pair(f"int s={s} {sgn}", lhs, rhs, tau))
+    return verify_law(tol, checks)
 
 
 def suite_cor14a(seed=18, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
@@ -252,8 +217,8 @@ def suite_cor14a(seed=18, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
         for sgn in ("plus", "minus"):
             a = phi_tilde(MockIndex(F(1, 2), F(1, 2), sgn), tau, z1, z2, policy).value
             b = phi_tilde(MockIndex(F(1, 2), F(3, 2), sgn), tau, z1, z2, policy).value
-            checks.append(_chk(f"{sgn} s=1/2 vs 3/2", a, b, tau))
-    return _report("cor1.4a", "cor1.4a", tol, checks)
+            checks.append(check_pair(f"{sgn} s=1/2 vs 3/2", a, b, tau))
+    return verify_law(tol, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +233,23 @@ def suite_lem22(seed=21, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
             # the n -> -n reindexing forces an overall minus sign
             lhs = phi(idx, tau, -z1, -z2, policy).value
             rhs = -phi(idx.with_s(1 - s), tau, z1, z2, policy).value
-            checks.append(_chk(f"(a) m={m} s={s} {sgn}", lhs, rhs, tau))
+            checks.append(check_pair(f"(a) m={m} s={s} {sgn}", lhs, rhs, tau))
             base = phi(idx, tau, z1, z2, policy).value
             for a, b in ((2, 0), (1, 1), (-1, 1)):
                 lhs = phi(idx, tau, z1 + a, z2 + b, policy).value
                 rhs = cmath.exp(2j * PI * float(s) * a) * base
-                checks.append(_chk(f"(b) m={m} {sgn} (a,b)=({a},{b})", lhs, rhs, tau))
+                checks.append(check_pair(f"(b) m={m} {sgn} (a,b)=({a},{b})", lhs, rhs, tau))
         # (c)(i): integer m, any parities
         idx = MockIndex(1, 1)
         base = phi(idx, tau, z1, z2, policy).value
         lhs = phi(idx, tau, z1 + 1, z2, policy).value
-        checks.append(_chk("(c)(i)", lhs, cmath.exp(2j * PI) * base, tau))
+        checks.append(check_pair("(c)(i)", lhs, cmath.exp(2j * PI) * base, tau))
         # (c)(ii): non-integer m, opposite parity swaps the sign label
         idxm = MockIndex(F(1, 2), F(1, 2), "minus")
         lhs = phi(idxm, tau, z1 + 1, z2, policy).value
         rhs = cmath.exp(2j * PI * 0.5) * phi(idxm.flipped(), tau, z1, z2, policy).value
-        checks.append(_chk("(c)(ii)", lhs, rhs, tau))
-    return _report("lem2.2", "lem2.2", tol, checks)
+        checks.append(check_pair("(c)(ii)", lhs, rhs, tau))
+    return verify_law(tol, checks)
 
 
 def suite_lem23(seed=22, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
@@ -293,7 +258,7 @@ def suite_lem23(seed=22, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
         for m, s, sgn in ((F(1), F(0), "unsigned"), (F(1, 2), F(1, 2), "minus")):
             idx = MockIndex(m, s, sgn)
             res = phi_shift_residual_a(idx, tau, z1, z2, policy).value
-            checks.append(_chk(f"(a) m={m} {sgn}", res, 0.0, tau))
+            checks.append(check_pair(f"(a) m={m} {sgn}", res, 0.0, tau))
             # (b): z1 -> z1 - 2 tau mirror
             lhs = phi(idx, tau, z1, z2, policy).value - cmath.exp(
                 -4j * PI * float(m) * z2
@@ -308,8 +273,8 @@ def suite_lem23(seed=22, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
                 sv = 1 if sgn != "minus" else -1
                 th = theta_jm_signed(sv, kk + s, m, tau, z1 + z2, policy).value
                 rhs += pref * th
-            checks.append(_chk(f"(b) m={m} {sgn}", lhs, rhs, tau))
-    return _report("lem2.3", "lem2.3", tol, checks)
+            checks.append(check_pair(f"(b) m={m} {sgn}", lhs, rhs, tau))
+    return verify_law(tol, checks)
 
 
 def suite_lem24(seed=23, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
@@ -329,7 +294,7 @@ def suite_lem24(seed=23, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
             if sgn == "minus" and j % 2:
                 pref = -pref
             rhs = pref * phi(idx, tau, z1, z2, policy).value
-            checks.append(_chk(f"m={m} {sgn} j={j}", lhs, rhs, tau))
+            checks.append(check_pair(f"m={m} {sgn} j={j}", lhs, rhs, tau))
             res = phi_elliptic_residual(idx, j, tau, z1, z2, policy).value
             scale = max(1.0, abs(lhs))
             checks.append(
@@ -337,7 +302,7 @@ def suite_lem24(seed=23, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
                  "residual": abs(res) / scale, "lhs": str(res), "rhs": "0",
                  "point": str(tau)}
             )
-    return _report("lem2.4", "lem2.4", tol, checks)
+    return verify_law(tol, checks)
 
 
 def suite_lem210(seed=24, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
@@ -349,7 +314,7 @@ def suite_lem210(seed=24, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
             base = rj(tau, v)
             lhs = rj(tau, v + 1)
             rhs = (-1) ** int(2 * F(j)) * base
-            checks.append(_chk(f"(a) sgn={sgn} j={j} m={m}", lhs, rhs, tau))
+            checks.append(check_pair(f"(a) sgn={sgn} j={j} m={m}", lhs, rhs, tau))
             mf = float(m)
             jf = float(j)
             qpow = cmath.exp(-2j * PI * tau * jf * jf / (4 * mf))
@@ -358,7 +323,7 @@ def suite_lem210(seed=24, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
                 lhs = base - cmath.exp(2j * PI * mf * (2 * v - tau)) * rj(tau, v - tau)
             else:
                 lhs = base + cmath.exp(2j * PI * mf * (2 * v - tau)) * rj(tau, v - tau)
-            checks.append(_chk(f"(b) sgn={sgn} j={j} m={m}", lhs, inhom, tau))
+            checks.append(check_pair(f"(b) sgn={sgn} j={j} m={m}", lhs, inhom, tau))
             lhs = base - cmath.exp(8j * PI * mf * (v - tau)) * rj(tau, v - 2 * tau)
             j2 = jf + 2 * mf
             rhs = 2 * (
@@ -367,8 +332,8 @@ def suite_lem210(seed=24, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
                 * cmath.exp(-2j * PI * tau * j2 * j2 / (4 * mf))
                 * cmath.exp(2j * PI * j2 * v)
             )
-            checks.append(_chk(f"(c) sgn={sgn} j={j} m={m}", lhs, rhs, tau))
-    return _report("lem2.10", "lem2.10", tol, checks)
+            checks.append(check_pair(f"(c) sgn={sgn} j={j} m={m}", lhs, rhs, tau))
+    return verify_law(tol, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +387,24 @@ def suite_eq120(seed=25, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
         muh = _zw_mu(tau, z1, z2, policy) + 0.5j * _zw_R(tau, z1 - z2, policy)
         lhs = phi_tilde(idx, tau, z1, 2 * z2 - z1, policy).value
         rhs = theta_ab(1, 1, tau, z2, policy).value * muh
-        checks.append(_chk("completed bridge", lhs, rhs, tau))
+        checks.append(check_pair("completed bridge", lhs, rhs, tau))
         sym_l = theta_ab(1, 1, tau, z1, policy).value * phi_tilde(
             idx, tau, z1, 2 * z2 - z1, policy
         ).value
         sym_r = theta_ab(1, 1, tau, z2, policy).value * phi_tilde(
             idx, tau, z2, 2 * z1 - z2, policy
         ).value
-        checks.append(_chk("mu-hat symmetry", sym_l, sym_r, tau))
+        checks.append(check_pair("mu-hat symmetry", sym_l, sym_r, tau))
     notes = (
         "a same-modulus single-product pairing of the two functions fails "
         "an elliptic-multiplier bookkeeping check and is recorded "
         "(non-gating) by the eq1.19 suite; this suite verifies the bridge "
         "through an independent mu/R implementation instead"
     )
-    return _report("eq1.20", "eq1.20", tol, checks, notes)
+    return verify_law(tol, checks, notes)
 
 
-def suite_eq119(seed=26, tol=math.inf, n_points=4, policy=DEFAULT_POLICY):
+def suite_eq119(seed=26, tol=1e-9, n_points=4, policy=DEFAULT_POLICY):
     """Recording suite: the unmodified bridge plus the single-product
     variant, whose residuals are kept as evidence rather than gated."""
     checks = []
@@ -449,24 +414,23 @@ def suite_eq119(seed=26, tol=math.inf, n_points=4, policy=DEFAULT_POLICY):
         mu = _zw_mu(tau, z1, z2, policy)
         lhs = phi(idx, tau, z1, 2 * z2 - z1, policy).value
         rhs = theta_ab(1, 1, tau, z2, policy).value * mu
-        checks.append(_chk("unmodified bridge (gauge)", lhs, rhs, tau))
+        checks.append(check_pair("unmodified bridge (gauge)", lhs, rhs, tau))
         for s in (0, 1):
             pl = theta_ab(1, 1, tau, z1 + z2, policy).value * lhs
             pr = theta_ab(1, 1, tau, z2, policy).value * phi(
                 MockIndex(1, s), tau, z1, z2, policy
             ).value
             variant[s].append(abs(pl - pr))
-    rep = _report("eq1.19", "eq1.19", 1e-9, checks)
-    rep["pass"] = bool(rep["max_residual"] < 1e-9)
-    rep["single_product_residuals"] = {
-        "s=0": max(variant[0]),
-        "s=1": max(variant[1]),
-    }
-    rep["notes"] = (
+    notes = (
         "the single-product form holds for neither s in {0, 1} "
         f"(residuals ~{max(variant[0]):.3g}); the mu-form above is the "
         "identity that holds"
     )
+    rep = verify_law(tol, checks, notes)
+    rep["single_product_residuals"] = {
+        "s=0": max(variant[0]),
+        "s=1": max(variant[1]),
+    }
     return rep
 
 
@@ -502,8 +466,8 @@ def suite_eq35(seed=31, tol=1e-9, n_points=6, policy=DEFAULT_POLICY):
             orc = cmath.exp(2j * PI * k * pt.t) * phi(
                 MockIndex(k, s), tau, -beta_z, beta_z + gam_z, policy
             ).value
-            checks.append(_chk(f"k={k}", direct, orc, tau))
-    return _report("eq3.5", "eq3.5", tol, checks)
+            checks.append(check_pair(f"k={k}", direct, orc, tau))
+    return verify_law(tol, checks)
 
 
 def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
@@ -533,12 +497,12 @@ def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
                 tot += cmath.exp(-2j * PI * pairing / kf) * eval_modified(
                     rr, pt, policy
                 ).value
-            checks.append(_chk(f"S {label}", lhs, pref * tot, tau))
+            checks.append(check_pair(f"S {label}", lhs, pref * tot, tau))
             lhsT = eval_modified(res, act(T, pt, quad), policy).value
             lam2 = float(ctx.pair(w.coords, w.coords))
             rhsT = cmath.exp(1j * PI * lam2 / kf) * eval_modified(res, pt, policy).value
-            checks.append(_chk(f"T {label}", lhsT, rhsT, tau))
-    return _report("prop3.2b", "prop3.2b", tol, checks)
+            checks.append(check_pair(f"T {label}", lhsT, rhsT, tau))
+    return verify_law(tol, checks)
 
 
 def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
@@ -571,13 +535,13 @@ def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
             return tot
 
         checks.append(
-            _chk("plus->plus", eval_modified(res_p, ptS, policy).value, pref * msum("plus", False, False), tau)
+            check_pair("plus->plus", eval_modified(res_p, ptS, policy).value, pref * msum("plus", False, False), tau)
         )
         checks.append(
-            _chk("minus->plus(xi)", eval_modified(res_m, ptS, policy).value, pref * msum("plus", False, True), tau)
+            check_pair("minus->plus(xi)", eval_modified(res_m, ptS, policy).value, pref * msum("plus", False, True), tau)
         )
         checks.append(
-            _chk(
+            check_pair(
                 "plus(xi)->minus",
                 eval_modified(res_p, ptS, policy, xi_shift=True).value,
                 pref * msum("minus", True, False),
@@ -585,14 +549,14 @@ def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
             )
         )
         checks.append(
-            _chk(
+            check_pair(
                 "minus(xi)->minus(xi)",
                 eval_modified(res_m, ptS, policy, xi_shift=True).value,
                 pref * msum("minus", True, True),
                 tau,
             )
         )
-    return _report("prop3.3b", "prop3.3b", tol, checks)
+    return verify_law(tol, checks)
 
 
 def suite_prop33c(seed=34, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
@@ -609,15 +573,15 @@ def suite_prop33c(seed=34, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
         lam2 = float(ctx.pair(w.coords, w.coords))
         lhs = eval_modified(res_p, ptT, policy).value
         rhs = cmath.exp(1j * PI * lam2 / kf) * eval_modified(res_m, pt, policy).value
-        checks.append(_chk("T plus->minus", lhs, rhs, tau))
+        checks.append(check_pair("T plus->minus", lhs, rhs, tau))
         lamxi = [a + b for a, b in zip(w.coords, res_m.xi0)]
         lam2x = float(ctx.pair(lamxi, lamxi))
         lhs = eval_modified(res_m, ptT, policy, xi_shift=True).value
         rhs = cmath.exp(1j * PI * lam2x / kf) * eval_modified(
             res_m, pt, policy, xi_shift=True
         ).value
-        checks.append(_chk("T minus(xi) fixed", lhs, rhs, tau))
-    return _report("prop3.3c", "prop3.3c", tol, checks)
+        checks.append(check_pair("T minus(xi) fixed", lhs, rhs, tau))
+    return verify_law(tol, checks)
 
 
 def suite_prop37(seed=35, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
@@ -639,7 +603,7 @@ def suite_prop37(seed=35, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
             ).value
             pairing = float(np.array([float(x) for x in lamxi]) @ G @ v)
             checks.append(
-                _chk(f"(i) v={vname}", lhs, cmath.exp(2j * PI * pairing) * base, tau)
+                check_pair(f"(i) v={vname}", lhs, cmath.exp(2j * PI * pairing) * base, tau)
             )
             lhs = eval_modified(
                 res, ModularPoint(tau, tuple(z + tau * v), pt.t), policy, xi_shift=True
@@ -653,8 +617,8 @@ def suite_prop37(seed=35, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
                 * cmath.exp(-1j * PI * tau * kf * v2)
                 * base
             )
-            checks.append(_chk(f"(ii) v={vname}", lhs, rhs, tau))
-    return _report("prop3.7", "prop3.7", tol, checks)
+            checks.append(check_pair(f"(ii) v={vname}", lhs, rhs, tau))
+    return verify_law(tol, checks)
 
 
 def suite_prop38(seed=36, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
@@ -674,15 +638,15 @@ def suite_prop38(seed=36, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
         ]
         for vname, v in gens:
             lhs = eval_modified(res, ModularPoint(tau, tuple(z + v), pt.t), policy).value
-            checks.append(_chk(f"(i) v={vname}", lhs, base, tau))
+            checks.append(check_pair(f"(i) v={vname}", lhs, base, tau))
             lhs = eval_modified(
                 res, ModularPoint(tau, tuple(z + tau * v), pt.t), policy
             ).value
             zv = complex(z @ G @ v)
             v2 = float(v @ G @ v)
             rhs = cmath.exp(-2j * PI * zv) * cmath.exp(-1j * PI * tau * v2) * base
-            checks.append(_chk(f"(ii) v={vname}", lhs, rhs, tau))
-    return _report("prop3.8", "prop3.8", tol, checks)
+            checks.append(check_pair(f"(ii) v={vname}", lhs, rhs, tau))
+    return verify_law(tol, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +667,11 @@ def suite_eq56(seed=41, tol=1e-8, n_points=6, policy=DEFAULT_POLICY):
                 * (-1j * tau)
                 * sys.denominator(-1, pt, policy).value
             )
-            checks.append(_chk(f"S {case}", lhs, rhs, tau))
+            checks.append(check_pair(f"S {case}", lhs, rhs, tau))
             lhsT = sys.denominator(-1, act(T, pt, sys.quad), policy).value
             rhsT = cmath.exp(1j * PI * sys.sdim / 12) * sys.denominator(-1, pt, policy).value
-            checks.append(_chk(f"T {case}", lhsT, rhsT, tau))
-    return _report("eq5.6", "eq5.6", tol, checks)
+            checks.append(check_pair(f"T {case}", lhsT, rhsT, tau))
+    return verify_law(tol, checks)
 
 
 def suite_denom_sl21(seed=42, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
@@ -727,8 +691,8 @@ def suite_denom_sl21(seed=42, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
                 * theta_ab(1, 1, tau, z2, policy).value
             )
         )
-        checks.append(_chk("closed form", den, closed, tau))
-    return _report("denom-sl21", "eq0.13-denominator", tol, checks)
+        checks.append(check_pair("closed form", den, closed, tau))
+    return verify_law(tol, checks)
 
 
 def suite_denom_osp32(seed=43, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
@@ -748,13 +712,13 @@ def suite_denom_osp32(seed=43, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
             )
         )
         closed = 1j * cmath.exp(1j * PI * pt.t) * e3 * quot
-        checks.append(_chk("closed form", den, closed, tau))
+        checks.append(check_pair("closed form", den, closed, tau))
     notes = (
         "under the pinned theta convention the closed form carries +i; a "
         "-i prefactor pairs with the opposite (classical) normalization "
         "of theta11, which the convention-pin tests reject"
     )
-    return _report("denom-osp32", "rem6.21-denominator", tol, checks, notes)
+    return verify_law(tol, checks, notes)
 
 
 def suite_eq013(seed=44, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
@@ -769,8 +733,8 @@ def suite_eq013(seed=44, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
                 phi(MockIndex(m, s), tau, z1, z2, policy).value
                 - phi(MockIndex(m, s), tau, -z2, -z1, policy).value
             )
-            checks.append(_chk(f"(m,s)=({m},{s})", num, target, tau))
-    return _report("eq0.13", "eq0.13", tol, checks)
+            checks.append(check_pair(f"(m,s)=({m},{s})", num, target, tau))
+    return verify_law(tol, checks)
 
 
 def suite_sl21_modular(seed=45, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
@@ -781,12 +745,12 @@ def suite_sl21_modular(seed=45, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
         pt = ModularPoint(tau, (z1, z2), 0.06)
         base = ch_tilde("sl21", w, pt, policy).value
         ptS = act(S, pt, sys.quad)
-        checks.append(_chk("S-invariance", ch_tilde("sl21", w, ptS, policy).value, base, tau))
+        checks.append(check_pair("S-invariance", ch_tilde("sl21", w, ptS, policy).value, base, tau))
         ptT = act(T, pt, sys.quad)
-        checks.append(_chk("T-invariance", ch_tilde("sl21", w, ptT, policy).value, base, tau))
+        checks.append(check_pair("T-invariance", ch_tilde("sl21", w, ptT, policy).value, base, tau))
         other = ch_tilde("sl21", WeightSpec(1, (1,)), pt, policy).value
-        checks.append(_chk("label-independence", other, base, tau))
-    return _report("sl21-modular", "cor1.2/eq0.13", tol, checks)
+        checks.append(check_pair("label-independence", other, base, tau))
+    return verify_law(tol, checks)
 
 
 def suite_psi_pin(seed=46, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
@@ -801,8 +765,8 @@ def suite_psi_pin(seed=46, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
                 * theta_ab(1, 1, tau, z2, policy).value
             )
         )
-        checks.append(_chk("denominator identity", psi, -1j * quot, tau))
-    return _report("psi-pin", "rem6.21-psi", tol, checks)
+        checks.append(check_pair("denominator identity", psi, -1j * quot, tau))
+    return verify_law(tol, checks)
 
 
 def suite_eq44(seed=47, tol=1e-8, n_points=5, policy=DEFAULT_POLICY):
@@ -816,8 +780,8 @@ def suite_eq44(seed=47, tol=1e-8, n_points=5, policy=DEFAULT_POLICY):
         shifted = ModularPoint(tau, (z1 - 0.5, z2 - 0.5), pt.t)
         nminus = sys.numerator(w, shifted, policy, modified=False).value
         dminus = sys.denominator(-1, shifted, policy).value
-        checks.append(_chk("ch+ vs shifted ch-", nplus / dplus, nminus / dminus, tau))
-    return _report("eq4.4", "eq4.4", tol, checks)
+        checks.append(check_pair("ch+ vs shifted ch-", nplus / dplus, nminus / dminus, tau))
+    return verify_law(tol, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -831,20 +795,20 @@ def _span_checks(case, k, params, seed, policy):
         for tau, z1, z2 in _points(seed, 3)
     ]
     return [
-        _rec("unitarity", smatrix(case, k, params).unitarity_defect()),
-        _rec("S apply", apply_smatrix_check(case, k, pts, params, policy)["max_residual"]),
-        _rec("T apply", apply_tmatrix_check(case, k, pts, params, policy)["max_residual"]),
+        check_residual("unitarity", smatrix(case, k, params).unitarity_defect()),
+        check_residual("S apply", apply_smatrix_check(case, k, pts, params, policy)["max_residual"]),
+        check_residual("T apply", apply_tmatrix_check(case, k, pts, params, policy)["max_residual"]),
     ]
 
 
 def suite_thm614(seed=51, tol=1e-7, policy=DEFAULT_POLICY, p=1, q=1, n=1):
     checks = _span_checks("d21a", F(-p * q * n, p + q), (p, q), seed, policy)
-    out = _report("thm6.14", "thm6.14", tol, checks)
-    out["conjectural"] = True
-    out["notes"] = (
+    notes = (
         "character labels rely on the conjectural two-term supercharacter "
         "formula; the span transformation itself is unconditional"
     )
+    out = verify_law(tol, checks, notes)
+    out["conjectural"] = True
     return out
 
 
@@ -865,7 +829,7 @@ def suite_d21a_omega(tol=0.5, **_):
         {"check": "nu range", "residual": 0.0 if nus == {-2, -1, 0, 1} else 1.0,
          "lhs": str(sorted(nus)), "rhs": "[-2, -1, 0, 1]", "point": None},
     ]
-    return _report("d21a-omega", "cor6.5-6.7", tol, checks)
+    return verify_law(tol, checks)
 
 
 def suite_osp32_sub_f(seed=52, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
@@ -878,23 +842,23 @@ def suite_osp32_sub_f(seed=52, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
         for i in (1, 2, 3, 4):
             fi = sub.f_function(i, k, pt, policy).value
             ci = sub.f_closed_quotient(i, pt, policy).value / den
-            checks.append(_chk(f"f{i}", fi, ci, tau))
+            checks.append(check_pair(f"f{i}", fi, ci, tau))
     notes = (
         "f4's closed form carries theta11 upstairs; a theta00 numerator "
         "would contradict the tau+1 swap with f3"
     )
-    return _report("osp32-sub-f", "rem6.21-f", tol, checks, notes)
+    return verify_law(tol, checks, notes)
 
 
-def _subprincipal_span(suite_id, which, seed, tol, policy, notes=""):
+def _subprincipal_span(which, seed, tol, policy, notes=""):
     """The S or T relations of the subprincipal span at k = -3/4 and -1."""
     check = apply_smatrix_check if which == "S" else apply_tmatrix_check
     pts = [ModularPoint(tau, (z1, z2), 0.04) for tau, z1, z2 in _points(seed, 3)]
     checks = []
     for k in (F(-3, 4), F(-1)):
         rep = check("osp32_sub", k, pts, policy=policy)
-        checks.append(_rec(f"{which} span k={k}", rep["max_residual"]))
-    return _report(suite_id, suite_id, tol, checks, notes)
+        checks.append(check_residual(f"{which} span k={k}", rep["max_residual"]))
+    return verify_law(tol, checks, notes)
 
 
 def suite_eq620(seed=53, tol=1e-7, policy=DEFAULT_POLICY):
@@ -902,11 +866,11 @@ def suite_eq620(seed=53, tol=1e-7, policy=DEFAULT_POLICY):
         "the quotients transform with no weight factor: the numerator's "
         "tau cancels against the superdenominator's"
     )
-    return _subprincipal_span("eq6.20", "S", seed, tol, policy, notes)
+    return _subprincipal_span("S", seed, tol, policy, notes)
 
 
 def suite_eq621(seed=54, tol=1e-7, policy=DEFAULT_POLICY):
-    return _subprincipal_span("eq6.21", "T", seed, tol, policy)
+    return _subprincipal_span("T", seed, tol, policy)
 
 
 def suite_lem619(seed=55, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
@@ -920,8 +884,8 @@ def suite_lem619(seed=55, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
                 + cmath.exp(-2j * PI * float(s))
                 * psi_fn(2 * M, 2 * s, tau, (z1 + 1) / 2, (z2 - 1) / 2, t / 2, policy).value
             )
-            checks.append(_chk(f"M={M} s={s}", lhs, rhs, tau))
-    return _report("lem6.19", "lem6.19", tol, checks)
+            checks.append(check_pair(f"M={M} s={s}", lhs, rhs, tau))
+    return verify_law(tol, checks)
 
 
 def _level1_relations(which, label, seed, policy):
@@ -937,13 +901,13 @@ def _level1_relations(which, label, seed, policy):
             )
             pts = [ModularPoint(tau, zs, 0.05) for tau, _, _ in _points(seed, 2)]
             rep = check("osp_level1", 1, pts, (M, N), policy)
-            checks.append(_rec(f"{which} {label} M={M} N={N}", rep["max_residual"]))
+            checks.append(check_residual(f"{which} {label} M={M} N={N}", rep["max_residual"]))
     return checks
 
 
 def suite_level1_S(seed=56, tol=1e-9, policy=DEFAULT_POLICY):
     checks = _level1_relations("S", "relations", seed, policy)
-    return _report("osp-level1-S", "sec6.5-S", tol, checks)
+    return verify_law(tol, checks)
 
 
 def suite_level1_T(seed=57, tol=1e-9, policy=DEFAULT_POLICY):
@@ -953,7 +917,7 @@ def suite_level1_T(seed=57, tol=1e-9, policy=DEFAULT_POLICY):
         "evaluation"
     )
     checks = _level1_relations("T", "eigenvalues", seed, policy)
-    return _report("osp-level1-T", "sec6.5-T", tol, checks, notes)
+    return verify_law(tol, checks, notes)
 
 
 def suite_prop622(seed=58, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
@@ -968,17 +932,17 @@ def suite_prop622(seed=58, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
         ptS = act(S, pt, sys.quad)
         ptT = act(T, pt, sys.quad)
         chp0, twm0, twp0 = chp(pt), twm(pt), twp(pt)
-        checks.append(_chk("(a) ch+|S = tw-", chp(ptS), twm0, tau))
-        checks.append(_chk("(a) tw-|S = ch+", twm(ptS), chp0, tau))
-        checks.append(_chk("(a) tw+|S = -tw+", twp(ptS), -twp0, tau))
-        checks.append(_chk("(b) ch+|T = ch+", chp(ptT), chp0, tau))
-        checks.append(_chk("(b) tw-|T = i tw+", twm(ptT), 1j * twp0, tau))
-        checks.append(_chk("(b) tw+|T = i tw-", twp(ptT), 1j * twm0, tau))
-    return _report("prop6.22", "prop6.22", tol, checks)
+        checks.append(check_pair("(a) ch+|S = tw-", chp(ptS), twm0, tau))
+        checks.append(check_pair("(a) tw-|S = ch+", twm(ptS), chp0, tau))
+        checks.append(check_pair("(a) tw+|S = -tw+", twp(ptS), -twp0, tau))
+        checks.append(check_pair("(b) ch+|T = ch+", chp(ptT), chp0, tau))
+        checks.append(check_pair("(b) tw-|T = i tw+", twm(ptT), 1j * twp0, tau))
+        checks.append(check_pair("(b) tw+|T = i tw-", twp(ptT), 1j * twm0, tau))
+    return verify_law(tol, checks)
 
 
 def suite_eq66(seed=59, tol=1e-7, policy=DEFAULT_POLICY):
-    return _report("eq6.6", "eq6.6", tol, _span_checks("osp42", 1, None, seed, policy))
+    return verify_law(tol, _span_checks("osp42", 1, None, seed, policy))
 
 
 # ---------------------------------------------------------------------------
@@ -999,8 +963,8 @@ def suite_theta_S(seed=61, tol=1e-9, n_points=6, policy=DEFAULT_POLICY):
                 * theta_jm(kk, m, tau, z, policy).value
                 for kk in range(2 * m)
             )
-            checks.append(_chk(f"S j={j} m={m}", lhs, pref * tot, tau))
-    return _report("theta-S", "theta-S-law", tol, checks)
+            checks.append(check_pair(f"S j={j} m={m}", lhs, pref * tot, tau))
+    return verify_law(tol, checks)
 
 
 def suite_theta_quasi(seed=62, tol=1e-11, n_points=10, policy=DEFAULT_POLICY):
@@ -1010,16 +974,16 @@ def suite_theta_quasi(seed=62, tol=1e-11, n_points=10, policy=DEFAULT_POLICY):
         for j, m in ((0, 1), (1, 2)):
             base = theta_jm(j, m, tau, z, policy).value
             lhs = theta_jm(j, m, tau, z + 2, policy).value
-            checks.append(_chk(f"z+2 j={j} m={m}", lhs, base, tau))
+            checks.append(check_pair(f"z+2 j={j} m={m}", lhs, base, tau))
             lhs = theta_jm(j, m, tau, z + 2 * tau, policy).value
             pref = cmath.exp(-2j * PI * tau * m) * cmath.exp(-2j * PI * m * z)
-            checks.append(_chk(f"z+2tau j={j} m={m}", lhs, pref * base, tau))
-    return _report("theta-quasi", "theta-quasiperiods", tol, checks)
+            checks.append(check_pair(f"z+2tau j={j} m={m}", lhs, pref * base, tau))
+    return verify_law(tol, checks)
 
 
 def suite_oracles(seed=63, tol=1e-10, n_points=30, policy=DEFAULT_POLICY):
     checks = []
-    rng = _rng(seed)
+    rng = np.random.RandomState(seed)
     for i in range(n_points):
         tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 2.0))
         z1 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.05, 0.05))
@@ -1027,28 +991,28 @@ def suite_oracles(seed=63, tol=1e-10, n_points=30, policy=DEFAULT_POLICY):
         if abs(z1) < 0.04:
             z1 += 0.1
         mine = phi(MockIndex(1, 0), tau, z1, z2, policy).value
-        checks.append(_chk("phi", mine, oracle.phi_naive(1, 1, 0, tau, z1, z2), tau))
+        checks.append(check_pair("phi", mine, oracle.phi_naive(1, 1, 0, tau, z1, z2), tau))
         mine = phi(MockIndex(F(1, 2), F(1, 2), "minus"), tau, z1, z2, policy).value
         checks.append(
-            _chk("phi minus", mine, oracle.phi_naive(-1, 0.5, 0.5, tau, z1, z2), tau)
+            check_pair("phi minus", mine, oracle.phi_naive(-1, 0.5, 0.5, tau, z1, z2), tau)
         )
         mine = theta_jm(1, 2, tau, z1, policy).value
-        checks.append(_chk("theta_jm", mine, oracle.theta_jm_naive(1, 1, 2, tau, z1), tau))
+        checks.append(check_pair("theta_jm", mine, oracle.theta_jm_naive(1, 1, 2, tau, z1), tau))
         mine = theta_jm_signed(-1, F(1, 2), F(1, 2), tau, z1, policy).value
         checks.append(
-            _chk("theta_jm signed", mine, oracle.theta_jm_naive(-1, 0.5, 0.5, tau, z1), tau)
+            check_pair("theta_jm signed", mine, oracle.theta_jm_naive(-1, 0.5, 0.5, tau, z1), tau)
         )
         mine = r_jm(0, 1, tau, z1, policy).value
-        checks.append(_chk("r_jm", mine, oracle.r_naive(1, 0, 1, tau, z1), tau))
+        checks.append(check_pair("r_jm", mine, oracle.r_naive(1, 0, 1, tau, z1), tau))
         mine = r_jm_signed(-1, F(1, 2), F(1, 2), tau, z1, policy).value
         checks.append(
-            _chk("r_jm signed", mine, oracle.r_naive(-1, 0.5, 0.5, tau, z1), tau)
+            check_pair("r_jm signed", mine, oracle.r_naive(-1, 0.5, 0.5, tau, z1), tau)
         )
         mine = eta(tau, policy).value
-        checks.append(_chk("eta", mine, oracle.eta_product(tau), tau))
+        checks.append(check_pair("eta", mine, oracle.eta_product(tau), tau))
         mine = theta_ab(1, 1, tau, z1, policy).value
-        checks.append(_chk("theta_ab", mine, oracle.theta_ab_naive(1, 1, tau, z1), tau))
-    return _report("oracles", "naive-summation", tol, checks)
+        checks.append(check_pair("theta_ab", mine, oracle.theta_ab_naive(1, 1, tau, z1), tau))
+    return verify_law(tol, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,54 +1020,54 @@ def suite_oracles(seed=63, tol=1e-10, n_points=30, policy=DEFAULT_POLICY):
 
 
 SUITES = {
-    "thm1.1a": (suite_thm11a, "S/T laws of the modified rank-1 functions"),
-    "thm1.1b": (suite_thm11b, "elliptic laws of the modified rank-1 functions"),
-    "cor1.2": (suite_cor12, "shift-label independence, unsigned"),
-    "thm1.3a": (suite_thm13a, "signed S-law pairings"),
-    "thm1.3b": (suite_thm13b, "signed T-laws"),
-    "thm1.3c": (suite_thm13c, "signed elliptic laws, same parity"),
-    "thm1.3d": (suite_thm13d, "signed elliptic laws, opposite parity"),
-    "cor1.4a": (suite_cor14a, "shift-label independence, signed"),
-    "lem2.2": (suite_lem22, "argument negation and integer shifts"),
-    "lem2.3": (suite_lem23, "2tau-shift window identities"),
-    "lem2.4": (suite_lem24, "diagonal elliptic shifts"),
-    "lem2.10": (suite_lem210, "correction-term shift identities"),
-    "eq1.19": (suite_eq119, "unmodified mu bridge (recording)"),
-    "eq1.20": (suite_eq120, "completed mu bridge"),
-    "eq3.5": (suite_eq35, "one-step lattice factorization"),
-    "prop3.2b": (suite_prop32b, "even-lattice modular laws"),
-    "prop3.3b": (suite_prop33b, "signed modular laws"),
-    "prop3.3c": (suite_prop33c, "signed T-laws at lattice level"),
-    "prop3.7": (suite_prop37, "signed elliptic laws at lattice level"),
-    "prop3.8": (suite_prop38, "even elliptic laws at lattice level"),
-    "eq5.6": (suite_eq56, "superdenominator S/T law"),
-    "denom-sl21": (suite_denom_sl21, "sl(2|1) superdenominator closed form"),
-    "denom-osp32": (suite_denom_osp32, "osp(3|2) superdenominator closed form"),
-    "eq0.13": (suite_eq013, "sl(2|1) numerator closed form"),
-    "sl21-modular": (suite_sl21_modular, "sl(2|1) modified supercharacter invariance"),
-    "psi-pin": (suite_psi_pin, "numerator/denominator convention pin"),
-    "eq4.4": (suite_eq44, "character from supercharacter by half-shift"),
-    "thm6.14": (suite_thm614, "D(2,1;a) S-matrix"),
-    "d21a-omega": (suite_d21a_omega, "D(2,1;a) weight enumeration"),
-    "osp32-sub-f": (suite_osp32_sub_f, "subprincipal spanning functions"),
-    "eq6.20": (suite_eq620, "subprincipal S relations"),
-    "eq6.21": (suite_eq621, "subprincipal T relations"),
-    "lem6.19": (suite_lem619, "modulus-doubling identity"),
-    "osp-level1-S": (suite_level1_S, "level-1 S relations"),
-    "osp-level1-T": (suite_level1_T, "level-1 T eigenvalues"),
-    "prop6.22": (suite_prop622, "twisted-variant S/T relations"),
-    "eq6.6": (suite_eq66, "osp(4|2) S-matrix"),
-    "theta-S": (suite_theta_S, "rank-1 theta S-law"),
-    "theta-quasi": (suite_theta_quasi, "rank-1 theta quasi-periodicity"),
-    "oracles": (suite_oracles, "naive-summation oracle agreement"),
+    "thm1.1a": (suite_thm11a, "thm1.1a", "S/T laws of the modified rank-1 functions"),
+    "thm1.1b": (suite_thm11b, "thm1.1b", "elliptic laws of the modified rank-1 functions"),
+    "cor1.2": (suite_cor12, "cor1.2", "shift-label independence, unsigned"),
+    "thm1.3a": (suite_thm13a, "thm1.3a", "signed S-law pairings"),
+    "thm1.3b": (suite_thm13b, "thm1.3b", "signed T-laws"),
+    "thm1.3c": (suite_thm13c, "thm1.3c", "signed elliptic laws, same parity"),
+    "thm1.3d": (suite_thm13d, "thm1.3d", "signed elliptic laws, opposite parity"),
+    "cor1.4a": (suite_cor14a, "cor1.4a", "shift-label independence, signed"),
+    "lem2.2": (suite_lem22, "lem2.2", "argument negation and integer shifts"),
+    "lem2.3": (suite_lem23, "lem2.3", "2tau-shift window identities"),
+    "lem2.4": (suite_lem24, "lem2.4", "diagonal elliptic shifts"),
+    "lem2.10": (suite_lem210, "lem2.10", "correction-term shift identities"),
+    "eq1.19": (suite_eq119, "eq1.19", "unmodified mu bridge (recording)"),
+    "eq1.20": (suite_eq120, "eq1.20", "completed mu bridge"),
+    "eq3.5": (suite_eq35, "eq3.5", "one-step lattice factorization"),
+    "prop3.2b": (suite_prop32b, "prop3.2b", "even-lattice modular laws"),
+    "prop3.3b": (suite_prop33b, "prop3.3b", "signed modular laws"),
+    "prop3.3c": (suite_prop33c, "prop3.3c", "signed T-laws at lattice level"),
+    "prop3.7": (suite_prop37, "prop3.7", "signed elliptic laws at lattice level"),
+    "prop3.8": (suite_prop38, "prop3.8", "even elliptic laws at lattice level"),
+    "eq5.6": (suite_eq56, "eq5.6", "superdenominator S/T law"),
+    "denom-sl21": (suite_denom_sl21, "eq0.13-denominator", "sl(2|1) superdenominator closed form"),
+    "denom-osp32": (suite_denom_osp32, "rem6.21-denominator", "osp(3|2) superdenominator closed form"),
+    "eq0.13": (suite_eq013, "eq0.13", "sl(2|1) numerator closed form"),
+    "sl21-modular": (suite_sl21_modular, "cor1.2/eq0.13", "sl(2|1) modified supercharacter invariance"),
+    "psi-pin": (suite_psi_pin, "rem6.21-psi", "numerator/denominator convention pin"),
+    "eq4.4": (suite_eq44, "eq4.4", "character from supercharacter by half-shift"),
+    "thm6.14": (suite_thm614, "thm6.14", "D(2,1;a) S-matrix"),
+    "d21a-omega": (suite_d21a_omega, "cor6.5-6.7", "D(2,1;a) weight enumeration"),
+    "osp32-sub-f": (suite_osp32_sub_f, "rem6.21-f", "subprincipal spanning functions"),
+    "eq6.20": (suite_eq620, "eq6.20", "subprincipal S relations"),
+    "eq6.21": (suite_eq621, "eq6.21", "subprincipal T relations"),
+    "lem6.19": (suite_lem619, "lem6.19", "modulus-doubling identity"),
+    "osp-level1-S": (suite_level1_S, "sec6.5-S", "level-1 S relations"),
+    "osp-level1-T": (suite_level1_T, "sec6.5-T", "level-1 T eigenvalues"),
+    "prop6.22": (suite_prop622, "prop6.22", "twisted-variant S/T relations"),
+    "eq6.6": (suite_eq66, "eq6.6", "osp(4|2) S-matrix"),
+    "theta-S": (suite_theta_S, "theta-S-law", "rank-1 theta S-law"),
+    "theta-quasi": (suite_theta_quasi, "theta-quasiperiods", "rank-1 theta quasi-periodicity"),
+    "oracles": (suite_oracles, "naive-summation", "naive-summation oracle agreement"),
 }
 
 
 def list_suites():
     """Catalog of suite ids with anchors and descriptions."""
     return [
-        {"suite": sid, "anchor": sid, "description": desc}
-        for sid, (_, desc) in sorted(SUITES.items())
+        {"suite": sid, "anchor": anchor, "description": desc}
+        for sid, (_, anchor, desc) in sorted(SUITES.items())
     ]
 
 
@@ -1112,7 +1076,7 @@ def run_suite(suite_id: str, seed: int = None, tol: float = None, **kwargs):
 
     if suite_id not in SUITES:
         raise KeyError(suite_id)
-    fn, _ = SUITES[suite_id]
+    fn, anchor, _ = SUITES[suite_id]
     call = {}
     params = inspect.signature(fn).parameters
     if seed is not None:
@@ -1121,6 +1085,7 @@ def run_suite(suite_id: str, seed: int = None, tol: float = None, **kwargs):
         call["tol"] = tol
     call.update(kwargs)
     rep = fn(**call)
+    rep["suite"], rep["anchor"] = suite_id, anchor
     if "seed" in params:
         rep["seed"] = seed if seed is not None else params["seed"].default
     return rep

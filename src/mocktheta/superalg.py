@@ -689,8 +689,9 @@ def _integrable_d21a(pre, w):
         m0, m1, m2, m3 = labels
     else:
         k1, k2 = labels
-        n = -k * (p + q) / (p * q)
-        if n.denominator != 1:
+        try:
+            n = d21a_level(p, q, k)
+        except UnsupportedCase:
             return False
         if w.side != "T":
             # mirror-side labels correspond to sigma0 of the weight

@@ -135,7 +135,6 @@ class LatticeData:
     """A free abelian group with real Gram data in some ambient space."""
 
     gram: np.ndarray
-    basis_labels: tuple = ()
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=float)
@@ -144,10 +143,6 @@ class LatticeData:
         if not np.allclose(g, g.T, atol=1e-12):
             raise ValueError("gram must be symmetric")
         object.__setattr__(self, "gram", g)
-        if not self.basis_labels:
-            object.__setattr__(
-                self, "basis_labels", tuple(f"g{i+1}" for i in range(g.shape[0]))
-            )
 
     @property
     def rank(self) -> int:

@@ -1,20 +1,9 @@
 import numpy as np
 import pytest
 
+from mocktheta.suites import _points as random_points  # noqa: F401
+
 
 @pytest.fixture
 def rng():
     return np.random.RandomState(7771)
-
-
-def random_points(seed, n, im=(0.8, 2.0), z_abs=0.45):
-    r = np.random.RandomState(seed)
-    pts = []
-    while len(pts) < n:
-        tau = complex(r.uniform(-0.4, 0.4), r.uniform(*im))
-        z1 = complex(r.uniform(-z_abs, z_abs), r.uniform(-0.08, 0.08))
-        z2 = complex(r.uniform(-z_abs, z_abs), r.uniform(-0.08, 0.08))
-        if min(abs(z1), abs(z2), abs(z1 + z2), abs(z1 - z2)) < 0.05:
-            continue
-        pts.append((tau, z1, z2))
-    return pts

@@ -10,10 +10,9 @@ from mocktheta.characters import (
     level1_quad,
     psi_fn,
     system,
-    twisted_and_plus_variants,
 )
 from mocktheta.core import ModularPoint
-from mocktheta.errors import InvalidXi, UnsupportedCase
+from mocktheta.errors import UnsupportedCase
 from mocktheta.mock import MockIndex, phi
 from mocktheta.modifier import phi_tilde
 from mocktheta.modular import sample_points
@@ -116,16 +115,6 @@ class TestSl21:
         chp = ch_tilde("sl21", w, PT2, variant="ch_plus_modified").value
         chpT = ch_tilde("sl21", w, ptT, variant="ch_plus_modified").value
         assert abs(chpT - chp) < 1e-9
-
-    def test_xi_validation(self):
-        with pytest.raises(InvalidXi):
-            twisted_and_plus_variants(
-                "sl21", WeightSpec(1, (0,)), "ch_plus_modified", PT2, xi=(0.0, 0.0)
-            )
-        out = twisted_and_plus_variants(
-            "sl21", WeightSpec(1, (0,)), "ch_plus_modified", PT2, xi=(-0.5, -0.5)
-        )
-        assert abs(out.value) > 0
 
 
 class TestOsp32Sub:

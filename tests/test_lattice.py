@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction as F
 
@@ -37,8 +38,13 @@ class TestValidate:
         assert any("(k/2)" in v for v in bad)
 
     def test_isotropy_violation(self):
-        ctx = LatticeContext(((2,),), 1, 1, beta_beta=((1,),))
-        assert any("beta_1" in v for v in validate_context(ctx))
+        # the frame pairings are fixed; JSON carrying other ones is refused
+        for key, value in (("beta_gram", [["1"]]), ("beta_pairings", [["0"]])):
+            doc = json.loads(CTX1.to_json())
+            doc[key] = value
+            with pytest.raises(ConditionViolation) as err:
+                LatticeContext.from_json(json.dumps(doc))
+            assert any(key in v for v in err.value.violations)
 
     def test_signed_mode_condition(self):
         ok = validate_context(LatticeContext(((2,),), 1, F(3, 2), mode="minus"))

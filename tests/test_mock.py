@@ -19,19 +19,19 @@ TAU = 0.13 + 0.92j
 
 def phi_mp(sign, m, s, tau, z1, z2, window=60):
     """High-precision reference sum."""
-    mp.mp.dps = 35
-    tot = mp.mpc(0)
-    tau, z1, z2 = mp.mpc(tau), mp.mpc(z1), mp.mpc(z2)
-    for n in range(-window, window + 1):
-        num = mp.e ** (
-            2j * mp.pi * (m * n * (z1 + z2) + s * z1 + tau * (m * n * n + s * n))
-        )
-        den = 1 - mp.e ** (2j * mp.pi * (z1 + n * tau))
-        term = num / den
-        if sign == -1 and n % 2:
-            term = -term
-        tot += term
-    return complex(tot)
+    with mp.workdps(35):
+        tot = mp.mpc(0)
+        tau, z1, z2 = mp.mpc(tau), mp.mpc(z1), mp.mpc(z2)
+        for n in range(-window, window + 1):
+            num = mp.e ** (
+                2j * mp.pi * (m * n * (z1 + z2) + s * z1 + tau * (m * n * n + s * n))
+            )
+            den = 1 - mp.e ** (2j * mp.pi * (z1 + n * tau))
+            term = num / den
+            if sign == -1 and n % 2:
+                term = -term
+            tot += term
+        return complex(tot)
 
 
 class TestMockIndex:

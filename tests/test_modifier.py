@@ -17,22 +17,22 @@ TAU = 0.13 + 0.92j
 
 def r_mp(sign, j, m, tau, z, window=60):
     """High-precision ladder with mpmath's error function."""
-    mp.mp.dps = 40
-    tau, z = mp.mpc(tau), mp.mpc(z)
-    y = mp.im(tau)
-    tot = mp.mpc(0)
-    for ell in range(-window, window + 1):
-        mj = mp.mpf(j.numerator) / j.denominator
-        mm = mp.mpf(m.numerator) / m.denominator
-        n = mj + 2 * mm * ell
-        sgn = 1 if ell >= 0 else -1
-        psi = (n - 2 * mm * mp.im(z) / y) * mp.sqrt(y / mm)
-        w = sgn - mp.erf(mp.sqrt(mp.pi) * psi)
-        term = w * mp.e ** (-mp.pi * 1j * n * n * tau / (2 * mm) + 2j * mp.pi * n * z)
-        if sign == -1 and ell % 2:
-            term = -term
-        tot += term
-    return complex(tot)
+    with mp.workdps(40):
+        tau, z = mp.mpc(tau), mp.mpc(z)
+        y = mp.im(tau)
+        tot = mp.mpc(0)
+        for ell in range(-window, window + 1):
+            mj = mp.mpf(j.numerator) / j.denominator
+            mm = mp.mpf(m.numerator) / m.denominator
+            n = mj + 2 * mm * ell
+            sgn = 1 if ell >= 0 else -1
+            psi = (n - 2 * mm * mp.im(z) / y) * mp.sqrt(y / mm)
+            w = sgn - mp.erf(mp.sqrt(mp.pi) * psi)
+            term = w * mp.e ** (-mp.pi * 1j * n * n * tau / (2 * mm) + 2j * mp.pi * n * z)
+            if sign == -1 and ell % 2:
+                term = -term
+            tot += term
+        return complex(tot)
 
 
 class TestRSeries:
@@ -140,28 +140,28 @@ class TestPhiTilde:
     def test_mu_bridge(self):
         # completed bridge against a full-precision mpmath evaluation of
         # the mu function and its real-analytic correction
-        mp.mp.dps = 40
         tauc, z1c, z2c = TAU, 0.23, 0.41
         lhs = phi_tilde(MockIndex(F(1, 2), F(1, 2), "minus"), tauc, z1c, 2 * z2c - z1c).value
-        tau, z1, z2 = mp.mpc(tauc), mp.mpc(z1c), mp.mpc(z2c)
-        q = mp.e ** (2j * mp.pi * tau)
-        mu_sum = mp.mpc(0)
-        for n in range(-40, 41):
-            mu_sum += (
-                (-1) ** n
-                * q ** (mp.mpf(n * (n + 1)) / 2)
-                * mp.e ** (2j * mp.pi * n * z2)
-                / (1 - mp.e ** (2j * mp.pi * z1) * q**n)
-            )
-        u = z1 - z2
-        y = mp.im(tau)
-        R = mp.mpc(0)
-        for kk in range(-25, 26):
-            nu = mp.mpf(2 * kk + 1) / 2
-            sgn = 1 if nu > 0 else -1
-            w = sgn - mp.erf(mp.sqrt(mp.pi) * (nu + mp.im(u) / y) * mp.sqrt(2 * y))
-            R += w * (-1) ** kk * mp.e ** (-1j * mp.pi * nu * nu * tau - 2j * mp.pi * nu * u)
-        th = theta_ab(1, 1, tauc, z2c).value
-        mu_hat = mp.e ** (1j * mp.pi * z1) * mu_sum / th + mp.mpc(0, "0.5") * R
-        rhs = th * complex(mu_hat)
+        with mp.workdps(40):
+            tau, z1, z2 = mp.mpc(tauc), mp.mpc(z1c), mp.mpc(z2c)
+            q = mp.e ** (2j * mp.pi * tau)
+            mu_sum = mp.mpc(0)
+            for n in range(-40, 41):
+                mu_sum += (
+                    (-1) ** n
+                    * q ** (mp.mpf(n * (n + 1)) / 2)
+                    * mp.e ** (2j * mp.pi * n * z2)
+                    / (1 - mp.e ** (2j * mp.pi * z1) * q**n)
+                )
+            u = z1 - z2
+            y = mp.im(tau)
+            R = mp.mpc(0)
+            for kk in range(-25, 26):
+                nu = mp.mpf(2 * kk + 1) / 2
+                sgn = 1 if nu > 0 else -1
+                w = sgn - mp.erf(mp.sqrt(mp.pi) * (nu + mp.im(u) / y) * mp.sqrt(2 * y))
+                R += w * (-1) ** kk * mp.e ** (-1j * mp.pi * nu * nu * tau - 2j * mp.pi * nu * u)
+            th = theta_ab(1, 1, tauc, z2c).value
+            mu_hat = mp.e ** (1j * mp.pi * z1) * mu_sum / th + mp.mpc(0, "0.5") * R
+            rhs = th * complex(mu_hat)
         assert abs(lhs - rhs) < 1e-9

@@ -12,15 +12,13 @@ from mocktheta.modular import (
     S,
     SL2Element,
     T,
-    TransformLaw,
     act,
-    diag_quad,
+    check_pair,
+    check_residual,
     gram_quad,
     sample_points,
-    slash,
     verify_law,
 )
-from mocktheta.theta import theta_jm
 
 QUAD = gram_quad([[0, 1], [1, 0]])  # (z|z) = 2 z1 z2
 
@@ -62,69 +60,48 @@ class TestSL2:
             assert abs(q1.t - q2.t) < 1e-12
 
 
-class TestSlash:
-    def test_identity(self):
-        F = lambda tau, z: tau + z[0]
-        v = slash(F, 1, 1, IDENTITY, 1.3j, (0.2,), diag_quad((2.0,)))
-        assert v == F(1.3j, (0.2,))
-
-    def test_modified_fixed_by_s(self):
-        F = lambda tau, z: phi_tilde(MockIndex(1, 0), tau, z[0], z[1]).value
-        tau, z = 0.13 + 0.92j, (0.23, 0.41)
-        v = slash(F, 1, 1, S, tau, z, QUAD)
-        assert abs(v - F(tau, z)) < 1e-8
-
-    def test_double_s_is_minus_identity(self):
-        F = lambda tau, z: theta_jm(0, 1, tau, z[0]).value
-        tau, z = 0.13 + 0.92j, (0.29,)
-        quad1 = diag_quad((2.0,))
-        inner = lambda tau2, z2: slash(F, 0.5, 1, S, tau2, z2, quad1)
-        lhs = slash(inner, 0.5, 1, S, tau, z, quad1)
-        rhs = slash(F, 0.5, 1, SL2Element(-1, 0, 0, -1), tau, z, quad1)
-        # with principal branches the weight-1/2 composition closes exactly
-        assert abs(lhs - rhs) < 1e-9
-
-    def test_c_zero_reduces_to_translation(self):
-        F = lambda tau, z: cmath.exp(2j * math.pi * tau) + z[0]
-        tau, z = 0.21 + 1.4j, (0.37,)
-        v = slash(F, 3, 2, T, tau, z, diag_quad((2.0,)))
-        assert abs(v - F(tau + 1, z)) < 1e-15
-
-
 class TestVerifyLaw:
-    def _law(self, bias=0.0, tol=1e-8):
-        pts = sample_points(5, n_z=2, seed=99)
-        lhs = lambda p: phi_tilde(MockIndex(1, 0), -1 / p.tau, p.z[0] / p.tau, p.z[1] / p.tau).value
-        rhs = lambda p: (
-            p.tau
-            * cmath.exp(2j * math.pi * p.z[0] * p.z[1] / p.tau)
-            * phi_tilde(MockIndex(1, 0), p.tau, p.z[0], p.z[1]).value
-            + bias
-        )
-        return TransformLaw("test-law", lhs, rhs, pts, tol)
+    """The engine every suite reports through."""
+
+    def _checks(self, bias=0.0):
+        checks = []
+        for p in sample_points(5, n_z=2, seed=99):
+            (z1, z2), tau = p.z, p.tau
+            lhs = phi_tilde(MockIndex(1, 0), -1 / tau, z1 / tau, z2 / tau).value
+            rhs = (
+                tau
+                * cmath.exp(2j * math.pi * z1 * z2 / tau)
+                * phi_tilde(MockIndex(1, 0), tau, z1, z2).value
+                + bias
+            )
+            checks.append(check_pair("S", lhs, rhs, tau))
+        return checks
 
     def test_passing_law(self):
-        rep = verify_law(self._law())
-        assert rep.passed and rep.max_residual < 1e-10
+        rep = verify_law(1e-8, self._checks())
+        assert rep["pass"] and rep["max_residual"] < 1e-10
 
     def test_injected_defect_detected(self):
-        rep = verify_law(self._law(bias=1e-3))
-        assert not rep.passed
-        assert abs(rep.max_residual - 1e-3) < 1e-4
-
-    def test_error_reported_not_raised(self):
-        def bad(p):
-            raise ZeroDivisionError("boom")
-
-        law = TransformLaw("bad", bad, lambda p: 0j, sample_points(2, seed=1))
-        rep = verify_law(law)
-        assert not rep.passed and rep.failures
+        rep = verify_law(1e-8, self._checks(bias=1e-3))
+        assert not rep["pass"]
+        assert abs(rep["max_residual"] - 1e-3) < 1e-4
 
     def test_json_shape(self):
-        rep = verify_law(self._law())
-        doc = json.loads(rep.to_json())
-        assert set(doc) >= {"law_id", "points", "max_residual", "pass"}
-        assert doc["points"][0].keys() >= {"tau", "z", "lhs", "rhs", "residual"}
+        rep = verify_law(1e-8, self._checks(), "a note")
+        doc = json.loads(json.dumps(rep))
+        assert set(doc) == {"tol", "max_residual", "pass", "n_checks", "checks", "notes"}
+        assert doc["n_checks"] == 5 and doc["notes"] == "a note"
+        assert set(doc["checks"][0]) == {"check", "residual", "lhs", "rhs", "point"}
+
+    def test_mixed_metric(self):
+        # absolute while both sides are O(1), relative above that
+        assert abs(check_pair("a", 0.5 + 1e-3, 0.5)["residual"] - 1e-3) < 1e-15
+        assert check_pair("r", 2e6 + 2.0, 2e6)["residual"] == 2.0 / (2e6 + 2.0)
+
+    def test_missing_residual_skipped(self):
+        rep = verify_law(1e-8, [check_residual("none", None), check_residual("ok", 1e-9)])
+        assert rep["pass"] and rep["max_residual"] == 1e-9 and rep["n_checks"] == 2
+        assert verify_law(1e-8, [])["max_residual"] == 0.0
 
     def test_sample_points_deterministic(self):
         a = sample_points(6, seed=42)

@@ -1,15 +1,27 @@
 import pytest
 
 from mocktheta import suites
+from mocktheta.modular import verify_law
 from mocktheta.suites import SUITES, list_suites, run_suite
+
+CATALOG_ANCHORS = {row["suite"]: row["anchor"] for row in list_suites()}
 
 
 @pytest.mark.parametrize("suite_id", sorted(SUITES))
-def test_suite_passes(suite_id):
+def test_suite_passes(suite_id, monkeypatch):
+    built = []
+
+    def engine(*args, **kwargs):
+        built.append(verify_law(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(suites, "verify_law", engine)
     rep = run_suite(suite_id)
     assert rep["pass"], (
         f"{suite_id}: max residual {rep['max_residual']:.3e} over tol {rep['tol']:.1e}"
     )
+    assert rep["anchor"] == CATALOG_ANCHORS[suite_id]
+    assert len(built) == 1 and built[0] is rep
 
 
 def test_catalog_shape():
