@@ -1,11 +1,12 @@
 """Foundation layer: truncation policy, error-integral helpers, ladder sums.
 
-Every infinite series in the library is reduced to a sum over an integer
-ladder whose term magnitudes decay like a Gaussian in both directions.
-``sum_ladder`` walks such a ladder outward from a starting index and stops
-once a geometric-ratio bound on the discarded tail is below the policy
-target, so every returned :class:`SeriesValue` carries an honest
-``err_bound``.
+Every rank-1 series in the library is a sum over an integer ladder whose
+summands are bounded, outside a short core of indices, by a Gaussian
+envelope exp(P - a (n - n*)^2).  ``gaussian_window`` solves that envelope
+up front for the index window outside which it stays below the policy
+target, together with the closed-form bound on the discarded tails;
+``sum_ladder`` then sums the window, so every returned value carries an
+honest ``err_bound`` and no term is evaluated past the window.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NonConvergent
 
@@ -25,6 +27,9 @@ SQRT_PI = math.sqrt(math.pi)
 # satisfies the policy preconditions.
 _EXP_GUARD = 700.0
 _SQRT_EXP_GUARD = math.sqrt(_EXP_GUARD)
+
+# At the window's edge the summands are pushed this far below abs_tol.
+_WINDOW_MARGIN = 1e6
 
 
 @dataclass(frozen=True)
@@ -185,51 +190,74 @@ def fold_pole_factor(num_exp: complex, den_exp: complex, plus: bool = False):
     return num_exp, (1.0 + ex) if plus else (1.0 - ex)
 
 
-def sum_ladder(term, policy: TruncationPolicy) -> SeriesValue:
-    """Sum ``term(l)`` over all integers l, walking outward from 0.
+def gaussian_window(log_peak, a, centre, policy, core=None):
+    """The window [lo, hi] of a ladder with summands below the envelope
+    exp(log_peak - a (n - centre)^2) at every index outside ``core``.
 
-    ``term`` must have Gaussian-type tails: beyond some index the magnitudes
-    decrease with a ratio that keeps shrinking.  Each direction is stopped
-    once two consecutive terms are below a quarter of the tolerance and
-    decreasing; the discarded tail is then bounded by the geometric series
-    with the last observed ratio.
+    ``core`` = (core_lo, core_hi), if given, is a range the window must
+    contain, because the envelope does not hold there.  Beyond the window
+    the envelope is below abs_tol / _WINDOW_MARGIN.  Returns (lo, hi, err):
+    with d the distance from the centre to the first index left out on
+    one side, (n - centre)^2 >= d^2 + 2 d i at the i-th index beyond it,
+    so that side's tail is at most exp(log_peak - a d^2) / (1 - exp(-2 a d)).
+    err is twice the sum of both sides: where the envelope is the summands'
+    exact modulus, as for the thetas, the first left-out summand meets the
+    bound up to the rounding of its exponent, which the factor 2 absorbs.
+    Raises NonConvergent, before any summand is evaluated, if the window
+    holds more than max_terms indices.
     """
-    tol = policy.abs_tol
-    total = term(0)
-    terms_used = 1
+    log_tol = math.log(policy.abs_tol / _WINDOW_MARGIN)
+    reach = math.sqrt((log_peak - log_tol) / a) if log_peak > log_tol else 0.0
+    lo = math.floor(centre - reach)
+    hi = math.ceil(centre + reach)
+    if core is not None:
+        lo = min(lo, core[0])
+        hi = max(hi, core[1])
+    if hi - lo + 1 > policy.max_terms:
+        raise NonConvergent(
+            f"ladder window of {hi - lo + 1} terms exceeds "
+            f"max_terms={policy.max_terms} at abs_tol={policy.abs_tol}"
+        )
     err = 0.0
-    for step in (1, -1):
-        prev_mag = None
-        small_run = 0
-        zero_run = 0
-        idx = 0
-        while True:
-            if terms_used >= policy.max_terms:
-                raise NonConvergent(
-                    f"ladder sum hit max_terms={policy.max_terms} "
-                    f"before reaching abs_tol={tol}"
-                )
-            idx += step
-            t = term(idx)
-            total += t
-            terms_used += 1
-            mag = abs(t)
-            if mag == 0.0:
-                zero_run += 1
-                if zero_run >= 3:
-                    break
-                continue
-            zero_run = 0
-            if prev_mag is not None and mag < prev_mag and mag < 0.25 * tol:
-                small_run += 1
-                if small_run >= 2:
-                    ratio = mag / prev_mag
-                    err += mag * ratio / (1.0 - ratio)
-                    break
-            else:
-                small_run = 0
-            prev_mag = mag
-    return SeriesValue(total, err, terms_used)
+    for d in (hi + 1 - centre, centre - lo + 1):
+        err += 2.0 * math.exp(log_peak - a * d * d) / -math.expm1(-2.0 * a * d)
+    return lo, hi, err
+
+
+class LadderSum(NamedTuple):
+    """The sums of one ladder window, one per residue class of the index
+    modulo the period, each within ``err_bound`` of its infinite sum."""
+
+    sums: list
+    err_bound: float
+    terms_used: int
+
+    def series(self) -> SeriesValue:
+        """The sum of a period-1 ladder as a SeriesValue."""
+        return SeriesValue(self.sums[0], self.err_bound, self.terms_used)
+
+
+def sum_ladder(term, window, period: int = 1) -> LadderSum:
+    """Sum the ladder k = period * n + r over the window (lo, hi, err) of
+    ``gaussian_window``, one sum per residue class r.
+
+    ``term(n, r)`` is the summand at k.  Each class is summed outward from
+    n = 0, first upward and then from n = -1 downward, clipped to the
+    window.  The tail bound ``err`` of the whole ladder bounds each
+    class's tail.
+    """
+    lo, hi, err = window
+    sums = []
+    for r in range(period):
+        n_lo = -((r - lo) // period)
+        n_hi = (hi - r) // period
+        total = 0j
+        for n in range(max(n_lo, 0), n_hi + 1):
+            total += term(n, r)
+        for n in range(min(n_hi, -1), n_lo - 1, -1):
+            total += term(n, r)
+        sums.append(total)
+    return LadderSum(sums, err, hi - lo + 1)
 
 
 def as_fraction(x) -> Fraction:

@@ -18,11 +18,13 @@ from fractions import Fraction
 
 from .core import (
     DEFAULT_POLICY,
+    TWO_PI,
     SeriesValue,
     TruncationPolicy,
     as_fraction,
     cexp,
     fold_pole_factor,
+    gaussian_window,
     q_pow,
     sum_ladder,
 )
@@ -30,6 +32,7 @@ from .errors import PoleAtZ1
 from .theta import _theta_ladder
 
 _2PI_I = 2j * math.pi
+_LOG2 = math.log(2.0)
 
 POLE_THRESHOLD = 1e-8
 
@@ -98,11 +101,32 @@ def phi(
     z2 = complex(z2)
     if distance_to_lattice(z1, tau) < POLE_THRESHOLD:
         raise PoleAtZ1(f"z1 = {z1} within {POLE_THRESHOLD} of Z + Z tau")
+    return sum_ladder(*_phi_window(idx, tau, z1, z2, policy)).series()
+
+
+def _phi_window(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy):
+    """(term, window) of the Phi ladder at a checked point off the poles."""
     m = float(idx.m)
     s = float(idx.s)
     sgn = idx.sign_value
+    # The numerator e^(2 pi i (m n u + s z1 + tau (m n^2 + s n))), u = z1 + z2,
+    # has modulus exp(a n*^2 - 2 pi s Im z1 - a (n - n*)^2) with a = 2 pi m y
+    # and n* = -(Im u / y + s / m) / 2.  The pole factor 1 / (1 - w), with
+    # |w| = x = exp(-2 pi (Im z1 + n y)), is at most 2 in modulus where
+    # x <= 1/2, since |1 - w| >= 1 - x, and at most 1 where x >= 2, folded
+    # or not, since |1 - w| >= x - 1 >= 1.  So the envelope carries log 2,
+    # and the window contains the band 1/2 < x < 2, where
+    # |Im z1 + n y| < log 2 / 2 pi.
+    y = tau.imag
+    a = TWO_PI * m * y
+    nstar = -((z1 + z2).imag / y + s / m) / 2.0
+    band = _LOG2 / TWO_PI
+    core = (math.floor((-z1.imag - band) / y), math.ceil((-z1.imag + band) / y))
+    window = gaussian_window(
+        a * nstar * nstar - TWO_PI * s * z1.imag + _LOG2, a, nstar, policy, core
+    )
 
-    def term(n: int) -> complex:
+    def term(n: int, _r: int) -> complex:
         w, den = fold_pole_factor(
             _2PI_I * (m * n * (z1 + z2) + s * z1 + tau * (m * n * n + s * n)),
             _2PI_I * (z1 + n * tau),
@@ -112,7 +136,7 @@ def phi(
             val = -val
         return val
 
-    return sum_ladder(term, policy)
+    return term, window
 
 
 def phi_shift_residual_a(

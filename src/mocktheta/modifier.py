@@ -13,20 +13,21 @@ underflow the weight long before their product leaves double range.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .core import (
     DEFAULT_POLICY,
+    TWO_PI,
     SeriesValue,
     TruncationPolicy,
     as_fraction,
     cexp,
     gauss_E_complement,
     gauss_E_complement_scaled,
+    gaussian_window,
     sum_ladder,
 )
 from .mock import MockIndex, phi
-from .theta import _theta_ladder
+from .theta import _theta_window
 
 _I_PI = 1j * math.pi
 _2PI_I = 2j * math.pi
@@ -34,33 +35,54 @@ _2PI_I = 2j * math.pi
 # Beyond this the sigmoid weight is a pure Gaussian complement and must be
 # carried in scaled form.
 _PSI_SWITCH = 6.0
-_EXP_SWITCH = 600.0
 
 
 def _r_ladder(
     sign: int,
-    j: Fraction,
-    m: Fraction,
+    j: float,
+    m: float,
     tau: complex,
     z: complex,
     policy: TruncationPolicy,
 ) -> SeriesValue:
     """Shared ladder for R_{j,m} and its signed analogues."""
     tau = policy.require_tau(tau)
-    z = complex(z)
-    y = tau.imag
-    mf = float(m)
-    jf = float(j)
-    step = 2.0 * mf
-    # centre of the Gaussian weight in the n variable
-    centre = 2.0 * mf * z.imag / y
-    scale = math.sqrt(y / mf)
+    return sum_ladder(*_r_window(sign, (j,), m, tau, complex(z), policy)).series()
 
-    def term(ell: int) -> complex:
-        n = jf + step * ell
+
+def _r_window(sign, js, m: float, tau: complex, z: complex, policy):
+    """(term, window) of the R ladders n = js[r] + 2 m l, 0 <= r < p, as
+    the residue classes r mod p of one ladder in k = p l + r.
+
+    The offsets must step by 2m/p, js[r] = js[0] + 2 m r / p, so that
+    n = js[0] + 2 m k / p, and l >= 0 exactly when k >= 0.
+    """
+    p = len(js)
+    y = tau.imag
+    step = 2.0 * m
+    # centre of the Gaussian weight in the n variable
+    centre = 2.0 * m * z.imag / y
+    scale = math.sqrt(y / m)
+    # Where sp >= 0, erfc(x) <= exp(-x^2) bounds the summand by
+    #   exp(pi n^2 y / 2m - 2 pi n Im z - pi psi^2)
+    #   = exp(-pi y (n - centre)^2 / 2m - 2 pi m (Im z)^2 / y),
+    # also in the scaled branch, where erfc(x) e^(x^2) <= 1.  In k that is
+    # a = 2 pi m y / p^2 around k* = p (centre - js[0]) / 2m.  sp < 0 only
+    # for k between 0 and k*, which the window therefore contains.
+    kstar = p * (centre - js[0]) / step
+    window = gaussian_window(
+        -TWO_PI * m * z.imag * z.imag / y,
+        TWO_PI * m * y / (p * p),
+        kstar,
+        policy,
+        (min(0, math.floor(kstar)), max(0, math.ceil(kstar))),
+    )
+
+    def term(ell: int, r: int) -> complex:
+        n = js[r] + step * ell
         sign_step = 1.0 if ell >= 0 else -1.0
         psi = (n - centre) * scale
-        w_exp = -_I_PI * n * n * tau / (2.0 * mf) + _2PI_I * n * z
+        w_exp = -_I_PI * n * n * tau / (2.0 * m) + _2PI_I * n * z
         # sign_step - E(psi) == sign_step * erfc(sqrt(pi) sign_step psi),
         # which keeps full relative accuracy where the weight is tiny but
         # the phase factor is exponentially large.
@@ -75,7 +97,7 @@ def _r_ladder(
             val = -val
         return val
 
-    return sum_ladder(term, policy)
+    return term, window
 
 
 def r_jm(
@@ -88,7 +110,7 @@ def r_jm(
     """R_{j,m}(tau, z) for integer j and positive integer m."""
     if m < 1:
         raise ValueError("r_jm needs a positive integer m")
-    return _r_ladder(1, Fraction(j), Fraction(m), tau, z, policy)
+    return _r_ladder(1, float(j), float(m), tau, z, policy)
 
 
 def r_jm_signed(
@@ -108,15 +130,7 @@ def r_jm_signed(
         raise ValueError("m must lie in (1/2)Z_{>0}")
     if (2 * jf).denominator != 1:
         raise ValueError("j must lie in (1/2)Z")
-    return _r_ladder(sign, jf, mf, tau, z, policy)
-
-
-def _window(idx: MockIndex):
-    """The 2m ladder offsets j = s, s+1, ..., s+2m-1."""
-    two_m = 2 * idx.m
-    if two_m.denominator != 1:
-        raise ValueError("2m must be an integer")
-    return [idx.s + kk for kk in range(int(two_m))]
+    return _r_ladder(sign, float(jf), float(mf), tau, z, policy)
 
 
 def phi_add(
@@ -126,23 +140,46 @@ def phi_add(
     z2: complex,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
-    """The modifier: sum over the window of R_{j,m} * Theta_{j,m} products."""
-    tau = policy.require_tau(tau)
+    """The modifier: sum over j = s, ..., s + 2m - 1 of R_{j,m} * Theta_{j,m}.
+
+    R_j and Theta_j are the residue classes mod 2m of one ladder in
+    N in s + Z, R at n = N and Theta at c = N / 2m, with l >= 0 exactly
+    when N >= s; so one walk sums every R_j and one every Theta_j.
+    """
+    r_walk, th_walk, p = _phi_add_walks(idx, policy.require_tau(tau), z1, z2, policy)
+    r_sums = sum_ladder(*r_walk, p)
+    th_sums = sum_ladder(*th_walk, p)
+    value = 0.0
+    for rr, th in zip(r_sums.sums, th_sums.sums):
+        value += rr * th
+    r_err, th_err = r_sums.err_bound, th_sums.err_bound
+    err = (
+        r_err * sum(map(abs, th_sums.sums))
+        + th_err * sum(map(abs, r_sums.sums))
+        + p * r_err * th_err
+    )
+    return SeriesValue(value, err, r_sums.terms_used + th_sums.terms_used)
+
+
+def _phi_add_walks(idx: MockIndex, tau: complex, z1, z2, policy):
+    """The (term, window) pairs of phi_add's R and Theta walks, and their
+    period 2m: class r of each walk is j = s + r."""
     z1 = complex(z1)
     z2 = complex(z2)
-    v = (z1 - z2) / 2.0
-    u = z1 + z2
     sgn = idx.sign_value
     m = float(idx.m)
-    total = SeriesValue(0.0, 0.0, 0)
-    for j in _window(idx):
-        if idx.sign == "unsigned":
-            rr = r_jm(int(j), int(idx.m), tau, v, policy)
-        else:
-            rr = r_jm_signed(sgn, j, idx.m, tau, v, policy)
-        th = _theta_ladder(sgn, float(j / (2 * idx.m)), m, tau, u, policy)
-        total = total + rr * th
-    return total
+    # 2s and 4m are integers (MockIndex keeps s and m in (1/2)Z), so
+    # j = s + r and j / 2m = 2j / 4m round exactly as their Fractions do
+    s2 = 2 * idx.s.numerator // idx.s.denominator
+    m4 = 4 * idx.m.numerator // idx.m.denominator
+    p = m4 // 2
+    js = [(s2 + 2 * r) / 2 for r in range(p)]
+    c0s = [(s2 + 2 * r) / m4 for r in range(p)]
+    return (
+        _r_window(sgn, js, m, tau, (z1 - z2) / 2.0, policy),
+        _theta_window(sgn, c0s, m, tau, z1 + z2, policy),
+        p,
+    )
 
 
 def phi_tilde(

@@ -718,15 +718,16 @@ def _integrable_d21a(pre, w):
 
 
 def _integrable_f4(pre, w):
+    # F(4) and G(3) take the level rule of _positive_level: k a positive integer
     k1, k2, k3 = w.labels
     marks = (w.k - k2 - k3, k2 - k1, k1 + k2 - k3, k1 - 2 * k2 + 2 * k3)
-    return all(_is_nonneg_int(x) for x in marks)
+    return _is_nonneg_int(w.k) and w.k > 0 and all(_is_nonneg_int(x) for x in marks)
 
 
 def _integrable_g3(pre, w):
     k1, k2 = w.labels
     marks = (w.k - 2 * k2, 2 * k1, 2 * k2, k2 - k1)
-    return all(_is_nonneg_int(x) for x in marks)
+    return _is_nonneg_int(w.k) and w.k > 0 and all(_is_nonneg_int(x) for x in marks)
 
 
 def _integrable_osp32_sub(pre, w):
@@ -801,10 +802,16 @@ def _omega_osp_h0(pre, k):
 
 
 def _omega_d21a(pre, k):
+    # On the T side c1..c4 of _integrable_d21a are k1 + k2, qn - k1 - k2,
+    # k1 and pn - k1: the box 0 <= k1 <= pn, 0 <= k1 + k2 <= qn.  The Tp
+    # labels (k1, k2) are read there as (k1 - qn, (p+q)n - k2), with the
+    # same four conditions, so the Tp box is the image of the T box.
     p, q = pre.params
-    span = (p + q) * d21a_level(p, q, k) * 3 + 3
-    labels = range(-span, span + 1)
-    return _grid(k, labels, labels, sides=("T", "Tp"))
+    n = d21a_level(p, q, k)
+    box = [(k1, k2) for k1 in range(p * n + 1) for k2 in range(-k1, q * n - k1 + 1)]
+    return [WeightSpec(k, labels) for labels in box] + [
+        WeightSpec(k, (k1 + q * n, (p + q) * n - k2), side="Tp") for k1, k2 in box
+    ]
 
 
 def _omega_f4(pre, k):

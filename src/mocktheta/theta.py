@@ -12,7 +12,7 @@ pin tests in the verification suite hold; see tests/test_characters.py):
 With these choices theta11 is odd in z and theta11(tau, z + 1/2) equals
 -theta10(tau, z).
 
-One ladder, ``_theta_ladder``, sums every rank-1 theta
+One ladder, ``_theta_window``, sums every rank-1 theta
 Theta^(sign)_(j,m)(tau, z) = sum_n sign^n e^(2 pi i m (z c + tau c^2)),
 c = n + j/2m; theta_ab(tau, z) is i^(ab) Theta^((-1)^b)_(a/2, 1/2)(tau, 2z).
 One window, ``_lattice_sum``, fixes the radius, the term cap and the error
@@ -28,11 +28,14 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    _WINDOW_MARGIN,
     DEFAULT_POLICY,
+    TWO_PI,
     SeriesValue,
     TruncationPolicy,
     as_fraction,
     cexp,
+    gaussian_window,
     sum_ladder,
 )
 from .errors import NonConvergent, NotPositiveDefinite
@@ -119,15 +122,32 @@ def _theta_ladder(
 ) -> SeriesValue:
     """sum_n sign^n e^(2 pi i m (z c + tau c^2)), c = n + c0, for checked
     arguments: m > 0, sign = +-1, tau already through ``policy``."""
+    return sum_ladder(*_theta_window(sign, (c0,), m, tau, z, policy)).series()
 
-    def term(n: int) -> complex:
-        c = n + c0
+
+def _theta_window(sign, c0s, m: float, tau: complex, z: complex, policy):
+    """(term, window) of the theta ladders c = n + c0s[r], 0 <= r < p, as
+    the residue classes r mod p of one ladder in k = p n + r.
+
+    The offsets must step by 1/p, c0s[r] = c0s[0] + r/p, so c = c0s[0] + k/p.
+    """
+    p = len(c0s)
+    # |e^(2 pi i m (z c + tau c^2))| = exp(-2 pi m (Im z c + y c^2))
+    #   = exp(a c*^2 - a (c - c*)^2),  a = 2 pi m y,  c* = -Im z / 2y,
+    # and c - c* = (k - p (c* - c0s[0])) / p in the walk index k.
+    y = tau.imag
+    cstar = -z.imag / (2.0 * y)
+    a = TWO_PI * m * y
+    window = gaussian_window(a * cstar * cstar, a / (p * p), p * (cstar - c0s[0]), policy)
+
+    def term(n: int, r: int) -> complex:
+        c = n + c0s[r]
         val = cexp(_2PI_I * (m * z * c + tau * m * c * c))
         if sign == -1 and n % 2:
             val = -val
         return val
 
-    return sum_ladder(term, policy)
+    return term, window
 
 
 @dataclass(frozen=True)
@@ -209,10 +229,6 @@ def enumerate_ellipsoid(gram: np.ndarray, center: np.ndarray, radius2: float):
     norms = np.einsum("ij,jk,ik->i", shifted, gram, shifted)
     keep = norms <= radius2 + 1e-9
     return coords[keep], norms[keep]
-
-
-# At the window's edge the summands are pushed this far below abs_tol.
-_WINDOW_MARGIN = 1e6
 
 
 def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, term, policy):

@@ -13,6 +13,7 @@ from mocktheta.core import (
     gauss_E,
     gauss_E_complement,
     gauss_E_complement_scaled,
+    gaussian_window,
     q_pow,
     sum_ladder,
 )
@@ -173,28 +174,38 @@ class TestQPow:
 
 class TestSumLadder:
     def test_gaussian(self):
-        tau = 1j
+        # e^(-pi n^2) is its own envelope: log_peak 0, a = pi, centre 0
         policy = TruncationPolicy()
-        out = sum_ladder(lambda n: cmath.exp(1j * math.pi * tau * n * n), policy)
+        window = gaussian_window(0.0, math.pi, 0.0, policy)
+        out = sum_ladder(lambda n, r: cmath.exp(-math.pi * n * n), window).series()
         brute = sum(cmath.exp(-math.pi * n * n) for n in range(-40, 41))
         assert abs(out.value - brute) < 1e-14
         assert out.err_bound < policy.abs_tol
+        assert out.terms_used == window[1] - window[0] + 1
 
     def test_shifted_peak(self):
-        # peak far from the starting index must still be crossed
+        # a peak far from index 0 lies inside the window
         policy = TruncationPolicy()
-        out = sum_ladder(lambda n: cmath.exp(-0.3 * (n - 9) ** 2), policy)
+        window = gaussian_window(0.0, 0.3, 9.0, policy)
+        lo, hi, _ = window
+        assert lo < 9 < hi
+        out = sum_ladder(lambda n, r: cmath.exp(-0.3 * (n - 9) ** 2), window).series()
         brute = sum(cmath.exp(-0.3 * (n - 9) ** 2) for n in range(-60, 80))
         assert abs(out.value - brute) < 1e-12
 
     def test_max_terms(self):
+        # a flat envelope needs more terms than the cap: refused before
+        # any summand is evaluated
         policy = TruncationPolicy(max_terms=16)
         with pytest.raises(NonConvergent):
-            sum_ladder(lambda n: 1.0 + 0j, policy)
+            gaussian_window(0.0, 1e-3, 0.0, policy)
+        with pytest.raises(NonConvergent):
+            gaussian_window(0.0, 1.0, 0.0, policy, core=(-20, 20))
 
     def test_zero_direction(self):
         policy = TruncationPolicy()
-        out = sum_ladder(lambda n: 1.0 + 0j if n == 0 else 0j, policy)
+        window = gaussian_window(0.0, 1.0, 0.0, policy)
+        out = sum_ladder(lambda n, r: 1.0 + 0j if n == 0 else 0j, window).series()
         assert out.value == 1.0
 
 

@@ -376,6 +376,27 @@ class TestEnumerations:
         assert t_side == {(0, 0), (0, 1), (1, -1)}
         assert tp_side == {(1, 1), (1, 2), (2, 3)}
 
+    @pytest.mark.parametrize(
+        "p,q", [(p, q) for p in (1, 2, 3) for q in (1, 2, 3) if math.gcd(p, q) == 1]
+    )
+    def test_d21a_box_loses_no_weight(self, p, q):
+        # the box read off c1..c4 >= 0 keeps every weight of the square
+        # box of side 2 (3 (p+q) n + 3) + 1 on both sides
+        pre = preset("d21a", (p, q))
+        for n in (1, 2, 3):
+            k = F(-p * q * n, p + q)
+            span = 3 * (p + q) * n + 3
+            square = [
+                WeightSpec(k, labels, side=side)
+                for side in ("T", "Tp")
+                for labels in itertools.product(range(-span, span + 1), repeat=2)
+            ]
+            kept = sorted(
+                (w for w in square if integrable(pre, w)),
+                key=lambda w: (w.side, w.labels),
+            )
+            assert enumerate_omega(pre, k) == kept, (p, q, n)
+
     def test_d21a_nu_range(self):
         from mocktheta.characters import system
 
@@ -497,6 +518,11 @@ def test_integrable_agrees_with_omega(name, params):
         refused = F(0)
     with pytest.raises(MockThetaError):
         enumerate_omega(pre, refused)
+    refused_levels = [refused]
+    try:
+        enumerate_omega(pre, F(0))
+    except MockThetaError:
+        refused_levels.append(F(0))
     for k in good:
         omega = enumerate_omega(pre, k)
         box = list(_label_box(omega))
@@ -508,11 +534,12 @@ def test_integrable_agrees_with_omega(name, params):
             if integrable(pre, WeightSpec(k, labels, side=side))
         }
         assert accepted == {(w.side, w.labels) for w in omega}, k
-        assert not any(
-            integrable(pre, WeightSpec(refused, labels, side=side))
-            for side in sides
-            for labels in box
-        ), refused
+        for level in refused_levels:
+            assert not any(
+                integrable(pre, WeightSpec(level, labels, side=side))
+                for side in sides
+                for labels in box
+            ), level
 
 
 @pytest.mark.parametrize("name,params", ALL_PRESETS)
