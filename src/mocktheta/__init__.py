@@ -57,7 +57,6 @@ from .superalg import (
     weyl_sharp_orbit,
 )
 from .characters import (
-    CharacterFunction,
     ch_tilde,
     level1_osp_supercharacter,
     psi_fn,

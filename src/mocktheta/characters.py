@@ -11,11 +11,18 @@ Coordinate frames (documented per case; z is always the tuple point.z):
                 (z|z) = x1^2 + x2^2 - y1^2
   D(2,1;a)      (tau, u1, u2, u3, t), z = sum u_i alpha_i, Gram pairing
   level-1 osp   (tau, x_1..x_m, y_1..y_n, t), (z|z) = sum x^2 - sum y^2
+
+One table, ``_CASES``, maps each wired case name to its system class.  A
+class declares the ch_tilde variants it wires, its label count and its
+level rule; ``check_request`` reads them before any series is evaluated,
+and every system answers the one ``numerator`` interface, so ``ch_tilde``
+never branches on a case name.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,51 +59,18 @@ VARIANTS = (
 )
 
 
-def _denominator_product(
-    roots,  # list of (functional coefficients, parity)
-    h_dual: float,
-    eta_power: int,
-    i_power: int,
-    sign: int,
-    tau: complex,
-    z,
-    t: complex,
-    policy: TruncationPolicy,
-) -> SeriesValue:
-    """Weyl (super)denominator as eta power times a theta quotient.
-
-    For the superdenominator (sign = -1) every root contributes a
-    theta11; the denominator (sign = +1) puts theta10 at the odd roots
-    and uses i^{d0} in place of i^{d0-d1}.
-    """
-    e = eta(tau, policy)
-    value = SeriesValue((1j) ** (i_power % 4) * cexp(_2PI_I * h_dual * t), 0.0, 0)
-    value = value * e
-    for _ in range(eta_power - 1):
-        value = value * e
-    for coeffs, parity in roots:
-        arg = sum(c * w for c, w in zip(coeffs, z))
-        if parity == 0:
-            value = value * theta_ab(1, 1, tau, arg, policy)
-        else:
-            th = (
-                theta_ab(1, 1, tau, arg, policy)
-                if sign == -1
-                else theta_ab(1, 0, tau, arg, policy)
-            )
-            if abs(th.value) < 1e-10:
-                raise ZeroDivisorProximity(f"theta factor vanishes at {arg}")
-            value = value / th
-    return value
-
-
 @dataclass
 class CharacterSystem:
-    """One wired algebra case: frame, denominator data, numerator rule."""
+    """One wired algebra case: frame, denominator data, numerator rule.
+
+    VARIANTS lists the ch_tilde variants the case wires and n_labels the
+    length of its WeightSpec.labels; check_request reads both, and the
+    level rule check_level, before any series is evaluated.
+    """
 
     name: str
     n_z: int
-    quad_signature: object  # callable (za, zb) -> complex
+    quad: object  # callable (za, zb) -> complex, the frame's (z|z)
     h_dual: Fraction
     sdim: int
     pos_roots: tuple  # ((coeffs, parity), ...)
@@ -104,8 +78,20 @@ class CharacterSystem:
     i_power_minus: int
     i_power_plus: int
 
-    def quad(self, za, zb):
-        return self.quad_signature(za, zb)
+    VARIANTS = ("ch_minus_modified", "numerator_only", "denominator_only")
+    SIDES = ("T",)  # the isotropic sets whose weights numerator() wires
+
+    def check_level(self, k) -> None:
+        """Raise UnsupportedCase for a level the case does not take."""
+
+    def _refuse(self, w: WeightSpec, modified: bool) -> None:
+        """Raise UnsupportedCase for a numerator this system does not wire."""
+        if w.side not in self.SIDES:
+            raise UnsupportedCase(f"{self.name} wires no {w.side}-side numerator")
+        if not modified and "ch_minus" not in self.VARIANTS:
+            raise UnsupportedCase(
+                f"unmodified supercharacters are wired only for sl21, not {self.name!r}"
+            )
 
     def _weyl_sum(self, point: ModularPoint, evaluate) -> SeriesValue:
         """Sum of eps * evaluate(pz) over the Weyl images (z, eps) of
@@ -117,17 +103,31 @@ class CharacterSystem:
         return total
 
     def denominator(self, sign, point: ModularPoint, policy=DEFAULT_POLICY) -> SeriesValue:
-        return _denominator_product(
-            self.pos_roots,
-            float(self.h_dual),
-            self.eta_power,
-            self.i_power_minus if sign == -1 else self.i_power_plus,
-            sign,
-            point.tau,
-            point.z,
-            point.t,
-            policy,
+        """Weyl (super)denominator as eta power times a theta quotient.
+
+        For the superdenominator (sign = -1) every root contributes a
+        theta11; the denominator (sign = +1) puts theta10 at the odd roots
+        and uses i^{d0} in place of i^{d0-d1}.
+        """
+        tau = point.tau
+        i_power = self.i_power_minus if sign == -1 else self.i_power_plus
+        e = eta(tau, policy)
+        value = SeriesValue(
+            (1j) ** (i_power % 4) * cexp(_2PI_I * float(self.h_dual) * point.t), 0.0, 0
         )
+        value = value * e
+        for _ in range(self.eta_power - 1):
+            value = value * e
+        for coeffs, parity in self.pos_roots:
+            arg = sum(c * w for c, w in zip(coeffs, point.z))
+            if parity == 0:
+                value = value * theta_ab(1, 1, tau, arg, policy)
+            else:
+                th = theta_ab(1, 1 if sign == -1 else 0, tau, arg, policy)
+                if abs(th.value) < 1e-10:
+                    raise ZeroDivisorProximity(f"theta factor vanishes at {arg}")
+                value = value / th
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +137,20 @@ class CharacterSystem:
 class Sl21System(CharacterSystem):
     """sl(2|1): frame z = -z1 a2 - z2 a1; weights k Lambda_0 + k1 beta."""
 
-    n_labels = 1  # length of WeightSpec.labels
+    n_labels = 1
+    VARIANTS = VARIANTS  # the only case with the unmodified and twisted ones
+    # xi = (a1 + a2)/2 has alpha(xi) in p(alpha)/2 + Z for all roots: the
+    # frame shift (z1, z2) -> (z1 - 1/2, z2 - 1/2), |xi|^2, and the pairing
+    # (beta1|xi) of each label of lambda-bar = k1 beta1
+    xi = (-0.5, -0.5)
+    xi_norm = 0.5
+    xi_pairing = (0.5,)
 
     def __init__(self):
         super().__init__(
             name="sl21",
             n_z=2,
-            quad_signature=gram_quad([[0, 1], [1, 0]]),
+            quad=gram_quad([[0, 1], [1, 0]]),
             h_dual=F(1),
             sdim=0,
             pos_roots=(
@@ -178,6 +185,7 @@ class Sl21System(CharacterSystem):
         modified: bool = True,
         plus: bool = False,
     ) -> SeriesValue:
+        self._refuse(w, modified)
         (k1,) = w.labels
         K = w.k + self.h_dual
         ctx = self.ctx_template(K)
@@ -199,13 +207,13 @@ class Sl21System(CharacterSystem):
 class Osp32System(CharacterSystem):
     """osp(3|2): frame z = z1 (a1 + 2 a2) + z2 a1 (a1 = d1-e1, a2 = e1)."""
 
-    n_labels = 1  # length of WeightSpec.labels
+    n_labels = 1
 
     def __init__(self):
         super().__init__(
             name="osp32",
             n_z=2,
-            quad_signature=gram_quad([[0, -1], [-1, 0]]),
+            quad=gram_quad([[0, -1], [-1, 0]]),
             h_dual=F(1, 2),
             sdim=0,
             pos_roots=(
@@ -237,10 +245,13 @@ class Osp32System(CharacterSystem):
         w: WeightSpec,
         point: ModularPoint,
         policy=DEFAULT_POLICY,
+        modified: bool = True,
+        plus: bool = False,
     ) -> SeriesValue:
         """Signed-route numerator: the shifted weight lands on the lattice
         weight class (lambda + xi0 is the physical highest weight plus the
         Weyl vector, with lambda integral against the lattice)."""
+        self._refuse(w, modified)
         (k1,) = w.labels
         K = w.k + self.h_dual
         ctx = LatticeContext(
@@ -260,13 +271,14 @@ class Osp32System(CharacterSystem):
 class Osp42System(CharacterSystem):
     """osp(4|2): orthogonal frame (x1, x2, y1)."""
 
-    n_labels = 2  # length of WeightSpec.labels
+    n_labels = 2
+    SIDES = ("T", "Tp")
 
     def __init__(self):
         super().__init__(
             name="osp42",
             n_z=3,
-            quad_signature=gram_quad(np.diag([1.0, 1.0, -1.0])),
+            quad=gram_quad(np.diag([1.0, 1.0, -1.0])),
             h_dual=F(0),
             sdim=17 - 2 * 8,  # dim0 = 9, dim1 = 8
             # odd a1 = e1-d1, a2 = d1-e2, a3 = d1+e2, theta-like e1+d1;
@@ -308,8 +320,23 @@ class Osp42System(CharacterSystem):
         w: WeightSpec,
         point: ModularPoint,
         policy=DEFAULT_POLICY,
+        modified: bool = True,
+        plus: bool = False,
     ) -> SeriesValue:
+        """Modified numerator; a mirror-side (Tp) class, the other half of
+        the eq 6.6 span, takes the theta of index 2 k2 + 2k at the same z
+        arguments."""
+        self._refuse(w, modified)
         k1, k2 = w.labels  # beta label, eps2 label
+        if w.side == "Tp":
+            k = int(w.k)
+            tot = SeriesValue(0.0, 0.0, 0)
+            for zi, eps in self.weyl_images(point.z):
+                x1, x2, y1 = zi
+                th = theta_jm(int(2 * k2) + 2 * k, 2 * k, point.tau, x1 + x2 + y1, policy)
+                ph = phi_tilde(MockIndex(k, 0), point.tau, -x1 - y1, x2 + y1, policy)
+                tot = tot + eps * (th * ph)
+            return tot * cmath.exp(2j * cmath.pi * k * complex(point.t))
         K = w.k  # h_dual = 0
         ctx = LatticeContext(
             gamma_gram=((2, 2), (2, 4)), n_isotropic=1, k=K
@@ -326,7 +353,8 @@ class Osp42System(CharacterSystem):
 class D21aSystem(CharacterSystem):
     """D(2,1;a), a = -p/(p+q): frame z = u1 a1 + u2 a2 + u3 a3."""
 
-    n_labels = 2  # length of WeightSpec.labels
+    n_labels = 2
+    SIDES = ("T", "Tp")
 
     def __init__(self, p: int = 1, q: int = 1):
         self.p, self.q = p, q
@@ -342,7 +370,7 @@ class D21aSystem(CharacterSystem):
         super().__init__(
             name="d21a",
             n_z=3,
-            quad_signature=gram_quad(gram),
+            quad=gram_quad(gram),
             h_dual=F(0),
             sdim=1,  # 9 even - 8 odd
             pos_roots=(
@@ -362,10 +390,28 @@ class D21aSystem(CharacterSystem):
     def functional(self, coeffs, z):
         return complex(np.asarray(coeffs, dtype=float) @ self.gram @ np.asarray(z))
 
+    def check_level(self, k) -> None:
+        d21a_level(self.p, self.q, k)
+
     def nu_range(self, n: int):
         p, q = self.p, self.q
         lo = q * n - 2 * (p + q) * n
         return list(range(lo + 1, q * n + 1))
+
+    def numerator(
+        self,
+        w: WeightSpec,
+        point: ModularPoint,
+        policy=DEFAULT_POLICY,
+        modified: bool = True,
+        plus: bool = False,
+    ) -> SeriesValue:
+        """The class nu = k2 (T side) or -k2 (Tp side) at level n."""
+        self._refuse(w, modified)
+        n = d21a_level(self.p, self.q, w.k)
+        k2 = w.labels[1]
+        nu = int(k2) if w.side == "T" else int(-k2)
+        return self.numerator_nu(nu, n, point, policy)
 
     def numerator_nu(
         self, nu: int, n: int, point: ModularPoint, policy=DEFAULT_POLICY
@@ -419,7 +465,10 @@ _F_CLOSED = {1: (1, 1, -1j), 2: (1, 0, 1j), 3: (0, 1, -1j), 4: (0, 0, -1j)}
 
 
 class Osp32SubSystem(Osp32System):
-    """osp(3|2) with the subprincipal sl(2); reuses the osp(3|2) frame."""
+    """osp(3|2) with the subprincipal sl(2); reuses the osp(3|2) frame.
+    Its supercharacters are spanned by f_function, not by ch_tilde."""
+
+    VARIANTS = ("denominator_only",)
 
     def __init__(self):
         super().__init__()
@@ -476,21 +525,9 @@ class Osp32SubSystem(Osp32System):
 _LEVEL1_THETA = {"sum01": (0, 0), "diff01": (0, 1), "twisted": (1, 0), "diff_top": (1, 1)}
 
 
-@dataclass
-class CharacterFunction:
-    """An evaluable normalized supercharacter with its frame metadata."""
-
-    label: str
-    degree: float
-    n_z: int
-    fn: object  # callable (tau, z, t, policy) -> SeriesValue
-
-    def __call__(self, point: ModularPoint, policy=DEFAULT_POLICY) -> SeriesValue:
-        return self.fn(point.tau, point.z, point.t, policy)
-
-
-def level1_osp_supercharacter(M: int, N: int, combo: str) -> CharacterFunction:
-    """Closed eta/theta forms of the level-1 orthosymplectic supercharacters.
+def level1_osp_supercharacter(M: int, N: int, combo: str):
+    """Closed eta/theta forms of the level-1 orthosymplectic supercharacters,
+    as a function of (point, policy=DEFAULT_POLICY).
 
     combo: 'sum01' | 'diff01' | 'twisted' | 'diff_top' (the last only for
     even M).  Frame: (tau, x_1..x_m, y_1..y_n, t).
@@ -508,9 +545,10 @@ def level1_osp_supercharacter(M: int, N: int, combo: str) -> CharacterFunction:
     units = {"twisted": (-1j) ** (n % 4), "diff_top": (-1) ** (n % 2) * 1j ** (m % 4)}
     unit = units.get(combo, 1)
 
-    def fn(tau, z, t, policy=DEFAULT_POLICY):
-        xs = z[:m]
-        ys = z[m:]
+    def character(point: ModularPoint, policy=DEFAULT_POLICY) -> SeriesValue:
+        tau, t = point.tau, point.t
+        xs = point.z[:m]
+        ys = point.z[m:]
         e = eta(tau, policy)
         val = SeriesValue(cexp(_2PI_I * complex(t)), 0.0, 0)
         if odd and combo == "sum01":
@@ -530,12 +568,7 @@ def level1_osp_supercharacter(M: int, N: int, combo: str) -> CharacterFunction:
             val = val / th
         return val
 
-    return CharacterFunction(
-        label=f"osp({M}|{N})-level1-{combo}",
-        degree=1.0,
-        n_z=m + n,
-        fn=fn,
-    )
+    return character
 
 
 def level1_quad(M: int, N: int):
@@ -546,25 +579,46 @@ def level1_quad(M: int, N: int):
 # high-level evaluation
 
 
-_SYSTEMS = {}
+_CASES = {
+    "sl21": Sl21System,
+    "osp32": Osp32System,
+    "osp32_sub": Osp32SubSystem,
+    "osp42": Osp42System,
+    "d21a": D21aSystem,  # params (p, q), default (1, 1)
+}
 
 
+@functools.cache
 def system(name: str, params: tuple = None) -> CharacterSystem:
-    key = (name, params)
-    if key not in _SYSTEMS:
-        if name == "sl21":
-            _SYSTEMS[key] = Sl21System()
-        elif name == "osp32":
-            _SYSTEMS[key] = Osp32System()
-        elif name == "osp32_sub":
-            _SYSTEMS[key] = Osp32SubSystem()
-        elif name == "osp42":
-            _SYSTEMS[key] = Osp42System()
-        elif name == "d21a":
-            _SYSTEMS[key] = D21aSystem(*(params or (1, 1)))
-        else:
-            raise UnsupportedCase(f"no wired character system for {name!r}")
-    return _SYSTEMS[key]
+    """The character system of a wired case, built once per (name, params)."""
+    if name not in _CASES:
+        raise UnsupportedCase(f"no wired character system for {name!r}")
+    try:
+        return _CASES[name](*(params or ()))
+    except TypeError as exc:  # more parameters than the case takes
+        raise UnsupportedCase(f"case {name} does not take the parameters {params}") from exc
+
+
+def check_request(
+    case: str, w: WeightSpec, variant: str = "ch_minus_modified", params: tuple = None
+) -> CharacterSystem:
+    """The system of a case, once the case wires the variant, w has the
+    case's label count and w.k is one of its levels; raises before any
+    series is evaluated (ValueError for an unknown variant or a wrong
+    label count, UnsupportedCase for the rest)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    sys = system(case, params)
+    if variant not in sys.VARIANTS:
+        raise UnsupportedCase(
+            f"case {case} wires no {variant}; it wires {', '.join(sys.VARIANTS)}"
+        )
+    if len(w.labels) != sys.n_labels:
+        raise ValueError(
+            f"case {case} takes {sys.n_labels} weight label(s), got {len(w.labels)}"
+        )
+    sys.check_level(w.k)
+    return sys
 
 
 def ch_tilde(
@@ -576,71 +630,31 @@ def ch_tilde(
     params: tuple = None,
 ) -> SeriesValue:
     """Modified normalized supercharacter (and variants) for a wired case."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    sys = system(case, params)
+    sys = check_request(case, w, variant, params)
     if variant == "denominator_only":
         return sys.denominator(-1, point, policy)
+    phase = None
     if variant in ("ch_plus_modified", "tw_minus_modified", "tw_plus_modified"):
-        return _twist(sys, case, w, point, policy, variant)
-    if variant == "ch_minus" and case != "sl21":
-        raise UnsupportedCase(
-            f"unmodified supercharacters are wired only for sl21, not {case!r}"
-        )
-    if case == "sl21":
-        num = sys.numerator(w, point, policy, modified=variant != "ch_minus")
-    elif case in ("osp32", "osp42"):
-        num = sys.numerator(w, point, policy)
-    elif case == "d21a":
-        n = d21a_level(sys.p, sys.q, w.k)
-        num = sys.numerator_nu(d21a_nu(sys, w), n, point, policy)
-    else:
-        raise UnsupportedCase(case)
+        point, phase = _twist(sys, w, point, variant)
+    num = sys.numerator(w, point, policy, modified=variant != "ch_minus")
     if variant == "numerator_only":
         return num
     den = sys.denominator(-1, point, policy)
     if abs(den.value) < 1e-10 * max(1.0, abs(num.value)):
         raise ZeroDivisorProximity("superdenominator too small")
-    return num / den
+    return num / den if phase is None else phase * (num / den)
 
 
-def d21a_nu(sys: D21aSystem, w: WeightSpec) -> int:
-    k1, k2 = w.labels
-    if w.side == "T":
-        return int(k2)
-    return int(-k2)
-
-
-def _xi_for(case: str):
-    """A vector xi with alpha(xi) in p(alpha)/2 + Z for all roots."""
-    if case == "sl21":
-        # xi = (a1 + a2)/2: frame shift (z1, z2) -> (z1 - 1/2, z2 - 1/2)
-        return (-0.5, -0.5), 0.5  # (frame shift, |xi|^2)
-    raise UnsupportedCase(f"no xi wired for {case!r}")
-
-
-def _twist(sys, case, w, point, policy, variant):
-    """ch~^+ and twisted variants through the xi-shift substitutions."""
-    xi, xi_norm = _xi_for(case)
+def _twist(sys, w, point, variant):
+    """The xi-shifted point at which ch~^+ and the twisted variants take
+    ch~^-, and the phase e^{-2 pi i (lambda|xi)} of the plus-type ones."""
     tau, z, t = point.tau, point.z, point.t
-    lam_xi = _lambda_pairing_xi(case, w)
+    xi = sys.xi
+    phase = cmath.exp(-_2PI_I * sum(float(x) * c for x, c in zip(w.labels, sys.xi_pairing)))
     if variant == "ch_plus_modified":
-        zp = tuple(a + b for a, b in zip(z, xi))
-        val = ch_tilde(case, w, ModularPoint(tau, zp, t), policy)
-        return cmath.exp(-_2PI_I * lam_xi) * val
-    xi_z = sys.quad(z, xi)
-    t_shift = t + xi_z + tau * xi_norm / 2.0
+        return ModularPoint(tau, tuple(a + b for a, b in zip(z, xi)), t), phase
+    t_shift = t + sys.quad(z, xi) + tau * sys.xi_norm / 2.0
     if variant == "tw_minus_modified":
-        zp = tuple(a + tau * b for a, b in zip(z, xi))
-        return ch_tilde(case, w, ModularPoint(tau, zp, t_shift), policy)
+        return ModularPoint(tau, tuple(a + tau * b for a, b in zip(z, xi)), t_shift), None
     # tw_plus_modified
-    zp = tuple(a + tau * b + b for a, b in zip(z, xi))
-    val = ch_tilde(case, w, ModularPoint(tau, zp, t_shift), policy)
-    return cmath.exp(-_2PI_I * lam_xi) * val
-
-
-def _lambda_pairing_xi(case, w: WeightSpec) -> float:
-    if case == "sl21":
-        # lambda-bar = k1 beta1; (beta1|xi) = 1/2
-        return float(w.labels[0]) / 2.0
-    raise UnsupportedCase(case)
+    return ModularPoint(tau, tuple(a + tau * b + b for a, b in zip(z, xi)), t_shift), phase

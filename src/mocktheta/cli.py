@@ -16,13 +16,14 @@ import json
 import sys
 from fractions import Fraction
 
+from .characters import VARIANTS, ch_tilde, check_request
 from .core import DEFAULT_POLICY, TruncationPolicy
 from .errors import MockThetaError
 from .mock import MockIndex, phi
 from .modifier import phi_add, phi_tilde, r_jm, r_jm_signed
 from .smatrix import smatrix
 from .suites import SUITES, list_suites, run_suite
-from .superalg import WeightSpec, d21a_level, enumerate_omega, integrable, preset
+from .superalg import WeightSpec, enumerate_omega, integrable, preset
 from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
 F = Fraction
@@ -205,29 +206,21 @@ def _case_params(args):
 
 
 def cmd_chartable(args) -> int:
-    from .characters import ch_tilde, system
     from .modular import sample_points
 
+    params = _case_params(args)
+    labels = tuple(parse_rational(x) for x in (args.labels or "0").split(","))
+    w = WeightSpec(parse_rational(args.k), labels)
     try:
-        sys_obj = system(args.case, _case_params(args))
-        k = parse_rational(args.k)
-        if args.case == "d21a":
-            d21a_level(sys_obj.p, sys_obj.q, k)
-    except MockThetaError as exc:
+        sys_obj = check_request(args.case, w, args.variant, params)
+    except (MockThetaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    labels = tuple(parse_rational(x) for x in (args.labels or "0").split(","))
-    if len(labels) != sys_obj.n_labels:
-        print(f"error: case {args.case} takes {sys_obj.n_labels} weight label(s), "
-              f"got {len(labels)}", file=sys.stderr)
-        return 2
-    w = WeightSpec(k, labels)
     pts = sample_points(args.points, n_z=sys_obj.n_z, seed=args.seed)
     rows = []
     for pt in pts:
         try:
-            val = ch_tilde(args.case, w, pt, variant=args.variant,
-                           params=_case_params(args))
+            val = ch_tilde(args.case, w, pt, variant=args.variant, params=params)
             rows.append(
                 {
                     "tau": str(pt.tau),
@@ -349,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--case", required=True)
     pc.add_argument("--k", required=True)
     pc.add_argument("--labels", default=None, help="comma-separated weight labels")
-    pc.add_argument("--variant", default="ch_minus_modified")
+    pc.add_argument("--variant", default="ch_minus_modified", choices=VARIANTS)
     pc.add_argument("--points", type=int, default=6)
     pc.add_argument("--seed", type=int, default=20240)
     pc.add_argument("--p", type=int, default=None)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_POLICY, ModularPoint, SeriesValue, as_fraction
+from .core import DEFAULT_POLICY, as_fraction
 from .characters import (
     ch_tilde,
     level1_osp_supercharacter,
@@ -23,11 +23,8 @@ from .characters import (
     system,
 )
 from .errors import UnsupportedCase
-from .mock import MockIndex
-from .modifier import phi_tilde
 from .modular import S, T, act
 from .superalg import WeightSpec, d21a_level
-from .theta import theta_jm
 
 F = Fraction
 
@@ -41,6 +38,7 @@ class SMatrix:
     t_matrix: np.ndarray
     conjectural: bool = False
     note: str = ""
+    weights: tuple = ()  # the WeightSpec of each row whose function is ch_tilde
 
     @property
     def t_phases(self):
@@ -71,6 +69,7 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
             labels=(f"k{k}",),
             entries=np.array([[1.0 + 0j]]),
             t_matrix=np.array([[1.0 + 0j]]),
+            weights=(WeightSpec(k, (0,)),),
         )
     if case == "d21a":
         p, q = params or (1, 1)
@@ -98,6 +97,7 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
             conjectural=True,
             note="character identification relies on the conjectural "
             "two-term formula; the function-level transform is exact",
+            weights=tuple(WeightSpec(k, (0, nu)) for nu in nus),
         )
     if case == "osp42":
         if k.denominator != 1 or k <= 0:
@@ -121,6 +121,12 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
             labels=tuple(f"2k2={j}" for j in js),
             entries=S,
             t_matrix=T,
+            weights=tuple(
+                WeightSpec(k, (abs(F(j, 2)), F(j, 2))) if -kk <= j <= kk
+                # mirror-side class: k2 = j/2 - k on the T' side
+                else WeightSpec(k, (abs(F(j - 2 * kk, 2)), F(j - 2 * kk, 2)), side="Tp")
+                for j in js
+            ),
         )
     if case == "osp32_sub":
         if (4 * k).denominator != 1 or k >= F(-1, 2):
@@ -183,34 +189,11 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
     raise UnsupportedCase(case)
 
 
-def _basis_functions(case: str, k, params, policy):
-    """Evaluable basis functions matching the smatrix labels."""
-    if case == "sl21":
-        w = WeightSpec(k, (0,))
-        return [lambda pt, w=w: ch_tilde("sl21", w, pt, policy).value], system("sl21").quad
-    if case == "d21a":
-        p, q = params or (1, 1)
-        sys = system("d21a", (p, q))
-        n = d21a_level(p, q, k)
-        fns = [
-            (lambda pt, nu=nu: ch_tilde("d21a", WeightSpec(k, (0, nu)), pt, policy,
-                                        params=(p, q)).value)
-            for nu in sys.nu_range(n)
-        ]
-        return fns, sys.quad
-    if case == "osp42":
-        kk = int(as_fraction(k))
-        fns = []
-        for j in range(-kk, 3 * kk):
-            if -kk <= j <= kk:
-                w = WeightSpec(k, (abs(F(j, 2)), F(j, 2)))
-            else:
-                jj = j - 2 * kk  # mirror-side class: k2 = jj/2 on T' side
-                w = WeightSpec(k, (abs(F(jj, 2)), F(jj, 2)), side="Tp")
-            fns.append(
-                lambda pt, w=w: _osp42_class_value(w, pt, policy).value
-            )
-        return fns, system("osp42").quad
+def _basis_functions(sm: SMatrix, params, policy):
+    """Evaluable basis functions matching the smatrix labels: ch_tilde at
+    the row weights of the lattice cases, the spanning functions of the
+    subprincipal case and the closed forms at level 1."""
+    case, k = sm.case, sm.k
     if case == "osp32_sub":
         sub = system("osp32_sub")
         fns = [
@@ -220,41 +203,23 @@ def _basis_functions(case: str, k, params, policy):
         return fns, sub.quad
     if case == "osp_level1":
         M, N = params
-        combos = ("sum01", "diff01", "twisted") + (
-            () if M % 2 else ("diff_top",)
-        )
         fns = [
             (lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt, policy).value)
-            for c in combos
+            for c in sm.labels
         ]
         return fns, level1_quad(M, N)
-    raise UnsupportedCase(case)
-
-
-def _osp42_class_value(w: WeightSpec, pt: ModularPoint, policy) -> SeriesValue:
-    """ch~ for an osp(4|2) class; mirror-side classes use the shifted theta."""
-    sys = system("osp42")
-    if w.side == "T":
-        num = sys.numerator(w, pt, policy)
-    else:
-        # T'-side: theta index 2 k2 + 2k at the same z arguments
-        k = int(w.k)
-        k2 = w.labels[1]
-        tot = SeriesValue(0.0, 0.0, 0)
-        for zi, eps in sys.weyl_images(pt.z):
-            x1, x2, y1 = zi
-            th = theta_jm(int(2 * k2) + 2 * k, 2 * k, pt.tau, x1 + x2 + y1, policy)
-            ph = phi_tilde(MockIndex(k, 0), pt.tau, -x1 - y1, x2 + y1, policy)
-            tot = tot + eps * (th * ph)
-        num = tot * cmath.exp(2j * cmath.pi * k * complex(pt.t))
-    return num / sys.denominator(-1, pt, policy)
+    fns = [
+        (lambda pt, w=w: ch_tilde(case, w, pt, policy, params=params).value)
+        for w in sm.weights
+    ]
+    return fns, system(case, params).quad
 
 
 def _apply_residuals(case, k, points, params, policy, g):
     """F_i|g against sum_j M_ij F_j at the points, for g = S (M the
     S-matrix) or g = T (M the T-matrix)."""
     sm = smatrix(case, k, params)
-    fns, quad = _basis_functions(case, k, params, policy)
+    fns, quad = _basis_functions(sm, params, policy)
     matrix = sm.entries if g == S else sm.t_matrix
     records = []
     for pt in points:

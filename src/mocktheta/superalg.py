@@ -683,38 +683,29 @@ def _integrable_osp_h0(pre, w):
 
 
 def _integrable_d21a(pre, w):
+    # With the marks m1 = 0, m0, m2, m3 of the weight, the T-side
+    # conditions c1..c4 >= 0 read c1 = k1 + k2, c2 = qn - k1 - k2, c3 = k1,
+    # c4 = pn - k1, all integers; of the pair conditions (mi + mj = 0 only
+    # if mi = mj = 0) just two can fire: c4 = 0 with c1 != 0 (m0 + m2) and
+    # c2 = 0 with c3 != 0 (m0 + m3).  Tp labels are sigma0 of the weight
+    # with labels (k1 - qn, (p+q)n - k2), where the c's only swap in pairs.
+    if len(w.labels) != 2:
+        raise ValueError("D(2,1;a) weights take two labels (k1, k2)")
     p, q = pre.params
-    k, labels = w.k, w.labels
-    if len(labels) == 4:
-        m0, m1, m2, m3 = labels
-    else:
-        k1, k2 = labels
-        try:
-            n = d21a_level(p, q, k)
-        except UnsupportedCase:
-            return False
-        if w.side != "T":
-            # mirror-side labels correspond to sigma0 of the weight
-            # with labels (k1 - qn, (p+q)n - k2)
-            k1, k2 = k1 - q * n, (p + q) * n - k2
-        m0 = (-p * q * n + p * k2 + (p + q) * k1) / (p + q)
-        m1 = F(0)
-        m2 = -p * (k1 + k2) / (p + q)
-        m3 = -q * k1 / (p + q)
-        if w.side != "T":
-            m0, m1, m2, m3 = m1, m0, m3, m2
-    a = F(-p, p + q)
-    c1 = (m1 + m2) / a
-    c2 = (m0 + m3) / a
-    c3 = -(m1 + m3) / (a + 1)
-    c4 = -(m0 + m2) / (a + 1)
-    if not all(_is_nonneg_int(c) for c in (c1, c2, c3, c4)):
+    try:
+        n = d21a_level(p, q, w.k)
+    except UnsupportedCase:
         return False
-    for mi in (m0, m1):
-        for mj in (m2, m3):
-            if mi + mj == 0 and not (mi == 0 and mj == 0):
-                return False
-    return True
+    k1, k2 = w.labels
+    if k1.denominator != 1 or k2.denominator != 1:
+        return False
+    k1, k2 = int(k1), int(k2)
+    if w.side != "T":
+        k1, k2 = k1 - q * n, (p + q) * n - k2
+    c1, c2, c3, c4 = k1 + k2, q * n - k1 - k2, k1, p * n - k1
+    if min(c1, c2, c3, c4) < 0:
+        return False
+    return not (c4 == 0 and c1 != 0) and not (c2 == 0 and c3 != 0)
 
 
 def _integrable_f4(pre, w):

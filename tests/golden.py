@@ -59,7 +59,14 @@ CONTEXTS = {
     "odd_minus": (((2,),), 1, F(3, 2), "minus", (0, 1)),
     "odd_plus": (((2,),), 1, F(3, 2), "plus", (0, 1)),
 }
-DENOMINATORS = (("sl21", 2), ("osp32", 2), ("osp42", 3), ("d21a", 3))
+# (case, n_z, level, labels): the denominator reads no weight, but ch_tilde
+# takes only a weight of the case's label count and level
+DENOMINATORS = (
+    ("sl21", 2, 1, (0,)),
+    ("osp32", 2, 1, (0,)),
+    ("osp42", 3, 1, (0, 0)),
+    ("d21a", 3, F(-1, 2), (0, 0)),
+)
 # (case, params, level, labels) of the supercharacters pinned next to sl21's
 CHARACTERS = (
     ("osp32", None, 1, (0,)),
@@ -164,8 +171,8 @@ def cases():
                     lambda r=res, p=point: mt.eval_modified(r, p, xi_shift=True))
     for rep in range(2):
         tau, zs, t = pt(3)
-        for case, nz in DENOMINATORS:
-            w = mt.WeightSpec(1, (0,))
+        for case, nz, k, labels in DENOMINATORS:
+            w = mt.WeightSpec(k, labels)
             point = mt.ModularPoint(tau, zs[:nz], t)
             add(f"ch_tilde({case},denominator_only)#{rep}",
                 lambda c=case, w=w, p=point:

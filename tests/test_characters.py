@@ -1,21 +1,25 @@
 import cmath
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from mocktheta.characters import (
+    VARIANTS,
     ch_tilde,
     level1_osp_supercharacter,
     level1_quad,
     psi_fn,
     system,
 )
-from mocktheta.core import ModularPoint
+from mocktheta.cli import main
+from mocktheta.core import DEFAULT_POLICY, ModularPoint, SeriesValue
 from mocktheta.errors import UnsupportedCase
 from mocktheta.mock import MockIndex, phi
 from mocktheta.modifier import phi_tilde
 from mocktheta.modular import sample_points
+from mocktheta.smatrix import _basis_functions, smatrix
 from mocktheta.superalg import WeightSpec
 from mocktheta.theta import eta, theta_ab, theta_jm
 from conftest import random_points
@@ -173,6 +177,14 @@ class TestD21a:
         b = ch_tilde("d21a", WeightSpec(F(-1, 2), (1, 1), side="T"), pt).value
         assert abs(a - b) < 1e-12
 
+    def test_numerator_reads_the_class_off_the_weight(self):
+        # nu = k2 on the T side and -k2 on the mirror (Tp) side, at level n = 1
+        sys = system("d21a")
+        pt = ModularPoint(TAU, (0.21, 0.17, 0.33), 0.07)
+        for side, nu in (("T", 1), ("Tp", -1)):
+            w = WeightSpec(F(-1, 2), (0, 1), side=side)
+            assert sys.numerator(w, pt).value == sys.numerator_nu(nu, 1, pt).value
+
     @pytest.mark.parametrize("k", [F(-1), F(-1, 2), F(1, 3), F(0)])
     def test_level_off_the_family_is_refused(self, k):
         # (p, q) = (1, 2) takes only k = -2n/3; k = -1 gives n = 3/2
@@ -198,6 +210,23 @@ class TestOsp42:
                 tot += epsv * th * ph
             want = cmath.exp(2j * math.pi * pt.t) * tot
             assert abs(num - want) < 1e-12
+
+    def test_mirror_class_is_the_apply_check_basis(self):
+        # the mirror-side (Tp) class of the eq 6.6 span; the T-side class
+        # with the same labels is 1.2804370911+0.3834691550i here
+        pt = ModularPoint(0.1 + 1.1j, (0.21 + 0.01j, 0.13 - 0.02j, 0.31 + 0.03j), 0.05)
+        w = WeightSpec(1, (0, 0), side="Tp")
+        val = ch_tilde("osp42", w, pt).value
+        assert abs(val - (0.0812502762 + 0.0772277593j)) < 1e-9
+        sm = smatrix("osp42", 1)
+        fns, _ = _basis_functions(sm, None, DEFAULT_POLICY)
+        assert val == fns[sm.weights.index(w)](pt)
+
+
+@pytest.mark.parametrize("case", ["sl21", "osp32"])
+def test_mirror_side_refused_where_not_wired(case):
+    with pytest.raises(UnsupportedCase):
+        ch_tilde(case, WeightSpec(1, (0,), side="Tp"), PT2)
 
 
 class TestLevel1:
@@ -403,3 +432,48 @@ def test_unmodified_variant_gated():
     pt = ModularPoint(TAU, (0.21, 0.17, 0.33), 0.0)
     with pytest.raises(UnsupportedCase):
         ch_tilde("d21a", WeightSpec(F(-1, 2), (0, 1)), pt, variant="ch_minus")
+
+
+# case -> (a weight of the case, the ch_tilde variants it wires)
+_MODIFIED = {"ch_minus_modified", "numerator_only", "denominator_only"}
+CASE_TABLE = {
+    "sl21": (WeightSpec(1, (0,)), set(VARIANTS)),
+    "osp32": (WeightSpec(1, (0,)), _MODIFIED),
+    "osp32_sub": (WeightSpec(F(-3, 4), (0,)), {"denominator_only"}),
+    "osp42": (WeightSpec(1, (F(1, 2), F(1, 2))), _MODIFIED),
+    "d21a": (WeightSpec(F(-1, 2), (0, 1)), _MODIFIED),
+}
+
+
+def test_case_table_lists_every_wired_case():
+    from mocktheta.characters import _CASES
+
+    assert sorted(_CASES) == sorted(CASE_TABLE)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("case", sorted(CASE_TABLE))
+def test_case_table_agrees_with_ch_tilde_and_chartable(case, variant, capsys):
+    """A wired pair gives a finite value, equal to chartable's row at the
+    same seeded point; an unwired one raises UnsupportedCase, and chartable
+    exits 2 with no row."""
+    w, wired = CASE_TABLE[case]
+    wired = variant in wired
+    sys = system(case)
+    assert (variant in sys.VARIANTS) == wired
+    pt = sample_points(1, n_z=sys.n_z, seed=20240)[0]
+    args = ["chartable", "--case", case, f"--k={w.k}", "--variant", variant,
+            "--labels", ",".join(map(str, w.labels)), "--points", "1",
+            "--output", "json"]
+    if wired:
+        val = ch_tilde(case, w, pt, variant=variant)
+        assert isinstance(val, SeriesValue) and cmath.isfinite(val.value)
+        assert main(args) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert complex(row["re"], row["im"]) == val.value
+    else:
+        with pytest.raises(UnsupportedCase):
+            ch_tilde(case, w, pt, variant=variant)
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""

@@ -134,13 +134,28 @@ class TestCharTable:
         assert len(lines) == 4
 
     @pytest.mark.parametrize("args", [
+        # a wrong label count
         ("--case", "osp42", "--k", "1"),
         ("--case", "sl21", "--k", "1", "--labels", "1,2"),
+        # a variant the case does not wire (osp32_sub wires only the denominator)
+        ("--case", "osp32_sub", "--k=-3/4"),
+        ("--case", "osp32", "--k", "1", "--variant", "ch_minus"),
+        ("--case", "d21a", "--k=-1/2", "--labels", "0,1", "--variant", "ch_minus"),
+        ("--case", "osp42", "--k", "1", "--labels", "1/2,1/2",
+         "--variant", "ch_plus_modified"),
+        # parameters for a case that takes none
+        ("--case", "sl21", "--k", "1", "--params", "1,2"),
     ])
-    def test_wrong_label_count_is_a_configuration_error(self, args, capsys):
+    def test_configuration_error_exits_2_before_any_row(self, args, capsys):
         assert main(["chartable", *args, "--points", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_unknown_variant_is_a_usage_error(self, capsys):
+        args = ["chartable", "--case", "sl21", "--k", "1", "--variant", "bogus"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'bogus'" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("k", ["-1", "-1/2"])
     def test_d21a_level_off_the_family_is_a_configuration_error(self, k, capsys):

@@ -397,6 +397,10 @@ class TestEnumerations:
             )
             assert enumerate_omega(pre, k) == kept, (p, q, n)
 
+    def test_d21a_takes_two_labels(self):
+        with pytest.raises(ValueError):
+            integrable(preset("d21a"), WeightSpec(F(-1, 2), (0, 0, 0, 0)))
+
     def test_d21a_nu_range(self):
         from mocktheta.characters import system
 
