@@ -13,10 +13,12 @@ Coordinate frames (documented per case; z is always the tuple point.z):
   level-1 osp   (tau, x_1..x_m, y_1..y_n, t), (z|z) = sum x^2 - sum y^2
 
 One table, ``_CASES``, maps each wired case name to its system class.  A
-class declares the ch_tilde variants it wires, its label count and its
-level rule; ``check_request`` reads them before any series is evaluated,
-and every system answers the one ``numerator`` interface, so ``ch_tilde``
-never branches on a case name.
+class declares its preset, its frame and roots, the ch_tilde variants it
+wires and its label count; h_dual, the lattice context, the level rule and
+the denominator constants are derived from the preset and the roots.
+``check_request`` reads them before any series is evaluated, and every
+system answers the one ``numerator`` interface, so ``ch_tilde`` never
+branches on a case name.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,9 @@ from .core import (
     cexp,
 )
 from .errors import UnsupportedCase, ZeroDivisorProximity
-from .lattice import LatticeContext, Weight, build_modification, eval_modified, lattice_mock_theta
+from .lattice import (
+    LatticeContext, Weight, build_modification, eval_modified, lattice_mock_theta, validate_context,
+)
 from .mock import MockIndex, phi
 from .modifier import phi_tilde
 from .modular import gram_quad
@@ -59,9 +62,17 @@ VARIANTS = (
 )
 
 
-@dataclass
 class CharacterSystem:
-    """One wired algebra case: frame, denominator data, numerator rule.
+    """One wired algebra case.
+
+    A subclass declares only what is its own: ``name``, the case whose
+    preset ``preset(name, params)`` it realises; its frame (``frame_gram``,
+    the positive roots ``pos_roots`` as functionals of point.z,
+    ``_frame_to_ctx`` and ``weyl_images``); and its numerator rule.  The
+    rest is read off the preset or the roots: h_dual, the lattice context
+    and with it the level rule, and, with d0 even and d1 odd positive
+    roots (eq 4.6), sdim = n_z + 2(d0 - d1), the eta power n_z - d0 + d1
+    and the i-powers d0 - d1 (superdenominator) and d0 (denominator).
 
     VARIANTS lists the ch_tilde variants the case wires and n_labels the
     length of its WeightSpec.labels; check_request reads both, and the
@@ -69,29 +80,58 @@ class CharacterSystem:
     """
 
     name: str
-    n_z: int
-    quad: object  # callable (za, zb) -> complex, the frame's (z|z)
-    h_dual: Fraction
-    sdim: int
     pos_roots: tuple  # ((coeffs, parity), ...)
-    eta_power: int
-    i_power_minus: int
-    i_power_plus: int
-
+    MODE = "unsigned"  # the sign mode of the lattice context
     VARIANTS = ("ch_minus_modified", "numerator_only", "denominator_only")
     SIDES = ("T",)  # the isotropic sets whose weights numerator() wires
 
-    def check_level(self, k) -> None:
-        """Raise UnsupportedCase for a level the case does not take."""
+    def __init__(self, params: tuple = None):
+        self.pre = pre = preset(self.name, params)
+        self.h_dual = pre.h_dual
+        self.quad = gram_quad(self.frame_gram)  # callable (za, zb) -> (za|zb)
+        d1 = sum(parity for _, parity in self.pos_roots)
+        d0 = len(self.pos_roots) - d1
+        self.n_z = len(self.pos_roots[0][0])
+        self.sdim = self.n_z + 2 * (d0 - d1)
+        self.eta_power = self.n_z - d0 + d1
+        self.i_power_minus = d0 - d1
+        self.i_power_plus = d0
+        self._gamma_gram = tuple(
+            tuple(pre.pair(u, v) for v in pre.gamma_basis) for u in pre.gamma_basis
+        )
 
-    def _refuse(self, w: WeightSpec, modified: bool) -> None:
+    @functools.cached_property
+    def frame_gram(self) -> np.ndarray:
+        """Gram matrix of the frame: the preset's own, unless the frame
+        takes other coordinates than the preset's ambient ones."""
+        return np.array(self.pre.gram, dtype=float)
+
+    def context(self, k) -> LatticeContext:
+        """The lattice context of the level-k numerators, at level k + h_dual."""
+        return LatticeContext(self._gamma_gram, self.pre.defect, k + self.h_dual, self.MODE)
+
+    def check_level(self, k) -> None:
+        """Raise UnsupportedCase for a level the case's lattice does not take."""
+        ctx = self.context(k)
+        bad = validate_context(ctx)
+        if bad:
+            raise UnsupportedCase(
+                f"case {self.name} takes no level {k} (lattice level k + h_dual = {ctx.k}: "
+                + "; ".join(bad) + ")"
+            )
+
+    def _refuse(self, w: WeightSpec, modified: bool, plus: bool) -> None:
         """Raise UnsupportedCase for a numerator this system does not wire."""
+        if "numerator_only" not in self.VARIANTS:
+            raise UnsupportedCase(f"case {self.name} wires no numerator")
         if w.side not in self.SIDES:
             raise UnsupportedCase(f"{self.name} wires no {w.side}-side numerator")
         if not modified and "ch_minus" not in self.VARIANTS:
             raise UnsupportedCase(
                 f"unmodified supercharacters are wired only for sl21, not {self.name!r}"
             )
+        if plus and modified:
+            raise UnsupportedCase("the plus-type numerator is wired only unmodified")
 
     def _weyl_sum(self, point: ModularPoint, evaluate) -> SeriesValue:
         """Sum of eps * evaluate(pz) over the Weyl images (z, eps) of
@@ -137,34 +177,21 @@ class CharacterSystem:
 class Sl21System(CharacterSystem):
     """sl(2|1): frame z = -z1 a2 - z2 a1; weights k Lambda_0 + k1 beta."""
 
+    name = "sl21"
     n_labels = 1
     VARIANTS = VARIANTS  # the only case with the unmodified and twisted ones
+    frame_gram = ((0, 1), (1, 0))
+    pos_roots = (
+        ((-1, 0), 1),  # alpha1
+        ((0, -1), 1),  # alpha2
+        ((-1, -1), 0),  # alpha1 + alpha2
+    )
     # xi = (a1 + a2)/2 has alpha(xi) in p(alpha)/2 + Z for all roots: the
     # frame shift (z1, z2) -> (z1 - 1/2, z2 - 1/2), |xi|^2, and the pairing
     # (beta1|xi) of each label of lambda-bar = k1 beta1
     xi = (-0.5, -0.5)
     xi_norm = 0.5
     xi_pairing = (0.5,)
-
-    def __init__(self):
-        super().__init__(
-            name="sl21",
-            n_z=2,
-            quad=gram_quad([[0, 1], [1, 0]]),
-            h_dual=F(1),
-            sdim=0,
-            pos_roots=(
-                ((-1, 0), 1),  # alpha1
-                ((0, -1), 1),  # alpha2
-                ((-1, -1), 0),  # alpha1 + alpha2
-            ),
-            eta_power=3,
-            i_power_minus=-1,
-            i_power_plus=1,
-        )
-        self.ctx_template = lambda K: LatticeContext(
-            gamma_gram=((2,),), n_isotropic=1, k=K
-        )
 
     @staticmethod
     def _frame_to_ctx(z):
@@ -185,11 +212,10 @@ class Sl21System(CharacterSystem):
         modified: bool = True,
         plus: bool = False,
     ) -> SeriesValue:
-        self._refuse(w, modified)
+        self._refuse(w, modified, plus)
         (k1,) = w.labels
-        K = w.k + self.h_dual
-        ctx = self.ctx_template(K)
-        lam = Weight(K, (F(0), as_fraction(k1)))
+        ctx = self.context(w.k)
+        lam = Weight(ctx.k, (F(0), as_fraction(k1)))
         if modified:
             res = build_modification(ctx, lam)
             return self._weyl_sum(point, lambda pz: eval_modified(res, pz, policy))
@@ -207,26 +233,17 @@ class Sl21System(CharacterSystem):
 class Osp32System(CharacterSystem):
     """osp(3|2): frame z = z1 (a1 + 2 a2) + z2 a1 (a1 = d1-e1, a2 = e1)."""
 
+    name = "osp32"
     n_labels = 1
-
-    def __init__(self):
-        super().__init__(
-            name="osp32",
-            n_z=2,
-            quad=gram_quad([[0, -1], [-1, 0]]),
-            h_dual=F(1, 2),
-            sdim=0,
-            pos_roots=(
-                ((-1, 0), 1),  # a1
-                ((F(1, 2), F(-1, 2)), 1),  # a2 = eps1
-                ((F(-1, 2), F(-1, 2)), 0),  # a1 + a2 = delta1
-                ((0, -1), 1),  # a1 + 2 a2
-                ((1, -1), 0),  # 2 a2
-            ),
-            eta_power=3,
-            i_power_minus=-1,
-            i_power_plus=2,
-        )
+    MODE = "minus"
+    frame_gram = ((0, -1), (-1, 0))
+    pos_roots = (
+        ((-1, 0), 1),  # a1
+        ((F(1, 2), F(-1, 2)), 1),  # a2 = eps1
+        ((F(-1, 2), F(-1, 2)), 0),  # a1 + a2 = delta1
+        ((0, -1), 1),  # a1 + 2 a2
+        ((1, -1), 0),  # 2 a2
+    )
 
     @staticmethod
     def _frame_to_ctx(z):
@@ -251,14 +268,11 @@ class Osp32System(CharacterSystem):
         """Signed-route numerator: the shifted weight lands on the lattice
         weight class (lambda + xi0 is the physical highest weight plus the
         Weyl vector, with lambda integral against the lattice)."""
-        self._refuse(w, modified)
+        self._refuse(w, modified, plus)
         (k1,) = w.labels
-        K = w.k + self.h_dual
-        ctx = LatticeContext(
-            gamma_gram=((2,),), n_isotropic=1, k=K, mode="minus"
-        )
-        lam = Weight(K, (F(0), as_fraction(k1) + 1))
-        res = build_modification(ctx, lam, mode="minus")
+        ctx = self.context(w.k)
+        lam = Weight(ctx.k, (F(0), as_fraction(k1) + 1))
+        res = build_modification(ctx, lam)
         return self._weyl_sum(
             point, lambda pz: eval_modified(res, pz, policy, xi_shift=True)
         )
@@ -269,33 +283,22 @@ class Osp32System(CharacterSystem):
 
 
 class Osp42System(CharacterSystem):
-    """osp(4|2): orthogonal frame (x1, x2, y1)."""
+    """osp(4|2): the preset's orthogonal frame (x1, x2, y1)."""
 
+    name = "osp42"
     n_labels = 2
     SIDES = ("T", "Tp")
-
-    def __init__(self):
-        super().__init__(
-            name="osp42",
-            n_z=3,
-            quad=gram_quad(np.diag([1.0, 1.0, -1.0])),
-            h_dual=F(0),
-            sdim=17 - 2 * 8,  # dim0 = 9, dim1 = 8
-            # odd a1 = e1-d1, a2 = d1-e2, a3 = d1+e2, theta-like e1+d1;
-            # even e1-e2, e1+e2, 2d1
-            pos_roots=(
-                ((1, 0, -1), 1),
-                ((0, -1, 1), 1),
-                ((0, 1, 1), 1),
-                ((1, 0, 1), 1),
-                ((1, -1, 0), 0),
-                ((1, 1, 0), 0),
-                ((0, 0, 2), 0),
-            ),
-            eta_power=4,
-            i_power_minus=-1,
-            i_power_plus=3,
-        )
+    # odd a1 = e1-d1, a2 = d1-e2, a3 = d1+e2, theta-like e1+d1;
+    # even e1-e2, e1+e2, 2d1
+    pos_roots = (
+        ((1, 0, -1), 1),
+        ((0, -1, 1), 1),
+        ((0, 1, 1), 1),
+        ((1, 0, 1), 1),
+        ((1, -1, 0), 0),
+        ((1, 1, 0), 0),
+        ((0, 0, 2), 0),
+    )
 
     @staticmethod
     def _frame_to_ctx(z):
@@ -325,10 +328,12 @@ class Osp42System(CharacterSystem):
     ) -> SeriesValue:
         """Modified numerator; a mirror-side (Tp) class, the other half of
         the eq 6.6 span, takes the theta of index 2 k2 + 2k at the same z
-        arguments."""
-        self._refuse(w, modified)
+        arguments (with no lattice context to refuse an off-rule level,
+        it checks the level itself)."""
+        self._refuse(w, modified, plus)
         k1, k2 = w.labels  # beta label, eps2 label
         if w.side == "Tp":
+            self.check_level(w.k)
             k = int(w.k)
             tot = SeriesValue(0.0, 0.0, 0)
             for zi, eps in self.weyl_images(point.z):
@@ -337,11 +342,8 @@ class Osp42System(CharacterSystem):
                 ph = phi_tilde(MockIndex(k, 0), point.tau, -x1 - y1, x2 + y1, policy)
                 tot = tot + eps * (th * ph)
             return tot * cmath.exp(2j * cmath.pi * k * complex(point.t))
-        K = w.k  # h_dual = 0
-        ctx = LatticeContext(
-            gamma_gram=((2, 2), (2, 4)), n_isotropic=1, k=K
-        )
-        lam = Weight(K, (F(0), as_fraction(k2) / 2, as_fraction(k1)))
+        ctx = self.context(w.k)
+        lam = Weight(ctx.k, (F(0), as_fraction(k2) / 2, as_fraction(k1)))
         res = build_modification(ctx, lam)
         return self._weyl_sum(point, lambda pz: eval_modified(res, pz, policy))
 
@@ -351,44 +353,29 @@ class Osp42System(CharacterSystem):
 
 
 class D21aSystem(CharacterSystem):
-    """D(2,1;a), a = -p/(p+q): frame z = u1 a1 + u2 a2 + u3 a3."""
+    """D(2,1;a), a = -p/(p+q): frame z = u1 a1 + u2 a2 + u3 a3, the
+    preset's simple-root coordinates."""
 
+    name = "d21a"
     n_labels = 2
     SIDES = ("T", "Tp")
+    pos_roots = (
+        ((1, 0, 0), 1),
+        ((0, 1, 0), 1),
+        ((0, 0, 1), 1),
+        ((1, 1, 1), 1),
+        ((1, 1, 0), 0),
+        ((1, 0, 1), 0),
+        ((0, 1, 1), 0),
+    )
 
     def __init__(self, p: int = 1, q: int = 1):
         self.p, self.q = p, q
-        self.pre = preset("d21a", (p, q))
-        a = F(-p, p + q)
-        self.a = a
-        gram = np.array(
-            [[0.0, float(a), float(-(a + 1))],
-             [float(a), 0.0, 1.0],
-             [float(-(a + 1)), 1.0, 0.0]]
-        )
-        self.gram = gram
-        super().__init__(
-            name="d21a",
-            n_z=3,
-            quad=gram_quad(gram),
-            h_dual=F(0),
-            sdim=1,  # 9 even - 8 odd
-            pos_roots=(
-                ((1, 0, 0), 1),
-                ((0, 1, 0), 1),
-                ((0, 0, 1), 1),
-                ((1, 1, 1), 1),
-                ((1, 1, 0), 0),
-                ((1, 0, 1), 0),
-                ((0, 1, 1), 0),
-            ),
-            eta_power=4,
-            i_power_minus=-1,
-            i_power_plus=3,
-        )
+        self.a = F(-p, p + q)
+        super().__init__((p, q))
 
     def functional(self, coeffs, z):
-        return complex(np.asarray(coeffs, dtype=float) @ self.gram @ np.asarray(z))
+        return complex(np.asarray(coeffs, dtype=float) @ self.frame_gram @ np.asarray(z))
 
     def check_level(self, k) -> None:
         d21a_level(self.p, self.q, k)
@@ -407,7 +394,7 @@ class D21aSystem(CharacterSystem):
         plus: bool = False,
     ) -> SeriesValue:
         """The class nu = k2 (T side) or -k2 (Tp side) at level n."""
-        self._refuse(w, modified)
+        self._refuse(w, modified, plus)
         n = d21a_level(self.p, self.q, w.k)
         k2 = w.labels[1]
         nu = int(k2) if w.side == "T" else int(-k2)
@@ -468,11 +455,11 @@ class Osp32SubSystem(Osp32System):
     """osp(3|2) with the subprincipal sl(2); reuses the osp(3|2) frame.
     Its supercharacters are spanned by f_function, not by ch_tilde."""
 
+    name = "osp32_sub"
     VARIANTS = ("denominator_only",)
 
-    def __init__(self):
-        super().__init__()
-        self.name = "osp32_sub"
+    def check_level(self, k) -> None:
+        """Every level: only the k-free denominator is wired."""
 
     def f_function(
         self, i: int, k, point: ModularPoint, policy=DEFAULT_POLICY

@@ -375,9 +375,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SystemExit as exc:
-        if exc.code not in (0, None):
-            return 2
-        return 0
+        if isinstance(exc.code, str):  # a parse error's message
+            print(exc.code, file=sys.stderr)
+        return 0 if exc.code in (0, None) else 2
 
 
 if __name__ == "__main__":

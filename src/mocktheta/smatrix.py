@@ -60,8 +60,23 @@ class SMatrix:
         return out
 
 
+def _weil(labels, N: int):
+    """S_ab = e^{-pi i ab/N}/sqrt(2N) and T_aa = e^{pi i a^2/2N - pi i/12}
+    on labels that run over the residues mod 2N."""
+    size = len(labels)
+    S = np.zeros((size, size), dtype=complex)
+    T = np.zeros((size, size), dtype=complex)
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            S[i, j] = cmath.exp(-1j * math.pi * a * b / N) / math.sqrt(2 * N)
+        T[i, i] = cmath.exp(1j * math.pi * a * a / (2 * N) - 1j * math.pi / 12)
+    return S, T
+
+
 def smatrix(case: str, k, params: tuple = None) -> SMatrix:
     k = as_fraction(k)
+    if case in ("sl21", "osp42", "d21a"):  # spans of ch_tilde: the case's level rule
+        system(case, params).check_level(k)
     if case == "sl21":
         return SMatrix(
             case,
@@ -72,22 +87,10 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
             weights=(WeightSpec(k, (0,)),),
         )
     if case == "d21a":
-        p, q = params or (1, 1)
-        sys = system("d21a", (p, q))
-        n = d21a_level(p, q, k)
+        sys = system("d21a", params)
+        n = d21a_level(sys.p, sys.q, k)
         nus = sys.nu_range(n)
-        N = (p + q) * n
-        size = len(nus)
-        S = np.zeros((size, size), dtype=complex)
-        T = np.zeros((size, size), dtype=complex)
-        for i, nu in enumerate(nus):
-            for j, mu in enumerate(nus):
-                S[i, j] = cmath.exp(-1j * math.pi * nu * mu / N) / math.sqrt(
-                    2 * n * (p + q)
-                )
-            T[i, i] = cmath.exp(
-                1j * math.pi * nu * nu / (2 * n * (p + q)) - 1j * math.pi / 12
-            )
+        S, T = _weil(nus, (sys.p + sys.q) * n)
         return SMatrix(
             case,
             k,
@@ -100,21 +103,9 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
             weights=tuple(WeightSpec(k, (0, nu)) for nu in nus),
         )
     if case == "osp42":
-        if k.denominator != 1 or k <= 0:
-            raise UnsupportedCase("osp(4|2) S-matrix needs positive integer k")
         kk = int(k)
         js = list(range(-kk, 3 * kk))  # complete residues mod 4k
-        size = len(js)
-        S = np.zeros((size, size), dtype=complex)
-        T = np.zeros((size, size), dtype=complex)
-        for i, a in enumerate(js):
-            for j, b in enumerate(js):
-                S[i, j] = cmath.exp(-1j * math.pi * a * b / (2 * kk)) / (
-                    2 * math.sqrt(kk)
-                )
-            T[i, i] = cmath.exp(
-                1j * math.pi * a * a / (4 * kk) - 1j * math.pi / 12
-            )
+        S, T = _weil(js, 2 * kk)
         return SMatrix(
             case,
             k,

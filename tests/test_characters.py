@@ -15,7 +15,7 @@ from mocktheta.characters import (
 )
 from mocktheta.cli import main
 from mocktheta.core import DEFAULT_POLICY, ModularPoint, SeriesValue
-from mocktheta.errors import UnsupportedCase
+from mocktheta.errors import MockThetaError, UnsupportedCase
 from mocktheta.mock import MockIndex, phi
 from mocktheta.modifier import phi_tilde
 from mocktheta.modular import sample_points
@@ -477,3 +477,93 @@ def test_case_table_agrees_with_ch_tilde_and_chartable(case, variant, capsys):
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+
+# (case, params) -> the parent's literal (n_z, sdim, eta_power, i_power_minus,
+# i_power_plus, h_dual), now derived from the roots and the preset
+CONSTANTS = {
+    ("sl21", None): (2, 0, 3, -1, 1, 1),
+    ("osp32", None): (2, 0, 3, -1, 2, F(1, 2)),
+    ("osp32_sub", None): (2, 0, 3, -1, 2, F(1, 2)),
+    ("osp42", None): (3, 1, 4, -1, 3, 0),
+    ("d21a", None): (3, 1, 4, -1, 3, 0),
+    ("d21a", (1, 2)): (3, 1, 4, -1, 3, 0),
+}
+# case -> (gamma Gram, isotropic count, mode) of its lattice numerators
+CONTEXTS = {
+    "sl21": (((2,),), 1, "unsigned"),
+    "osp32": (((2,),), 1, "minus"),
+    "osp42": (((2, 2), (2, 4)), 1, "unsigned"),
+}
+
+
+def test_constants_cover_every_wired_case():
+    from mocktheta.characters import _CASES
+
+    assert sorted({case for case, _ in CONSTANTS}) == sorted(_CASES)
+
+
+@pytest.mark.parametrize("case,params", sorted(CONSTANTS, key=str))
+def test_derived_constants_equal_the_literals(case, params):
+    sys = system(case, params)
+    got = (sys.n_z, sys.sdim, sys.eta_power, sys.i_power_minus, sys.i_power_plus, sys.h_dual)
+    assert got == CONSTANTS[case, params]
+    if case in CONTEXTS:
+        gram, n_iso, mode = CONTEXTS[case]
+        for k in (1, 2):
+            ctx = sys.context(k)
+            assert (ctx.gamma_gram, ctx.n_isotropic, ctx.mode) == (gram, n_iso, mode)
+            assert ctx.k == k + sys.h_dual
+    if case == "d21a":
+        a = sys.a
+        literal = [[0, a, -(a + 1)], [a, 0, 1], [-(a + 1), 1, 0]]
+        assert sys.frame_gram.tolist() == [[float(x) for x in row] for row in literal]
+
+
+@pytest.mark.parametrize("case,w", [
+    ("osp42", WeightSpec(F(3, 2), (0, 0))),
+    ("osp42", WeightSpec(F(3, 2), (0, 0), side="Tp")),
+    ("sl21", WeightSpec(-1, (0,))),
+    ("sl21", WeightSpec(F(1, 2), (0,))),
+    ("osp32", WeightSpec(F(-1, 2), (0,))),
+    ("osp32", WeightSpec(F(1, 4), (0,))),
+])
+def test_off_rule_level_is_refused_before_any_series(case, w, monkeypatch):
+    from mocktheta import characters, lattice
+
+    def series(*args, **kwargs):
+        raise AssertionError("a series ran")
+
+    for module, name in ((characters, "phi_tilde"), (characters, "theta_jm"),
+                         (characters, "eta"), (lattice, "phi_tilde"),
+                         (lattice, "lattice_theta")):
+        monkeypatch.setattr(module, name, series)
+    sys = system(case)
+    pt = sample_points(1, n_z=sys.n_z, seed=20240)[0]
+    for variant in sys.VARIANTS:
+        with pytest.raises(UnsupportedCase, match="takes no level"):
+            ch_tilde(case, w, pt, variant=variant)
+    # called directly, a lattice numerator's own context check refuses it
+    with pytest.raises(MockThetaError):
+        sys.numerator(w, pt)
+
+
+@pytest.mark.parametrize("case", sorted(CASE_TABLE))
+def test_numerator_refuses_what_it_does_not_wire(case):
+    """plus reaches only an unmodified numerator, and a case that wires no
+    numerator_only variant refuses every numerator call."""
+    w, wired = CASE_TABLE[case]
+    sys = system(case)
+    pt = sample_points(1, n_z=sys.n_z, seed=20240)[0]
+    if "numerator_only" not in wired:
+        with pytest.raises(UnsupportedCase, match="wires no numerator"):
+            sys.numerator(w, pt)
+        return
+    with pytest.raises(UnsupportedCase):
+        sys.numerator(w, pt, plus=True)
+    if "ch_minus" in wired:
+        plus = sys.numerator(w, pt, modified=False, plus=True).value
+        assert cmath.isfinite(plus)
+    else:
+        with pytest.raises(UnsupportedCase):
+            sys.numerator(w, pt, modified=False, plus=True)

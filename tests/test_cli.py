@@ -27,6 +27,16 @@ class TestParsing:
         assert parse_complex(text) == want
 
 
+    @pytest.mark.parametrize("args", [
+        ("chartable", "--case", "sl21", "--k", "abc"),
+        ("eval", "phi", "--tau", "1+x"),
+    ])
+    def test_parse_error_exits_2_with_its_message(self, args, capsys):
+        assert main(list(args)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot parse") and captured.out == ""
+
+
 class TestEval:
     def test_phi_matches_library(self):
         rc, out, _ = run_cli(
@@ -145,6 +155,9 @@ class TestCharTable:
          "--variant", "ch_plus_modified"),
         # parameters for a case that takes none
         ("--case", "sl21", "--k", "1", "--params", "1,2"),
+        # a level off the case's rule
+        ("--case", "osp42", "--k", "3/2", "--labels", "0,0"),
+        ("--case", "sl21", "--k", "1/2"),
     ])
     def test_configuration_error_exits_2_before_any_row(self, args, capsys):
         assert main(["chartable", *args, "--points", "1"]) == 2

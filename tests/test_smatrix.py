@@ -128,3 +128,9 @@ def test_d21a_level_off_the_family_is_refused(k):
                  lambda: apply_tmatrix_check("d21a", k, pts, (1, 2))):
         with pytest.raises(UnsupportedCase, match="-pqn/"):
             call()
+
+
+@pytest.mark.parametrize("case,k", [("sl21", F(1, 2)), ("sl21", F(-1)), ("osp42", F(3, 2))])
+def test_level_off_the_case_rule_is_refused(case, k):
+    with pytest.raises(UnsupportedCase, match="takes no level"):
+        smatrix(case, k)
