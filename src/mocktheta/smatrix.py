@@ -76,7 +76,8 @@ def _weil(labels, N: int):
 def smatrix(case: str, k, params: tuple = None) -> SMatrix:
     k = as_fraction(k)
     if case in ("sl21", "osp42", "d21a"):  # spans of ch_tilde: the case's level rule
-        system(case, params).check_level(k)
+        sys = system(case, params)
+        sys.check_level(k)
     if case == "sl21":
         return SMatrix(
             case,
@@ -87,7 +88,6 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
             weights=(WeightSpec(k, (0,)),),
         )
     if case == "d21a":
-        sys = system("d21a", params)
         n = d21a_level(sys.p, sys.q, k)
         nus = sys.nu_range(n)
         S, T = _weil(nus, (sys.p + sys.q) * n)
