@@ -65,10 +65,11 @@ VARIANTS = (
 class CharacterSystem:
     """One wired algebra case.
 
-    A subclass declares only what is its own: ``name``, the case whose
-    preset ``preset(name, params)`` it realises; its frame (``frame_gram``,
-    the positive roots ``pos_roots`` as functionals of point.z,
-    ``_frame_to_ctx`` and ``weyl_images``); and its numerator rule.  The
+    A subclass declares only what is its own: ``name`` (and, for a
+    family, ``params``), the case whose preset ``preset(name, params)``
+    it realises; its frame (``frame_gram``, the positive roots
+    ``pos_roots`` as functionals of point.z, ``_frame_to_ctx`` and
+    ``weyl_images``); and its numerator rule.  The
     rest is read off the preset or the roots: h_dual, the lattice context
     and with it the level rule, and, with d0 even and d1 odd positive
     roots (eq 4.6), sdim = n_z + 2(d0 - d1), the eta power n_z - d0 + d1
@@ -80,13 +81,14 @@ class CharacterSystem:
     """
 
     name: str
+    params = None  # the family parameters of the preset, if any
     pos_roots: tuple  # ((coeffs, parity), ...)
     MODE = "unsigned"  # the sign mode of the lattice context
     VARIANTS = ("ch_minus_modified", "numerator_only", "denominator_only")
     SIDES = ("T",)  # the isotropic sets whose weights numerator() wires
 
-    def __init__(self, params: tuple = None):
-        self.pre = pre = preset(self.name, params)
+    def __init__(self):
+        self.pre = pre = preset(self.name, self.params)
         self.h_dual = pre.h_dual
         self.quad = gram_quad(self.frame_gram)  # callable (za, zb) -> (za|zb)
         d1 = sum(parity for _, parity in self.pos_roots)
@@ -110,8 +112,10 @@ class CharacterSystem:
         """The lattice context of the level-k numerators, at level k + h_dual."""
         return LatticeContext(self._gamma_gram, self.pre.defect, k + self.h_dual, self.MODE)
 
+    @functools.cache
     def check_level(self, k) -> None:
-        """Raise UnsupportedCase for a level the case's lattice does not take."""
+        """Raise UnsupportedCase for a level the case's lattice does not take;
+        a level that passes is remembered, so a repeat costs a lookup."""
         ctx = self.context(k)
         bad = validate_context(ctx)
         if bad:
@@ -372,7 +376,8 @@ class D21aSystem(CharacterSystem):
     def __init__(self, p: int = 1, q: int = 1):
         self.p, self.q = p, q
         self.a = F(-p, p + q)
-        super().__init__((p, q))
+        self.params = (p, q)
+        super().__init__()
 
     def functional(self, coeffs, z):
         return complex(np.asarray(coeffs, dtype=float) @ self.frame_gram @ np.asarray(z))

@@ -75,10 +75,8 @@ def _weil(labels, N: int):
 
 def smatrix(case: str, k, params: tuple = None) -> SMatrix:
     k = as_fraction(k)
-    if case in ("sl21", "osp42", "d21a"):  # spans of ch_tilde: the case's level rule
-        sys = system(case, params)
-        sys.check_level(k)
     if case == "sl21":
+        system(case, params).check_level(k)
         return SMatrix(
             case,
             k,
@@ -88,6 +86,7 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
             weights=(WeightSpec(k, (0,)),),
         )
     if case == "d21a":
+        sys = system(case, params)
         n = d21a_level(sys.p, sys.q, k)
         nus = sys.nu_range(n)
         S, T = _weil(nus, (sys.p + sys.q) * n)
@@ -103,6 +102,7 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
             weights=tuple(WeightSpec(k, (0, nu)) for nu in nus),
         )
     if case == "osp42":
+        system(case, params).check_level(k)
         kk = int(k)
         js = list(range(-kk, 3 * kk))  # complete residues mod 4k
         S, T = _weil(js, 2 * kk)

@@ -520,6 +520,25 @@ def test_derived_constants_equal_the_literals(case, params):
         assert sys.frame_gram.tolist() == [[float(x) for x in row] for row in literal]
 
 
+@pytest.mark.parametrize("case,params", [
+    ("sl21", (1,)), ("osp32", (1,)), ("osp32_sub", (0,)), ("osp42", (1, 2)), ("d21a", (1, 2, 3)),
+])
+def test_parameters_a_case_does_not_take_are_refused(case, params):
+    with pytest.raises(UnsupportedCase, match="does not take the parameters"):
+        system(case, params)
+
+
+def test_a_passing_level_is_checked_once(monkeypatch):
+    from mocktheta import characters
+
+    sys = system("osp42")
+    sys.check_level(F(5))
+    monkeypatch.setattr(characters, "validate_context", None)  # a rerun would raise
+    sys.check_level(F(5))
+    with pytest.raises(TypeError):
+        sys.check_level(F(6))
+
+
 @pytest.mark.parametrize("case,w", [
     ("osp42", WeightSpec(F(3, 2), (0, 0))),
     ("osp42", WeightSpec(F(3, 2), (0, 0), side="Tp")),

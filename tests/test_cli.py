@@ -155,6 +155,9 @@ class TestCharTable:
          "--variant", "ch_plus_modified"),
         # parameters for a case that takes none
         ("--case", "sl21", "--k", "1", "--params", "1,2"),
+        ("--case", "sl21", "--k", "1", "--params", "1"),
+        ("--case", "osp32_sub", "--k=-3/4", "--variant", "denominator_only",
+         "--params", "0"),
         # a level off the case's rule
         ("--case", "osp42", "--k", "3/2", "--labels", "0,0"),
         ("--case", "sl21", "--k", "1/2"),
