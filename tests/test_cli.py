@@ -26,7 +26,6 @@ class TestParsing:
     def test_complex(self, text, want):
         assert parse_complex(text) == want
 
-
     @pytest.mark.parametrize("args", [
         ("chartable", "--case", "sl21", "--k", "abc"),
         ("eval", "phi", "--tau", "1+x"),
