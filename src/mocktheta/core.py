@@ -5,8 +5,11 @@ summands are bounded, outside a short core of indices, by a Gaussian
 envelope exp(P - a (n - n*)^2).  ``gaussian_window`` solves that envelope
 up front for the index window outside which it stays below the policy
 target, together with the closed-form bound on the discarded tails;
-``sum_ladder`` then sums the window, so every returned value carries an
-honest ``err_bound`` and no term is evaluated past the window.
+``sum_ladder`` then sums the window, one walker call per residue class,
+so every returned value carries an honest ``err_bound`` and no term is
+evaluated past the window.  A walker sums its class in one local loop
+over ``outward``, with the summand written out inline and the overflow
+guard of ``cexp`` (``exp_overflow``) applied to each exponent.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NonConvergent
@@ -170,10 +174,15 @@ def q_pow(tau: complex, a) -> complex:
     return cmath.exp(2j * math.pi * complex(tau) * complex(a))
 
 
+def exp_overflow(w: complex) -> NonConvergent:
+    """The error for an exponent w with Re(w) above _EXP_GUARD."""
+    return NonConvergent(f"exponent overflow: Re(w) = {w.real:.3g}")
+
+
 def cexp(w: complex) -> complex:
     """exp(w) with a loud failure instead of silent overflow to inf."""
     if w.real > _EXP_GUARD:
-        raise NonConvergent(f"exponent overflow: Re(w) = {w.real:.3g}")
+        raise exp_overflow(w)
     return cmath.exp(w)
 
 
@@ -237,26 +246,26 @@ class LadderSum(NamedTuple):
         return SeriesValue(self.sums[0], self.err_bound, self.terms_used)
 
 
-def sum_ladder(term, window, period: int = 1) -> LadderSum:
+@lru_cache(maxsize=512)
+def outward(n_lo: int, n_hi: int) -> tuple:
+    """n_lo <= n <= n_hi from 0 upward, then from -1 downward: the order
+    in which a walker sums its residue class.  A few hundred windows
+    recur across evaluations, so the tuples are kept."""
+    return (*range(max(n_lo, 0), n_hi + 1), *range(min(n_hi, -1), n_lo - 1, -1))
+
+
+def sum_ladder(walk, window, period: int = 1) -> LadderSum:
     """Sum the ladder k = period * n + r over the window (lo, hi, err) of
     ``gaussian_window``, one sum per residue class r.
 
-    ``term(n, r)`` is the summand at k.  Each class is summed outward from
-    n = 0, first upward and then from n = -1 downward, clipped to the
-    window.  The tail bound ``err`` of the whole ladder bounds each
-    class's tail.
+    ``walk(r, n_lo, n_hi)`` returns the sum of class r's summands over
+    n_lo <= n <= n_hi, added to 0j one by one in the order of
+    ``outward(n_lo, n_hi)``; it is called once per class, with the
+    window clipped to the class.  The tail bound ``err`` of the whole
+    ladder bounds each class's tail.
     """
     lo, hi, err = window
-    sums = []
-    for r in range(period):
-        n_lo = -((r - lo) // period)
-        n_hi = (hi - r) // period
-        total = 0j
-        for n in range(max(n_lo, 0), n_hi + 1):
-            total += term(n, r)
-        for n in range(min(n_hi, -1), n_lo - 1, -1):
-            total += term(n, r)
-        sums.append(total)
+    sums = [walk(r, -((r - lo) // period), (hi - r) // period) for r in range(period)]
     return LadderSum(sums, err, hi - lo + 1)
 
 

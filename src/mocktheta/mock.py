@@ -12,19 +12,22 @@ in through its exponent when it grows, never divided naively.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    _EXP_GUARD,
     DEFAULT_POLICY,
     TWO_PI,
     SeriesValue,
     TruncationPolicy,
     as_fraction,
     cexp,
-    fold_pole_factor,
+    exp_overflow,
     gaussian_window,
+    outward,
     q_pow,
     sum_ladder,
 )
@@ -49,18 +52,20 @@ class MockIndex:
     sign: str = "unsigned"
 
     def __post_init__(self):
-        object.__setattr__(self, "m", as_fraction(self.m))
-        object.__setattr__(self, "s", as_fraction(self.s))
+        m = as_fraction(self.m)
+        s = as_fraction(self.s)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
         if self.sign not in SIGNS:
             raise ValueError(f"sign must be one of {sorted(SIGNS)}")
-        if self.m <= 0:
+        if m.numerator <= 0:
             raise ValueError("degree m must be positive")
+        # in lowest terms, 2x is an integer exactly when x's denominator divides 2
         if self.sign == "unsigned":
-            if self.m.denominator != 1 or self.s.denominator != 1:
+            if m.denominator != 1 or s.denominator != 1:
                 raise ValueError("unsigned index needs integer m and s")
-        else:
-            if (2 * self.m).denominator != 1 or (2 * self.s).denominator != 1:
-                raise ValueError("signed index needs half-integer m and s")
+        elif 2 % m.denominator or 2 % s.denominator:
+            raise ValueError("signed index needs half-integer m and s")
 
     @property
     def sign_value(self) -> int:
@@ -80,11 +85,18 @@ def distance_to_lattice(z: complex, tau: complex) -> float:
     n_tau = round(z.imag / tau.imag)
     w = z - n_tau * tau
     w -= round(w.real)
-    # neighbours in case the rounding was marginal
     best = abs(w)
+    # Any other lattice point lies at least min(Im tau, 1) away from this
+    # one, so below 0.4 of that no neighbour comes nearer than w does.
+    if best < 0.4 * min(tau.imag, 1.0):
+        return best
+    # neighbours in case the rounding was marginal
     for dn in (-1, 0, 1):
+        shifted = z - (n_tau + dn) * tau
         for dm in (-1, 0, 1):
-            best = min(best, abs(z - (n_tau + dn) * tau - (round(w.real) + dm)))
+            d = abs(shifted - dm)
+            if d < best:
+                best = d
     return best
 
 
@@ -105,7 +117,7 @@ def phi(
 
 
 def _phi_window(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy):
-    """(term, window) of the Phi ladder at a checked point off the poles."""
+    """(walk, window) of the Phi ladder at a checked point off the poles."""
     m = float(idx.m)
     s = float(idx.s)
     sgn = idx.sign_value
@@ -126,17 +138,30 @@ def _phi_window(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy):
         a * nstar * nstar - TWO_PI * s * z1.imag + _LOG2, a, nstar, policy, core
     )
 
-    def term(n: int, _r: int) -> complex:
-        w, den = fold_pole_factor(
-            _2PI_I * (m * n * (z1 + z2) + s * z1 + tau * (m * n * n + s * n)),
-            _2PI_I * (z1 + n * tau),
-        )
-        val = cexp(w) / den
-        if sgn == -1 and n % 2:
-            val = -val
-        return val
+    u = z1 + z2
+    sz1 = s * z1
+    exp = cmath.exp
 
-    return term, window
+    def walk(_r: int, n_lo: int, n_hi: int) -> complex:
+        total = 0j
+        for n in outward(n_lo, n_hi):
+            w = _2PI_I * (m * n * u + sz1 + tau * (m * n * n + s * n))
+            d = _2PI_I * (z1 + n * tau)
+            # e^w / (1 - e^d), with e^-d folded into e^w once e^d is large
+            if d.real > 40.0:
+                w = w - d
+                den = -(1.0 - exp(-d))
+            else:
+                den = 1.0 - exp(d)
+            if w.real > _EXP_GUARD:
+                raise exp_overflow(w)
+            if sgn == -1 and n % 2:
+                total -= exp(w) / den
+            else:
+                total += exp(w) / den
+        return total
+
+    return walk, window
 
 
 def phi_shift_residual_a(

@@ -12,24 +12,27 @@ underflow the weight long before their product leaves double range.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .core import (
+    _EXP_GUARD,
     DEFAULT_POLICY,
     TWO_PI,
     SeriesValue,
     TruncationPolicy,
     as_fraction,
-    cexp,
+    exp_overflow,
     gauss_E_complement,
     gauss_E_complement_scaled,
     gaussian_window,
+    outward,
     sum_ladder,
 )
 from .mock import MockIndex, phi
 from .theta import _theta_window
 
-_I_PI = 1j * math.pi
+_NEG_I_PI = -(1j * math.pi)
 _2PI_I = 2j * math.pi
 
 # Beyond this the sigmoid weight is a pure Gaussian complement and must be
@@ -51,7 +54,7 @@ def _r_ladder(
 
 
 def _r_window(sign, js, m: float, tau: complex, z: complex, policy):
-    """(term, window) of the R ladders n = js[r] + 2 m l, 0 <= r < p, as
+    """(walk, window) of the R ladders n = js[r] + 2 m l, 0 <= r < p, as
     the residue classes r mod p of one ladder in k = p l + r.
 
     The offsets must step by 2m/p, js[r] = js[0] + 2 m r / p, so that
@@ -78,26 +81,37 @@ def _r_window(sign, js, m: float, tau: complex, z: complex, policy):
         (min(0, math.floor(kstar)), max(0, math.ceil(kstar))),
     )
 
-    def term(ell: int, r: int) -> complex:
-        n = js[r] + step * ell
-        sign_step = 1.0 if ell >= 0 else -1.0
-        psi = (n - centre) * scale
-        w_exp = -_I_PI * n * n * tau / (2.0 * m) + _2PI_I * n * z
-        # sign_step - E(psi) == sign_step * erfc(sqrt(pi) sign_step psi),
-        # which keeps full relative accuracy where the weight is tiny but
-        # the phase factor is exponentially large.
-        sp = sign_step * psi
-        if sp >= _PSI_SWITCH:
-            weight = sign_step * gauss_E_complement_scaled(sp)
-            val = weight * cexp(w_exp - math.pi * psi * psi)
-        else:
-            weight = sign_step * gauss_E_complement(sp)
-            val = weight * cexp(w_exp)
-        if sign == -1 and ell % 2:
-            val = -val
-        return val
+    two_m = 2.0 * m
+    comp = gauss_E_complement
+    comp_scaled = gauss_E_complement_scaled
+    exp = cmath.exp
 
-    return term, window
+    def walk(r: int, l_lo: int, l_hi: int) -> complex:
+        j = js[r]
+        total = 0j
+        for ell in outward(l_lo, l_hi):
+            n = j + step * ell
+            sign_step = 1.0 if ell >= 0 else -1.0
+            psi = (n - centre) * scale
+            w = _NEG_I_PI * n * n * tau / two_m + _2PI_I * n * z
+            # sign_step - E(psi) == sign_step * erfc(sqrt(pi) sign_step psi),
+            # which keeps full relative accuracy where the weight is tiny but
+            # the phase factor is exponentially large.
+            sp = sign_step * psi
+            if sp >= _PSI_SWITCH:
+                weight = sign_step * comp_scaled(sp)
+                w = w - math.pi * psi * psi
+            else:
+                weight = sign_step * comp(sp)
+            if w.real > _EXP_GUARD:
+                raise exp_overflow(w)
+            if sign == -1 and ell % 2:
+                total -= weight * exp(w)
+            else:
+                total += weight * exp(w)
+        return total
+
+    return walk, window
 
 
 def r_jm(
@@ -110,6 +124,8 @@ def r_jm(
     """R_{j,m}(tau, z) for integer j and positive integer m."""
     if m < 1:
         raise ValueError("r_jm needs a positive integer m")
+    if j % 1 or m % 1:
+        raise ValueError("r_jm needs integer j and m")
     return _r_ladder(1, float(j), float(m), tau, z, policy)
 
 
@@ -126,11 +142,14 @@ def r_jm_signed(
         raise ValueError("sign must be +1 or -1")
     jf = as_fraction(j)
     mf = as_fraction(m)
-    if mf <= 0 or (2 * mf).denominator != 1:
+    # in lowest terms, 2x is an integer exactly when x's denominator divides 2
+    if mf.numerator <= 0 or 2 % mf.denominator:
         raise ValueError("m must lie in (1/2)Z_{>0}")
-    if (2 * jf).denominator != 1:
+    if 2 % jf.denominator:
         raise ValueError("j must lie in (1/2)Z")
-    return _r_ladder(sign, float(jf), float(mf), tau, z, policy)
+    # int / int rounds once, exactly as float(Fraction) does
+    jv = jf.numerator / jf.denominator
+    return _r_ladder(sign, jv, mf.numerator / mf.denominator, tau, z, policy)
 
 
 def phi_add(
@@ -162,7 +181,7 @@ def phi_add(
 
 
 def _phi_add_walks(idx: MockIndex, tau: complex, z1, z2, policy):
-    """The (term, window) pairs of phi_add's R and Theta walks, and their
+    """The (walk, window) pairs of phi_add's R and Theta walks, and their
     period 2m: class r of each walk is j = s + r."""
     z1 = complex(z1)
     z2 = complex(z2)

@@ -39,6 +39,7 @@ class SMatrix:
     conjectural: bool = False
     note: str = ""
     weights: tuple = ()  # the WeightSpec of each row whose function is ch_tilde
+    gram: tuple = ()  # diagonal of the basis Gram G; empty is the identity
 
     @property
     def t_phases(self):
@@ -46,8 +47,11 @@ class SMatrix:
         return np.diag(self.t_matrix)
 
     def unitarity_defect(self) -> float:
+        """max |S G^-1 S^+ - G^-1|, zero exactly when S^+ G S = G: S is
+        unitary in the basis Gram G."""
         m = self.entries
-        return float(np.abs(m @ m.conj().T - np.eye(len(self.labels))).max())
+        g_inv = np.diag(1.0 / np.array(self.gram)) if self.gram else np.eye(len(self.labels))
+        return float(np.abs(m @ g_inv @ m.conj().T - g_inv).max())
 
     def to_rows(self):
         out = []
@@ -158,6 +162,9 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
                 [[0, c, 0], [c, 0, 0], [0, 0, lam]], dtype=complex
             )
             labels = ("sum01", "diff01", "twisted")
+            # the closed forms are not normalized: S is unitary in the
+            # Gram diag(1, 1, 2), S^+ G S = G
+            gram = (1.0, 1.0, 2.0)
         else:
             S = np.zeros((4, 4), dtype=complex)
             S[0, 0] = 1.0
@@ -176,7 +183,8 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
                 dtype=complex,
             )
             labels = ("sum01", "diff01", "twisted", "diff_top")
-        return SMatrix("osp_level1", F(1), labels, S, T)
+            gram = ()
+        return SMatrix("osp_level1", F(1), labels, S, T, gram=gram)
     raise UnsupportedCase(case)
 
 

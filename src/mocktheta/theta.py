@@ -21,6 +21,7 @@ bound of every positive definite lattice sum, here and in ``lattice``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    _EXP_GUARD,
     _WINDOW_MARGIN,
     DEFAULT_POLICY,
     TWO_PI,
@@ -35,7 +37,9 @@ from .core import (
     TruncationPolicy,
     as_fraction,
     cexp,
+    exp_overflow,
     gaussian_window,
+    outward,
     sum_ladder,
 )
 from .errors import NonConvergent, NotPositiveDefinite
@@ -92,6 +96,8 @@ def theta_jm(
     """Rank-1 theta sum_n e^(2 pi i m z (n + j/2m)) q^(m (n + j/2m)^2)."""
     if m < 1:
         raise ValueError("theta_jm needs m >= 1")
+    if j % 1 or m % 1:
+        raise ValueError("theta_jm needs integer j and m")
     tau = policy.require_tau(tau)
     return _theta_ladder(1, j / (2.0 * m), float(m), tau, complex(z), policy)
 
@@ -109,12 +115,17 @@ def theta_jm_signed(
         raise ValueError("sign must be +1 or -1")
     mf = as_fraction(m)
     jf = as_fraction(j)
-    if mf <= 0 or (4 * mf).denominator != 1:
+    # in lowest terms, 4m is an integer exactly when m's denominator divides 4
+    mn, md = mf.numerator, mf.denominator
+    jn, jd = jf.numerator, jf.denominator
+    if mn <= 0 or 4 % md:
         raise ValueError("degree m must lie in (1/4)Z_{>0}")
-    if (2 * jf).denominator != 1:
+    if 2 % jd:
         raise ValueError("index j must lie in (1/2)Z")
     tau = policy.require_tau(tau)
-    return _theta_ladder(sign, float(jf / (2 * mf)), float(mf), tau, complex(z), policy)
+    # int / int rounds once, exactly as float(Fraction) does
+    c0 = jn * md / (2 * mn * jd)
+    return _theta_ladder(sign, c0, mn / md, tau, complex(z), policy)
 
 
 def _theta_ladder(
@@ -126,7 +137,7 @@ def _theta_ladder(
 
 
 def _theta_window(sign, c0s, m: float, tau: complex, z: complex, policy):
-    """(term, window) of the theta ladders c = n + c0s[r], 0 <= r < p, as
+    """(walk, window) of the theta ladders c = n + c0s[r], 0 <= r < p, as
     the residue classes r mod p of one ladder in k = p n + r.
 
     The offsets must step by 1/p, c0s[r] = c0s[0] + r/p, so c = c0s[0] + k/p.
@@ -140,14 +151,25 @@ def _theta_window(sign, c0s, m: float, tau: complex, z: complex, policy):
     a = TWO_PI * m * y
     window = gaussian_window(a * cstar * cstar, a / (p * p), p * (cstar - c0s[0]), policy)
 
-    def term(n: int, r: int) -> complex:
-        c = n + c0s[r]
-        val = cexp(_2PI_I * (m * z * c + tau * m * c * c))
-        if sign == -1 and n % 2:
-            val = -val
-        return val
+    mz = m * z
+    mtau = tau * m
+    exp = cmath.exp
 
-    return term, window
+    def walk(r: int, n_lo: int, n_hi: int) -> complex:
+        c0 = c0s[r]
+        total = 0j
+        for n in outward(n_lo, n_hi):
+            c = n + c0
+            w = _2PI_I * (mz * c + mtau * c * c)
+            if w.real > _EXP_GUARD:
+                raise exp_overflow(w)
+            if sign == -1 and n % 2:
+                total -= exp(w)
+            else:
+                total += exp(w)
+        return total
+
+    return walk, window
 
 
 @dataclass(frozen=True)

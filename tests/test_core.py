@@ -14,6 +14,7 @@ from mocktheta.core import (
     gauss_E_complement,
     gauss_E_complement_scaled,
     gaussian_window,
+    outward,
     q_pow,
     sum_ladder,
 )
@@ -172,12 +173,24 @@ class TestQPow:
             assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
 
 
+def _walker(term):
+    """The walker of the period-1 ladder with summand term(n)."""
+
+    def walk(r, n_lo, n_hi):
+        total = 0j
+        for n in outward(n_lo, n_hi):
+            total += term(n)
+        return total
+
+    return walk
+
+
 class TestSumLadder:
     def test_gaussian(self):
         # e^(-pi n^2) is its own envelope: log_peak 0, a = pi, centre 0
         policy = TruncationPolicy()
         window = gaussian_window(0.0, math.pi, 0.0, policy)
-        out = sum_ladder(lambda n, r: cmath.exp(-math.pi * n * n), window).series()
+        out = sum_ladder(_walker(lambda n: cmath.exp(-math.pi * n * n)), window).series()
         brute = sum(cmath.exp(-math.pi * n * n) for n in range(-40, 41))
         assert abs(out.value - brute) < 1e-14
         assert out.err_bound < policy.abs_tol
@@ -189,7 +202,7 @@ class TestSumLadder:
         window = gaussian_window(0.0, 0.3, 9.0, policy)
         lo, hi, _ = window
         assert lo < 9 < hi
-        out = sum_ladder(lambda n, r: cmath.exp(-0.3 * (n - 9) ** 2), window).series()
+        out = sum_ladder(_walker(lambda n: cmath.exp(-0.3 * (n - 9) ** 2)), window).series()
         brute = sum(cmath.exp(-0.3 * (n - 9) ** 2) for n in range(-60, 80))
         assert abs(out.value - brute) < 1e-12
 
@@ -205,8 +218,21 @@ class TestSumLadder:
     def test_zero_direction(self):
         policy = TruncationPolicy()
         window = gaussian_window(0.0, 1.0, 0.0, policy)
-        out = sum_ladder(lambda n, r: 1.0 + 0j if n == 0 else 0j, window).series()
+        out = sum_ladder(_walker(lambda n: 1.0 + 0j if n == 0 else 0j), window).series()
         assert out.value == 1.0
+
+    def test_one_walk_per_class(self):
+        # k = 3 n + r over -7 <= k <= 8: each class once, clipped to the window
+        calls = []
+        out = sum_ladder(lambda r, lo, hi: calls.append((r, lo, hi)) or 0j, (-7, 8, 0.0), 3)
+        assert calls == [(0, -2, 2), (1, -2, 2), (2, -3, 2)]
+        assert out.terms_used == 16
+
+    def test_outward_order(self):
+        assert outward(-3, 2) == (0, 1, 2, -1, -2, -3)
+        assert outward(2, 4) == (2, 3, 4)
+        assert outward(-4, -2) == (-2, -3, -4)
+        assert outward(3, 2) == ()
 
 
 class TestSeriesValue:

@@ -87,6 +87,17 @@ class TestRSeries:
         with pytest.raises(ValueError):
             r_jm_signed(-1, F(1, 3), F(1, 2), TAU, 0.1)
 
+    @pytest.mark.parametrize("j,m", [(0, 1.5), (0.5, 1), (F(1, 2), 2), (1, F(5, 2))])
+    def test_non_integer_index_refused(self, j, m):
+        # r_jm(0, 1.5, ...) used to return the plus-signed R^+_{0,3/2}
+        with pytest.raises(ValueError, match="r_jm needs integer j and m"):
+            r_jm(j, m, TAU, 0.1)
+
+    def test_integral_values_of_any_type_accepted(self):
+        want = r_jm(1, 2, TAU, 0.1).value
+        assert r_jm(F(1), F(2), TAU, 0.1).value == want
+        assert r_jm(1.0, 2.0, TAU, 0.1).value == want
+
 
 class TestPhiAdd:
     def test_two_term_unroll(self):

@@ -52,6 +52,21 @@ class TestBuilders:
             rhs = S @ S
             assert np.abs(lhs - rhs).max() < 1e-12, (M, N)
 
+    @pytest.mark.parametrize("M,N", [(3, 2), (5, 2), (3, 4)])
+    def test_level1_odd_unitary_in_its_gram(self, M, N):
+        # the closed forms are not normalized: S^+ G S = G with G = diag(1, 1, 2)
+        sm = smatrix("osp_level1", 1, (M, N))
+        S, G = sm.entries, np.diag([1.0, 1.0, 2.0])
+        assert np.abs(S.conj().T @ G @ S - G).max() < 1e-12
+        assert sm.unitarity_defect() < 1e-12
+        assert abs(S[1, 2]) == pytest.approx(2**0.5)  # the pinned entries stay
+        zs = [0.21 + 0.013 * i for i in range(M // 2)] + [0.37 - 0.02 * j for j in range(N // 2)]
+        pts = [ModularPoint(TAU, tuple(zs), 0.05)]
+        check = apply_smatrix_check("osp_level1", 1, pts, (M, N))
+        assert check["unitarity_defect"] < 1e-12
+        assert check["max_residual"] < 1e-9
+        assert apply_tmatrix_check("osp_level1", 1, pts, (M, N))["max_residual"] < 1e-9
+
     def test_rows_export(self):
         rows = smatrix("d21a", F(-1, 2), (1, 1)).to_rows()
         assert len(rows) == 16

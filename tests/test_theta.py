@@ -122,6 +122,16 @@ class TestThetaJM:
         with pytest.raises(ValueError):
             theta_jm_signed(2, 0, 1, 1j, 0.1)
 
+    @pytest.mark.parametrize("j,m", [(0.5, 1), (0, 1.5), (F(1, 2), 2), (1, F(5, 2)), (1, 2.5)])
+    def test_non_integer_index_refused(self, j, m):
+        with pytest.raises(ValueError, match="theta_jm needs integer j and m"):
+            theta_jm(j, m, 1j, 0.1)
+
+    def test_integral_values_of_any_type_accepted(self):
+        want = theta_jm(1, 2, 1j, 0.1).value
+        assert theta_jm(F(1), F(2), 1j, 0.1).value == want
+        assert theta_jm(1.0, 2.0, 1j, 0.1).value == want
+
 
 class TestSignCharacter:
     def test_homomorphism(self, rng):
