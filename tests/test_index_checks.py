@@ -46,8 +46,9 @@ def _index(m, s, sign):
     return idx.m, idx.s
 
 
-def _bits(x):
-    return x if isinstance(x, tuple) else tuple(v.hex() for v in x)
+def _bits(outcome):
+    """An outcome with its floats as their exact bits."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in outcome)
 
 
 def ref_index(m, s, sign):
