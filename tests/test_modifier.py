@@ -89,7 +89,6 @@ class TestRSeries:
 
     @pytest.mark.parametrize("j,m", [(0, 1.5), (0.5, 1), (F(1, 2), 2), (1, F(5, 2))])
     def test_non_integer_index_refused(self, j, m):
-        # r_jm(0, 1.5, ...) used to return the plus-signed R^+_{0,3/2}
         with pytest.raises(ValueError, match="r_jm needs integer j and m"):
             r_jm(j, m, TAU, 0.1)
 
