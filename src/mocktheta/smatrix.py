@@ -50,7 +50,9 @@ class SMatrix:
         """max |S G^-1 S^+ - G^-1|, zero exactly when S^+ G S = G: S is
         unitary in the basis Gram G."""
         m = self.entries
-        g_inv = np.diag(1.0 / np.array(self.gram)) if self.gram else np.eye(len(self.labels))
+        if not self.gram:
+            return float(np.abs(m @ m.conj().T - np.eye(len(self.labels))).max())
+        g_inv = np.diag(1.0 / np.array(self.gram))
         return float(np.abs(m @ g_inv @ m.conj().T - g_inv).max())
 
     def to_rows(self):
@@ -164,7 +166,7 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
             labels = ("sum01", "diff01", "twisted")
             # the closed forms are not normalized: S is unitary in the
             # Gram diag(1, 1, 2), S^+ G S = G
-            gram = (1.0, 1.0, 2.0)
+            return SMatrix("osp_level1", F(1), labels, S, T, gram=(1.0, 1.0, 2.0))
         else:
             S = np.zeros((4, 4), dtype=complex)
             S[0, 0] = 1.0
@@ -183,8 +185,7 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
                 dtype=complex,
             )
             labels = ("sum01", "diff01", "twisted", "diff_top")
-            gram = ()
-        return SMatrix("osp_level1", F(1), labels, S, T, gram=gram)
+        return SMatrix("osp_level1", F(1), labels, S, T)
     raise UnsupportedCase(case)
 
 

@@ -1,21 +1,22 @@
 """Run the benchmark on two commits in alternating pairs; write the record.
 
     python3 tools/bench_pairs.py --parent REV [--change HEAD] --out BENCH_n.json
-        [--workloads rank1_grid,...] [--pairs 10] [--seconds S]
 
 Both commits are exported with ``git archive`` into fresh temporary
 directories, so each side runs its committed files only.  For every
-workload and every seed 0 .. pairs-1 it runs, in each directory,
+workload of ``BENCHMARK.json`` and every seed 0 .. PAIRS-1 it runs, in
+each directory,
 
     python3 bench/run.py --workload W --seed N --seconds S --trace 0
 
-parent first on even seeds and change first on odd ones, so drifts of the
-host's speed fall on both sides alike.  The output file records, per
-workload and end-to-end metric, the per-pair values, each side's median
-and quartile spread (q3 - q1) / median, with quartiles as
+with S the ``run_seconds`` of ``BENCHMARK.json``, parent first on even
+seeds and change first on odd ones, so drifts of the host's speed fall
+on both sides alike.  The output file records, per workload and
+end-to-end metric, the per-pair values, each side's median and quartile
+spread (q3 - q1) / median, with quartiles as
 ``statistics.quantiles(values, n=4)`` gives them, the median change and
-the number of pairs the change won.  The file is rewritten after every
-pair; workloads already in it and not run again are kept.
+the number of pairs the change won.  It holds this one run of both
+commits only: it is written afresh, and rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
 
 
 def git(*args):
@@ -99,36 +101,31 @@ def main(argv=None):
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = ap.parse_args(argv)
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    doc = {"workloads": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    doc.update({
+    doc = {
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", args.change),
         "command": "python3 bench/run.py --workload W --seed N --seconds S --trace 0",
-        "seconds": args.seconds,
+        "seconds": seconds,
         "order": "parent first on even seeds, change first on odd seeds",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "platform": platform.platform(), "python": platform.python_version()},
         "date": datetime.date.today().isoformat(),
-    })
+        "workloads": {},
+    }
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: export(rev, os.path.join(tmp, side))
                  for side, rev in (("parent", args.parent), ("change", args.change))}
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
-            for seed in range(args.pairs):
+            for seed in range(PAIRS):
                 order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed}
                 for side in order:
-                    pair[side] = run(trees[side], workload, seed, args.seconds)
+                    pair[side] = run(trees[side], workload, seed, seconds)
                 pairs.append(pair)
                 print(workload, seed, {side: round(pair[side]["metrics"]["ops_per_s"]["value"], 3)
                                        for side in ("parent", "change")}, flush=True)
