@@ -24,14 +24,13 @@ from .core import (
     SeriesValue,
     TruncationPolicy,
     as_fraction,
-    cexp,
     exp_overflow,
     gaussian_window,
     outward,
-    q_pow,
     sum_ladder,
 )
 from .errors import PoleAtZ1
+from .modular import LAWS
 from .theta import _theta_ladder
 
 _2PI_I = 2j * math.pi
@@ -81,22 +80,15 @@ class MockIndex:
 
 
 def distance_to_lattice(z: complex, tau: complex) -> float:
-    """Approximate distance from z to Z + Z tau (exact enough near zero)."""
-    n_tau = round(z.imag / tau.imag)
-    w = z - n_tau * tau
-    w -= round(w.real)
-    best = abs(w)
-    # Any other lattice point lies at least min(Im tau, 1) away from this
-    # one, so below 0.4 of that no neighbour comes nearer than w does.
-    if best < 0.4 * min(tau.imag, 1.0):
-        return best
-    # neighbours in case the rounding was marginal
-    for dn in (-1, 0, 1):
-        shifted = z - (n_tau + dn) * tau
-        for dm in (-1, 0, 1):
-            d = abs(shifted - dm)
-            if d < best:
-                best = d
+    """Distance from z to Z + Z tau: the nearest point of each row n tau + Z,
+    outward from the row nearest z while a row can still come nearer."""
+    best = math.inf
+    n0 = round(z.imag / tau.imag)
+    for n, step in ((n0, 1), (n0 - 1, -1)):
+        while abs(z.imag - n * tau.imag) < best:
+            w = z - n * tau
+            best = min(best, abs(w - round(w.real)))
+            n += step
     return best
 
 
@@ -171,32 +163,16 @@ def phi_shift_residual_a(
     z2: complex,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
-    """LHS - RHS of the z2 -> z2 + 2 tau shift identity.
-
-    Phi(tau,z1,z2) - e^(4 pi i m z1) Phi(tau,z1,z2+2tau)
-        = sum_(0<=kk<2m) e^(pi i (kk+s)(z1-z2)) q^(-(kk+s)^2/4m)
-          Theta^(sign)_(kk+s, m)(tau, z1+z2)
-    """
+    """LHS - RHS of lemma 2.3 (a), ``modular.LAWS["phi", "window"]`` at z2 -> z2 + 2 tau:
+    Phi(z) - e^(4 pi i m z1) Phi(z1, z2 + 2 tau) less its theta window."""
     tau = policy.require_tau(tau)
     if abs(complex(z2).imag) > 4.0 * tau.imag:
         raise ValueError("Im z2 too large for the shifted evaluation")
-    m = idx.m
-    s = idx.s
-    lhs_a = phi(idx, tau, z1, z2, policy)
-    lhs_b = phi(idx, tau, z1, z2 + 2 * tau, policy)
-    shift_factor = cexp(_2PI_I * 2 * float(m) * z1)
-    total = lhs_a - shift_factor * lhs_b
-    two_m = int(2 * m) if (2 * m).denominator == 1 else None
-    if two_m is None:
-        raise ValueError("2m must be an integer for the shift identity window")
+    law = LAWS["phi", "window"](idx, tau, (z1, z2), 0, 2)
+    total = phi(idx, tau, z1, z2, policy) - law.prefactor * phi(idx, tau, z1, z2 + 2 * tau, policy)
     u = complex(z1 + z2)
-    for kk in range(two_m):
-        c = float(kk + s)
-        pref = cexp(1j * math.pi * c * (z1 - z2)) * q_pow(tau, -c * c / (4 * float(m)))
-        th = _theta_ladder(
-            idx.sign_value, float((kk + s) / (2 * m)), float(m), tau, u, policy
-        )
-        total = total - pref * th
+    for phase, (sign, j, m) in law.terms:
+        total = total - phase * _theta_ladder(sign, float(j / (2 * m)), float(m), tau, u, policy)
     return total
 
 
@@ -208,16 +184,14 @@ def phi_elliptic_residual(
     z2: complex,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
-    """Residual of Phi(tau, z1 + j tau, z2 + j tau) against its elliptic law."""
+    """Residual of Phi(tau, z1 + j tau, z2 + j tau) against its elliptic law,
+    ``modular.LAWS["phi", "tau"]`` at (a, b) = (j, j)."""
     if abs(j) > 3:
         raise ValueError("|j| <= 3 keeps the shifted series in safe range")
     tau = policy.require_tau(tau)
     if j == 0:
         return SeriesValue(0.0, 0.0, 0)
-    m = float(idx.m)
+    law = LAWS["phi", "tau"](idx, tau, (z1, z2), j, j)
+    ((_, target),) = law.terms
     shifted = phi(idx, tau, z1 + j * tau, z2 + j * tau, policy)
-    base = phi(idx, tau, z1, z2, policy)
-    pref = cexp(-_2PI_I * j * m * (z1 + z2)) * q_pow(tau, -m * j * j)
-    if idx.sign == "minus" and j % 2:
-        pref = -pref
-    return shifted - pref * base
+    return shifted - law.prefactor * phi(target, tau, z1, z2, policy)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -30,13 +31,36 @@ from .lattice import (
 )
 from .mock import MockIndex, phi, phi_elliptic_residual, phi_shift_residual_a
 from .modifier import phi_tilde, r_jm, r_jm_signed
-from .modular import S, T, act, check_pair, check_residual, gram_quad, verify_law
+from .modular import LAWS, S, T, act, check_pair, check_residual, gram_quad, verify_law
 from .smatrix import apply_smatrix_check, apply_tmatrix_check, smatrix
 from .superalg import WeightSpec, enumerate_omega, preset
 from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
 F = Fraction
 PI = math.pi
+
+
+def _other_side(law, value):
+    """The other side of a ``modular.LAWS`` law, value(target) f at a target."""
+    return law.prefactor * sum(phase * value(target) for phase, target in law.terms)
+
+
+def _law_checks(checks, f, family, point, policy):
+    """(check, value) at a point (tau, z1, z2): value(idx) is f there, once per
+    index; check(label, move, idx, *args) appends f[idx] at the moved point
+    against the other side of its law, and returns f[idx] there."""
+    tau, z1, z2 = point
+    value = cache(lambda idx: f(idx, tau, z1, z2, policy).value)
+
+    def check(label, move, idx, *args):
+        w = tau if move == "tau" else 1
+        moved = {"S": (-1 / tau, z1 / tau, z2 / tau), "T": (tau + 1, z1, z2)}.get(move)
+        lhs = f(idx, *(moved or (tau, z1 + args[0] * w, z2 + args[1] * w)), policy).value
+        rhs = _other_side(LAWS[family, move](idx, tau, (z1, z2), *args), value)
+        checks.append(check_pair(label, lhs, rhs, tau))
+        return lhs
+
+    return check, value
 
 
 def _points(seed, n, im=(0.8, 2.0)):
@@ -60,32 +84,27 @@ def suite_thm11a(seed=11, tol=1e-8, n_points=10, policy=DEFAULT_POLICY, m=None):
     checks = []
     degrees = (1, 2) if m is None else (int(m),)
     for tau, z1, z2 in _points(seed, n_points):
+        check, value = _law_checks(checks, phi_tilde, "phi~", (tau, z1, z2), policy)
         for m in degrees:
             for s, s1 in ((0, 0), (0, 1), (1, 0)):
-                lhs = phi_tilde(MockIndex(m, s), -1 / tau, z1 / tau, z2 / tau, policy).value
-                pref = tau * cmath.exp(2j * PI * m * z1 * z2 / tau)
-                rhs = pref * phi_tilde(MockIndex(m, s1), tau, z1, z2, policy).value
+                idx = MockIndex(m, s)
+                lhs = phi_tilde(idx, -1 / tau, z1 / tau, z2 / tau, policy).value
+                # Phi~ is 1-periodic in s (cor1.2): s1 is the target's representative
+                law = LAWS["phi~", "S"](idx, tau, (z1, z2))
+                rhs = _other_side(law, lambda t: value(t.with_s(s1)))
                 checks.append(check_pair(f"S m={m} s={s} s1={s1}", lhs, rhs, tau))
-            lhs = phi_tilde(MockIndex(m, 0), tau + 1, z1, z2, policy).value
-            rhs = phi_tilde(MockIndex(m, 0), tau, z1, z2, policy).value
-            checks.append(check_pair(f"T m={m}", lhs, rhs, tau))
+            check(f"T m={m}", "T", MockIndex(m, 0))
     return verify_law(tol, checks)
 
 
 def suite_thm11b(seed=12, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for pt in _points(seed, n_points):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", pt, policy)
         for m in (1, 2):
-            idx = MockIndex(m, 0)
-            base = phi_tilde(idx, tau, z1, z2, policy).value
             for a, b in ((0, 1), (1, 0), (1, 1), (-1, 1), (0, -1)):
-                lhs = phi_tilde(idx, tau, z1 + a * tau, z2 + b * tau, policy).value
-                pref = cmath.exp(-2j * PI * m * (b * z1 + a * z2)) * cmath.exp(
-                    -2j * PI * tau * m * a * b
-                )
-                checks.append(check_pair(f"tau-shift m={m} a={a} b={b}", lhs, pref * base, tau))
-                lhs = phi_tilde(idx, tau, z1 + a, z2 + b, policy).value
-                checks.append(check_pair(f"int-shift m={m} a={a} b={b}", lhs, base, tau))
+                check(f"tau-shift m={m} a={a} b={b}", "tau", MockIndex(m, 0), a, b)
+                check(f"int-shift m={m} a={a} b={b}", "int", MockIndex(m, 0), a, b)
     return verify_law(tol, checks)
 
 
@@ -101,42 +120,26 @@ def suite_cor12(seed=13, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
 
 def suite_thm13a(seed=14, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
     checks = []
-    pairings = [
-        ("plus", 0, "plus", 1),
-        ("minus", 0, "plus", F(1, 2)),
-        ("plus", F(1, 2), "minus", 0),
-        ("minus", F(1, 2), "minus", F(3, 2)),
-    ]
     for tau, z1, z2 in _points(seed, n_points):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", (tau, z1, z2), policy)
         for m in (F(1, 2), F(1)):
-            for sgn_l, s_l, sgn_r, s_r in pairings:
-                lhs = phi_tilde(
-                    MockIndex(m, s_l, sgn_l), -1 / tau, z1 / tau, z2 / tau, policy
-                ).value
-                pref = tau * cmath.exp(2j * PI * float(m) * z1 * z2 / tau)
-                rhs = pref * phi_tilde(MockIndex(m, s_r, sgn_r), tau, z1, z2, policy).value
-                checks.append(
-                    check_pair(f"S m={m} {sgn_l}[{s_l}] -> {sgn_r}[{s_r}]", lhs, rhs, tau)
-                )
+            for sgn, s in (("plus", 0), ("minus", 0), ("plus", F(1, 2)), ("minus", F(1, 2))):
+                idx = MockIndex(m, s, sgn)
+                ((_, to),) = LAWS["phi~", "S"](idx, tau, (z1, z2)).terms
+                check(f"S m={m} {sgn}[{s}] -> {to.sign}[{to.s}]", "S", idx)
     return verify_law(tol, checks)
 
 
 def suite_thm13b(seed=15, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for pt in _points(seed, n_points):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", pt, policy)
         for m in (F(1, 2), F(1)):
-            # m + s integral: fixed by T
-            s = F(1, 2) if m == F(1, 2) else F(1)
-            for sgn in ("plus", "minus"):
-                lhs = phi_tilde(MockIndex(m, s, sgn), tau + 1, z1, z2, policy).value
-                rhs = phi_tilde(MockIndex(m, s, sgn), tau, z1, z2, policy).value
-                checks.append(check_pair(f"T-fix m={m} {sgn}[{s}]", lhs, rhs, tau))
-            # m + s' half-integral: sign label swaps
-            sp = F(0) if m == F(1, 2) else F(1, 2)
-            for sgn, other in (("plus", "minus"), ("minus", "plus")):
-                lhs = phi_tilde(MockIndex(m, sp, sgn), tau + 1, z1, z2, policy).value
-                rhs = phi_tilde(MockIndex(m, sp, other), tau, z1, z2, policy).value
-                checks.append(check_pair(f"T-swap m={m} {sgn}[{sp}]", lhs, rhs, tau))
+            # m + s integral: fixed by T; m + s half-integral: sign label swaps
+            fixed, swapped = (F(1, 2), F(0)) if m == F(1, 2) else (F(1), F(1, 2))
+            for kind, s in (("T-fix", fixed), ("T-swap", swapped)):
+                for sgn in ("plus", "minus"):
+                    check(f"{kind} m={m} {sgn}[{s}]", "T", MockIndex(m, s, sgn))
     notes = (
         "the m+s integral case is plain T-invariance; a variant with an "
         "extra half shift in the label would contradict the integer "
@@ -147,67 +150,29 @@ def suite_thm13b(seed=15, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
 
 def suite_thm13c(seed=16, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for pt in _points(seed, n_points):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", pt, policy)
         for m in (F(1, 2), F(1)):
+            shifts = ((1, 1), (1, -1), (2, 0)) if m == F(1, 2) else ((1, 0), (1, 1), (0, 1))
             for s in (F(0), F(1, 2)):
                 for sgn in ("plus", "minus"):
                     idx = MockIndex(m, s, sgn)
-                    base = phi_tilde(idx, tau, z1, z2, policy).value
-                    for a, b in ((1, 1), (1, -1), (2, 0)) if m == F(1, 2) else (
-                        (1, 0),
-                        (1, 1),
-                        (0, 1),
-                    ):
-                        sv = -1 if (sgn == "minus" and a % 2) else 1
-                        lhs = phi_tilde(idx, tau, z1 + a * tau, z2 + b * tau, policy).value
-                        pref = (
-                            sv
-                            * cmath.exp(-2j * PI * float(m) * (b * z1 + a * z2))
-                            * cmath.exp(-2j * PI * tau * float(m) * a * b)
-                        )
-                        checks.append(
-                            check_pair(f"tau m={m} s={s} {sgn} (a,b)=({a},{b})", lhs, pref * base, tau)
-                        )
-                    a, b = 1, 1
-                    lhs = phi_tilde(idx, tau, z1 + a, z2 + b, policy).value
-                    pref = cmath.exp(2j * PI * float(s) * a)
-                    checks.append(
-                        check_pair(f"int m={m} s={s} {sgn}", lhs, pref * base, tau)
-                    )
+                    for a, b in shifts:
+                        check(f"tau m={m} s={s} {sgn} (a,b)=({a},{b})", "tau", idx, a, b)
+                    check(f"int m={m} s={s} {sgn}", "int", idx, 1, 1)
     return verify_law(tol, checks)
 
 
 def suite_thm13d(seed=17, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
-        m = F(1, 2)
+    for pt in _points(seed, n_points):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", pt, policy)
         for s in (F(0), F(1, 2)):
-            for sgn, other in (("plus", "minus"), ("minus", "plus")):
-                idx = MockIndex(m, s, sgn)
-                base_half = phi_tilde(
-                    MockIndex(m, s + F(1, 2), sgn), tau, z1, z2, policy
-                ).value
+            for sgn in ("plus", "minus"):
+                idx = MockIndex(F(1, 2), s, sgn)
                 for a, b in ((1, 0), (0, 1), (1, 2)):
-                    sv = -1 if (sgn == "minus" and a % 2) else 1
-                    lhs = phi_tilde(idx, tau, z1 + a * tau, z2 + b * tau, policy).value
-                    pref = (
-                        sv
-                        * cmath.exp(-2j * PI * float(m) * (b * z1 + a * z2))
-                        * cmath.exp(-2j * PI * tau * float(m) * a * b)
-                    )
-                    checks.append(
-                        check_pair(
-                            f"tau s={s} {sgn} (a,b)=({a},{b})",
-                            lhs,
-                            pref * base_half,
-                            tau,
-                        )
-                    )
-                a, b = 1, 0
-                lhs = phi_tilde(idx, tau, z1 + a, z2 + b, policy).value
-                pref = cmath.exp(2j * PI * float(s) * a)
-                rhs = pref * phi_tilde(MockIndex(m, s, other), tau, z1, z2, policy).value
-                checks.append(check_pair(f"int s={s} {sgn}", lhs, rhs, tau))
+                    check(f"tau s={s} {sgn} (a,b)=({a},{b})", "tau", idx, a, b)
+                check(f"int s={s} {sgn}", "int", idx, 1, 0)
     return verify_law(tol, checks)
 
 
@@ -228,27 +193,20 @@ def suite_cor14a(seed=18, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
 def suite_lem22(seed=21, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
     checks = []
     for tau, z1, z2 in _points(seed, n_points):
-        for m, s, sgn in ((F(1), F(0), "unsigned"), (F(1, 2), F(1, 2), "minus"), (F(1), F(1, 2), "plus")):
+        check, value = _law_checks(checks, phi, "phi", (tau, z1, z2), policy)
+        for m, s, sgn in ((F(1), F(0), "unsigned"), (F(1, 2), F(1, 2), "minus"),
+                          (F(1), F(1, 2), "plus")):
             idx = MockIndex(m, s, sgn)
             # the n -> -n reindexing forces an overall minus sign
             lhs = phi(idx, tau, -z1, -z2, policy).value
-            rhs = -phi(idx.with_s(1 - s), tau, z1, z2, policy).value
+            rhs = -value(idx.with_s(1 - s))
             checks.append(check_pair(f"(a) m={m} s={s} {sgn}", lhs, rhs, tau))
-            base = phi(idx, tau, z1, z2, policy).value
             for a, b in ((2, 0), (1, 1), (-1, 1)):
-                lhs = phi(idx, tau, z1 + a, z2 + b, policy).value
-                rhs = cmath.exp(2j * PI * float(s) * a) * base
-                checks.append(check_pair(f"(b) m={m} {sgn} (a,b)=({a},{b})", lhs, rhs, tau))
+                check(f"(b) m={m} {sgn} (a,b)=({a},{b})", "int", idx, a, b)
         # (c)(i): integer m, any parities
-        idx = MockIndex(1, 1)
-        base = phi(idx, tau, z1, z2, policy).value
-        lhs = phi(idx, tau, z1 + 1, z2, policy).value
-        checks.append(check_pair("(c)(i)", lhs, cmath.exp(2j * PI) * base, tau))
+        check("(c)(i)", "int", MockIndex(1, 1), 1, 0)
         # (c)(ii): non-integer m, opposite parity swaps the sign label
-        idxm = MockIndex(F(1, 2), F(1, 2), "minus")
-        lhs = phi(idxm, tau, z1 + 1, z2, policy).value
-        rhs = cmath.exp(2j * PI * 0.5) * phi(idxm.flipped(), tau, z1, z2, policy).value
-        checks.append(check_pair("(c)(ii)", lhs, rhs, tau))
+        check("(c)(ii)", "int", MockIndex(F(1, 2), F(1, 2), "minus"), 1, 0)
     return verify_law(tol, checks)
 
 
@@ -260,19 +218,10 @@ def suite_lem23(seed=22, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
             res = phi_shift_residual_a(idx, tau, z1, z2, policy).value
             checks.append(check_pair(f"(a) m={m} {sgn}", res, 0.0, tau))
             # (b): z1 -> z1 - 2 tau mirror
-            lhs = phi(idx, tau, z1, z2, policy).value - cmath.exp(
-                -4j * PI * float(m) * z2
-            ) * phi(idx, tau, z1 - 2 * tau, z2, policy).value
-            rhs = 0j
-            two_m = int(2 * m)
-            for kk in range(two_m):
-                c = float(kk + s)
-                pref = cmath.exp(1j * PI * c * (z1 - z2)) * cmath.exp(
-                    -2j * PI * tau * c * c / (4 * float(m))
-                )
-                sv = 1 if sgn != "minus" else -1
-                th = theta_jm_signed(sv, kk + s, m, tau, z1 + z2, policy).value
-                rhs += pref * th
+            law = LAWS["phi", "window"](idx, tau, (z1, z2), -2, 0)
+            moved = phi(idx, tau, z1 - 2 * tau, z2, policy).value
+            lhs = phi(idx, tau, z1, z2, policy).value - law.prefactor * moved
+            rhs = sum(p * theta_jm_signed(*t, tau, z1 + z2, policy).value for p, t in law.terms)
             checks.append(check_pair(f"(b) m={m} {sgn}", lhs, rhs, tau))
     return verify_law(tol, checks)
 
@@ -280,6 +229,7 @@ def suite_lem23(seed=22, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
 def suite_lem24(seed=23, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
     checks = []
     for tau, z1, z2 in _points(seed, n_points, im=(0.8, 1.4)):
+        check, _ = _law_checks(checks, phi, "phi", (tau, z1, z2), policy)
         for m, s, sgn, j in (
             (F(1), F(0), "unsigned", 1),
             (F(1), F(0), "unsigned", -1),
@@ -287,14 +237,7 @@ def suite_lem24(seed=23, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
             (F(1, 2), F(1, 2), "minus", 2),
         ):
             idx = MockIndex(m, s, sgn)
-            lhs = phi(idx, tau, z1 + j * tau, z2 + j * tau, policy).value
-            pref = cmath.exp(-2j * PI * j * float(m) * (z1 + z2)) * cmath.exp(
-                -2j * PI * tau * float(m) * j * j
-            )
-            if sgn == "minus" and j % 2:
-                pref = -pref
-            rhs = pref * phi(idx, tau, z1, z2, policy).value
-            checks.append(check_pair(f"m={m} {sgn} j={j}", lhs, rhs, tau))
+            lhs = check(f"m={m} {sgn} j={j}", "tau", idx, j, j)
             res = phi_elliptic_residual(idx, j, tau, z1, z2, policy).value
             scale = max(1.0, abs(lhs))
             checks.append(
@@ -319,10 +262,7 @@ def suite_lem210(seed=24, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
             jf = float(j)
             qpow = cmath.exp(-2j * PI * tau * jf * jf / (4 * mf))
             inhom = 2 * qpow * cmath.exp(2j * PI * jf * v)
-            if sgn == 1:
-                lhs = base - cmath.exp(2j * PI * mf * (2 * v - tau)) * rj(tau, v - tau)
-            else:
-                lhs = base + cmath.exp(2j * PI * mf * (2 * v - tau)) * rj(tau, v - tau)
+            lhs = base - sgn * cmath.exp(2j * PI * mf * (2 * v - tau)) * rj(tau, v - tau)
             checks.append(check_pair(f"(b) sgn={sgn} j={j} m={m}", lhs, inhom, tau))
             lhs = base - cmath.exp(8j * PI * mf * (v - tau)) * rj(tau, v - 2 * tau)
             j2 = jf + 2 * mf
@@ -483,169 +423,94 @@ def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
             pt = ModularPoint(tau, zc, 0.06)
             quad = gram_quad(ctx.full_gram_float())
             lhs = eval_modified(res, act(S, pt, quad), policy).value
-            reps = mu_class_representatives(res)
-            kf = float(ctx.k)
-            pref = (
-                1j ** ctx.n_isotropic
-                * (-1j * tau) ** (ctx.ambient_dim / 2)
-                * res.mu_group_order() ** -0.5
-            )
-            tot = 0j
-            for rep in reps:
-                rr = build_modification(ctx, rep)
-                pairing = float(ctx.pair(w.coords, rep.coords))
-                tot += cmath.exp(-2j * PI * pairing / kf) * eval_modified(
-                    rr, pt, policy
-                ).value
-            checks.append(check_pair(f"S {label}", lhs, pref * tot, tau))
-            lhsT = eval_modified(res, act(T, pt, quad), policy).value
-            lam2 = float(ctx.pair(w.coords, w.coords))
-            rhsT = cmath.exp(1j * PI * lam2 / kf) * eval_modified(res, pt, policy).value
-            checks.append(check_pair(f"T {label}", lhsT, rhsT, tau))
+            law = LAWS["lattice", "S"]((res, False), tau, pt.z, mu_class_representatives(res))
+            rhs = _other_side(law, lambda t: eval_modified(build_modification(ctx, t[0]), pt, policy).value)
+            checks.append(check_pair(f"S {label}", lhs, rhs, tau))
+            lhs = eval_modified(res, act(T, pt, quad), policy).value
+            # an unsigned function is its own T partner
+            law = LAWS["lattice", "T"]((res, False), tau, pt.z)
+            rhs = _other_side(law, lambda _: eval_modified(res, pt, policy).value)
+            checks.append(check_pair(f"T {label}", lhs, rhs, tau))
     return verify_law(tol, checks)
+
+
+def _signed_pair(k):
+    """The minus and plus modifications of the signed rank-1 context."""
+    ctx = _ctx_odd(k)
+    w = Weight(k, (0, F(1)))
+    return ctx, {mode: build_modification(ctx, w, mode=mode) for mode in ("minus", "plus")}
 
 
 def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
     checks = []
-    k = F(3, 2)
     for tau, z1, z2 in _points(seed, n_points):
-        ctx = _ctx_odd(k)
-        w = Weight(k, (0, F(1)))
-        res_m = build_modification(ctx, w, mode="minus")
-        res_p = build_modification(ctx, w, mode="plus")
+        ctx, res = _signed_pair(F(3, 2))
         pt = ModularPoint(tau, (z1, z2), 0.04)
         ptS = act(S, pt, gram_quad(ctx.full_gram_float()))
-        reps = mu_class_representatives(res_m)
-        kf = float(k)
-        pref = 1j * (-1j * tau) ** 1.0 * res_m.mu_group_order() ** -0.5
-        xi0 = res_m.xi0
-
-        def msum(mode, xi_l, xi_r):
-            tot = 0j
-            for rep in reps:
-                rr = build_modification(ctx, rep, mode=mode)
-                left = [a + b for a, b in zip(w.coords, xi0)] if xi_l else w.coords
-                right = (
-                    [a + b for a, b in zip(rep.coords, xi0)] if xi_r else rep.coords
-                )
-                pairing = float(ctx.pair(left, right))
-                tot += cmath.exp(-2j * PI * pairing / kf) * eval_modified(
-                    rr, pt, policy, xi_shift=xi_r
-                ).value
-            return tot
-
-        checks.append(
-            check_pair("plus->plus", eval_modified(res_p, ptS, policy).value, pref * msum("plus", False, False), tau)
-        )
-        checks.append(
-            check_pair("minus->plus(xi)", eval_modified(res_m, ptS, policy).value, pref * msum("plus", False, True), tau)
-        )
-        checks.append(
-            check_pair(
-                "plus(xi)->minus",
-                eval_modified(res_p, ptS, policy, xi_shift=True).value,
-                pref * msum("minus", True, False),
-                tau,
-            )
-        )
-        checks.append(
-            check_pair(
-                "minus(xi)->minus(xi)",
-                eval_modified(res_m, ptS, policy, xi_shift=True).value,
-                pref * msum("minus", True, True),
-                tau,
-            )
-        )
+        reps = mu_class_representatives(res["minus"])
+        for xi in (False, True):
+            for mode in ("plus", "minus"):
+                law = LAWS["lattice", "S"]((res[mode], xi), tau, pt.z, reps)
+                to = law.terms[0][1][1]
+                rhs = _other_side(law, lambda t: eval_modified(
+                    build_modification(ctx, t[0], mode=t[1][0]), pt, policy, xi_shift=t[1][1]
+                ).value)
+                lhs = eval_modified(res[mode], ptS, policy, xi_shift=xi).value
+                label = f"{mode}{'(xi)' * xi}->{to[0]}{'(xi)' * to[1]}"
+                checks.append(check_pair(label, lhs, rhs, tau))
     return verify_law(tol, checks)
 
 
 def suite_prop33c(seed=34, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
     checks = []
-    k = F(3, 2)
     for tau, z1, z2 in _points(seed, n_points):
-        ctx = _ctx_odd(k)
-        w = Weight(k, (0, F(1)))
-        res_m = build_modification(ctx, w, mode="minus")
-        res_p = build_modification(ctx, w, mode="plus")
+        ctx, res = _signed_pair(F(3, 2))
         pt = ModularPoint(tau, (z1, z2), 0.04)
         ptT = act(T, pt, gram_quad(ctx.full_gram_float()))
-        kf = float(k)
-        lam2 = float(ctx.pair(w.coords, w.coords))
-        lhs = eval_modified(res_p, ptT, policy).value
-        rhs = cmath.exp(1j * PI * lam2 / kf) * eval_modified(res_m, pt, policy).value
-        checks.append(check_pair("T plus->minus", lhs, rhs, tau))
-        lamxi = [a + b for a, b in zip(w.coords, res_m.xi0)]
-        lam2x = float(ctx.pair(lamxi, lamxi))
-        lhs = eval_modified(res_m, ptT, policy, xi_shift=True).value
-        rhs = cmath.exp(1j * PI * lam2x / kf) * eval_modified(
-            res_m, pt, policy, xi_shift=True
-        ).value
-        checks.append(check_pair("T minus(xi) fixed", lhs, rhs, tau))
+        for mode, xi, label in (("plus", False, "T plus->minus"),
+                                ("minus", True, "T minus(xi) fixed")):
+            lhs = eval_modified(res[mode], ptT, policy, xi_shift=xi).value
+            rhs = _other_side(
+                LAWS["lattice", "T"]((res[mode], xi), tau, pt.z),
+                lambda to: eval_modified(res[to[0]], pt, policy, xi_shift=to[1]).value,
+            )
+            checks.append(check_pair(label, lhs, rhs, tau))
     return verify_law(tol, checks)
+
+
+def _lattice_shifts(checks, idx, pt, vectors, policy):
+    """prop3.7/3.8 (i) and (ii): f(z + v) and f(z + tau v) for each vector v."""
+    res, xi = idx
+    tau = pt.tau
+    z = np.array(pt.z)
+    base = eval_modified(res, pt, policy, xi_shift=xi).value
+    for vname, v in vectors:
+        for kind, move, zv in (("(i)", "int", z + v), ("(ii)", "tau", z + tau * v)):
+            lhs = eval_modified(res, ModularPoint(tau, tuple(zv), pt.t), policy, xi_shift=xi).value
+            rhs = _other_side(LAWS["lattice", move](idx, tau, z, v), lambda _: base)
+            checks.append(check_pair(f"{kind} v={vname}", lhs, rhs, tau))
 
 
 def suite_prop37(seed=35, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
     checks = []
-    k = F(3, 2)
+    vectors = (("|g|^2 beta", np.array([0.0, 2.0])), ("gamma~", np.array([1.0, 0.0])))
     for tau, z1, z2 in _points(seed, n_points):
-        ctx = _ctx_odd(k)
-        w = Weight(k, (0, F(1)))
-        res = build_modification(ctx, w, mode="minus")
-        pt = ModularPoint(tau, (z1, z2), 0.04)
-        G = ctx.full_gram_float()
-        z = np.array(pt.z)
-        lamxi = [a + b for a, b in zip(w.coords, res.xi0)]
-        kf = float(k)
-        base = eval_modified(res, pt, policy, xi_shift=True).value
-        for vname, v in (("|g|^2 beta", np.array([0.0, 2.0])), ("gamma~", np.array([1.0, 0.0]))):
-            lhs = eval_modified(
-                res, ModularPoint(tau, tuple(z + v), pt.t), policy, xi_shift=True
-            ).value
-            pairing = float(np.array([float(x) for x in lamxi]) @ G @ v)
-            checks.append(
-                check_pair(f"(i) v={vname}", lhs, cmath.exp(2j * PI * pairing) * base, tau)
-            )
-            lhs = eval_modified(
-                res, ModularPoint(tau, tuple(z + tau * v), pt.t), policy, xi_shift=True
-            ).value
-            sgn = (-1) ** abs(int(round(float(G[1] @ v))))
-            zv = complex(z @ G @ v)
-            v2 = float(v @ G @ v)
-            rhs = (
-                sgn
-                * cmath.exp(-2j * PI * kf * zv)
-                * cmath.exp(-1j * PI * tau * kf * v2)
-                * base
-            )
-            checks.append(check_pair(f"(ii) v={vname}", lhs, rhs, tau))
+        res = build_modification(_ctx_odd(F(3, 2)), Weight(F(3, 2), (0, F(1))), mode="minus")
+        _lattice_shifts(checks, (res, True), ModularPoint(tau, (z1, z2), 0.04), vectors, policy)
     return verify_law(tol, checks)
 
 
 def suite_prop38(seed=36, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
     checks = []
+    vectors = (
+        ("m-basis", np.array([0.0, 1.0, -1.0])),
+        ("(|g|^2/2) beta", np.array([0.0, 0.0, 1.0])),
+        ("gamma~_1", np.array([1.0, 0.0, 0.0])),
+    )
     for tau, z1, z2 in _points(seed, n_points):
-        ctx = _ctx_sl3(1)
-        w = Weight(1, (0, 0, F(-1)))
-        res = build_modification(ctx, w)
+        res = build_modification(_ctx_sl3(1), Weight(1, (0, 0, F(-1))))
         pt = ModularPoint(tau, (z1, -0.7 * z2, z2), 0.06)
-        G = ctx.full_gram_float()
-        z = np.array(pt.z)
-        base = eval_modified(res, pt, policy).value
-        gens = [
-            ("m-basis", np.array([0.0, 1.0, -1.0])),
-            ("(|g|^2/2) beta", np.array([0.0, 0.0, 1.0])),
-            ("gamma~_1", np.array([1.0, 0.0, 0.0])),
-        ]
-        for vname, v in gens:
-            lhs = eval_modified(res, ModularPoint(tau, tuple(z + v), pt.t), policy).value
-            checks.append(check_pair(f"(i) v={vname}", lhs, base, tau))
-            lhs = eval_modified(
-                res, ModularPoint(tau, tuple(z + tau * v), pt.t), policy
-            ).value
-            zv = complex(z @ G @ v)
-            v2 = float(v @ G @ v)
-            rhs = cmath.exp(-2j * PI * zv) * cmath.exp(-1j * PI * tau * v2) * base
-            checks.append(check_pair(f"(ii) v={vname}", lhs, rhs, tau))
+        _lattice_shifts(checks, (res, False), pt, vectors, policy)
     return verify_law(tol, checks)
 
 
@@ -951,33 +816,24 @@ def suite_eq66(seed=59, tol=1e-7, policy=DEFAULT_POLICY):
 
 def suite_theta_S(seed=61, tol=1e-9, n_points=6, policy=DEFAULT_POLICY):
     checks = []
-    for tau, z1, _ in _points(seed, n_points):
-        z = z1
+    for tau, z, _ in _points(seed, n_points):
+        value = cache(lambda idx: theta_jm(*idx, tau, z, policy).value)
         for j, m in ((0, 1), (1, 1), (1, 2), (3, 2)):
             lhs = theta_jm(j, m, -1 / tau, z / tau, policy).value
-            pref = cmath.sqrt(-1j * tau / (2 * m)) * cmath.exp(
-                1j * PI * m * z * z / (2 * tau)
-            )
-            tot = sum(
-                cmath.exp(-1j * PI * j * kk / m)
-                * theta_jm(kk, m, tau, z, policy).value
-                for kk in range(2 * m)
-            )
-            checks.append(check_pair(f"S j={j} m={m}", lhs, pref * tot, tau))
+            rhs = _other_side(LAWS["theta", "S"]((j, m), tau, (z,)), value)
+            checks.append(check_pair(f"S j={j} m={m}", lhs, rhs, tau))
     return verify_law(tol, checks)
 
 
 def suite_theta_quasi(seed=62, tol=1e-11, n_points=10, policy=DEFAULT_POLICY):
     checks = []
-    for tau, z1, _ in _points(seed, n_points):
-        z = z1
+    for tau, z, _ in _points(seed, n_points):
+        value = cache(lambda idx: theta_jm(*idx, tau, z, policy).value)
         for j, m in ((0, 1), (1, 2)):
-            base = theta_jm(j, m, tau, z, policy).value
-            lhs = theta_jm(j, m, tau, z + 2, policy).value
-            checks.append(check_pair(f"z+2 j={j} m={m}", lhs, base, tau))
-            lhs = theta_jm(j, m, tau, z + 2 * tau, policy).value
-            pref = cmath.exp(-2j * PI * tau * m) * cmath.exp(-2j * PI * m * z)
-            checks.append(check_pair(f"z+2tau j={j} m={m}", lhs, pref * base, tau))
+            for label, move, zs in (("z+2", "int", z + 2), ("z+2tau", "tau", z + 2 * tau)):
+                lhs = theta_jm(j, m, tau, zs, policy).value
+                rhs = _other_side(LAWS["theta", move]((j, m), tau, (z,), 1), value)
+                checks.append(check_pair(f"{label} j={j} m={m}", lhs, rhs, tau))
     return verify_law(tol, checks)
 
 

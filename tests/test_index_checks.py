@@ -92,14 +92,16 @@ def ref_r_signed(sign, j, m):
 
 
 def ref_distance(z, tau):
-    n_tau = round(z.imag / tau.imag)
-    w = z - n_tau * tau
-    w -= round(w.real)
-    best = abs(w)
-    for dn in (-1, 0, 1):
-        for dm in (-1, 0, 1):
-            best = min(best, abs(z - (n_tau + dn) * tau - (round(w.real) + dm)))
-    return best
+    """Brute-force minimum of |z - n tau - m| over every lattice point within
+    1 + Im tau of z, a radius that holds the nearest one."""
+    y = tau.imag
+    radius = 1 + y
+    rows = range(math.floor((z.imag - radius) / y), math.ceil((z.imag + radius) / y) + 1)
+    return min(
+        abs(z - n * tau - m)
+        for n in rows
+        for m in range(math.floor((z - n * tau).real - radius), math.ceil((z - n * tau).real + radius) + 1)
+    )
 
 
 @pytest.mark.parametrize("sign", ["unsigned", "plus", "minus", "neither"])

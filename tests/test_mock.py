@@ -1,6 +1,5 @@
 from fractions import Fraction as F
 
-import mpmath as mp
 import pytest
 
 from mocktheta import _oracles as oracle
@@ -12,26 +11,10 @@ from mocktheta.mock import (
     phi_elliptic_residual,
     phi_shift_residual_a,
 )
+import refs
 from conftest import random_points
 
 TAU = 0.13 + 0.92j
-
-
-def phi_mp(sign, m, s, tau, z1, z2, window=60):
-    """High-precision reference sum."""
-    with mp.workdps(35):
-        tot = mp.mpc(0)
-        tau, z1, z2 = mp.mpc(tau), mp.mpc(z1), mp.mpc(z2)
-        for n in range(-window, window + 1):
-            num = mp.e ** (
-                2j * mp.pi * (m * n * (z1 + z2) + s * z1 + tau * (m * n * n + s * n))
-            )
-            den = 1 - mp.e ** (2j * mp.pi * (z1 + n * tau))
-            term = num / den
-            if sign == -1 and n % 2:
-                term = -term
-            tot += term
-        return complex(tot)
 
 
 class TestMockIndex:
@@ -69,7 +52,7 @@ class TestPhi:
         for i, (tau, z1, z2) in enumerate(random_points(101, 30)):
             m, s, sign = [(1, 0, "unsigned"), (2, 1, "unsigned"), (F(1, 2), F(1, 2), "minus")][i % 3]
             mine = phi(MockIndex(m, s, sign), tau, z1, z2).value
-            ref = phi_mp(-1 if sign == "minus" else 1, F(m), F(s), tau, z1, z2)
+            ref = refs.rank1_index(tau, z1, z2, m, s, sign)[2]
             assert abs(mine - ref) < 1e-10
 
     def test_plus_equals_unsigned(self):
