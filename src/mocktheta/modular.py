@@ -126,6 +126,10 @@ class Law(NamedTuple):
     prefactor: complex
     terms: tuple
 
+    def apply(self, value):
+        """The other side, value(target) giving f at each target."""
+        return self.prefactor * sum(phase * value(target) for phase, target in self.terms)
+
 
 def _single(prefactor, target) -> Law:
     return Law(prefactor, ((1, target),))
@@ -137,34 +141,36 @@ def _tau_factor(m, a, b, tau, z):
     return cexp(-2j * PI * m * (b * z1 + a * z2)) * cexp(-2j * PI * tau * m * a * b)
 
 
-# thm1.3a: (sign, denominator of s) -> (shift of s, whether the sign flips)
-_S_SIGNED = {("plus", 1): (1, False), ("minus", 1): (Fraction(1, 2), True),
-             ("plus", 2): (Fraction(-1, 2), True), ("minus", 2): (1, False)}
+# thm1.1a, thm1.3a: (sign, denominator of s) -> (shift of s, whether the sign flips)
+_S_TARGET = {("unsigned", 1): (0, False), ("plus", 1): (1, False),
+             ("minus", 1): (Fraction(1, 2), True), ("plus", 2): (Fraction(-1, 2), True),
+             ("minus", 2): (1, False)}
 
 
 def _phi_tilde_S(idx, tau, z):
-    """thm1.1a, thm1.3a: Phi~(-1/tau, z/tau) = tau e(m z1 z2 / tau) Phi~[target]."""
+    """thm1.1a, thm1.3a: Phi~(-1/tau, z/tau) = tau e(m z1 z2 / tau) Phi~[target]; Phi~
+    is 1-periodic in s (cor1.2, cor1.4a), so the target's s is one representative."""
     z1, z2 = z
     pref = tau * cexp(2j * PI * float(idx.m) * z1 * z2 / tau)
-    if idx.sign == "unsigned":
-        return _single(pref, idx)
-    ds, flips = _S_SIGNED[idx.sign, idx.s.denominator]
+    ds, flips = _S_TARGET[idx.sign, idx.s.denominator]
     target = idx.with_s(idx.s + ds)
     return _single(pref, target.flipped() if flips else target)
 
 
 def _phi_tilde_T(idx, tau, z):
-    """thm1.1a, thm1.3b: Phi~(tau + 1) = Phi~, the sign swapped if m + s is not integral."""
-    return _single(1, idx if (idx.m + idx.s).denominator == 1 else idx.flipped())
+    """thm1.1a, thm1.3b: Phi~(tau + 1) = Phi~, the sign swapped if m + s is not integral
+    (2m and 2s are integers, so if m and s have different denominators)."""
+    return _single(1, idx.flipped() if idx.m.denominator != idx.s.denominator else idx)
 
 
 def _phi_tilde_tau(idx, tau, z, a, b):
-    """thm1.1b, thm1.3c, thm1.3d: Phi~(z1 + a tau, z2 + b tau) = (-1)^a (minus
-    sign only) e(-m (b z1 + a z2)) q^(-m a b) Phi~[s + m (a + b) mod 1](z)."""
+    """thm1.1b, thm1.3c, thm1.3d: Phi~(z1 + a tau, z2 + b tau) = (-1)^a (minus only)
+    e(-m (b z1 + a z2)) q^(-m a b) Phi~[s + m (a + b) mod 1](z); 2m is an integer."""
     pref = _tau_factor(idx.m, a, b, tau, z)
     if idx.sign == "minus" and a % 2:
         pref = -pref
-    return _single(pref, idx.with_s(idx.s + idx.m * (a + b) % 1))
+    half = idx.m.denominator == 2 and (a + b) % 2
+    return _single(pref, idx.with_s(idx.s + Fraction(1, 2)) if half else idx)
 
 
 def _phi_tau(idx, tau, z, a, b):
@@ -177,7 +183,7 @@ def _phi_tau(idx, tau, z, a, b):
 def _phi_int(idx, tau, z, a, b):
     """lem2.2(b)(c), thm1.3c, thm1.3d: Phi(z1 + a, z2 + b) = e(s a) Phi[target], and
     so for Phi~; the sign swaps where m (a + b) is not integral."""
-    target = idx if (idx.m * (a + b)).denominator == 1 else idx.flipped()
+    target = idx.flipped() if idx.m.denominator == 2 and (a + b) % 2 else idx
     return _single(cexp(2j * PI * float(idx.s) * a), target)
 
 

@@ -40,15 +40,9 @@ F = Fraction
 PI = math.pi
 
 
-def _other_side(law, value):
-    """The other side of a ``modular.LAWS`` law, value(target) f at a target."""
-    return law.prefactor * sum(phase * value(target) for phase, target in law.terms)
-
-
 def _law_checks(checks, f, family, point, policy):
-    """(check, value) at a point (tau, z1, z2): value(idx) is f there, once per
-    index; check(label, move, idx, *args) appends f[idx] at the moved point
-    against the other side of its law, and returns f[idx] there."""
+    """(check, value) at (tau, z1, z2): value(idx) is f there, once per index;
+    check(label, move, idx, *args) checks f[idx] at the moved point against its law."""
     tau, z1, z2 = point
     value = cache(lambda idx: f(idx, tau, z1, z2, policy).value)
 
@@ -56,7 +50,7 @@ def _law_checks(checks, f, family, point, policy):
         w = tau if move == "tau" else 1
         moved = {"S": (-1 / tau, z1 / tau, z2 / tau), "T": (tau + 1, z1, z2)}.get(move)
         lhs = f(idx, *(moved or (tau, z1 + args[0] * w, z2 + args[1] * w)), policy).value
-        rhs = _other_side(LAWS[family, move](idx, tau, (z1, z2), *args), value)
+        rhs = LAWS[family, move](idx, tau, (z1, z2), *args).apply(value)
         checks.append(check_pair(label, lhs, rhs, tau))
         return lhs
 
@@ -91,7 +85,7 @@ def suite_thm11a(seed=11, tol=1e-8, n_points=10, policy=DEFAULT_POLICY, m=None):
                 lhs = phi_tilde(idx, -1 / tau, z1 / tau, z2 / tau, policy).value
                 # Phi~ is 1-periodic in s (cor1.2): s1 is the target's representative
                 law = LAWS["phi~", "S"](idx, tau, (z1, z2))
-                rhs = _other_side(law, lambda t: value(t.with_s(s1)))
+                rhs = law.apply(lambda t: value(t.with_s(s1)))
                 checks.append(check_pair(f"S m={m} s={s} s1={s1}", lhs, rhs, tau))
             check(f"T m={m}", "T", MockIndex(m, 0))
     return verify_law(tol, checks)
@@ -102,9 +96,10 @@ def suite_thm11b(seed=12, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
     for pt in _points(seed, n_points):
         check, _ = _law_checks(checks, phi_tilde, "phi~", pt, policy)
         for m in (1, 2):
+            idx = MockIndex(m, 0)
             for a, b in ((0, 1), (1, 0), (1, 1), (-1, 1), (0, -1)):
-                check(f"tau-shift m={m} a={a} b={b}", "tau", MockIndex(m, 0), a, b)
-                check(f"int-shift m={m} a={a} b={b}", "int", MockIndex(m, 0), a, b)
+                check(f"tau-shift m={m} a={a} b={b}", "tau", idx, a, b)
+                check(f"int-shift m={m} a={a} b={b}", "int", idx, a, b)
     return verify_law(tol, checks)
 
 
@@ -424,12 +419,12 @@ def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
             quad = gram_quad(ctx.full_gram_float())
             lhs = eval_modified(res, act(S, pt, quad), policy).value
             law = LAWS["lattice", "S"]((res, False), tau, pt.z, mu_class_representatives(res))
-            rhs = _other_side(law, lambda t: eval_modified(build_modification(ctx, t[0]), pt, policy).value)
+            rhs = law.apply(lambda t: eval_modified(build_modification(ctx, t[0]), pt, policy).value)
             checks.append(check_pair(f"S {label}", lhs, rhs, tau))
             lhs = eval_modified(res, act(T, pt, quad), policy).value
             # an unsigned function is its own T partner
             law = LAWS["lattice", "T"]((res, False), tau, pt.z)
-            rhs = _other_side(law, lambda _: eval_modified(res, pt, policy).value)
+            rhs = law.apply(lambda _: eval_modified(res, pt, policy).value)
             checks.append(check_pair(f"T {label}", lhs, rhs, tau))
     return verify_law(tol, checks)
 
@@ -452,7 +447,7 @@ def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
             for mode in ("plus", "minus"):
                 law = LAWS["lattice", "S"]((res[mode], xi), tau, pt.z, reps)
                 to = law.terms[0][1][1]
-                rhs = _other_side(law, lambda t: eval_modified(
+                rhs = law.apply(lambda t: eval_modified(
                     build_modification(ctx, t[0], mode=t[1][0]), pt, policy, xi_shift=t[1][1]
                 ).value)
                 lhs = eval_modified(res[mode], ptS, policy, xi_shift=xi).value
@@ -470,9 +465,8 @@ def suite_prop33c(seed=34, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
         for mode, xi, label in (("plus", False, "T plus->minus"),
                                 ("minus", True, "T minus(xi) fixed")):
             lhs = eval_modified(res[mode], ptT, policy, xi_shift=xi).value
-            rhs = _other_side(
-                LAWS["lattice", "T"]((res[mode], xi), tau, pt.z),
-                lambda to: eval_modified(res[to[0]], pt, policy, xi_shift=to[1]).value,
+            rhs = LAWS["lattice", "T"]((res[mode], xi), tau, pt.z).apply(
+                lambda to: eval_modified(res[to[0]], pt, policy, xi_shift=to[1]).value
             )
             checks.append(check_pair(label, lhs, rhs, tau))
     return verify_law(tol, checks)
@@ -487,7 +481,7 @@ def _lattice_shifts(checks, idx, pt, vectors, policy):
     for vname, v in vectors:
         for kind, move, zv in (("(i)", "int", z + v), ("(ii)", "tau", z + tau * v)):
             lhs = eval_modified(res, ModularPoint(tau, tuple(zv), pt.t), policy, xi_shift=xi).value
-            rhs = _other_side(LAWS["lattice", move](idx, tau, z, v), lambda _: base)
+            rhs = LAWS["lattice", move](idx, tau, z, v).apply(lambda _: base)
             checks.append(check_pair(f"{kind} v={vname}", lhs, rhs, tau))
 
 
@@ -820,7 +814,7 @@ def suite_theta_S(seed=61, tol=1e-9, n_points=6, policy=DEFAULT_POLICY):
         value = cache(lambda idx: theta_jm(*idx, tau, z, policy).value)
         for j, m in ((0, 1), (1, 1), (1, 2), (3, 2)):
             lhs = theta_jm(j, m, -1 / tau, z / tau, policy).value
-            rhs = _other_side(LAWS["theta", "S"]((j, m), tau, (z,)), value)
+            rhs = LAWS["theta", "S"]((j, m), tau, (z,)).apply(value)
             checks.append(check_pair(f"S j={j} m={m}", lhs, rhs, tau))
     return verify_law(tol, checks)
 
@@ -832,7 +826,7 @@ def suite_theta_quasi(seed=62, tol=1e-11, n_points=10, policy=DEFAULT_POLICY):
         for j, m in ((0, 1), (1, 2)):
             for label, move, zs in (("z+2", "int", z + 2), ("z+2tau", "tau", z + 2 * tau)):
                 lhs = theta_jm(j, m, tau, zs, policy).value
-                rhs = _other_side(LAWS["theta", move]((j, m), tau, (z,), 1), value)
+                rhs = LAWS["theta", move]((j, m), tau, (z,), 1).apply(value)
                 checks.append(check_pair(f"{label} j={j} m={m}", lhs, rhs, tau))
     return verify_law(tol, checks)
 

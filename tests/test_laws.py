@@ -47,10 +47,6 @@ def theta(j, m, tau, z):
     return rank1(tau, z, 0j, m, j, "unsigned")[0]
 
 
-def other_side(law, value):
-    return law.prefactor * sum(phase * value(target) for phase, target in law.terms)
-
-
 def assert_close(lhs, rhs, *parts):
     scale = max([1.0, abs(lhs), abs(rhs)] + [abs(p) for p in parts])
     assert abs(lhs - rhs) <= TOL * scale, (lhs, rhs)
@@ -67,7 +63,7 @@ def test_integer_shifts(point, family, f):
     for idx in INDICES:
         for a, b in ((1, 0), (1, 1), (-1, 1), (2, 0)):
             law = LAWS[family, "int"](idx, tau, (z1, z2), a, b)
-            rhs = other_side(law, lambda t: f(t, tau, z1, z2))
+            rhs = law.apply(lambda t: f(t, tau, z1, z2))
             assert_close(f(idx, tau, z1 + a, z2 + b), rhs)
 
 
@@ -76,7 +72,7 @@ def test_phi_tilde_tau_shifts(point):
     for idx in INDICES:
         for a, b in ((1, 0), (0, 1), (1, 1), (-1, 1), (1, 2)):
             law = LAWS["phi~", "tau"](idx, tau, (z1, z2), a, b)
-            rhs = other_side(law, lambda t: phi_tilde(t, tau, z1, z2))
+            rhs = law.apply(lambda t: phi_tilde(t, tau, z1, z2))
             assert_close(phi_tilde(idx, tau, z1 + a * tau, z2 + b * tau), rhs)
 
 
@@ -85,7 +81,7 @@ def test_phi_diagonal_shifts(point):
     for idx in INDICES:
         for j in (1, -1):
             law = LAWS["phi", "tau"](idx, tau, (z1, z2), j, j)
-            rhs = other_side(law, lambda t: phi(t, tau, z1, z2))
+            rhs = law.apply(lambda t: phi(t, tau, z1, z2))
             assert_close(phi(idx, tau, z1 + j * tau, z2 + j * tau), rhs)
     with pytest.raises(ValueError):
         LAWS["phi", "tau"](INDICES[0], tau, (z1, z2), 0, 2)
@@ -95,10 +91,10 @@ def test_phi_tilde_S_and_T(point):
     tau, z1, z2 = point
     for idx in INDICES:
         law = LAWS["phi~", "S"](idx, tau, (z1, z2))
-        rhs = other_side(law, lambda t: phi_tilde(t, tau, z1, z2))
+        rhs = law.apply(lambda t: phi_tilde(t, tau, z1, z2))
         assert_close(phi_tilde(idx, -1 / tau, z1 / tau, z2 / tau), rhs)
         law = LAWS["phi~", "T"](idx, tau, (z1, z2))
-        rhs = other_side(law, lambda t: phi_tilde(t, tau, z1, z2))
+        rhs = law.apply(lambda t: phi_tilde(t, tau, z1, z2))
         assert_close(phi_tilde(idx, tau + 1, z1, z2), rhs)
 
 
@@ -123,12 +119,12 @@ def test_lemma_2_3_window(point, idx):
 def test_theta_laws(point, j, m):
     tau, z, _ = point
     law = LAWS["theta", "S"]((j, m), tau, (z,))
-    assert_close(theta(j, m, -1 / tau, z / tau), other_side(law, lambda t: theta(*t, tau, z)))
+    assert_close(theta(j, m, -1 / tau, z / tau), law.apply(lambda t: theta(*t, tau, z)))
     for a in (1, -1):
         law = LAWS["theta", "tau"]((j, m), tau, (z,), a)
-        assert_close(theta(j, m, tau, z + 2 * a * tau), other_side(law, lambda t: theta(*t, tau, z)))
+        assert_close(theta(j, m, tau, z + 2 * a * tau), law.apply(lambda t: theta(*t, tau, z)))
         law = LAWS["theta", "int"]((j, m), tau, (z,), a)
-        assert_close(theta(j, m, tau, z + 2 * a), other_side(law, lambda t: theta(*t, tau, z)))
+        assert_close(theta(j, m, tau, z + 2 * a), law.apply(lambda t: theta(*t, tau, z)))
 
 
 def test_every_rank1_entry_is_checked():

@@ -95,7 +95,7 @@ TABLE_READERS = {
         "suite_thm11a", "suite_thm11b", "suite_thm13a", "suite_thm13b", "suite_thm13c",
         "suite_thm13d", "suite_lem22", "suite_lem23", "suite_lem24", "suite_prop32b",
         "suite_prop33b", "suite_prop33c", "suite_prop37", "suite_prop38", "suite_theta_S",
-        "suite_theta_quasi", "_law_checks", "_lattice_shifts", "_other_side",
+        "suite_theta_quasi", "_law_checks", "_lattice_shifts",
     ),
     "mock.py": ("phi_shift_residual_a", "phi_elliptic_residual"),
 }

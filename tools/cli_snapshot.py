@@ -89,15 +89,14 @@ def _commands():
                      ["chartable", "--case", case, f"--k={k}", f"--labels={labels}",
                       "--variant", variant, "--points", "3"] + extra))
     for name, args in (
-        ("sl21", ["--k", "1"]),
-        ("osp42", ["--k", "1"]),
-        ("d21a", []),
-        ("osp32_sub", ["--k=-3/4"]),
-        ("osp_level1", []),
-        ("osp_level1_4_2", ["--params", "4,2"]),
+        ("sl21", ["--case", "sl21", "--k", "1"]),
+        ("osp42", ["--case", "osp42", "--k", "1"]),
+        ("d21a", ["--case", "d21a"]),
+        ("osp32_sub", ["--case", "osp32_sub", "--k=-3/4"]),
+        ("osp_level1", ["--case", "osp_level1"]),
+        ("osp_level1_4_2", ["--case", "osp_level1", "--params", "4,2"]),
     ):
-        case = name if not name.startswith("osp_level1") else "osp_level1"
-        cmds.append((f"smatrix_{name}", ["smatrix", "--case", case] + args))
+        cmds.append((f"smatrix_{name}", ["smatrix"] + args))
     for alias, k in ALIASES:
         cmds.append((f"table_preset_{alias}", ["table", "preset", "--case", alias]))
         cmds.append((f"table_omega_{alias}", ["table", "omega", "--case", alias, f"--k={k}"]))
