@@ -186,19 +186,6 @@ def cexp(w: complex) -> complex:
     return cmath.exp(w)
 
 
-def fold_pole_factor(num_exp: complex, den_exp: complex, plus: bool = False):
-    """Split e^num / (1 -+ e^den) into (w, d) with e^w / d the same value.
-
-    Once e^den is large, 1 -+ e^den = -+e^den (1 -+ e^-den) and e^-den is
-    folded into the numerator exponent, so neither factor overflows.
-    """
-    if den_exp.real > 40.0:
-        small = cexp(-den_exp)
-        return num_exp - den_exp, (1.0 + small) if plus else -(1.0 - small)
-    ex = cexp(den_exp)
-    return num_exp, (1.0 + ex) if plus else (1.0 - ex)
-
-
 def gaussian_window(log_peak, a, centre, policy, core=None):
     """The window [lo, hi] of a ladder with summands below the envelope
     exp(log_peak - a (n - centre)^2) at every index outside ``core``.

@@ -12,7 +12,11 @@ matrix, which keeps the arithmetic exact until series evaluation.
 Both series here run over the lattice window of ``theta._lattice_sum``:
 the direct sum over gamma, and the residual-lattice theta factor of the
 modification, which is ``lattice_theta`` on M at the parts of lambda and
-z that lie in M.
+z that lie in M.  What a context and weight fix is planned once per key:
+the validation and the modification per (context, weight, mode), the
+direct sum's constants per (context, weight), the factored evaluator's
+per modification and xi_shift.  Per point remain z's pairings and each
+summand's reductions (v @ G @ z), which a batch would round differently.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,7 +36,6 @@ from .core import (
     TruncationPolicy,
     as_fraction,
     cexp,
-    fold_pole_factor,
 )
 from .errors import (
     ConditionViolation,
@@ -79,6 +82,14 @@ class Weight:
         object.__setattr__(self, "k", as_fraction(self.k))
         object.__setattr__(self, "coords", tuple(as_fraction(c) for c in self.coords))
 
+    def __hash__(self):
+        return hash(_ints((self.k, *self.coords)))
+
+
+def _ints(fracs) -> tuple:
+    """Fractions as integer pairs, ten times cheaper to hash than Fractions."""
+    return tuple((x.numerator, x.denominator) for x in fracs)
+
 
 def _frame_pairings(m: int, n: int):
     """The fixed pairings (gamma_i|beta_j) = -delta_ij, (beta_i|beta_j) = 0."""
@@ -108,6 +119,9 @@ class LatticeContext:
             raise ValueError(f"mode must be one of {MODES}")
         if n > m:
             raise ValueError("need n <= m isotropic directions")
+
+    def __hash__(self):
+        return hash((_ints((self.k, *sum(self.gamma_gram, ()))), self.n_isotropic, self.mode))
 
     @property
     def rank(self) -> int:
@@ -192,8 +206,13 @@ class LatticeContext:
 
 
 def validate_context(ctx: LatticeContext, mode: str = None, weight: Weight = None):
-    """Check the structural conditions; returns a list of violations."""
-    mode = mode or ctx.mode
+    """Check the structural conditions; returns a fresh list of violations,
+    copied from the one check made per (context, mode, weight)."""
+    return list(_violations(ctx, mode or ctx.mode, weight))
+
+
+@lru_cache(maxsize=256)
+def _violations(ctx: LatticeContext, mode: str, weight: Weight) -> tuple:
     out = []
     m, n = ctx.rank, ctx.n_isotropic
     gf = np.asarray([[float(x) for x in row] for row in ctx.gamma_gram])
@@ -208,21 +227,13 @@ def validate_context(ctx: LatticeContext, mode: str = None, weight: Weight = Non
     k = ctx.k
     for i in range(1, n + 1):
         norm2 = ctx.gamma_gram[i - 1][i - 1]
-        if mode == "unsigned":
-            val = k * norm2 / 2
-            if val.denominator != 1 or val <= 0:
-                out.append(f"(k/2)|gamma_{i}|^2 = {val} not a positive integer")
-        else:
-            val = k * norm2
-            if val.denominator != 1 or val <= 0:
-                out.append(f"k|gamma_{i}|^2 = {val} not a positive integer")
+        val, name = (k * norm2 / 2, "(k/2)") if mode == "unsigned" else (k * norm2, "k")
+        if val.denominator != 1 or val <= 0:
+            out.append(f"{name}|gamma_{i}|^2 = {val} not a positive integer")
     for i in range(m):
         for j in range(m):
             if (k * ctx.gamma_gram[i][j]).denominator != 1:
-                out.append(
-                    f"k(gamma_{i+1}|gamma_{j+1}) = {k * ctx.gamma_gram[i][j]}"
-                    " not integral"
-                )
+                out.append(f"k(gamma_{i+1}|gamma_{j+1}) = {k * ctx.gamma_gram[i][j]} not integral")
     if weight is not None:
         for j in range(1, n + 1):
             if ctx.pair(weight.coords, ctx.beta_vec(j)) != 0:
@@ -231,7 +242,7 @@ def validate_context(ctx: LatticeContext, mode: str = None, weight: Weight = Non
             val = ctx.pair(weight.coords, ctx.gamma_vec(i))
             if mode == "unsigned" and val.denominator != 1:
                 out.append(f"(lambda|gamma_{i}) = {val} not integral")
-    return out
+    return tuple(out)
 
 
 def translation_sign(ctx: LatticeContext) -> SignCharacter:
@@ -252,6 +263,20 @@ def translation_sign(ctx: LatticeContext) -> SignCharacter:
     return SignCharacter("custom_vector", vector=(1,) * n + tuple(tail))
 
 
+@lru_cache(maxsize=128)
+def _mock_plan(ctx: LatticeContext, weight: Weight):
+    """``lattice_mock_theta``'s constants, once per validated (context, weight)."""
+    bad = validate_context(ctx, weight=weight)
+    if bad:
+        raise ConditionViolation(bad)
+    m, n = ctx.rank, ctx.n_isotropic
+    G = ctx.full_gram_float()
+    lam = np.asarray([float(x) for x in weight.coords], dtype=float)
+    lam_min = float(np.linalg.eigvalsh(G[:m, :m])[0])
+    centre = np.linalg.solve(G[:m, :m], lam @ G[:, :m]) / float(ctx.k)
+    return G, lam, lam_min, centre, [G[:m, m + j] for j in range(n)], translation_sign(ctx)
+
+
 def lattice_mock_theta(
     ctx: LatticeContext,
     weight: Weight,
@@ -265,42 +290,41 @@ def lattice_mock_theta(
     replaces the (1 - ...) factors by (1 + ...), the shape the character
     (rather than supercharacter) numerators use.
     """
-    bad = validate_context(ctx, weight=weight)
-    if bad:
-        raise ConditionViolation(bad)
+    G, lam, lam_min, centre, beta_cols, sign = _mock_plan(ctx, weight)
     tau = policy.require_tau(point.tau)
     m, n = ctx.rank, ctx.n_isotropic
     if len(point.z) != ctx.ambient_dim:
         raise ValueError("z needs one coordinate per frame vector")
-    G = ctx.full_gram_float()
-    gamma_gram = G[:m, :m]
     k = float(ctx.k)
-    lam = np.asarray([float(x) for x in weight.coords], dtype=float)
     z = np.asarray(point.z, dtype=complex)
 
     im_n2 = float(z.imag @ G @ z.imag)
     im_norm = math.sqrt(im_n2) if im_n2 > 0 else 0.0
-    lam_min = float(np.linalg.eigvalsh(gamma_gram)[0])
     # denominator growth per unit of |lam + k gamma|: each factor can
     # amplify by exp(2 pi y |c_j|) and |c_j| <= r / (k sqrt(lam_min)).
     growth = 2.0 * math.pi * im_norm + 2.0 * math.pi * n * tau.imag / math.sqrt(lam_min)
-    lam_gamma_coords = np.linalg.solve(gamma_gram, lam @ G[:, :m])
-    sign = translation_sign(ctx)
+    beta_z = [complex(G[m + j] @ z) for j in range(n)]
+    i_pi_tau = _I_PI * tau
 
-    def term(c, n2):
-        v = lam + k * np.concatenate([c.astype(float), np.zeros(n)])
-        w = _I_PI * tau * float(v @ G @ v) / k + _2PI_I * complex(v @ G @ z)
-        den = 1.0 + 0.0j
-        for j in range(n):
-            gb = float(c @ G[:m, m + j])
-            bz = complex(G[m + j] @ z)
-            w, dj = fold_pole_factor(w, _2PI_I * (-gb * tau - bz), denominator_plus)
-            if abs(dj) < 1e-8:
-                raise PoleProximity(f"denominator factor {j+1} vanishes")
-            den *= dj
-        return sign(c.tolist(), n2) * cexp(w) / den
+    def terms(coords, norms):
+        pad = np.zeros((coords.shape[0], n))
+        for c, v in zip(coords, lam + k * np.concatenate([coords.astype(float), pad], axis=1)):
+            w = i_pi_tau * float(v @ G @ v) / k + _2PI_I * complex(v @ G @ z)
+            den = 1.0 + 0.0j
+            for j, (col, bz) in enumerate(zip(beta_cols, beta_z)):
+                d = _2PI_I * (-float(c @ col) * tau - bz)
+                # 1 -+ e^d = -+e^d (1 -+ e^-d): once e^d is large, e^-d folds into w
+                fold = d.real > 40.0
+                e = cexp(-d if fold else d)
+                dj = (1.0 + e) if denominator_plus else (1.0 - e)
+                if fold:
+                    w, dj = w - d, (dj if denominator_plus else -dj)
+                if abs(dj) < 1e-8:
+                    raise PoleProximity(f"denominator factor {j+1} vanishes")
+                den *= dj
+            yield sign(c.tolist(), None) * cexp(w) / den
 
-    out = _lattice_sum(gamma_gram, lam_gamma_coords / k, k, tau, growth, term, policy)
+    out = _lattice_sum(G[:m, :m], centre, k, tau, growth, terms, policy)
     return cexp(_2PI_I * k * complex(point.t)) * out
 
 
@@ -327,6 +351,11 @@ class ModificationResult:
     @property
     def k(self) -> Fraction:
         return self.ctx.k
+
+    @cached_property
+    def _plans(self) -> dict:
+        """``eval_modified``'s plans, one per xi_shift, kept on the result."""
+        return {}
 
     def mu_group_order(self) -> int:
         """|M*/kM| for the residual lattice."""
@@ -369,12 +398,8 @@ def _xi0_for(ctx: LatticeContext):
         odd = (ctx.k * norm2).denominator == 1 and (ctx.k * norm2).numerator % 2 == 1
         targets.append(Fraction(1, 2) if odd else Fraction(0))
     tail = list(range(n, m))  # 0-based indices of gamma_{n+1}..gamma_m
-    if tail:
-        A = [[ctx.gamma_gram[l][i] for l in tail] for i in tail]
-        b = [targets[i] for i in tail]
-        xs = _solve_rational(A, b)
-    else:
-        xs = []
+    A = [[ctx.gamma_gram[l][i] for l in tail] for i in tail]
+    xs = _solve_rational(A, [targets[i] for i in tail])
     coords = [Fraction(0)] * ctx.ambient_dim
     for pos, l in enumerate(tail):
         coords[l] = xs[pos]
@@ -385,10 +410,13 @@ def _xi0_for(ctx: LatticeContext):
     return tuple(coords)
 
 
+@lru_cache(maxsize=128)
 def build_modification(
     ctx: LatticeContext, weight: Weight, mode: str = None
 ) -> ModificationResult:
-    """Symbolic n-step factorization of the (signed) mock theta function."""
+    """Symbolic n-step factorization of the (signed) mock theta function,
+    built once per (context, weight, mode): a repeat returns the same
+    result, with the plans ``eval_modified`` keeps on it."""
     mode = mode or ctx.mode
     bad = validate_context(ctx, mode=mode, weight=weight)
     if bad:
@@ -411,56 +439,37 @@ def build_modification(
         shift = ctx.pair(weight.coords, ctx.gamma_vec(p))
         a1 = tuple(-x for x in ctx.beta_vec(p))
         gt = ctx.gamma_tilde(p)
-        a2 = tuple(
-            bp + 2 * g / norm2 for bp, g in zip(ctx.beta_vec(p), gt)
-        )
+        a2 = tuple(bp + 2 * g / norm2 for bp, g in zip(ctx.beta_vec(p), gt))
         factors.append(PhiFactor(p, degree, shift, a1, a2))
 
     xi0 = _xi0_for(ctx) if mode in ("plus", "minus") else None
-    return ModificationResult(
-        ctx=ctx,
-        weight=weight,
-        sign_mode=mode,
-        m_basis=m_basis,
-        m_gram=m_gram,
-        lambda_n=tuple(lam_n),
-        phi_factors=tuple(factors),
-        xi0=xi0,
-    )
+    return ModificationResult(ctx, weight, mode, m_basis, m_gram, tuple(lam_n), tuple(factors), xi0)
 
 
-def _theta_factor(
-    res: ModificationResult,
-    lam_frame,
-    point: ModularPoint,
-    policy: TruncationPolicy,
-    eps: SignCharacter,
-) -> SeriesValue:
-    """(Signed) theta of the residual lattice M, evaluated at the full z.
-
-    The frame vectors lambda and z split orthogonally into parts in M and
-    parts orthogonal to M; lambda_n lies in M, but a xi0 shift generally
-    does not.  The factor is lattice_theta on M at the M-coordinates of the
-    parts in M, times e^(pi i tau |lambda_perp|^2 / k).
-    """
+def _eval_plan(res: ModificationResult, xi_shift: bool):
+    """``eval_modified``'s constants for one xi_shift: eps, |lambda_perp|^2,
+    the M-side (lambda_M, basis.G, Gram, lattice) and each factor's a.G, index."""
     ctx = res.ctx
-    tau = policy.require_tau(point.tau)
-    k = float(ctx.k)
     G = ctx.full_gram_float()
+    if xi_shift and res.xi0 is None:
+        raise ValueError("context has no xi0 shift (unsigned mode)")
+    lam_frame = [a + b for a, b in zip(res.lambda_n, res.xi0)] if xi_shift else res.lambda_n
+    eps = SignCharacter("parity_of_norm", ctx.k) if SIGNS[res.sign_mode] == -1 else SignCharacter()
     lamf = np.asarray([float(x) for x in lam_frame])
     perp2 = float(lamf @ G @ lamf)
+    m_part = None
     if res.m_basis:
-        basis = np.asarray([[float(x) for x in vec] for vec in res.m_basis])
+        basis_g = np.asarray([[float(x) for x in vec] for vec in res.m_basis]) @ G
         gram_m = np.asarray([[float(x) for x in row] for row in res.m_gram])
-        lam_m = np.linalg.solve(gram_m, basis @ G @ lamf)
-        z_m = np.linalg.solve(gram_m, basis @ G @ np.asarray(point.z, dtype=complex))
+        lam_m = np.linalg.solve(gram_m, basis_g @ lamf)
         perp2 -= float(lam_m @ gram_m @ lam_m)
-        pt_m = ModularPoint(tau, z_m, point.t)
-        theta = lattice_theta(lam_m, ctx.k, LatticeData(gram_m), eps, pt_m, policy)
-    else:
-        # z^(1) = 0 when the residual lattice is trivial
-        theta = SeriesValue(cexp(_2PI_I * k * complex(point.t)), 0.0, 1)
-    return cexp(_I_PI * tau * perp2 / k) * theta
+        m_part = lam_m, basis_g, gram_m, LatticeData(gram_m)
+    factors = []
+    for fac in res.phi_factors:
+        s = fac.shift + ctx.pair(res.xi0, ctx.gamma_vec(fac.p)) if xi_shift else fac.shift
+        a1, a2 = (np.asarray([float(x) for x in a]) @ G for a in (fac.arg1, fac.arg2))
+        factors.append((a1, a2, MockIndex(fac.degree, s, res.sign_mode)))
+    return eps, perp2, m_part, factors
 
 
 def eval_modified(
@@ -469,37 +478,26 @@ def eval_modified(
     policy: TruncationPolicy = DEFAULT_POLICY,
     xi_shift: bool = False,
 ) -> SeriesValue:
-    """Evaluate the factored modified (signed) mock theta function."""
-    ctx = res.ctx
+    """Evaluate the factored modified (signed) mock theta function: the
+    (signed) theta of the residual lattice M at the parts of lambda and z
+    in M (a xi0 shift need not lie in M) times e^(pi i tau |lambda_perp|^2 / k),
+    times the phi_tilde factors."""
     tau = policy.require_tau(point.tau)
-    G = ctx.full_gram_float()
+    if xi_shift not in res._plans:
+        res._plans[xi_shift] = _eval_plan(res, xi_shift)
+    eps, perp2, m_part, factors = res._plans[xi_shift]
+    k = float(res.k)
     z = np.asarray(point.z, dtype=complex)
-
-    lam_frame = list(res.lambda_n)
-    if xi_shift:
-        if res.xi0 is None:
-            raise ValueError("context has no xi0 shift (unsigned mode)")
-        lam_frame = [a + b for a, b in zip(lam_frame, res.xi0)]
-
-    if SIGNS[res.sign_mode] == -1:
-        eps = SignCharacter("parity_of_norm", ctx.k)
+    if m_part:
+        lam_m, basis_g, gram_m, lattice = m_part
+        pt_m = ModularPoint(tau, np.linalg.solve(gram_m, basis_g @ z), point.t)
+        theta = lattice_theta(lam_m, res.k, lattice, eps, pt_m, policy)
     else:
-        eps = SignCharacter()
-    out = _theta_factor(res, lam_frame, point, policy, eps)
-
-    for fac in res.phi_factors:
-        a1 = np.asarray([float(x) for x in fac.arg1])
-        a2 = np.asarray([float(x) for x in fac.arg2])
-        w1 = complex(a1 @ G @ z)
-        w2 = complex(a2 @ G @ z)
-        if res.sign_mode == "unsigned":
-            idx = MockIndex(fac.degree, fac.shift, "unsigned")
-        else:
-            s = fac.shift
-            if xi_shift:
-                s = s + ctx.pair(res.xi0, ctx.gamma_vec(fac.p))
-            idx = MockIndex(fac.degree, s, res.sign_mode)
-        out = out * phi_tilde(idx, tau, w1, w2, policy)
+        # z^(1) = 0 when the residual lattice is trivial
+        theta = SeriesValue(cexp(_2PI_I * k * complex(point.t)), 0.0, 1)
+    out = cexp(_I_PI * tau * perp2 / k) * theta
+    for a1, a2, idx in factors:
+        out = out * phi_tilde(idx, tau, complex(a1 @ z), complex(a2 @ z), policy)
     return out
 
 

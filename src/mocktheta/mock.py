@@ -66,6 +66,10 @@ class MockIndex:
         elif 2 % m.denominator or 2 % s.denominator:
             raise ValueError("signed index needs half-integer m and s")
 
+    def __hash__(self):  # integers: Fraction.__hash__ is a modular inverse
+        m, s = self.m, self.s
+        return hash((m.numerator, m.denominator, s.numerator, s.denominator, self.sign))
+
     @property
     def sign_value(self) -> int:
         return SIGNS[self.sign]

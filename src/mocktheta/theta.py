@@ -25,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -172,6 +173,31 @@ def _theta_window(sign, c0s, m: float, tau: complex, z: complex, policy):
     return walk, window
 
 
+class GramPlan:
+    """What a Gram fixes for every lattice sum over it, kept per shape and
+    bytes by ``_gram_plan``: a Gram edited in place gets a plan of its own."""
+
+    def __init__(self, gram: np.ndarray):
+        self.gram = gram
+        try:
+            self.positive_definite = np.linalg.cholesky(gram) is not None
+        except np.linalg.LinAlgError:
+            self.positive_definite = False
+        self.lam_min = float(np.linalg.eigvalsh(gram)[0])
+
+    @cached_property
+    def scaled(self):
+        """(G, d), G integral, G / d the Gram to 9 places: |c|^2 = c.G.c / d."""
+        exact = [[as_fraction(round(float(x), 9)) for x in row] for row in self.gram]
+        d = math.lcm(*(x.denominator for row in exact for x in row))
+        return [[int(x * d) for x in row] for row in exact], d
+
+
+@lru_cache(maxsize=64)
+def _gram_plan(shape, data: bytes) -> GramPlan:
+    return GramPlan(np.frombuffer(data).reshape(shape))
+
+
 @dataclass(frozen=True)
 class LatticeData:
     """A free abelian group with real Gram data in some ambient space."""
@@ -189,13 +215,6 @@ class LatticeData:
     @property
     def rank(self) -> int:
         return self.gram.shape[0]
-
-    def is_positive_definite(self) -> bool:
-        try:
-            np.linalg.cholesky(self.gram)
-            return True
-        except np.linalg.LinAlgError:
-            return False
 
 
 @dataclass(frozen=True)
@@ -216,51 +235,65 @@ class SignCharacter:
         if self.kind == "trivial":
             return 1
         if self.kind == "parity_of_norm":
-            e = as_fraction(self.mult) * as_fraction(norm2)
-            if e.denominator != 1:
-                raise ValueError(
-                    f"parity_of_norm exponent {e} is not an integer"
-                )
-            return -1 if e.numerator % 2 else 1
+            return self.parity(*as_fraction(norm2).as_integer_ratio())
         if self.kind == "custom_vector":
             dot = sum(int(c) * int(x) for c, x in zip(self.vector, coords))
             return -1 if dot % 2 else 1
         raise ValueError(f"unknown sign character kind {self.kind!r}")
+
+    def parity(self, num: int, den: int) -> int:
+        """(-1)^(mult * num / den), the parity character at |gamma|^2 = num / den."""
+        mult = as_fraction(self.mult)
+        e, r = divmod(mult.numerator * num, mult.denominator * den)
+        if r:
+            raise ValueError(f"parity_of_norm exponent {mult * Fraction(num, den)} is not an integer")
+        return -1 if e % 2 else 1
+
+
+@lru_cache(maxsize=32)
+def _box(rank: int, n_max: int) -> np.ndarray:
+    """The integer vectors of [-n_max, n_max]^rank, in meshgrid order."""
+    grids = np.meshgrid(*[range(-n_max, n_max + 1)] * rank, indexing="ij")
+    box = np.stack([g.ravel() for g in grids], axis=1)
+    box.flags.writeable = False
+    return box
 
 
 def enumerate_ellipsoid(gram: np.ndarray, center: np.ndarray, radius2: float):
     """Integer vectors c with |center + c|^2 <= radius2 in the Gram metric.
 
     Box-bounds the coordinates through the smallest Gram eigenvalue, then
-    filters; adequate for the small ranks this library works at.
+    filters; adequate for the small ranks this library works at.  Only
+    the filter is per call: the eigenvalue and the box are kept.
     """
     gram = np.asarray(gram, dtype=float)
-    rank = gram.shape[0]
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
+    lam_min = _gram_plan(gram.shape, gram.tobytes()).lam_min
     if lam_min <= 0:
         raise NotPositiveDefinite("ellipsoid enumeration needs a definite Gram")
     # |c| <= |c + center| + |center| in the Gram norm, and coordinate-wise
     # |c_i| <= |c|_gram / sqrt(lam_min).
     center_norm = math.sqrt(max(0.0, float(center @ gram @ center)))
     bound = (math.sqrt(max(radius2, 0.0)) + center_norm) / math.sqrt(lam_min)
-    n_max = int(math.floor(bound + 1e-9))
-    ranges = [range(-n_max, n_max + 1)] * rank
-    grids = np.meshgrid(*ranges, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
+    coords = _box(gram.shape[0], int(math.floor(bound + 1e-9)))
     shifted = coords + center
     norms = np.einsum("ij,jk,ik->i", shifted, gram, shifted)
     keep = norms <= radius2 + 1e-9
     return coords[keep], norms[keep]
 
 
-def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, term, policy):
-    """Sum ``term(c, n2)`` over the integer vectors c of one lattice window.
+def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms, policy):
+    """Sum the summands ``terms(coords, norms)`` yields, one per integer
+    vector c of one lattice window, in the window's order.
 
-    ``n2`` is |centre + c|^2 in the Gram metric.  The summands must be
-    bounded by exp(-pi y r^2 / k + growth * r) in r = k |centre + c|; the
-    window radius r* makes that bound abs_tol / _WINDOW_MARGIN.  The
+    ``norms`` holds |centre + c|^2 in the Gram metric.  The summands must
+    be bounded by exp(-pi y r^2 / k + growth * r) in r = k |centre + c|;
+    the window radius r* makes that bound abs_tol / _WINDOW_MARGIN.  The
     err_bound is eight times the largest summand in the outer shell
     r^2 >= 0.7 r*^2, and at least abs_tol / 100.
+
+    ``terms`` may do elementwise work on the whole window at once, but
+    each summand's reductions (its v @ gram @ z) stay per vector: a
+    batched product rounds differently in the last bits.
     """
     log_tol = math.log(policy.abs_tol) - math.log(_WINDOW_MARGIN)
     a_coef = math.pi * tau.imag / k
@@ -276,8 +309,7 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, term, poli
         raise NonConvergent("lattice enumeration exceeds max_terms")
     total = 0.0 + 0.0j
     boundary = 0.0
-    for c, n2 in zip(coords, norms):
-        t = term(c, n2)
+    for t, n2 in zip(terms(coords, norms), norms.tolist()):
         total += t
         if n2 * k * k >= 0.7 * radius2:
             boundary = max(boundary, abs(t))
@@ -301,7 +333,8 @@ def lattice_theta(
     """
     if k <= 0:
         raise ValueError("degree k must be positive")
-    if not lattice.is_positive_definite():
+    plan = _gram_plan(lattice.gram.shape, lattice.gram.tobytes())
+    if not plan.positive_definite:
         raise NotPositiveDefinite("lattice_theta requires positive definite Gram")
     tau = policy.require_tau(point.tau)
     gram = lattice.gram
@@ -309,22 +342,18 @@ def lattice_theta(
     z = np.asarray(point.z, dtype=complex)
     kf = float(k)
     im_norm = math.sqrt(max(float(z.imag @ gram @ z.imag), 0.0))
-    # only the parity character reads |gamma|^2, and it needs it exactly
-    exact = None
-    if eps.kind == "parity_of_norm":
-        exact = [[as_fraction(round(float(x), 9)) for x in row] for row in gram]
+    i_pi_tau = _I_PI * tau
+    # only the parity character reads |c|^2, and it needs it exactly
+    g, d = plan.scaled if eps.kind == "parity_of_norm" else (None, 1)
 
-    def term(c, n2):
+    def terms(coords, norms):
         # |term| = exp(-pi y |v|^2 / k - 2 pi Im (v|z)), v = lam + k c
-        v = lam + kf * c
-        w = _I_PI * tau * (n2 * kf * kf) / kf + _2PI_I * complex(v @ gram @ z)
-        norm = None
-        if exact is not None:
-            ci = c.tolist()
-            norm = sum(
-                exact[i][j] * ci[i] * ci[j] for i in range(len(ci)) for j in range(len(ci))
-            )
-        return eps(c, norm) * cexp(w)
+        for c, v, n2 in zip(coords.tolist(), lam + kf * coords, (norms * kf * kf).tolist()):
+            if g is None:
+                s = eps(c, None)
+            else:  # |c|^2 = c.g.c / d
+                s = eps.parity(sum(a * x * b for r, a in zip(g, c) for x, b in zip(r, c)), d)
+            yield s * cexp(i_pi_tau * n2 / kf + _2PI_I * complex(v @ gram @ z))
 
-    out = _lattice_sum(gram, lam / kf, kf, tau, 2.0 * math.pi * im_norm, term, policy)
+    out = _lattice_sum(gram, lam / kf, kf, tau, 2.0 * math.pi * im_norm, terms, policy)
     return cexp(_2PI_I * kf * complex(point.t)) * out

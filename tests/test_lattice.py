@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from conftest import random_points
 
+from mocktheta import lattice, theta
+from mocktheta.characters import WeightSpec, ch_tilde
 from mocktheta.core import ModularPoint
 from mocktheta.errors import ConditionViolation, PoleProximity
 from mocktheta.lattice import (
@@ -23,6 +25,7 @@ from mocktheta.lattice import (
 )
 from mocktheta.mock import MockIndex, phi
 from mocktheta.modifier import phi_tilde
+from mocktheta.theta import LatticeData, SignCharacter, lattice_theta
 
 TAU = 0.13 + 0.92j
 CTX1 = LatticeContext(gamma_gram=((2,),), n_isotropic=1, k=1)
@@ -453,3 +456,165 @@ def test_translation_sign_is_the_exact_sign(ctx):
 @pytest.mark.parametrize("mode", ["unsigned", "plus"])
 def test_translation_sign_is_trivial_outside_minus_mode(mode):
     assert translation_sign(LatticeContext(((2,),), 1, 1, mode)).kind == "trivial"
+
+
+# ---------------------------------------------------------------------------
+# evaluation plans: built once per key, never a different value
+
+
+PLAN_CACHES = (
+    theta._gram_plan,
+    theta._box,
+    lattice._violations,
+    lattice._mock_plan,
+    lattice.build_modification,
+)
+# the benchmark's lattice Grams and contexts
+GRAMS = {
+    "A1": ([[2.0]], (0.5,)),
+    "A2": ([[2.0, -1.0], [-1.0, 2.0]], (0.5, 0.0)),
+    "A3": ([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]], (0.5, 0.0, 0.5)),
+    "A1A1": ([[2.0, 0.0], [0.0, 2.0]], (0.5, 0.0)),
+}
+SIGNS = {
+    "trivial": SignCharacter(),
+    "parity_of_norm": SignCharacter("parity_of_norm", F(1, 2)),
+}
+CONTEXTS = {
+    "sl2": (LatticeContext(((2,),), 1, 1), (0, -1)),
+    "sl2_k2": (LatticeContext(((2,),), 1, 2), (0, -1)),
+    "sl3": (LatticeContext(((2, -1), (-1, 2)), 1, 1), (0, 0, -1)),
+    "odd": (LatticeContext(((2,),), 1, F(3, 2), "minus"), (0, 1)),
+}
+ZS = (0.21 + 0.03j, -0.13 + 0.05j, 0.34 - 0.02j)
+
+
+def _point(n):
+    return ModularPoint(TAU, ZS[:n], 0.07)
+
+
+def _bits(sv):
+    return repr((sv.value, sv.err_bound, sv.terms_used))
+
+
+def _cold_then_warm(evaluate):
+    """(cold, warm): with every plan cache emptied first, then again."""
+    for cache in PLAN_CACHES:
+        cache.cache_clear()
+    return _bits(evaluate()), _bits(evaluate())
+
+
+class TestPlans:
+    @pytest.mark.parametrize("gram", sorted(GRAMS))
+    @pytest.mark.parametrize("sign", sorted(SIGNS))
+    def test_lattice_theta_cold_equals_warm(self, gram, sign):
+        rows, lam = GRAMS[gram]
+        cold, warm = _cold_then_warm(lambda: lattice_theta(
+            lam, 1, LatticeData(gram=np.array(rows)), SIGNS[sign], _point(len(rows))
+        ))
+        assert cold == warm
+
+    @pytest.mark.parametrize("name", sorted(CONTEXTS))
+    def test_lattice_mock_theta_cold_equals_warm(self, name):
+        ctx, coords = CONTEXTS[name]
+        cold, warm = _cold_then_warm(lambda: lattice_mock_theta(
+            ctx, Weight(ctx.k, coords), _point(len(coords))
+        ))
+        assert cold == warm
+
+    # an unsigned context has no xi0 shift
+    @pytest.mark.parametrize("name, xi_shift", [
+        ("sl2", False), ("sl2_k2", False), ("sl3", False), ("odd", False), ("odd", True),
+    ])
+    def test_eval_modified_cold_equals_warm(self, name, xi_shift):
+        ctx, coords = CONTEXTS[name]
+        cold, warm = _cold_then_warm(lambda: eval_modified(
+            build_modification(ctx, Weight(ctx.k, coords)), _point(len(coords)),
+            xi_shift=xi_shift,
+        ))
+        assert cold == warm
+
+    @pytest.mark.parametrize("case, k, labels, nz", [
+        ("osp42", 1, (F(1, 2), F(1, 2)), 3),
+        ("osp42", 1, (1, 0), 3),
+        ("osp32", 1, (0,), 2),
+        ("osp32", 1, (1,), 2),
+        ("sl21", 1, (0,), 2),
+        ("sl21", 2, (1,), 2),
+    ])
+    def test_ch_tilde_cold_equals_warm(self, case, k, labels, nz):
+        cold, warm = _cold_then_warm(
+            lambda: ch_tilde(case, WeightSpec(k, labels), _point(nz))
+        )
+        assert cold == warm
+
+    def test_grams_of_one_shape_keep_their_own_plans(self):
+        a2, a1a1 = (np.array(GRAMS[g][0]) for g in ("A2", "A1A1"))
+        plan_a2 = theta._gram_plan(a2.shape, a2.tobytes())
+        plan_a1a1 = theta._gram_plan(a1a1.shape, a1a1.tobytes())
+        assert plan_a2 is not plan_a1a1
+        assert (plan_a2.lam_min, plan_a1a1.lam_min) == (1.0, 2.0)
+        eps = SIGNS["parity_of_norm"]
+        lam = (0.5, 0.0)
+        values = [
+            lattice_theta(lam, 1, LatticeData(gram=g), eps, _point(2)).value
+            for g in (a2, a1a1, a2)
+        ]
+        assert values[0] == values[2] != values[1]
+
+    def test_gram_edited_in_place_gets_its_own_value(self):
+        eps = SIGNS["parity_of_norm"]
+        lat = LatticeData(gram=np.array(GRAMS["A2"][0]))
+        before = lattice_theta((0.5, 0.0), 1, lat, eps, _point(2))
+        lat.gram[:] = GRAMS["A1A1"][0]
+        after = lattice_theta((0.5, 0.0), 1, lat, eps, _point(2))
+        fresh, _ = _cold_then_warm(lambda: lattice_theta(
+            (0.5, 0.0), 1, LatticeData(gram=np.array(GRAMS["A1A1"][0])), eps, _point(2)
+        ))
+        assert _bits(after) == fresh != _bits(before)
+
+    def test_caches_stay_bounded(self):
+        eps = SIGNS["trivial"]
+        for j in range(1, 1001):
+            gram = np.array([[2.0 + j / 1000.0, 1.0], [1.0, 2.0 + j / 1000.0]])
+            lattice_theta((0.5, 0.0), 1, LatticeData(gram=gram), eps, _point(2))
+            ctx = LatticeContext(((2 * j,),), 1, 1)
+            w = Weight(1, (0, -1))
+            lattice_mock_theta(ctx, w, _point(2))
+            eval_modified(build_modification(ctx, w), _point(2))
+        for cache in PLAN_CACHES:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize, cache
+
+    def test_validate_context_returns_a_fresh_list(self):
+        good = validate_context(CTX1)
+        good.append("poison")
+        assert validate_context(CTX1) == []
+        bad_ctx, bad_w = LatticeContext(((2,),), 1, F(1, 2)), Weight(F(1, 2), (0, 0))
+        bad = validate_context(bad_ctx, weight=bad_w)
+        assert bad
+        expected = list(bad)
+        bad.clear()
+        assert validate_context(bad_ctx, weight=bad_w) == expected
+
+    def test_violations_raise_on_every_call(self):
+        ctx, w = LatticeContext(((2,),), 1, F(1, 2)), Weight(F(1, 2), (0, 0))
+        for _ in range(3):
+            with pytest.raises(ConditionViolation):
+                lattice_mock_theta(ctx, w, _point(2))
+            with pytest.raises(ConditionViolation):
+                build_modification(ctx, w)
+        good = LatticeContext(((2,),), 1, 1)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="xi0"):
+                eval_modified(build_modification(good, Weight(1, (0, -1))), _point(2),
+                              xi_shift=True)
+
+    def test_equal_contexts_and_weights_hash_alike(self):
+        a = LatticeContext(((2, -1), (-1, 2)), 1, 1)
+        b = LatticeContext(((2.0, F(-1)), (-1, F(4, 2))), 1, 1.0)
+        assert a == b and hash(a) == hash(b)
+        assert hash(Weight(1, (0, F(-1)))) == hash(Weight(1.0, (0.0, -1)))
+        assert build_modification(a, Weight(1, (0, 0, -1))) is build_modification(
+            b, Weight(1.0, (0.0, 0, -1))
+        )

@@ -42,6 +42,22 @@ class TestMockIndex:
         assert idx.flipped().sign == "minus"
         assert MockIndex(1, 0).flipped().sign == "unsigned"
 
+    @pytest.mark.parametrize("forms", [
+        [(1, 0), (F(1), F(0)), (1.0, 0.0), (1, F(0, 7))],
+        [(F(3, 2), F(1, 2), "minus"), (1.5, 0.5, "minus"), (F(6, 4), 0.5, "minus")],
+    ])
+    def test_hash_agrees_with_equality(self, forms):
+        # the hash reads the integers of the Fractions, as equality does
+        indices = [MockIndex(*f) for f in forms]
+        for a in indices:
+            for b in indices:
+                assert a == b and hash(a) == hash(b)
+        assert {indices[0]: "x"}[indices[-1]] == "x"
+
+    def test_hash_tells_the_sign_apart(self):
+        plus, minus = MockIndex(F(1, 2), 0, "plus"), MockIndex(F(1, 2), 0, "minus")
+        assert plus != minus and len({plus, minus, MockIndex(0.5, 0.0, "plus")}) == 2
+
 
 class TestPhi:
     def test_naive_oracle(self):

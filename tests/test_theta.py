@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +12,7 @@ from mocktheta.core import DEFAULT_POLICY, ModularPoint
 from mocktheta.errors import NotPositiveDefinite
 from mocktheta.theta import (
     LatticeData,
+    _gram_plan,
     SignCharacter,
     eta,
     lattice_theta,
@@ -150,6 +153,25 @@ class TestSignCharacter:
                 nb = F(int(b @ gram @ b))
                 nab = F(int((a + b) @ gram @ (a + b)))
                 assert eps(a + b, nab) == eps(a, na) * eps(b, nb)
+
+    def test_parity_on_the_integer_gram_matches_the_fraction_norm(self):
+        # lattice_theta reads the parity sign off the Gram's plan, scaled to
+        # integers; the Fraction norm of the same vector is the reference
+        gram = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -0.5], [0.0, -0.5, 1.5]])
+        g, d = _gram_plan(gram.shape, gram.tobytes()).scaled
+        exact = [[F(x) for x in row] for row in gram.tolist()]
+        for mult in (F(2), F(1)):
+            eps = SignCharacter("parity_of_norm", mult=mult)
+            for c in itertools.product(range(-2, 3), repeat=3):
+                ref = sum(exact[i][j] * c[i] * c[j] for i in range(3) for j in range(3))
+                num = sum(g[i][j] * c[i] * c[j] for i in range(3) for j in range(3))
+                try:
+                    want = eps(c, ref)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        eps.parity(num, d)
+                else:
+                    assert eps.parity(num, d) == want
 
     def test_custom_vector(self):
         eps = SignCharacter("custom_vector", vector=(1, 0))
