@@ -22,7 +22,8 @@ from mocktheta import (
     mu_class_representatives,
     validate_context,
 )
-from mocktheta.modular import S, T, act, gram_quad
+from mocktheta.characters import gram_quad
+from mocktheta.modular import S, T, act
 
 tau = 0.13 + 0.92j
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_POLICY,
+    VARIANTS,
     ModularPoint,
     SeriesValue,
     TruncationPolicy,
@@ -44,22 +45,23 @@ from .lattice import (
 )
 from .mock import MockIndex, phi
 from .modifier import phi_tilde
-from .modular import gram_quad
 from .superalg import WeightSpec, d21a_level, preset
 from .theta import eta, theta_ab, theta_jm
 
 F = Fraction
 _2PI_I = 2j * math.pi
 
-VARIANTS = (
-    "ch_minus",
-    "ch_minus_modified",
-    "ch_plus_modified",
-    "tw_minus_modified",
-    "tw_plus_modified",
-    "numerator_only",
-    "denominator_only",
-)
+
+def gram_quad(gram):
+    """Quadratic form from a full Gram matrix on the coordinate frame."""
+    g = np.asarray(gram, dtype=complex)
+
+    def quad(za, zb):
+        va = np.asarray(za, dtype=complex)
+        vb = np.asarray(zb, dtype=complex)
+        return complex(va @ g @ vb)
+
+    return quad
 
 
 class CharacterSystem:

@@ -1,5 +1,7 @@
 """Command-line surface: evaluate functions, run named verification
-suites, emit weight tables and S-matrices.
+suites, emit weight tables and S-matrices.  Each command imports the
+layers it uses, so ``eval`` of a rank-1 function and ``table`` load no
+numpy.
 
 Complex arguments use decimal ``a+bi`` syntax; a bare ``i`` means
 ``0+1i``.  Exit status: 0 on success / all residuals in tolerance, 1 on
@@ -9,22 +11,13 @@ failed verification, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import inspect
 import io
 import json
 import sys
 from fractions import Fraction
 
-from .characters import VARIANTS, ch_tilde, check_request
-from .core import DEFAULT_POLICY, TruncationPolicy
+from .core import DEFAULT_POLICY, VARIANTS, TruncationPolicy
 from .errors import MockThetaError
-from .mock import MockIndex, phi
-from .modifier import phi_add, phi_tilde, r_jm, r_jm_signed
-from .smatrix import smatrix
-from .suites import SUITES, list_suites, run_suite
-from .superalg import WeightSpec, enumerate_omega, integrable, preset
-from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
 F = Fraction
 
@@ -52,6 +45,8 @@ def _emit(doc, fmt: str, out_path: str = None):
     if fmt == "json":
         payload = json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         rows = doc if isinstance(doc, list) else doc.get("rows", [doc])
         if rows:
@@ -71,6 +66,10 @@ _SIGN = {"plus": "plus", "minus": "minus", "unsigned": "unsigned", "+": "plus", 
 
 
 def cmd_eval(args) -> int:
+    from .mock import MockIndex, phi
+    from .modifier import phi_add, phi_tilde, r_jm, r_jm_signed
+    from .theta import eta, theta_ab, theta_jm, theta_jm_signed
+
     policy = TruncationPolicy(abs_tol=args.tol) if args.tol else DEFAULT_POLICY
     tau = parse_complex(args.tau)
     if tau.imag < policy.min_im_tau:
@@ -124,6 +123,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import inspect
+
+    from .suites import SUITES, run_suite
+
     ids = sorted(SUITES) if args.suite == "all" else [args.suite]
     bad = [s for s in ids if s not in SUITES]
     if bad:
@@ -157,11 +160,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_list_suites(args) -> int:
+    from .suites import list_suites
+
     _emit(list_suites(), args.output, args.out)
     return 0
 
 
 def cmd_table(args) -> int:
+    from .superalg import enumerate_omega, integrable, preset
+
     if args.table == "preset":
         try:
             pre = preset(args.case, _case_params(args))
@@ -206,7 +213,9 @@ def _case_params(args):
 
 
 def cmd_chartable(args) -> int:
+    from .characters import ch_tilde, check_request
     from .modular import sample_points
+    from .superalg import WeightSpec
 
     params = _case_params(args)
     labels = tuple(parse_rational(x) for x in (args.labels or "0").split(","))
@@ -242,6 +251,8 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_smatrix(args) -> int:
+    from .smatrix import smatrix
+
     params = None
     k = parse_rational(args.k) if args.k else None
     if args.case == "d21a":

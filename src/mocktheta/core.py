@@ -35,6 +35,18 @@ _SQRT_EXP_GUARD = math.sqrt(_EXP_GUARD)
 # At the window's edge the summands are pushed this far below abs_tol.
 _WINDOW_MARGIN = 1e6
 
+# The variants of ``characters.ch_tilde``, here so that the command line
+# can offer them without loading the character layer.
+VARIANTS = (
+    "ch_minus",
+    "ch_minus_modified",
+    "ch_plus_modified",
+    "tw_minus_modified",
+    "tw_plus_modified",
+    "numerator_only",
+    "denominator_only",
+)
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:

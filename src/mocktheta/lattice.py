@@ -1,6 +1,7 @@
-"""Multivariable (signed) mock theta functions over a lattice with an
-isotropic set, and the step-by-step modification that factors them into a
-residual lattice theta times modified rank-1 factors.
+"""Positive definite lattice theta sums; multivariable (signed) mock theta
+functions over a lattice with an isotropic set, and the step-by-step
+modification that factors them into a residual lattice theta times
+modified rank-1 factors.  The library's numpy code lives here.
 
 Packaging of the data: a context fixes a basis gamma_1..gamma_m of the
 lattice and isotropic vectors beta_1..beta_n with (gamma_i|beta_j) =
@@ -9,13 +10,15 @@ carried as coordinate tuples in the combined {gamma_1..gamma_m,
 beta_1..beta_n} frame, with every pairing going through the full Gram
 matrix, which keeps the arithmetic exact until series evaluation.
 
-Both series here run over the lattice window of ``theta._lattice_sum``:
-the direct sum over gamma, and the residual-lattice theta factor of the
-modification, which is ``lattice_theta`` on M at the parts of lambda and
-z that lie in M.  What a context and weight fix is planned once per key:
-the validation and the modification per (context, weight, mode), the
-direct sum's constants per (context, weight), the factored evaluator's
-per modification and xi_shift.  Per point remain z's pairings and each
+Every lattice series runs over one window, ``_lattice_sum``, which fixes
+its radius, term cap and error bound: ``lattice_theta``, the direct sum
+over gamma, and the residual-lattice theta factor of the modification,
+which is ``lattice_theta`` on M at the parts of lambda and z that lie in
+M.  What a Gram, context and weight fix is planned once per key: the
+Gram's symmetry, definiteness and smallest eigenvalue per Gram, the
+validation and the modification per (context, weight, mode), the direct
+sum's constants per (context, weight), the factored evaluator's and the
+M*/kM classes per modification.  Per point remain z's pairings and each
 summand's reductions (v @ G @ z), which a batch would round differently.
 """
 
@@ -30,6 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import (
+    _WINDOW_MARGIN,
     DEFAULT_POLICY,
     ModularPoint,
     SeriesValue,
@@ -39,18 +43,222 @@ from .core import (
 )
 from .errors import (
     ConditionViolation,
+    NonConvergent,
+    NotPositiveDefinite,
     PoleProximity,
     SingularDecomposition,
 )
 from .mock import SIGNS, MockIndex
 from .modifier import phi_tilde
 from .superalg import _dot_gram
-from .theta import LatticeData, SignCharacter, _lattice_sum, lattice_theta
 
 _I_PI = 1j * math.pi
 _2PI_I = 2j * math.pi
 
 MODES = ("unsigned", "plus", "minus")
+
+
+# ---------------------------------------------------------------------------
+# positive definite lattice sums
+
+
+class GramPlan:
+    """What a Gram fixes for every lattice sum over it, kept per shape and
+    bytes by ``_gram_plan``: a Gram edited in place gets a plan of its own."""
+
+    def __init__(self, gram: np.ndarray):
+        self.gram = gram
+        self.symmetric = bool(np.allclose(gram, gram.T, atol=1e-12))
+
+    # on demand, so that a symmetry check asks for no factorization
+    @cached_property
+    def positive_definite(self) -> bool:
+        try:
+            np.linalg.cholesky(self.gram)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    @cached_property
+    def lam_min(self) -> float:
+        return float(np.linalg.eigvalsh(self.gram)[0])
+
+    @cached_property
+    def scaled(self):
+        """(G, d), G integral, G / d the Gram to 9 places: |c|^2 = c.G.c / d."""
+        exact = [[as_fraction(round(float(x), 9)) for x in row] for row in self.gram]
+        d = math.lcm(*(x.denominator for row in exact for x in row))
+        return [[int(x * d) for x in row] for row in exact], d
+
+
+@lru_cache(maxsize=64)
+def _gram_plan(shape, data: bytes) -> GramPlan:
+    return GramPlan(np.frombuffer(data).reshape(shape))
+
+
+@dataclass(frozen=True)
+class LatticeData:
+    """A free abelian group with real Gram data in some ambient space."""
+
+    gram: np.ndarray
+
+    def __post_init__(self):
+        g = np.asarray(self.gram, dtype=float)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise ValueError("gram must be a square matrix")
+        if not _gram_plan(g.shape, g.tobytes()).symmetric:
+            raise ValueError("gram must be symmetric")
+        object.__setattr__(self, "gram", g)
+
+    @property
+    def rank(self) -> int:
+        return self.gram.shape[0]
+
+
+@dataclass(frozen=True)
+class SignCharacter:
+    """A homomorphism eps: L -> {+-1}.
+
+    kind 'trivial'        : eps == 1
+    kind 'parity_of_norm' : eps(gamma) = (-1)^(mult * |gamma|^2); requires
+                            mult * |gamma|^2 integral on the lattice
+    kind 'custom_vector'  : eps(gamma) = (-1)^(c . coords(gamma))
+    """
+
+    kind: str = "trivial"
+    mult: Fraction = Fraction(0)
+    vector: tuple = ()
+
+    def __call__(self, coords, norm2) -> int:
+        if self.kind == "trivial":
+            return 1
+        if self.kind == "parity_of_norm":
+            return self.parity(*as_fraction(norm2).as_integer_ratio())
+        if self.kind == "custom_vector":
+            dot = sum(int(c) * int(x) for c, x in zip(self.vector, coords))
+            return -1 if dot % 2 else 1
+        raise ValueError(f"unknown sign character kind {self.kind!r}")
+
+    def parity(self, num: int, den: int) -> int:
+        """(-1)^(mult * num / den), the parity character at |gamma|^2 = num / den."""
+        mult = as_fraction(self.mult)
+        e, r = divmod(mult.numerator * num, mult.denominator * den)
+        if r:
+            raise ValueError(f"parity_of_norm exponent {mult * Fraction(num, den)} is not an integer")
+        return -1 if e % 2 else 1
+
+
+@lru_cache(maxsize=32)
+def _box(rank: int, n_max: int) -> np.ndarray:
+    """The integer vectors of [-n_max, n_max]^rank, in meshgrid order."""
+    grids = np.meshgrid(*[range(-n_max, n_max + 1)] * rank, indexing="ij")
+    box = np.stack([g.ravel() for g in grids], axis=1)
+    box.flags.writeable = False
+    return box
+
+
+def enumerate_ellipsoid(gram: np.ndarray, center: np.ndarray, radius2: float):
+    """Integer vectors c with |center + c|^2 <= radius2 in the Gram metric.
+
+    Box-bounds the coordinates through the smallest Gram eigenvalue, then
+    filters; adequate for the small ranks this library works at.  Only
+    the filter is per call: the eigenvalue and the box are kept.
+    """
+    gram = np.asarray(gram, dtype=float)
+    lam_min = _gram_plan(gram.shape, gram.tobytes()).lam_min
+    if lam_min <= 0:
+        raise NotPositiveDefinite("ellipsoid enumeration needs a definite Gram")
+    # |c| <= |c + center| + |center| in the Gram norm, and coordinate-wise
+    # |c_i| <= |c|_gram / sqrt(lam_min).
+    center_norm = math.sqrt(max(0.0, float(center @ gram @ center)))
+    bound = (math.sqrt(max(radius2, 0.0)) + center_norm) / math.sqrt(lam_min)
+    coords = _box(gram.shape[0], int(math.floor(bound + 1e-9)))
+    shifted = coords + center
+    norms = np.einsum("ij,jk,ik->i", shifted, gram, shifted)
+    keep = norms <= radius2 + 1e-9
+    return coords[keep], norms[keep]
+
+
+def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms, policy):
+    """Sum the summands ``terms(coords, norms)`` yields, one per integer
+    vector c of one lattice window, in the window's order.
+
+    ``norms`` holds |centre + c|^2 in the Gram metric.  The summands must
+    be bounded by exp(-pi y r^2 / k + growth * r) in r = k |centre + c|;
+    the window radius r* makes that bound abs_tol / _WINDOW_MARGIN.  The
+    err_bound is eight times the largest summand in the outer shell
+    r^2 >= 0.7 r*^2, and at least abs_tol / 100.
+
+    ``terms`` may do elementwise work on the whole window at once, but
+    each summand's reductions (its v @ gram @ z) stay per vector: a
+    batched product rounds differently in the last bits.
+    """
+    log_tol = math.log(policy.abs_tol) - math.log(_WINDOW_MARGIN)
+    a_coef = math.pi * tau.imag / k
+    r_star = (growth + math.sqrt(growth * growth - 4.0 * a_coef * log_tol)) / (
+        2.0 * a_coef
+    )
+    radius2 = r_star * r_star
+    coords, norms = enumerate_ellipsoid(gram, centre, radius2 / (k * k))
+    if coords.shape[0] == 0:
+        coords = np.zeros((1, gram.shape[0]), dtype=int)
+        norms = np.array([float(centre @ gram @ centre)])
+    if coords.shape[0] > policy.max_terms:
+        raise NonConvergent("lattice enumeration exceeds max_terms")
+    total = 0.0 + 0.0j
+    boundary = 0.0
+    for t, n2 in zip(terms(coords, norms), norms.tolist()):
+        total += t
+        if n2 * k * k >= 0.7 * radius2:
+            boundary = max(boundary, abs(t))
+    err = max(boundary * 8.0, policy.abs_tol * 0.01)
+    return SeriesValue(total, err, coords.shape[0])
+
+
+def lattice_theta(
+    lambda_bar,
+    k,
+    lattice: LatticeData,
+    eps: SignCharacter,
+    point,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> SeriesValue:
+    """Theta function of a positive definite lattice, degree k > 0.
+
+    ``lambda_bar`` holds coordinates of the shifted weight in the lattice
+    basis; ``point.z`` holds coordinates of z in the same basis, so that
+    all pairings go through the Gram matrix.
+    """
+    if k <= 0:
+        raise ValueError("degree k must be positive")
+    plan = _gram_plan(lattice.gram.shape, lattice.gram.tobytes())
+    if not plan.positive_definite:
+        raise NotPositiveDefinite("lattice_theta requires positive definite Gram")
+    tau = policy.require_tau(point.tau)
+    gram = lattice.gram
+    lam = np.asarray([float(x) for x in lambda_bar], dtype=float)
+    z = np.asarray(point.z, dtype=complex)
+    kf = float(k)
+    im_norm = math.sqrt(max(float(z.imag @ gram @ z.imag), 0.0))
+    i_pi_tau = _I_PI * tau
+    # only the parity character reads |c|^2, and it needs it exactly
+    g, d = plan.scaled if eps.kind == "parity_of_norm" else (None, 1)
+
+    def terms(coords, norms):
+        # |term| = exp(-pi y |v|^2 / k - 2 pi Im (v|z)), v = lam + k c
+        for c, v, n2 in zip(coords.tolist(), lam + kf * coords, (norms * kf * kf).tolist()):
+            if g is None:
+                s = eps(c, None)
+            else:  # |c|^2 = c.g.c / d
+                s = eps.parity(sum(a * x * b for r, a in zip(g, c) for x, b in zip(r, c)), d)
+            yield s * cexp(i_pi_tau * n2 / kf + _2PI_I * complex(v @ gram @ z))
+
+    out = _lattice_sum(gram, lam / kf, kf, tau, 2.0 * math.pi * im_norm, terms, policy)
+    return cexp(_2PI_I * kf * complex(point.t)) * out
+
+
+# ---------------------------------------------------------------------------
+# lattices with an isotropic set
 
 
 def _solve_rational(A, b):
@@ -357,6 +565,11 @@ class ModificationResult:
         """``eval_modified``'s plans, one per xi_shift, kept on the result."""
         return {}
 
+    @cached_property
+    def _mu_classes(self) -> tuple:
+        """``mu_class_representatives``, found once per result."""
+        return tuple(_mu_classes(self))
+
     def mu_group_order(self) -> int:
         """|M*/kM| for the residual lattice."""
         if not self.m_basis:
@@ -503,7 +716,12 @@ def eval_modified(
 
 def mu_class_representatives(res: ModificationResult):
     """Frame-coordinate representatives of the weight classes modulo
-    (k M + C T + C delta), i.e. of M*/kM pushed into the frame."""
+    (k M + C T + C delta), i.e. of M*/kM pushed into the frame; a fresh
+    list per call, copied from the classes kept on ``res``."""
+    return list(res._mu_classes)
+
+
+def _mu_classes(res: ModificationResult):
     ctx = res.ctx
     rank = len(res.m_basis)
     if rank == 0:

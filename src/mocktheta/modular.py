@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import ModularPoint, cexp
 
 PI = math.pi
@@ -50,20 +48,10 @@ def act(A: SL2Element, p: ModularPoint, quad) -> ModularPoint:
     return ModularPoint(tau2, z2, t2)
 
 
-def gram_quad(gram):
-    """Quadratic form from a full Gram matrix on the coordinate frame."""
-    g = np.asarray(gram, dtype=complex)
-
-    def quad(za, zb):
-        va = np.asarray(za, dtype=complex)
-        vb = np.asarray(zb, dtype=complex)
-        return complex(va @ g @ vb)
-
-    return quad
-
-
 def sample_points(n_points: int = 12, n_z: int = 2, seed: int = 20240):
     """Deterministic pseudo-random sample points away from poles."""
+    import numpy as np  # its RandomState stream pins every chartable point
+
     rng = np.random.RandomState(seed)
     pts = []
     while len(pts) < n_points:
@@ -265,7 +253,8 @@ def _lattice_tau(idx, tau, z, v):
     ctx = idx[0].ctx
     G = ctx.full_gram_float()
     kf = float(ctx.k)
-    zv = complex(np.asarray(z) @ G @ v)
+    # G is an ndarray, so z @ G converts z as np.asarray(z) would
+    zv = complex(z @ G @ v)
     v2 = float(v @ G @ v)
     sgn = (-1) ** abs(int(round(float(G[ctx.rank] @ v)))) if idx[0].sign_mode == "minus" else 1
     return _single(sgn * cexp(-2j * PI * kf * zv) * cexp(-1j * PI * tau * kf * v2), idx)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _oracles as oracle
 from .core import DEFAULT_POLICY, ModularPoint
-from .characters import ch_tilde, psi_fn, system
+from .characters import ch_tilde, gram_quad, psi_fn, system
 from .lattice import (
     LatticeContext,
     Weight,
@@ -31,7 +31,7 @@ from .lattice import (
 )
 from .mock import MockIndex, phi, phi_elliptic_residual, phi_shift_residual_a
 from .modifier import phi_tilde, r_jm, r_jm_signed
-from .modular import LAWS, S, T, act, check_pair, check_residual, gram_quad, verify_law
+from .modular import LAWS, S, T, act, check_pair, check_residual, verify_law
 from .smatrix import apply_smatrix_check, apply_tmatrix_check, smatrix
 from .superalg import WeightSpec, enumerate_omega, preset
 from .theta import eta, theta_ab, theta_jm, theta_jm_signed

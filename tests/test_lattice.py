@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 from conftest import random_points
 
-from mocktheta import lattice, theta
+from mocktheta import lattice
 from mocktheta.characters import WeightSpec, ch_tilde
 from mocktheta.core import ModularPoint
 from mocktheta.errors import ConditionViolation, PoleProximity
 from mocktheta.lattice import (
     LatticeContext,
+    LatticeData,
+    SignCharacter,
     Weight,
     build_modification,
     eval_modified,
     lattice_mock_theta,
+    lattice_theta,
     mu_class_representatives,
     projection_split,
     translation_sign,
@@ -25,7 +28,6 @@ from mocktheta.lattice import (
 )
 from mocktheta.mock import MockIndex, phi
 from mocktheta.modifier import phi_tilde
-from mocktheta.theta import LatticeData, SignCharacter, lattice_theta
 
 TAU = 0.13 + 0.92j
 CTX1 = LatticeContext(gamma_gram=((2,),), n_isotropic=1, k=1)
@@ -150,7 +152,7 @@ class TestMockTheta:
             lattice_mock_theta(CTX1, Weight(1, (0, 0)), pt)
 
     def test_empty_t_matches_plain_theta(self):
-        from mocktheta.theta import LatticeData, SignCharacter, lattice_theta
+        from mocktheta.lattice import LatticeData, SignCharacter, lattice_theta
 
         ctx0 = LatticeContext(((2,),), 0, 1)
         pt = ModularPoint(TAU, (0.23,), 0.04)
@@ -463,8 +465,8 @@ def test_translation_sign_is_trivial_outside_minus_mode(mode):
 
 
 PLAN_CACHES = (
-    theta._gram_plan,
-    theta._box,
+    lattice._gram_plan,
+    lattice._box,
     lattice._violations,
     lattice._mock_plan,
     lattice.build_modification,
@@ -550,8 +552,8 @@ class TestPlans:
 
     def test_grams_of_one_shape_keep_their_own_plans(self):
         a2, a1a1 = (np.array(GRAMS[g][0]) for g in ("A2", "A1A1"))
-        plan_a2 = theta._gram_plan(a2.shape, a2.tobytes())
-        plan_a1a1 = theta._gram_plan(a1a1.shape, a1a1.tobytes())
+        plan_a2 = lattice._gram_plan(a2.shape, a2.tobytes())
+        plan_a1a1 = lattice._gram_plan(a1a1.shape, a1a1.tobytes())
         assert plan_a2 is not plan_a1a1
         assert (plan_a2.lam_min, plan_a1a1.lam_min) == (1.0, 2.0)
         eps = SIGNS["parity_of_norm"]
@@ -596,6 +598,30 @@ class TestPlans:
         expected = list(bad)
         bad.clear()
         assert validate_context(bad_ctx, weight=bad_w) == expected
+
+    def test_mu_classes_are_kept_and_returned_fresh(self, monkeypatch):
+        ctx, coords = CONTEXTS["sl3"]
+        res = build_modification(ctx, Weight(ctx.k, coords))
+        first = mu_class_representatives(res)
+        assert len(first) == res.mu_group_order()
+        expected = list(first)
+        monkeypatch.setattr(lattice, "_mu_classes", None)  # a second search would raise
+        first.append("poison")
+        first[0] = None
+        second = mu_class_representatives(res)
+        assert second == expected and second is not first
+
+    @pytest.mark.parametrize("gram", [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))])
+    def test_lattice_data_refuses_a_non_square_gram(self, gram):
+        with pytest.raises(ValueError, match="square"):
+            LatticeData(gram=gram)
+
+    def test_lattice_data_refuses_an_asymmetric_gram(self):
+        for _ in range(2):  # the second read comes from the Gram's plan
+            with pytest.raises(ValueError, match="symmetric"):
+                LatticeData(gram=np.array([[2.0, 1.0], [1.0 + 1e-3, 2.0]]))
+        # np.allclose's tolerance, 1e-12 + 1e-5 |g_ij|
+        LatticeData(gram=np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]]))
 
     def test_violations_raise_on_every_call(self):
         ctx, w = LatticeContext(((2,),), 1, F(1, 2)), Weight(F(1, 2), (0, 0))

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from mocktheta.characters import gram_quad
 from mocktheta.core import ModularPoint
 from mocktheta.mock import MockIndex
 from mocktheta.modifier import phi_tilde
@@ -15,7 +16,6 @@ from mocktheta.modular import (
     act,
     check_pair,
     check_residual,
-    gram_quad,
     sample_points,
     verify_law,
 )

@@ -1,4 +1,5 @@
-"""numpy is the only runtime dependency.
+"""numpy is the only runtime dependency, and the rank-1 and Omega paths
+do not load it.
 
 Each check runs in a fresh interpreter, so modules that other tests (or
 the test runner) imported cannot hide an import made by the library.
@@ -8,6 +9,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mocktheta
 
@@ -57,3 +60,41 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
     )
     assert loaded == []
+
+
+# what the rank-1 functions and the Omega tables never need
+HEAVY = ("numpy", "mocktheta.lattice", "mocktheta.characters", "mocktheta.smatrix",
+         "mocktheta.suites")
+NUMPY_FREE_IMPORTS = ("mocktheta", "mocktheta.mock", "mocktheta.modifier", "mocktheta.superalg")
+NUMPY_FREE_COMMANDS = [
+    ["eval", "phi", "--m=1", "--s=0", "--tau=0.1+1.1i", "--z1=0.3+0.05i", "--z2=0.2-0.03i"],
+    ["eval", "phi-tilde", "--m=2", "--s=1", "--tau=0.1+1.1i", "--z1=0.3+0.05i",
+     "--z2=0.2-0.03i"],
+    ["table", "omega", "--case", "d21a", "--k=-1/2"],
+]
+
+
+@pytest.mark.parametrize("module", NUMPY_FREE_IMPORTS)
+def test_rank1_modules_load_no_numpy(module):
+    loaded = _run_child(
+        f"""
+import json
+import {module}
+print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
+"""
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_rank1_and_omega_commands_load_no_numpy(argv):
+    code, loaded = _run_child(
+        f"""
+import contextlib, io, json
+from mocktheta.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps([code, [m for m in {HEAVY!r} if m in sys.modules]]))
+"""
+    )
+    assert (code, loaded) == (0, [])

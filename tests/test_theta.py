@@ -10,16 +10,8 @@ import pytest
 from mocktheta import _oracles as oracle
 from mocktheta.core import DEFAULT_POLICY, ModularPoint
 from mocktheta.errors import NotPositiveDefinite
-from mocktheta.theta import (
-    LatticeData,
-    _gram_plan,
-    SignCharacter,
-    eta,
-    lattice_theta,
-    theta_ab,
-    theta_jm,
-    theta_jm_signed,
-)
+from mocktheta.lattice import LatticeData, SignCharacter, _gram_plan, lattice_theta
+from mocktheta.theta import eta, theta_ab, theta_jm, theta_jm_signed
 from conftest import random_points
 
 TAU = 0.13 + 0.92j
