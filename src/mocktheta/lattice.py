@@ -58,10 +58,6 @@ _2PI_I = 2j * math.pi
 MODES = ("unsigned", "plus", "minus")
 
 
-# ---------------------------------------------------------------------------
-# positive definite lattice sums
-
-
 class GramPlan:
     """What a Gram fixes for every lattice sum over it, kept per shape and
     bytes by ``_gram_plan``: a Gram edited in place gets a plan of its own."""
@@ -255,10 +251,6 @@ def lattice_theta(
 
     out = _lattice_sum(gram, lam / kf, kf, tau, 2.0 * math.pi * im_norm, terms, policy)
     return cexp(_2PI_I * kf * complex(point.t)) * out
-
-
-# ---------------------------------------------------------------------------
-# lattices with an isotropic set
 
 
 def _solve_rational(A, b):
