@@ -560,7 +560,7 @@ class ModificationResult:
     @cached_property
     def _mu_classes(self) -> tuple:
         """``mu_class_representatives``, found once per result."""
-        return tuple(_mu_classes(self))
+        return tuple(_find_mu_classes(self))
 
     def mu_group_order(self) -> int:
         """|M*/kM| for the residual lattice."""
@@ -713,7 +713,7 @@ def mu_class_representatives(res: ModificationResult):
     return list(res._mu_classes)
 
 
-def _mu_classes(res: ModificationResult):
+def _find_mu_classes(res: ModificationResult):
     ctx = res.ctx
     rank = len(res.m_basis)
     if rank == 0:

@@ -605,7 +605,7 @@ class TestPlans:
         first = mu_class_representatives(res)
         assert len(first) == res.mu_group_order()
         expected = list(first)
-        monkeypatch.setattr(lattice, "_mu_classes", None)  # a second search would raise
+        monkeypatch.setattr(lattice, "_find_mu_classes", None)  # a second search would raise
         first.append("poison")
         first[0] = None
         second = mu_class_representatives(res)
