@@ -365,6 +365,7 @@ class D21aSystem(CharacterSystem):
     name = "d21a"
     n_labels = 2
     SIDES = ("T", "Tp")
+    params = (1, 1)  # (p, q) when none are given
     pos_roots = (
         ((1, 0, 0), 1),
         ((0, 1, 0), 1),
@@ -375,7 +376,7 @@ class D21aSystem(CharacterSystem):
         ((0, 1, 1), 0),
     )
 
-    def __init__(self, p: int = 1, q: int = 1):
+    def __init__(self, p: int, q: int):
         self.p, self.q = p, q
         self.a = F(-p, p + q)
         self.params = (p, q)
@@ -578,7 +579,7 @@ _CASES = {
     "osp32": Osp32System,
     "osp32_sub": Osp32SubSystem,
     "osp42": Osp42System,
-    "d21a": D21aSystem,  # params (p, q), default (1, 1)
+    "d21a": D21aSystem,  # params (p, q)
 }
 
 
@@ -587,9 +588,10 @@ def system(name: str, params: tuple = None) -> CharacterSystem:
     """The character system of a wired case, built once per (name, params)."""
     if name not in _CASES:
         raise UnsupportedCase(f"no wired character system for {name!r}")
+    cls = _CASES[name]
     try:
-        return _CASES[name](*(params or ()))
-    except TypeError as exc:  # more parameters than the case takes
+        return cls(*(params or cls.params or ()))
+    except TypeError as exc:  # a parameter count the case does not take
         raise UnsupportedCase(f"case {name} does not take the parameters {params}") from exc
 
 

@@ -19,8 +19,6 @@ from fractions import Fraction
 from .core import DEFAULT_POLICY, VARIANTS, TruncationPolicy
 from .errors import MockThetaError
 
-F = Fraction
-
 
 def parse_complex(text: str) -> complex:
     t = text.strip().replace(" ", "")
@@ -207,9 +205,12 @@ def cmd_table(args) -> int:
 def _case_params(args):
     if args.case in ("d21a",) and (args.p or args.q):
         return (args.p or 1, args.q or 1)
-    if args.params:
+    if not args.params:
+        return None
+    try:
         return tuple(int(x) for x in args.params.split(","))
-    return None
+    except ValueError as exc:
+        raise SystemExit(f"error: cannot parse parameters {args.params!r}") from exc
 
 
 def cmd_chartable(args) -> int:
@@ -251,22 +252,18 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_smatrix(args) -> int:
-    from .smatrix import smatrix
+    from .smatrix import _span, smatrix
 
-    params = None
-    k = parse_rational(args.k) if args.k else None
-    if args.case == "d21a":
-        p, q, n = args.p or 1, args.q or 1, args.n or 1
-        params = (p, q)
-        if k is None:
-            k = F(-p * q * n, p + q)
-    elif args.case == "osp_level1":
-        params = tuple(int(x) for x in (args.params or "3,2").split(","))
-        k = F(1)
-    elif k is None:
-        print("error: --k is required for this case", file=sys.stderr)
-        return 2
     try:
+        span = _span(args.case)
+        params = _case_params(args) or span.params
+        if args.k:
+            k = parse_rational(args.k)
+        elif span.level:
+            k = span.level(params, 1 if args.n is None else args.n)
+        else:
+            print("error: --k is required for this case", file=sys.stderr)
+            return 2
         sm = smatrix(args.case, k, params)
     except MockThetaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,11 @@
 """S- and T-transformation matrices on the wired spans of modified
 normalized supercharacters, with numeric apply-checks.
 
+One table, ``_SPANS``, declares each wired span once: its SMatrix builder,
+which refuses a level or parameters off the span's rule, the basis its
+apply-checks evaluate and the defaults of ``mocktheta smatrix``; no reader
+branches on a case name.
+
 Row convention: F_i | S = sum_j S[i, j] F_j and F_i | T = sum_j T[i, j] F_j,
 with no tau^weight factor: the functions are normalized quotients, whose
 numerator's weight cancels against the superdenominator's.
@@ -12,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,147 +85,133 @@ def _weil(labels, N: int):
     return S, T
 
 
+def _sl21(k, params):
+    system("sl21", params).check_level(k)
+    one = np.array([[1.0 + 0j]])
+    return SMatrix("sl21", k, (f"k{k}",), one, one.copy(), weights=(WeightSpec(k, (0,)),))
+
+
+def _d21a(k, params):
+    sys = system("d21a", params)
+    n = d21a_level(sys.p, sys.q, k)
+    nus = sys.nu_range(n)
+    S, T = _weil(nus, (sys.p + sys.q) * n)
+    note = ("character identification relies on the conjectural two-term formula; "
+            "the function-level transform is exact")
+    return SMatrix("d21a", k, tuple(f"nu={nu}" for nu in nus), S, T, conjectural=True,
+                   note=note, weights=tuple(WeightSpec(k, (0, nu)) for nu in nus))
+
+
+def _d21a_level_n(params, n):
+    sys = system("d21a", params)
+    return F(-sys.p * sys.q * n, sys.p + sys.q)
+
+
+def _osp42(k, params):
+    system("osp42", params).check_level(k)
+    kk = int(k)
+    js = list(range(-kk, 3 * kk))  # complete residues mod 4k
+    S, T = _weil(js, 2 * kk)
+    weights = tuple(
+        WeightSpec(k, (abs(F(j, 2)), F(j, 2))) if -kk <= j <= kk
+        # mirror-side class: k2 = j/2 - k on the T' side
+        else WeightSpec(k, (abs(F(j - 2 * kk, 2)), F(j - 2 * kk, 2)), side="Tp")
+        for j in js
+    )
+    return SMatrix("osp42", k, tuple(f"2k2={j}" for j in js), S, T, weights=weights)
+
+
+def _osp32_sub(k, params):
+    if params:
+        raise UnsupportedCase(f"case osp32_sub does not take the parameters {params}")
+    if (4 * k).denominator != 1 or k >= F(-1, 2):
+        raise UnsupportedCase("subprincipal span needs k in (1/4)Z, k < -1/2")
+    four_k = int(4 * k)
+    S = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, (-1.0) ** four_k]], complex)
+    ph = -((-1j) ** (four_k % 4))
+    T = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, ph], [0, 0, ph, 0]], complex)
+    note = ("normalized quotients transform with no weight factor: "
+            "the numerator's tau cancels against the superdenominator's")
+    return SMatrix("osp32_sub", k, ("f1", "f2", "f3", "f4"), S, T, note=note)
+
+
+_LEVEL1 = ("sum01", "diff01", "twisted", "diff_top")
+
+
+def _osp_level1(k, params):
+    M, N = params if params and len(params) == 2 else (0, 0)  # (0, 0) is refused next
+    if M < 1 or N < 2 or N % 2:
+        raise UnsupportedCase(f"osp_level1 takes (M, N) with M >= 1, N >= 2 even, not {params}")
+    if k != 1:
+        raise UnsupportedCase(f"case osp_level1 takes only level 1, not {k}")
+    m, n = M // 2, N // 2
+    if M % 2:
+        s12, s21 = math.sqrt(2) * 1j ** (n % 4), (-1j) ** (n % 4) / math.sqrt(2)
+        S = np.array([[1, 0, 0], [0, 0, s12], [0, s21, 0]], complex)
+        c = cmath.exp(1j * math.pi * (n - m - 0.5) / 12)
+        lam = cmath.exp(1j * math.pi * (m - n + 0.5) / 6)
+        T = np.array([[0, c, 0], [c, 0, 0], [0, 0, lam]], complex)
+        # the closed forms are not normalized: S is unitary in the
+        # Gram diag(1, 1, 2), S^+ G S = G
+        return SMatrix("osp_level1", k, _LEVEL1[:3], S, T, gram=(1.0, 1.0, 2.0))
+    s12, s21, s33 = 1j ** (n % 4), (-1j) ** (n % 4), (-1j) ** ((m - n) % 4)
+    S = np.array([[1, 0, 0, 0], [0, 0, s12, 0], [0, s21, 0, 0], [0, 0, 0, s33]], complex)
+    c = cmath.exp(1j * math.pi * (n - m) / 12)
+    lam = cmath.exp(-1j * math.pi * (n - m) / 6)
+    T = np.array([[0, c, 0, 0], [c, 0, 0, 0], [0, 0, lam, 0], [0, 0, 0, lam]], complex)
+    return SMatrix("osp_level1", k, _LEVEL1, S, T)
+
+
+def _ch_tilde_basis(sm, params, policy):
+    fns = [(lambda pt, w=w: ch_tilde(sm.case, w, pt, policy, params=params).value)
+           for w in sm.weights]
+    return fns, system(sm.case, params).quad
+
+
+def _f_basis(sm, params, policy):
+    sub = system("osp32_sub")
+    fns = [(lambda pt, i=i: sub.f_function(i, sm.k, pt, policy).value) for i in (1, 2, 3, 4)]
+    return fns, sub.quad
+
+
+def _level1_basis(sm, params, policy):
+    M, N = params
+    fns = [(lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt, policy).value)
+           for c in sm.labels]
+    return fns, level1_quad(M, N)
+
+
+class _Span(NamedTuple):
+    build: Callable  # (k, params) -> SMatrix; UnsupportedCase off the span's rule
+    basis: Callable  # (SMatrix, params, policy) -> (row functions, quad) of the apply-checks
+    params: tuple = None  # the CLI's parameters when none are given
+    level: Callable = None  # (params, n) -> the CLI's k without --k; None: --k is required
+
+
+_SPANS = {
+    "sl21": _Span(_sl21, _ch_tilde_basis),
+    "osp42": _Span(_osp42, _ch_tilde_basis),  # eq 6.6
+    "d21a": _Span(_d21a, _ch_tilde_basis, (1, 1), _d21a_level_n),  # Thm 6.14
+    "osp32_sub": _Span(_osp32_sub, _f_basis),  # eqs 6.20/6.21
+    "osp_level1": _Span(_osp_level1, _level1_basis, (3, 2), lambda params, n: F(1)),  # sec 6.5
+}
+
+
+def _span(case: str) -> _Span:
+    if case not in _SPANS:
+        raise UnsupportedCase(f"no wired S-matrix span for {case!r}; wired: {', '.join(_SPANS)}")
+    return _SPANS[case]
+
+
 def smatrix(case: str, k, params: tuple = None) -> SMatrix:
-    k = as_fraction(k)
-    if case == "sl21":
-        system(case, params).check_level(k)
-        return SMatrix(
-            case,
-            k,
-            labels=(f"k{k}",),
-            entries=np.array([[1.0 + 0j]]),
-            t_matrix=np.array([[1.0 + 0j]]),
-            weights=(WeightSpec(k, (0,)),),
-        )
-    if case == "d21a":
-        sys = system(case, params)
-        n = d21a_level(sys.p, sys.q, k)
-        nus = sys.nu_range(n)
-        S, T = _weil(nus, (sys.p + sys.q) * n)
-        return SMatrix(
-            case,
-            k,
-            labels=tuple(f"nu={nu}" for nu in nus),
-            entries=S,
-            t_matrix=T,
-            conjectural=True,
-            note="character identification relies on the conjectural "
-            "two-term formula; the function-level transform is exact",
-            weights=tuple(WeightSpec(k, (0, nu)) for nu in nus),
-        )
-    if case == "osp42":
-        system(case, params).check_level(k)
-        kk = int(k)
-        js = list(range(-kk, 3 * kk))  # complete residues mod 4k
-        S, T = _weil(js, 2 * kk)
-        return SMatrix(
-            case,
-            k,
-            labels=tuple(f"2k2={j}" for j in js),
-            entries=S,
-            t_matrix=T,
-            weights=tuple(
-                WeightSpec(k, (abs(F(j, 2)), F(j, 2))) if -kk <= j <= kk
-                # mirror-side class: k2 = j/2 - k on the T' side
-                else WeightSpec(k, (abs(F(j - 2 * kk, 2)), F(j - 2 * kk, 2)), side="Tp")
-                for j in js
-            ),
-        )
-    if case == "osp32_sub":
-        if (4 * k).denominator != 1 or k >= F(-1, 2):
-            raise UnsupportedCase("subprincipal span needs k in (1/4)Z, k < -1/2")
-        four_k = int(4 * k)
-        S = np.zeros((4, 4), dtype=complex)
-        S[0, 0] = 1.0
-        S[1, 2] = 1.0
-        S[2, 1] = 1.0
-        S[3, 3] = (-1.0) ** four_k
-        T = np.zeros((4, 4), dtype=complex)
-        T[0, 0] = 1.0
-        T[1, 1] = 1.0
-        ph = -((-1j) ** (four_k % 4))
-        T[2, 3] = ph
-        T[3, 2] = ph
-        return SMatrix(
-            case,
-            k,
-            labels=("f1", "f2", "f3", "f4"),
-            entries=S,
-            t_matrix=T,
-            note="normalized quotients transform with no weight factor: "
-            "the numerator's tau cancels against the superdenominator's",
-        )
-    if case == "osp_level1":
-        M, N = params
-        m, n = M // 2, N // 2
-        odd = M % 2 == 1
-        if odd:
-            S = np.zeros((3, 3), dtype=complex)
-            S[0, 0] = 1.0
-            S[1, 2] = math.sqrt(2) * 1j ** (n % 4)
-            S[2, 1] = (-1j) ** (n % 4) / math.sqrt(2)
-            c = cmath.exp(1j * math.pi * (n - m - 0.5) / 12)
-            lam = cmath.exp(1j * math.pi * (m - n + 0.5) / 6)
-            T = np.array(
-                [[0, c, 0], [c, 0, 0], [0, 0, lam]], dtype=complex
-            )
-            labels = ("sum01", "diff01", "twisted")
-            # the closed forms are not normalized: S is unitary in the
-            # Gram diag(1, 1, 2), S^+ G S = G
-            return SMatrix("osp_level1", F(1), labels, S, T, gram=(1.0, 1.0, 2.0))
-        else:
-            S = np.zeros((4, 4), dtype=complex)
-            S[0, 0] = 1.0
-            S[1, 2] = 1j ** (n % 4)
-            S[2, 1] = (-1j) ** (n % 4)
-            S[3, 3] = (-1j) ** ((m - n) % 4)
-            c = cmath.exp(1j * math.pi * (n - m) / 12)
-            lam = cmath.exp(-1j * math.pi * (n - m) / 6)
-            T = np.array(
-                [
-                    [0, c, 0, 0],
-                    [c, 0, 0, 0],
-                    [0, 0, lam, 0],
-                    [0, 0, 0, lam],
-                ],
-                dtype=complex,
-            )
-            labels = ("sum01", "diff01", "twisted", "diff_top")
-        return SMatrix("osp_level1", F(1), labels, S, T)
-    raise UnsupportedCase(case)
-
-
-def _basis_functions(sm: SMatrix, params, policy):
-    """Evaluable basis functions matching the smatrix labels: ch_tilde at
-    the row weights of the lattice cases, the spanning functions of the
-    subprincipal case and the closed forms at level 1."""
-    case, k = sm.case, sm.k
-    if case == "osp32_sub":
-        sub = system("osp32_sub")
-        fns = [
-            (lambda pt, i=i: sub.f_function(i, k, pt, policy).value)
-            for i in (1, 2, 3, 4)
-        ]
-        return fns, sub.quad
-    if case == "osp_level1":
-        M, N = params
-        fns = [
-            (lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt, policy).value)
-            for c in sm.labels
-        ]
-        return fns, level1_quad(M, N)
-    fns = [
-        (lambda pt, w=w: ch_tilde(case, w, pt, policy, params=params).value)
-        for w in sm.weights
-    ]
-    return fns, system(case, params).quad
+    return _span(case).build(as_fraction(k), params)
 
 
 def _apply_residuals(case, k, points, params, policy, g):
     """F_i|g against sum_j M_ij F_j at the points, for g = S (M the
     S-matrix) or g = T (M the T-matrix)."""
     sm = smatrix(case, k, params)
-    fns, quad = _basis_functions(sm, params, policy)
+    fns, quad = _SPANS[case].basis(sm, params, policy)
     matrix = sm.entries if g == S else sm.t_matrix
     records = []
     for pt in points:

@@ -870,7 +870,10 @@ def preset(name: str, params: tuple = None) -> SuperalgebraPreset:
         name, params = _ALIASES[name]
     if name not in _FAMILIES:
         raise UnsupportedCase(f"unknown case {name!r}")
-    return replace(_FAMILIES[name].build(*(params or ())), family=name)
+    build, params = _FAMILIES[name].build, tuple(params or ())
+    if len(params) != build.__code__.co_argcount:
+        raise UnsupportedCase(f"case {name} does not take the parameters {params}")
+    return replace(build(*params), family=name)
 
 
 def _family(pre: SuperalgebraPreset) -> _Family:

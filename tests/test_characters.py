@@ -19,7 +19,7 @@ from mocktheta.errors import MockThetaError, UnsupportedCase
 from mocktheta.mock import MockIndex, phi
 from mocktheta.modifier import phi_tilde
 from mocktheta.modular import sample_points
-from mocktheta.smatrix import _basis_functions, smatrix
+from mocktheta.smatrix import _SPANS, smatrix
 from mocktheta.superalg import WeightSpec
 from mocktheta.theta import eta, theta_ab, theta_jm
 from conftest import random_points
@@ -219,7 +219,7 @@ class TestOsp42:
         val = ch_tilde("osp42", w, pt).value
         assert abs(val - (0.0812502762 + 0.0772277593j)) < 1e-9
         sm = smatrix("osp42", 1)
-        fns, _ = _basis_functions(sm, None, DEFAULT_POLICY)
+        fns, _ = _SPANS["osp42"].basis(sm, None, DEFAULT_POLICY)
         assert val == fns[sm.weights.index(w)](pt)
 
 

@@ -29,6 +29,9 @@ class TestParsing:
     @pytest.mark.parametrize("args", [
         ("chartable", "--case", "sl21", "--k", "abc"),
         ("eval", "phi", "--tau", "1+x"),
+        ("chartable", "--case", "sl21", "--k", "1", "--params", "a"),
+        ("table", "omega", "--case", "sl", "--params", "1,a"),
+        ("smatrix", "--case", "osp_level1", "--params", "a"),
     ])
     def test_parse_error_exits_2_with_its_message(self, args, capsys):
         assert main(list(args)) == 2
@@ -124,6 +127,44 @@ class TestTables:
         assert doc["unitarity_defect"] < 1e-12
         assert len(doc["labels"]) == 4
 
+    def test_smatrix_params_reach_the_span(self, capsys):
+        from fractions import Fraction
+
+        from mocktheta.smatrix import smatrix
+
+        assert main(["smatrix", "--case", "d21a", "--params", "1,2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        want = smatrix("d21a", Fraction(-2, 3), (1, 2))
+        assert doc["k"] == "-2/3" and doc["labels"] == list(want.labels)
+        assert len(doc["labels"]) == 6
+        got = [[complex(v["re"], v["im"]) for v in row] for row in doc["entries"]]
+        assert got == want.entries.tolist()
+
+    @pytest.mark.parametrize("args", [
+        ("--case", "osp_level1", "--k", "2"),
+        ("--case", "osp_level1", "--params", "3,3"),
+        ("--case", "osp_level1", "--params", "3"),
+        ("--case", "osp32_sub", "--k=-3/4", "--params", "1"),
+        ("--case", "osp42", "--k", "1", "--params", "1"),
+        ("--case", "sl21", "--k", "1", "--params", "1,2"),
+        ("--case", "d21a", "--params", "2"),
+        ("--case", "d21a", "--n", "0"),
+        ("--case", "sl21"),
+        ("--case", "sl32", "--k", "1"),
+    ])
+    def test_smatrix_refusal_exits_2(self, args, capsys):
+        assert main(["smatrix", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("table,case,params", [
+        ("omega", "sl", "2"), ("preset", "d21a", "1"), ("preset", "f4", "1"),
+    ])
+    def test_table_wrong_parameter_count_exits_2(self, table, case, params, capsys):
+        assert main(["table", table, "--case", case, "--params", params]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: case ") and captured.out == ""
+
 
 class TestMainEntry:
     def test_in_process_call(self, capsys):
@@ -160,6 +201,8 @@ class TestCharTable:
         # a level off the case's rule
         ("--case", "osp42", "--k", "3/2", "--labels", "0,0"),
         ("--case", "sl21", "--k", "1/2"),
+        # one of the two family parameters of D(2,1;a); (2, 1) takes k = -2/3
+        ("--case", "d21a", "--k=-2/3", "--labels", "0,1", "--params", "2"),
     ])
     def test_configuration_error_exits_2_before_any_row(self, args, capsys):
         assert main(["chartable", *args, "--points", "1"]) == 2

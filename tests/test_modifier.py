@@ -10,29 +10,10 @@ from mocktheta.core import gauss_E
 from mocktheta.mock import MockIndex
 from mocktheta.modifier import phi_add, phi_tilde, r_jm, r_jm_signed
 from mocktheta.theta import theta_ab, theta_jm, theta_jm_signed
+import refs
 from conftest import random_points
 
 TAU = 0.13 + 0.92j
-
-
-def r_mp(sign, j, m, tau, z, window=60):
-    """High-precision ladder with mpmath's error function."""
-    with mp.workdps(40):
-        tau, z = mp.mpc(tau), mp.mpc(z)
-        y = mp.im(tau)
-        tot = mp.mpc(0)
-        for ell in range(-window, window + 1):
-            mj = mp.mpf(j.numerator) / j.denominator
-            mm = mp.mpf(m.numerator) / m.denominator
-            n = mj + 2 * mm * ell
-            sgn = 1 if ell >= 0 else -1
-            psi = (n - 2 * mm * mp.im(z) / y) * mp.sqrt(y / mm)
-            w = sgn - mp.erf(mp.sqrt(mp.pi) * psi)
-            term = w * mp.e ** (-mp.pi * 1j * n * n * tau / (2 * mm) + 2j * mp.pi * n * z)
-            if sign == -1 and ell % 2:
-                term = -term
-            tot += term
-        return complex(tot)
 
 
 class TestRSeries:
@@ -47,7 +28,9 @@ class TestRSeries:
                     mine = r_jm(int(j), int(m), tau, z1).value
                 else:
                     mine = r_jm_signed(sign, j, m, tau, z1).value
-                ref = r_mp(sign, F(j), F(m), tau, z1)
+                # R is taken on v = (z1 - z2)/2, so z2 = -z1 puts it at z1
+                mode = "minus" if sign == -1 else "plus"
+                ref = refs.rank1_index(tau, z1, -z1, m, j, mode)[1]
                 assert abs(mine - ref) < 1e-10, (sign, j, m)
 
     def test_signed_plus_reduces(self):

@@ -149,3 +149,34 @@ def test_d21a_level_off_the_family_is_refused(k):
 def test_level_off_the_case_rule_is_refused(case, k):
     with pytest.raises(UnsupportedCase, match="takes no level"):
         smatrix(case, k)
+
+
+@pytest.mark.parametrize("case,k,params", [
+    ("osp_level1", 2, (3, 2)),  # level 1 only
+    ("osp_level1", 1, (3, 3)),  # odd N
+    ("osp_level1", 1, (0, 2)),
+    ("osp_level1", 1, None),
+    ("osp_level1", 1, (3,)),
+    ("osp32_sub", F(-3, 4), (1,)),  # parameters for a case that takes none
+    ("osp42", 1, (1,)),
+    ("sl21", 1, (1, 2)),
+    ("d21a", F(-2, 3), (2,)),  # one of the two family parameters; (2, 1) takes k = -2/3
+    ("osp32", 1, None),  # a case with no wired span
+])
+def test_span_refuses_what_it_cannot_build(case, k, params):
+    for call in (lambda: smatrix(case, k, params),
+                 lambda: apply_smatrix_check(case, k, [], params),
+                 lambda: apply_tmatrix_check(case, k, [], params)):
+        with pytest.raises(UnsupportedCase):
+            call()
+
+
+def test_no_case_name_branches_outside_the_span_table():
+    import importlib
+    import inspect
+
+    from mocktheta.cli import cmd_smatrix
+
+    module = importlib.import_module("mocktheta.smatrix")
+    for source in (inspect.getsource(module), inspect.getsource(cmd_smatrix)):
+        assert "case ==" not in source and "case in (" not in source

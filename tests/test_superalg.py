@@ -67,6 +67,13 @@ class TestPresets:
         with pytest.raises(UnsupportedCase):
             preset("e8")
 
+    @pytest.mark.parametrize("name,params", [
+        ("sl", (2,)), ("sl", (1, 1, 1)), ("sl", None), ("d21a", (1,)), ("f4", (1,)), ("osp_h0", ()),
+    ])
+    def test_wrong_parameter_count_is_refused(self, name, params):
+        with pytest.raises(UnsupportedCase, match="does not take the parameters"):
+            preset(name, params)
+
     def test_isotropy_of_t(self):
         for name, params in ALL_PRESETS:
             p = preset(name, params)

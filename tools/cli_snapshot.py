@@ -14,7 +14,8 @@ Two commits print the same thing exactly when
 is empty.  The list covers ``verify all`` at the default seeds, at
 ``--seed 7`` and with ``--full``; ``list-suites``; one ``eval`` per
 function; the README and benchmark ``chartable`` rows; ``smatrix`` for
-every wired case; and ``table omega``/``preset`` for every case alias.
+every wired case, with parameters and levels it honours or refuses; and
+``table omega``/``preset`` for every case alias.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ def _commands():
         ("osp32_sub", ["--case", "osp32_sub", "--k=-3/4"]),
         ("osp_level1", ["--case", "osp_level1"]),
         ("osp_level1_4_2", ["--case", "osp_level1", "--params", "4,2"]),
+        # parameters and levels a span honours or refuses
+        ("d21a_params_1_2", ["--case", "d21a", "--params", "1,2"]),
+        ("osp_level1_k2", ["--case", "osp_level1", "--k", "2"]),
+        ("osp_level1_3_3", ["--case", "osp_level1", "--params", "3,3"]),
+        ("osp_level1_3", ["--case", "osp_level1", "--params", "3"]),
+        ("osp32_sub_params_1", ["--case", "osp32_sub", "--k=-3/4", "--params", "1"]),
     ):
         cmds.append((f"smatrix_{name}", ["smatrix"] + args))
     for alias, k in ALIASES:
