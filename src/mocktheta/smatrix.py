@@ -87,8 +87,14 @@ def _weil(labels, N: int):
 
 def _sl21(k, params):
     system("sl21", params).check_level(k)
-    one = np.array([[1.0 + 0j]])
-    return SMatrix("sl21", k, (f"k{k}",), one, one.copy(), weights=(WeightSpec(k, (0,)),))
+    return SMatrix(
+        "sl21",
+        k,
+        labels=(f"k{k}",),
+        entries=np.array([[1.0 + 0j]]),
+        t_matrix=np.array([[1.0 + 0j]]),
+        weights=(WeightSpec(k, (0,)),),
+    )
 
 
 def _d21a(k, params):
@@ -96,10 +102,17 @@ def _d21a(k, params):
     n = d21a_level(sys.p, sys.q, k)
     nus = sys.nu_range(n)
     S, T = _weil(nus, (sys.p + sys.q) * n)
-    note = ("character identification relies on the conjectural two-term formula; "
-            "the function-level transform is exact")
-    return SMatrix("d21a", k, tuple(f"nu={nu}" for nu in nus), S, T, conjectural=True,
-                   note=note, weights=tuple(WeightSpec(k, (0, nu)) for nu in nus))
+    return SMatrix(
+        "d21a",
+        k,
+        labels=tuple(f"nu={nu}" for nu in nus),
+        entries=S,
+        t_matrix=T,
+        conjectural=True,
+        note="character identification relies on the conjectural "
+        "two-term formula; the function-level transform is exact",
+        weights=tuple(WeightSpec(k, (0, nu)) for nu in nus),
+    )
 
 
 def _d21a_level_n(params, n):
@@ -112,13 +125,19 @@ def _osp42(k, params):
     kk = int(k)
     js = list(range(-kk, 3 * kk))  # complete residues mod 4k
     S, T = _weil(js, 2 * kk)
-    weights = tuple(
-        WeightSpec(k, (abs(F(j, 2)), F(j, 2))) if -kk <= j <= kk
-        # mirror-side class: k2 = j/2 - k on the T' side
-        else WeightSpec(k, (abs(F(j - 2 * kk, 2)), F(j - 2 * kk, 2)), side="Tp")
-        for j in js
+    return SMatrix(
+        "osp42",
+        k,
+        labels=tuple(f"2k2={j}" for j in js),
+        entries=S,
+        t_matrix=T,
+        weights=tuple(
+            WeightSpec(k, (abs(F(j, 2)), F(j, 2))) if -kk <= j <= kk
+            # mirror-side class: k2 = j/2 - k on the T' side
+            else WeightSpec(k, (abs(F(j - 2 * kk, 2)), F(j - 2 * kk, 2)), side="Tp")
+            for j in js
+        ),
     )
-    return SMatrix("osp42", k, tuple(f"2k2={j}" for j in js), S, T, weights=weights)
 
 
 def _osp32_sub(k, params):
@@ -127,15 +146,26 @@ def _osp32_sub(k, params):
     if (4 * k).denominator != 1 or k >= F(-1, 2):
         raise UnsupportedCase("subprincipal span needs k in (1/4)Z, k < -1/2")
     four_k = int(4 * k)
-    S = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, (-1.0) ** four_k]], complex)
+    S = np.zeros((4, 4), dtype=complex)
+    S[0, 0] = 1.0
+    S[1, 2] = 1.0
+    S[2, 1] = 1.0
+    S[3, 3] = (-1.0) ** four_k
+    T = np.zeros((4, 4), dtype=complex)
+    T[0, 0] = 1.0
+    T[1, 1] = 1.0
     ph = -((-1j) ** (four_k % 4))
-    T = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, ph], [0, 0, ph, 0]], complex)
-    note = ("normalized quotients transform with no weight factor: "
-            "the numerator's tau cancels against the superdenominator's")
-    return SMatrix("osp32_sub", k, ("f1", "f2", "f3", "f4"), S, T, note=note)
-
-
-_LEVEL1 = ("sum01", "diff01", "twisted", "diff_top")
+    T[2, 3] = ph
+    T[3, 2] = ph
+    return SMatrix(
+        "osp32_sub",
+        k,
+        labels=("f1", "f2", "f3", "f4"),
+        entries=S,
+        t_matrix=T,
+        note="normalized quotients transform with no weight factor: "
+        "the numerator's tau cancels against the superdenominator's",
+    )
 
 
 def _osp_level1(k, params):
@@ -145,39 +175,65 @@ def _osp_level1(k, params):
     if k != 1:
         raise UnsupportedCase(f"case osp_level1 takes only level 1, not {k}")
     m, n = M // 2, N // 2
-    if M % 2:
-        s12, s21 = math.sqrt(2) * 1j ** (n % 4), (-1j) ** (n % 4) / math.sqrt(2)
-        S = np.array([[1, 0, 0], [0, 0, s12], [0, s21, 0]], complex)
+    odd = M % 2 == 1
+    if odd:
+        S = np.zeros((3, 3), dtype=complex)
+        S[0, 0] = 1.0
+        S[1, 2] = math.sqrt(2) * 1j ** (n % 4)
+        S[2, 1] = (-1j) ** (n % 4) / math.sqrt(2)
         c = cmath.exp(1j * math.pi * (n - m - 0.5) / 12)
         lam = cmath.exp(1j * math.pi * (m - n + 0.5) / 6)
-        T = np.array([[0, c, 0], [c, 0, 0], [0, 0, lam]], complex)
+        T = np.array(
+            [[0, c, 0], [c, 0, 0], [0, 0, lam]], dtype=complex
+        )
+        labels = ("sum01", "diff01", "twisted")
         # the closed forms are not normalized: S is unitary in the
         # Gram diag(1, 1, 2), S^+ G S = G
-        return SMatrix("osp_level1", k, _LEVEL1[:3], S, T, gram=(1.0, 1.0, 2.0))
-    s12, s21, s33 = 1j ** (n % 4), (-1j) ** (n % 4), (-1j) ** ((m - n) % 4)
-    S = np.array([[1, 0, 0, 0], [0, 0, s12, 0], [0, s21, 0, 0], [0, 0, 0, s33]], complex)
-    c = cmath.exp(1j * math.pi * (n - m) / 12)
-    lam = cmath.exp(-1j * math.pi * (n - m) / 6)
-    T = np.array([[0, c, 0, 0], [c, 0, 0, 0], [0, 0, lam, 0], [0, 0, 0, lam]], complex)
-    return SMatrix("osp_level1", k, _LEVEL1, S, T)
+        return SMatrix("osp_level1", k, labels, S, T, gram=(1.0, 1.0, 2.0))
+    else:
+        S = np.zeros((4, 4), dtype=complex)
+        S[0, 0] = 1.0
+        S[1, 2] = 1j ** (n % 4)
+        S[2, 1] = (-1j) ** (n % 4)
+        S[3, 3] = (-1j) ** ((m - n) % 4)
+        c = cmath.exp(1j * math.pi * (n - m) / 12)
+        lam = cmath.exp(-1j * math.pi * (n - m) / 6)
+        T = np.array(
+            [
+                [0, c, 0, 0],
+                [c, 0, 0, 0],
+                [0, 0, lam, 0],
+                [0, 0, 0, lam],
+            ],
+            dtype=complex,
+        )
+        labels = ("sum01", "diff01", "twisted", "diff_top")
+    return SMatrix("osp_level1", k, labels, S, T)
 
 
 def _ch_tilde_basis(sm, params, policy):
-    fns = [(lambda pt, w=w: ch_tilde(sm.case, w, pt, policy, params=params).value)
-           for w in sm.weights]
+    fns = [
+        (lambda pt, w=w: ch_tilde(sm.case, w, pt, policy, params=params).value)
+        for w in sm.weights
+    ]
     return fns, system(sm.case, params).quad
 
 
 def _f_basis(sm, params, policy):
     sub = system("osp32_sub")
-    fns = [(lambda pt, i=i: sub.f_function(i, sm.k, pt, policy).value) for i in (1, 2, 3, 4)]
+    fns = [
+        (lambda pt, i=i: sub.f_function(i, sm.k, pt, policy).value)
+        for i in (1, 2, 3, 4)
+    ]
     return fns, sub.quad
 
 
 def _level1_basis(sm, params, policy):
     M, N = params
-    fns = [(lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt, policy).value)
-           for c in sm.labels]
+    fns = [
+        (lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt, policy).value)
+        for c in sm.labels
+    ]
     return fns, level1_quad(M, N)
 
 
@@ -191,7 +247,7 @@ class _Span(NamedTuple):
 _SPANS = {
     "sl21": _Span(_sl21, _ch_tilde_basis),
     "osp42": _Span(_osp42, _ch_tilde_basis),  # eq 6.6
-    "d21a": _Span(_d21a, _ch_tilde_basis, (1, 1), _d21a_level_n),  # Thm 6.14
+    "d21a": _Span(_d21a, _ch_tilde_basis, level=_d21a_level_n),  # Thm 6.14
     "osp32_sub": _Span(_osp32_sub, _f_basis),  # eqs 6.20/6.21
     "osp_level1": _Span(_osp_level1, _level1_basis, (3, 2), lambda params, n: F(1)),  # sec 6.5
 }

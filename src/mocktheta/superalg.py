@@ -870,10 +870,11 @@ def preset(name: str, params: tuple = None) -> SuperalgebraPreset:
         name, params = _ALIASES[name]
     if name not in _FAMILIES:
         raise UnsupportedCase(f"unknown case {name!r}")
-    build, params = _FAMILIES[name].build, tuple(params or ())
-    if len(params) != build.__code__.co_argcount:
-        raise UnsupportedCase(f"case {name} does not take the parameters {params}")
-    return replace(build(*params), family=name)
+    try:
+        pre = _FAMILIES[name].build(*(params or ()))
+    except TypeError as exc:  # a parameter count the family does not take
+        raise UnsupportedCase(f"case {name} does not take the parameters {params}") from exc
+    return replace(pre, family=name)
 
 
 def _family(pre: SuperalgebraPreset) -> _Family:
