@@ -378,9 +378,9 @@ class D21aSystem(CharacterSystem):
 
     def __init__(self, p: int, q: int):
         self.p, self.q = p, q
-        self.a = F(-p, p + q)
         self.params = (p, q)
-        super().__init__()
+        super().__init__()  # the preset refuses p, q that are not coprime and positive
+        self.a = F(-p, p + q)
 
     def functional(self, coeffs, z):
         return complex(np.asarray(coeffs, dtype=float) @ self.frame_gram @ np.asarray(z))

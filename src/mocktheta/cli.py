@@ -1,7 +1,7 @@
 """Command-line surface: evaluate functions, run named verification
 suites, emit weight tables and S-matrices.  Each command imports the
-layers it uses, so ``eval`` of a rank-1 function and ``table`` load no
-numpy.
+layers it uses, so ``eval`` of a rank-1 function, ``table``,
+``list-suites`` and ``verify`` of a rank-1 suite load no numpy.
 
 Complex arguments use decimal ``a+bi`` syntax; a bare ``i`` means
 ``0+1i``.  Exit status: 0 on success / all residuals in tolerance, 1 on
@@ -37,6 +37,17 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as exc:
         raise SystemExit(f"error: cannot parse rational {text!r}") from exc
+
+
+def _parse_seed(text: str) -> int:
+    """A --seed: an integer in [0, 2**32), the seeds of the sample-point stream."""
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise SystemExit(f"error: cannot parse seed {text!r}") from exc
+    if not 0 <= seed < 2**32:
+        raise SystemExit(f"error: --seed must be in [0, 2**32 - 1], got {seed}")
+    return seed
 
 
 def _emit(doc, fmt: str, out_path: str = None):
@@ -203,8 +214,8 @@ def cmd_table(args) -> int:
 
 
 def _case_params(args):
-    if args.case in ("d21a",) and (args.p or args.q):
-        return (args.p or 1, args.q or 1)
+    if args.case == "d21a" and (args.p is not None or args.q is not None):
+        return tuple(1 if x is None else x for x in (args.p, args.q))
     if not args.params:
         return None
     try:
@@ -319,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite")
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--seed", type=_parse_seed, default=None)
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--p", type=int, default=None)
     pv.add_argument("--q", type=int, default=None)
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--labels", default=None, help="comma-separated weight labels")
     pc.add_argument("--variant", default="ch_minus_modified", choices=VARIANTS)
     pc.add_argument("--points", type=int, default=6)
-    pc.add_argument("--seed", type=int, default=20240)
+    pc.add_argument("--seed", type=_parse_seed, default=20240)
     pc.add_argument("--p", type=int, default=None)
     pc.add_argument("--q", type=int, default=None)
     pc.add_argument("--params", default=None)
@@ -375,12 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):  # a parse error's message

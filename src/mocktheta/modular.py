@@ -48,11 +48,28 @@ def act(A: SL2Element, p: ModularPoint, quad) -> ModularPoint:
     return ModularPoint(tau2, z2, t2)
 
 
+def _stream(seed: int):
+    """The MT19937 stream of ``numpy.random.RandomState(seed)``: Python's own
+    generator is MT19937 too, set here to the state init_genrand(seed) of
+    Matsumoto and Nishimura (ACM TOMACS 8(1), 1998) as RandomState seeds it,
+    so ``.uniform(a, b)`` draws the same doubles bit for bit."""
+    import random  # here, not at the top: eval loads this module and draws no points
+
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be between 0 and 2**32 - 1, got {seed}")
+    x = seed
+    state = [x]
+    for i in range(1, 624):
+        x = (1812433253 * (x ^ (x >> 30)) + i) & 0xFFFFFFFF
+        state.append(x)
+    rng = random.Random(0)
+    rng.setstate((3, (*state, 624), None))  # 624: the next draw regenerates
+    return rng
+
+
 def sample_points(n_points: int = 12, n_z: int = 2, seed: int = 20240):
     """Deterministic pseudo-random sample points away from poles."""
-    import numpy as np  # its RandomState stream pins every chartable point
-
-    rng = np.random.RandomState(seed)
+    rng = _stream(seed)
     pts = []
     while len(pts) < n_points:
         tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 2.0))

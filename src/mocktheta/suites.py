@@ -7,6 +7,10 @@ residual against its registered tolerance through ``modular.verify_law``.
 :func:`run_suite` stamps the id and anchor on the report.  The CLI
 ``verify`` command and the acceptance tests both dispatch through
 :func:`run_suite`, so there is a single source of truth for every check.
+
+Only the rank-1 layers load with this module; a suite that reaches the
+lattice, character, S-matrix or superalgebra layers (or the naive oracles)
+imports them itself, so ``verify`` of a rank-1 suite loads no numpy.
 """
 
 from __future__ import annotations
@@ -16,24 +20,10 @@ import math
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
-from . import _oracles as oracle
 from .core import DEFAULT_POLICY, ModularPoint
-from .characters import ch_tilde, gram_quad, psi_fn, system
-from .lattice import (
-    LatticeContext,
-    Weight,
-    build_modification,
-    eval_modified,
-    lattice_mock_theta,
-    mu_class_representatives,
-)
 from .mock import MockIndex, phi, phi_elliptic_residual, phi_shift_residual_a
 from .modifier import phi_tilde, r_jm, r_jm_signed
-from .modular import LAWS, S, T, act, check_pair, check_residual, verify_law
-from .smatrix import apply_smatrix_check, apply_tmatrix_check, smatrix
-from .superalg import WeightSpec, enumerate_omega, preset
+from .modular import LAWS, S, T, _stream, act, check_pair, check_residual, verify_law
 from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
 F = Fraction
@@ -58,7 +48,7 @@ def _law_checks(checks, f, family, point, policy):
 
 
 def _points(seed, n, im=(0.8, 2.0)):
-    rng = np.random.RandomState(seed)
+    rng = _stream(seed)
     pts = []
     while len(pts) < n:
         tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(*im))
@@ -374,18 +364,28 @@ def suite_eq119(seed=26, tol=1e-9, n_points=4, policy=DEFAULT_POLICY):
 
 
 def _ctx_sl2(k):
+    from .lattice import LatticeContext
+
     return LatticeContext(gamma_gram=((2,),), n_isotropic=1, k=k)
 
 
 def _ctx_sl3(k):
+    from .lattice import LatticeContext
+
     return LatticeContext(gamma_gram=((2, -1), (-1, 2)), n_isotropic=1, k=k)
 
 
 def _ctx_odd(k):
+    from .lattice import LatticeContext
+
     return LatticeContext(gamma_gram=((2,),), n_isotropic=1, k=k, mode="minus")
 
 
 def suite_eq35(seed=31, tol=1e-9, n_points=6, policy=DEFAULT_POLICY):
+    import numpy as np
+
+    from .lattice import Weight, lattice_mock_theta
+
     checks = []
     for tau, z1, z2 in _points(seed, n_points):
         for k in (1, 2):
@@ -406,6 +406,9 @@ def suite_eq35(seed=31, tol=1e-9, n_points=6, policy=DEFAULT_POLICY):
 
 
 def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
+    from .characters import gram_quad
+    from .lattice import Weight, build_modification, eval_modified, mu_class_representatives
+
     checks = []
     for tau, z1, z2 in _points(seed, n_points):
         for ctx, zc, label in (
@@ -431,12 +434,17 @@ def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
 
 def _signed_pair(k):
     """The minus and plus modifications of the signed rank-1 context."""
+    from .lattice import Weight, build_modification
+
     ctx = _ctx_odd(k)
     w = Weight(k, (0, F(1)))
     return ctx, {mode: build_modification(ctx, w, mode=mode) for mode in ("minus", "plus")}
 
 
 def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
+    from .characters import gram_quad
+    from .lattice import build_modification, eval_modified, mu_class_representatives
+
     checks = []
     for tau, z1, z2 in _points(seed, n_points):
         ctx, res = _signed_pair(F(3, 2))
@@ -457,6 +465,9 @@ def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
 
 
 def suite_prop33c(seed=34, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
+    from .characters import gram_quad
+    from .lattice import eval_modified
+
     checks = []
     for tau, z1, z2 in _points(seed, n_points):
         ctx, res = _signed_pair(F(3, 2))
@@ -474,6 +485,10 @@ def suite_prop33c(seed=34, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
 
 def _lattice_shifts(checks, idx, pt, vectors, policy):
     """prop3.7/3.8 (i) and (ii): f(z + v) and f(z + tau v) for each vector v."""
+    import numpy as np
+
+    from .lattice import eval_modified
+
     res, xi = idx
     tau = pt.tau
     z = np.array(pt.z)
@@ -486,6 +501,10 @@ def _lattice_shifts(checks, idx, pt, vectors, policy):
 
 
 def suite_prop37(seed=35, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
+    import numpy as np
+
+    from .lattice import Weight, build_modification
+
     checks = []
     vectors = (("|g|^2 beta", np.array([0.0, 2.0])), ("gamma~", np.array([1.0, 0.0])))
     for tau, z1, z2 in _points(seed, n_points):
@@ -495,6 +514,10 @@ def suite_prop37(seed=35, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
 
 
 def suite_prop38(seed=36, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
+    import numpy as np
+
+    from .lattice import Weight, build_modification
+
     checks = []
     vectors = (
         ("m-basis", np.array([0.0, 1.0, -1.0])),
@@ -513,6 +536,8 @@ def suite_prop38(seed=36, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
 
 
 def suite_eq56(seed=41, tol=1e-8, n_points=6, policy=DEFAULT_POLICY):
+    from .characters import system
+
     checks = []
     for tau, z1, z2 in _points(seed, n_points):
         for case in ("sl21", "osp32_sub"):
@@ -534,6 +559,8 @@ def suite_eq56(seed=41, tol=1e-8, n_points=6, policy=DEFAULT_POLICY):
 
 
 def suite_denom_sl21(seed=42, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
+    from .characters import system
+
     checks = []
     sys = system("sl21")
     for tau, z1, z2 in _points(seed, n_points):
@@ -555,6 +582,8 @@ def suite_denom_sl21(seed=42, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
 
 
 def suite_denom_osp32(seed=43, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
+    from .characters import system
+
     checks = []
     sys = system("osp32_sub")
     for tau, z1, z2 in _points(seed, n_points):
@@ -581,6 +610,9 @@ def suite_denom_osp32(seed=43, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
 
 
 def suite_eq013(seed=44, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+    from .characters import system
+    from .superalg import WeightSpec
+
     checks = []
     sys = system("sl21")
     for tau, z1, z2 in _points(seed, n_points):
@@ -597,6 +629,9 @@ def suite_eq013(seed=44, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
 
 
 def suite_sl21_modular(seed=45, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
+    from .characters import ch_tilde, system
+    from .superalg import WeightSpec
+
     checks = []
     sys = system("sl21")
     w = WeightSpec(1, (0,))
@@ -613,6 +648,8 @@ def suite_sl21_modular(seed=45, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
 
 
 def suite_psi_pin(seed=46, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
+    from .characters import psi_fn
+
     checks = []
     for tau, z1, z2 in _points(seed, n_points):
         psi = psi_fn(1, 0, tau, z1, z2, 0.0, policy, modified=False).value
@@ -629,6 +666,9 @@ def suite_psi_pin(seed=46, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
 
 
 def suite_eq44(seed=47, tol=1e-8, n_points=5, policy=DEFAULT_POLICY):
+    from .characters import system
+    from .superalg import WeightSpec
+
     checks = []
     sys = system("sl21")
     w = WeightSpec(1, (0,))
@@ -649,6 +689,8 @@ def suite_eq44(seed=47, tol=1e-8, n_points=5, policy=DEFAULT_POLICY):
 
 def _span_checks(case, k, params, seed, policy):
     """Unitarity and the S/T apply-checks of a three-coordinate span."""
+    from .smatrix import apply_smatrix_check, apply_tmatrix_check, smatrix
+
     pts = [
         ModularPoint(tau, (z1, 0.8 * z2, z2), 0.05)
         for tau, z1, z2 in _points(seed, 3)
@@ -672,6 +714,9 @@ def suite_thm614(seed=51, tol=1e-7, policy=DEFAULT_POLICY, p=1, q=1, n=1):
 
 
 def suite_d21a_omega(tol=0.5, **_):
+    from .characters import system
+    from .superalg import enumerate_omega, preset
+
     pre = preset("d21a", (1, 1))
     om = enumerate_omega(pre, F(-1, 2))
     got_T = {tuple(int(x) for x in w.labels) for w in om if w.side == "T"}
@@ -692,6 +737,8 @@ def suite_d21a_omega(tol=0.5, **_):
 
 
 def suite_osp32_sub_f(seed=52, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+    from .characters import system
+
     checks = []
     sub = system("osp32_sub")
     k = F(-3, 4)
@@ -711,6 +758,8 @@ def suite_osp32_sub_f(seed=52, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
 
 def _subprincipal_span(which, seed, tol, policy, notes=""):
     """The S or T relations of the subprincipal span at k = -3/4 and -1."""
+    from .smatrix import apply_smatrix_check, apply_tmatrix_check
+
     check = apply_smatrix_check if which == "S" else apply_tmatrix_check
     pts = [ModularPoint(tau, (z1, z2), 0.04) for tau, z1, z2 in _points(seed, 3)]
     checks = []
@@ -733,6 +782,8 @@ def suite_eq621(seed=54, tol=1e-7, policy=DEFAULT_POLICY):
 
 
 def suite_lem619(seed=55, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+    from .characters import psi_fn
+
     checks = []
     for tau, z1, z2 in _points(seed, n_points, im=(0.5, 0.9)):
         t = 0.07
@@ -749,6 +800,8 @@ def suite_lem619(seed=55, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
 
 def _level1_relations(which, label, seed, policy):
     """S or T apply-checks of the level-1 spans osp(2m+p|2n)."""
+    from .smatrix import apply_smatrix_check, apply_tmatrix_check
+
     check = apply_smatrix_check if which == "S" else apply_tmatrix_check
     checks = []
     for m, n in ((1, 1), (2, 1)):
@@ -780,6 +833,9 @@ def suite_level1_T(seed=57, tol=1e-9, policy=DEFAULT_POLICY):
 
 
 def suite_prop622(seed=58, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
+    from .characters import ch_tilde, system
+    from .superalg import WeightSpec
+
     checks = []
     sys = system("sl21")
     w = WeightSpec(1, (0,))
@@ -832,8 +888,10 @@ def suite_theta_quasi(seed=62, tol=1e-11, n_points=10, policy=DEFAULT_POLICY):
 
 
 def suite_oracles(seed=63, tol=1e-10, n_points=30, policy=DEFAULT_POLICY):
+    from . import _oracles as oracle
+
     checks = []
-    rng = np.random.RandomState(seed)
+    rng = _stream(seed)
     for i in range(n_points):
         tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 2.0))
         z1 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.05, 0.05))

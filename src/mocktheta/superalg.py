@@ -741,6 +741,8 @@ def _integrable_osp32_sub(pre, w):
 
 def d21a_level(p: int, q: int, k) -> int:
     """The positive integer n with k = -pqn/(p+q) on D(2,1;-p/(p+q))."""
+    if p <= 0 or q <= 0:
+        raise UnsupportedCase(f"D(2,1;a) needs positive p, q, got ({p}, {q})")
     k = as_fraction(k)
     n = -k * (p + q) / (p * q)
     if n.denominator != 1 or n <= 0:
@@ -865,9 +867,14 @@ _ALIASES = {
 
 
 def preset(name: str, params: tuple = None) -> SuperalgebraPreset:
-    """Construct a preset by family name (or an alias like 'sl21')."""
-    if name in _ALIASES and params is None:
-        name, params = _ALIASES[name]
+    """Construct a preset by family name, or by an alias like 'sl21' with no
+    parameters or its own; an alias that names a family takes the family's."""
+    if name in _ALIASES:
+        family, own = _ALIASES[name]
+        if params is None or tuple(params) == own:
+            name, params = family, own
+        elif name not in _FAMILIES:
+            raise UnsupportedCase(f"case {name} does not take the parameters {params}")
     if name not in _FAMILIES:
         raise UnsupportedCase(f"unknown case {name!r}")
     try:

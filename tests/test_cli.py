@@ -96,6 +96,24 @@ class TestVerify:
         assert len(ids) == len(set(ids))
         assert set(ids) == set(SUITES)
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "theta-quasi", "--seed", "-1"),
+        ("verify", "theta-quasi", "--seed", "4294967296"),
+        ("verify", "all", "--seed", "-1"),
+        ("chartable", "--case", "sl21", "--k", "1", "--seed", "-1"),
+        ("chartable", "--case", "sl21", "--k", "1", "--seed", "4294967296"),
+    ])
+    def test_seed_outside_the_stream_range_exits_2(self, argv, capsys):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed must be in [0, 2**32 - 1], got {argv[-1]}\n"
+        assert captured.out == ""
+
+    def test_seed_range_ends_are_accepted(self, capsys):
+        for seed in ("0", "4294967295"):
+            assert main(["verify", "theta-quasi", "--seed", seed]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == int(seed)
+
     def test_byte_stability(self):
         rc1, out1, _ = run_cli("verify", "theta-quasi", "--seed", "5")
         rc2, out2, _ = run_cli("verify", "theta-quasi", "--seed", "5")
@@ -149,6 +167,10 @@ class TestTables:
         ("--case", "sl21", "--k", "1", "--params", "1,2"),
         ("--case", "d21a", "--params", "2"),
         ("--case", "d21a", "--n", "0"),
+        # p = 0 or q = 0 is the family's to refuse, not a default of 1
+        ("--case", "d21a", "--p", "0", "--q", "2"),
+        ("--case", "d21a", "--p", "1", "--q", "0"),
+        ("--case", "d21a", "--p", "0"),
         ("--case", "sl21"),
         ("--case", "sl32", "--k", "1"),
     ])
@@ -224,6 +246,23 @@ class TestCharTable:
         captured = capsys.readouterr()
         assert captured.err == f"error: level {k} is not -pqn/(p+q) for integer n\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_d21a_nonpositive_p_is_a_configuration_error(self, p, capsys):
+        args = ["chartable", "--case", "d21a", f"--p={p}", "--q", "1", "--k=-1/2",
+                "--labels", "0,1", "--points", "1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_alias_with_its_own_parameters(self, capsys):
+        assert main(["table", "preset", "--case", "sl21"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["table", "preset", "--case", "sl21", "--params", "1,1"]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["table", "preset", "--case", "sl21", "--params", "2,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: case sl21 does not take the parameters (2, 1)\n"
 
     def test_preset_export(self):
         rc, out, _ = run_cli("table", "preset", "--case", "sl21")

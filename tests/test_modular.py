@@ -107,3 +107,57 @@ class TestVerifyLaw:
         a = sample_points(6, seed=42)
         b = sample_points(6, seed=42)
         assert [(p.tau, p.z) for p in a] == [(p.tau, p.z) for p in b]
+
+
+class TestStream:
+    """modular._stream(seed) draws what numpy.random.RandomState(seed) drew."""
+
+    # the ranges the suites' _points, suite_oracles and sample_points draw from
+    RANGES = ((-0.4, 0.4), (0.8, 2.0), (0.8, 1.4), (0.9, 1.6), (0.5, 0.9),
+              (-0.45, 0.45), (-0.08, 0.08), (-0.05, 0.05), (-0.1, 0.1))
+
+    @staticmethod
+    def _seeds():
+        import inspect
+
+        from mocktheta.suites import SUITES
+
+        registered = {
+            p.default for fn, _, _ in SUITES.values()
+            for name, p in inspect.signature(fn).parameters.items() if name == "seed"
+        }
+        assert min(registered) == 11 and max(registered) == 63
+        return sorted(registered | {0, 1, 2**32 - 1, 20240})
+
+    def test_uniform_matches_randomstate_bit_for_bit(self):
+        np = pytest.importorskip("numpy")
+        from mocktheta.modular import _stream
+
+        for seed in self._seeds():
+            ours, theirs = _stream(seed), np.random.RandomState(seed)
+            for i in range(700):  # past the first 624-word regeneration
+                lo, hi = self.RANGES[i % len(self.RANGES)]
+                a, b = ours.uniform(lo, hi), theirs.uniform(lo, hi)
+                assert type(a) is float and a == b, (seed, i, a, b)
+
+    def test_sample_points_match_randomstate(self):
+        np = pytest.importorskip("numpy")
+
+        rng = np.random.RandomState(20240)
+        want = []
+        while len(want) < 4:
+            tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 2.0))
+            z = tuple(complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.1, 0.1))
+                      for _ in range(3))
+            if all(abs(w) >= 0.05 for w in z):
+                want.append((tau, z))
+        assert [(p.tau, p.z) for p in sample_points(4, n_z=3)] == want
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_the_stream_range_raises_value_error(self, seed):
+        from mocktheta.suites import run_suite
+
+        with pytest.raises(ValueError, match="(?i)seed must be between 0 and 2"):
+            sample_points(2, seed=seed)
+        with pytest.raises(ValueError, match="(?i)seed must be between 0 and 2"):
+            run_suite("theta-quasi", seed=seed)

@@ -1,5 +1,5 @@
-"""numpy is the only runtime dependency, and the rank-1 and Omega paths
-do not load it.
+"""numpy is the only runtime dependency, and the rank-1, Omega and
+rank-1 verification paths do not load it.
 
 Each check runs in a fresh interpreter, so modules that other tests (or
 the test runner) imported cannot hide an import made by the library.
@@ -95,6 +95,31 @@ from mocktheta.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main({argv!r})
 print(json.dumps([code, [m for m in {HEAVY!r} if m in sys.modules]]))
+"""
+    )
+    assert (code, loaded) == (0, [])
+
+
+# what verifying a rank-1 law never needs; the suites module itself loads
+SUITE_HEAVY = ("numpy", "mocktheta.lattice", "mocktheta.characters", "mocktheta.smatrix",
+               "mocktheta.superalg")
+RANK1_SUITES = ("thm1.1a", "thm1.1b", "cor1.2", "thm1.3a", "thm1.3b", "thm1.3c", "thm1.3d",
+                "cor1.4a", "lem2.2", "lem2.3", "lem2.4", "lem2.10", "eq1.19", "eq1.20",
+                "theta-S", "theta-quasi")
+
+
+@pytest.mark.parametrize(
+    "argv", [["list-suites"]] + [["verify", sid] for sid in RANK1_SUITES],
+    ids=lambda argv: "-".join(argv),
+)
+def test_catalog_and_rank1_suites_load_no_numpy(argv):
+    code, loaded = _run_child(
+        f"""
+import contextlib, io, json
+from mocktheta.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps([code, [m for m in {SUITE_HEAVY!r} if m in sys.modules]]))
 """
     )
     assert (code, loaded) == (0, [])

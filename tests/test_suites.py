@@ -48,14 +48,17 @@ def test_unknown_suite():
 def test_prop622_evaluates_each_variant_once_per_point(monkeypatch):
     # six checks per point share the three unmoved values: 3 at pt, 3 at
     # S pt and 3 at T pt
+    from mocktheta import characters
+
     calls = []
-    real = suites.ch_tilde
+    real = characters.ch_tilde
 
     def counting(*args, **kwargs):
         calls.append(kwargs["variant"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(suites, "ch_tilde", counting)
+    # the suite imports ch_tilde from its module when it runs
+    monkeypatch.setattr(characters, "ch_tilde", counting)
     rep = suites.suite_prop622(n_points=2)
     assert rep["pass"] and rep["n_checks"] == 12
     assert len(calls) == 9 * 2

@@ -11,6 +11,7 @@ import pytest
 from mocktheta.errors import MockThetaError, UnsupportedCase
 from mocktheta.superalg import (
     WeightSpec,
+    d21a_level,
     enumerate_omega,
     integrable,
     preset,
@@ -73,6 +74,24 @@ class TestPresets:
     def test_wrong_parameter_count_is_refused(self, name, params):
         with pytest.raises(UnsupportedCase, match="does not take the parameters"):
             preset(name, params)
+
+    def test_alias_takes_its_own_parameters(self):
+        assert preset("sl21", (1, 1)) == preset("sl21") == preset("sl", (1, 1))
+        assert preset("osp42", [1]) == preset("osp42")
+
+    @pytest.mark.parametrize("name,params", [("sl21", (2, 1)), ("osp42", (2,)), ("sl21", ())])
+    def test_alias_refuses_other_parameters(self, name, params):
+        with pytest.raises(UnsupportedCase, match=f"case {name} does not take the parameters"):
+            preset(name, params)
+
+    def test_family_alias_passes_other_parameters_to_its_family(self):
+        pre = preset("d21a", (1, 2))
+        assert (pre.family, pre.params) == ("d21a", (1, 2)) and pre != preset("d21a")
+
+    @pytest.mark.parametrize("p,q", [(0, 2), (2, 0), (-1, 1), (1, -1), (-1, -2)])
+    def test_d21a_level_refuses_nonpositive_parameters(self, p, q):
+        with pytest.raises(UnsupportedCase, match="needs positive p, q"):
+            d21a_level(p, q, -1)
 
     def test_isotropy_of_t(self):
         for name, params in ALL_PRESETS:

@@ -12,10 +12,13 @@ Two commits print the same thing exactly when
     diff -r DIR_A DIR_B
 
 is empty.  The list covers ``verify all`` at the default seeds, at
-``--seed 7`` and with ``--full``; ``list-suites``; one ``eval`` per
-function; the README and benchmark ``chartable`` rows; ``smatrix`` for
-every wired case, with parameters and levels it honours or refuses; and
-``table omega``/``preset`` for every case alias.
+``--seed 7`` and with ``--full``; ``verify ID --full`` for each rank-1
+suite at its own seed and at the ends 0 and 2**32 - 1 of the seed range;
+``list-suites``; one ``eval`` per function; the README and benchmark
+``chartable`` rows; the benchmark's cold-start commands; ``smatrix`` for
+every wired case, with parameters and levels it honours or refuses;
+``table omega``/``preset`` for every case alias; and seeds, D(2,1;a)
+parameters and alias parameters the CLI honours or refuses.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ CHART_ROWS = (
     ("d21a", "-1/2", "0,0", "ch_minus_modified", ["--p", "1", "--q", "1"]),
     ("d21a", "-2/3", "0,1", "ch_minus_modified", ["--p", "1", "--q", "2"]),
 )
+# the suites that need only the rank-1 layers
+RANK1_SUITES = ("thm1.1a", "thm1.1b", "cor1.2", "thm1.3a", "thm1.3b", "thm1.3c", "thm1.3d",
+                "cor1.4a", "lem2.2", "lem2.3", "lem2.4", "lem2.10", "eq1.19", "eq1.20",
+                "theta-S", "theta-quasi")
+SEED_ENDS = ("0", "4294967295")
 # (alias, a level for its Omega table)
 ALIASES = (
     ("sl21", "2"), ("sl32", "1"), ("osp32", "1"), ("osp32_sub", "-3/4"),
@@ -84,7 +92,27 @@ def _commands():
          ["smatrix", "--case", "d21a", "--p", "1", "--q", "1", "--n", "1", "--output", "csv"]),
         ("bench_chartable",
          ["chartable", "--case", "sl21", "--k", "1", "--points", "2", "--seed", "12345"]),
+        ("bench_smatrix", ["smatrix", "--case", "d21a", "--output", "csv"]),
+        # seeds outside [0, 2**32), p = 0 and alias parameters, honoured or refused
+        ("verify_seed_neg", ["verify", "theta-quasi", "--seed", "-1"]),
+        ("verify_seed_2_32", ["verify", "theta-quasi", "--seed", "4294967296"]),
+        ("chartable_seed_neg", ["chartable", "--case", "sl21", "--k", "1", "--seed", "-1"]),
+        ("smatrix_d21a_p0", ["smatrix", "--case", "d21a", "--p", "0", "--q", "2"]),
+        ("table_preset_sl21_own", ["table", "preset", "--case", "sl21", "--params", "1,1"]),
+        ("table_preset_sl21_other", ["table", "preset", "--case", "sl21", "--params", "2,1"]),
+        ("table_preset_d21a_1_2", ["table", "preset", "--case", "d21a", "--params", "1,2"]),
     ]
+    for seed in ("1", "77", "2069906369"):
+        cmds.append((f"bench_verify_{seed}", ["verify", "theta-quasi", "--seed", seed]))
+    for seed in SEED_ENDS:
+        cmds.append((f"chartable_seed_{seed}",
+                     ["chartable", "--case", "sl21", "--k", "1", "--points", "2",
+                      "--seed", seed]))
+    for sid in RANK1_SUITES:
+        cmds.append((f"verify_full_{sid}", ["verify", sid, "--full"]))
+        for seed in SEED_ENDS:
+            cmds.append((f"verify_full_{sid}_seed_{seed}",
+                         ["verify", sid, "--full", "--seed", seed]))
     for i, (case, k, labels, variant, extra) in enumerate(CHART_ROWS):
         cmds.append((f"chartable_{i:02d}_{case}_{variant}",
                      ["chartable", "--case", case, f"--k={k}", f"--labels={labels}",
