@@ -5,7 +5,9 @@ layers it uses, so ``eval`` of a rank-1 function, ``table``,
 
 Complex arguments use decimal ``a+bi`` syntax; a bare ``i`` means
 ``0+1i``.  Exit status: 0 on success / all residuals in tolerance, 1 on
-failed verification, 2 on configuration errors.
+failed verification (or an ``eval`` that fails numerically), 2 on
+configuration errors: a library error or ``ValueError`` that escapes a
+command is printed as ``error: <message>`` by :func:`main`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _parse_tol(text: str) -> float:
+    """A --tol: a float > 0."""
+    try:
+        if float(text) > 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise SystemExit(f"error: --tol must be a positive number, got {text!r}")
+
+
 def _emit(doc, fmt: str, out_path: str = None):
     if fmt == "json":
         payload = json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
@@ -79,11 +91,10 @@ def cmd_eval(args) -> int:
     from .modifier import phi_add, phi_tilde, r_jm, r_jm_signed
     from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
-    policy = TruncationPolicy(abs_tol=args.tol) if args.tol else DEFAULT_POLICY
+    policy = DEFAULT_POLICY if args.tol is None else TruncationPolicy(abs_tol=args.tol)
     tau = parse_complex(args.tau)
     if tau.imag < policy.min_im_tau:
-        print(f"error: Im tau must be >= {policy.min_im_tau}", file=sys.stderr)
-        return 2
+        raise ValueError(f"Im tau must be >= {policy.min_im_tau}")
     name = args.function.replace("-", "_")
     try:
         if name == "phi" or name == "phi_tilde" or name == "phi_add":
@@ -115,10 +126,8 @@ def cmd_eval(args) -> int:
                 parse_complex(args.z), policy,
             )
         else:
-            print(f"error: unknown function {args.function!r}; valid: phi, "
-                  "phi-tilde, phi-add, theta-jm, theta-jm-signed, theta-ab, "
-                  "eta, r-jm, r-jm-signed", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown function {args.function!r}; valid: phi, phi-tilde, "
+                             "phi-add, theta-jm, theta-jm-signed, theta-ab, eta, r-jm, r-jm-signed")
     except MockThetaError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.output, args.out)
         return 1
@@ -134,20 +143,16 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     import inspect
 
-    from .suites import SUITES, run_suite
+    from .suites import SUITES, _suite_function, run_suite
 
     ids = sorted(SUITES) if args.suite == "all" else [args.suite]
     bad = [s for s in ids if s not in SUITES]
     if bad:
-        print(
-            f"error: unknown suite(s) {bad}; valid ids: {', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"unknown suite(s) {bad}; valid ids: {', '.join(sorted(SUITES))}")
     reports = []
     ok = True
     for sid in ids:
-        accepted = inspect.signature(SUITES[sid][0]).parameters
+        accepted = inspect.signature(_suite_function(sid)).parameters
         kwargs = {}
         for key in ("p", "q", "n", "m"):
             val = getattr(args, key, None)
@@ -179,27 +184,15 @@ def cmd_table(args) -> int:
     from .superalg import enumerate_omega, integrable, preset
 
     if args.table == "preset":
-        try:
-            pre = preset(args.case, _case_params(args))
-        except MockThetaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        payload = pre.to_json() + "\n"
+        payload = preset(args.case, _case_params(args)).to_json() + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(payload)
         else:
             sys.stdout.write(payload)
         return 0
-    if args.table != "omega":
-        print("error: valid tables are 'omega' and 'preset'", file=sys.stderr)
-        return 2
-    try:
-        pre = preset(args.case, _case_params(args))
-        weights = enumerate_omega(pre, parse_rational(args.k))
-    except MockThetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pre = preset(args.case, _case_params(args))
+    weights = enumerate_omega(pre, parse_rational(args.k))
     rows = [
         {
             "side": w.side,
@@ -232,11 +225,7 @@ def cmd_chartable(args) -> int:
     params = _case_params(args)
     labels = tuple(parse_rational(x) for x in (args.labels or "0").split(","))
     w = WeightSpec(parse_rational(args.k), labels)
-    try:
-        sys_obj = check_request(args.case, w, args.variant, params)
-    except (MockThetaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sys_obj = check_request(args.case, w, args.variant, params)
     pts = sample_points(args.points, n_z=sys_obj.n_z, seed=args.seed)
     rows = []
     for pt in pts:
@@ -265,20 +254,15 @@ def cmd_chartable(args) -> int:
 def cmd_smatrix(args) -> int:
     from .smatrix import _span, smatrix
 
-    try:
-        span = _span(args.case)
-        params = _case_params(args) or span.params
-        if args.k:
-            k = parse_rational(args.k)
-        elif span.level:
-            k = span.level(params, 1 if args.n is None else args.n)
-        else:
-            print("error: --k is required for this case", file=sys.stderr)
-            return 2
-        sm = smatrix(args.case, k, params)
-    except MockThetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    span = _span(args.case)
+    params = _case_params(args) or span.params
+    if args.k:
+        k = parse_rational(args.k)
+    elif span.level:
+        k = span.level(params, 1 if args.n is None else args.n)
+    else:
+        raise ValueError("--k is required for this case")
+    sm = smatrix(args.case, k, params)
     defect = sm.unitarity_defect()
     print(
         f"case={args.case} k={k} size={len(sm.labels)} "
@@ -323,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--z", default="0")
     pe.add_argument("--z1", default="0")
     pe.add_argument("--z2", default="0")
-    pe.add_argument("--tol", type=float, default=None)
+    pe.add_argument("--tol", type=_parse_tol, default=None)
     pe.add_argument("--output", default="json", choices=("json", "csv"))
     pe.add_argument("--out", default=None)
     pe.set_defaults(func=cmd_eval)
@@ -331,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite")
     pv.add_argument("--seed", type=_parse_seed, default=None)
-    pv.add_argument("--tol", type=float, default=None)
+    pv.add_argument("--tol", type=_parse_tol, default=None)
     pv.add_argument("--p", type=int, default=None)
     pv.add_argument("--q", type=int, default=None)
     pv.add_argument("--n", type=int, default=None)
@@ -393,6 +377,9 @@ def main(argv=None) -> int:
         if isinstance(exc.code, str):  # a parse error's message
             print(exc.code, file=sys.stderr)
         return 0 if exc.code in (0, None) else 2
+    except (MockThetaError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -71,10 +71,8 @@ class SuperalgebraPreset:
     defect: int
     gamma_basis: tuple
     isotropic_t: tuple
-    isotropic_t_prime: tuple = None
     weyl_gens: tuple = ()  # (root vector, eps_minus) pairs; eps_plus = -1
     eps_minus_translations: str = "trivial"
-    notes: str = ""
     family: str = ""  # the _FAMILIES key preset() built this from
 
     def pair(self, u, v) -> Fraction:
@@ -202,14 +200,6 @@ def _add(u, v):
 
 def _sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def _sigma0(v, n: int):
-    """Flip the eps_1 and eps_{n+1} coordinates."""
-    w = list(v)
-    w[0] = -w[0]
-    w[n] = -w[n]
-    return tuple(w)
 
 
 def _osp_basis(m: int, n: int, eps_norm: Fraction):
@@ -385,7 +375,7 @@ def _preset_osp_odd_high(m: int, n: int) -> SuperalgebraPreset:
 
 
 def _preset_osp_even_high(m: int, n: int) -> SuperalgebraPreset:
-    """osp(2m|2n), m > n + 2, with the two isotropic sets T, T'."""
+    """osp(2m|2n), m > n + 2, with the isotropic set T."""
     if not (m > n + 2):
         raise UnsupportedCase("osp(2m|2n) preset needs m > n + 2")
     gram, eps, delta = _osp_basis(m, n, F(1))
@@ -393,7 +383,6 @@ def _preset_osp_even_high(m: int, n: int) -> SuperalgebraPreset:
     gammas.append(_add(eps(n + 2), eps(n + 1)))
     gammas.extend(_sub(eps(i), eps(i - 1)) for i in range(n + 2, m + 1))
     ts = tuple(_sub(delta(i), eps(i)) for i in range(1, n + 1))
-    ts_prime = tuple(_sigma0(t, n) for t in ts)
     rho = tuple(
         sum((F(i - n - 1) * eps(i)[r] for i in range(n + 2, m + 1)), start=F(0))
         for r in range(m + n)
@@ -419,7 +408,6 @@ def _preset_osp_even_high(m: int, n: int) -> SuperalgebraPreset:
         defect=n,
         gamma_basis=tuple(gammas),
         isotropic_t=ts,
-        isotropic_t_prime=ts_prime,
         weyl_gens=tuple(gens),
         eps_minus_translations="trivial",
     )
@@ -434,7 +422,6 @@ def _preset_osp_h0(n: int) -> SuperalgebraPreset:
     gammas = [_sub(eps(n + 1), eps(i)) for i in range(1, n + 1)]
     gammas.append(tuple(2 * x for x in eps(n + 1)))
     ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
-    ts_prime = tuple(_sigma0(t, n) for t in ts)
     rho = tuple(F(0) for _ in range(m + n))
     simple = []
     simple.append((_sub(eps(1), delta(1)), 1))
@@ -457,7 +444,6 @@ def _preset_osp_h0(n: int) -> SuperalgebraPreset:
         defect=n,
         gamma_basis=tuple(gammas),
         isotropic_t=ts,
-        isotropic_t_prime=ts_prime,
         weyl_gens=tuple(gens),
         eps_minus_translations="trivial",
     )
@@ -496,7 +482,6 @@ def _preset_d21a(p: int, q: int) -> SuperalgebraPreset:
         defect=1,
         gamma_basis=(g1, g2),
         isotropic_t=(a1,),
-        isotropic_t_prime=None,  # T' = {alpha_0}, an affine root
         weyl_gens=((even1, -1), (even2, -1)),
         eps_minus_translations="trivial",
     )
@@ -566,6 +551,8 @@ def _preset_g3() -> SuperalgebraPreset:
 
 def _preset_osp32_sub() -> SuperalgebraPreset:
     """osp(3|2) with the subprincipal sl(2) inside the even part."""
+    # negative definite subprincipal lattice; characters go through the
+    # half-modulus rank-1 functions
     gram, eps, delta = _osp_basis(1, 1, F(1, 2))
     a1 = _sub(delta(1), eps(1))
     a2 = eps(1)
@@ -584,8 +571,6 @@ def _preset_osp32_sub() -> SuperalgebraPreset:
         isotropic_t=(a1,),
         weyl_gens=((delta1, -1),),
         eps_minus_translations="parity_of_halfnorm",
-        notes="negative definite subprincipal lattice; characters go "
-        "through the half-modulus rank-1 functions",
     )
 
 

@@ -38,6 +38,30 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot parse") and captured.out == ""
 
+    @pytest.mark.parametrize("args,message", [
+        (("eval", "phi", "--tau", "i", "--z1", "0.3", "--m", "0"), "degree m must be positive"),
+        (("eval", "theta-jm", "--tau", "i", "--j", "1.5"), "invalid literal for int()"),
+        (("eval", "theta-ab", "--tau", "i", "--a", "2"), "theta_ab indices must be 0 or 1"),
+        (("eval", "r-jm-signed", "--tau", "i", "--z", "0.1", "--m", "1/3"),
+         "m must lie in (1/2)Z_{>0}"),
+        (("verify", "thm1.1a", "--m", "0"), "degree m must be positive"),
+        (("verify", "thm6.14", "--n", "0"), "level 0 is not -pqn/(p+q) for integer n"),
+        (("verify", "thm6.14", "--p", "2", "--q", "4"), "D(2,1;a) needs coprime positive p, q"),
+    ])
+    def test_configuration_error_exits_2_with_its_message(self, args, message, capsys):
+        assert main(list(args)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
+    @pytest.mark.parametrize("command", [("eval", "phi", "--tau", "i", "--z1", "0.3"),
+                                         ("verify", "lem2.3")], ids=lambda c: c[0])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "abc"])
+    def test_tol_must_be_positive(self, command, tol, capsys):
+        assert main([*command, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --tol must be a positive number, got {tol!r}\n"
+        assert captured.out == ""
+
 
 class TestEval:
     def test_phi_matches_library(self):

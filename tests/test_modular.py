@@ -120,11 +120,12 @@ class TestStream:
     def _seeds():
         import inspect
 
-        from mocktheta.suites import SUITES
+        from mocktheta.suites import SUITES, _suite_function
 
         registered = {
-            p.default for fn, _, _ in SUITES.values()
-            for name, p in inspect.signature(fn).parameters.items() if name == "seed"
+            p.default for sid in SUITES
+            for name, p in inspect.signature(_suite_function(sid)).parameters.items()
+            if name == "seed"
         }
         assert min(registered) == 11 and max(registered) == 63
         return sorted(registered | {0, 1, 2**32 - 1, 20240})

@@ -102,7 +102,7 @@ print(json.dumps([code, [m for m in {HEAVY!r} if m in sys.modules]]))
 
 # what verifying a rank-1 law never needs; the suites module itself loads
 SUITE_HEAVY = ("numpy", "mocktheta.lattice", "mocktheta.characters", "mocktheta.smatrix",
-               "mocktheta.superalg")
+               "mocktheta.superalg", "mocktheta.suites_lattice")
 RANK1_SUITES = ("thm1.1a", "thm1.1b", "cor1.2", "thm1.3a", "thm1.3b", "thm1.3c", "thm1.3d",
                 "cor1.4a", "lem2.2", "lem2.3", "lem2.4", "lem2.10", "eq1.19", "eq1.20",
                 "theta-S", "theta-quasi")

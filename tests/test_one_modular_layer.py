@@ -93,9 +93,12 @@ def test_quotients_go_through_series_value():
 TABLE_READERS = {
     "suites.py": (
         "suite_thm11a", "suite_thm11b", "suite_thm13a", "suite_thm13b", "suite_thm13c",
-        "suite_thm13d", "suite_lem22", "suite_lem23", "suite_lem24", "suite_prop32b",
-        "suite_prop33b", "suite_prop33c", "suite_prop37", "suite_prop38", "suite_theta_S",
-        "suite_theta_quasi", "_law_checks", "_lattice_shifts",
+        "suite_thm13d", "suite_lem22", "suite_lem23", "suite_lem24", "suite_theta_S",
+        "suite_theta_quasi", "_law_checks",
+    ),
+    "suites_lattice.py": (
+        "suite_prop32b", "suite_prop33b", "suite_prop33c", "suite_prop37", "suite_prop38",
+        "_lattice_shifts",
     ),
     "mock.py": ("phi_shift_residual_a", "phi_elliptic_residual"),
 }

@@ -1,8 +1,12 @@
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
-from mocktheta import suites
+from mocktheta import suites, suites_lattice
 from mocktheta.modular import verify_law
-from mocktheta.suites import SUITES, list_suites, run_suite
+from mocktheta.suites import SUITES, _suite_function, list_suites, run_suite
 
 CATALOG_ANCHORS = {row["suite"]: row["anchor"] for row in list_suites()}
 
@@ -15,7 +19,9 @@ def test_suite_passes(suite_id, monkeypatch):
         built.append(verify_law(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(suites, "verify_law", engine)
+    # the engine as the suite's own module binds it
+    home = sys.modules[_suite_function(suite_id).__module__]
+    monkeypatch.setattr(home, "verify_law", engine)
     rep = run_suite(suite_id)
     assert rep["pass"], (
         f"{suite_id}: max residual {rep['max_residual']:.3e} over tol {rep['tol']:.1e}"
@@ -48,17 +54,38 @@ def test_unknown_suite():
 def test_prop622_evaluates_each_variant_once_per_point(monkeypatch):
     # six checks per point share the three unmoved values: 3 at pt, 3 at
     # S pt and 3 at T pt
-    from mocktheta import characters
-
     calls = []
-    real = characters.ch_tilde
+    real = suites_lattice.ch_tilde
 
     def counting(*args, **kwargs):
         calls.append(kwargs["variant"])
         return real(*args, **kwargs)
 
-    # the suite imports ch_tilde from its module when it runs
-    monkeypatch.setattr(characters, "ch_tilde", counting)
-    rep = suites.suite_prop622(n_points=2)
+    # the suite's module binds ch_tilde when it is imported
+    monkeypatch.setattr(suites_lattice, "ch_tilde", counting)
+    rep = suites_lattice.suite_prop622(n_points=2)
     assert rep["pass"] and rep["n_checks"] == 12
     assert len(calls) == 9 * 2
+
+
+def test_registry_splits_at_the_numpy_boundary():
+    """Every registered suite resolves to a function of ``suites`` (the
+    rank-1 laws) or of ``suites_lattice`` (sections 3-6 and the oracles)."""
+    homes = {sid: _suite_function(sid).__module__ for sid in SUITES}
+    rank1 = {sid for sid, home in homes.items() if home == "mocktheta.suites"}
+    assert len(SUITES) == 40 and len(rank1) == 16
+    assert set(homes.values()) == {"mocktheta.suites", "mocktheta.suites_lattice"}
+    assert all(_suite_function(sid).__name__ == SUITES[sid][0] for sid in SUITES)
+
+
+@pytest.mark.parametrize("module", [suites, suites_lattice], ids=lambda m: m.__name__)
+def test_no_function_imports(module):
+    """A suite module imports its layers once, at module level: the layers a
+    suite needs are told by the module it lives in, not by its body."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    sites = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not sites, sites

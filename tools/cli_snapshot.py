@@ -17,8 +17,9 @@ suite at its own seed and at the ends 0 and 2**32 - 1 of the seed range;
 ``list-suites``; one ``eval`` per function; the README and benchmark
 ``chartable`` rows; the benchmark's cold-start commands; ``smatrix`` for
 every wired case, with parameters and levels it honours or refuses;
-``table omega``/``preset`` for every case alias; and seeds, D(2,1;a)
-parameters and alias parameters the CLI honours or refuses.
+``table omega``/``preset`` for every case alias; seeds, D(2,1;a)
+parameters and alias parameters the CLI honours or refuses; and the
+``eval``/``verify`` configuration errors and ``--tol`` values it refuses.
 """
 
 from __future__ import annotations
@@ -101,6 +102,19 @@ def _commands():
         ("table_preset_sl21_own", ["table", "preset", "--case", "sl21", "--params", "1,1"]),
         ("table_preset_sl21_other", ["table", "preset", "--case", "sl21", "--params", "2,1"]),
         ("table_preset_d21a_1_2", ["table", "preset", "--case", "d21a", "--params", "1,2"]),
+        # configuration errors of eval and verify, and --tol at or below 0
+        ("eval_phi_m0", ["eval", "phi", "--tau", "i", "--z1", "0.3", "--m", "0"]),
+        ("eval_theta_jm_j_half", ["eval", "theta-jm", "--tau", "i", "--j", "1.5"]),
+        ("eval_theta_ab_a2", ["eval", "theta-ab", "--tau", "i", "--a", "2"]),
+        ("eval_r_jm_signed_m_third",
+         ["eval", "r-jm-signed", "--tau", "i", "--z", "0.1", "--m", "1/3"]),
+        ("eval_phi_tol_neg", ["eval", "phi", "--tau", "i", "--z1", "0.3", "--tol", "-1"]),
+        ("eval_phi_tol_0", ["eval", "phi", "--tau", "i", "--z1", "0.3", "--tol", "0"]),
+        ("verify_thm11a_m0", ["verify", "thm1.1a", "--m", "0"]),
+        ("verify_thm614_n0", ["verify", "thm6.14", "--n", "0"]),
+        ("verify_thm614_p2_q4", ["verify", "thm6.14", "--p", "2", "--q", "4"]),
+        ("verify_lem23_tol_0", ["verify", "lem2.3", "--tol", "0"]),
+        ("verify_lem23_tol_neg", ["verify", "lem2.3", "--tol", "-1"]),
     ]
     for seed in ("1", "77", "2069906369"):
         cmds.append((f"bench_verify_{seed}", ["verify", "theta-quasi", "--seed", seed]))
