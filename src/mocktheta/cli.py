@@ -149,15 +149,15 @@ def cmd_verify(args) -> int:
     bad = [s for s in ids if s not in SUITES]
     if bad:
         raise ValueError(f"unknown suite(s) {bad}; valid ids: {', '.join(sorted(SUITES))}")
+    accepted = {sid: inspect.signature(_suite_function(sid)).parameters for sid in ids}
+    given = {k: v for k, v in vars(args).items() if k in ("p", "q", "n", "m") and v is not None}
+    unused = [f"--{key}" for key in given if not any(key in acc for acc in accepted.values())]
+    if unused:
+        raise ValueError(f"no selected suite takes {', '.join(unused)}")
     reports = []
     ok = True
     for sid in ids:
-        accepted = inspect.signature(_suite_function(sid)).parameters
-        kwargs = {}
-        for key in ("p", "q", "n", "m"):
-            val = getattr(args, key, None)
-            if val is not None and key in accepted:
-                kwargs[key] = val
+        kwargs = {key: val for key, val in given.items() if key in accepted[sid]}
         rep = run_suite(sid, seed=args.seed, tol=args.tol, **kwargs)
         if not args.full:
             rep = {k: v for k, v in rep.items() if k != "checks"}
@@ -207,8 +207,6 @@ def cmd_table(args) -> int:
 
 
 def _case_params(args):
-    if args.case == "d21a" and (args.p is not None or args.q is not None):
-        return tuple(1 if x is None else x for x in (args.p, args.q))
     if not args.params:
         return None
     try:
@@ -259,7 +257,7 @@ def cmd_smatrix(args) -> int:
     if args.k:
         k = parse_rational(args.k)
     elif span.level:
-        k = span.level(params, 1 if args.n is None else args.n)
+        k = span.level(params)
     else:
         raise ValueError("--k is required for this case")
     sm = smatrix(args.case, k, params)
@@ -334,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("table", choices=("omega", "preset"))
     pt.add_argument("--case", required=True)
     pt.add_argument("--k", default="1")
-    pt.add_argument("--p", type=int, default=None)
-    pt.add_argument("--q", type=int, default=None)
     pt.add_argument("--params", default=None, help="comma-separated family parameters")
     pt.add_argument("--output", default="json", choices=("json", "csv"))
     pt.add_argument("--out", default=None)
@@ -348,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--variant", default="ch_minus_modified", choices=VARIANTS)
     pc.add_argument("--points", type=int, default=6)
     pc.add_argument("--seed", type=_parse_seed, default=20240)
-    pc.add_argument("--p", type=int, default=None)
-    pc.add_argument("--q", type=int, default=None)
     pc.add_argument("--params", default=None)
     pc.add_argument("--output", default="csv", choices=("json", "csv"))
     pc.add_argument("--out", default=None)
@@ -358,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("smatrix", help="emit an S-matrix with metadata")
     ps.add_argument("--case", required=True)
     ps.add_argument("--k", default=None)
-    ps.add_argument("--p", type=int, default=None)
-    ps.add_argument("--q", type=int, default=None)
-    ps.add_argument("--n", type=int, default=None)
     ps.add_argument("--params", default=None)
     ps.add_argument("--output", default="json", choices=("json", "csv"))
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_smatrix)
 
+    # one spelling per option: no prefix stands for a longer one (--p is not --params)
+    for parser in (ap, *sub.choices.values()):
+        parser.allow_abbrev = False
     return ap
 
 

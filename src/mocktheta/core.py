@@ -269,6 +269,16 @@ def sum_ladder(walk, window, period: int = 1) -> LadderSum:
     return LadderSum(sums, err, hi - lo + 1)
 
 
+def _dot_gram(gram, u, v):
+    """(u|v) in the Gram matrix, summing only the nonzero coordinate pairs."""
+    return sum(
+        gram[i][j] * u[i] * v[j]
+        for i in range(len(u))
+        for j in range(len(v))
+        if u[i] and v[j]
+    ) or Fraction(0)
+
+
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and float representations of rationals."""
     if isinstance(x, Fraction):

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .core import (
     ModularPoint,
     SeriesValue,
     TruncationPolicy,
+    _dot_gram,
     as_fraction,
     cexp,
 )
@@ -50,7 +52,6 @@ from .errors import (
 )
 from .mock import SIGNS, MockIndex
 from .modifier import phi_tilde
-from .superalg import _dot_gram
 
 _I_PI = 1j * math.pi
 _2PI_I = 2j * math.pi
@@ -253,22 +254,31 @@ def lattice_theta(
     return cexp(_2PI_I * kf * complex(point.t)) * out
 
 
-def _solve_rational(A, b):
-    """Solve A x = b over the rationals by Gaussian elimination."""
+def _eliminate(A, columns=()):
+    """(det A, [A^-1 b for b in columns]) over the rationals, by one
+    Gauss-Jordan pass; a zero determinant raises ``SingularDecomposition``
+    when there are columns to solve for."""
     n = len(A)
-    M = [[as_fraction(x) for x in row] + [as_fraction(bv)] for row, bv in zip(A, b)]
+    M = [[as_fraction(x) for x in row] + [as_fraction(b[i]) for b in columns]
+         for i, row in enumerate(A)]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col] != 0), None)
         if piv is None:
-            raise SingularDecomposition("rational system is singular")
-        M[col], M[piv] = M[piv], M[col]
+            if columns:
+                raise SingularDecomposition("rational system is singular")
+            return Fraction(0), []
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = -det
+        det *= M[col][col]
         inv = 1 / M[col][col]
         M[col] = [x * inv for x in M[col]]
         for r in range(n):
             if r != col and M[r][col] != 0:
                 f = M[r][col]
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+    return det, [[M[r][n + c] for r in range(n)] for c in range(len(columns))]
 
 
 @dataclass(frozen=True)
@@ -566,31 +576,11 @@ class ModificationResult:
         """|M*/kM| for the residual lattice."""
         if not self.m_basis:
             return 1
-        det = _det_rational([list(r) for r in self.m_gram])
+        det, _ = _eliminate(self.m_gram)
         val = det * self.k ** len(self.m_basis)
         if val.denominator != 1:
             raise ConditionViolation([f"|M*/kM| = {val} is not an integer"])
         return int(val)
-
-
-def _det_rational(M):
-    n = len(M)
-    M = [[as_fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col] * inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return det
 
 
 def _xi0_for(ctx: LatticeContext):
@@ -604,7 +594,7 @@ def _xi0_for(ctx: LatticeContext):
         targets.append(Fraction(1, 2) if odd else Fraction(0))
     tail = list(range(n, m))  # 0-based indices of gamma_{n+1}..gamma_m
     A = [[ctx.gamma_gram[l][i] for l in tail] for i in tail]
-    xs = _solve_rational(A, [targets[i] for i in tail])
+    _, (xs,) = _eliminate(A, [[targets[i] for i in tail]])
     coords = [Fraction(0)] * ctx.ambient_dim
     for pos, l in enumerate(tail):
         coords[l] = xs[pos]
@@ -718,18 +708,12 @@ def _find_mu_classes(res: ModificationResult):
     rank = len(res.m_basis)
     if rank == 0:
         return [Weight(ctx.k, (0,) * ctx.ambient_dim)]
-    gram = [list(r) for r in res.m_gram]
-    inv_cols = []
-    for j in range(rank):
-        e = [Fraction(int(i == j)) for i in range(rank)]
-        inv_cols.append(_solve_rational(gram, e))
+    _, inv_cols = _eliminate(res.m_gram, [[int(i == j) for i in range(rank)] for j in range(rank)])
     order = res.mu_group_order()
     k = ctx.k
     reps = []
     seen = set()
     span = int(2 * order + 4)
-    from itertools import product
-
     combos = sorted(
         product(range(-span, span + 1), repeat=rank),
         key=lambda c: (sum(abs(x) for x in c), c),

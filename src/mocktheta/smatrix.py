@@ -115,9 +115,9 @@ def _d21a(k, params):
     )
 
 
-def _d21a_level_n(params, n):
+def _d21a_first_level(params):
     sys = system("d21a", params)
-    return F(-sys.p * sys.q * n, sys.p + sys.q)
+    return F(-sys.p * sys.q, sys.p + sys.q)
 
 
 def _osp42(k, params):
@@ -241,15 +241,15 @@ class _Span(NamedTuple):
     build: Callable  # (k, params) -> SMatrix; UnsupportedCase off the span's rule
     basis: Callable  # (SMatrix, params, policy) -> (row functions, quad) of the apply-checks
     params: tuple = None  # the CLI's parameters when none are given
-    level: Callable = None  # (params, n) -> the CLI's k without --k; None: --k is required
+    level: Callable = None  # params -> the CLI's k without --k; None: --k is required
 
 
 _SPANS = {
     "sl21": _Span(_sl21, _ch_tilde_basis),
     "osp42": _Span(_osp42, _ch_tilde_basis),  # eq 6.6
-    "d21a": _Span(_d21a, _ch_tilde_basis, level=_d21a_level_n),  # Thm 6.14
+    "d21a": _Span(_d21a, _ch_tilde_basis, level=_d21a_first_level),  # Thm 6.14
     "osp32_sub": _Span(_osp32_sub, _f_basis),  # eqs 6.20/6.21
-    "osp_level1": _Span(_osp_level1, _level1_basis, (3, 2), lambda params, n: F(1)),  # sec 6.5
+    "osp_level1": _Span(_osp_level1, _level1_basis, (3, 2), lambda params: F(1)),  # sec 6.5
 }
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 from importlib import import_module
 
-from .core import DEFAULT_POLICY, gauss_E_complement, gauss_E_complement_scaled
+from .core import gauss_E_complement, gauss_E_complement_scaled
 from .mock import MockIndex, phi, phi_elliptic_residual, phi_shift_residual_a
 from .modifier import phi_tilde, r_jm_signed
 from .modular import LAWS, _stream, check_pair, verify_law
@@ -33,16 +33,16 @@ F = Fraction
 PI = math.pi
 
 
-def _law_checks(checks, f, family, point, policy):
+def _law_checks(checks, f, family, point):
     """(check, value) at (tau, z1, z2): value(idx) is f there, once per index;
     check(label, move, idx, *args) checks f[idx] at the moved point against its law."""
     tau, z1, z2 = point
-    value = cache(lambda idx: f(idx, tau, z1, z2, policy).value)
+    value = cache(lambda idx: f(idx, tau, z1, z2).value)
 
     def check(label, move, idx, *args):
         w = tau if move == "tau" else 1
         moved = {"S": (-1 / tau, z1 / tau, z2 / tau), "T": (tau + 1, z1, z2)}.get(move)
-        lhs = f(idx, *(moved or (tau, z1 + args[0] * w, z2 + args[1] * w)), policy).value
+        lhs = f(idx, *(moved or (tau, z1 + args[0] * w, z2 + args[1] * w))).value
         rhs = LAWS[family, move](idx, tau, (z1, z2), *args).apply(value)
         checks.append(check_pair(label, lhs, rhs, tau))
         return lhs
@@ -67,15 +67,15 @@ def _points(seed, n, im=(0.8, 2.0)):
 # section 1: modified rank-1 functions
 
 
-def suite_thm11a(seed=11, tol=1e-8, n_points=10, policy=DEFAULT_POLICY, m=None):
+def suite_thm11a(seed=11, tol=1e-8, m=None):
     checks = []
     degrees = (1, 2) if m is None else (int(m),)
-    for tau, z1, z2 in _points(seed, n_points):
-        check, value = _law_checks(checks, phi_tilde, "phi~", (tau, z1, z2), policy)
+    for tau, z1, z2 in _points(seed, 10):
+        check, value = _law_checks(checks, phi_tilde, "phi~", (tau, z1, z2))
         for m in degrees:
             for s, s1 in ((0, 0), (0, 1), (1, 0)):
                 idx = MockIndex(m, s)
-                lhs = phi_tilde(idx, -1 / tau, z1 / tau, z2 / tau, policy).value
+                lhs = phi_tilde(idx, -1 / tau, z1 / tau, z2 / tau).value
                 # Phi~ is 1-periodic in s (cor1.2): s1 is the target's representative
                 law = LAWS["phi~", "S"](idx, tau, (z1, z2))
                 rhs = law.apply(lambda t: value(t.with_s(s1)))
@@ -84,10 +84,10 @@ def suite_thm11a(seed=11, tol=1e-8, n_points=10, policy=DEFAULT_POLICY, m=None):
     return verify_law(tol, checks)
 
 
-def suite_thm11b(seed=12, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
+def suite_thm11b(seed=12, tol=1e-8):
     checks = []
-    for pt in _points(seed, n_points):
-        check, _ = _law_checks(checks, phi_tilde, "phi~", pt, policy)
+    for pt in _points(seed, 10):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", pt)
         for m in (1, 2):
             idx = MockIndex(m, 0)
             for a, b in ((0, 1), (1, 0), (1, 1), (-1, 1), (0, -1)):
@@ -96,20 +96,20 @@ def suite_thm11b(seed=12, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
     return verify_law(tol, checks)
 
 
-def suite_cor12(seed=13, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
+def suite_cor12(seed=13, tol=1e-9):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 10):
         for m in (1, 2):
-            a = phi_tilde(MockIndex(m, 0), tau, z1, z2, policy).value
-            b = phi_tilde(MockIndex(m, 1), tau, z1, z2, policy).value
+            a = phi_tilde(MockIndex(m, 0), tau, z1, z2).value
+            b = phi_tilde(MockIndex(m, 1), tau, z1, z2).value
             checks.append(check_pair(f"s-independence m={m}", a, b, tau))
     return verify_law(tol, checks)
 
 
-def suite_thm13a(seed=14, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
+def suite_thm13a(seed=14, tol=1e-8):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
-        check, _ = _law_checks(checks, phi_tilde, "phi~", (tau, z1, z2), policy)
+    for tau, z1, z2 in _points(seed, 10):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", (tau, z1, z2))
         for m in (F(1, 2), F(1)):
             for sgn, s in (("plus", 0), ("minus", 0), ("plus", F(1, 2)), ("minus", F(1, 2))):
                 idx = MockIndex(m, s, sgn)
@@ -118,10 +118,10 @@ def suite_thm13a(seed=14, tol=1e-8, n_points=10, policy=DEFAULT_POLICY):
     return verify_law(tol, checks)
 
 
-def suite_thm13b(seed=15, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
+def suite_thm13b(seed=15, tol=1e-9):
     checks = []
-    for pt in _points(seed, n_points):
-        check, _ = _law_checks(checks, phi_tilde, "phi~", pt, policy)
+    for pt in _points(seed, 10):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", pt)
         for m in (F(1, 2), F(1)):
             # m + s integral: fixed by T; m + s half-integral: sign label swaps
             fixed, swapped = (F(1, 2), F(0)) if m == F(1, 2) else (F(1), F(1, 2))
@@ -136,10 +136,10 @@ def suite_thm13b(seed=15, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
     return verify_law(tol, checks, notes)
 
 
-def suite_thm13c(seed=16, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
+def suite_thm13c(seed=16, tol=1e-8):
     checks = []
-    for pt in _points(seed, n_points):
-        check, _ = _law_checks(checks, phi_tilde, "phi~", pt, policy)
+    for pt in _points(seed, 8):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", pt)
         for m in (F(1, 2), F(1)):
             shifts = ((1, 1), (1, -1), (2, 0)) if m == F(1, 2) else ((1, 0), (1, 1), (0, 1))
             for s in (F(0), F(1, 2)):
@@ -151,10 +151,10 @@ def suite_thm13c(seed=16, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
     return verify_law(tol, checks)
 
 
-def suite_thm13d(seed=17, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
+def suite_thm13d(seed=17, tol=1e-8):
     checks = []
-    for pt in _points(seed, n_points):
-        check, _ = _law_checks(checks, phi_tilde, "phi~", pt, policy)
+    for pt in _points(seed, 8):
+        check, _ = _law_checks(checks, phi_tilde, "phi~", pt)
         for s in (F(0), F(1, 2)):
             for sgn in ("plus", "minus"):
                 idx = MockIndex(F(1, 2), s, sgn)
@@ -164,12 +164,12 @@ def suite_thm13d(seed=17, tol=1e-8, n_points=8, policy=DEFAULT_POLICY):
     return verify_law(tol, checks)
 
 
-def suite_cor14a(seed=18, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
+def suite_cor14a(seed=18, tol=1e-9):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 10):
         for sgn in ("plus", "minus"):
-            a = phi_tilde(MockIndex(F(1, 2), F(1, 2), sgn), tau, z1, z2, policy).value
-            b = phi_tilde(MockIndex(F(1, 2), F(3, 2), sgn), tau, z1, z2, policy).value
+            a = phi_tilde(MockIndex(F(1, 2), F(1, 2), sgn), tau, z1, z2).value
+            b = phi_tilde(MockIndex(F(1, 2), F(3, 2), sgn), tau, z1, z2).value
             checks.append(check_pair(f"{sgn} s=1/2 vs 3/2", a, b, tau))
     return verify_law(tol, checks)
 
@@ -178,15 +178,15 @@ def suite_cor14a(seed=18, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
 # section 2 lemmas
 
 
-def suite_lem22(seed=21, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+def suite_lem22(seed=21, tol=1e-9):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
-        check, value = _law_checks(checks, phi, "phi", (tau, z1, z2), policy)
+    for tau, z1, z2 in _points(seed, 5):
+        check, value = _law_checks(checks, phi, "phi", (tau, z1, z2))
         for m, s, sgn in ((F(1), F(0), "unsigned"), (F(1, 2), F(1, 2), "minus"),
                           (F(1), F(1, 2), "plus")):
             idx = MockIndex(m, s, sgn)
             # the n -> -n reindexing forces an overall minus sign
-            lhs = phi(idx, tau, -z1, -z2, policy).value
+            lhs = phi(idx, tau, -z1, -z2).value
             rhs = -value(idx.with_s(1 - s))
             checks.append(check_pair(f"(a) m={m} s={s} {sgn}", lhs, rhs, tau))
             for a, b in ((2, 0), (1, 1), (-1, 1)):
@@ -198,26 +198,26 @@ def suite_lem22(seed=21, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
     return verify_law(tol, checks)
 
 
-def suite_lem23(seed=22, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+def suite_lem23(seed=22, tol=1e-9):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points, im=(0.8, 1.4)):
+    for tau, z1, z2 in _points(seed, 5, im=(0.8, 1.4)):
         for m, s, sgn in ((F(1), F(0), "unsigned"), (F(1, 2), F(1, 2), "minus")):
             idx = MockIndex(m, s, sgn)
-            res = phi_shift_residual_a(idx, tau, z1, z2, policy).value
+            res = phi_shift_residual_a(idx, tau, z1, z2).value
             checks.append(check_pair(f"(a) m={m} {sgn}", res, 0.0, tau))
             # (b): z1 -> z1 - 2 tau mirror
             law = LAWS["phi", "window"](idx, tau, (z1, z2), -2, 0)
-            moved = phi(idx, tau, z1 - 2 * tau, z2, policy).value
-            lhs = phi(idx, tau, z1, z2, policy).value - law.prefactor * moved
-            rhs = sum(p * theta_jm_signed(*t, tau, z1 + z2, policy).value for p, t in law.terms)
+            moved = phi(idx, tau, z1 - 2 * tau, z2).value
+            lhs = phi(idx, tau, z1, z2).value - law.prefactor * moved
+            rhs = sum(p * theta_jm_signed(*t, tau, z1 + z2).value for p, t in law.terms)
             checks.append(check_pair(f"(b) m={m} {sgn}", lhs, rhs, tau))
     return verify_law(tol, checks)
 
 
-def suite_lem24(seed=23, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+def suite_lem24(seed=23, tol=1e-9):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points, im=(0.8, 1.4)):
-        check, _ = _law_checks(checks, phi, "phi", (tau, z1, z2), policy)
+    for tau, z1, z2 in _points(seed, 5, im=(0.8, 1.4)):
+        check, _ = _law_checks(checks, phi, "phi", (tau, z1, z2))
         for m, s, sgn, j in (
             (F(1), F(0), "unsigned", 1),
             (F(1), F(0), "unsigned", -1),
@@ -226,7 +226,7 @@ def suite_lem24(seed=23, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
         ):
             idx = MockIndex(m, s, sgn)
             lhs = check(f"m={m} {sgn} j={j}", "tau", idx, j, j)
-            res = phi_elliptic_residual(idx, j, tau, z1, z2, policy).value
+            res = phi_elliptic_residual(idx, j, tau, z1, z2).value
             scale = max(1.0, abs(lhs))
             checks.append(
                 {"check": f"residual-op m={m} {sgn} j={j}",
@@ -236,12 +236,12 @@ def suite_lem24(seed=23, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
     return verify_law(tol, checks)
 
 
-def suite_lem210(seed=24, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+def suite_lem210(seed=24, tol=1e-9):
     checks = []
-    for tau, z1, _ in _points(seed, n_points, im=(0.9, 1.6)):
+    for tau, z1, _ in _points(seed, 5, im=(0.9, 1.6)):
         v = z1
         for sgn, j, m in ((1, 0, F(1)), (1, 1, F(1)), (-1, F(1, 2), F(1, 2)), (-1, 1, F(3, 2))):
-            rj = lambda t_, v_: r_jm_signed(sgn, j, m, t_, v_, policy).value
+            rj = lambda t_, v_: r_jm_signed(sgn, j, m, t_, v_).value
             base = rj(tau, v)
             lhs = rj(tau, v + 1)
             rhs = (-1) ** int(2 * F(j)) * base
@@ -268,11 +268,10 @@ def suite_lem210(seed=24, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
 # the Zwegers bridge
 
 
-def _zw_mu(tau, u, v, policy):
+def _zw_mu(tau, u, v):
     """Zwegers' mu function, an independent reference implementation."""
     q = cmath.exp(2j * PI * tau)
     tot = 0j
-    n = 0
     # symmetric window large enough for the tolerances in use
     for n in range(-42, 43):
         tot += (
@@ -281,11 +280,11 @@ def _zw_mu(tau, u, v, policy):
             * cmath.exp(2j * PI * n * v)
             / (1 - cmath.exp(2j * PI * u) * q**n)
         )
-    th = theta_ab(1, 1, tau, v, policy).value
+    th = theta_ab(1, 1, tau, v).value
     return cmath.exp(1j * PI * u) / th * tot
 
 
-def _zw_R(tau, u, policy):
+def _zw_R(tau, u):
     """Zwegers' real-analytic R, quadrature-free reference form."""
     y = tau.imag
     tot = 0j
@@ -305,21 +304,17 @@ def _zw_R(tau, u, policy):
     return tot
 
 
-def suite_eq120(seed=25, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
+def suite_eq120(seed=25, tol=1e-9):
     """The completed bridge to Zwegers' mu-hat, plus mu-hat symmetry."""
     checks = []
     idx = MockIndex(F(1, 2), F(1, 2), "minus")
-    for tau, z1, z2 in _points(seed, n_points):
-        muh = _zw_mu(tau, z1, z2, policy) + 0.5j * _zw_R(tau, z1 - z2, policy)
-        lhs = phi_tilde(idx, tau, z1, 2 * z2 - z1, policy).value
-        rhs = theta_ab(1, 1, tau, z2, policy).value * muh
+    for tau, z1, z2 in _points(seed, 10):
+        muh = _zw_mu(tau, z1, z2) + 0.5j * _zw_R(tau, z1 - z2)
+        lhs = phi_tilde(idx, tau, z1, 2 * z2 - z1).value
+        rhs = theta_ab(1, 1, tau, z2).value * muh
         checks.append(check_pair("completed bridge", lhs, rhs, tau))
-        sym_l = theta_ab(1, 1, tau, z1, policy).value * phi_tilde(
-            idx, tau, z1, 2 * z2 - z1, policy
-        ).value
-        sym_r = theta_ab(1, 1, tau, z2, policy).value * phi_tilde(
-            idx, tau, z2, 2 * z1 - z2, policy
-        ).value
+        sym_l = theta_ab(1, 1, tau, z1).value * phi_tilde(idx, tau, z1, 2 * z2 - z1).value
+        sym_r = theta_ab(1, 1, tau, z2).value * phi_tilde(idx, tau, z2, 2 * z1 - z2).value
         checks.append(check_pair("mu-hat symmetry", sym_l, sym_r, tau))
     notes = (
         "a same-modulus single-product pairing of the two functions fails "
@@ -330,22 +325,20 @@ def suite_eq120(seed=25, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
     return verify_law(tol, checks, notes)
 
 
-def suite_eq119(seed=26, tol=1e-9, n_points=4, policy=DEFAULT_POLICY):
+def suite_eq119(seed=26, tol=1e-9):
     """Recording suite: the unmodified bridge plus the single-product
     variant, whose residuals are kept as evidence rather than gated."""
     checks = []
     idx = MockIndex(F(1, 2), F(1, 2), "minus")
     variant = {0: [], 1: []}
-    for tau, z1, z2 in _points(seed, n_points):
-        mu = _zw_mu(tau, z1, z2, policy)
-        lhs = phi(idx, tau, z1, 2 * z2 - z1, policy).value
-        rhs = theta_ab(1, 1, tau, z2, policy).value * mu
+    for tau, z1, z2 in _points(seed, 4):
+        mu = _zw_mu(tau, z1, z2)
+        lhs = phi(idx, tau, z1, 2 * z2 - z1).value
+        rhs = theta_ab(1, 1, tau, z2).value * mu
         checks.append(check_pair("unmodified bridge (gauge)", lhs, rhs, tau))
         for s in (0, 1):
-            pl = theta_ab(1, 1, tau, z1 + z2, policy).value * lhs
-            pr = theta_ab(1, 1, tau, z2, policy).value * phi(
-                MockIndex(1, s), tau, z1, z2, policy
-            ).value
+            pl = theta_ab(1, 1, tau, z1 + z2).value * lhs
+            pr = theta_ab(1, 1, tau, z2).value * phi(MockIndex(1, s), tau, z1, z2).value
             variant[s].append(abs(pl - pr))
     notes = (
         "the single-product form holds for neither s in {0, 1} "
@@ -364,24 +357,24 @@ def suite_eq119(seed=26, tol=1e-9, n_points=4, policy=DEFAULT_POLICY):
 # classical building blocks
 
 
-def suite_theta_S(seed=61, tol=1e-9, n_points=6, policy=DEFAULT_POLICY):
+def suite_theta_S(seed=61, tol=1e-9):
     checks = []
-    for tau, z, _ in _points(seed, n_points):
-        value = cache(lambda idx: theta_jm(*idx, tau, z, policy).value)
+    for tau, z, _ in _points(seed, 6):
+        value = cache(lambda idx: theta_jm(*idx, tau, z).value)
         for j, m in ((0, 1), (1, 1), (1, 2), (3, 2)):
-            lhs = theta_jm(j, m, -1 / tau, z / tau, policy).value
+            lhs = theta_jm(j, m, -1 / tau, z / tau).value
             rhs = LAWS["theta", "S"]((j, m), tau, (z,)).apply(value)
             checks.append(check_pair(f"S j={j} m={m}", lhs, rhs, tau))
     return verify_law(tol, checks)
 
 
-def suite_theta_quasi(seed=62, tol=1e-11, n_points=10, policy=DEFAULT_POLICY):
+def suite_theta_quasi(seed=62, tol=1e-11):
     checks = []
-    for tau, z, _ in _points(seed, n_points):
-        value = cache(lambda idx: theta_jm(*idx, tau, z, policy).value)
+    for tau, z, _ in _points(seed, 10):
+        value = cache(lambda idx: theta_jm(*idx, tau, z).value)
         for j, m in ((0, 1), (1, 2)):
             for label, move, zs in (("z+2", "int", z + 2), ("z+2tau", "tau", z + 2 * tau)):
-                lhs = theta_jm(j, m, tau, zs, policy).value
+                lhs = theta_jm(j, m, tau, zs).value
                 rhs = LAWS["theta", move]((j, m), tau, (z,), 1).apply(value)
                 checks.append(check_pair(f"{label} j={j} m={m}", lhs, rhs, tau))
     return verify_law(tol, checks)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _oracles as oracle
 from .characters import ch_tilde, gram_quad, psi_fn, system
-from .core import DEFAULT_POLICY, ModularPoint
+from .core import ModularPoint
 from .lattice import (
     LatticeContext, Weight, build_modification, eval_modified, lattice_mock_theta,
     mu_class_representatives,
@@ -44,29 +44,29 @@ def _ctx_odd(k):
     return LatticeContext(gamma_gram=((2,),), n_isotropic=1, k=k, mode="minus")
 
 
-def suite_eq35(seed=31, tol=1e-9, n_points=6, policy=DEFAULT_POLICY):
+def suite_eq35(seed=31, tol=1e-9):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 6):
         for k in (1, 2):
             ctx = _ctx_sl2(k)
             w = Weight(k, (0, F(-1)))
             pt = ModularPoint(tau, (z1, z2), 0.05)
-            direct = lattice_mock_theta(ctx, w, pt, policy).value
+            direct = lattice_mock_theta(ctx, w, pt).value
             G = ctx.full_gram_float()
             z = np.array(pt.z)
             beta_z = complex(G[1] @ z)
             gam_z = complex(G[0] @ z)
             s = ctx.pair(w.coords, ctx.gamma_vec(1))
             orc = cmath.exp(2j * PI * k * pt.t) * phi(
-                MockIndex(k, s), tau, -beta_z, beta_z + gam_z, policy
+                MockIndex(k, s), tau, -beta_z, beta_z + gam_z
             ).value
             checks.append(check_pair(f"k={k}", direct, orc, tau))
     return verify_law(tol, checks)
 
 
-def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
+def suite_prop32b(seed=32, tol=1e-7):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 4):
         for ctx, zc, label in (
             (_ctx_sl2(1), (z1, z2), "rank1 k=1"),
             (_ctx_sl2(2), (z1, z2), "rank1 k=2"),
@@ -76,14 +76,14 @@ def suite_prop32b(seed=32, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
             res = build_modification(ctx, w)
             pt = ModularPoint(tau, zc, 0.06)
             quad = gram_quad(ctx.full_gram_float())
-            lhs = eval_modified(res, act(S, pt, quad), policy).value
+            lhs = eval_modified(res, act(S, pt, quad)).value
             law = LAWS["lattice", "S"]((res, False), tau, pt.z, mu_class_representatives(res))
-            rhs = law.apply(lambda t: eval_modified(build_modification(ctx, t[0]), pt, policy).value)
+            rhs = law.apply(lambda t: eval_modified(build_modification(ctx, t[0]), pt).value)
             checks.append(check_pair(f"S {label}", lhs, rhs, tau))
-            lhs = eval_modified(res, act(T, pt, quad), policy).value
+            lhs = eval_modified(res, act(T, pt, quad)).value
             # an unsigned function is its own T partner
             law = LAWS["lattice", "T"]((res, False), tau, pt.z)
-            rhs = law.apply(lambda _: eval_modified(res, pt, policy).value)
+            rhs = law.apply(lambda _: eval_modified(res, pt).value)
             checks.append(check_pair(f"T {label}", lhs, rhs, tau))
     return verify_law(tol, checks)
 
@@ -95,9 +95,9 @@ def _signed_pair(k):
     return ctx, {mode: build_modification(ctx, w, mode=mode) for mode in ("minus", "plus")}
 
 
-def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
+def suite_prop33b(seed=33, tol=1e-7):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 4):
         ctx, res = _signed_pair(F(3, 2))
         pt = ModularPoint(tau, (z1, z2), 0.04)
         ptS = act(S, pt, gram_quad(ctx.full_gram_float()))
@@ -107,63 +107,63 @@ def suite_prop33b(seed=33, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
                 law = LAWS["lattice", "S"]((res[mode], xi), tau, pt.z, reps)
                 to = law.terms[0][1][1]
                 rhs = law.apply(lambda t: eval_modified(
-                    build_modification(ctx, t[0], mode=t[1][0]), pt, policy, xi_shift=t[1][1]
+                    build_modification(ctx, t[0], mode=t[1][0]), pt, xi_shift=t[1][1]
                 ).value)
-                lhs = eval_modified(res[mode], ptS, policy, xi_shift=xi).value
+                lhs = eval_modified(res[mode], ptS, xi_shift=xi).value
                 label = f"{mode}{'(xi)' * xi}->{to[0]}{'(xi)' * to[1]}"
                 checks.append(check_pair(label, lhs, rhs, tau))
     return verify_law(tol, checks)
 
 
-def suite_prop33c(seed=34, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
+def suite_prop33c(seed=34, tol=1e-7):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 5):
         ctx, res = _signed_pair(F(3, 2))
         pt = ModularPoint(tau, (z1, z2), 0.04)
         ptT = act(T, pt, gram_quad(ctx.full_gram_float()))
         for mode, xi, label in (("plus", False, "T plus->minus"),
                                 ("minus", True, "T minus(xi) fixed")):
-            lhs = eval_modified(res[mode], ptT, policy, xi_shift=xi).value
+            lhs = eval_modified(res[mode], ptT, xi_shift=xi).value
             rhs = LAWS["lattice", "T"]((res[mode], xi), tau, pt.z).apply(
-                lambda to: eval_modified(res[to[0]], pt, policy, xi_shift=to[1]).value
+                lambda to: eval_modified(res[to[0]], pt, xi_shift=to[1]).value
             )
             checks.append(check_pair(label, lhs, rhs, tau))
     return verify_law(tol, checks)
 
 
-def _lattice_shifts(checks, idx, pt, vectors, policy):
+def _lattice_shifts(checks, idx, pt, vectors):
     """prop3.7/3.8 (i) and (ii): f(z + v) and f(z + tau v) for each vector v."""
     res, xi = idx
     tau = pt.tau
     z = np.array(pt.z)
-    base = eval_modified(res, pt, policy, xi_shift=xi).value
+    base = eval_modified(res, pt, xi_shift=xi).value
     for vname, v in vectors:
         for kind, move, zv in (("(i)", "int", z + v), ("(ii)", "tau", z + tau * v)):
-            lhs = eval_modified(res, ModularPoint(tau, tuple(zv), pt.t), policy, xi_shift=xi).value
+            lhs = eval_modified(res, ModularPoint(tau, tuple(zv), pt.t), xi_shift=xi).value
             rhs = LAWS["lattice", move](idx, tau, z, v).apply(lambda _: base)
             checks.append(check_pair(f"{kind} v={vname}", lhs, rhs, tau))
 
 
-def suite_prop37(seed=35, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
+def suite_prop37(seed=35, tol=1e-8):
     checks = []
     vectors = (("|g|^2 beta", np.array([0.0, 2.0])), ("gamma~", np.array([1.0, 0.0])))
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 4):
         res = build_modification(_ctx_odd(F(3, 2)), Weight(F(3, 2), (0, F(1))), mode="minus")
-        _lattice_shifts(checks, (res, True), ModularPoint(tau, (z1, z2), 0.04), vectors, policy)
+        _lattice_shifts(checks, (res, True), ModularPoint(tau, (z1, z2), 0.04), vectors)
     return verify_law(tol, checks)
 
 
-def suite_prop38(seed=36, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
+def suite_prop38(seed=36, tol=1e-8):
     checks = []
     vectors = (
         ("m-basis", np.array([0.0, 1.0, -1.0])),
         ("(|g|^2/2) beta", np.array([0.0, 0.0, 1.0])),
         ("gamma~_1", np.array([1.0, 0.0, 0.0])),
     )
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 4):
         res = build_modification(_ctx_sl3(1), Weight(1, (0, 0, F(-1))))
         pt = ModularPoint(tau, (z1, -0.7 * z2, z2), 0.06)
-        _lattice_shifts(checks, (res, False), pt, vectors, policy)
+        _lattice_shifts(checks, (res, False), pt, vectors)
     return verify_law(tol, checks)
 
 
@@ -171,62 +171,53 @@ def suite_prop38(seed=36, tol=1e-8, n_points=4, policy=DEFAULT_POLICY):
 # denominators and sl(2|1)
 
 
-def suite_eq56(seed=41, tol=1e-8, n_points=6, policy=DEFAULT_POLICY):
+def suite_eq56(seed=41, tol=1e-8):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 6):
         for case in ("sl21", "osp32_sub"):
             sys = system(case)
             pt = ModularPoint(tau, (z1, z2), 0.05)
-            lhs = sys.denominator(-1, act(S, pt, sys.quad), policy).value
-            d0 = sum(1 for _, par in sys.pos_roots if par == 0)
-            d1 = sum(1 for _, par in sys.pos_roots if par == 1)
-            rhs = (
-                1j ** ((d1 - d0) % 4)
-                * (-1j * tau)
-                * sys.denominator(-1, pt, policy).value
-            )
+            lhs = sys.denominator(-1, act(S, pt, sys.quad)).value
+            rhs = 1j ** (-sys.i_power_minus % 4) * (-1j * tau) * sys.denominator(-1, pt).value
             checks.append(check_pair(f"S {case}", lhs, rhs, tau))
-            lhsT = sys.denominator(-1, act(T, pt, sys.quad), policy).value
-            rhsT = cmath.exp(1j * PI * sys.sdim / 12) * sys.denominator(-1, pt, policy).value
+            lhsT = sys.denominator(-1, act(T, pt, sys.quad)).value
+            rhsT = cmath.exp(1j * PI * sys.sdim / 12) * sys.denominator(-1, pt).value
             checks.append(check_pair(f"T {case}", lhsT, rhsT, tau))
     return verify_law(tol, checks)
 
 
-def suite_denom_sl21(seed=42, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
+def suite_denom_sl21(seed=42, tol=1e-10):
     checks = []
     sys = system("sl21")
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 6):
         pt = ModularPoint(tau, (z1, z2), 0.07)
-        den = sys.denominator(-1, pt, policy).value
-        e3 = eta(tau, policy).value ** 3
+        den = sys.denominator(-1, pt).value
+        e3 = eta(tau).value ** 3
         closed = (
             1j
             * cmath.exp(2j * PI * pt.t)
             * e3
-            * theta_ab(1, 1, tau, z1 + z2, policy).value
-            / (
-                theta_ab(1, 1, tau, z1, policy).value
-                * theta_ab(1, 1, tau, z2, policy).value
-            )
+            * theta_ab(1, 1, tau, z1 + z2).value
+            / (theta_ab(1, 1, tau, z1).value * theta_ab(1, 1, tau, z2).value)
         )
         checks.append(check_pair("closed form", den, closed, tau))
     return verify_law(tol, checks)
 
 
-def suite_denom_osp32(seed=43, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
+def suite_denom_osp32(seed=43, tol=1e-10):
     checks = []
     sys = system("osp32_sub")
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 6):
         pt = ModularPoint(tau, (z1, z2), 0.07)
-        den = sys.denominator(-1, pt, policy).value
-        e3 = eta(tau, policy).value ** 3
+        den = sys.denominator(-1, pt).value
+        e3 = eta(tau).value ** 3
         quot = (
-            theta_ab(1, 1, tau, z1 - z2, policy).value
-            * theta_ab(1, 1, tau, (z1 + z2) / 2, policy).value
+            theta_ab(1, 1, tau, z1 - z2).value
+            * theta_ab(1, 1, tau, (z1 + z2) / 2).value
             / (
-                theta_ab(1, 1, tau, z1, policy).value
-                * theta_ab(1, 1, tau, z2, policy).value
-                * theta_ab(1, 1, tau, (z1 - z2) / 2, policy).value
+                theta_ab(1, 1, tau, z1).value
+                * theta_ab(1, 1, tau, z2).value
+                * theta_ab(1, 1, tau, (z1 - z2) / 2).value
             )
         )
         closed = 1j * cmath.exp(1j * PI * pt.t) * e3 * quot
@@ -239,65 +230,62 @@ def suite_denom_osp32(seed=43, tol=1e-10, n_points=6, policy=DEFAULT_POLICY):
     return verify_law(tol, checks, notes)
 
 
-def suite_eq013(seed=44, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+def suite_eq013(seed=44, tol=1e-9):
     checks = []
     sys = system("sl21")
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 5):
         pt = ModularPoint(tau, (z1, z2), 0.06)
         for m, s in ((1, 0), (1, 1), (2, 1)):
             w = WeightSpec(m - 1, (-s,))
-            num = sys.numerator(w, pt, policy, modified=False).value
+            num = sys.numerator(w, pt, modified=False).value
             target = cmath.exp(2j * PI * m * pt.t) * (
-                phi(MockIndex(m, s), tau, z1, z2, policy).value
-                - phi(MockIndex(m, s), tau, -z2, -z1, policy).value
+                phi(MockIndex(m, s), tau, z1, z2).value
+                - phi(MockIndex(m, s), tau, -z2, -z1).value
             )
             checks.append(check_pair(f"(m,s)=({m},{s})", num, target, tau))
     return verify_law(tol, checks)
 
 
-def suite_sl21_modular(seed=45, tol=1e-7, n_points=5, policy=DEFAULT_POLICY):
+def suite_sl21_modular(seed=45, tol=1e-7):
     checks = []
     sys = system("sl21")
     w = WeightSpec(1, (0,))
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 5):
         pt = ModularPoint(tau, (z1, z2), 0.06)
-        base = ch_tilde("sl21", w, pt, policy).value
+        base = ch_tilde("sl21", w, pt).value
         ptS = act(S, pt, sys.quad)
-        checks.append(check_pair("S-invariance", ch_tilde("sl21", w, ptS, policy).value, base, tau))
+        checks.append(check_pair("S-invariance", ch_tilde("sl21", w, ptS).value, base, tau))
         ptT = act(T, pt, sys.quad)
-        checks.append(check_pair("T-invariance", ch_tilde("sl21", w, ptT, policy).value, base, tau))
-        other = ch_tilde("sl21", WeightSpec(1, (1,)), pt, policy).value
+        checks.append(check_pair("T-invariance", ch_tilde("sl21", w, ptT).value, base, tau))
+        other = ch_tilde("sl21", WeightSpec(1, (1,)), pt).value
         checks.append(check_pair("label-independence", other, base, tau))
     return verify_law(tol, checks)
 
 
-def suite_psi_pin(seed=46, tol=1e-9, n_points=10, policy=DEFAULT_POLICY):
+def suite_psi_pin(seed=46, tol=1e-9):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points):
-        psi = psi_fn(1, 0, tau, z1, z2, 0.0, policy, modified=False).value
+    for tau, z1, z2 in _points(seed, 10):
+        psi = psi_fn(1, 0, tau, z1, z2, 0.0, modified=False).value
         quot = (
-            eta(tau, policy).value ** 3
-            * theta_ab(1, 1, tau, z1 + z2, policy).value
-            / (
-                theta_ab(1, 1, tau, z1, policy).value
-                * theta_ab(1, 1, tau, z2, policy).value
-            )
+            eta(tau).value ** 3
+            * theta_ab(1, 1, tau, z1 + z2).value
+            / (theta_ab(1, 1, tau, z1).value * theta_ab(1, 1, tau, z2).value)
         )
         checks.append(check_pair("denominator identity", psi, -1j * quot, tau))
     return verify_law(tol, checks)
 
 
-def suite_eq44(seed=47, tol=1e-8, n_points=5, policy=DEFAULT_POLICY):
+def suite_eq44(seed=47, tol=1e-8):
     checks = []
     sys = system("sl21")
     w = WeightSpec(1, (0,))
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 5):
         pt = ModularPoint(tau, (z1, z2), 0.06)
-        nplus = sys.numerator(w, pt, policy, modified=False, plus=True).value
-        dplus = sys.denominator(+1, pt, policy).value
+        nplus = sys.numerator(w, pt, modified=False, plus=True).value
+        dplus = sys.denominator(+1, pt).value
         shifted = ModularPoint(tau, (z1 - 0.5, z2 - 0.5), pt.t)
-        nminus = sys.numerator(w, shifted, policy, modified=False).value
-        dminus = sys.denominator(-1, shifted, policy).value
+        nminus = sys.numerator(w, shifted, modified=False).value
+        dminus = sys.denominator(-1, shifted).value
         checks.append(check_pair("ch+ vs shifted ch-", nplus / dplus, nminus / dminus, tau))
     return verify_law(tol, checks)
 
@@ -306,7 +294,7 @@ def suite_eq44(seed=47, tol=1e-8, n_points=5, policy=DEFAULT_POLICY):
 # section 6
 
 
-def _span_checks(case, k, params, seed, policy):
+def _span_checks(case, k, params, seed):
     """Unitarity and the S/T apply-checks of a three-coordinate span."""
     pts = [
         ModularPoint(tau, (z1, 0.8 * z2, z2), 0.05)
@@ -314,13 +302,13 @@ def _span_checks(case, k, params, seed, policy):
     ]
     return [
         check_residual("unitarity", smatrix(case, k, params).unitarity_defect()),
-        check_residual("S apply", apply_smatrix_check(case, k, pts, params, policy)["max_residual"]),
-        check_residual("T apply", apply_tmatrix_check(case, k, pts, params, policy)["max_residual"]),
+        check_residual("S apply", apply_smatrix_check(case, k, pts, params)["max_residual"]),
+        check_residual("T apply", apply_tmatrix_check(case, k, pts, params)["max_residual"]),
     ]
 
 
-def suite_thm614(seed=51, tol=1e-7, policy=DEFAULT_POLICY, p=1, q=1, n=1):
-    checks = _span_checks("d21a", F(-p * q * n, p + q), (p, q), seed, policy)
+def suite_thm614(seed=51, tol=1e-7, p=1, q=1, n=1):
+    checks = _span_checks("d21a", F(-p * q * n, p + q), (p, q), seed)
     notes = (
         "character labels rely on the conjectural two-term supercharacter "
         "formula; the span transformation itself is unconditional"
@@ -350,16 +338,16 @@ def suite_d21a_omega(tol=0.5, **_):
     return verify_law(tol, checks)
 
 
-def suite_osp32_sub_f(seed=52, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+def suite_osp32_sub_f(seed=52, tol=1e-9):
     checks = []
     sub = system("osp32_sub")
     k = F(-3, 4)
-    for tau, z1, z2 in _points(seed, n_points):
+    for tau, z1, z2 in _points(seed, 5):
         pt = ModularPoint(tau, (z1, z2), 0.05)
-        den = sub.denominator(-1, pt, policy).value
+        den = sub.denominator(-1, pt).value
         for i in (1, 2, 3, 4):
-            fi = sub.f_function(i, k, pt, policy).value
-            ci = sub.f_closed_quotient(i, pt, policy).value / den
+            fi = sub.f_function(i, k, pt).value
+            ci = sub.f_closed_quotient(i, pt).value / den
             checks.append(check_pair(f"f{i}", fi, ci, tau))
     notes = (
         "f4's closed form carries theta11 upstairs; a theta00 numerator "
@@ -368,45 +356,45 @@ def suite_osp32_sub_f(seed=52, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
     return verify_law(tol, checks, notes)
 
 
-def _subprincipal_span(which, seed, tol, policy, notes=""):
+def _subprincipal_span(which, seed, tol, notes=""):
     """The S or T relations of the subprincipal span at k = -3/4 and -1."""
     check = apply_smatrix_check if which == "S" else apply_tmatrix_check
     pts = [ModularPoint(tau, (z1, z2), 0.04) for tau, z1, z2 in _points(seed, 3)]
     checks = []
     for k in (F(-3, 4), F(-1)):
-        rep = check("osp32_sub", k, pts, policy=policy)
+        rep = check("osp32_sub", k, pts)
         checks.append(check_residual(f"{which} span k={k}", rep["max_residual"]))
     return verify_law(tol, checks, notes)
 
 
-def suite_eq620(seed=53, tol=1e-7, policy=DEFAULT_POLICY):
+def suite_eq620(seed=53, tol=1e-7):
     notes = (
         "the quotients transform with no weight factor: the numerator's "
         "tau cancels against the superdenominator's"
     )
-    return _subprincipal_span("S", seed, tol, policy, notes)
+    return _subprincipal_span("S", seed, tol, notes)
 
 
-def suite_eq621(seed=54, tol=1e-7, policy=DEFAULT_POLICY):
-    return _subprincipal_span("T", seed, tol, policy)
+def suite_eq621(seed=54, tol=1e-7):
+    return _subprincipal_span("T", seed, tol)
 
 
-def suite_lem619(seed=55, tol=1e-9, n_points=5, policy=DEFAULT_POLICY):
+def suite_lem619(seed=55, tol=1e-9):
     checks = []
-    for tau, z1, z2 in _points(seed, n_points, im=(0.5, 0.9)):
+    for tau, z1, z2 in _points(seed, 5, im=(0.5, 0.9)):
         t = 0.07
         for M, s in ((F(1, 2), F(1, 2)), (F(1, 2), 0), (1, F(1, 2)), (1, 0)):
-            lhs = 2 * psi_fn(M, s, 2 * tau, z1, z2, t, policy).value
+            lhs = 2 * psi_fn(M, s, 2 * tau, z1, z2, t).value
             rhs = (
-                psi_fn(2 * M, 2 * s, tau, z1 / 2, z2 / 2, t / 2, policy).value
+                psi_fn(2 * M, 2 * s, tau, z1 / 2, z2 / 2, t / 2).value
                 + cmath.exp(-2j * PI * float(s))
-                * psi_fn(2 * M, 2 * s, tau, (z1 + 1) / 2, (z2 - 1) / 2, t / 2, policy).value
+                * psi_fn(2 * M, 2 * s, tau, (z1 + 1) / 2, (z2 - 1) / 2, t / 2).value
             )
             checks.append(check_pair(f"M={M} s={s}", lhs, rhs, tau))
     return verify_law(tol, checks)
 
 
-def _level1_relations(which, label, seed, policy):
+def _level1_relations(which, label, seed):
     """S or T apply-checks of the level-1 spans osp(2m+p|2n)."""
     check = apply_smatrix_check if which == "S" else apply_tmatrix_check
     checks = []
@@ -418,34 +406,34 @@ def _level1_relations(which, label, seed, policy):
                 + [0.37 - 0.02 * j for j in range(n)]
             )
             pts = [ModularPoint(tau, zs, 0.05) for tau, _, _ in _points(seed, 2)]
-            rep = check("osp_level1", 1, pts, (M, N), policy)
+            rep = check("osp_level1", 1, pts, (M, N))
             checks.append(check_residual(f"{which} {label} M={M} N={N}", rep["max_residual"]))
     return checks
 
 
-def suite_level1_S(seed=56, tol=1e-9, policy=DEFAULT_POLICY):
-    checks = _level1_relations("S", "relations", seed, policy)
+def suite_level1_S(seed=56, tol=1e-9):
+    checks = _level1_relations("S", "relations", seed)
     return verify_law(tol, checks)
 
 
-def suite_level1_T(seed=57, tol=1e-9, policy=DEFAULT_POLICY):
+def suite_level1_T(seed=57, tol=1e-9):
     notes = (
         "odd-M third eigenvalue is exp(i pi (m-n+1/2)/6); the variant "
         "with -1/2 in the exponent fails (ST)^3 = S^2 and direct "
         "evaluation"
     )
-    checks = _level1_relations("T", "eigenvalues", seed, policy)
+    checks = _level1_relations("T", "eigenvalues", seed)
     return verify_law(tol, checks, notes)
 
 
-def suite_prop622(seed=58, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
+def suite_prop622(seed=58, tol=1e-7):
     checks = []
     sys = system("sl21")
     w = WeightSpec(1, (0,))
-    chp = lambda p: ch_tilde("sl21", w, p, policy, variant="ch_plus_modified").value
-    twm = lambda p: ch_tilde("sl21", w, p, policy, variant="tw_minus_modified").value
-    twp = lambda p: ch_tilde("sl21", w, p, policy, variant="tw_plus_modified").value
-    for tau, z1, z2 in _points(seed, n_points):
+    chp = lambda p: ch_tilde("sl21", w, p, variant="ch_plus_modified").value
+    twm = lambda p: ch_tilde("sl21", w, p, variant="tw_minus_modified").value
+    twp = lambda p: ch_tilde("sl21", w, p, variant="tw_plus_modified").value
+    for tau, z1, z2 in _points(seed, 4):
         pt = ModularPoint(tau, (z1, z2), 0.05)
         ptS = act(S, pt, sys.quad)
         ptT = act(T, pt, sys.quad)
@@ -459,39 +447,39 @@ def suite_prop622(seed=58, tol=1e-7, n_points=4, policy=DEFAULT_POLICY):
     return verify_law(tol, checks)
 
 
-def suite_eq66(seed=59, tol=1e-7, policy=DEFAULT_POLICY):
-    return verify_law(tol, _span_checks("osp42", 1, None, seed, policy))
+def suite_eq66(seed=59, tol=1e-7):
+    return verify_law(tol, _span_checks("osp42", 1, None, seed))
 
 
-def suite_oracles(seed=63, tol=1e-10, n_points=30, policy=DEFAULT_POLICY):
+def suite_oracles(seed=63, tol=1e-10):
     checks = []
     rng = _stream(seed)
-    for i in range(n_points):
+    for i in range(30):
         tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 2.0))
         z1 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.05, 0.05))
         z2 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.05, 0.05))
         if abs(z1) < 0.04:
             z1 += 0.1
-        mine = phi(MockIndex(1, 0), tau, z1, z2, policy).value
+        mine = phi(MockIndex(1, 0), tau, z1, z2).value
         checks.append(check_pair("phi", mine, oracle.phi_naive(1, 1, 0, tau, z1, z2), tau))
-        mine = phi(MockIndex(F(1, 2), F(1, 2), "minus"), tau, z1, z2, policy).value
+        mine = phi(MockIndex(F(1, 2), F(1, 2), "minus"), tau, z1, z2).value
         checks.append(
             check_pair("phi minus", mine, oracle.phi_naive(-1, 0.5, 0.5, tau, z1, z2), tau)
         )
-        mine = theta_jm(1, 2, tau, z1, policy).value
+        mine = theta_jm(1, 2, tau, z1).value
         checks.append(check_pair("theta_jm", mine, oracle.theta_jm_naive(1, 1, 2, tau, z1), tau))
-        mine = theta_jm_signed(-1, F(1, 2), F(1, 2), tau, z1, policy).value
+        mine = theta_jm_signed(-1, F(1, 2), F(1, 2), tau, z1).value
         checks.append(
             check_pair("theta_jm signed", mine, oracle.theta_jm_naive(-1, 0.5, 0.5, tau, z1), tau)
         )
-        mine = r_jm(0, 1, tau, z1, policy).value
+        mine = r_jm(0, 1, tau, z1).value
         checks.append(check_pair("r_jm", mine, oracle.r_naive(1, 0, 1, tau, z1), tau))
-        mine = r_jm_signed(-1, F(1, 2), F(1, 2), tau, z1, policy).value
+        mine = r_jm_signed(-1, F(1, 2), F(1, 2), tau, z1).value
         checks.append(
             check_pair("r_jm signed", mine, oracle.r_naive(-1, 0.5, 0.5, tau, z1), tau)
         )
-        mine = eta(tau, policy).value
+        mine = eta(tau).value
         checks.append(check_pair("eta", mine, oracle.eta_product(tau), tau))
-        mine = theta_ab(1, 1, tau, z1, policy).value
+        mine = theta_ab(1, 1, tau, z1).value
         checks.append(check_pair("theta_ab", mine, oracle.theta_ab_naive(1, 1, tau, z1), tau))
     return verify_law(tol, checks)

@@ -22,19 +22,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .core import as_fraction
+from .core import _dot_gram, as_fraction
 from .errors import InfiniteSet, UnsupportedCase
 
 F = Fraction
-
-
-def _dot_gram(gram, u, v):
-    return sum(
-        gram[i][j] * u[i] * v[j]
-        for i in range(len(u))
-        for j in range(len(v))
-        if u[i] and v[j]
-    ) or F(0)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,23 @@ class TestD21a:
                      params=(1, 2))
 
 
+@pytest.mark.parametrize("case", ["sl21", "osp32", "osp42"])
+def test_weyl_images_agree_with_the_weyl_sharp_orbit(case):
+    # the hand-written images of a system against W# with eps^- built from its preset
+    from mocktheta.superalg import weyl_sharp_orbit
+
+    sys = system(case)
+    elements, _ = weyl_sharp_orbit(sys.pre)
+    z = (F(1, 3), F(2, 7), F(5, 11))[: sys.n_z]
+    images = sys.weyl_images(z)
+    assert len(images) == len(elements)
+    assert sorted(eps for _, eps in images) == sorted(el.eps_minus for el in elements)
+    if case == "osp42":  # the frame is the preset's ambient (x1, x2, y1)
+        acts = {(tuple(sum(r * c for r, c in zip(row, z)) for row in el.matrix), el.eps_minus)
+                for el in elements}
+        assert {(tuple(zi), eps) for zi, eps in images} == acts
+
+
 class TestOsp42:
     def test_numerator_vs_closed_form(self):
         sys = system("osp42")

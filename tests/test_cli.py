@@ -138,6 +138,42 @@ class TestVerify:
             assert main(["verify", "theta-quasi", "--seed", seed]) == 0
             assert json.loads(capsys.readouterr().out)["seed"] == int(seed)
 
+    @pytest.mark.parametrize("argv,unused", [
+        (("theta-quasi", "--p", "3", "--n", "2"), "--p, --n"),
+        (("thm6.14", "--m", "1"), "--m"),
+        (("cor1.2", "--q", "1"), "--q"),
+        (("thm1.1a", "--m", "1", "--p", "2"), "--p"),
+    ])
+    def test_option_no_selected_suite_takes_exits_2(self, argv, unused, capsys, monkeypatch):
+        import mocktheta.suites
+
+        ran = []
+        monkeypatch.setattr(mocktheta.suites, "run_suite", lambda *a, **kw: ran.append(a))
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no selected suite takes {unused}\n"
+        assert captured.out == "" and ran == []
+
+    @pytest.mark.parametrize("argv,taken", [
+        (("--m", "1"), {"thm1.1a": {"m": 1}}),
+        (("--p", "2", "--q", "1"), {"thm6.14": {"p": 2, "q": 1}}),
+    ])
+    def test_all_passes_an_option_to_the_suites_that_take_it(self, argv, taken, capsys,
+                                                             monkeypatch):
+        import mocktheta.suites
+
+        calls = {}
+
+        def fake(sid, seed=None, tol=None, **kwargs):
+            calls[sid] = kwargs
+            return {"pass": True, "anchor": "", "max_residual": 0.0, "tol": 1.0}
+
+        monkeypatch.setattr(mocktheta.suites, "run_suite", fake)
+        assert main(["verify", "all", *argv]) == 0
+        capsys.readouterr()
+        assert set(calls) == set(SUITES)
+        assert {sid: kw for sid, kw in calls.items() if kw} == taken
+
     def test_byte_stability(self):
         rc1, out1, _ = run_cli("verify", "theta-quasi", "--seed", "5")
         rc2, out2, _ = run_cli("verify", "theta-quasi", "--seed", "5")
@@ -153,10 +189,7 @@ class TestTables:
         assert all(r["integrable"] for r in rows)
 
     def test_smatrix_csv(self):
-        rc, out, err = run_cli(
-            "smatrix", "--case", "d21a", "--p", "1", "--q", "1", "--n", "1",
-            "--output", "csv",
-        )
+        rc, out, err = run_cli("smatrix", "--case", "d21a", "--params", "1,1", "--output", "csv")
         assert rc == 0
         lines = out.strip().splitlines()
         assert lines[0] == "col,im,re,row"
@@ -190,11 +223,11 @@ class TestTables:
         ("--case", "osp42", "--k", "1", "--params", "1"),
         ("--case", "sl21", "--k", "1", "--params", "1,2"),
         ("--case", "d21a", "--params", "2"),
-        ("--case", "d21a", "--n", "0"),
-        # p = 0 or q = 0 is the family's to refuse, not a default of 1
-        ("--case", "d21a", "--p", "0", "--q", "2"),
-        ("--case", "d21a", "--p", "1", "--q", "0"),
-        ("--case", "d21a", "--p", "0"),
+        ("--case", "d21a", "--k", "0"),
+        # p = 0 or q = 0 is the family's to refuse
+        ("--case", "d21a", "--params", "0,2"),
+        ("--case", "d21a", "--params", "1,0"),
+        ("--case", "d21a", "--params", "0,1"),
         ("--case", "sl21"),
         ("--case", "sl32", "--k", "1"),
     ])
@@ -202,6 +235,32 @@ class TestTables:
         assert main(["smatrix", *args]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "omega", "--case", "sl21", "--k", "1", "--p", "3"),
+        ("table", "preset", "--case", "d21a", "--q", "2"),
+        ("chartable", "--case", "d21a", "--k=-1/2", "--labels", "0,1", "--params", "1,2",
+         "--p", "1", "--points", "1"),
+        ("smatrix", "--case", "osp42", "--k", "1", "--p", "2"),
+        ("smatrix", "--case", "d21a", "--params", "1,2", "--k=-2/3", "--n", "5"),
+        ("smatrix", "--case", "osp_level1", "--n", "3"),
+        # no prefix stands for a longer option
+        ("smatrix", "--case", "d21a", "--p", "1,2"),
+        ("smatrix", "--case", "d21a", "--para", "1,2"),
+    ])
+    def test_removed_parameter_flags_exit_2(self, argv, capsys):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert "error: unrecognized arguments: --" in captured.err and captured.out == ""
+
+    def test_family_flags_only_on_verify(self):
+        from mocktheta.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        declared = {name: {o for a in parser._actions for o in a.option_strings}
+                    for name, parser in sub.choices.items()}
+        assert {name for name, opts in declared.items() if opts & {"--p", "--q", "--n"}} == {
+            "verify"}
 
     @pytest.mark.parametrize("table,case,params", [
         ("omega", "sl", "2"), ("preset", "d21a", "1"), ("preset", "f4", "1"),
@@ -264,7 +323,7 @@ class TestCharTable:
     @pytest.mark.parametrize("k", ["-1", "-1/2"])
     def test_d21a_level_off_the_family_is_a_configuration_error(self, k, capsys):
         # (p, q) = (1, 2) takes only k = -2n/3
-        args = ["chartable", "--case", "d21a", "--p", "1", "--q", "2", f"--k={k}",
+        args = ["chartable", "--case", "d21a", "--params", "1,2", f"--k={k}",
                 "--labels", "0,1", "--points", "1"]
         assert main(args) == 2
         captured = capsys.readouterr()
@@ -273,7 +332,7 @@ class TestCharTable:
 
     @pytest.mark.parametrize("p", ["0", "-1"])
     def test_d21a_nonpositive_p_is_a_configuration_error(self, p, capsys):
-        args = ["chartable", "--case", "d21a", f"--p={p}", "--q", "1", "--k=-1/2",
+        args = ["chartable", "--case", "d21a", f"--params={p},1", "--k=-1/2",
                 "--labels", "0,1", "--points", "1"]
         assert main(args) == 2
         captured = capsys.readouterr()

@@ -63,9 +63,9 @@ def test_prop622_evaluates_each_variant_once_per_point(monkeypatch):
 
     # the suite's module binds ch_tilde when it is imported
     monkeypatch.setattr(suites_lattice, "ch_tilde", counting)
-    rep = suites_lattice.suite_prop622(n_points=2)
-    assert rep["pass"] and rep["n_checks"] == 12
-    assert len(calls) == 9 * 2
+    rep = suites_lattice.suite_prop622()
+    assert rep["pass"] and rep["n_checks"] == 24
+    assert len(calls) == 9 * 4
 
 
 def test_registry_splits_at_the_numpy_boundary():
@@ -89,3 +89,19 @@ def test_no_function_imports(module):
         for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not sites, sites
+
+
+@pytest.mark.parametrize("module", [suites, suites_lattice], ids=lambda m: m.__name__)
+def test_suites_run_at_the_evaluators_default_policy(module):
+    """No suite or helper takes a policy or a point count: each suite runs
+    at its registered point count, every evaluator at its own default."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    params = [
+        f"{getattr(fn, 'name', 'lambda')}:{arg.arg}"
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+        for arg in fn.args.args + fn.args.kwonlyargs if arg.arg in ("policy", "n_points")
+    ]
+    assert not params, params
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "DEFAULT_POLICY" not in imported

@@ -18,8 +18,11 @@ suite at its own seed and at the ends 0 and 2**32 - 1 of the seed range;
 ``chartable`` rows; the benchmark's cold-start commands; ``smatrix`` for
 every wired case, with parameters and levels it honours or refuses;
 ``table omega``/``preset`` for every case alias; seeds, D(2,1;a)
-parameters and alias parameters the CLI honours or refuses; and the
-``eval``/``verify`` configuration errors and ``--tol`` values it refuses.
+parameters and alias parameters the CLI honours or refuses; the
+``eval``/``verify`` configuration errors and ``--tol`` values it refuses;
+and the ``--p``/``--q``/``--n`` spellings of ``--params`` and ``--k``
+that ``table``, ``chartable`` and ``smatrix`` refuse, with a ``verify``
+option that no selected suite takes.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ CHART_ROWS = (
     ("osp32", "1", "0", "denominator_only", []),
     ("osp42", "1", "1/2,1/2", "ch_minus_modified", []),
     ("osp42", "1", "1,0", "ch_minus_modified", []),
-    ("d21a", "-1/2", "0,1", "ch_minus_modified", ["--p", "1", "--q", "1"]),
-    ("d21a", "-1/2", "0,0", "ch_minus_modified", ["--p", "1", "--q", "1"]),
-    ("d21a", "-2/3", "0,1", "ch_minus_modified", ["--p", "1", "--q", "2"]),
+    ("d21a", "-1/2", "0,1", "ch_minus_modified", ["--params", "1,1"]),
+    ("d21a", "-1/2", "0,0", "ch_minus_modified", ["--params", "1,1"]),
+    ("d21a", "-2/3", "0,1", "ch_minus_modified", ["--params", "1,2"]),
 )
 # the suites that need only the rank-1 layers
 RANK1_SUITES = ("thm1.1a", "thm1.1b", "cor1.2", "thm1.3a", "thm1.3b", "thm1.3c", "thm1.3d",
@@ -90,7 +93,7 @@ def _commands():
         ("readme_table_preset", ["table", "preset", "--case", "osp32_sub"]),
         ("readme_chartable", ["chartable", "--case", "sl21", "--k", "1", "--points", "6"]),
         ("readme_smatrix",
-         ["smatrix", "--case", "d21a", "--p", "1", "--q", "1", "--n", "1", "--output", "csv"]),
+         ["smatrix", "--case", "d21a", "--params", "1,1", "--output", "csv"]),
         ("bench_chartable",
          ["chartable", "--case", "sl21", "--k", "1", "--points", "2", "--seed", "12345"]),
         ("bench_smatrix", ["smatrix", "--case", "d21a", "--output", "csv"]),
@@ -98,7 +101,7 @@ def _commands():
         ("verify_seed_neg", ["verify", "theta-quasi", "--seed", "-1"]),
         ("verify_seed_2_32", ["verify", "theta-quasi", "--seed", "4294967296"]),
         ("chartable_seed_neg", ["chartable", "--case", "sl21", "--k", "1", "--seed", "-1"]),
-        ("smatrix_d21a_p0", ["smatrix", "--case", "d21a", "--p", "0", "--q", "2"]),
+        ("smatrix_d21a_p0", ["smatrix", "--case", "d21a", "--params", "0,2"]),
         ("table_preset_sl21_own", ["table", "preset", "--case", "sl21", "--params", "1,1"]),
         ("table_preset_sl21_other", ["table", "preset", "--case", "sl21", "--params", "2,1"]),
         ("table_preset_d21a_1_2", ["table", "preset", "--case", "d21a", "--params", "1,2"]),
@@ -115,6 +118,17 @@ def _commands():
         ("verify_thm614_p2_q4", ["verify", "thm6.14", "--p", "2", "--q", "4"]),
         ("verify_lem23_tol_0", ["verify", "lem2.3", "--tol", "0"]),
         ("verify_lem23_tol_neg", ["verify", "lem2.3", "--tol", "-1"]),
+        ("verify_theta_quasi_p3_n2", ["verify", "theta-quasi", "--p", "3", "--n", "2"]),
+        # the --p/--q/--n spellings of --params and --k
+        ("flag_chartable_d21a_p", ["chartable", "--case", "d21a", "--k=-1/2", "--labels", "0,1",
+                                   "--params", "1,2", "--p", "1", "--points", "1"]),
+        ("flag_table_omega_sl21_p", ["table", "omega", "--case", "sl21", "--k", "1", "--p", "3"]),
+        ("flag_smatrix_osp42_p", ["smatrix", "--case", "osp42", "--k", "1", "--p", "2"]),
+        ("flag_smatrix_d21a_n", ["smatrix", "--case", "d21a", "--params", "1,2", "--k=-2/3",
+                                 "--n", "5"]),
+        ("flag_smatrix_osp_level1_n", ["smatrix", "--case", "osp_level1", "--n", "3"]),
+        ("flag_smatrix_d21a_p_q_n",
+         ["smatrix", "--case", "d21a", "--p", "1", "--q", "1", "--n", "1", "--output", "csv"]),
     ]
     for seed in ("1", "77", "2069906369"):
         cmds.append((f"bench_verify_{seed}", ["verify", "theta-quasi", "--seed", seed]))
