@@ -30,15 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    DEFAULT_POLICY,
-    VARIANTS,
-    ModularPoint,
-    SeriesValue,
-    TruncationPolicy,
-    as_fraction,
-    cexp,
-)
+from .core import VARIANTS, ModularPoint, SeriesValue, as_fraction, cexp
 from .errors import UnsupportedCase, ZeroDivisorProximity
 from .lattice import (
     LatticeContext, Weight, build_modification, eval_modified, lattice_mock_theta, validate_context,
@@ -67,9 +59,9 @@ def gram_quad(gram):
 class CharacterSystem:
     """One wired algebra case.
 
-    A subclass declares only what is its own: ``name`` (and, for a
-    family, ``params``), the case whose preset ``preset(name, params)``
-    it realises; its frame (``frame_gram``, the positive roots
+    A subclass declares only what is its own: ``name``, the case whose
+    preset ``preset(name, params)`` it realises for the ``params`` it is
+    built with; its frame (``frame_gram``, the positive roots
     ``pos_roots`` as functionals of point.z, ``_frame_to_ctx`` and
     ``weyl_images``); and its numerator rule.  The
     rest is read off the preset or the roots: h_dual, the lattice context
@@ -83,14 +75,13 @@ class CharacterSystem:
     """
 
     name: str
-    params = None  # the family parameters of the preset, if any
     pos_roots: tuple  # ((coeffs, parity), ...)
     MODE = "unsigned"  # the sign mode of the lattice context
     VARIANTS = ("ch_minus_modified", "numerator_only", "denominator_only")
     SIDES = ("T",)  # the isotropic sets whose weights numerator() wires
 
-    def __init__(self):
-        self.pre = pre = preset(self.name, self.params)
+    def __init__(self, params: tuple = None):
+        self.pre = pre = preset(self.name, params)
         self.h_dual = pre.h_dual
         self.quad = gram_quad(self.frame_gram)  # callable (za, zb) -> (za|zb)
         d1 = sum(parity for _, parity in self.pos_roots)
@@ -148,7 +139,7 @@ class CharacterSystem:
             total = total + eps * evaluate(pz)
         return total
 
-    def denominator(self, sign, point: ModularPoint, policy=DEFAULT_POLICY) -> SeriesValue:
+    def denominator(self, sign, point: ModularPoint) -> SeriesValue:
         """Weyl (super)denominator as eta power times a theta quotient.
 
         For the superdenominator (sign = -1) every root contributes a
@@ -157,7 +148,7 @@ class CharacterSystem:
         """
         tau = point.tau
         i_power = self.i_power_minus if sign == -1 else self.i_power_plus
-        e = eta(tau, policy)
+        e = eta(tau)
         value = SeriesValue(
             (1j) ** (i_power % 4) * cexp(_2PI_I * float(self.h_dual) * point.t), 0.0, 0
         )
@@ -167,9 +158,9 @@ class CharacterSystem:
         for coeffs, parity in self.pos_roots:
             arg = sum(c * w for c, w in zip(coeffs, point.z))
             if parity == 0:
-                value = value * theta_ab(1, 1, tau, arg, policy)
+                value = value * theta_ab(1, 1, tau, arg)
             else:
-                th = theta_ab(1, 1 if sign == -1 else 0, tau, arg, policy)
+                th = theta_ab(1, 1 if sign == -1 else 0, tau, arg)
                 if abs(th.value) < 1e-10:
                     raise ZeroDivisorProximity(f"theta factor vanishes at {arg}")
                 value = value / th
@@ -214,7 +205,6 @@ class Sl21System(CharacterSystem):
         self,
         w: WeightSpec,
         point: ModularPoint,
-        policy=DEFAULT_POLICY,
         modified: bool = True,
         plus: bool = False,
     ) -> SeriesValue:
@@ -224,11 +214,10 @@ class Sl21System(CharacterSystem):
         lam = Weight(ctx.k, (F(0), as_fraction(k1)))
         if modified:
             res = build_modification(ctx, lam)
-            return self._weyl_sum(point, lambda pz: eval_modified(res, pz, policy))
+            return self._weyl_sum(point, lambda pz: eval_modified(res, pz))
         # eps_plus = eps_minus here
         return self._weyl_sum(
-            point,
-            lambda pz: lattice_mock_theta(ctx, lam, pz, policy, denominator_plus=plus),
+            point, lambda pz: lattice_mock_theta(ctx, lam, pz, denominator_plus=plus)
         )
 
 
@@ -267,7 +256,6 @@ class Osp32System(CharacterSystem):
         self,
         w: WeightSpec,
         point: ModularPoint,
-        policy=DEFAULT_POLICY,
         modified: bool = True,
         plus: bool = False,
     ) -> SeriesValue:
@@ -279,9 +267,7 @@ class Osp32System(CharacterSystem):
         ctx = self.context(w.k)
         lam = Weight(ctx.k, (F(0), as_fraction(k1) + 1))
         res = build_modification(ctx, lam)
-        return self._weyl_sum(
-            point, lambda pz: eval_modified(res, pz, policy, xi_shift=True)
-        )
+        return self._weyl_sum(point, lambda pz: eval_modified(res, pz, xi_shift=True))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +314,6 @@ class Osp42System(CharacterSystem):
         self,
         w: WeightSpec,
         point: ModularPoint,
-        policy=DEFAULT_POLICY,
         modified: bool = True,
         plus: bool = False,
     ) -> SeriesValue:
@@ -344,14 +329,14 @@ class Osp42System(CharacterSystem):
             tot = SeriesValue(0.0, 0.0, 0)
             for zi, eps in self.weyl_images(point.z):
                 x1, x2, y1 = zi
-                th = theta_jm(int(2 * k2) + 2 * k, 2 * k, point.tau, x1 + x2 + y1, policy)
-                ph = phi_tilde(MockIndex(k, 0), point.tau, -x1 - y1, x2 + y1, policy)
+                th = theta_jm(int(2 * k2) + 2 * k, 2 * k, point.tau, x1 + x2 + y1)
+                ph = phi_tilde(MockIndex(k, 0), point.tau, -x1 - y1, x2 + y1)
                 tot = tot + eps * (th * ph)
             return tot * cmath.exp(2j * cmath.pi * k * complex(point.t))
         ctx = self.context(w.k)
         lam = Weight(ctx.k, (F(0), as_fraction(k2) / 2, as_fraction(k1)))
         res = build_modification(ctx, lam)
-        return self._weyl_sum(point, lambda pz: eval_modified(res, pz, policy))
+        return self._weyl_sum(point, lambda pz: eval_modified(res, pz))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +350,6 @@ class D21aSystem(CharacterSystem):
     name = "d21a"
     n_labels = 2
     SIDES = ("T", "Tp")
-    params = (1, 1)  # (p, q) when none are given
     pos_roots = (
         ((1, 0, 0), 1),
         ((0, 1, 0), 1),
@@ -376,11 +360,10 @@ class D21aSystem(CharacterSystem):
         ((0, 1, 1), 0),
     )
 
-    def __init__(self, p: int, q: int):
-        self.p, self.q = p, q
-        self.params = (p, q)
-        super().__init__()  # the preset refuses p, q that are not coprime and positive
-        self.a = F(-p, p + q)
+    def __init__(self, params: tuple = None):
+        super().__init__(params)  # the preset refuses p, q that are not coprime and positive
+        self.p, self.q = self.pre.params
+        self.a = F(-self.p, self.p + self.q)
 
     def functional(self, coeffs, z):
         return complex(np.asarray(coeffs, dtype=float) @ self.frame_gram @ np.asarray(z))
@@ -397,7 +380,6 @@ class D21aSystem(CharacterSystem):
         self,
         w: WeightSpec,
         point: ModularPoint,
-        policy=DEFAULT_POLICY,
         modified: bool = True,
         plus: bool = False,
     ) -> SeriesValue:
@@ -406,11 +388,9 @@ class D21aSystem(CharacterSystem):
         n = d21a_level(self.p, self.q, w.k)
         k2 = w.labels[1]
         nu = int(k2) if w.side == "T" else int(-k2)
-        return self.numerator_nu(nu, n, point, policy)
+        return self.numerator_nu(nu, n, point)
 
-    def numerator_nu(
-        self, nu: int, n: int, point: ModularPoint, policy=DEFAULT_POLICY
-    ) -> SeriesValue:
+    def numerator_nu(self, nu: int, n: int, point: ModularPoint) -> SeriesValue:
         """Two-term closed form of the modified numerator for class nu."""
         p, q = self.p, self.q
         a = float(self.a)
@@ -425,8 +405,8 @@ class D21aSystem(CharacterSystem):
         w1b = self.functional((1, 1, 1), z)
         w2b = self.functional((0, -1, 0), z)
         idx = MockIndex(p * n, 0)
-        term1 = theta_jm(nu, N, tau, argA, policy) * phi_tilde(idx, tau, w1, w2, policy)
-        term2 = theta_jm(nu, N, tau, argA2, policy) * phi_tilde(idx, tau, w1b, w2b, policy)
+        term1 = theta_jm(nu, N, tau, argA) * phi_tilde(idx, tau, w1, w2)
+        term2 = theta_jm(nu, N, tau, argA2) * phi_tilde(idx, tau, w1b, w2b)
         pref = cexp(_2PI_I * float(k) * complex(point.t))
         return pref * (term1 + term2)
 
@@ -442,15 +422,14 @@ def psi_fn(
     z1: complex,
     z2: complex,
     t: complex,
-    policy=DEFAULT_POLICY,
     modified: bool = True,
 ) -> SeriesValue:
     """e^{-2 pi i M t} (F(tau,z1,z2) - F(tau,-z2,-z1)) with F the plus-signed
     (modified) rank-1 mock theta function of degree M and shift s."""
     idx = MockIndex(as_fraction(M), as_fraction(s), "plus")
     f = phi_tilde if modified else phi
-    one = f(idx, tau, z1, z2, policy)
-    two = f(idx, tau, -z2, -z1, policy)
+    one = f(idx, tau, z1, z2)
+    two = f(idx, tau, -z2, -z1)
     return cexp(-_2PI_I * float(M) * complex(t)) * (one - two)
 
 
@@ -469,9 +448,7 @@ class Osp32SubSystem(Osp32System):
     def check_level(self, k) -> None:
         """Every level: only the k-free denominator is wired."""
 
-    def f_function(
-        self, i: int, k, point: ModularPoint, policy=DEFAULT_POLICY
-    ) -> SeriesValue:
+    def f_function(self, i: int, k, point: ModularPoint) -> SeriesValue:
         """f_1..f_4 spanning the level-k modified supercharacters."""
         k = as_fraction(k)
         M = -4 * k - 2
@@ -480,20 +457,16 @@ class Osp32SubSystem(Osp32System):
         if i not in (1, 2, 3, 4):
             raise ValueError("i must be 1..4")
         tau, (z1, z2), t = point.tau, point.z, point.t
-        den = self.denominator(-1, point, policy)
+        den = self.denominator(-1, point)
         if abs(den.value) < 1e-12:
             raise ZeroDivisorProximity("superdenominator vanishes")
         a, b = divmod(i - 1, 2)  # f_i reads psi at z + a tau + b
-        num = psi_fn(
-            M, 0, tau, (z1 + a * tau + b) / 2, (z2 + a * tau + b) / 2, t / 4, policy
-        )
+        num = psi_fn(M, 0, tau, (z1 + a * tau + b) / 2, (z2 + a * tau + b) / 2, t / 4)
         if a:
             num = cexp(-1j * math.pi * float(2 * k + 1) * (z1 + z2 + tau)) * num
         return num / den
 
-    def f_closed_quotient(
-        self, i: int, point: ModularPoint, policy=DEFAULT_POLICY
-    ) -> SeriesValue:
+    def f_closed_quotient(self, i: int, point: ModularPoint) -> SeriesValue:
         """Theta-quotient closed forms of R^- f_i at k = -3/4.
 
         The fourth one carries theta11 in the numerator; a theta00 there
@@ -503,11 +476,11 @@ class Osp32SubSystem(Osp32System):
             raise ValueError("i must be 1..4")
         a, b, pref = _F_CLOSED[i]
         tau, (z1, z2), t = point.tau, point.z, point.t
-        e3 = eta(tau, policy)
+        e3 = eta(tau)
         e3 = e3 * e3 * e3
         tphase = cexp(-1j * math.pi * t / 2)
-        t11 = theta_ab(1, 1, tau, (z1 + z2) / 2, policy)
-        den = theta_ab(a, b, tau, z1 / 2, policy) * theta_ab(a, b, tau, z2 / 2, policy)
+        t11 = theta_ab(1, 1, tau, (z1 + z2) / 2)
+        den = theta_ab(a, b, tau, z1 / 2) * theta_ab(a, b, tau, z2 / 2)
         num = pref * tphase * (e3 * t11)
         return num / den
 
@@ -522,7 +495,7 @@ _LEVEL1_THETA = {"sum01": (0, 0), "diff01": (0, 1), "twisted": (1, 0), "diff_top
 
 def level1_osp_supercharacter(M: int, N: int, combo: str):
     """Closed eta/theta forms of the level-1 orthosymplectic supercharacters,
-    as a function of (point, policy=DEFAULT_POLICY).
+    as a function of the point.
 
     combo: 'sum01' | 'diff01' | 'twisted' | 'diff_top' (the last only for
     even M).  Frame: (tau, x_1..x_m, y_1..y_n, t).
@@ -540,24 +513,24 @@ def level1_osp_supercharacter(M: int, N: int, combo: str):
     units = {"twisted": (-1j) ** (n % 4), "diff_top": (-1) ** (n % 2) * 1j ** (m % 4)}
     unit = units.get(combo, 1)
 
-    def character(point: ModularPoint, policy=DEFAULT_POLICY) -> SeriesValue:
+    def character(point: ModularPoint) -> SeriesValue:
         tau, t = point.tau, point.t
         xs = point.z[:m]
         ys = point.z[m:]
-        e = eta(tau, policy)
+        e = eta(tau)
         val = SeriesValue(cexp(_2PI_I * complex(t)), 0.0, 0)
         if odd and combo == "sum01":
-            val = val * e * e / (eta(tau / 2, policy) * eta(2 * tau, policy))
+            val = val * e * e / (eta(tau / 2) * eta(2 * tau))
         elif odd:
-            val = val * eta(tau / 2 if combo == "diff01" else 2 * tau, policy) / e
+            val = val * eta(tau / 2 if combo == "diff01" else 2 * tau) / e
         val = val * unit
         power = n - m
         for _ in range(abs(power)):
             val = val * e if power > 0 else val / e
         for x in xs:
-            val = val * theta_ab(*ab, tau, x, policy)
+            val = val * theta_ab(*ab, tau, x)
         for y in ys:
-            th = theta_ab(*ab, tau, y, policy)
+            th = theta_ab(*ab, tau, y)
             if abs(th.value) < 1e-12:
                 raise ZeroDivisorProximity("theta factor vanishes")
             val = val / th
@@ -588,11 +561,7 @@ def system(name: str, params: tuple = None) -> CharacterSystem:
     """The character system of a wired case, built once per (name, params)."""
     if name not in _CASES:
         raise UnsupportedCase(f"no wired character system for {name!r}")
-    cls = _CASES[name]
-    try:
-        return cls(*(params or cls.params or ()))
-    except TypeError as exc:  # a parameter count the case does not take
-        raise UnsupportedCase(f"case {name} does not take the parameters {params}") from exc
+    return _CASES[name](params)
 
 
 def check_request(
@@ -621,21 +590,20 @@ def ch_tilde(
     case: str,
     w: WeightSpec,
     point: ModularPoint,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     variant: str = "ch_minus_modified",
     params: tuple = None,
 ) -> SeriesValue:
     """Modified normalized supercharacter (and variants) for a wired case."""
     sys = check_request(case, w, variant, params)
     if variant == "denominator_only":
-        return sys.denominator(-1, point, policy)
+        return sys.denominator(-1, point)
     phase = None
     if variant in ("ch_plus_modified", "tw_minus_modified", "tw_plus_modified"):
         point, phase = _twist(sys, w, point, variant)
-    num = sys.numerator(w, point, policy, modified=variant != "ch_minus")
+    num = sys.numerator(w, point, modified=variant != "ch_minus")
     if variant == "numerator_only":
         return num
-    den = sys.denominator(-1, point, policy)
+    den = sys.denominator(-1, point)
     if abs(den.value) < 1e-10 * max(1.0, abs(num.value)):
         raise ZeroDivisorProximity("superdenominator too small")
     return num / den if phase is None else phase * (num / den)

@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import DEFAULT_POLICY, VARIANTS, TruncationPolicy
+from .core import DEFAULT_POLICY, MIN_IM_TAU, VARIANTS, TruncationPolicy
 from .errors import MockThetaError
 
 
@@ -50,6 +50,17 @@ def _parse_seed(text: str) -> int:
     if not 0 <= seed < 2**32:
         raise SystemExit(f"error: --seed must be in [0, 2**32 - 1], got {seed}")
     return seed
+
+
+def _parse_points(text: str) -> int:
+    """A --points: a count of at least 1."""
+    try:
+        points = int(text)
+    except ValueError as exc:
+        raise SystemExit(f"error: cannot parse point count {text!r}") from exc
+    if points < 1:
+        raise SystemExit(f"error: --points must be at least 1, got {points}")
+    return points
 
 
 def _parse_tol(text: str) -> float:
@@ -93,8 +104,8 @@ def cmd_eval(args) -> int:
 
     policy = DEFAULT_POLICY if args.tol is None else TruncationPolicy(abs_tol=args.tol)
     tau = parse_complex(args.tau)
-    if tau.imag < policy.min_im_tau:
-        raise ValueError(f"Im tau must be >= {policy.min_im_tau}")
+    if tau.imag < MIN_IM_TAU:
+        raise ValueError(f"Im tau must be >= {MIN_IM_TAU}")
     name = args.function.replace("-", "_")
     try:
         if name == "phi" or name == "phi_tilde" or name == "phi_add":
@@ -342,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k", required=True)
     pc.add_argument("--labels", default=None, help="comma-separated weight labels")
     pc.add_argument("--variant", default="ch_minus_modified", choices=VARIANTS)
-    pc.add_argument("--points", type=int, default=6)
+    pc.add_argument("--points", type=_parse_points, default=6)
     pc.add_argument("--seed", type=_parse_seed, default=20240)
     pc.add_argument("--params", default=None)
     pc.add_argument("--output", default="csv", choices=("json", "csv"))

@@ -48,28 +48,26 @@ VARIANTS = (
 )
 
 
+# The most terms one series may take, and the smallest Im tau any
+# evaluator accepts.
+MAX_TERMS = 10_000
+MIN_IM_TAU = 0.05
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Absolute tolerance and hard caps governing all series evaluation."""
+    """The absolute tolerance of a series evaluation."""
 
     abs_tol: float = 1e-12
-    max_terms: int = 10_000
-    min_im_tau: float = 0.05
 
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if self.max_terms < 16:
-            raise ValueError("max_terms must be at least 16")
-        if not self.min_im_tau > 0:
-            raise ValueError("min_im_tau must be positive")
 
     def require_tau(self, tau: complex) -> complex:
         tau = complex(tau)
-        if tau.imag < self.min_im_tau:
-            raise ValueError(
-                f"Im tau = {tau.imag} below policy minimum {self.min_im_tau}"
-            )
+        if tau.imag < MIN_IM_TAU:
+            raise ValueError(f"Im tau = {tau.imag} below policy minimum {MIN_IM_TAU}")
         return tau
 
 
@@ -212,7 +210,7 @@ def gaussian_window(log_peak, a, centre, policy, core=None):
     exact modulus, as for the thetas, the first left-out summand meets the
     bound up to the rounding of its exponent, which the factor 2 absorbs.
     Raises NonConvergent, before any summand is evaluated, if the window
-    holds more than max_terms indices.
+    holds more than MAX_TERMS indices.
     """
     log_tol = math.log(policy.abs_tol / _WINDOW_MARGIN)
     reach = math.sqrt((log_peak - log_tol) / a) if log_peak > log_tol else 0.0
@@ -221,10 +219,10 @@ def gaussian_window(log_peak, a, centre, policy, core=None):
     if core is not None:
         lo = min(lo, core[0])
         hi = max(hi, core[1])
-    if hi - lo + 1 > policy.max_terms:
+    if hi - lo + 1 > MAX_TERMS:
         raise NonConvergent(
             f"ladder window of {hi - lo + 1} terms exceeds "
-            f"max_terms={policy.max_terms} at abs_tol={policy.abs_tol}"
+            f"max_terms={MAX_TERMS} at abs_tol={policy.abs_tol}"
         )
     err = 0.0
     for d in (hi + 1 - centre, centre - lo + 1):

@@ -36,9 +36,9 @@ import numpy as np
 from .core import (
     _WINDOW_MARGIN,
     DEFAULT_POLICY,
+    MAX_TERMS,
     ModularPoint,
     SeriesValue,
-    TruncationPolicy,
     _dot_gram,
     as_fraction,
     cexp,
@@ -176,7 +176,7 @@ def enumerate_ellipsoid(gram: np.ndarray, center: np.ndarray, radius2: float):
     return coords[keep], norms[keep]
 
 
-def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms, policy):
+def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
     """Sum the summands ``terms(coords, norms)`` yields, one per integer
     vector c of one lattice window, in the window's order.
 
@@ -190,7 +190,7 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms, pol
     each summand's reductions (its v @ gram @ z) stay per vector: a
     batched product rounds differently in the last bits.
     """
-    log_tol = math.log(policy.abs_tol) - math.log(_WINDOW_MARGIN)
+    log_tol = math.log(DEFAULT_POLICY.abs_tol) - math.log(_WINDOW_MARGIN)
     a_coef = math.pi * tau.imag / k
     r_star = (growth + math.sqrt(growth * growth - 4.0 * a_coef * log_tol)) / (
         2.0 * a_coef
@@ -200,7 +200,7 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms, pol
     if coords.shape[0] == 0:
         coords = np.zeros((1, gram.shape[0]), dtype=int)
         norms = np.array([float(centre @ gram @ centre)])
-    if coords.shape[0] > policy.max_terms:
+    if coords.shape[0] > MAX_TERMS:
         raise NonConvergent("lattice enumeration exceeds max_terms")
     total = 0.0 + 0.0j
     boundary = 0.0
@@ -208,7 +208,7 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms, pol
         total += t
         if n2 * k * k >= 0.7 * radius2:
             boundary = max(boundary, abs(t))
-    err = max(boundary * 8.0, policy.abs_tol * 0.01)
+    err = max(boundary * 8.0, DEFAULT_POLICY.abs_tol * 0.01)
     return SeriesValue(total, err, coords.shape[0])
 
 
@@ -218,7 +218,6 @@ def lattice_theta(
     lattice: LatticeData,
     eps: SignCharacter,
     point,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
     """Theta function of a positive definite lattice, degree k > 0.
 
@@ -231,7 +230,7 @@ def lattice_theta(
     plan = _gram_plan(lattice.gram.shape, lattice.gram.tobytes())
     if not plan.positive_definite:
         raise NotPositiveDefinite("lattice_theta requires positive definite Gram")
-    tau = policy.require_tau(point.tau)
+    tau = DEFAULT_POLICY.require_tau(point.tau)
     gram = lattice.gram
     lam = np.asarray([float(x) for x in lambda_bar], dtype=float)
     z = np.asarray(point.z, dtype=complex)
@@ -250,7 +249,7 @@ def lattice_theta(
                 s = eps.parity(sum(a * x * b for r, a in zip(g, c) for x, b in zip(r, c)), d)
             yield s * cexp(i_pi_tau * n2 / kf + _2PI_I * complex(v @ gram @ z))
 
-    out = _lattice_sum(gram, lam / kf, kf, tau, 2.0 * math.pi * im_norm, terms, policy)
+    out = _lattice_sum(gram, lam / kf, kf, tau, 2.0 * math.pi * im_norm, terms)
     return cexp(_2PI_I * kf * complex(point.t)) * out
 
 
@@ -491,7 +490,6 @@ def lattice_mock_theta(
     ctx: LatticeContext,
     weight: Weight,
     point: ModularPoint,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     denominator_plus: bool = False,
 ) -> SeriesValue:
     """Direct evaluation of the (signed) mock theta sum over the lattice.
@@ -501,7 +499,7 @@ def lattice_mock_theta(
     (rather than supercharacter) numerators use.
     """
     G, lam, lam_min, centre, beta_cols, sign = _mock_plan(ctx, weight)
-    tau = policy.require_tau(point.tau)
+    tau = DEFAULT_POLICY.require_tau(point.tau)
     m, n = ctx.rank, ctx.n_isotropic
     if len(point.z) != ctx.ambient_dim:
         raise ValueError("z needs one coordinate per frame vector")
@@ -534,7 +532,7 @@ def lattice_mock_theta(
                 den *= dj
             yield sign(c.tolist(), None) * cexp(w) / den
 
-    out = _lattice_sum(G[:m, :m], centre, k, tau, growth, terms, policy)
+    out = _lattice_sum(G[:m, :m], centre, k, tau, growth, terms)
     return cexp(_2PI_I * k * complex(point.t)) * out
 
 
@@ -670,14 +668,13 @@ def _eval_plan(res: ModificationResult, xi_shift: bool):
 def eval_modified(
     res: ModificationResult,
     point: ModularPoint,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     xi_shift: bool = False,
 ) -> SeriesValue:
     """Evaluate the factored modified (signed) mock theta function: the
     (signed) theta of the residual lattice M at the parts of lambda and z
     in M (a xi0 shift need not lie in M) times e^(pi i tau |lambda_perp|^2 / k),
     times the phi_tilde factors."""
-    tau = policy.require_tau(point.tau)
+    tau = DEFAULT_POLICY.require_tau(point.tau)
     if xi_shift not in res._plans:
         res._plans[xi_shift] = _eval_plan(res, xi_shift)
     eps, perp2, m_part, factors = res._plans[xi_shift]
@@ -686,13 +683,13 @@ def eval_modified(
     if m_part:
         lam_m, basis_g, gram_m, lattice = m_part
         pt_m = ModularPoint(tau, np.linalg.solve(gram_m, basis_g @ z), point.t)
-        theta = lattice_theta(lam_m, res.k, lattice, eps, pt_m, policy)
+        theta = lattice_theta(lam_m, res.k, lattice, eps, pt_m)
     else:
         # z^(1) = 0 when the residual lattice is trivial
         theta = SeriesValue(cexp(_2PI_I * k * complex(point.t)), 0.0, 1)
     out = cexp(_I_PI * tau * perp2 / k) * theta
     for a1, a2, idx in factors:
-        out = out * phi_tilde(idx, tau, complex(a1 @ z), complex(a2 @ z), policy)
+        out = out * phi_tilde(idx, tau, complex(a1 @ z), complex(a2 @ z))
     return out
 
 

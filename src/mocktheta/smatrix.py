@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_POLICY, as_fraction
+from .core import as_fraction
 from .characters import (
     ch_tilde,
     level1_osp_supercharacter,
@@ -211,27 +211,21 @@ def _osp_level1(k, params):
     return SMatrix("osp_level1", k, labels, S, T)
 
 
-def _ch_tilde_basis(sm, params, policy):
-    fns = [
-        (lambda pt, w=w: ch_tilde(sm.case, w, pt, policy, params=params).value)
-        for w in sm.weights
-    ]
+def _ch_tilde_basis(sm, params):
+    fns = [(lambda pt, w=w: ch_tilde(sm.case, w, pt, params=params).value) for w in sm.weights]
     return fns, system(sm.case, params).quad
 
 
-def _f_basis(sm, params, policy):
+def _f_basis(sm, params):
     sub = system("osp32_sub")
-    fns = [
-        (lambda pt, i=i: sub.f_function(i, sm.k, pt, policy).value)
-        for i in (1, 2, 3, 4)
-    ]
+    fns = [(lambda pt, i=i: sub.f_function(i, sm.k, pt).value) for i in (1, 2, 3, 4)]
     return fns, sub.quad
 
 
-def _level1_basis(sm, params, policy):
+def _level1_basis(sm, params):
     M, N = params
     fns = [
-        (lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt, policy).value)
+        (lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt).value)
         for c in sm.labels
     ]
     return fns, level1_quad(M, N)
@@ -239,7 +233,7 @@ def _level1_basis(sm, params, policy):
 
 class _Span(NamedTuple):
     build: Callable  # (k, params) -> SMatrix; UnsupportedCase off the span's rule
-    basis: Callable  # (SMatrix, params, policy) -> (row functions, quad) of the apply-checks
+    basis: Callable  # (SMatrix, params) -> (row functions, quad) of the apply-checks
     params: tuple = None  # the CLI's parameters when none are given
     level: Callable = None  # params -> the CLI's k without --k; None: --k is required
 
@@ -263,11 +257,11 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
     return _span(case).build(as_fraction(k), params)
 
 
-def _apply_residuals(case, k, points, params, policy, g):
+def _apply_residuals(case, k, points, params, g):
     """F_i|g against sum_j M_ij F_j at the points, for g = S (M the
     S-matrix) or g = T (M the T-matrix)."""
     sm = smatrix(case, k, params)
-    fns, quad = _SPANS[case].basis(sm, params, policy)
+    fns, quad = _SPANS[case].basis(sm, params)
     matrix = sm.entries if g == S else sm.t_matrix
     records = []
     for pt in points:
@@ -280,11 +274,9 @@ def _apply_residuals(case, k, points, params, policy, g):
     return sm, records, max([0.0] + [r["residual"] for r in records])
 
 
-def apply_smatrix_check(
-    case: str, k, points, params: tuple = None, policy=DEFAULT_POLICY
-):
+def apply_smatrix_check(case: str, k, points, params: tuple = None):
     """Numerically verify F_i|S = sum_j S_ij F_j at the points."""
-    sm, records, max_res = _apply_residuals(case, k, points, params, policy, S)
+    sm, records, max_res = _apply_residuals(case, k, points, params, S)
     return {
         "case": case,
         "k": str(k),
@@ -295,9 +287,7 @@ def apply_smatrix_check(
     }
 
 
-def apply_tmatrix_check(
-    case: str, k, points, params: tuple = None, policy=DEFAULT_POLICY
-):
+def apply_tmatrix_check(case: str, k, points, params: tuple = None):
     """Numerically verify F_i|T = sum_j T_ij F_j at the points."""
-    _, _, max_res = _apply_residuals(case, k, points, params, policy, T)
+    _, _, max_res = _apply_residuals(case, k, points, params, T)
     return {"case": case, "k": str(k), "max_residual": max_res}

@@ -26,6 +26,7 @@ import math
 from .core import (
     _EXP_GUARD,
     DEFAULT_POLICY,
+    MAX_TERMS,
     TWO_PI,
     SeriesValue,
     TruncationPolicy,
@@ -51,7 +52,7 @@ def eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     n = 0
     while True:
         n += 1
-        if n > policy.max_terms:
+        if n > MAX_TERMS:
             raise NonConvergent("eta product hit max_terms")
         qn *= q
         value *= 1.0 - qn

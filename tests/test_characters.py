@@ -14,7 +14,7 @@ from mocktheta.characters import (
     system,
 )
 from mocktheta.cli import main
-from mocktheta.core import DEFAULT_POLICY, ModularPoint, SeriesValue
+from mocktheta.core import ModularPoint, SeriesValue
 from mocktheta.errors import MockThetaError, UnsupportedCase
 from mocktheta.mock import MockIndex, phi
 from mocktheta.modifier import phi_tilde
@@ -236,7 +236,7 @@ class TestOsp42:
         val = ch_tilde("osp42", w, pt).value
         assert abs(val - (0.0812502762 + 0.0772277593j)) < 1e-9
         sm = smatrix("osp42", 1)
-        fns, _ = _SPANS["osp42"].basis(sm, None, DEFAULT_POLICY)
+        fns, _ = _SPANS["osp42"].basis(sm, None)
         assert val == fns[sm.weights.index(w)](pt)
 
 
@@ -392,7 +392,7 @@ class TestErrBoundHonesty:
         from mocktheta.modifier import phi_tilde as pt_f
         from mocktheta.mock import MockIndex as MI
 
-        tight = TruncationPolicy(abs_tol=1e-15, max_terms=100000)
+        tight = TruncationPolicy(abs_tol=1e-15)
         for tau, z1, z2 in (((0.13 + 0.92j), 0.23, 0.41), ((0.4 + 1.7j), -0.31, 0.12)):
             loose_v = pt_f(MI(1, 0), tau, z1, z2)
             tight_v = pt_f(MI(1, 0), tau, z1, z2, tight)
@@ -539,10 +539,20 @@ def test_derived_constants_equal_the_literals(case, params):
 
 @pytest.mark.parametrize("case,params", [
     ("sl21", (1,)), ("osp32", (1,)), ("osp32_sub", (0,)), ("osp42", (1, 2)), ("d21a", (1, 2, 3)),
+    ("sl21", (2, 1)),
 ])
 def test_parameters_a_case_does_not_take_are_refused(case, params):
     with pytest.raises(UnsupportedCase, match="does not take the parameters"):
         system(case, params)
+
+
+@pytest.mark.parametrize("case,params", [
+    ("sl21", (1, 1)), ("osp32", (1, 1)), ("osp32_sub", ()), ("osp42", (1,)), ("d21a", (1, 1)),
+])
+def test_a_case_takes_its_own_parameters(case, params):
+    """Every system is built through preset(name, params): a case's own
+    parameters give the preset that no parameters give."""
+    assert system(case, params).pre == system(case).pre
 
 
 def test_a_passing_level_is_checked_once(monkeypatch):

@@ -220,7 +220,7 @@ class TestTables:
         ("--case", "osp_level1", "--params", "3,3"),
         ("--case", "osp_level1", "--params", "3"),
         ("--case", "osp32_sub", "--k=-3/4", "--params", "1"),
-        ("--case", "osp42", "--k", "1", "--params", "1"),
+        ("--case", "osp42", "--k", "1", "--params", "2"),  # osp42's own parameters are 1
         ("--case", "sl21", "--k", "1", "--params", "1,2"),
         ("--case", "d21a", "--params", "2"),
         ("--case", "d21a", "--k", "0"),
@@ -308,11 +308,35 @@ class TestCharTable:
         ("--case", "sl21", "--k", "1/2"),
         # one of the two family parameters of D(2,1;a); (2, 1) takes k = -2/3
         ("--case", "d21a", "--k=-2/3", "--labels", "0,1", "--params", "2"),
+        # parameters the preset refuses
+        ("--case", "sl21", "--k", "1", "--params", "2,1"),
+        ("--case", "d21a", "--k=-1/2", "--labels", "0,1", "--params", "2,2"),
     ])
     def test_configuration_error_exits_2_before_any_row(self, args, capsys):
         assert main(["chartable", *args, "--points", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_point_count_below_one_exits_2(self, points, capsys):
+        args = ["chartable", "--case", "sl21", "--k", "1", "--points", points, "--output", "json"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --points must be at least 1, got {points}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,own", [
+        (("chartable", "--case", "sl21", "--k", "1", "--points", "1"), "1,1"),
+        (("smatrix", "--case", "sl21", "--k", "1"), "1,1"),
+        (("smatrix", "--case", "osp42", "--k", "1"), "1"),
+        (("table", "omega", "--case", "sl21", "--k", "1"), "1,1"),
+    ])
+    def test_alias_takes_its_own_parameters_on_every_command(self, argv, own, capsys):
+        # every command resolves an alias's parameters through the one preset()
+        assert main(list(argv)) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--params", own]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_unknown_variant_is_a_usage_error(self, capsys):
         args = ["chartable", "--case", "sl21", "--k", "1", "--variant", "bogus"]

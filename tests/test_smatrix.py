@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mocktheta.core import ModularPoint, TruncationPolicy
+from mocktheta.core import ModularPoint
 from mocktheta.errors import UnsupportedCase
 from mocktheta.smatrix import apply_smatrix_check, apply_tmatrix_check, smatrix
 
@@ -104,13 +104,12 @@ class TestApplyChecks:
         ("d21a", F(-1, 2), (1, 1), (0.21, 0.17, 0.33)),
     ])
     def test_policy_reaches_the_basis(self, case, k, params, z):
-        # Im tau = 1.2 is below this policy's floor, so every evaluation
-        # made under it must refuse the point
-        policy = TruncationPolicy(min_im_tau=5.0)
-        pts = [ModularPoint(0.13 + 1.2j, z, 0.05)]
+        # Im tau = 0.01 is below the evaluators' floor MIN_IM_TAU, so every
+        # basis must refuse the point
+        pts = [ModularPoint(0.13 + 0.01j, z, 0.05)]
         for check in (apply_smatrix_check, apply_tmatrix_check):
-            with pytest.raises(ValueError):
-                check(case, k, pts, params, policy)
+            with pytest.raises(ValueError, match="below policy minimum"):
+                check(case, k, pts, params)
 
 
 def test_osp42_level_two():
@@ -158,7 +157,7 @@ def test_level_off_the_case_rule_is_refused(case, k):
     ("osp_level1", 1, None),
     ("osp_level1", 1, (3,)),
     ("osp32_sub", F(-3, 4), (1,)),  # parameters for a case that takes none
-    ("osp42", 1, (1,)),
+    ("osp42", 1, (2,)),  # osp42's own parameters are (1,)
     ("sl21", 1, (1, 2)),
     ("d21a", F(-2, 3), (2,)),  # one of the two family parameters; (2, 1) takes k = -2/3
     ("osp32", 1, None),  # a case with no wired span

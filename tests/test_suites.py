@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -91,11 +92,13 @@ def test_no_function_imports(module):
     assert not sites, sites
 
 
-@pytest.mark.parametrize("module", [suites, suites_lattice], ids=lambda m: m.__name__)
-def test_suites_run_at_the_evaluators_default_policy(module):
-    """No suite or helper takes a policy or a point count: each suite runs
-    at its registered point count, every evaluator at its own default."""
-    tree = ast.parse(Path(module.__file__).read_text())
+@pytest.mark.parametrize("name", [f"mocktheta.{m}" for m in (
+    "suites", "suites_lattice", "lattice", "characters", "smatrix")])
+def test_suites_run_at_the_evaluators_default_policy(name):
+    """No suite, helper or §3-6 evaluator takes a policy or a point count:
+    each suite runs at its registered point count, and every evaluator
+    at DEFAULT_POLICY, which only the rank-1 evaluators let a caller set."""
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
     params = [
         f"{getattr(fn, 'name', 'lambda')}:{arg.arg}"
         for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))
@@ -104,4 +107,5 @@ def test_suites_run_at_the_evaluators_default_policy(module):
     assert not params, params
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    assert "DEFAULT_POLICY" not in imported
+    if name.startswith("mocktheta.suites"):
+        assert "DEFAULT_POLICY" not in imported

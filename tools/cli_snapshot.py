@@ -18,7 +18,9 @@ suite at its own seed and at the ends 0 and 2**32 - 1 of the seed range;
 ``chartable`` rows; the benchmark's cold-start commands; ``smatrix`` for
 every wired case, with parameters and levels it honours or refuses;
 ``table omega``/``preset`` for every case alias; seeds, D(2,1;a)
-parameters and alias parameters the CLI honours or refuses; the
+parameters and alias parameters the CLI honours or refuses, the last
+on ``table preset``, ``chartable`` and ``smatrix`` alike; ``chartable``
+point counts below 1, which it refuses; the
 ``eval``/``verify`` configuration errors and ``--tol`` values it refuses;
 and the ``--p``/``--q``/``--n`` spellings of ``--params`` and ``--k``
 that ``table``, ``chartable`` and ``smatrix`` refuse, with a ``verify``
@@ -105,6 +107,13 @@ def _commands():
         ("table_preset_sl21_own", ["table", "preset", "--case", "sl21", "--params", "1,1"]),
         ("table_preset_sl21_other", ["table", "preset", "--case", "sl21", "--params", "2,1"]),
         ("table_preset_d21a_1_2", ["table", "preset", "--case", "d21a", "--params", "1,2"]),
+        ("chartable_sl21_own", ["chartable", "--case", "sl21", "--k", "1", "--params", "1,1",
+                                "--points", "2"]),
+        ("smatrix_sl21_own", ["smatrix", "--case", "sl21", "--k", "1", "--params", "1,1"]),
+        # point counts below 1
+        ("chartable_points_neg", ["chartable", "--case", "sl21", "--k", "1", "--points", "-1"]),
+        ("chartable_points_0", ["chartable", "--case", "sl21", "--k", "1", "--points", "0",
+                                "--output", "json"]),
         # configuration errors of eval and verify, and --tol at or below 0
         ("eval_phi_m0", ["eval", "phi", "--tau", "i", "--z1", "0.3", "--m", "0"]),
         ("eval_theta_jm_j_half", ["eval", "theta-jm", "--tau", "i", "--j", "1.5"]),
