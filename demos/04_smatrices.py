@@ -20,9 +20,9 @@ print("== the exceptional one-parameter family at (p, q, n) = (1, 1, 1) ==")
 sm = smatrix("d21a", F(-1, 2), (1, 1))
 print("labels:", sm.labels)
 print("S:")
-print(np.array2string(sm.entries, precision=4, suppress_small=True))
+print(np.array2string(np.array(sm.entries), precision=4, suppress_small=True))
 print(f"unitarity defect: {sm.unitarity_defect():.3e}")
-print("T-phases:", np.round(sm.t_phases, 6))
+print("T-phases:", np.round(np.array(sm.t_phases), 6))
 pts = [ModularPoint(tau, (0.21, 0.17, 0.33), 0.07)]
 rep = apply_smatrix_check("d21a", F(-1, 2), pts, (1, 1))
 print(f"apply-check max residual: {rep['max_residual']:.3e}")
@@ -40,9 +40,9 @@ print()
 print("== subprincipal span: a permutation with phases ==")
 sm = smatrix("osp32_sub", F(-3, 4))
 print("S:")
-print(sm.entries.real.astype(int))
+print(np.array(sm.entries).real.astype(int))
 print("T:")
-print(np.round(sm.t_matrix, 4))
+print(np.round(np.array(sm.t_matrix), 4))
 pts = [ModularPoint(tau, (0.27, 0.43), 0.11)]
 print("S apply:", f"{apply_smatrix_check('osp32_sub', F(-3,4), pts)['max_residual']:.3e}")
 print("T apply:", f"{apply_tmatrix_check('osp32_sub', F(-3,4), pts)['max_residual']:.3e}")

@@ -371,11 +371,6 @@ class D21aSystem(CharacterSystem):
     def check_level(self, k) -> None:
         d21a_level(self.p, self.q, k)
 
-    def nu_range(self, n: int):
-        p, q = self.p, self.q
-        lo = q * n - 2 * (p + q) * n
-        return list(range(lo + 1, q * n + 1))
-
     def numerator(
         self,
         w: WeightSpec,

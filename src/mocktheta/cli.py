@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import DEFAULT_POLICY, MIN_IM_TAU, VARIANTS, TruncationPolicy
+from .core import DEFAULT_POLICY, VARIANTS, TruncationPolicy, require_tau
 from .errors import MockThetaError
 
 
@@ -103,9 +103,7 @@ def cmd_eval(args) -> int:
     from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
     policy = DEFAULT_POLICY if args.tol is None else TruncationPolicy(abs_tol=args.tol)
-    tau = parse_complex(args.tau)
-    if tau.imag < MIN_IM_TAU:
-        raise ValueError(f"Im tau must be >= {MIN_IM_TAU}")
+    tau = require_tau(parse_complex(args.tau))
     name = args.function.replace("-", "_")
     try:
         if name == "phi" or name == "phi_tilde" or name == "phi_add":

@@ -64,14 +64,16 @@ class TruncationPolicy:
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
 
-    def require_tau(self, tau: complex) -> complex:
-        tau = complex(tau)
-        if tau.imag < MIN_IM_TAU:
-            raise ValueError(f"Im tau = {tau.imag} below policy minimum {MIN_IM_TAU}")
-        return tau
-
 
 DEFAULT_POLICY = TruncationPolicy()
+
+
+def require_tau(tau: complex) -> complex:
+    """tau as a complex; ValueError below the floor MIN_IM_TAU."""
+    tau = complex(tau)
+    if tau.imag < MIN_IM_TAU:
+        raise ValueError(f"Im tau = {tau.imag} below policy minimum {MIN_IM_TAU}")
+    return tau
 
 
 @dataclass(frozen=True)

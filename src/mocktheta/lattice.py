@@ -42,6 +42,7 @@ from .core import (
     _dot_gram,
     as_fraction,
     cexp,
+    require_tau,
 )
 from .errors import (
     ConditionViolation,
@@ -230,7 +231,7 @@ def lattice_theta(
     plan = _gram_plan(lattice.gram.shape, lattice.gram.tobytes())
     if not plan.positive_definite:
         raise NotPositiveDefinite("lattice_theta requires positive definite Gram")
-    tau = DEFAULT_POLICY.require_tau(point.tau)
+    tau = require_tau(point.tau)
     gram = lattice.gram
     lam = np.asarray([float(x) for x in lambda_bar], dtype=float)
     z = np.asarray(point.z, dtype=complex)
@@ -499,7 +500,7 @@ def lattice_mock_theta(
     (rather than supercharacter) numerators use.
     """
     G, lam, lam_min, centre, beta_cols, sign = _mock_plan(ctx, weight)
-    tau = DEFAULT_POLICY.require_tau(point.tau)
+    tau = require_tau(point.tau)
     m, n = ctx.rank, ctx.n_isotropic
     if len(point.z) != ctx.ambient_dim:
         raise ValueError("z needs one coordinate per frame vector")
@@ -674,7 +675,7 @@ def eval_modified(
     (signed) theta of the residual lattice M at the parts of lambda and z
     in M (a xi0 shift need not lie in M) times e^(pi i tau |lambda_perp|^2 / k),
     times the phi_tilde factors."""
-    tau = DEFAULT_POLICY.require_tau(point.tau)
+    tau = require_tau(point.tau)
     if xi_shift not in res._plans:
         res._plans[xi_shift] = _eval_plan(res, xi_shift)
     eps, perp2, m_part, factors = res._plans[xi_shift]

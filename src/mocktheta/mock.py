@@ -27,6 +27,7 @@ from .core import (
     exp_overflow,
     gaussian_window,
     outward,
+    require_tau,
     sum_ladder,
 )
 from .errors import PoleAtZ1
@@ -104,7 +105,7 @@ def phi(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
     """Evaluate Phi^[m;s] (or the signed variant) at (tau, z1, z2)."""
-    tau = policy.require_tau(tau)
+    tau = require_tau(tau)
     z1 = complex(z1)
     z2 = complex(z2)
     if distance_to_lattice(z1, tau) < POLE_THRESHOLD:
@@ -169,7 +170,7 @@ def phi_shift_residual_a(
 ) -> SeriesValue:
     """LHS - RHS of lemma 2.3 (a), ``modular.LAWS["phi", "window"]`` at z2 -> z2 + 2 tau:
     Phi(z) - e^(4 pi i m z1) Phi(z1, z2 + 2 tau) less its theta window."""
-    tau = policy.require_tau(tau)
+    tau = require_tau(tau)
     if abs(complex(z2).imag) > 4.0 * tau.imag:
         raise ValueError("Im z2 too large for the shifted evaluation")
     law = LAWS["phi", "window"](idx, tau, (z1, z2), 0, 2)
@@ -192,7 +193,7 @@ def phi_elliptic_residual(
     ``modular.LAWS["phi", "tau"]`` at (a, b) = (j, j)."""
     if abs(j) > 3:
         raise ValueError("|j| <= 3 keeps the shifted series in safe range")
-    tau = policy.require_tau(tau)
+    tau = require_tau(tau)
     if j == 0:
         return SeriesValue(0.0, 0.0, 0)
     law = LAWS["phi", "tau"](idx, tau, (z1, z2), j, j)

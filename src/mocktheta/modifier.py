@@ -27,6 +27,7 @@ from .core import (
     gauss_E_complement_scaled,
     gaussian_window,
     outward,
+    require_tau,
     sum_ladder,
 )
 from .mock import MockIndex, phi
@@ -49,7 +50,7 @@ def _r_ladder(
     policy: TruncationPolicy,
 ) -> SeriesValue:
     """Shared ladder for R_{j,m} and its signed analogues."""
-    tau = policy.require_tau(tau)
+    tau = require_tau(tau)
     return sum_ladder(*_r_window(sign, (j,), m, tau, complex(z), policy)).series()
 
 
@@ -165,7 +166,7 @@ def phi_add(
     N in s + Z, R at n = N and Theta at c = N / 2m, with l >= 0 exactly
     when N >= s; so one walk sums every R_j and one every Theta_j.
     """
-    r_walk, th_walk, p = _phi_add_walks(idx, policy.require_tau(tau), z1, z2, policy)
+    r_walk, th_walk, p = _phi_add_walks(idx, require_tau(tau), z1, z2, policy)
     r_sums = sum_ladder(*r_walk, p)
     th_sums = sum_ladder(*th_walk, p)
     value = 0.0

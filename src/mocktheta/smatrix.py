@@ -6,7 +6,7 @@ which refuses a level or parameters off the span's rule, the basis its
 apply-checks evaluate and the defaults of ``mocktheta smatrix``; no reader
 branches on a case name.
 
-Row convention: F_i | S = sum_j S[i, j] F_j and F_i | T = sum_j T[i, j] F_j,
+Row convention: F_i | S = sum_j S[i][j] F_j and F_i | T = sum_j T[i][j] F_j,
 with no tau^weight factor: the functions are normalized quotients, whose
 numerator's weight cancels against the superdenominator's.
 """
@@ -14,34 +14,33 @@ numerator's weight cancels against the superdenominator's.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .core import as_fraction
-from .characters import (
-    ch_tilde,
-    level1_osp_supercharacter,
-    level1_quad,
-    system,
-)
 from .errors import UnsupportedCase
 from .modular import S, T, act
-from .superalg import WeightSpec, d21a_level
+from .superalg import WeightSpec, d21a_level, d21a_nu_range, preset
 
 F = Fraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class SMatrix:
+    """S- and T-matrix of one span, each a tuple of row tuples of complex.
+    d21a, osp32_sub and osp_level1 are built without numpy; sl21 and osp42
+    load it, through ``characters``, for their lattice level rule.
+    ``unitarity_defect`` is a plain double-precision sum: its value may
+    differ from a BLAS product's at the 1e-16 level."""
+
     case: str
     k: Fraction
     labels: tuple
-    entries: np.ndarray
-    t_matrix: np.ndarray
+    entries: tuple
+    t_matrix: tuple
     conjectural: bool = False
     note: str = ""
     weights: tuple = ()  # the WeightSpec of each row whose function is ch_tilde
@@ -50,22 +49,25 @@ class SMatrix:
     @property
     def t_phases(self):
         """Diagonal of the T action where it is diagonal."""
-        return np.diag(self.t_matrix)
+        return tuple(row[i] for i, row in enumerate(self.t_matrix))
 
     def unitarity_defect(self) -> float:
         """max |S G^-1 S^+ - G^-1|, zero exactly when S^+ G S = G: S is
         unitary in the basis Gram G."""
         m = self.entries
-        if not self.gram:
-            return float(np.abs(m @ m.conj().T - np.eye(len(self.labels))).max())
-        g_inv = np.diag(1.0 / np.array(self.gram))
-        return float(np.abs(m @ g_inv @ m.conj().T - g_inv).max())
+        g_inv = [1.0 / g for g in self.gram] or [1.0] * len(m)
+        return max(
+            abs(sum(a * g * b.conjugate() for a, g, b in zip(ri, g_inv, rj))
+                - (g_inv[i] if i == j else 0.0))
+            for i, ri in enumerate(m)
+            for j, rj in enumerate(m)
+        )
 
     def to_rows(self):
         out = []
         for i, li in enumerate(self.labels):
             for j, lj in enumerate(self.labels):
-                v = self.entries[i, j]
+                v = self.entries[i][j]
                 out.append(
                     {"row": str(li), "col": str(lj), "re": v.real, "im": v.imag}
                 )
@@ -75,33 +77,36 @@ class SMatrix:
 def _weil(labels, N: int):
     """S_ab = e^{-pi i ab/N}/sqrt(2N) and T_aa = e^{pi i a^2/2N - pi i/12}
     on labels that run over the residues mod 2N."""
-    size = len(labels)
-    S = np.zeros((size, size), dtype=complex)
-    T = np.zeros((size, size), dtype=complex)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            S[i, j] = cmath.exp(-1j * math.pi * a * b / N) / math.sqrt(2 * N)
-        T[i, i] = cmath.exp(1j * math.pi * a * a / (2 * N) - 1j * math.pi / 12)
+    S = tuple(tuple(cmath.exp(-1j * math.pi * a * b / N) / math.sqrt(2 * N) for b in labels)
+              for a in labels)
+    T = tuple(tuple(cmath.exp(1j * math.pi * a * a / (2 * N) - 1j * math.pi / 12) if b == a
+                    else 0j for b in labels) for a in labels)
     return S, T
 
 
+def _matrix(rows):
+    return tuple(tuple(complex(v) for v in row) for row in rows)
+
+
 def _sl21(k, params):
+    from .characters import system
+
     system("sl21", params).check_level(k)
     return SMatrix(
         "sl21",
         k,
         labels=(f"k{k}",),
-        entries=np.array([[1.0 + 0j]]),
-        t_matrix=np.array([[1.0 + 0j]]),
+        entries=_matrix([[1]]),
+        t_matrix=_matrix([[1]]),
         weights=(WeightSpec(k, (0,)),),
     )
 
 
 def _d21a(k, params):
-    sys = system("d21a", params)
-    n = d21a_level(sys.p, sys.q, k)
-    nus = sys.nu_range(n)
-    S, T = _weil(nus, (sys.p + sys.q) * n)
+    p, q = preset("d21a", params).params  # refuses p, q not coprime and positive
+    n = d21a_level(p, q, k)
+    nus = d21a_nu_range(p, q, n)
+    S, T = _weil(nus, (p + q) * n)
     return SMatrix(
         "d21a",
         k,
@@ -116,11 +121,13 @@ def _d21a(k, params):
 
 
 def _d21a_first_level(params):
-    sys = system("d21a", params)
-    return F(-sys.p * sys.q, sys.p + sys.q)
+    p, q = preset("d21a", params).params
+    return F(-p * q, p + q)
 
 
 def _osp42(k, params):
+    from .characters import system
+
     system("osp42", params).check_level(k)
     kk = int(k)
     js = list(range(-kk, 3 * kk))  # complete residues mod 4k
@@ -146,23 +153,13 @@ def _osp32_sub(k, params):
     if (4 * k).denominator != 1 or k >= F(-1, 2):
         raise UnsupportedCase("subprincipal span needs k in (1/4)Z, k < -1/2")
     four_k = int(4 * k)
-    S = np.zeros((4, 4), dtype=complex)
-    S[0, 0] = 1.0
-    S[1, 2] = 1.0
-    S[2, 1] = 1.0
-    S[3, 3] = (-1.0) ** four_k
-    T = np.zeros((4, 4), dtype=complex)
-    T[0, 0] = 1.0
-    T[1, 1] = 1.0
     ph = -((-1j) ** (four_k % 4))
-    T[2, 3] = ph
-    T[3, 2] = ph
     return SMatrix(
         "osp32_sub",
         k,
         labels=("f1", "f2", "f3", "f4"),
-        entries=S,
-        t_matrix=T,
+        entries=_matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, (-1.0) ** four_k]]),
+        t_matrix=_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, ph], [0, 0, ph, 0]]),
         note="normalized quotients transform with no weight factor: "
         "the numerator's tau cancels against the superdenominator's",
     )
@@ -177,52 +174,42 @@ def _osp_level1(k, params):
     m, n = M // 2, N // 2
     odd = M % 2 == 1
     if odd:
-        S = np.zeros((3, 3), dtype=complex)
-        S[0, 0] = 1.0
-        S[1, 2] = math.sqrt(2) * 1j ** (n % 4)
-        S[2, 1] = (-1j) ** (n % 4) / math.sqrt(2)
+        S = [[1, 0, 0], [0, 0, math.sqrt(2) * 1j ** (n % 4)],
+             [0, (-1j) ** (n % 4) / math.sqrt(2), 0]]
         c = cmath.exp(1j * math.pi * (n - m - 0.5) / 12)
         lam = cmath.exp(1j * math.pi * (m - n + 0.5) / 6)
-        T = np.array(
-            [[0, c, 0], [c, 0, 0], [0, 0, lam]], dtype=complex
-        )
+        T = [[0, c, 0], [c, 0, 0], [0, 0, lam]]
         labels = ("sum01", "diff01", "twisted")
         # the closed forms are not normalized: S is unitary in the
         # Gram diag(1, 1, 2), S^+ G S = G
-        return SMatrix("osp_level1", k, labels, S, T, gram=(1.0, 1.0, 2.0))
-    else:
-        S = np.zeros((4, 4), dtype=complex)
-        S[0, 0] = 1.0
-        S[1, 2] = 1j ** (n % 4)
-        S[2, 1] = (-1j) ** (n % 4)
-        S[3, 3] = (-1j) ** ((m - n) % 4)
-        c = cmath.exp(1j * math.pi * (n - m) / 12)
-        lam = cmath.exp(-1j * math.pi * (n - m) / 6)
-        T = np.array(
-            [
-                [0, c, 0, 0],
-                [c, 0, 0, 0],
-                [0, 0, lam, 0],
-                [0, 0, 0, lam],
-            ],
-            dtype=complex,
-        )
-        labels = ("sum01", "diff01", "twisted", "diff_top")
-    return SMatrix("osp_level1", k, labels, S, T)
+        return SMatrix("osp_level1", k, labels, _matrix(S), _matrix(T), gram=(1.0, 1.0, 2.0))
+    S = [[1, 0, 0, 0], [0, 0, 1j ** (n % 4), 0], [0, (-1j) ** (n % 4), 0, 0],
+         [0, 0, 0, (-1j) ** ((m - n) % 4)]]
+    c = cmath.exp(1j * math.pi * (n - m) / 12)
+    lam = cmath.exp(-1j * math.pi * (n - m) / 6)
+    T = [[0, c, 0, 0], [c, 0, 0, 0], [0, 0, lam, 0], [0, 0, 0, lam]]
+    labels = ("sum01", "diff01", "twisted", "diff_top")
+    return SMatrix("osp_level1", k, labels, _matrix(S), _matrix(T))
 
 
 def _ch_tilde_basis(sm, params):
+    from .characters import ch_tilde, system
+
     fns = [(lambda pt, w=w: ch_tilde(sm.case, w, pt, params=params).value) for w in sm.weights]
     return fns, system(sm.case, params).quad
 
 
 def _f_basis(sm, params):
+    from .characters import system
+
     sub = system("osp32_sub")
     fns = [(lambda pt, i=i: sub.f_function(i, sm.k, pt).value) for i in (1, 2, 3, 4)]
     return fns, sub.quad
 
 
 def _level1_basis(sm, params):
+    from .characters import level1_osp_supercharacter, level1_quad
+
     M, N = params
     fns = [
         (lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt).value)
@@ -253,7 +240,9 @@ def _span(case: str) -> _Span:
     return _SPANS[case]
 
 
+@functools.cache
 def smatrix(case: str, k, params: tuple = None) -> SMatrix:
+    """The span's matrices, built once per (case, k, params)."""
     return _span(case).build(as_fraction(k), params)
 
 
@@ -268,7 +257,7 @@ def _apply_residuals(case, k, points, params, g):
         moved = act(g, pt, quad)
         vals = [f(pt) for f in fns]
         for i, f in enumerate(fns):
-            rhs = sum(matrix[i, j] * vals[j] for j in range(len(fns)))
+            rhs = sum(matrix[i][j] * vals[j] for j in range(len(fns)))
             res = abs(f(moved) - rhs)
             records.append({"label": str(sm.labels[i]), "tau": str(pt.tau), "residual": res})
     return sm, records, max([0.0] + [r["residual"] for r in records])

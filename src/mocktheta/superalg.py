@@ -726,6 +726,12 @@ def d21a_level(p: int, q: int, k) -> int:
     return int(n)
 
 
+def d21a_nu_range(p: int, q: int, n: int) -> list:
+    """The classes nu of the level-n span on D(2,1;-p/(p+q)): a complete
+    set of residues mod 2(p+q)n, q n - 2(p+q) n < nu <= q n."""
+    return list(range(q * n - 2 * (p + q) * n + 1, q * n + 1))
+
+
 def _positive_level(k, message: str) -> int:
     if k.denominator != 1 or k <= 0:
         raise InfiniteSet(message)

@@ -35,6 +35,7 @@ from .core import (
     exp_overflow,
     gaussian_window,
     outward,
+    require_tau,
     sum_ladder,
 )
 from .errors import NonConvergent
@@ -44,7 +45,7 @@ _2PI_I = 2j * math.pi
 
 def eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Dedekind eta q^(1/24) prod_(n>=1) (1 - q^n)."""
-    tau = policy.require_tau(tau)
+    tau = require_tau(tau)
     q = cexp(_2PI_I * tau)
     absq = abs(q)
     value = cexp(_2PI_I * tau / 24.0)
@@ -72,7 +73,7 @@ def theta_ab(
     """Jacobi theta theta_{ab}(tau, z) in the module-level convention."""
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("theta_ab indices must be 0 or 1")
-    tau = policy.require_tau(tau)
+    tau = require_tau(tau)
     # theta_ab(tau, z) = Theta^((-1)^b)_(a/2, 1/2)(tau, 2z)
     out = _theta_ladder(-1 if b else 1, 0.5 * a, 0.5, tau, 2.0 * complex(z), policy)
     if (a, b) == (1, 1):
@@ -92,7 +93,7 @@ def theta_jm(
         raise ValueError("theta_jm needs m >= 1")
     if j % 1 or m % 1:
         raise ValueError("theta_jm needs integer j and m")
-    tau = policy.require_tau(tau)
+    tau = require_tau(tau)
     return _theta_ladder(1, j / (2.0 * m), float(m), tau, complex(z), policy)
 
 
@@ -116,7 +117,7 @@ def theta_jm_signed(
         raise ValueError("degree m must lie in (1/4)Z_{>0}")
     if 2 % jd:
         raise ValueError("index j must lie in (1/2)Z")
-    tau = policy.require_tau(tau)
+    tau = require_tau(tau)
     # int / int rounds once, exactly as float(Fraction) does
     c0 = jn * md / (2 * mn * jd)
     return _theta_ladder(sign, c0, mn / md, tau, complex(z), policy)

@@ -85,6 +85,14 @@ class TestEval:
         rc, _, err = run_cli("eval", "eta", "--tau", "0.01i")
         assert rc == 2
 
+    @pytest.mark.parametrize("function", ["eta", "phi", "r-jm"])
+    def test_tau_below_the_floor_exits_2_with_one_error_line(self, function, capsys):
+        # the command line and the evaluators share one floor check and its message
+        assert main(["eval", function, "--tau=0.3+0.01i"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Im tau = 0.01 below policy minimum 0.05\n"
+        assert captured.out == ""
+
     def test_unknown_function(self):
         rc, _, err = run_cli("eval", "zeta", "--tau", "i")
         assert rc == 2 and "unknown function" in err
@@ -213,7 +221,7 @@ class TestTables:
         assert doc["k"] == "-2/3" and doc["labels"] == list(want.labels)
         assert len(doc["labels"]) == 6
         got = [[complex(v["re"], v["im"]) for v in row] for row in doc["entries"]]
-        assert got == want.entries.tolist()
+        assert got == [list(row) for row in want.entries]
 
     @pytest.mark.parametrize("args", [
         ("--case", "osp_level1", "--k", "2"),

@@ -19,6 +19,7 @@ from mocktheta.core import (
     gaussian_window,
     outward,
     q_pow,
+    require_tau,
     sum_ladder,
 )
 from mocktheta.errors import NonConvergent
@@ -49,7 +50,7 @@ class TestPolicy:
 
     def test_tau_gate(self):
         with pytest.raises(ValueError):
-            TruncationPolicy().require_tau(1.0 + 0.01j)
+            require_tau(1.0 + 0.01j)
 
 
 class TestGaussE:

@@ -1,5 +1,5 @@
-"""numpy is the only runtime dependency, and the rank-1, Omega and
-rank-1 verification paths do not load it.
+"""numpy is the only runtime dependency, and the rank-1, Omega, rank-1
+verification and closed-form S-matrix paths do not load it.
 
 Each check runs in a fresh interpreter, so modules that other tests (or
 the test runner) imported cannot hide an import made by the library.
@@ -120,6 +120,41 @@ from mocktheta.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main({argv!r})
 print(json.dumps([code, [m for m in {SUITE_HEAVY!r} if m in sys.modules]]))
+"""
+    )
+    assert (code, loaded) == (0, [])
+
+
+# what building a closed-form S-matrix never needs; sl21 and osp42 load the
+# character layer for their lattice level rule
+SMATRIX_HEAVY = ("numpy", "mocktheta.lattice", "mocktheta.characters")
+CLOSED_FORM_SMATRIX_COMMANDS = [
+    ["smatrix", "--case", "d21a", "--output", "csv"],
+    ["smatrix", "--case", "osp_level1"],
+    ["smatrix", "--case", "osp32_sub", "--k=-3/4"],
+]
+
+
+def test_smatrix_module_loads_no_numpy():
+    loaded = _run_child(
+        f"""
+import json
+import mocktheta.smatrix
+print(json.dumps([m for m in {SMATRIX_HEAVY!r} if m in sys.modules]))
+"""
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_SMATRIX_COMMANDS, ids=lambda argv: argv[2])
+def test_closed_form_smatrix_commands_load_no_numpy(argv):
+    code, loaded = _run_child(
+        f"""
+import contextlib, io, json
+from mocktheta.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps([code, [m for m in {SMATRIX_HEAVY!r} if m in sys.modules]]))
 """
     )
     assert (code, loaded) == (0, [])

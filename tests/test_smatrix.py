@@ -24,7 +24,7 @@ class TestBuilders:
         i = sm.labels.index("nu=1")
         j = sm.labels.index("nu=-1")
         want = 0.5 * cmath.exp(1j * cmath.pi / 2)
-        assert abs(sm.entries[i, j] - want) < 1e-14
+        assert abs(sm.entries[i][j] - want) < 1e-14
 
     def test_osp42_unitary(self):
         sm = smatrix("osp42", 1)
@@ -37,7 +37,7 @@ class TestBuilders:
 
     def test_osp32_sub_structure(self):
         sm = smatrix("osp32_sub", F(-3, 4))
-        S = sm.entries
+        S = np.array(sm.entries)
         assert S[0, 0] == 1 and S[1, 2] == 1 and S[2, 1] == 1
         assert S[3, 3] == (-1) ** (-3)
         # S^2 is the identity on the span
@@ -47,7 +47,7 @@ class TestBuilders:
         # (S T)^3 = S^2 must hold as matrices for the level-1 spans
         for M, N in ((3, 2), (5, 2), (4, 2), (2, 2)):
             sm = smatrix("osp_level1", 1, (M, N))
-            S, T = sm.entries, sm.t_matrix
+            S, T = np.array(sm.entries), np.array(sm.t_matrix)
             lhs = np.linalg.matrix_power(S @ T, 3)
             rhs = S @ S
             assert np.abs(lhs - rhs).max() < 1e-12, (M, N)
@@ -56,7 +56,7 @@ class TestBuilders:
     def test_level1_odd_unitary_in_its_gram(self, M, N):
         # the closed forms are not normalized: S^+ G S = G with G = diag(1, 1, 2)
         sm = smatrix("osp_level1", 1, (M, N))
-        S, G = sm.entries, np.diag([1.0, 1.0, 2.0])
+        S, G = np.array(sm.entries), np.diag([1.0, 1.0, 2.0])
         assert np.abs(S.conj().T @ G @ S - G).max() < 1e-12
         assert sm.unitarity_defect() < 1e-12
         assert abs(S[1, 2]) == pytest.approx(2**0.5)  # the pinned entries stay

@@ -12,6 +12,7 @@ from mocktheta.errors import MockThetaError, UnsupportedCase
 from mocktheta.superalg import (
     WeightSpec,
     d21a_level,
+    d21a_nu_range,
     enumerate_omega,
     integrable,
     preset,
@@ -428,9 +429,7 @@ class TestEnumerations:
             integrable(preset("d21a"), WeightSpec(F(-1, 2), (0, 0, 0, 0)))
 
     def test_d21a_nu_range(self):
-        from mocktheta.characters import system
-
-        assert system("d21a").nu_range(1) == [-2, -1, 0, 1]
+        assert d21a_nu_range(1, 1, 1) == [-2, -1, 0, 1]
 
     def test_osp32_sub_classes(self):
         om = enumerate_omega(preset("osp32_sub"), F(-3, 4))

@@ -21,7 +21,8 @@ every wired case, with parameters and levels it honours or refuses;
 parameters and alias parameters the CLI honours or refuses, the last
 on ``table preset``, ``chartable`` and ``smatrix`` alike; ``chartable``
 point counts below 1, which it refuses; the
-``eval``/``verify`` configuration errors and ``--tol`` values it refuses;
+``eval``/``verify`` configuration errors, an ``eval`` below the Im tau
+floor and ``--tol`` values it refuses;
 and the ``--p``/``--q``/``--n`` spellings of ``--params`` and ``--k``
 that ``table``, ``chartable`` and ``smatrix`` refuse, with a ``verify``
 option that no selected suite takes.
@@ -122,6 +123,7 @@ def _commands():
          ["eval", "r-jm-signed", "--tau", "i", "--z", "0.1", "--m", "1/3"]),
         ("eval_phi_tol_neg", ["eval", "phi", "--tau", "i", "--z1", "0.3", "--tol", "-1"]),
         ("eval_phi_tol_0", ["eval", "phi", "--tau", "i", "--z1", "0.3", "--tol", "0"]),
+        ("eval_eta_tau_below_floor", ["eval", "eta", "--tau=0.3+0.01i"]),
         ("verify_thm11a_m0", ["verify", "thm1.1a", "--m", "0"]),
         ("verify_thm614_n0", ["verify", "thm6.14", "--n", "0"]),
         ("verify_thm614_p2_q4", ["verify", "thm6.14", "--p", "2", "--q", "4"]),
