@@ -22,7 +22,7 @@ print("labels:", sm.labels)
 print("S:")
 print(np.array2string(np.array(sm.entries), precision=4, suppress_small=True))
 print(f"unitarity defect: {sm.unitarity_defect():.3e}")
-print("T-phases:", np.round(np.array(sm.t_phases), 6))
+print("T-phases:", np.round(np.diag(np.array(sm.t_matrix)), 6))
 pts = [ModularPoint(tau, (0.21, 0.17, 0.33), 0.07)]
 rep = apply_smatrix_check("d21a", F(-1, 2), pts, (1, 1))
 print(f"apply-check max residual: {rep['max_residual']:.3e}")

@@ -130,6 +130,18 @@ class CharacterSystem:
         if plus and modified:
             raise UnsupportedCase("the plus-type numerator is wired only unmodified")
 
+    def numerators(self, ws, point: ModularPoint) -> list:
+        """The modified numerator at each weight of ws; a system whose rows
+        share factors overrides it to compute them once."""
+        return [self.numerator(w, point) for w in ws]
+
+    def normalized(self, ws, point: ModularPoint) -> list:
+        """ch_tilde at each weight of ws: the numerators, then one
+        superdenominator, with ch_tilde's guard and division per row."""
+        nums = self.numerators(ws, point)
+        den = self.denominator(-1, point)
+        return [_quotient(num, den) for num in nums]
+
     def _weyl_sum(self, point: ModularPoint, evaluate) -> SeriesValue:
         """Sum of eps * evaluate(pz) over the Weyl images (z, eps) of
         point.z, each carried to the lattice frame as pz."""
@@ -380,29 +392,41 @@ class D21aSystem(CharacterSystem):
     ) -> SeriesValue:
         """The class nu = k2 (T side) or -k2 (Tp side) at level n."""
         self._refuse(w, modified, plus)
-        n = d21a_level(self.p, self.q, w.k)
-        k2 = w.labels[1]
-        nu = int(k2) if w.side == "T" else int(-k2)
-        return self.numerator_nu(nu, n, point)
+        return self.numerator_nu(self._nu(w), d21a_level(self.p, self.q, w.k), point)
+
+    def numerators(self, ws, point: ModularPoint) -> list:
+        """numerator at each weight of ws, the nu-free factors once per level."""
+        for w in ws:
+            self._refuse(w, True, False)
+        levels = [d21a_level(self.p, self.q, w.k) for w in ws]
+        shared = {n: self._nu_free(n, point) for n in set(levels)}
+        return [self._two_term(self._nu(w), point.tau, shared[n]) for w, n in zip(ws, levels)]
+
+    @staticmethod
+    def _nu(w: WeightSpec) -> int:
+        return int(w.labels[1]) if w.side == "T" else int(-w.labels[1])
 
     def numerator_nu(self, nu: int, n: int, point: ModularPoint) -> SeriesValue:
         """Two-term closed form of the modified numerator for class nu."""
+        return self._two_term(nu, point.tau, self._nu_free(n, point))
+
+    def _nu_free(self, n: int, point: ModularPoint) -> tuple:
+        """numerator_nu's factors that do not depend on nu: the theta index,
+        the two theta arguments, the two phi_tilde and the t-prefactor."""
         p, q = self.p, self.q
         a = float(self.a)
-        N = (p + q) * n
-        k = F(-p * q * n, p + q)
-        tau = point.tau
-        z = point.z
-        argA = self.functional((1, a + 1, a), z)
-        argA2 = self.functional((-1, a - 1, a), z)
-        w1 = self.functional((-1, 0, 0), z)
-        w2 = self.functional((0, 0, -1), z)
-        w1b = self.functional((1, 1, 1), z)
-        w2b = self.functional((0, -1, 0), z)
+        tau, z, f = point.tau, point.z, self.functional
         idx = MockIndex(p * n, 0)
-        term1 = theta_jm(nu, N, tau, argA) * phi_tilde(idx, tau, w1, w2)
-        term2 = theta_jm(nu, N, tau, argA2) * phi_tilde(idx, tau, w1b, w2b)
-        pref = cexp(_2PI_I * float(k) * complex(point.t))
+        pref = cexp(_2PI_I * float(F(-p * q * n, p + q)) * complex(point.t))
+        return ((p + q) * n, f((1, a + 1, a), z), f((-1, a - 1, a), z),
+                phi_tilde(idx, tau, f((-1, 0, 0), z), f((0, 0, -1), z)),
+                phi_tilde(idx, tau, f((1, 1, 1), z), f((0, -1, 0), z)), pref)
+
+    @staticmethod
+    def _two_term(nu: int, tau, shared: tuple) -> SeriesValue:
+        N, argA, argA2, phi1, phi2, pref = shared
+        term1 = theta_jm(nu, N, tau, argA) * phi1
+        term2 = theta_jm(nu, N, tau, argA2) * phi2
         return pref * (term1 + term2)
 
 
@@ -444,22 +468,33 @@ class Osp32SubSystem(Osp32System):
         """Every level: only the k-free denominator is wired."""
 
     def f_function(self, i: int, k, point: ModularPoint) -> SeriesValue:
-        """f_1..f_4 spanning the level-k modified supercharacters."""
+        """f_i, one of the four functions spanning the level-k modified
+        supercharacters."""
+        return self._f_quotients(k, point, (i,))[0]
+
+    def f_functions(self, k, point: ModularPoint) -> list:
+        """f_1..f_4 over one superdenominator."""
+        return self._f_quotients(k, point, (1, 2, 3, 4))
+
+    def _f_quotients(self, k, point: ModularPoint, rows) -> list:
         k = as_fraction(k)
         M = -4 * k - 2
         if M <= 0:
             raise UnsupportedCase("need k < -1/2")
-        if i not in (1, 2, 3, 4):
+        if not set(rows) <= {1, 2, 3, 4}:
             raise ValueError("i must be 1..4")
         tau, (z1, z2), t = point.tau, point.z, point.t
         den = self.denominator(-1, point)
         if abs(den.value) < 1e-12:
             raise ZeroDivisorProximity("superdenominator vanishes")
-        a, b = divmod(i - 1, 2)  # f_i reads psi at z + a tau + b
-        num = psi_fn(M, 0, tau, (z1 + a * tau + b) / 2, (z2 + a * tau + b) / 2, t / 4)
-        if a:
-            num = cexp(-1j * math.pi * float(2 * k + 1) * (z1 + z2 + tau)) * num
-        return num / den
+        out = []
+        for i in rows:
+            a, b = divmod(i - 1, 2)  # f_i reads psi at z + a tau + b
+            num = psi_fn(M, 0, tau, (z1 + a * tau + b) / 2, (z2 + a * tau + b) / 2, t / 4)
+            if a:
+                num = cexp(-1j * math.pi * float(2 * k + 1) * (z1 + z2 + tau)) * num
+            out.append(num / den)
+        return out
 
     def f_closed_quotient(self, i: int, point: ModularPoint) -> SeriesValue:
         """Theta-quotient closed forms of R^- f_i at k = -3/4.
@@ -598,10 +633,15 @@ def ch_tilde(
     num = sys.numerator(w, point, modified=variant != "ch_minus")
     if variant == "numerator_only":
         return num
-    den = sys.denominator(-1, point)
+    quot = _quotient(num, sys.denominator(-1, point))
+    return quot if phase is None else phase * quot
+
+
+def _quotient(num: SeriesValue, den: SeriesValue) -> SeriesValue:
+    """num / den, refused where the superdenominator is too small against num."""
     if abs(den.value) < 1e-10 * max(1.0, abs(num.value)):
         raise ZeroDivisorProximity("superdenominator too small")
-    return num / den if phase is None else phase * (num / den)
+    return num / den
 
 
 def _twist(sys, w, point, variant):

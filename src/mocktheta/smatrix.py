@@ -4,7 +4,10 @@ normalized supercharacters, with numeric apply-checks.
 One table, ``_SPANS``, declares each wired span once: its SMatrix builder,
 which refuses a level or parameters off the span's rule, the basis its
 apply-checks evaluate and the defaults of ``mocktheta smatrix``; no reader
-branches on a case name.
+branches on a case name.  A basis gives every row's value at a point in
+one call, so what the rows share (the superdenominator, D(2,1;a)'s
+nu-free factors) is evaluated once per point; the apply-checks evaluate
+each point once, and its image once per move.
 
 Row convention: F_i | S = sum_j S[i][j] F_j and F_i | T = sum_j T[i][j] F_j,
 with no tau^weight factor: the functions are normalized quotients, whose
@@ -45,11 +48,6 @@ class SMatrix:
     note: str = ""
     weights: tuple = ()  # the WeightSpec of each row whose function is ch_tilde
     gram: tuple = ()  # diagonal of the basis Gram G; empty is the identity
-
-    @property
-    def t_phases(self):
-        """Diagonal of the T action where it is diagonal."""
-        return tuple(row[i] for i, row in enumerate(self.t_matrix))
 
     def unitarity_defect(self) -> float:
         """max |S G^-1 S^+ - G^-1|, zero exactly when S^+ G S = G: S is
@@ -193,34 +191,30 @@ def _osp_level1(k, params):
 
 
 def _ch_tilde_basis(sm, params):
-    from .characters import ch_tilde, system
+    from .characters import system
 
-    fns = [(lambda pt, w=w: ch_tilde(sm.case, w, pt, params=params).value) for w in sm.weights]
-    return fns, system(sm.case, params).quad
+    sys = system(sm.case, params)  # the builder has checked the level
+    return (lambda pt: [v.value for v in sys.normalized(sm.weights, pt)]), sys.quad
 
 
 def _f_basis(sm, params):
     from .characters import system
 
     sub = system("osp32_sub")
-    fns = [(lambda pt, i=i: sub.f_function(i, sm.k, pt).value) for i in (1, 2, 3, 4)]
-    return fns, sub.quad
+    return (lambda pt: [v.value for v in sub.f_functions(sm.k, pt)]), sub.quad
 
 
 def _level1_basis(sm, params):
     from .characters import level1_osp_supercharacter, level1_quad
 
     M, N = params
-    fns = [
-        (lambda pt, c=c: level1_osp_supercharacter(M, N, c)(pt).value)
-        for c in sm.labels
-    ]
-    return fns, level1_quad(M, N)
+    chars = [level1_osp_supercharacter(M, N, c) for c in sm.labels]
+    return (lambda pt: [ch(pt).value for ch in chars]), level1_quad(M, N)
 
 
 class _Span(NamedTuple):
     build: Callable  # (k, params) -> SMatrix; UnsupportedCase off the span's rule
-    basis: Callable  # (SMatrix, params) -> (row functions, quad) of the apply-checks
+    basis: Callable  # (SMatrix, params) -> (values, quad); values(point): all rows' values
     params: tuple = None  # the CLI's parameters when none are given
     level: Callable = None  # params -> the CLI's k without --k; None: --k is required
 
@@ -246,26 +240,28 @@ def smatrix(case: str, k, params: tuple = None) -> SMatrix:
     return _span(case).build(as_fraction(k), params)
 
 
-def _apply_residuals(case, k, points, params, g):
-    """F_i|g against sum_j M_ij F_j at the points, for g = S (M the
-    S-matrix) or g = T (M the T-matrix)."""
+def _apply_residuals(case, k, points, params, moves):
+    """Per move g of moves, the records of F_i|g against sum_j M_ij F_j at
+    the points (M the S-matrix for g = S, the T-matrix for g = T) and their
+    largest residual.  Each point is evaluated once, and its image once per
+    move."""
     sm = smatrix(case, k, params)
-    fns, quad = _SPANS[case].basis(sm, params)
-    matrix = sm.entries if g == S else sm.t_matrix
-    records = []
+    values, quad = _SPANS[case].basis(sm, params)
+    records = {g: [] for g in moves}
     for pt in points:
-        moved = act(g, pt, quad)
-        vals = [f(pt) for f in fns]
-        for i, f in enumerate(fns):
-            rhs = sum(matrix[i][j] * vals[j] for j in range(len(fns)))
-            res = abs(f(moved) - rhs)
-            records.append({"label": str(sm.labels[i]), "tau": str(pt.tau), "residual": res})
-    return sm, records, max([0.0] + [r["residual"] for r in records])
+        vals = values(pt)
+        for g in moves:
+            matrix = sm.entries if g == S else sm.t_matrix
+            moved = values(act(g, pt, quad))
+            for label, row, got in zip(sm.labels, matrix, moved):
+                res = abs(got - sum(m * v for m, v in zip(row, vals)))
+                records[g].append({"label": str(label), "tau": str(pt.tau), "residual": res})
+    return sm, [(recs, max([0.0] + [r["residual"] for r in recs])) for recs in records.values()]
 
 
 def apply_smatrix_check(case: str, k, points, params: tuple = None):
     """Numerically verify F_i|S = sum_j S_ij F_j at the points."""
-    sm, records, max_res = _apply_residuals(case, k, points, params, S)
+    sm, [(records, max_res)] = _apply_residuals(case, k, points, params, (S,))
     return {
         "case": case,
         "k": str(k),
@@ -278,5 +274,5 @@ def apply_smatrix_check(case: str, k, points, params: tuple = None):
 
 def apply_tmatrix_check(case: str, k, points, params: tuple = None):
     """Numerically verify F_i|T = sum_j T_ij F_j at the points."""
-    _, _, max_res = _apply_residuals(case, k, points, params, T)
+    _, [(_, max_res)] = _apply_residuals(case, k, points, params, (T,))
     return {"case": case, "k": str(k), "max_residual": max_res}

@@ -72,10 +72,11 @@ def suite_thm11a(seed=11, tol=1e-8, m=None):
     degrees = (1, 2) if m is None else (int(m),)
     for tau, z1, z2 in _points(seed, 10):
         check, value = _law_checks(checks, phi_tilde, "phi~", (tau, z1, z2))
+        lhs_at = cache(lambda idx: phi_tilde(idx, -1 / tau, z1 / tau, z2 / tau).value)
         for m in degrees:
             for s, s1 in ((0, 0), (0, 1), (1, 0)):
                 idx = MockIndex(m, s)
-                lhs = phi_tilde(idx, -1 / tau, z1 / tau, z2 / tau).value
+                lhs = lhs_at(idx)
                 # Phi~ is 1-periodic in s (cor1.2): s1 is the target's representative
                 law = LAWS["phi~", "S"](idx, tau, (z1, z2))
                 rhs = law.apply(lambda t: value(t.with_s(s1)))

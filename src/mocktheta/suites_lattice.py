@@ -22,7 +22,7 @@ from .lattice import (
 from .mock import MockIndex, phi
 from .modifier import r_jm, r_jm_signed
 from .modular import LAWS, S, T, _stream, act, check_pair, check_residual, verify_law
-from .smatrix import apply_smatrix_check, apply_tmatrix_check, smatrix
+from .smatrix import _apply_residuals, apply_smatrix_check, apply_tmatrix_check
 from .suites import PI, F, _points
 from .superalg import WeightSpec, d21a_nu_range, enumerate_omega, preset
 from .theta import eta, theta_ab, theta_jm, theta_jm_signed
@@ -177,11 +177,12 @@ def suite_eq56(seed=41, tol=1e-8):
         for case in ("sl21", "osp32_sub"):
             sys = system(case)
             pt = ModularPoint(tau, (z1, z2), 0.05)
+            den = sys.denominator(-1, pt).value
             lhs = sys.denominator(-1, act(S, pt, sys.quad)).value
-            rhs = 1j ** (-sys.i_power_minus % 4) * (-1j * tau) * sys.denominator(-1, pt).value
+            rhs = 1j ** (-sys.i_power_minus % 4) * (-1j * tau) * den
             checks.append(check_pair(f"S {case}", lhs, rhs, tau))
             lhsT = sys.denominator(-1, act(T, pt, sys.quad)).value
-            rhsT = cmath.exp(1j * PI * sys.sdim / 12) * sys.denominator(-1, pt).value
+            rhsT = cmath.exp(1j * PI * sys.sdim / 12) * den
             checks.append(check_pair(f"T {case}", lhsT, rhsT, tau))
     return verify_law(tol, checks)
 
@@ -295,15 +296,16 @@ def suite_eq44(seed=47, tol=1e-8):
 
 
 def _span_checks(case, k, params, seed):
-    """Unitarity and the S/T apply-checks of a three-coordinate span."""
+    """Unitarity and the S/T apply-checks of a three-coordinate span, on shared values."""
     pts = [
         ModularPoint(tau, (z1, 0.8 * z2, z2), 0.05)
         for tau, z1, z2 in _points(seed, 3)
     ]
+    sm, [(_, s_res), (_, t_res)] = _apply_residuals(case, k, pts, params, (S, T))
     return [
-        check_residual("unitarity", smatrix(case, k, params).unitarity_defect()),
-        check_residual("S apply", apply_smatrix_check(case, k, pts, params)["max_residual"]),
-        check_residual("T apply", apply_tmatrix_check(case, k, pts, params)["max_residual"]),
+        check_residual("unitarity", sm.unitarity_defect()),
+        check_residual("S apply", s_res),
+        check_residual("T apply", t_res),
     ]
 
 
@@ -344,10 +346,9 @@ def suite_osp32_sub_f(seed=52, tol=1e-9):
     for tau, z1, z2 in _points(seed, 5):
         pt = ModularPoint(tau, (z1, z2), 0.05)
         den = sub.denominator(-1, pt).value
-        for i in (1, 2, 3, 4):
-            fi = sub.f_function(i, k, pt).value
+        for i, fi in enumerate(sub.f_functions(k, pt), 1):
             ci = sub.f_closed_quotient(i, pt).value / den
-            checks.append(check_pair(f"f{i}", fi, ci, tau))
+            checks.append(check_pair(f"f{i}", fi.value, ci, tau))
     notes = (
         "f4's closed form carries theta11 upstairs; a theta00 numerator "
         "would contradict the tau+1 swap with f3"

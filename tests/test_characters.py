@@ -236,8 +236,8 @@ class TestOsp42:
         val = ch_tilde("osp42", w, pt).value
         assert abs(val - (0.0812502762 + 0.0772277593j)) < 1e-9
         sm = smatrix("osp42", 1)
-        fns, _ = _SPANS["osp42"].basis(sm, None)
-        assert val == fns[sm.weights.index(w)](pt)
+        values, _ = _SPANS["osp42"].basis(sm, None)
+        assert val == values(pt)[sm.weights.index(w)]
 
 
 @pytest.mark.parametrize("case", ["sl21", "osp32"])

@@ -177,3 +177,65 @@ def test_no_case_name_branches_outside_the_span_table():
     for name in ("mocktheta.smatrix", "mocktheta.cli"):
         source = inspect.getsource(importlib.import_module(name))
         assert "case ==" not in source and "case in (" not in source
+
+
+@pytest.mark.parametrize("case,k,params,z", [
+    ("sl21", 1, None, (0.23, 0.41)),
+    ("osp42", 1, None, (0.19, 0.32, 0.27)),
+    ("osp42", 2, None, (0.19, 0.32, 0.27)),
+    ("d21a", F(-1, 2), (1, 1), (0.21, 0.17, 0.33)),
+    ("d21a", F(-2, 3), (1, 2), (0.21, 0.17, 0.33)),
+    ("osp32_sub", F(-3, 4), None, (0.27, 0.43)),
+    ("osp32_sub", F(-1), None, (0.27, 0.43)),
+    ("osp_level1", 1, (3, 2), (0.21, 0.37)),
+    ("osp_level1", 1, (4, 2), (0.21, 0.22, 0.37)),
+])
+def test_span_values_are_the_row_evaluators(case, k, params, z):
+    # a span evaluates its rows together at a point, bit for bit as the
+    # public per-row evaluator does one row at a time
+    from mocktheta.characters import ch_tilde, level1_osp_supercharacter, system
+    from mocktheta.smatrix import _SPANS
+
+    sm = smatrix(case, k, params)
+    values, _ = _SPANS[case].basis(sm, params)
+    pt = ModularPoint(TAU, z, 0.05)
+    if case == "osp32_sub":
+        rows = [system(case).f_function(i, k, pt).value for i in (1, 2, 3, 4)]
+    elif case == "osp_level1":
+        rows = [level1_osp_supercharacter(*params, c)(pt).value for c in sm.labels]
+    else:
+        rows = [ch_tilde(case, w, pt, params=params).value for w in sm.weights]
+    assert values(pt) == rows
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_d21a_span_shares_its_denominator_and_nu_free_factors(monkeypatch):
+    # one point and its S image: one superdenominator and one pair of
+    # phi_tilde factors each, shared by the four classes
+    from mocktheta import characters
+
+    dens = _count_calls(monkeypatch, characters.CharacterSystem, "denominator")
+    phis = _count_calls(monkeypatch, characters, "phi_tilde")
+    pt = ModularPoint(TAU, (0.21, 0.17, 0.33), 0.05)
+    apply_smatrix_check("d21a", F(-1, 2), [pt], (1, 1))
+    assert (len(dens), len(phis)) == (2, 4)
+
+
+def test_span_suite_evaluates_each_point_once(monkeypatch):
+    # thm6.14's three points, each with its S and its T image
+    from mocktheta import characters, run_suite
+
+    dens = _count_calls(monkeypatch, characters.CharacterSystem, "denominator")
+    assert run_suite("thm6.14")["pass"]
+    assert len(dens) == 9
