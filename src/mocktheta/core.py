@@ -68,9 +68,17 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
+def _finite(name: str, value) -> complex:
+    """value as a complex; ValueError naming the argument if it is inf or nan."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} = {value} is not finite")
+    return value
+
+
 def require_tau(tau: complex) -> complex:
-    """tau as a complex; ValueError below the floor MIN_IM_TAU."""
-    tau = complex(tau)
+    """tau as a finite complex; ValueError below the floor MIN_IM_TAU."""
+    tau = _finite("tau", tau)
     if tau.imag < MIN_IM_TAU:
         raise ValueError(f"Im tau = {tau.imag} below policy minimum {MIN_IM_TAU}")
     return tau
@@ -138,9 +146,9 @@ class ModularPoint:
     t: complex = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", complex(self.tau))
-        object.__setattr__(self, "z", tuple(complex(w) for w in self.z))
-        object.__setattr__(self, "t", complex(self.t))
+        object.__setattr__(self, "tau", _finite("tau", self.tau))
+        object.__setattr__(self, "z", tuple(_finite("z", w) for w in self.z))
+        object.__setattr__(self, "t", _finite("t", self.t))
         if self.tau.imag <= 0:
             raise ValueError("ModularPoint requires Im tau > 0")
 

@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     _EXP_GUARD,
@@ -23,6 +24,7 @@ from .core import (
     TWO_PI,
     SeriesValue,
     TruncationPolicy,
+    _finite,
     as_fraction,
     exp_overflow,
     gaussian_window,
@@ -38,6 +40,15 @@ _2PI_I = 2j * math.pi
 _LOG2 = math.log(2.0)
 
 POLE_THRESHOLD = 1e-8
+
+# phi and modifier.phi_add each keep the values of their last _MEMO_SIZE
+# distinct (index, tau, z1, z2, policy) arguments.  Measured repeats lie
+# 1 distinct argument back in a rank1_grid pass (phi_tilde after phi and
+# phi_add), at most 3 back in suite_sweep and at most 260 back in
+# lattice_char_table (seeds 0-3, 11).  The size stays below the distinct
+# arguments of one benchmark pass (903, ~2240, 285-294), so no pass is
+# served from the one before it.
+_MEMO_SIZE = 256
 
 # sign label -> the (+-1)^n of the series; unsigned is the + series
 SIGNS = {"unsigned": 1, "plus": 1, "minus": -1}
@@ -66,10 +77,16 @@ class MockIndex:
                 raise ValueError("unsigned index needs integer m and s")
         elif 2 % m.denominator or 2 % s.denominator:
             raise ValueError("signed index needs half-integer m and s")
+        # integers: Fraction.__hash__ is a modular inverse; once, since
+        # every memo lookup of phi and phi_add hashes the index
+        key = (m.numerator, m.denominator, s.numerator, s.denominator, self.sign)
+        object.__setattr__(self, "_hash", hash(key))
 
-    def __hash__(self):  # integers: Fraction.__hash__ is a modular inverse
-        m, s = self.m, self.s
-        return hash((m.numerator, m.denominator, s.numerator, s.denominator, self.sign))
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so the str hash follows the new process
+        return MockIndex, (self.m, self.s, self.sign)
 
     @property
     def sign_value(self) -> int:
@@ -104,10 +121,17 @@ def phi(
     z2: complex,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
-    """Evaluate Phi^[m;s] (or the signed variant) at (tau, z1, z2)."""
-    tau = require_tau(tau)
-    z1 = complex(z1)
-    z2 = complex(z2)
+    """Evaluate Phi^[m;s] (or the signed variant) at (tau, z1, z2).
+
+    A repeat of one of the last _MEMO_SIZE distinct arguments returns the
+    SeriesValue computed for it, without running the ladder again.
+    """
+    return _phi(idx, require_tau(tau), _finite("z1", z1), _finite("z2", z2), policy)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _phi(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy) -> SeriesValue:
+    """phi at checked arguments; a PoleAtZ1 is raised again on every call."""
     if distance_to_lattice(z1, tau) < POLE_THRESHOLD:
         raise PoleAtZ1(f"z1 = {z1} within {POLE_THRESHOLD} of Z + Z tau")
     return sum_ladder(*_phi_window(idx, tau, z1, z2, policy)).series()
@@ -194,6 +218,7 @@ def phi_elliptic_residual(
     if abs(j) > 3:
         raise ValueError("|j| <= 3 keeps the shifted series in safe range")
     tau = require_tau(tau)
+    z1, z2 = _finite("z1", z1), _finite("z2", z2)
     if j == 0:
         return SeriesValue(0.0, 0.0, 0)
     law = LAWS["phi", "tau"](idx, tau, (z1, z2), j, j)

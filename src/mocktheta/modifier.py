@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 from .core import (
     _EXP_GUARD,
@@ -21,6 +22,7 @@ from .core import (
     TWO_PI,
     SeriesValue,
     TruncationPolicy,
+    _finite,
     as_fraction,
     exp_overflow,
     gauss_E_complement,
@@ -30,7 +32,7 @@ from .core import (
     require_tau,
     sum_ladder,
 )
-from .mock import MockIndex, phi
+from .mock import _MEMO_SIZE, MockIndex, phi
 from .theta import _theta_window
 
 _NEG_I_PI = -(1j * math.pi)
@@ -51,7 +53,7 @@ def _r_ladder(
 ) -> SeriesValue:
     """Shared ladder for R_{j,m} and its signed analogues."""
     tau = require_tau(tau)
-    return sum_ladder(*_r_window(sign, (j,), m, tau, complex(z), policy)).series()
+    return sum_ladder(*_r_window(sign, (j,), m, tau, _finite("z", z), policy)).series()
 
 
 def _r_window(sign, js, m: float, tau: complex, z: complex, policy):
@@ -165,8 +167,17 @@ def phi_add(
     R_j and Theta_j are the residue classes mod 2m of one ladder in
     N in s + Z, R at n = N and Theta at c = N / 2m, with l >= 0 exactly
     when N >= s; so one walk sums every R_j and one every Theta_j.
+
+    Memoized as ``mock.phi`` is: a repeat of one of the last _MEMO_SIZE
+    distinct arguments returns the SeriesValue computed for it.
     """
-    r_walk, th_walk, p = _phi_add_walks(idx, require_tau(tau), z1, z2, policy)
+    return _phi_add(idx, require_tau(tau), _finite("z1", z1), _finite("z2", z2), policy)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy) -> SeriesValue:
+    """phi_add at checked arguments."""
+    r_walk, th_walk, p = _phi_add_walks(idx, tau, z1, z2, policy)
     r_sums = sum_ladder(*r_walk, p)
     th_sums = sum_ladder(*th_walk, p)
     value = 0.0
@@ -184,8 +195,6 @@ def phi_add(
 def _phi_add_walks(idx: MockIndex, tau: complex, z1, z2, policy):
     """The (walk, window) pairs of phi_add's R and Theta walks, and their
     period 2m: class r of each walk is j = s + r."""
-    z1 = complex(z1)
-    z2 = complex(z2)
     sgn = idx.sign_value
     m = float(idx.m)
     # 2s and 4m are integers (MockIndex keeps s and m in (1/2)Z), so

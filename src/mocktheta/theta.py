@@ -30,6 +30,7 @@ from .core import (
     TWO_PI,
     SeriesValue,
     TruncationPolicy,
+    _finite,
     as_fraction,
     cexp,
     exp_overflow,
@@ -75,7 +76,7 @@ def theta_ab(
         raise ValueError("theta_ab indices must be 0 or 1")
     tau = require_tau(tau)
     # theta_ab(tau, z) = Theta^((-1)^b)_(a/2, 1/2)(tau, 2z)
-    out = _theta_ladder(-1 if b else 1, 0.5 * a, 0.5, tau, 2.0 * complex(z), policy)
+    out = _theta_ladder(-1 if b else 1, 0.5 * a, 0.5, tau, 2.0 * _finite("z", z), policy)
     if (a, b) == (1, 1):
         out = SeriesValue(1j * out.value, out.err_bound, out.terms_used)
     return out
@@ -94,7 +95,7 @@ def theta_jm(
     if j % 1 or m % 1:
         raise ValueError("theta_jm needs integer j and m")
     tau = require_tau(tau)
-    return _theta_ladder(1, j / (2.0 * m), float(m), tau, complex(z), policy)
+    return _theta_ladder(1, j / (2.0 * m), float(m), tau, _finite("z", z), policy)
 
 
 def theta_jm_signed(
@@ -120,7 +121,7 @@ def theta_jm_signed(
     tau = require_tau(tau)
     # int / int rounds once, exactly as float(Fraction) does
     c0 = jn * md / (2 * mn * jd)
-    return _theta_ladder(sign, c0, mn / md, tau, complex(z), policy)
+    return _theta_ladder(sign, c0, mn / md, tau, _finite("z", z), policy)
 
 
 def _theta_ladder(

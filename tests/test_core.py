@@ -1,16 +1,19 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction as F
 
 import mpmath
 import numpy as np
 import pytest
 
 from mocktheta import _oracles
+from mocktheta.cli import main
 from mocktheta.core import (
     MAX_TERMS,
     MIN_IM_TAU,
     SQRT_PI,
+    ModularPoint,
     SeriesValue,
     TruncationPolicy,
     gauss_E,
@@ -23,6 +26,9 @@ from mocktheta.core import (
     sum_ladder,
 )
 from mocktheta.errors import NonConvergent
+from mocktheta.mock import MockIndex, phi, phi_elliptic_residual, phi_shift_residual_a
+from mocktheta.modifier import phi_add, phi_tilde, r_jm, r_jm_signed
+from mocktheta.theta import eta, theta_ab, theta_jm, theta_jm_signed
 
 
 def quad_E(x):
@@ -51,6 +57,52 @@ class TestPolicy:
     def test_tau_gate(self):
         with pytest.raises(ValueError):
             require_tau(1.0 + 0.01j)
+
+
+NAN = float("nan")
+INF = float("inf")
+IDX = MockIndex(1, 0)
+# (argument named in the refusal, evaluation): every public rank-1
+# evaluator, and ModularPoint, with one coordinate inf or nan
+NON_FINITE = {
+    "eta-inf": ("tau", lambda: eta(complex(0, INF))),
+    "eta-nan": ("tau", lambda: eta(complex(NAN, 1))),
+    "theta_ab": ("z", lambda: theta_ab(1, 1, 1j, NAN)),
+    "theta_jm": ("z", lambda: theta_jm(1, 2, 1j, NAN)),
+    "theta_jm_signed": ("z", lambda: theta_jm_signed(-1, F(1, 2), F(1, 2), 1j, INF)),
+    "r_jm": ("z", lambda: r_jm(1, 2, 1j, NAN)),
+    "r_jm_signed": ("z", lambda: r_jm_signed(1, F(1, 2), F(3, 2), 1j, complex(0, INF))),
+    "phi": ("z2", lambda: phi(IDX, 1j, 0.3, NAN)),
+    "phi-tau": ("tau", lambda: phi(IDX, complex(NAN, 1), 0.3, 0.2)),
+    "phi_add": ("z1", lambda: phi_add(IDX, 1j, NAN, 0.2)),
+    "phi_tilde": ("z2", lambda: phi_tilde(IDX, 1j, 0.3, INF)),
+    "phi_shift_residual_a": ("z1", lambda: phi_shift_residual_a(IDX, 1j, NAN, 0.2)),
+    "phi_elliptic_residual": ("z2", lambda: phi_elliptic_residual(IDX, 0, 1j, 0.3, NAN)),
+    "point-tau": ("tau", lambda: ModularPoint(complex(0, NAN), (0.1,))),
+    "point-z": ("z", lambda: ModularPoint(1j, (0.1, INF))),
+    "point-t": ("t", lambda: ModularPoint(1j, (0.1,), NAN)),
+}
+CLI_NON_FINITE = {
+    "theta-jm": ("z", ["theta-jm", "--j=1", "--m=2", "--tau=0.1+1i", "--z=nan"]),
+    "phi": ("z1", ["phi", "--tau=i", "--z1=1e999", "--z2=0.2"]),
+    "eta": ("tau", ["eta", "--tau=nan+1i"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_argument_is_refused_by_name(case):
+    name, evaluate = NON_FINITE[case]
+    with pytest.raises(ValueError, match=rf"^{name} = .* is not finite$"):
+        evaluate()
+
+
+@pytest.mark.parametrize("case", sorted(CLI_NON_FINITE))
+def test_non_finite_argument_exits_2(case, capsys):
+    name, argv = CLI_NON_FINITE[case]
+    assert main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} = ") and captured.err.endswith(" is not finite\n")
+    assert captured.out == ""
 
 
 class TestGaussE:

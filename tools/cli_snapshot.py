@@ -22,7 +22,7 @@ parameters and alias parameters the CLI honours or refuses, the last
 on ``table preset``, ``chartable`` and ``smatrix`` alike; ``chartable``
 point counts below 1, which it refuses; the
 ``eval``/``verify`` configuration errors, an ``eval`` below the Im tau
-floor and ``--tol`` values it refuses;
+floor or at an inf or nan argument, and ``--tol`` values it refuses;
 and the ``--p``/``--q``/``--n`` spellings of ``--params`` and ``--k``
 that ``table``, ``chartable`` and ``smatrix`` refuse, with a ``verify``
 option that no selected suite takes.
@@ -124,6 +124,9 @@ def _commands():
         ("eval_phi_tol_neg", ["eval", "phi", "--tau", "i", "--z1", "0.3", "--tol", "-1"]),
         ("eval_phi_tol_0", ["eval", "phi", "--tau", "i", "--z1", "0.3", "--tol", "0"]),
         ("eval_eta_tau_below_floor", ["eval", "eta", "--tau=0.3+0.01i"]),
+        ("eval_eta_tau_nan", ["eval", "eta", "--tau=nan+1i"]),
+        ("eval_theta_jm_z_nan", ["eval", "theta-jm", "--j=1", "--m=2", "--tau=0.1+1i", "--z=nan"]),
+        ("eval_phi_z1_inf", ["eval", "phi", "--tau=i", "--z1=1e999", "--z2=0.2"]),
         ("verify_thm11a_m0", ["verify", "thm1.1a", "--m", "0"]),
         ("verify_thm614_n0", ["verify", "thm6.14", "--n", "0"]),
         ("verify_thm614_p2_q4", ["verify", "thm6.14", "--p", "2", "--q", "4"]),
