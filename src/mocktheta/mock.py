@@ -42,13 +42,13 @@ _LOG2 = math.log(2.0)
 POLE_THRESHOLD = 1e-8
 
 # phi and modifier.phi_add each keep the values of their last _MEMO_SIZE
-# distinct (index, tau, z1, z2, policy) arguments.  Measured repeats lie
-# 1 distinct argument back in a rank1_grid pass (phi_tilde after phi and
-# phi_add), at most 3 back in suite_sweep and at most 260 back in
-# lattice_char_table (seeds 0-3, 11).  The size stays below the distinct
-# arguments of one benchmark pass (903, ~2240, 285-294), so no pass is
-# served from the one before it.
-_MEMO_SIZE = 256
+# distinct (index, tau, z1, z2, policy) arguments.  In one benchmark pass
+# (seed 0) every repeat lies 1 distinct argument back on rank1_grid
+# (phi_tilde after phi and phi_add) and at most 4 back on suite_sweep;
+# lattice_char_table's lie 4 back (37%), 30-35 back (23%) or up to 233
+# back.  A 256-entry memo, which held them all, ran suite_sweep 7.5% and
+# lattice_char_table 2.9% slower than no memo in 10 benchmark pairs.
+_MEMO_SIZE = 32
 
 # sign label -> the (+-1)^n of the series; unsigned is the + series
 SIGNS = {"unsigned": 1, "plus": 1, "minus": -1}
