@@ -20,7 +20,6 @@ from mocktheta.modifier import _phi_add
 from mocktheta.smatrix import apply_smatrix_check
 
 
-
 def test_warm_values_are_the_cold_ones():
     # every golden case, cold with both memos empty and then warm
     moved = [name for name, (cold, warm) in evaluate().items()
