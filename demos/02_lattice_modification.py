@@ -30,7 +30,7 @@ tau = 0.13 + 0.92j
 print("== context: Cartan-matrix Gram, one isotropic direction ==")
 ctx = LatticeContext(gamma_gram=((2, -1), (-1, 2)), n_isotropic=1, k=1)
 print("violations:", validate_context(ctx) or "none")
-print(ctx.to_json())
+print("Gram of gamma_1, gamma_2, beta_1:", [[str(x) for x in row] for row in ctx.full_gram])
 
 w = Weight(1, (0, 0, 1))
 pt = ModularPoint(tau, (0.21, -0.17, 0.33), 0.06)

@@ -15,10 +15,8 @@ __version__ = "0.1.0"
 
 _PUBLIC = {
     "core": (
-        "DEFAULT_POLICY",
         "ModularPoint",
         "SeriesValue",
-        "TruncationPolicy",
         "gauss_E",
         "gauss_E_complement",
         "gauss_E_complement_scaled",

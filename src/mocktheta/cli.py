@@ -18,18 +18,19 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import DEFAULT_POLICY, VARIANTS, TruncationPolicy, require_tau
+from .core import VARIANTS, require_tau
 from .errors import MockThetaError
 
 
 def parse_complex(text: str) -> complex:
     t = text.strip().replace(" ", "")
-    if t in ("i", "+i"):
-        return 1j
-    if t == "-i":
+    if t == "-i":  # the literal -1j: complex("-j") has a positive zero real part
         return -1j
+    # only a trailing i is the imaginary unit; the i of inf stays
+    if t.endswith("i"):
+        t = t[:-1] + "j"
     try:
-        return complex(t.replace("i", "j"))
+        return complex(t)
     except ValueError as exc:
         raise SystemExit(f"error: cannot parse complex number {text!r}") from exc
 
@@ -102,7 +103,6 @@ def cmd_eval(args) -> int:
     from .modifier import phi_add, phi_tilde, r_jm, r_jm_signed
     from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
-    policy = DEFAULT_POLICY if args.tol is None else TruncationPolicy(abs_tol=args.tol)
     tau = require_tau(parse_complex(args.tau))
     name = args.function.replace("-", "_")
     try:
@@ -111,28 +111,24 @@ def cmd_eval(args) -> int:
                 parse_rational(args.m), parse_rational(args.s), _SIGN[args.sign]
             )
             fn = {"phi": phi, "phi_tilde": phi_tilde, "phi_add": phi_add}[name]
-            val = fn(idx, tau, parse_complex(args.z1), parse_complex(args.z2), policy)
+            val = fn(idx, tau, parse_complex(args.z1), parse_complex(args.z2))
         elif name == "theta_jm":
-            val = theta_jm(
-                int(args.j), int(args.m), tau, parse_complex(args.z), policy
-            )
+            val = theta_jm(int(args.j), int(args.m), tau, parse_complex(args.z))
         elif name == "theta_jm_signed":
             sgn = 1 if _SIGN[args.sign] == "plus" else -1
             val = theta_jm_signed(
-                sgn, parse_rational(args.j), parse_rational(args.m), tau,
-                parse_complex(args.z), policy,
+                sgn, parse_rational(args.j), parse_rational(args.m), tau, parse_complex(args.z)
             )
         elif name == "theta_ab":
-            val = theta_ab(int(args.a), int(args.b), tau, parse_complex(args.z), policy)
+            val = theta_ab(int(args.a), int(args.b), tau, parse_complex(args.z))
         elif name == "eta":
-            val = eta(tau, policy)
+            val = eta(tau)
         elif name == "r_jm":
-            val = r_jm(int(args.j), int(args.m), tau, parse_complex(args.z), policy)
+            val = r_jm(int(args.j), int(args.m), tau, parse_complex(args.z))
         elif name == "r_jm_signed":
             sgn = 1 if _SIGN[args.sign] == "plus" else -1
             val = r_jm_signed(
-                sgn, parse_rational(args.j), parse_rational(args.m), tau,
-                parse_complex(args.z), policy,
+                sgn, parse_rational(args.j), parse_rational(args.m), tau, parse_complex(args.z)
             )
         else:
             raise ValueError(f"unknown function {args.function!r}; valid: phi, phi-tilde, "
@@ -314,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--z", default="0")
     pe.add_argument("--z1", default="0")
     pe.add_argument("--z2", default="0")
-    pe.add_argument("--tol", type=_parse_tol, default=None)
     pe.add_argument("--output", default="json", choices=("json", "csv"))
     pe.add_argument("--out", default=None)
     pe.set_defaults(func=cmd_eval)

@@ -1,15 +1,15 @@
-"""Foundation layer: truncation policy, error-integral helpers, ladder sums.
+"""Foundation layer: truncation limits, error-integral helpers, ladder sums.
 
 Every rank-1 series in the library is a sum over an integer ladder whose
 summands are bounded, outside a short core of indices, by a Gaussian
 envelope exp(P - a (n - n*)^2).  ``gaussian_window`` solves that envelope
-up front for the index window outside which it stays below the policy
-target, together with the closed-form bound on the discarded tails;
-``sum_ladder`` then sums the window, one walker call per residue class,
-so every returned value carries an honest ``err_bound`` and no term is
-evaluated past the window.  A walker sums its class in one local loop
-over ``outward``, with the summand written out inline and the overflow
-guard of ``cexp`` (``exp_overflow``) applied to each exponent.
+up front for the index window outside which it stays below
+ABS_TOL / _WINDOW_MARGIN, together with the closed-form bound on the
+discarded tails; ``sum_ladder`` then sums the window, one walker call per
+residue class, so every returned value carries an honest ``err_bound``
+and no term is evaluated past the window.  A walker sums its class in one
+local loop over ``outward``, with the summand written out inline and the
+overflow guard of ``cexp`` (``exp_overflow``) applied to each exponent.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ SQRT_PI = math.sqrt(math.pi)
 
 # Real exponents above this are treated as overflow hazards; the ladder
 # term builders keep combined exponents far below it at any point that
-# satisfies the policy preconditions.
+# require_tau accepts.
 _EXP_GUARD = 700.0
 _SQRT_EXP_GUARD = math.sqrt(_EXP_GUARD)
 
-# At the window's edge the summands are pushed this far below abs_tol.
+# At the window's edge the summands are pushed this far below ABS_TOL.
 _WINDOW_MARGIN = 1e6
 
 # The variants of ``characters.ch_tilde``, here so that the command line
@@ -48,24 +48,14 @@ VARIANTS = (
 )
 
 
-# The most terms one series may take, and the smallest Im tau any
-# evaluator accepts.
+# The absolute tolerance every series truncates to, the most terms one
+# series may take, and the smallest Im tau any evaluator accepts.
+ABS_TOL = 1e-12
 MAX_TERMS = 10_000
 MIN_IM_TAU = 0.05
 
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """The absolute tolerance of a series evaluation."""
-
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+# The log of the envelope bound beyond a ladder window.
+_LOG_WINDOW_TOL = math.log(ABS_TOL / _WINDOW_MARGIN)
 
 
 def _finite(name: str, value) -> complex:
@@ -206,13 +196,13 @@ def cexp(w: complex) -> complex:
     return cmath.exp(w)
 
 
-def gaussian_window(log_peak, a, centre, policy, core=None):
+def gaussian_window(log_peak, a, centre, core=None):
     """The window [lo, hi] of a ladder with summands below the envelope
     exp(log_peak - a (n - centre)^2) at every index outside ``core``.
 
     ``core`` = (core_lo, core_hi), if given, is a range the window must
     contain, because the envelope does not hold there.  Beyond the window
-    the envelope is below abs_tol / _WINDOW_MARGIN.  Returns (lo, hi, err):
+    the envelope is below ABS_TOL / _WINDOW_MARGIN.  Returns (lo, hi, err):
     with d the distance from the centre to the first index left out on
     one side, (n - centre)^2 >= d^2 + 2 d i at the i-th index beyond it,
     so that side's tail is at most exp(log_peak - a d^2) / (1 - exp(-2 a d)).
@@ -222,8 +212,8 @@ def gaussian_window(log_peak, a, centre, policy, core=None):
     Raises NonConvergent, before any summand is evaluated, if the window
     holds more than MAX_TERMS indices.
     """
-    log_tol = math.log(policy.abs_tol / _WINDOW_MARGIN)
-    reach = math.sqrt((log_peak - log_tol) / a) if log_peak > log_tol else 0.0
+    excess = log_peak - _LOG_WINDOW_TOL
+    reach = math.sqrt(excess / a) if excess > 0.0 else 0.0
     lo = math.floor(centre - reach)
     hi = math.ceil(centre + reach)
     if core is not None:
@@ -232,7 +222,7 @@ def gaussian_window(log_peak, a, centre, policy, core=None):
     if hi - lo + 1 > MAX_TERMS:
         raise NonConvergent(
             f"ladder window of {hi - lo + 1} terms exceeds "
-            f"max_terms={MAX_TERMS} at abs_tol={policy.abs_tol}"
+            f"max_terms={MAX_TERMS} at abs_tol={ABS_TOL}"
         )
     err = 0.0
     for d in (hi + 1 - centre, centre - lo + 1):

@@ -24,7 +24,6 @@ summand's reductions (v @ G @ z), which a batch would round differently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ import numpy as np
 
 from .core import (
     _WINDOW_MARGIN,
-    DEFAULT_POLICY,
+    ABS_TOL,
     MAX_TERMS,
     ModularPoint,
     SeriesValue,
@@ -183,15 +182,15 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
 
     ``norms`` holds |centre + c|^2 in the Gram metric.  The summands must
     be bounded by exp(-pi y r^2 / k + growth * r) in r = k |centre + c|;
-    the window radius r* makes that bound abs_tol / _WINDOW_MARGIN.  The
+    the window radius r* makes that bound ABS_TOL / _WINDOW_MARGIN.  The
     err_bound is eight times the largest summand in the outer shell
-    r^2 >= 0.7 r*^2, and at least abs_tol / 100.
+    r^2 >= 0.7 r*^2, and at least ABS_TOL / 100.
 
     ``terms`` may do elementwise work on the whole window at once, but
     each summand's reductions (its v @ gram @ z) stay per vector: a
     batched product rounds differently in the last bits.
     """
-    log_tol = math.log(DEFAULT_POLICY.abs_tol) - math.log(_WINDOW_MARGIN)
+    log_tol = math.log(ABS_TOL) - math.log(_WINDOW_MARGIN)
     a_coef = math.pi * tau.imag / k
     r_star = (growth + math.sqrt(growth * growth - 4.0 * a_coef * log_tol)) / (
         2.0 * a_coef
@@ -209,7 +208,7 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
         total += t
         if n2 * k * k >= 0.7 * radius2:
             boundary = max(boundary, abs(t))
-    err = max(boundary * 8.0, DEFAULT_POLICY.abs_tol * 0.01)
+    err = max(boundary * 8.0, ABS_TOL * 0.01)
     return SeriesValue(total, err, coords.shape[0])
 
 
@@ -378,41 +377,6 @@ class LatticeContext:
             bj = self.beta_vec(j)
             v = [a + c * b for a, b in zip(v, bj)]
         return v
-
-    def to_json(self) -> str:
-        gb, bb = _frame_pairings(self.rank, self.n_isotropic)
-        doc = {
-            "gram": [[str(x) for x in row] for row in self.gamma_gram],
-            "beta_pairings": [[str(x) for x in row] for row in gb],
-            "beta_gram": [[str(x) for x in row] for row in bb],
-            "k": str(self.k),
-            "mode": self.mode,
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LatticeContext":
-        """Parse ``to_json`` output; any pairings other than the fixed
-        frame pairings raise ``ConditionViolation``."""
-        doc = json.loads(text)
-        gram = [[Fraction(x) for x in row] for row in doc["gram"]]
-        gb = tuple(tuple(Fraction(x) for x in row) for row in doc["beta_pairings"])
-        bb = tuple(tuple(Fraction(x) for x in row) for row in doc.get("beta_gram", []))
-        n = len(gb[0]) if gb else 0
-        want_gb, want_bb = _frame_pairings(len(gram), n)
-        bad = []
-        if gb != want_gb:
-            bad.append(f"beta_pairings {doc['beta_pairings']} are not (gamma_i|beta_j) = -delta_ij")
-        if bb and bb != want_bb:
-            bad.append(f"beta_gram {doc['beta_gram']} is not (beta_i|beta_j) = 0")
-        if bad:
-            raise ConditionViolation(bad)
-        return cls(
-            gamma_gram=gram,
-            n_isotropic=n,
-            k=Fraction(doc["k"]),
-            mode=doc.get("mode", "unsigned"),
-        )
 
 
 def validate_context(ctx: LatticeContext, mode: str = None, weight: Weight = None):

@@ -20,10 +20,8 @@ from functools import lru_cache
 
 from .core import (
     _EXP_GUARD,
-    DEFAULT_POLICY,
     TWO_PI,
     SeriesValue,
-    TruncationPolicy,
     _finite,
     as_fraction,
     exp_overflow,
@@ -42,7 +40,7 @@ _LOG2 = math.log(2.0)
 POLE_THRESHOLD = 1e-8
 
 # phi and modifier.phi_add each keep the values of their last _MEMO_SIZE
-# distinct (index, tau, z1, z2, policy) arguments.  In one benchmark pass
+# distinct (index, tau, z1, z2) arguments.  In one benchmark pass
 # (seed 0) every repeat lies 1 distinct argument back on rank1_grid
 # (phi_tilde after phi and phi_add) and at most 4 back on suite_sweep;
 # lattice_char_table's lie 4 back (37%), 30-35 back (23%) or up to 233
@@ -114,30 +112,24 @@ def distance_to_lattice(z: complex, tau: complex) -> float:
     return best
 
 
-def phi(
-    idx: MockIndex,
-    tau: complex,
-    z1: complex,
-    z2: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def phi(idx: MockIndex, tau: complex, z1: complex, z2: complex) -> SeriesValue:
     """Evaluate Phi^[m;s] (or the signed variant) at (tau, z1, z2).
 
     A repeat of one of the last _MEMO_SIZE distinct arguments returns the
     SeriesValue computed for it, without running the ladder again.
     """
-    return _phi(idx, require_tau(tau), _finite("z1", z1), _finite("z2", z2), policy)
+    return _phi(idx, require_tau(tau), _finite("z1", z1), _finite("z2", z2))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _phi(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy) -> SeriesValue:
+def _phi(idx: MockIndex, tau: complex, z1: complex, z2: complex) -> SeriesValue:
     """phi at checked arguments; a PoleAtZ1 is raised again on every call."""
     if distance_to_lattice(z1, tau) < POLE_THRESHOLD:
         raise PoleAtZ1(f"z1 = {z1} within {POLE_THRESHOLD} of Z + Z tau")
-    return sum_ladder(*_phi_window(idx, tau, z1, z2, policy)).series()
+    return sum_ladder(*_phi_window(idx, tau, z1, z2)).series()
 
 
-def _phi_window(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy):
+def _phi_window(idx: MockIndex, tau: complex, z1: complex, z2: complex):
     """(walk, window) of the Phi ladder at a checked point off the poles."""
     m = float(idx.m)
     s = float(idx.s)
@@ -155,9 +147,7 @@ def _phi_window(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy):
     nstar = -((z1 + z2).imag / y + s / m) / 2.0
     band = _LOG2 / TWO_PI
     core = (math.floor((-z1.imag - band) / y), math.ceil((-z1.imag + band) / y))
-    window = gaussian_window(
-        a * nstar * nstar - TWO_PI * s * z1.imag + _LOG2, a, nstar, policy, core
-    )
+    window = gaussian_window(a * nstar * nstar - TWO_PI * s * z1.imag + _LOG2, a, nstar, core)
 
     u = z1 + z2
     sz1 = s * z1
@@ -185,33 +175,22 @@ def _phi_window(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy):
     return walk, window
 
 
-def phi_shift_residual_a(
-    idx: MockIndex,
-    tau: complex,
-    z1: complex,
-    z2: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def phi_shift_residual_a(idx: MockIndex, tau: complex, z1: complex, z2: complex) -> SeriesValue:
     """LHS - RHS of lemma 2.3 (a), ``modular.LAWS["phi", "window"]`` at z2 -> z2 + 2 tau:
     Phi(z) - e^(4 pi i m z1) Phi(z1, z2 + 2 tau) less its theta window."""
     tau = require_tau(tau)
     if abs(complex(z2).imag) > 4.0 * tau.imag:
         raise ValueError("Im z2 too large for the shifted evaluation")
     law = LAWS["phi", "window"](idx, tau, (z1, z2), 0, 2)
-    total = phi(idx, tau, z1, z2, policy) - law.prefactor * phi(idx, tau, z1, z2 + 2 * tau, policy)
+    total = phi(idx, tau, z1, z2) - law.prefactor * phi(idx, tau, z1, z2 + 2 * tau)
     u = complex(z1 + z2)
     for phase, (sign, j, m) in law.terms:
-        total = total - phase * _theta_ladder(sign, float(j / (2 * m)), float(m), tau, u, policy)
+        total = total - phase * _theta_ladder(sign, float(j / (2 * m)), float(m), tau, u)
     return total
 
 
 def phi_elliptic_residual(
-    idx: MockIndex,
-    j: int,
-    tau: complex,
-    z1: complex,
-    z2: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    idx: MockIndex, j: int, tau: complex, z1: complex, z2: complex
 ) -> SeriesValue:
     """Residual of Phi(tau, z1 + j tau, z2 + j tau) against its elliptic law,
     ``modular.LAWS["phi", "tau"]`` at (a, b) = (j, j)."""
@@ -223,5 +202,5 @@ def phi_elliptic_residual(
         return SeriesValue(0.0, 0.0, 0)
     law = LAWS["phi", "tau"](idx, tau, (z1, z2), j, j)
     ((_, target),) = law.terms
-    shifted = phi(idx, tau, z1 + j * tau, z2 + j * tau, policy)
-    return shifted - law.prefactor * phi(target, tau, z1, z2, policy)
+    shifted = phi(idx, tau, z1 + j * tau, z2 + j * tau)
+    return shifted - law.prefactor * phi(target, tau, z1, z2)

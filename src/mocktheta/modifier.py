@@ -18,10 +18,8 @@ from functools import lru_cache
 
 from .core import (
     _EXP_GUARD,
-    DEFAULT_POLICY,
     TWO_PI,
     SeriesValue,
-    TruncationPolicy,
     _finite,
     as_fraction,
     exp_overflow,
@@ -43,20 +41,13 @@ _2PI_I = 2j * math.pi
 _PSI_SWITCH = 6.0
 
 
-def _r_ladder(
-    sign: int,
-    j: float,
-    m: float,
-    tau: complex,
-    z: complex,
-    policy: TruncationPolicy,
-) -> SeriesValue:
+def _r_ladder(sign: int, j: float, m: float, tau: complex, z: complex) -> SeriesValue:
     """Shared ladder for R_{j,m} and its signed analogues."""
     tau = require_tau(tau)
-    return sum_ladder(*_r_window(sign, (j,), m, tau, _finite("z", z), policy)).series()
+    return sum_ladder(*_r_window(sign, (j,), m, tau, _finite("z", z))).series()
 
 
-def _r_window(sign, js, m: float, tau: complex, z: complex, policy):
+def _r_window(sign, js, m: float, tau: complex, z: complex):
     """(walk, window) of the R ladders n = js[r] + 2 m l, 0 <= r < p, as
     the residue classes r mod p of one ladder in k = p l + r.
 
@@ -80,7 +71,6 @@ def _r_window(sign, js, m: float, tau: complex, z: complex, policy):
         -TWO_PI * m * z.imag * z.imag / y,
         TWO_PI * m * y / (p * p),
         kstar,
-        policy,
         (min(0, math.floor(kstar)), max(0, math.ceil(kstar))),
     )
 
@@ -117,29 +107,16 @@ def _r_window(sign, js, m: float, tau: complex, z: complex, policy):
     return walk, window
 
 
-def r_jm(
-    j: int,
-    m: int,
-    tau: complex,
-    z: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def r_jm(j: int, m: int, tau: complex, z: complex) -> SeriesValue:
     """R_{j,m}(tau, z) for integer j and positive integer m."""
     if m < 1:
         raise ValueError("r_jm needs a positive integer m")
     if j % 1 or m % 1:
         raise ValueError("r_jm needs integer j and m")
-    return _r_ladder(1, float(j), float(m), tau, z, policy)
+    return _r_ladder(1, float(j), float(m), tau, z)
 
 
-def r_jm_signed(
-    sign: int,
-    j,
-    m,
-    tau: complex,
-    z: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def r_jm_signed(sign: int, j, m, tau: complex, z: complex) -> SeriesValue:
     """Signed correction R^{+-}_{j,m}; j in (1/2)Z, m in (1/2)Z_{>0}."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -152,16 +129,10 @@ def r_jm_signed(
         raise ValueError("j must lie in (1/2)Z")
     # int / int rounds once, exactly as float(Fraction) does
     jv = jf.numerator / jf.denominator
-    return _r_ladder(sign, jv, mf.numerator / mf.denominator, tau, z, policy)
+    return _r_ladder(sign, jv, mf.numerator / mf.denominator, tau, z)
 
 
-def phi_add(
-    idx: MockIndex,
-    tau: complex,
-    z1: complex,
-    z2: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex) -> SeriesValue:
     """The modifier: sum over j = s, ..., s + 2m - 1 of R_{j,m} * Theta_{j,m}.
 
     R_j and Theta_j are the residue classes mod 2m of one ladder in
@@ -171,13 +142,13 @@ def phi_add(
     Memoized as ``mock.phi`` is: a repeat of one of the last _MEMO_SIZE
     distinct arguments returns the SeriesValue computed for it.
     """
-    return _phi_add(idx, require_tau(tau), _finite("z1", z1), _finite("z2", z2), policy)
+    return _phi_add(idx, require_tau(tau), _finite("z1", z1), _finite("z2", z2))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy) -> SeriesValue:
+def _phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex) -> SeriesValue:
     """phi_add at checked arguments."""
-    r_walk, th_walk, p = _phi_add_walks(idx, tau, z1, z2, policy)
+    r_walk, th_walk, p = _phi_add_walks(idx, tau, z1, z2)
     r_sums = sum_ladder(*r_walk, p)
     th_sums = sum_ladder(*th_walk, p)
     value = 0.0
@@ -192,7 +163,7 @@ def _phi_add(idx: MockIndex, tau: complex, z1: complex, z2: complex, policy) -> 
     return SeriesValue(value, err, r_sums.terms_used + th_sums.terms_used)
 
 
-def _phi_add_walks(idx: MockIndex, tau: complex, z1, z2, policy):
+def _phi_add_walks(idx: MockIndex, tau: complex, z1, z2):
     """The (walk, window) pairs of phi_add's R and Theta walks, and their
     period 2m: class r of each walk is j = s + r."""
     sgn = idx.sign_value
@@ -205,20 +176,14 @@ def _phi_add_walks(idx: MockIndex, tau: complex, z1, z2, policy):
     js = [(s2 + 2 * r) / 2 for r in range(p)]
     c0s = [(s2 + 2 * r) / m4 for r in range(p)]
     return (
-        _r_window(sgn, js, m, tau, (z1 - z2) / 2.0, policy),
-        _theta_window(sgn, c0s, m, tau, z1 + z2, policy),
+        _r_window(sgn, js, m, tau, (z1 - z2) / 2.0),
+        _theta_window(sgn, c0s, m, tau, z1 + z2),
         p,
     )
 
 
-def phi_tilde(
-    idx: MockIndex,
-    tau: complex,
-    z1: complex,
-    z2: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def phi_tilde(idx: MockIndex, tau: complex, z1: complex, z2: complex) -> SeriesValue:
     """Modified mock theta function Phi - Phi_add / 2."""
-    base = phi(idx, tau, z1, z2, policy)
-    add = phi_add(idx, tau, z1, z2, policy)
+    base = phi(idx, tau, z1, z2)
+    add = phi_add(idx, tau, z1, z2)
     return base - 0.5 * add

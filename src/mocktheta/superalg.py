@@ -93,16 +93,6 @@ class SuperalgebraPreset:
         }
         return json.dumps(doc, sort_keys=True)
 
-    def check_rho(self):
-        """2(rho|alpha_i) = (alpha_i|alpha_i) on every simple root."""
-        bad = []
-        for root, _ in self.simple_roots:
-            lhs = 2 * self.pair(self.rho, root)
-            rhs = self.norm2(root)
-            if lhs != rhs:
-                bad.append((root, lhs, rhs))
-        return bad
-
     def reflection_matrix(self, root):
         """r_alpha(v) = v - 2 (v|alpha)/(alpha|alpha) alpha, exact."""
         dim = len(self.gram)

@@ -25,11 +25,10 @@ import math
 
 from .core import (
     _EXP_GUARD,
-    DEFAULT_POLICY,
+    ABS_TOL,
     MAX_TERMS,
     TWO_PI,
     SeriesValue,
-    TruncationPolicy,
     _finite,
     as_fraction,
     cexp,
@@ -44,7 +43,7 @@ from .errors import NonConvergent
 _2PI_I = 2j * math.pi
 
 
-def eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
+def eta(tau: complex) -> SeriesValue:
     """Dedekind eta q^(1/24) prod_(n>=1) (1 - q^n)."""
     tau = require_tau(tau)
     q = cexp(_2PI_I * tau)
@@ -60,52 +59,33 @@ def eta(tau: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
         value *= 1.0 - qn
         # relative tail of log-product is sum_{m>n} |q|^m / (1-|q|)
         tail = absq ** (n + 1) / (1.0 - absq) ** 2
-        if tail < policy.abs_tol:
+        if tail < ABS_TOL:
             return SeriesValue(value, abs(value) * tail * 2.0, n)
 
 
-def theta_ab(
-    a: int,
-    b: int,
-    tau: complex,
-    z: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def theta_ab(a: int, b: int, tau: complex, z: complex) -> SeriesValue:
     """Jacobi theta theta_{ab}(tau, z) in the module-level convention."""
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("theta_ab indices must be 0 or 1")
     tau = require_tau(tau)
     # theta_ab(tau, z) = Theta^((-1)^b)_(a/2, 1/2)(tau, 2z)
-    out = _theta_ladder(-1 if b else 1, 0.5 * a, 0.5, tau, 2.0 * _finite("z", z), policy)
+    out = _theta_ladder(-1 if b else 1, 0.5 * a, 0.5, tau, 2.0 * _finite("z", z))
     if (a, b) == (1, 1):
         out = SeriesValue(1j * out.value, out.err_bound, out.terms_used)
     return out
 
 
-def theta_jm(
-    j: int,
-    m: int,
-    tau: complex,
-    z: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def theta_jm(j: int, m: int, tau: complex, z: complex) -> SeriesValue:
     """Rank-1 theta sum_n e^(2 pi i m z (n + j/2m)) q^(m (n + j/2m)^2)."""
     if m < 1:
         raise ValueError("theta_jm needs m >= 1")
     if j % 1 or m % 1:
         raise ValueError("theta_jm needs integer j and m")
     tau = require_tau(tau)
-    return _theta_ladder(1, j / (2.0 * m), float(m), tau, _finite("z", z), policy)
+    return _theta_ladder(1, j / (2.0 * m), float(m), tau, _finite("z", z))
 
 
-def theta_jm_signed(
-    sign: int,
-    j,
-    m,
-    tau: complex,
-    z: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def theta_jm_signed(sign: int, j, m, tau: complex, z: complex) -> SeriesValue:
     """Signed rank-1 theta with a (sign)^n factor; m in (1/4)Z_{>0}, j in (1/2)Z."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -121,18 +101,16 @@ def theta_jm_signed(
     tau = require_tau(tau)
     # int / int rounds once, exactly as float(Fraction) does
     c0 = jn * md / (2 * mn * jd)
-    return _theta_ladder(sign, c0, mn / md, tau, _finite("z", z), policy)
+    return _theta_ladder(sign, c0, mn / md, tau, _finite("z", z))
 
 
-def _theta_ladder(
-    sign: int, c0: float, m: float, tau: complex, z: complex, policy: TruncationPolicy
-) -> SeriesValue:
+def _theta_ladder(sign: int, c0: float, m: float, tau: complex, z: complex) -> SeriesValue:
     """sum_n sign^n e^(2 pi i m (z c + tau c^2)), c = n + c0, for checked
-    arguments: m > 0, sign = +-1, tau already through ``policy``."""
-    return sum_ladder(*_theta_window(sign, (c0,), m, tau, z, policy)).series()
+    arguments: m > 0, sign = +-1, tau already through ``require_tau``."""
+    return sum_ladder(*_theta_window(sign, (c0,), m, tau, z)).series()
 
 
-def _theta_window(sign, c0s, m: float, tau: complex, z: complex, policy):
+def _theta_window(sign, c0s, m: float, tau: complex, z: complex):
     """(walk, window) of the theta ladders c = n + c0s[r], 0 <= r < p, as
     the residue classes r mod p of one ladder in k = p n + r.
 
@@ -145,7 +123,7 @@ def _theta_window(sign, c0s, m: float, tau: complex, z: complex, policy):
     y = tau.imag
     cstar = -z.imag / (2.0 * y)
     a = TWO_PI * m * y
-    window = gaussian_window(a * cstar * cstar, a / (p * p), p * (cstar - c0s[0]), policy)
+    window = gaussian_window(a * cstar * cstar, a / (p * p), p * (cstar - c0s[0]))
 
     mz = m * z
     mtau = tau * m

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+import refs
 
 from mocktheta.characters import (
     VARIANTS,
@@ -387,16 +388,13 @@ class TestDegrees:
 
 
 class TestErrBoundHonesty:
-    def test_bounds_cover_policy_refinement(self):
-        from mocktheta.core import TruncationPolicy
-        from mocktheta.modifier import phi_tilde as pt_f
-        from mocktheta.mock import MockIndex as MI
-
-        tight = TruncationPolicy(abs_tol=1e-15)
+    def test_bounds_cover_the_reference(self):
+        # Phi~ against its 40-digit mpmath sum (bench/refs.py), which
+        # shares no code with the evaluators
         for tau, z1, z2 in (((0.13 + 0.92j), 0.23, 0.41), ((0.4 + 1.7j), -0.31, 0.12)):
-            loose_v = pt_f(MI(1, 0), tau, z1, z2)
-            tight_v = pt_f(MI(1, 0), tau, z1, z2, tight)
-            assert abs(loose_v.value - tight_v.value) <= loose_v.err_bound + 1e-14
+            got = phi_tilde(MockIndex(1, 0), tau, z1, z2)
+            want = refs.rank1_index(tau, z1, z2, 1, 0, "unsigned")[4]
+            assert abs(got.value - want) <= got.err_bound + 1e-14
 
 
 class TestQuotientBounds:

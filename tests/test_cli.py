@@ -53,14 +53,19 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}") and captured.out == ""
 
-    @pytest.mark.parametrize("command", [("eval", "phi", "--tau", "i", "--z1", "0.3"),
-                                         ("verify", "lem2.3")], ids=lambda c: c[0])
+    @pytest.mark.parametrize("command", [("verify", "lem2.3")], ids=lambda c: c[0])
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "abc"])
     def test_tol_must_be_positive(self, command, tol, capsys):
         assert main([*command, "--tol", tol]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: --tol must be a positive number, got {tol!r}\n"
         assert captured.out == ""
+
+    def test_eval_takes_no_tol(self, capsys):
+        # every series truncates at core.ABS_TOL
+        assert main(["eval", "phi", "--tau", "i", "--z1", "0.3", "--tol", "1e-15"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --tol 1e-15" in captured.err and captured.out == ""
 
 
 class TestEval:

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -10,12 +9,12 @@ import pytest
 from mocktheta import _oracles
 from mocktheta.cli import main
 from mocktheta.core import (
+    ABS_TOL,
     MAX_TERMS,
     MIN_IM_TAU,
     SQRT_PI,
     ModularPoint,
     SeriesValue,
-    TruncationPolicy,
     gauss_E,
     gauss_E_complement,
     gauss_E_complement_scaled,
@@ -44,15 +43,11 @@ def erfcx_ref(x):
 
 
 class TestPolicy:
-    def test_defaults(self):
-        assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["abs_tol"]
-        assert TruncationPolicy().abs_tol == 1e-12
-        assert MAX_TERMS == 10_000 and MIN_IM_TAU == 0.05
+    """The fixed limits every evaluator keeps: one truncation tolerance,
+    one term cap and the Im tau floor of ``require_tau``."""
 
-    @pytest.mark.parametrize("kwargs", [dict(abs_tol=0.0), dict(abs_tol=-1e-3)])
-    def test_invariants(self, kwargs):
-        with pytest.raises(ValueError):
-            TruncationPolicy(**kwargs)
+    def test_defaults(self):
+        assert ABS_TOL == 1e-12 and MAX_TERMS == 10_000 and MIN_IM_TAU == 0.05
 
     def test_tau_gate(self):
         with pytest.raises(ValueError):
@@ -86,6 +81,9 @@ CLI_NON_FINITE = {
     "theta-jm": ("z", ["theta-jm", "--j=1", "--m=2", "--tau=0.1+1i", "--z=nan"]),
     "phi": ("z1", ["phi", "--tau=i", "--z1=1e999", "--z2=0.2"]),
     "eta": ("tau", ["eta", "--tau=nan+1i"]),
+    # the i of inf is no imaginary unit: these reach the finiteness check too
+    "eta-inf": ("tau", ["eta", "--tau=inf+1i"]),
+    "theta-jm-neg-inf": ("z", ["theta-jm", "--j=1", "--m=2", "--tau=0.1+1i", "--z=-inf"]),
 }
 
 
@@ -241,18 +239,16 @@ def _walker(term):
 class TestSumLadder:
     def test_gaussian(self):
         # e^(-pi n^2) is its own envelope: log_peak 0, a = pi, centre 0
-        policy = TruncationPolicy()
-        window = gaussian_window(0.0, math.pi, 0.0, policy)
+        window = gaussian_window(0.0, math.pi, 0.0)
         out = sum_ladder(_walker(lambda n: cmath.exp(-math.pi * n * n)), window).series()
         brute = sum(cmath.exp(-math.pi * n * n) for n in range(-40, 41))
         assert abs(out.value - brute) < 1e-14
-        assert out.err_bound < policy.abs_tol
+        assert out.err_bound < ABS_TOL
         assert out.terms_used == window[1] - window[0] + 1
 
     def test_shifted_peak(self):
         # a peak far from index 0 lies inside the window
-        policy = TruncationPolicy()
-        window = gaussian_window(0.0, 0.3, 9.0, policy)
+        window = gaussian_window(0.0, 0.3, 9.0)
         lo, hi, _ = window
         assert lo < 9 < hi
         out = sum_ladder(_walker(lambda n: cmath.exp(-0.3 * (n - 9) ** 2)), window).series()
@@ -262,15 +258,13 @@ class TestSumLadder:
     def test_max_terms(self):
         # a flat envelope, or a wide core, needs more terms than MAX_TERMS:
         # refused before any summand is evaluated
-        policy = TruncationPolicy()
         with pytest.raises(NonConvergent):
-            gaussian_window(0.0, 1e-7, 0.0, policy)
+            gaussian_window(0.0, 1e-7, 0.0)
         with pytest.raises(NonConvergent):
-            gaussian_window(0.0, 1.0, 0.0, policy, core=(-6000, 6000))
+            gaussian_window(0.0, 1.0, 0.0, core=(-6000, 6000))
 
     def test_zero_direction(self):
-        policy = TruncationPolicy()
-        window = gaussian_window(0.0, 1.0, 0.0, policy)
+        window = gaussian_window(0.0, 1.0, 0.0)
         out = sum_ladder(_walker(lambda n: 1.0 + 0j if n == 0 else 0j), window).series()
         assert out.value == 1.0
 

@@ -118,10 +118,10 @@ def test_mock_index_checks_match_the_fraction_form(sign):
 def ladder_args(monkeypatch):
     """The (offset, degree) each public signed ladder hands its kernel."""
 
-    def capture_theta(sign, c0, m, tau, z, policy):
+    def capture_theta(sign, c0, m, tau, z):
         return c0, m
 
-    def capture_r(sign, j, m, tau, z, policy):
+    def capture_r(sign, j, m, tau, z):
         return j, m
 
     monkeypatch.setattr(theta, "_theta_ladder", capture_theta)

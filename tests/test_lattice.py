@@ -1,6 +1,5 @@
 import cmath
 import itertools
-import json
 import math
 from fractions import Fraction as F
 
@@ -42,15 +41,6 @@ class TestValidate:
         bad = validate_context(LatticeContext(((2,),), 1, F(1, 2)))
         assert any("(k/2)" in v for v in bad)
 
-    def test_isotropy_violation(self):
-        # the frame pairings are fixed; JSON carrying other ones is refused
-        for key, value in (("beta_gram", [["1"]]), ("beta_pairings", [["0"]])):
-            doc = json.loads(CTX1.to_json())
-            doc[key] = value
-            with pytest.raises(ConditionViolation) as err:
-                LatticeContext.from_json(json.dumps(doc))
-            assert any(key in v for v in err.value.violations)
-
     def test_signed_mode_condition(self):
         ok = validate_context(LatticeContext(((2,),), 1, F(3, 2), mode="minus"))
         assert ok == []
@@ -60,12 +50,6 @@ class TestValidate:
     def test_weight_conditions(self):
         w_bad = Weight(1, (F(1, 3), 0))
         assert validate_context(CTX1, weight=w_bad)
-
-    def test_json_roundtrip(self):
-        doc = CTX2.to_json()
-        back = LatticeContext.from_json(doc)
-        assert back.gamma_gram == CTX2.gamma_gram
-        assert back.k == CTX2.k and back.mode == CTX2.mode
 
 
 class TestMockTheta:

@@ -1,5 +1,4 @@
 import ast
-import importlib
 import sys
 from pathlib import Path
 
@@ -92,20 +91,23 @@ def test_no_function_imports(module):
     assert not sites, sites
 
 
-@pytest.mark.parametrize("name", [f"mocktheta.{m}" for m in (
-    "suites", "suites_lattice", "lattice", "characters", "smatrix")])
-def test_suites_run_at_the_evaluators_default_policy(name):
-    """No suite, helper or §3-6 evaluator takes a policy or a point count:
-    each suite runs at its registered point count, and every evaluator
-    at DEFAULT_POLICY, which only the rank-1 evaluators let a caller set."""
-    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
-    params = [
-        f"{getattr(fn, 'name', 'lambda')}:{arg.arg}"
-        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda))
-        for arg in fn.args.args + fn.args.kwonlyargs if arg.arg in ("policy", "n_points")
-    ]
-    assert not params, params
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    if name.startswith("mocktheta.suites"):
-        assert "DEFAULT_POLICY" not in imported
+PACKAGE = Path(suites.__file__).parent
+
+
+@pytest.mark.parametrize("name", [f"mocktheta.{p.stem}" for p in sorted(PACKAGE.glob("*.py"))])
+def test_no_function_takes_a_policy(name):
+    """No name in the library mentions a truncation policy, so no function
+    takes one: every series truncates at core.ABS_TOL.  Nor does any name
+    but ``modular.sample_points``' own argument, which draws the points,
+    hold a point count: each suite runs at its registered count."""
+    tree = ast.parse((PACKAGE / f"{name.split('.')[1]}.py").read_text())
+    fields = ("id", "attr", "arg", "name", "asname")
+    names = {
+        ident
+        for node in ast.walk(tree)
+        for ident in (getattr(node, field, None) for field in fields)
+        if isinstance(ident, str)
+    }
+    assert not sorted(ident for ident in names if "policy" in ident.lower())
+    if name != "mocktheta.modular":
+        assert "n_points" not in names

@@ -42,8 +42,10 @@ ALL_PRESETS = [
 class TestPresets:
     @pytest.mark.parametrize("name,params", ALL_PRESETS)
     def test_rho_normalization(self, name, params):
+        # 2(rho|alpha_i) = (alpha_i|alpha_i) on every simple root
         p = preset(name, params)
-        assert p.check_rho() == []
+        for root, _ in p.simple_roots:
+            assert 2 * p.pair(p.rho, root) == p.norm2(root), root
 
     @pytest.mark.parametrize("name,params", ALL_PRESETS)
     def test_dual_coxeter_matches_orthogonal_subalgebra(self, name, params):

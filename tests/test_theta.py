@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mocktheta import _oracles as oracle
-from mocktheta.core import DEFAULT_POLICY, ModularPoint
+from mocktheta.core import ABS_TOL, ModularPoint
 from mocktheta.errors import NotPositiveDefinite
 from mocktheta.lattice import LatticeData, SignCharacter, _gram_plan, lattice_theta
 from mocktheta.theta import eta, theta_ab, theta_jm, theta_jm_signed
@@ -41,7 +41,7 @@ class TestEta:
 
     def test_err_bound(self):
         out = eta(TAU)
-        assert 0 <= out.err_bound < DEFAULT_POLICY.abs_tol
+        assert 0 <= out.err_bound < ABS_TOL
 
 
 class TestThetaAB:

@@ -5,7 +5,7 @@ r_jm_signed and both walks of phi_add) is summed over the window that
 ``core.gaussian_window`` solves from its envelope.  Each public value is
 exactly the sum over that window, and widening the window by 30 terms per
 side and residue class moves the sum by no more than the reported
-``err_bound``, which stays within the policy's abs_tol.  The widening is
+``err_bound``, which stays within ABS_TOL.  The widening is
 measured as the sum of the added terms: re-running the walk over the
 wider window would also move the last bits of the value by reordered
 rounding, which ``err_bound`` does not claim to cover.  Points are
@@ -18,13 +18,12 @@ from fractions import Fraction as F
 import pytest
 
 import mocktheta as mt
-from mocktheta.core import DEFAULT_POLICY, sum_ladder
+from mocktheta.core import ABS_TOL, sum_ladder
 from mocktheta.mock import SIGNS, _phi_window, distance_to_lattice
 from mocktheta.modifier import _phi_add_walks, _r_window
 from mocktheta.theta import _theta_window
 
 WIDEN = 30
-TOL = DEFAULT_POLICY.abs_tol
 # (m, s, sign): unsigned m = 1, 2, 3 and plus/minus m = 1/2, 3/2
 INDICES = (
     (1, 0, "unsigned"),
@@ -71,7 +70,7 @@ def _added(term, window, period=1):
 def _check(value, term, window, scale=1):
     assert value.value == scale * _sums(term, window)[0]
     added = abs(scale * _added(term, window)[0])
-    assert added <= value.err_bound <= TOL, (value, added)
+    assert added <= value.err_bound <= ABS_TOL, (value, added)
 
 
 @pytest.mark.parametrize("m,s,sign", INDICES)
@@ -88,17 +87,17 @@ def test_rank1_ladders_within_err_bound(m, s, sign):
         else:
             th = mt.theta_jm_signed(sg, s, m, tau, u)
             r = mt.r_jm_signed(sg, s, m, tau, v)
-        _check(th, *_theta_window(sg, (c0,), mf, tau, u, DEFAULT_POLICY))
-        _check(r, *_r_window(sg, (float(s),), mf, tau, v, DEFAULT_POLICY))
+        _check(th, *_theta_window(sg, (c0,), mf, tau, u))
+        _check(r, *_r_window(sg, (float(s),), mf, tau, v))
         idx = mt.MockIndex(m, s, sign)
-        _check(mt.phi(idx, tau, z1, z2), *_phi_window(idx, tau, z1, z2, DEFAULT_POLICY))
+        _check(mt.phi(idx, tau, z1, z2), *_phi_window(idx, tau, z1, z2))
 
 
 @pytest.mark.parametrize("m,s,sign", INDICES)
 def test_phi_add_walks_within_err_bound(m, s, sign):
     idx = mt.MockIndex(m, s, sign)
     for tau, z1, z2 in POINTS:
-        r_walk, th_walk, p = _phi_add_walks(idx, tau, z1, z2, DEFAULT_POLICY)
+        r_walk, th_walk, p = _phi_add_walks(idx, tau, z1, z2)
         r_sums, th_sums = _sums(*r_walk, p), _sums(*th_walk, p)
         value = mt.phi_add(idx, tau, z1, z2)
         assert value.value == sum(rr * th for rr, th in zip(r_sums, th_sums))
@@ -111,7 +110,7 @@ def test_phi_add_walks_within_err_bound(m, s, sign):
                 )
             )
         )
-        assert added <= value.err_bound <= TOL, (value, added)
+        assert added <= value.err_bound <= ABS_TOL, (value, added)
 
 
 def test_theta_ab_within_err_bound():
@@ -120,7 +119,7 @@ def test_theta_ab_within_err_bound():
             for b in (0, 1):
                 _check(
                     mt.theta_ab(a, b, tau, z),
-                    *_theta_window(-1 if b else 1, (0.5 * a,), 0.5, tau, 2.0 * z, DEFAULT_POLICY),
+                    *_theta_window(-1 if b else 1, (0.5 * a,), 0.5, tau, 2.0 * z),
                     scale=1j if (a, b) == (1, 1) else 1,
                 )
 

@@ -22,7 +22,9 @@ parameters and alias parameters the CLI honours or refuses, the last
 on ``table preset``, ``chartable`` and ``smatrix`` alike; ``chartable``
 point counts below 1, which it refuses; the
 ``eval``/``verify`` configuration errors, an ``eval`` below the Im tau
-floor or at an inf or nan argument, and ``--tol`` values it refuses;
+floor or at an inf or nan argument (``inf`` written out too), the
+``--tol`` that ``eval`` does not take and the ``--tol`` values ``verify``
+refuses;
 and the ``--p``/``--q``/``--n`` spellings of ``--params`` and ``--k``
 that ``table``, ``chartable`` and ``smatrix`` refuse, with a ``verify``
 option that no selected suite takes.
@@ -115,7 +117,8 @@ def _commands():
         ("chartable_points_neg", ["chartable", "--case", "sl21", "--k", "1", "--points", "-1"]),
         ("chartable_points_0", ["chartable", "--case", "sl21", "--k", "1", "--points", "0",
                                 "--output", "json"]),
-        # configuration errors of eval and verify, and --tol at or below 0
+        # configuration errors of eval and verify; eval takes no --tol, and
+        # verify refuses one at or below 0
         ("eval_phi_m0", ["eval", "phi", "--tau", "i", "--z1", "0.3", "--m", "0"]),
         ("eval_theta_jm_j_half", ["eval", "theta-jm", "--tau", "i", "--j", "1.5"]),
         ("eval_theta_ab_a2", ["eval", "theta-ab", "--tau", "i", "--a", "2"]),
@@ -127,6 +130,9 @@ def _commands():
         ("eval_eta_tau_nan", ["eval", "eta", "--tau=nan+1i"]),
         ("eval_theta_jm_z_nan", ["eval", "theta-jm", "--j=1", "--m=2", "--tau=0.1+1i", "--z=nan"]),
         ("eval_phi_z1_inf", ["eval", "phi", "--tau=i", "--z1=1e999", "--z2=0.2"]),
+        ("eval_eta_tau_inf", ["eval", "eta", "--tau=inf+1i"]),
+        ("eval_theta_jm_z_neg_inf",
+         ["eval", "theta-jm", "--j=1", "--m=2", "--tau=0.1+1i", "--z=-inf"]),
         ("verify_thm11a_m0", ["verify", "thm1.1a", "--m", "0"]),
         ("verify_thm614_n0", ["verify", "thm6.14", "--n", "0"]),
         ("verify_thm614_p2_q4", ["verify", "thm6.14", "--p", "2", "--q", "4"]),
