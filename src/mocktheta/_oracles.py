@@ -47,10 +47,11 @@ def gauss_E_complement_quad(x: float) -> float:
     return 2.0 * val * math.exp(-math.pi * x * x)
 
 
-def eta_product(tau: complex, n_terms: int = 80) -> complex:
+def eta_product(tau: complex) -> complex:
+    """q^(1/24) times the first 80 factors of prod (1 - q^n)."""
     q = cmath.exp(2j * math.pi * tau)
     out = cmath.exp(2j * math.pi * tau / 24)
-    for n in range(1, n_terms + 1):
+    for n in range(1, 81):
         out *= 1 - q**n
     return out
 

@@ -13,12 +13,14 @@ Coordinate frames (documented per case; z is always the tuple point.z):
   level-1 osp   (tau, x_1..x_m, y_1..y_n, t), (z|z) = sum x^2 - sum y^2
 
 One table, ``_CASES``, maps each wired case name to its system class.  A
-class declares its preset, its frame and roots, the ch_tilde variants it
-wires and its label count; h_dual, the lattice context, the level rule and
-the denominator constants are derived from the preset and the roots.
+class declares its preset, its frame and roots and the ch_tilde variants
+it wires; h_dual, the label count, the lattice context, the level rule
+and the denominator constants are derived from the preset and the roots.
 ``check_request`` reads them before any series is evaluated, and every
-system answers the one ``numerator`` interface, so ``ch_tilde`` never
-branches on a case name.
+system answers the one ``numerator(w, point)`` interface, so ``ch_tilde``
+never branches on a case name.  Only sl(2|1), the one case that wires the
+unmodified and plus-type supercharacters, takes the ``modified`` and
+``plus`` flags.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ class CharacterSystem:
     roots (eq 4.6), sdim = n_z + 2(d0 - d1), the eta power n_z - d0 + d1
     and the i-powers d0 - d1 (superdenominator) and d0 (denominator).
 
-    VARIANTS lists the ch_tilde variants the case wires and n_labels the
-    length of its WeightSpec.labels; check_request reads both, and the
-    level rule check_level, before any series is evaluated.
+    VARIANTS lists the ch_tilde variants the case wires and n_labels, the
+    rank of the preset's lattice, the length of its WeightSpec.labels;
+    check_request reads both, and the level rule check_level, before any
+    series is evaluated.
     """
 
     name: str
@@ -83,6 +86,7 @@ class CharacterSystem:
     def __init__(self, params: tuple = None):
         self.pre = pre = preset(self.name, params)
         self.h_dual = pre.h_dual
+        self.n_labels = len(pre.gamma_basis)
         self.quad = gram_quad(self.frame_gram)  # callable (za, zb) -> (za|zb)
         d1 = sum(parity for _, parity in self.pos_roots)
         d0 = len(self.pos_roots) - d1
@@ -117,18 +121,12 @@ class CharacterSystem:
                 + "; ".join(bad) + ")"
             )
 
-    def _refuse(self, w: WeightSpec, modified: bool, plus: bool) -> None:
+    def _refuse(self, w: WeightSpec) -> None:
         """Raise UnsupportedCase for a numerator this system does not wire."""
         if "numerator_only" not in self.VARIANTS:
             raise UnsupportedCase(f"case {self.name} wires no numerator")
         if w.side not in self.SIDES:
             raise UnsupportedCase(f"{self.name} wires no {w.side}-side numerator")
-        if not modified and "ch_minus" not in self.VARIANTS:
-            raise UnsupportedCase(
-                f"unmodified supercharacters are wired only for sl21, not {self.name!r}"
-            )
-        if plus and modified:
-            raise UnsupportedCase("the plus-type numerator is wired only unmodified")
 
     def numerators(self, ws, point: ModularPoint) -> list:
         """The modified numerator at each weight of ws; a system whose rows
@@ -187,7 +185,6 @@ class Sl21System(CharacterSystem):
     """sl(2|1): frame z = -z1 a2 - z2 a1; weights k Lambda_0 + k1 beta."""
 
     name = "sl21"
-    n_labels = 1
     VARIANTS = VARIANTS  # the only case with the unmodified and twisted ones
     frame_gram = ((0, 1), (1, 0))
     pos_roots = (
@@ -220,7 +217,11 @@ class Sl21System(CharacterSystem):
         modified: bool = True,
         plus: bool = False,
     ) -> SeriesValue:
-        self._refuse(w, modified, plus)
+        """The modified numerator, or with ``modified=False`` the unmodified
+        one, whose (1 - ...) denominator factors ``plus`` turns to (1 + ...)."""
+        self._refuse(w)
+        if plus and modified:
+            raise UnsupportedCase("the plus-type numerator is wired only unmodified")
         (k1,) = w.labels
         ctx = self.context(w.k)
         lam = Weight(ctx.k, (F(0), as_fraction(k1)))
@@ -241,7 +242,6 @@ class Osp32System(CharacterSystem):
     """osp(3|2): frame z = z1 (a1 + 2 a2) + z2 a1 (a1 = d1-e1, a2 = e1)."""
 
     name = "osp32"
-    n_labels = 1
     MODE = "minus"
     frame_gram = ((0, -1), (-1, 0))
     pos_roots = (
@@ -264,17 +264,11 @@ class Osp32System(CharacterSystem):
         # eps1 itself is an odd root
         return ((z1, z2), 1), ((z2, z1), 1)
 
-    def numerator(
-        self,
-        w: WeightSpec,
-        point: ModularPoint,
-        modified: bool = True,
-        plus: bool = False,
-    ) -> SeriesValue:
+    def numerator(self, w: WeightSpec, point: ModularPoint) -> SeriesValue:
         """Signed-route numerator: the shifted weight lands on the lattice
         weight class (lambda + xi0 is the physical highest weight plus the
         Weyl vector, with lambda integral against the lattice)."""
-        self._refuse(w, modified, plus)
+        self._refuse(w)
         (k1,) = w.labels
         ctx = self.context(w.k)
         lam = Weight(ctx.k, (F(0), as_fraction(k1) + 1))
@@ -290,7 +284,6 @@ class Osp42System(CharacterSystem):
     """osp(4|2): the preset's orthogonal frame (x1, x2, y1)."""
 
     name = "osp42"
-    n_labels = 2
     SIDES = ("T", "Tp")
     # odd a1 = e1-d1, a2 = d1-e2, a3 = d1+e2, theta-like e1+d1;
     # even e1-e2, e1+e2, 2d1
@@ -322,18 +315,12 @@ class Osp42System(CharacterSystem):
             ((-x2, -x1, y1), -1),
         )
 
-    def numerator(
-        self,
-        w: WeightSpec,
-        point: ModularPoint,
-        modified: bool = True,
-        plus: bool = False,
-    ) -> SeriesValue:
+    def numerator(self, w: WeightSpec, point: ModularPoint) -> SeriesValue:
         """Modified numerator; a mirror-side (Tp) class, the other half of
         the eq 6.6 span, takes the theta of index 2 k2 + 2k at the same z
         arguments (with no lattice context to refuse an off-rule level,
         it checks the level itself)."""
-        self._refuse(w, modified, plus)
+        self._refuse(w)
         k1, k2 = w.labels  # beta label, eps2 label
         if w.side == "Tp":
             self.check_level(w.k)
@@ -360,7 +347,6 @@ class D21aSystem(CharacterSystem):
     preset's simple-root coordinates."""
 
     name = "d21a"
-    n_labels = 2
     SIDES = ("T", "Tp")
     pos_roots = (
         ((1, 0, 0), 1),
@@ -383,21 +369,15 @@ class D21aSystem(CharacterSystem):
     def check_level(self, k) -> None:
         d21a_level(self.p, self.q, k)
 
-    def numerator(
-        self,
-        w: WeightSpec,
-        point: ModularPoint,
-        modified: bool = True,
-        plus: bool = False,
-    ) -> SeriesValue:
+    def numerator(self, w: WeightSpec, point: ModularPoint) -> SeriesValue:
         """The class nu = k2 (T side) or -k2 (Tp side) at level n."""
-        self._refuse(w, modified, plus)
+        self._refuse(w)
         return self.numerator_nu(self._nu(w), d21a_level(self.p, self.q, w.k), point)
 
     def numerators(self, ws, point: ModularPoint) -> list:
         """numerator at each weight of ws, the nu-free factors once per level."""
         for w in ws:
-            self._refuse(w, True, False)
+            self._refuse(w)
         levels = [d21a_level(self.p, self.q, w.k) for w in ws]
         shared = {n: self._nu_free(n, point) for n in set(levels)}
         return [self._two_term(self._nu(w), point.tau, shared[n]) for w, n in zip(ws, levels)]
@@ -630,7 +610,10 @@ def ch_tilde(
     phase = None
     if variant in ("ch_plus_modified", "tw_minus_modified", "tw_plus_modified"):
         point, phase = _twist(sys, w, point, variant)
-    num = sys.numerator(w, point, modified=variant != "ch_minus")
+    if variant == "ch_minus":  # check_request lets it through for sl21 only
+        num = sys.numerator(w, point, modified=False)
+    else:
+        num = sys.numerator(w, point)
     if variant == "numerator_only":
         return num
     quot = _quotient(num, sys.denominator(-1, point))

@@ -95,11 +95,8 @@ def _emit(doc, fmt: str, out_path: str = None):
         sys.stdout.write(payload)
 
 
-_SIGN = {"plus": "plus", "minus": "minus", "unsigned": "unsigned", "+": "plus", "-": "minus"}
-
-
 def cmd_eval(args) -> int:
-    from .mock import MockIndex, phi
+    from .mock import SIGNS, MockIndex, phi
     from .modifier import phi_add, phi_tilde, r_jm, r_jm_signed
     from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
@@ -107,29 +104,21 @@ def cmd_eval(args) -> int:
     name = args.function.replace("-", "_")
     try:
         if name == "phi" or name == "phi_tilde" or name == "phi_add":
-            idx = MockIndex(
-                parse_rational(args.m), parse_rational(args.s), _SIGN[args.sign]
-            )
+            idx = MockIndex(parse_rational(args.m), parse_rational(args.s), args.sign)
             fn = {"phi": phi, "phi_tilde": phi_tilde, "phi_add": phi_add}[name]
             val = fn(idx, tau, parse_complex(args.z1), parse_complex(args.z2))
         elif name == "theta_jm":
             val = theta_jm(int(args.j), int(args.m), tau, parse_complex(args.z))
-        elif name == "theta_jm_signed":
-            sgn = 1 if _SIGN[args.sign] == "plus" else -1
-            val = theta_jm_signed(
-                sgn, parse_rational(args.j), parse_rational(args.m), tau, parse_complex(args.z)
-            )
+        elif name == "theta_jm_signed" or name == "r_jm_signed":
+            fn = theta_jm_signed if name == "theta_jm_signed" else r_jm_signed
+            val = fn(SIGNS[args.sign], parse_rational(args.j), parse_rational(args.m), tau,
+                     parse_complex(args.z))
         elif name == "theta_ab":
             val = theta_ab(int(args.a), int(args.b), tau, parse_complex(args.z))
         elif name == "eta":
             val = eta(tau)
         elif name == "r_jm":
             val = r_jm(int(args.j), int(args.m), tau, parse_complex(args.z))
-        elif name == "r_jm_signed":
-            sgn = 1 if _SIGN[args.sign] == "plus" else -1
-            val = r_jm_signed(
-                sgn, parse_rational(args.j), parse_rational(args.m), tau, parse_complex(args.z)
-            )
         else:
             raise ValueError(f"unknown function {args.function!r}; valid: phi, phi-tilde, "
                              "phi-add, theta-jm, theta-jm-signed, theta-ab, eta, r-jm, r-jm-signed")
@@ -189,6 +178,8 @@ def cmd_table(args) -> int:
     from .superalg import enumerate_omega, integrable, preset
 
     if args.table == "preset":
+        if args.output != "json":
+            raise ValueError("table preset writes JSON only")
         payload = preset(args.case, _case_params(args)).to_json() + "\n"
         if args.out:
             with open(args.out, "w") as fh:
@@ -305,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--j", default="0")
     pe.add_argument("--a", default="0")
     pe.add_argument("--b", default="0")
-    pe.add_argument("--sign", default="unsigned", choices=sorted(_SIGN))
+    pe.add_argument("--sign", default="unsigned", choices=("minus", "plus", "unsigned"))
     pe.add_argument("--tau", required=True)
     pe.add_argument("--z", default="0")
     pe.add_argument("--z1", default="0")

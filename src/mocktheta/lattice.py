@@ -16,7 +16,7 @@ over gamma, and the residual-lattice theta factor of the modification,
 which is ``lattice_theta`` on M at the parts of lambda and z that lie in
 M.  What a Gram, context and weight fix is planned once per key: the
 Gram's symmetry, definiteness and smallest eigenvalue per Gram, the
-validation and the modification per (context, weight, mode), the direct
+validation and the modification per (context, weight), the direct
 sum's constants per (context, weight), the factored evaluator's and the
 M*/kM classes per modification.  Per point remain z's pairings and each
 summand's reductions (v @ G @ z), which a batch would round differently.
@@ -33,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from .core import (
-    _WINDOW_MARGIN,
+    _LOG_WINDOW_TOL,
     ABS_TOL,
     MAX_TERMS,
     ModularPoint,
@@ -190,9 +190,8 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
     each summand's reductions (its v @ gram @ z) stay per vector: a
     batched product rounds differently in the last bits.
     """
-    log_tol = math.log(ABS_TOL) - math.log(_WINDOW_MARGIN)
     a_coef = math.pi * tau.imag / k
-    r_star = (growth + math.sqrt(growth * growth - 4.0 * a_coef * log_tol)) / (
+    r_star = (growth + math.sqrt(growth * growth - 4.0 * a_coef * _LOG_WINDOW_TOL)) / (
         2.0 * a_coef
     )
     radius2 = r_star * r_star
@@ -379,15 +378,16 @@ class LatticeContext:
         return v
 
 
-def validate_context(ctx: LatticeContext, mode: str = None, weight: Weight = None):
-    """Check the structural conditions; returns a fresh list of violations,
-    copied from the one check made per (context, mode, weight)."""
-    return list(_violations(ctx, mode or ctx.mode, weight))
+def validate_context(ctx: LatticeContext, weight: Weight = None):
+    """Check the structural conditions in the context's sign mode; returns a
+    fresh list of violations, copied from the one check made per (context, weight)."""
+    return list(_violations(ctx, weight))
 
 
 @lru_cache(maxsize=256)
-def _violations(ctx: LatticeContext, mode: str, weight: Weight) -> tuple:
+def _violations(ctx: LatticeContext, weight: Weight) -> tuple:
     out = []
+    unsigned = ctx.mode == "unsigned"
     m, n = ctx.rank, ctx.n_isotropic
     gf = np.asarray([[float(x) for x in row] for row in ctx.gamma_gram])
     if m and np.linalg.eigvalsh(gf)[0] <= 0:
@@ -401,7 +401,7 @@ def _violations(ctx: LatticeContext, mode: str, weight: Weight) -> tuple:
     k = ctx.k
     for i in range(1, n + 1):
         norm2 = ctx.gamma_gram[i - 1][i - 1]
-        val, name = (k * norm2 / 2, "(k/2)") if mode == "unsigned" else (k * norm2, "k")
+        val, name = (k * norm2 / 2, "(k/2)") if unsigned else (k * norm2, "k")
         if val.denominator != 1 or val <= 0:
             out.append(f"{name}|gamma_{i}|^2 = {val} not a positive integer")
     for i in range(m):
@@ -414,7 +414,7 @@ def _violations(ctx: LatticeContext, mode: str, weight: Weight) -> tuple:
                 out.append(f"(lambda|beta_{j}) != 0")
         for i in range(1, n + 1):
             val = ctx.pair(weight.coords, ctx.gamma_vec(i))
-            if mode == "unsigned" and val.denominator != 1:
+            if unsigned and val.denominator != 1:
                 out.append(f"(lambda|gamma_{i}) = {val} not integral")
     return tuple(out)
 
@@ -514,7 +514,6 @@ class PhiFactor:
 class ModificationResult:
     ctx: LatticeContext
     weight: Weight
-    sign_mode: str
     m_basis: tuple  # frame coordinates of the residual lattice basis
     m_gram: tuple
     lambda_n: tuple  # frame coordinates of the shifted weight
@@ -569,14 +568,11 @@ def _xi0_for(ctx: LatticeContext):
 
 
 @lru_cache(maxsize=128)
-def build_modification(
-    ctx: LatticeContext, weight: Weight, mode: str = None
-) -> ModificationResult:
-    """Symbolic n-step factorization of the (signed) mock theta function,
-    built once per (context, weight, mode): a repeat returns the same
-    result, with the plans ``eval_modified`` keeps on it."""
-    mode = mode or ctx.mode
-    bad = validate_context(ctx, mode=mode, weight=weight)
+def build_modification(ctx: LatticeContext, weight: Weight) -> ModificationResult:
+    """Symbolic n-step factorization of the (signed) mock theta function in
+    the context's sign mode, built once per (context, weight): a repeat
+    returns the same result, with the plans ``eval_modified`` keeps on it."""
+    bad = validate_context(ctx, weight=weight)
     if bad:
         raise ConditionViolation(bad)
     m, n = ctx.rank, ctx.n_isotropic
@@ -600,8 +596,8 @@ def build_modification(
         a2 = tuple(bp + 2 * g / norm2 for bp, g in zip(ctx.beta_vec(p), gt))
         factors.append(PhiFactor(p, degree, shift, a1, a2))
 
-    xi0 = _xi0_for(ctx) if mode in ("plus", "minus") else None
-    return ModificationResult(ctx, weight, mode, m_basis, m_gram, tuple(lam_n), tuple(factors), xi0)
+    xi0 = None if ctx.mode == "unsigned" else _xi0_for(ctx)
+    return ModificationResult(ctx, weight, m_basis, m_gram, tuple(lam_n), tuple(factors), xi0)
 
 
 def _eval_plan(res: ModificationResult, xi_shift: bool):
@@ -612,7 +608,7 @@ def _eval_plan(res: ModificationResult, xi_shift: bool):
     if xi_shift and res.xi0 is None:
         raise ValueError("context has no xi0 shift (unsigned mode)")
     lam_frame = [a + b for a, b in zip(res.lambda_n, res.xi0)] if xi_shift else res.lambda_n
-    eps = SignCharacter("parity_of_norm", ctx.k) if SIGNS[res.sign_mode] == -1 else SignCharacter()
+    eps = SignCharacter("parity_of_norm", ctx.k) if SIGNS[ctx.mode] == -1 else SignCharacter()
     lamf = np.asarray([float(x) for x in lam_frame])
     perp2 = float(lamf @ G @ lamf)
     m_part = None
@@ -626,7 +622,7 @@ def _eval_plan(res: ModificationResult, xi_shift: bool):
     for fac in res.phi_factors:
         s = fac.shift + ctx.pair(res.xi0, ctx.gamma_vec(fac.p)) if xi_shift else fac.shift
         a1, a2 = (np.asarray([float(x) for x in a]) @ G for a in (fac.arg1, fac.arg2))
-        factors.append((a1, a2, MockIndex(fac.degree, s, res.sign_mode)))
+        factors.append((a1, a2, MockIndex(fac.degree, s, ctx.mode)))
     return eps, perp2, m_part, factors
 
 

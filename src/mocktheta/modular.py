@@ -241,7 +241,7 @@ def _lattice_S(idx, tau, z, mus):
     sum over the representatives mu of e(-(lam|mu) / k) f[mu, label](p)."""
     res, xi = idx
     ctx = res.ctx
-    label = _LATTICE_S.get((res.sign_mode, xi), (res.sign_mode, xi))
+    label = _LATTICE_S.get((ctx.mode, xi), (ctx.mode, xi))
     pref = 1j ** ctx.n_isotropic * (-1j * tau) ** (ctx.ambient_dim / 2) * res.mu_group_order() ** -0.5
     lam = _lam(res, res.weight.coords, xi)
     pairs = [float(ctx.pair(lam, _lam(res, mu.coords, label[1]))) for mu in mus]
@@ -253,7 +253,8 @@ def _lattice_T(idx, tau, z):
     """prop3.2b, prop3.3c: f[lam](T . p) = e^(pi i |lam|^2 / k) f[label](p)."""
     res, xi = idx
     lam = _lam(res, res.weight.coords, xi)
-    label = _LATTICE_T.get((res.sign_mode, xi), (res.sign_mode, xi))
+    mode = res.ctx.mode
+    label = _LATTICE_T.get((mode, xi), (mode, xi))
     return _single(cexp(1j * PI * float(res.ctx.pair(lam, lam)) / float(res.ctx.k)), label)
 
 
@@ -273,7 +274,7 @@ def _lattice_tau(idx, tau, z, v):
     # G is an ndarray, so z @ G converts z as np.asarray(z) would
     zv = complex(z @ G @ v)
     v2 = float(v @ G @ v)
-    sgn = (-1) ** abs(int(round(float(G[ctx.rank] @ v)))) if idx[0].sign_mode == "minus" else 1
+    sgn = (-1) ** abs(int(round(float(G[ctx.rank] @ v)))) if ctx.mode == "minus" else 1
     return _single(sgn * cexp(-2j * PI * kf * zv) * cexp(-1j * PI * tau * kf * v2), idx)
 
 

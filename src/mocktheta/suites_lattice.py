@@ -9,6 +9,7 @@ first time one of them runs.
 from __future__ import annotations
 
 import cmath
+from dataclasses import replace
 
 import numpy as np
 
@@ -89,25 +90,28 @@ def suite_prop32b(seed=32, tol=1e-7):
 
 
 def _signed_pair(k):
-    """The minus and plus modifications of the signed rank-1 context."""
-    ctx = _ctx_odd(k)
+    """The minus and plus contexts of the signed rank-1 lattice, and their
+    modifications."""
+    minus = _ctx_odd(k)
+    ctxs = {"minus": minus, "plus": replace(minus, mode="plus")}
     w = Weight(k, (0, F(1)))
-    return ctx, {mode: build_modification(ctx, w, mode=mode) for mode in ("minus", "plus")}
+    return ctxs, {mode: build_modification(ctx, w) for mode, ctx in ctxs.items()}
 
 
 def suite_prop33b(seed=33, tol=1e-7):
     checks = []
+    ctxs, res = _signed_pair(F(3, 2))
+    quad = gram_quad(ctxs["minus"].full_gram_float())
+    reps = mu_class_representatives(res["minus"])
     for tau, z1, z2 in _points(seed, 4):
-        ctx, res = _signed_pair(F(3, 2))
         pt = ModularPoint(tau, (z1, z2), 0.04)
-        ptS = act(S, pt, gram_quad(ctx.full_gram_float()))
-        reps = mu_class_representatives(res["minus"])
+        ptS = act(S, pt, quad)
         for xi in (False, True):
             for mode in ("plus", "minus"):
                 law = LAWS["lattice", "S"]((res[mode], xi), tau, pt.z, reps)
                 to = law.terms[0][1][1]
                 rhs = law.apply(lambda t: eval_modified(
-                    build_modification(ctx, t[0], mode=t[1][0]), pt, xi_shift=t[1][1]
+                    build_modification(ctxs[t[1][0]], t[0]), pt, xi_shift=t[1][1]
                 ).value)
                 lhs = eval_modified(res[mode], ptS, xi_shift=xi).value
                 label = f"{mode}{'(xi)' * xi}->{to[0]}{'(xi)' * to[1]}"
@@ -117,10 +121,11 @@ def suite_prop33b(seed=33, tol=1e-7):
 
 def suite_prop33c(seed=34, tol=1e-7):
     checks = []
+    ctxs, res = _signed_pair(F(3, 2))
+    quad = gram_quad(ctxs["minus"].full_gram_float())
     for tau, z1, z2 in _points(seed, 5):
-        ctx, res = _signed_pair(F(3, 2))
         pt = ModularPoint(tau, (z1, z2), 0.04)
-        ptT = act(T, pt, gram_quad(ctx.full_gram_float()))
+        ptT = act(T, pt, quad)
         for mode, xi, label in (("plus", False, "T plus->minus"),
                                 ("minus", True, "T minus(xi) fixed")):
             lhs = eval_modified(res[mode], ptT, xi_shift=xi).value
@@ -148,7 +153,7 @@ def suite_prop37(seed=35, tol=1e-8):
     checks = []
     vectors = (("|g|^2 beta", np.array([0.0, 2.0])), ("gamma~", np.array([1.0, 0.0])))
     for tau, z1, z2 in _points(seed, 4):
-        res = build_modification(_ctx_odd(F(3, 2)), Weight(F(3, 2), (0, F(1))), mode="minus")
+        res = build_modification(_ctx_odd(F(3, 2)), Weight(F(3, 2), (0, F(1))))
         _lattice_shifts(checks, (res, True), ModularPoint(tau, (z1, z2), 0.04), vectors)
     return verify_law(tol, checks)
 

@@ -52,19 +52,22 @@ class WeylElement:
 @dataclass(frozen=True)
 class SuperalgebraPreset:
     name: str
-    params: tuple
     gram: tuple  # ambient Gram matrix (rational)
     simple_roots: tuple  # (vector, parity) pairs
     rho: tuple
     h_dual: Fraction
     g_shriek: str
-    g_shriek_h_dual: Fraction
-    defect: int
     gamma_basis: tuple
     isotropic_t: tuple
     weyl_gens: tuple = ()  # (root vector, eps_minus) pairs; eps_plus = -1
     eps_minus_translations: str = "trivial"
     family: str = ""  # the _FAMILIES key preset() built this from
+    params: tuple = ()  # the family parameters preset() built this with
+
+    @property
+    def defect(self) -> int:
+        """The size of the maximal isotropic set T."""
+        return len(self.isotropic_t)
 
     def pair(self, u, v) -> Fraction:
         return _dot_gram(self.gram, u, v)
@@ -110,8 +113,12 @@ class SuperalgebraPreset:
         )
 
 
-def _weyl_group(preset: SuperalgebraPreset, cap: int = 4000):
-    """BFS closure of the generator reflections with both sign characters."""
+_WEYL_CAP = 4000  # the largest finite Weyl group weyl_sharp_orbit builds
+
+
+def weyl_sharp_orbit(preset: SuperalgebraPreset) -> list:
+    """The finite Weyl group with both sign characters: the BFS closure of
+    the generator reflections."""
     dim = len(preset.gram)
     ident = tuple(_unit(dim, i) for i in range(dim))
     gens = []
@@ -136,34 +143,10 @@ def _weyl_group(preset: SuperalgebraPreset, cap: int = 4000):
                     )
                     seen[mat] = cand
                     new.append(cand)
-                    if len(seen) > cap:
+                    if len(seen) > _WEYL_CAP:
                         raise UnsupportedCase("Weyl group exceeds cap")
         frontier = new
     return list(seen.values())
-
-
-def weyl_sharp_orbit(preset: SuperalgebraPreset, bound: int = 0):
-    """Finite Weyl part with sign characters; optionally the translation
-    signs eps(t_gamma) on lattice points with coordinates up to ``bound``."""
-    elements = _weyl_group(preset)
-    translations = []
-    if bound:
-        rank = len(preset.gamma_basis)
-        for combo in itertools.product(range(-bound, bound + 1), repeat=rank):
-            gamma = tuple(
-                sum(as_fraction(c) * g[i] for c, g in zip(combo, preset.gamma_basis))
-                for i in range(len(preset.gram))
-            )
-            n2 = preset.norm2(gamma)
-            if preset.eps_minus_translations == "parity_of_halfnorm":
-                e = n2 / 2
-                if e.denominator != 1:
-                    raise UnsupportedCase("half-norm not integral on lattice")
-                em = -1 if e.numerator % 2 else 1
-            else:
-                em = 1
-            translations.append((combo, 1, em))
-    return elements, translations
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +201,14 @@ def _preset_sl(m: int, n: int) -> SuperalgebraPreset:
     gens = tuple((_sub(eps(i), eps(i + 1)), -1) for i in range(1, m + 1))
     return SuperalgebraPreset(
         name=f"sl({m+1}|{n})",
-        params=(m, n),
         gram=gram,
         simple_roots=tuple(simple),
         rho=rho,
         h_dual=F(m + 1 - n),
         g_shriek=f"sl({m+1-n})" if m + 1 - n > 1 else "0",
-        g_shriek_h_dual=F(m + 1 - n),
-        defect=n,
         gamma_basis=gammas,
         isotropic_t=ts,
         weyl_gens=gens,
-        eps_minus_translations="trivial",
     )
 
 
@@ -257,18 +236,14 @@ def _preset_osp_even_low(n: int, m: int) -> SuperalgebraPreset:
     gens.append((tuple(2 * x for x in eps(m)), -1))
     return SuperalgebraPreset(
         name=f"osp({2*n}|{2*m})",
-        params=(n, m),
         gram=gram,
         simple_roots=tuple(simple),
         rho=rho,
         h_dual=F(m + 1 - n),
         g_shriek=f"sp({2*(m-n)})" if m > n else "0",
-        g_shriek_h_dual=F(m - n + 1),
-        defect=n,
         gamma_basis=gammas,
         isotropic_t=ts,
         weyl_gens=tuple(gens),
-        eps_minus_translations="trivial",
     )
 
 
@@ -301,14 +276,11 @@ def _preset_osp_odd_low(n: int, m: int) -> SuperalgebraPreset:
     gens.append((tuple(2 * x for x in eps(m)), 1))  # half 2eps is the odd eps
     return SuperalgebraPreset(
         name=f"osp({2*n+1}|{2*m})",
-        params=(n, m),
         gram=gram,
         simple_roots=tuple(simple),
         rho=rho,
         h_dual=F(2 * (m - n) + 1, 2),
         g_shriek=f"osp(1|{2*(m-n)})" if m > n else "0",
-        g_shriek_h_dual=F(2 * (m - n) + 1, 2),
-        defect=n,
         gamma_basis=base.gamma_basis,
         isotropic_t=base.isotropic_t,
         weyl_gens=tuple(gens),
@@ -340,14 +312,11 @@ def _preset_osp_odd_high(m: int, n: int) -> SuperalgebraPreset:
     gens.append((eps(m), -1))
     return SuperalgebraPreset(
         name=f"osp({2*m+1}|{2*n})",
-        params=(m, n),
         gram=gram,
         simple_roots=tuple(simple),
         rho=rho,
         h_dual=F(2 * (m - n) - 1),
         g_shriek=f"so({2*(m-n)+1})",
-        g_shriek_h_dual=F(2 * (m - n) - 1),
-        defect=n,
         gamma_basis=tuple(gammas),
         isotropic_t=ts,
         weyl_gens=tuple(gens),
@@ -379,18 +348,14 @@ def _preset_osp_even_high(m: int, n: int) -> SuperalgebraPreset:
     gens.append((_add(eps(m - 1), eps(m)), -1))
     return SuperalgebraPreset(
         name=f"osp({2*m}|{2*n})",
-        params=(m, n),
         gram=gram,
         simple_roots=tuple(simple),
         rho=rho,
         h_dual=F(2 * (m - n - 1)),
         g_shriek=f"so({2*(m-n)})",
-        g_shriek_h_dual=F(2 * (m - n) - 2),
-        defect=n,
         gamma_basis=tuple(gammas),
         isotropic_t=ts,
         weyl_gens=tuple(gens),
-        eps_minus_translations="trivial",
     )
 
 
@@ -415,18 +380,14 @@ def _preset_osp_h0(n: int) -> SuperalgebraPreset:
     gens.append((_add(eps(m - 1), eps(m)), -1))
     return SuperalgebraPreset(
         name=f"osp({2*n+2}|{2*n})",
-        params=(n,),
         gram=gram,
         simple_roots=tuple(simple),
         rho=rho,
         h_dual=F(0),
         g_shriek="0",
-        g_shriek_h_dual=F(0),
-        defect=n,
         gamma_basis=tuple(gammas),
         isotropic_t=ts,
         weyl_gens=tuple(gens),
-        eps_minus_translations="trivial",
     )
 
 
@@ -453,18 +414,14 @@ def _preset_d21a(p: int, q: int) -> SuperalgebraPreset:
     even2 = _add(a1, a3)
     return SuperalgebraPreset(
         name=f"D(2,1;{a})",
-        params=(p, q),
         gram=gram,
         simple_roots=simple,
         rho=(F(0), F(0), F(0)),
         h_dual=F(0),
         g_shriek="0",
-        g_shriek_h_dual=F(0),
-        defect=1,
         gamma_basis=(g1, g2),
         isotropic_t=(a1,),
         weyl_gens=((even1, -1), (even2, -1)),
-        eps_minus_translations="trivial",
     )
 
 
@@ -487,18 +444,14 @@ def _preset_f4() -> SuperalgebraPreset:
     r3 = _add(a2, a4)
     return SuperalgebraPreset(
         name="F(4)",
-        params=(),
         gram=gram,
         simple_roots=simple,
         rho=rho,
         h_dual=F(3),
         g_shriek="sl(3)",
-        g_shriek_h_dual=F(3),
-        defect=1,
         gamma_basis=(g1, g2, g3),
         isotropic_t=(a2,),
         weyl_gens=((r1, -1), (r2, -1), (r3, -1)),
-        eps_minus_translations="trivial",
     )
 
 
@@ -515,18 +468,14 @@ def _preset_g3() -> SuperalgebraPreset:
     g2_root = _add(a2, a3)  # G2 short simple root
     return SuperalgebraPreset(
         name="G(3)",
-        params=(),
         gram=gram,
         simple_roots=simple,
         rho=rho,
         h_dual=F(2),
         g_shriek="sl(2)",
-        g_shriek_h_dual=F(2),
-        defect=1,
         gamma_basis=(a1, theta),
         isotropic_t=(a2,),
         weyl_gens=((a1, -1), (g2_root, -1)),
-        eps_minus_translations="trivial",
     )
 
 
@@ -540,14 +489,11 @@ def _preset_osp32_sub() -> SuperalgebraPreset:
     delta1 = delta(1)
     return SuperalgebraPreset(
         name="osp(3|2)-subprincipal",
-        params=(),
         gram=gram,
         simple_roots=((a1, 1), (a2, 1)),
         rho=tuple(-F(1, 2) * x for x in a1),
         h_dual=F(1, 2),
         g_shriek="0",
-        g_shriek_h_dual=F(0),
-        defect=1,
         gamma_basis=(tuple(4 * x for x in delta1),),
         isotropic_t=(a1,),
         weyl_gens=((delta1, -1),),
@@ -853,7 +799,7 @@ def preset(name: str, params: tuple = None) -> SuperalgebraPreset:
         pre = _FAMILIES[name].build(*(params or ()))
     except TypeError as exc:  # a parameter count the family does not take
         raise UnsupportedCase(f"case {name} does not take the parameters {params}") from exc
-    return replace(pre, family=name)
+    return replace(pre, family=name, params=tuple(params or ()))
 
 
 def _family(pre: SuperalgebraPreset) -> _Family:

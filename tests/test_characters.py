@@ -203,7 +203,7 @@ def test_weyl_images_agree_with_the_weyl_sharp_orbit(case):
     from mocktheta.superalg import weyl_sharp_orbit
 
     sys = system(case)
-    elements, _ = weyl_sharp_orbit(sys.pre)
+    elements = weyl_sharp_orbit(sys.pre)
     z = (F(1, 3), F(2, 7), F(5, 11))[: sys.n_z]
     images = sys.weyl_images(z)
     assert len(images) == len(elements)
@@ -594,8 +594,9 @@ def test_off_rule_level_is_refused_before_any_series(case, w, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(CASE_TABLE))
 def test_numerator_refuses_what_it_does_not_wire(case):
-    """plus reaches only an unmodified numerator, and a case that wires no
-    numerator_only variant refuses every numerator call."""
+    """A case that wires no numerator_only variant refuses every numerator
+    call; sl21, the one case with the unmodified variant, takes the flags
+    and reaches plus only unmodified; the others take no flags."""
     w, wired = CASE_TABLE[case]
     sys = system(case)
     pt = sample_points(1, n_z=sys.n_z, seed=20240)[0]
@@ -603,11 +604,12 @@ def test_numerator_refuses_what_it_does_not_wire(case):
         with pytest.raises(UnsupportedCase, match="wires no numerator"):
             sys.numerator(w, pt)
         return
-    with pytest.raises(UnsupportedCase):
-        sys.numerator(w, pt, plus=True)
     if "ch_minus" in wired:
+        with pytest.raises(UnsupportedCase, match="wired only unmodified"):
+            sys.numerator(w, pt, plus=True)
         plus = sys.numerator(w, pt, modified=False, plus=True).value
         assert cmath.isfinite(plus)
     else:
-        with pytest.raises(UnsupportedCase):
-            sys.numerator(w, pt, modified=False, plus=True)
+        for flags in ({"modified": False}, {"plus": True}, {"modified": False, "plus": True}):
+            with pytest.raises(TypeError):
+                sys.numerator(w, pt, **flags)

@@ -98,6 +98,22 @@ class TestEval:
         assert captured.err == "error: Im tau = 0.01 below policy minimum 0.05\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("function", ["theta-jm-signed", "r-jm-signed"])
+    def test_signed_default_sign_is_plus(self, function, capsys):
+        # the default, unsigned, is the + series, as mock.SIGNS reads it
+        argv = ["eval", function, "--j=1/2", "--m=1/2", "--tau=0.1+1i", "--z=0.1"]
+        outs = {}
+        for sign in (None, "unsigned", "plus", "minus"):
+            assert main(argv + ([f"--sign={sign}"] if sign else [])) == 0
+            outs[sign] = capsys.readouterr().out
+        assert outs[None] == outs["unsigned"] == outs["plus"] != outs["minus"]
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_sign_has_one_spelling(self, sign, capsys):
+        assert main(["eval", "phi", "--tau", "i", "--z1", "0.3", f"--sign={sign}"]) == 2
+        captured = capsys.readouterr()
+        assert "argument --sign: invalid choice" in captured.err and captured.out == ""
+
     def test_unknown_function(self):
         rc, _, err = run_cli("eval", "zeta", "--tau", "i")
         assert rc == 2 and "unknown function" in err
@@ -265,6 +281,11 @@ class TestTables:
         assert main(list(argv)) == 2
         captured = capsys.readouterr()
         assert "error: unrecognized arguments: --" in captured.err and captured.out == ""
+
+    def test_preset_writes_json_only(self, capsys):
+        assert main(["table", "preset", "--case", "sl21", "--output", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: table preset writes JSON only\n" and captured.out == ""
 
     def test_family_flags_only_on_verify(self):
         from mocktheta.cli import build_parser

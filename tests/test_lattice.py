@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -191,11 +192,11 @@ class TestModification:
         assert abs(got - ref) < 1e-12
 
     def test_unsigned_vs_plus_on_even_context(self):
-        ctxp = LatticeContext(((2,),), 1, 1, mode="plus")
+        ctxp = replace(CTX1, mode="plus")
         w = Weight(1, (0, F(-1)))
         pt = ModularPoint(TAU, (0.21, 0.33), 0.05)
         a = eval_modified(build_modification(CTX1, w), pt).value
-        b = eval_modified(build_modification(ctxp, w, mode="plus"), pt).value
+        b = eval_modified(build_modification(ctxp, w), pt).value
         assert abs(a - b) < 1e-11
 
     def test_mu_classes(self):
@@ -206,7 +207,7 @@ class TestModification:
 
     def test_xi0(self):
         ctx = LatticeContext(((2,),), 1, F(3, 2), mode="minus")
-        res = build_modification(ctx, Weight(F(3, 2), (0, 1)), mode="minus")
+        res = build_modification(ctx, Weight(F(3, 2), (0, 1)))
         # (xi0 | gamma_1) must be half-integral, (xi0 | beta_1) = 0
         v = ctx.pair(res.xi0, ctx.gamma_vec(1))
         assert v.denominator == 2
@@ -251,7 +252,7 @@ class TestRankTwoSigned:
 
     def test_xi0_has_lattice_component(self):
         ctx, w = self._setup()
-        res = build_modification(ctx, w, mode="minus")
+        res = build_modification(ctx, w)
         assert res.xi0[1] == F(1, 4)
         assert res.mu_group_order() == 3
 
@@ -259,8 +260,9 @@ class TestRankTwoSigned:
         import cmath
 
         ctx, w = self._setup()
-        res_m = build_modification(ctx, w, mode="minus")
-        res_p = build_modification(ctx, w, mode="plus")
+        ctxs = {"minus": ctx, "plus": replace(ctx, mode="plus")}
+        res_m = build_modification(ctx, w)
+        res_p = build_modification(ctxs["plus"], w)
         reps = mu_class_representatives(res_m)
         pt = ModularPoint(TAU, (0.21, -0.14, 0.33), 0.04)
         G = ctx.full_gram_float()
@@ -275,7 +277,7 @@ class TestRankTwoSigned:
             tot = 0j
             left = [a + b for a, b in zip(w.coords, xi0)] if xi_l else w.coords
             for rep in reps:
-                rr = build_modification(ctx, rep, mode=mode)
+                rr = build_modification(ctxs[mode], rep)
                 right = (
                     [a + b for a, b in zip(rep.coords, xi0)] if xi_r else rep.coords
                 )

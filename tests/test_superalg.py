@@ -49,9 +49,18 @@ class TestPresets:
 
     @pytest.mark.parametrize("name,params", ALL_PRESETS)
     def test_dual_coxeter_matches_orthogonal_subalgebra(self, name, params):
+        # h_dual is the dual Coxeter number of g_shriek, read off its name:
+        # sl(N) -> N, so(N) -> N - 2, sp(2r) -> r + 1, osp(1|2r) -> r + 1/2
         p = preset(name, params)
-        if p.g_shriek != "0":
-            assert p.h_dual == p.g_shriek_h_dual
+        if p.g_shriek == "0":
+            return
+        kind, size = p.g_shriek.rstrip(")").split("(")
+        if kind == "osp":
+            want = F(int(size.split("|")[1]), 2) + F(1, 2)
+        else:
+            n = int(size)
+            want = {"sl": n, "so": n - 2, "sp": n // 2 + 1}[kind]
+        assert p.h_dual == want
 
     def test_table_values(self):
         assert preset("sl21").h_dual == 1 and preset("sl21").defect == 1
@@ -123,30 +132,18 @@ class TestWeylOrbits:
          ("d21a", 4), ("f4", 48), ("g3", 12)],
     )
     def test_group_order(self, name, order):
-        els, _ = weyl_sharp_orbit(preset(name))
+        els = weyl_sharp_orbit(preset(name))
         assert len(els) == order
 
     def test_identity_signs(self):
-        els, _ = weyl_sharp_orbit(preset("sl21"))
+        els = weyl_sharp_orbit(preset("sl21"))
         ident = [e for e in els if not e.word]
         assert ident[0].eps_plus == 1 and ident[0].eps_minus == 1
-
-    def test_osp32_translation_signs(self):
-        # odd orthosymplectic series: eps^-(t_gamma) = (-1)^(|gamma|^2/2)
-        _, trs = weyl_sharp_orbit(preset("osp32"), bound=2)
-        for combo, ep, em in trs:
-            c = combo[0]
-            assert ep == 1
-            assert em == (-1) ** (c * c)
-
-    def test_sl21_translation_signs_trivial(self):
-        _, trs = weyl_sharp_orbit(preset("sl21"), bound=2)
-        assert all(em == 1 for _, _, em in trs)
 
     def test_osp32_principal_reflection_sign(self):
         # reflection in the doubled short root has eps^- = +1 because its
         # half is a root
-        els, _ = weyl_sharp_orbit(preset("osp32"))
+        els = weyl_sharp_orbit(preset("osp32"))
         refl = [e for e in els if e.word]
         assert refl[0].eps_plus == -1 and refl[0].eps_minus == 1
 

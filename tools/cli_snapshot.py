@@ -14,10 +14,12 @@ Two commits print the same thing exactly when
 is empty.  The list covers ``verify all`` at the default seeds, at
 ``--seed 7`` and with ``--full``; ``verify ID --full`` for each rank-1
 suite at its own seed and at the ends 0 and 2**32 - 1 of the seed range;
-``list-suites``; one ``eval`` per function; the README and benchmark
+``list-suites``; one ``eval`` per function, the signed ones also at the
+default sign, and a sign spelling ``eval`` refuses; the README and benchmark
 ``chartable`` rows; the benchmark's cold-start commands; ``smatrix`` for
 every wired case, with parameters and levels it honours or refuses;
-``table omega``/``preset`` for every case alias; seeds, D(2,1;a)
+``table omega``/``preset`` for every case alias, and the CSV output
+``table preset`` refuses; seeds, D(2,1;a)
 parameters and alias parameters the CLI honours or refuses, the last
 on ``table preset``, ``chartable`` and ``smatrix`` alike; ``chartable``
 point counts below 1, which it refuses; the
@@ -94,6 +96,11 @@ def _commands():
         ("eval_r_jm", ["eval", "r-jm", "--j=1", "--m=2"] + ONE_Z),
         ("eval_r_jm_signed",
          ["eval", "r-jm-signed", "--j=1/2", "--m=1/2", "--sign=minus"] + ONE_Z),
+        # the default sign, unsigned, is the plus series; "+" is no spelling of it
+        ("eval_theta_jm_signed_default_sign",
+         ["eval", "theta-jm-signed", "--j=1/2", "--m=1/2"] + ONE_Z),
+        ("eval_r_jm_signed_default_sign", ["eval", "r-jm-signed", "--j=1/2", "--m=1/2"] + ONE_Z),
+        ("eval_phi_sign_symbol", ["eval", "phi", "--m=1", "--s=0", "--sign=+"] + POINT),
         ("readme_table_omega", ["table", "omega", "--case", "sl21", "--k", "2"]),
         ("readme_table_preset", ["table", "preset", "--case", "osp32_sub"]),
         ("readme_chartable", ["chartable", "--case", "sl21", "--k", "1", "--points", "6"]),
@@ -110,6 +117,7 @@ def _commands():
         ("table_preset_sl21_own", ["table", "preset", "--case", "sl21", "--params", "1,1"]),
         ("table_preset_sl21_other", ["table", "preset", "--case", "sl21", "--params", "2,1"]),
         ("table_preset_d21a_1_2", ["table", "preset", "--case", "d21a", "--params", "1,2"]),
+        ("table_preset_csv", ["table", "preset", "--case", "sl21", "--output", "csv"]),
         ("chartable_sl21_own", ["chartable", "--case", "sl21", "--k", "1", "--params", "1,1",
                                 "--points", "2"]),
         ("smatrix_sl21_own", ["smatrix", "--case", "sl21", "--k", "1", "--params", "1,1"]),
