@@ -387,7 +387,6 @@ def validate_context(ctx: LatticeContext, weight: Weight = None):
 @lru_cache(maxsize=256)
 def _violations(ctx: LatticeContext, weight: Weight) -> tuple:
     out = []
-    unsigned = ctx.mode == "unsigned"
     m, n = ctx.rank, ctx.n_isotropic
     gf = np.asarray([[float(x) for x in row] for row in ctx.gamma_gram])
     if m and np.linalg.eigvalsh(gf)[0] <= 0:
@@ -401,7 +400,7 @@ def _violations(ctx: LatticeContext, weight: Weight) -> tuple:
     k = ctx.k
     for i in range(1, n + 1):
         norm2 = ctx.gamma_gram[i - 1][i - 1]
-        val, name = (k * norm2 / 2, "(k/2)") if unsigned else (k * norm2, "k")
+        val, name = (k * norm2 / 2, "(k/2)") if ctx.mode == "unsigned" else (k * norm2, "k")
         if val.denominator != 1 or val <= 0:
             out.append(f"{name}|gamma_{i}|^2 = {val} not a positive integer")
     for i in range(m):
@@ -414,7 +413,7 @@ def _violations(ctx: LatticeContext, weight: Weight) -> tuple:
                 out.append(f"(lambda|beta_{j}) != 0")
         for i in range(1, n + 1):
             val = ctx.pair(weight.coords, ctx.gamma_vec(i))
-            if unsigned and val.denominator != 1:
+            if ctx.mode == "unsigned" and val.denominator != 1:
                 out.append(f"(lambda|gamma_{i}) = {val} not integral")
     return tuple(out)
 

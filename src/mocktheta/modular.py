@@ -253,8 +253,7 @@ def _lattice_T(idx, tau, z):
     """prop3.2b, prop3.3c: f[lam](T . p) = e^(pi i |lam|^2 / k) f[label](p)."""
     res, xi = idx
     lam = _lam(res, res.weight.coords, xi)
-    mode = res.ctx.mode
-    label = _LATTICE_T.get((mode, xi), (mode, xi))
+    label = _LATTICE_T.get((res.ctx.mode, xi), (res.ctx.mode, xi))
     return _single(cexp(1j * PI * float(res.ctx.pair(lam, lam)) / float(res.ctx.k)), label)
 
 
