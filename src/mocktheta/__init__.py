@@ -49,7 +49,6 @@ _PUBLIC = {
         "lattice_mock_theta",
         "lattice_theta",
         "mu_class_representatives",
-        "projection_split",
         "validate_context",
     ),
     "superalg": (

@@ -56,10 +56,10 @@ def eta_product(tau: complex) -> complex:
     return out
 
 
-def theta_ab_naive(a, b, tau, z, window: int = 200) -> complex:
+def theta_ab_naive(a, b, tau, z) -> complex:
     tot = 0j
     shift = 0.5 if a else 0.0
-    for n in range(-window, window + 1):
+    for n in range(-200, 201):
         c = n + shift
         term = cmath.exp(1j * math.pi * tau * c * c + 2j * math.pi * c * z)
         if b and n % 2:
@@ -68,11 +68,11 @@ def theta_ab_naive(a, b, tau, z, window: int = 200) -> complex:
     return 1j * tot if (a, b) == (1, 1) else tot
 
 
-def theta_jm_naive(sign, j, m, tau, z, window: int = 80) -> complex:
+def theta_jm_naive(sign, j, m, tau, z) -> complex:
     j = float(j)
     m = float(m)
     tot = 0j
-    for n in range(-window, window + 1):
+    for n in range(-80, 81):
         c = n + j / (2 * m)
         term = cmath.exp(2j * math.pi * (m * z * c + tau * m * c * c))
         if sign == -1 and n % 2:
@@ -81,11 +81,11 @@ def theta_jm_naive(sign, j, m, tau, z, window: int = 80) -> complex:
     return tot
 
 
-def phi_naive(sign, m, s, tau, z1, z2, window: int = 60) -> complex:
+def phi_naive(sign, m, s, tau, z1, z2) -> complex:
     m = float(m)
     s = float(s)
     tot = 0j
-    for n in range(-window, window + 1):
+    for n in range(-60, 61):
         den_exp = 2j * math.pi * (z1 + n * tau)
         if den_exp.real > 650:
             continue  # the Gaussian numerator is far below any tolerance here
@@ -100,7 +100,7 @@ def phi_naive(sign, m, s, tau, z1, z2, window: int = 60) -> complex:
     return tot
 
 
-def r_naive(sign, j, m, tau, z, window: int = 40) -> complex:
+def r_naive(sign, j, m, tau, z) -> complex:
     """Ladder sum with the quadrature error integral.
 
     The weight and the growing phase are combined in exponent form, since
@@ -113,7 +113,7 @@ def r_naive(sign, j, m, tau, z, window: int = 40) -> complex:
     scale = math.sqrt(y / m)
     centre = 2.0 * m * z.imag / y
     tot = 0j
-    for ell in range(-window, window + 1):
+    for ell in range(-40, 41):
         n = j + 2 * m * ell
         sgn_step = 1.0 if ell >= 0 else -1.0
         psi = (n - centre) * scale

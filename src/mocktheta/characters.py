@@ -2,20 +2,23 @@
 numerators, closed-form level-1 supercharacters, and twisted variants for
 the wired algebra cases.
 
-Coordinate frames (documented per case; z is always the tuple point.z):
+Coordinate frames.  A point is (tau, z, t), and z stands for the vector
+F z of the preset's ambient space, F the case's frame matrix, whose
+columns are given in the preset's basis:
 
-  sl(2|1)       (tau, z1, z2, t),  z = -z1 a2 - z2 a1,   (z|z) = 2 z1 z2
-  osp(3|2)      (tau, z1, z2, t),  z = z1 (a1+2a2) + z2 a1, (z|z) = -2 z1 z2
-                (both the principal and the subprincipal system)
-  osp(4|2)      (tau, x1, x2, y1, t) in the orthogonal eps/delta basis,
-                (z|z) = x1^2 + x2^2 - y1^2
-  D(2,1;a)      (tau, u1, u2, u3, t), z = sum u_i alpha_i, Gram pairing
-  level-1 osp   (tau, x_1..x_m, y_1..y_n, t), (z|z) = sum x^2 - sum y^2
+  sl(2|1)    F = (0, 1, -1), (-1, 0, 1) in (eps1, eps2, delta1):
+             z = -z1 a2 - z2 a1, (z|z) = 2 z1 z2
+  osp(3|2)   F = (1, 1), (-1, 1) in (eps1, delta1): z = z1 (a1 + 2 a2) + z2 a1,
+             (z|z) = -2 z1 z2 (the principal and the subprincipal system)
+  osp(4|2)   F = identity in (eps1, eps2, delta1): z = (x1, x2, y1),
+             (z|z) = x1^2 + x2^2 - y1^2
+  D(2,1;a)   F = identity in the simple roots: z = u1 a1 + u2 a2 + u3 a3
+  level-1 osp (no system): z = (x_1..x_m, y_1..y_n), (z|z) = sum x^2 - sum y^2
 
 One table, ``_CASES``, maps each wired case name to its system class.  A
-class declares its preset, its frame and roots and the ch_tilde variants
-it wires; h_dual, the label count, the lattice context, the level rule
-and the denominator constants are derived from the preset and the roots.
+class declares its preset, its frame F and the ch_tilde variants it
+wires; its roots, Weyl images, lattice context, level rule and
+denominator constants are derived from the preset and F.
 ``check_request`` reads them before any series is evaluated, and every
 system answers the one ``numerator(w, point)`` interface, so ``ch_tilde``
 never branches on a case name.  Only sl(2|1), the one case that wires the
@@ -35,15 +38,35 @@ import numpy as np
 from .core import VARIANTS, ModularPoint, SeriesValue, as_fraction, cexp
 from .errors import UnsupportedCase, ZeroDivisorProximity
 from .lattice import (
-    LatticeContext, Weight, build_modification, eval_modified, lattice_mock_theta, validate_context,
+    LatticeContext, Weight, _eliminate, build_modification, eval_modified, lattice_mock_theta,
+    validate_context,
 )
 from .mock import MockIndex, phi
 from .modifier import phi_tilde
-from .superalg import WeightSpec, d21a_level, preset
+from .superalg import WeightSpec, d21a_level, preset, weyl_sharp_orbit
 from .theta import eta, theta_ab, theta_jm
 
 F = Fraction
 _2PI_I = 2j * math.pi
+
+
+def _num(x: Fraction):
+    """x as an int where it is integral, else as a float."""
+    return int(x) if x.denominator == 1 else float(x)
+
+
+def _coords(pre, basis, vectors) -> tuple:
+    """Rows of the matrix (B^T G B)^-1 B^T G V, B the basis and V the
+    vectors as columns, G the preset's Gram: the coordinates in the basis
+    of each vector's projection onto its span, exact, then by _num."""
+    gram = [[pre.pair(u, v) for v in basis] for u in basis]
+    _, cols = _eliminate(gram, [[pre.pair(u, v) for u in basis] for v in vectors])
+    return tuple(tuple(_num(col[i]) for col in cols) for i in range(len(basis)))
+
+
+def _apply(matrix, z) -> tuple:
+    """matrix . z, skipping the zero entries (exact where both are)."""
+    return tuple(sum(c * x for c, x in zip(row, z) if c) for row in matrix)
 
 
 def gram_quad(gram):
@@ -63,13 +86,17 @@ class CharacterSystem:
 
     A subclass declares only what is its own: ``name``, the case whose
     preset ``preset(name, params)`` it realises for the ``params`` it is
-    built with; its frame (``frame_gram``, the positive roots
-    ``pos_roots`` as functionals of point.z, ``_frame_to_ctx`` and
-    ``weyl_images``); and its numerator rule.  The
-    rest is read off the preset or the roots: h_dual, the lattice context
-    and with it the level rule, and, with d0 even and d1 odd positive
-    roots (eq 4.6), sdim = n_z + 2(d0 - d1), the eta power n_z - d0 + d1
-    and the i-powers d0 - d1 (superdenominator) and d0 (denominator).
+    built with; its ``frame`` F, whose columns are the ambient vectors of
+    the frame coordinates (None: the identity); and its numerator rule.
+    With G the preset's Gram and B its gamma basis then T, the rest is
+    derived once: ``frame_gram`` F^T G F; ``pos_roots``, each positive
+    root alpha as the functional alpha^T G F of point.z; ``weyl_images``,
+    (F^T G F)^-1 F^T G W F with eps^-(W) and eps^+(W) for each W of W#;
+    ``to_ctx``, the map (B^T G B)^-1 B^T G F to the lattice context's
+    frame; h_dual, the lattice context and with it the level rule; and,
+    with d0 even and d1 odd positive roots (eq 4.6), sdim = n_z + 2(d0 -
+    d1), the eta power n_z - d0 + d1 and the i-powers d0 - d1
+    (superdenominator) and d0 (denominator).
 
     VARIANTS lists the ch_tilde variants the case wires and n_labels, the
     rank of the preset's lattice, the length of its WeightSpec.labels;
@@ -78,7 +105,7 @@ class CharacterSystem:
     """
 
     name: str
-    pos_roots: tuple  # ((coeffs, parity), ...)
+    frame = None  # columns: the ambient vectors of the frame coordinates
     MODE = "unsigned"  # the sign mode of the lattice context
     VARIANTS = ("ch_minus_modified", "numerator_only", "denominator_only")
     SIDES = ("T",)  # the isotropic sets whose weights numerator() wires
@@ -87,10 +114,22 @@ class CharacterSystem:
         self.pre = pre = preset(self.name, params)
         self.h_dual = pre.h_dual
         self.n_labels = len(pre.gamma_basis)
+        dim = len(pre.gram)
+        cols = self.frame or tuple(tuple(int(i == j) for i in range(dim)) for j in range(dim))
+        self.frame_gram = np.array([[float(pre.pair(u, v)) for v in cols] for u in cols])
         self.quad = gram_quad(self.frame_gram)  # callable (za, zb) -> (za|zb)
+        self.pos_roots = tuple(
+            (tuple(_num(pre.pair(root, c)) for c in cols), parity)
+            for root, parity in pre.pos_roots
+        )
+        self.weyl_images = tuple(
+            (_coords(pre, cols, [_apply(el.matrix, c) for c in cols]), el.eps_minus, el.eps_plus)
+            for el in sorted(weyl_sharp_orbit(pre), key=lambda el: el.word)
+        )
+        self.to_ctx = _coords(pre, pre.gamma_basis + pre.isotropic_t, cols)
         d1 = sum(parity for _, parity in self.pos_roots)
         d0 = len(self.pos_roots) - d1
-        self.n_z = len(self.pos_roots[0][0])
+        self.n_z = len(cols)
         self.sdim = self.n_z + 2 * (d0 - d1)
         self.eta_power = self.n_z - d0 + d1
         self.i_power_minus = d0 - d1
@@ -98,12 +137,6 @@ class CharacterSystem:
         self._gamma_gram = tuple(
             tuple(pre.pair(u, v) for v in pre.gamma_basis) for u in pre.gamma_basis
         )
-
-    @functools.cached_property
-    def frame_gram(self) -> np.ndarray:
-        """Gram matrix of the frame: the preset's own, unless the frame
-        takes other coordinates than the preset's ambient ones."""
-        return np.array(self.pre.gram, dtype=float)
 
     def context(self, k) -> LatticeContext:
         """The lattice context of the level-k numerators, at level k + h_dual."""
@@ -140,12 +173,17 @@ class CharacterSystem:
         den = self.denominator(-1, point)
         return [_quotient(num, den) for num in nums]
 
+    def images(self, z) -> list:
+        """(w z, eps^-(w)) for each w of W#, in the lexicographic order of
+        the words of w (its generators in the order they act)."""
+        return [(_apply(m, z), eps) for m, eps, _ in self.weyl_images]
+
     def _weyl_sum(self, point: ModularPoint, evaluate) -> SeriesValue:
         """Sum of eps * evaluate(pz) over the Weyl images (z, eps) of
         point.z, each carried to the lattice frame as pz."""
         total = SeriesValue(0.0, 0.0, 0)
-        for zi, eps in self.weyl_images(point.z):
-            pz = ModularPoint(point.tau, self._frame_to_ctx(zi), point.t)
+        for zi, eps in self.images(point.z):
+            pz = ModularPoint(point.tau, _apply(self.to_ctx, zi), point.t)
             total = total + eps * evaluate(pz)
         return total
 
@@ -186,29 +224,13 @@ class Sl21System(CharacterSystem):
 
     name = "sl21"
     VARIANTS = VARIANTS  # the only case with the unmodified and twisted ones
-    frame_gram = ((0, 1), (1, 0))
-    pos_roots = (
-        ((-1, 0), 1),  # alpha1
-        ((0, -1), 1),  # alpha2
-        ((-1, -1), 0),  # alpha1 + alpha2
-    )
+    frame = ((0, 1, -1), (-1, 0, 1))  # z1, z2 in (eps1, eps2, delta1)
     # xi = (a1 + a2)/2 has alpha(xi) in p(alpha)/2 + Z for all roots: the
     # frame shift (z1, z2) -> (z1 - 1/2, z2 - 1/2), |xi|^2, and the pairing
     # (beta1|xi) of each label of lambda-bar = k1 beta1
     xi = (-0.5, -0.5)
     xi_norm = 0.5
     xi_pairing = (0.5,)
-
-    @staticmethod
-    def _frame_to_ctx(z):
-        z1, z2 = z
-        return (z1, z1 - z2)
-
-    @staticmethod
-    def weyl_images(z):
-        """(z, eps) pairs for the two Weyl elements."""
-        z1, z2 = z
-        return (((z1, z2), 1), ((-z2, -z1), -1))
 
     def numerator(
         self,
@@ -243,26 +265,7 @@ class Osp32System(CharacterSystem):
 
     name = "osp32"
     MODE = "minus"
-    frame_gram = ((0, -1), (-1, 0))
-    pos_roots = (
-        ((-1, 0), 1),  # a1
-        ((F(1, 2), F(-1, 2)), 1),  # a2 = eps1
-        ((F(-1, 2), F(-1, 2)), 0),  # a1 + a2 = delta1
-        ((0, -1), 1),  # a1 + 2 a2
-        ((1, -1), 0),  # 2 a2
-    )
-
-    @staticmethod
-    def _frame_to_ctx(z):
-        z1, z2 = z
-        return (-z1, -(z1 + z2))
-
-    @staticmethod
-    def weyl_images(z):
-        z1, z2 = z
-        # reflection in 2 eps1 swaps z1 and z2; its eps_minus is +1 since
-        # eps1 itself is an odd root
-        return ((z1, z2), 1), ((z2, z1), 1)
+    frame = ((1, 1), (-1, 1))  # z1, z2 in (eps1, delta1)
 
     def numerator(self, w: WeightSpec, point: ModularPoint) -> SeriesValue:
         """Signed-route numerator: the shifted weight lands on the lattice
@@ -285,35 +288,6 @@ class Osp42System(CharacterSystem):
 
     name = "osp42"
     SIDES = ("T", "Tp")
-    # odd a1 = e1-d1, a2 = d1-e2, a3 = d1+e2, theta-like e1+d1;
-    # even e1-e2, e1+e2, 2d1
-    pos_roots = (
-        ((1, 0, -1), 1),
-        ((0, -1, 1), 1),
-        ((0, 1, 1), 1),
-        ((1, 0, 1), 1),
-        ((1, -1, 0), 0),
-        ((1, 1, 0), 0),
-        ((0, 0, 2), 0),
-    )
-
-    @staticmethod
-    def _frame_to_ctx(z):
-        x1, x2, y1 = z
-        c3 = -y1
-        c1 = -y1 - x1
-        c2 = (x2 + x1 + y1) / 2.0
-        return (c1, c2, c3)
-
-    @staticmethod
-    def weyl_images(z):
-        x1, x2, y1 = z
-        return (
-            ((x1, x2, y1), 1),
-            ((x2, x1, y1), -1),
-            ((-x1, -x2, y1), 1),
-            ((-x2, -x1, y1), -1),
-        )
 
     def numerator(self, w: WeightSpec, point: ModularPoint) -> SeriesValue:
         """Modified numerator; a mirror-side (Tp) class, the other half of
@@ -326,7 +300,7 @@ class Osp42System(CharacterSystem):
             self.check_level(w.k)
             k = int(w.k)
             tot = SeriesValue(0.0, 0.0, 0)
-            for zi, eps in self.weyl_images(point.z):
+            for zi, eps in self.images(point.z):
                 x1, x2, y1 = zi
                 th = theta_jm(int(2 * k2) + 2 * k, 2 * k, point.tau, x1 + x2 + y1)
                 ph = phi_tilde(MockIndex(k, 0), point.tau, -x1 - y1, x2 + y1)
@@ -348,15 +322,6 @@ class D21aSystem(CharacterSystem):
 
     name = "d21a"
     SIDES = ("T", "Tp")
-    pos_roots = (
-        ((1, 0, 0), 1),
-        ((0, 1, 0), 1),
-        ((0, 0, 1), 1),
-        ((1, 1, 1), 1),
-        ((1, 1, 0), 0),
-        ((1, 0, 1), 0),
-        ((0, 1, 1), 0),
-    )
 
     def __init__(self, params: tuple = None):
         super().__init__(params)  # the preset refuses p, q that are not coprime and positive
@@ -438,7 +403,7 @@ _F_CLOSED = {1: (1, 1, -1j), 2: (1, 0, 1j), 3: (0, 1, -1j), 4: (0, 0, -1j)}
 
 
 class Osp32SubSystem(Osp32System):
-    """osp(3|2) with the subprincipal sl(2); reuses the osp(3|2) frame.
+    """osp(3|2) with the subprincipal sl(2); reuses the osp(3|2) frame F.
     Its supercharacters are spanned by f_function, not by ch_tilde."""
 
     name = "osp32_sub"

@@ -180,6 +180,8 @@ def cmd_table(args) -> int:
     if args.table == "preset":
         if args.output != "json":
             raise ValueError("table preset writes JSON only")
+        if args.k is not None:
+            raise ValueError("table preset takes no --k")
         payload = preset(args.case, _case_params(args)).to_json() + "\n"
         if args.out:
             with open(args.out, "w") as fh:
@@ -188,7 +190,7 @@ def cmd_table(args) -> int:
             sys.stdout.write(payload)
         return 0
     pre = preset(args.case, _case_params(args))
-    weights = enumerate_omega(pre, parse_rational(args.k))
+    weights = enumerate_omega(pre, parse_rational("1" if args.k is None else args.k))
     rows = [
         {
             "side": w.side,
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("table", help="emit weight tables or preset data")
     pt.add_argument("table", choices=("omega", "preset"))
     pt.add_argument("--case", required=True)
-    pt.add_argument("--k", default="1")
+    pt.add_argument("--k", default=None, help="level of table omega (default 1)")
     pt.add_argument("--params", default=None, help="comma-separated family parameters")
     pt.add_argument("--output", default="json", choices=("json", "csv"))
     pt.add_argument("--out", default=None)

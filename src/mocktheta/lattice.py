@@ -697,27 +697,3 @@ def _find_mu_classes(res: ModificationResult):
             [f"found {len(reps)} weight classes, expected {order}"]
         )
     return reps
-
-
-def projection_split(ctx: LatticeContext, h):
-    """Split a frame vector into residual-lattice and V_p components."""
-    m, n = ctx.rank, ctx.n_isotropic
-    dim = ctx.ambient_dim
-    basis = [list(ctx.gamma_tilde(p)) for p in range(n + 1, m + 1)]
-    for p in range(1, n + 1):
-        basis.append(list(ctx.beta_vec(p)))
-        basis.append(list(ctx.gamma_tilde(p)))
-    if len(basis) != dim:
-        raise SingularDecomposition("rank + |T| does not match the ambient dim")
-    B = np.asarray([[float(x) for x in col] for col in basis], dtype=float).T
-    try:
-        coeff = np.linalg.solve(B, np.asarray(h, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularDecomposition(str(exc)) from exc
-    n_m = m - n
-    h1 = B[:, :n_m] @ coeff[:n_m] if n_m else np.zeros(dim, dtype=complex)
-    parts = []
-    for p in range(n):
-        cols = slice(n_m + 2 * p, n_m + 2 * p + 2)
-        parts.append(B[:, cols] @ coeff[cols])
-    return h1, parts

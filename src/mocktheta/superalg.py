@@ -46,7 +46,7 @@ class WeylElement:
     matrix: tuple  # action on ambient coordinates, rows of Fractions
     eps_plus: int
     eps_minus: int
-    word: tuple = ()
+    word: tuple = ()  # generator indices in the order they act
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class SuperalgebraPreset:
     gamma_basis: tuple
     isotropic_t: tuple
     weyl_gens: tuple = ()  # (root vector, eps_minus) pairs; eps_plus = -1
+    pos_roots: tuple = ()  # (vector, parity) pairs; stated for the wired families
     eps_minus_translations: str = "trivial"
     family: str = ""  # the _FAMILIES key preset() built this from
     params: tuple = ()  # the family parameters preset() built this with
@@ -139,7 +140,7 @@ def weyl_sharp_orbit(preset: SuperalgebraPreset) -> list:
                 )
                 if mat not in seen:
                     cand = WeylElement(
-                        mat, el.eps_plus * ep, el.eps_minus * em, (gi,) + el.word
+                        mat, el.eps_plus * ep, el.eps_minus * em, el.word + (gi,)
                     )
                     seen[mat] = cand
                     new.append(cand)
@@ -164,6 +165,23 @@ def _add(u, v):
 
 def _sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
+
+
+def _chain_roots(chain, sp, tail=""):
+    """Positive roots with parities of the simple-root chain u_a - u_{a+1},
+    closed by u_r (tail "B"), by u_{r-1} + u_r ("D") or by nothing: the
+    u_a - u_b (a < b) by height; in B the u_a from u_r up; in B and D the
+    u_a + u_b and the 2 u_a of the u_a in sp, the symplectic side.  A root
+    is odd where its u's lie on different sides, u_a where u_a lies in sp."""
+    side = [u in sp for u in chain]
+    pairs = [(a, a + h) for h in range(1, len(chain)) for a in range(len(chain) - h)]
+    roots = [(_sub(chain[a], chain[b]), int(side[a] != side[b])) for a, b in pairs]
+    if tail == "B":
+        roots += [(u, int(s)) for u, s in zip(chain[::-1], side[::-1])]
+    if tail:
+        roots += [(_add(chain[a], chain[b]), int(side[a] != side[b])) for a, b in sorted(pairs)]
+        roots += [(tuple(2 * x for x in u), 0) for u, s in zip(chain, side) if s]
+    return tuple(roots)
 
 
 def _osp_basis(m: int, n: int, eps_norm: Fraction):
@@ -199,6 +217,8 @@ def _preset_sl(m: int, n: int) -> SuperalgebraPreset:
         for r in range(m + 1 + n)
     )
     gens = tuple((_sub(eps(i), eps(i + 1)), -1) for i in range(1, m + 1))
+    chain = [v for i in range(1, n + 1) for v in (eps(i), delta(i))]
+    chain += [eps(i) for i in range(n + 1, m + 2)]
     return SuperalgebraPreset(
         name=f"sl({m+1}|{n})",
         gram=gram,
@@ -209,6 +229,7 @@ def _preset_sl(m: int, n: int) -> SuperalgebraPreset:
         gamma_basis=gammas,
         isotropic_t=ts,
         weyl_gens=gens,
+        pos_roots=_chain_roots(chain, [delta(i) for i in range(1, n + 1)]),
     )
 
 
@@ -274,6 +295,8 @@ def _preset_osp_odd_low(n: int, m: int) -> SuperalgebraPreset:
     )
     gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
     gens.append((tuple(2 * x for x in eps(m)), 1))  # half 2eps is the odd eps
+    chain = [eps(i) for i in range(m, n, -1)]
+    chain += [v for j in range(n, 0, -1) for v in (delta(j), eps(j))]
     return SuperalgebraPreset(
         name=f"osp({2*n+1}|{2*m})",
         gram=gram,
@@ -285,6 +308,7 @@ def _preset_osp_odd_low(n: int, m: int) -> SuperalgebraPreset:
         isotropic_t=base.isotropic_t,
         weyl_gens=tuple(gens),
         eps_minus_translations="parity_of_halfnorm",
+        pos_roots=_chain_roots(chain, [eps(i) for i in range(1, m + 1)], "B"),
     )
 
 
@@ -378,6 +402,7 @@ def _preset_osp_h0(n: int) -> SuperalgebraPreset:
     simple.append((_add(delta(n), eps(n + 1)), 1))
     gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
     gens.append((_add(eps(m - 1), eps(m)), -1))
+    chain = [v for j in range(1, n + 1) for v in (eps(j), delta(j))] + [eps(n + 1)]
     return SuperalgebraPreset(
         name=f"osp({2*n+2}|{2*n})",
         gram=gram,
@@ -388,6 +413,7 @@ def _preset_osp_h0(n: int) -> SuperalgebraPreset:
         gamma_basis=tuple(gammas),
         isotropic_t=ts,
         weyl_gens=tuple(gens),
+        pos_roots=_chain_roots(chain, [delta(j) for j in range(1, n + 1)], "D"),
     )
 
 
@@ -422,6 +448,7 @@ def _preset_d21a(p: int, q: int) -> SuperalgebraPreset:
         gamma_basis=(g1, g2),
         isotropic_t=(a1,),
         weyl_gens=((even1, -1), (even2, -1)),
+        pos_roots=simple + ((_add(even1, a3), 1), (even1, 0), (even2, 0), (_add(a2, a3), 0)),
     )
 
 
@@ -498,6 +525,7 @@ def _preset_osp32_sub() -> SuperalgebraPreset:
         isotropic_t=(a1,),
         weyl_gens=((delta1, -1),),
         eps_minus_translations="parity_of_halfnorm",
+        pos_roots=_preset_osp_odd_low(1, 1).pos_roots,  # the same simple roots
     )
 
 

@@ -197,21 +197,56 @@ class TestD21a:
                      params=(1, 2))
 
 
-@pytest.mark.parametrize("case", ["sl21", "osp32", "osp42"])
+WIRED = ["sl21", "osp32", "osp32_sub", "osp42", "d21a"]
+
+
+def _frame_columns(sys):
+    dim = len(sys.pre.gram)
+    return sys.frame or [[int(i == j) for i in range(dim)] for j in range(dim)]
+
+
+@pytest.mark.parametrize("case", WIRED)
 def test_weyl_images_agree_with_the_weyl_sharp_orbit(case):
-    # the hand-written images of a system against W# with eps^- built from its preset
+    # each derived image M of w in W# carries the frame as w carries the
+    # ambient space (F M = W F, exactly), and the context map C writes
+    # each frame vector in the lattice context's basis B (B C = F)
     from mocktheta.superalg import weyl_sharp_orbit
 
     sys = system(case)
-    elements = weyl_sharp_orbit(sys.pre)
-    z = (F(1, 3), F(2, 7), F(5, 11))[: sys.n_z]
-    images = sys.weyl_images(z)
-    assert len(images) == len(elements)
-    assert sorted(eps for _, eps in images) == sorted(el.eps_minus for el in elements)
-    if case == "osp42":  # the frame is the preset's ambient (x1, x2, y1)
-        acts = {(tuple(sum(r * c for r, c in zip(row, z)) for row in el.matrix), el.eps_minus)
-                for el in elements}
-        assert {(tuple(zi), eps) for zi, eps in images} == acts
+    pre = sys.pre
+    cols = [[F(x) for x in c] for c in _frame_columns(sys)]
+    elements = sorted(weyl_sharp_orbit(pre), key=lambda el: el.word)
+    assert [(em, ep) for _, em, ep in sys.weyl_images] == [
+        (el.eps_minus, el.eps_plus) for el in elements]
+    for (m, _, _), el in zip(sys.weyl_images, elements):
+        for j, col in enumerate(cols):
+            image = [sum(F(m[i][j]) * c[r] for i, c in enumerate(cols)) for r in range(len(col))]
+            assert image == [sum(a * b for a, b in zip(row, col)) for row in el.matrix]
+    basis = pre.gamma_basis + pre.isotropic_t
+    for j, col in enumerate(cols):
+        assert [sum(F(sys.to_ctx[i][j]) * b[r] for i, b in enumerate(basis))
+                for r in range(len(col))] == col
+
+
+def _law_points(n_z, seed):
+    yield ModularPoint(0.1 + 1.1j, (0.21 + 0.03j, 0.17 - 0.02j, 0.33 + 0.01j)[:n_z], 0.07)
+    pts = random_points(seed, 6)
+    for (tau, z1, z2), (_, z3, _) in zip(pts[::2], pts[1::2]):
+        yield ModularPoint(tau, (z1, z2, z3)[:n_z], 0.07)
+
+
+@pytest.mark.parametrize("case", WIRED)
+def test_denominators_follow_the_sign_characters(case):
+    # R^-(w z) = eps^-(w) R^-(z) and R^+(w z) = eps^+(w) R^+(z) on W#
+    sys = system(case)
+    for pt in _law_points(sys.n_z, 81):
+        for sign in (-1, 1):
+            base = sys.denominator(sign, pt).value
+            for m, eps_minus, eps_plus in sys.weyl_images:
+                eps = eps_minus if sign == -1 else eps_plus
+                zw = tuple(sum(c * x for c, x in zip(row, pt.z)) for row in m)
+                got = sys.denominator(sign, ModularPoint(pt.tau, zw, pt.t)).value
+                assert abs(got - eps * base) < 1e-12 * max(1.0, abs(base)), (sign, m)
 
 
 class TestOsp42:
@@ -221,7 +256,7 @@ class TestOsp42:
         for k1, k2 in ((F(1, 2), F(1, 2)), (1, 0)):
             num = sys.numerator(WeightSpec(1, (k1, k2)), pt).value
             tot = 0j
-            for zi, epsv in sys.weyl_images(pt.z):
+            for zi, epsv in sys.images(pt.z):
                 x1, x2, y1 = zi
                 th = theta_jm(int(2 * F(k2)), 2, TAU, x1 + x2 + y1).value
                 ph = phi_tilde(MockIndex(1, 0), TAU, -x1 - y1, x2 + y1).value
@@ -231,11 +266,11 @@ class TestOsp42:
 
     def test_mirror_class_is_the_apply_check_basis(self):
         # the mirror-side (Tp) class of the eq 6.6 span; the T-side class
-        # with the same labels is 1.2804370911+0.3834691550i here
+        # with the same labels is -1.2804370911-0.3834691550i here
         pt = ModularPoint(0.1 + 1.1j, (0.21 + 0.01j, 0.13 - 0.02j, 0.31 + 0.03j), 0.05)
         w = WeightSpec(1, (0, 0), side="Tp")
         val = ch_tilde("osp42", w, pt).value
-        assert abs(val - (0.0812502762 + 0.0772277593j)) < 1e-9
+        assert abs(val - (-0.0812502762 - 0.0772277593j)) < 1e-9
         sm = smatrix("osp42", 1)
         values, _ = _SPANS["osp42"].basis(sm, None)
         assert val == values(pt)[sm.weights.index(w)]

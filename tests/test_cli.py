@@ -287,6 +287,11 @@ class TestTables:
         captured = capsys.readouterr()
         assert captured.err == "error: table preset writes JSON only\n" and captured.out == ""
 
+    def test_preset_refuses_a_level(self, capsys):
+        assert main(["table", "preset", "--case", "sl21", "--k", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: table preset takes no --k\n" and captured.out == ""
+
     def test_family_flags_only_on_verify(self):
         from mocktheta.cli import build_parser
 

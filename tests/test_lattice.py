@@ -22,7 +22,6 @@ from mocktheta.lattice import (
     lattice_mock_theta,
     lattice_theta,
     mu_class_representatives,
-    projection_split,
     translation_sign,
     validate_context,
 )
@@ -212,32 +211,6 @@ class TestModification:
         v = ctx.pair(res.xi0, ctx.gamma_vec(1))
         assert v.denominator == 2
         assert ctx.pair(res.xi0, ctx.beta_vec(1)) == 0
-
-
-class TestProjection:
-    def test_recombination(self, rng):
-        for _ in range(5):
-            h = rng.uniform(-1, 1, size=3)
-            h1, parts = projection_split(CTX2, h)
-            total = h1 + sum(parts)
-            assert np.abs(total - h).max() < 1e-12
-
-    def test_orthogonality(self, rng):
-        G = CTX2.full_gram_float()
-        h = rng.uniform(-1, 1, size=3)
-        h1, parts = projection_split(CTX2, h)
-        assert abs(h1 @ G @ parts[0]) < 1e-12
-
-    def test_m_vector_splits_trivially(self):
-        gt2 = [float(x) for x in CTX2.gamma_tilde(2)]
-        h1, parts = projection_split(CTX2, gt2)
-        assert np.abs(parts[0]).max() < 1e-12
-
-    def test_beta_in_its_block(self):
-        h = [0.0, 0.0, 1.0]
-        h1, parts = projection_split(CTX2, h)
-        assert np.abs(h1).max() < 1e-12
-        assert np.abs(parts[0] - h).max() < 1e-12
 
 
 class TestRankTwoSigned:

@@ -29,7 +29,7 @@ PUBLIC = {
     "modular": ["SL2Element", "act", "sample_points", "verify_law"],
     "lattice": ["LatticeContext", "LatticeData", "ModificationResult", "SignCharacter", "Weight",
                 "build_modification", "eval_modified", "lattice_mock_theta", "lattice_theta",
-                "mu_class_representatives", "projection_split", "validate_context"],
+                "mu_class_representatives", "validate_context"],
     "superalg": ["SuperalgebraPreset", "WeightSpec", "enumerate_omega", "integrable", "preset",
                  "weyl_sharp_orbit"],
     "characters": ["ch_tilde", "level1_osp_supercharacter", "psi_fn", "system"],
@@ -45,7 +45,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(mocktheta, name), types.ModuleType)
     )
     assert public == NAMES
-    assert len(NAMES) == 61
+    assert len(NAMES) == 60
     assert mocktheta.__version__ == "0.1.0"
     assert not hasattr(mocktheta, "no_such_name")
 

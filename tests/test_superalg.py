@@ -148,6 +148,34 @@ class TestWeylOrbits:
         assert refl[0].eps_plus == -1 and refl[0].eps_minus == 1
 
 
+class TestPositiveRoots:
+    @pytest.mark.parametrize("name,params,dims", [
+        ("sl21", None, (4, 4)), ("osp32", None, (6, 6)), ("osp32_sub", None, (6, 6)),
+        ("osp42", None, (9, 8)), ("d21a", None, (9, 8)), ("d21a", (1, 2), (9, 8)),
+        ("sl", (2, 1), (9, 6)), ("sl", (3, 2), (19, 16)), ("osp_odd_low", (1, 2), (13, 12)),
+        ("osp_odd_low", (2, 2), (20, 20)), ("osp_h0", (2,), (25, 24)),
+    ])
+    def test_positive_roots_lie_on_the_simple_roots_and_fill_g(self, name, params, dims):
+        # each positive root is a non-negative integer combination of the
+        # simple roots, and dim g0 / dim g1 = rank + 2 #even / 2 #odd
+        from mocktheta.lattice import _eliminate
+
+        pre = preset(name, params)
+        simple = [v for v, _ in pre.simple_roots]
+        gram = [[pre.pair(u, v) for v in simple] for u in simple]
+        _, coeffs = _eliminate(gram, [[pre.pair(u, root) for u in simple]
+                                      for root, _ in pre.pos_roots])
+        for (root, _), c in zip(pre.pos_roots, coeffs):
+            assert all(x.denominator == 1 and x >= 0 for x in c), root
+            assert tuple(sum(x * v[r] for x, v in zip(c, simple))
+                         for r in range(len(root))) == root
+        assert len(set(root for root, _ in pre.pos_roots)) == len(pre.pos_roots)
+        assert set(pre.simple_roots) <= set(pre.pos_roots)
+        odd = sum(parity for _, parity in pre.pos_roots)
+        even = len(pre.pos_roots) - odd
+        assert (len(simple) + 2 * even, 2 * odd) == dims
+
+
 class TestIntegrable:
     def test_spec_examples(self):
         assert integrable(preset("sl21"), WeightSpec(2, (1,)))
