@@ -115,7 +115,8 @@ class CharacterSystem:
         self.h_dual = pre.h_dual
         self.n_labels = len(pre.gamma_basis)
         dim = len(pre.gram)
-        cols = self.frame or tuple(tuple(int(i == j) for i in range(dim)) for j in range(dim))
+        self.frame = cols = self.frame or tuple(
+            tuple(int(i == j) for i in range(dim)) for j in range(dim))
         self.frame_gram = np.array([[float(pre.pair(u, v)) for v in cols] for u in cols])
         self.quad = gram_quad(self.frame_gram)  # callable (za, zb) -> (za|zb)
         self.pos_roots = tuple(

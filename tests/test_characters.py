@@ -200,11 +200,6 @@ class TestD21a:
 WIRED = ["sl21", "osp32", "osp32_sub", "osp42", "d21a"]
 
 
-def _frame_columns(sys):
-    dim = len(sys.pre.gram)
-    return sys.frame or [[int(i == j) for i in range(dim)] for j in range(dim)]
-
-
 @pytest.mark.parametrize("case", WIRED)
 def test_weyl_images_agree_with_the_weyl_sharp_orbit(case):
     # each derived image M of w in W# carries the frame as w carries the
@@ -214,7 +209,7 @@ def test_weyl_images_agree_with_the_weyl_sharp_orbit(case):
 
     sys = system(case)
     pre = sys.pre
-    cols = [[F(x) for x in c] for c in _frame_columns(sys)]
+    cols = [[F(x) for x in c] for c in sys.frame]
     elements = sorted(weyl_sharp_orbit(pre), key=lambda el: el.word)
     assert [(em, ep) for _, em, ep in sys.weyl_images] == [
         (el.eps_minus, el.eps_plus) for el in elements]
