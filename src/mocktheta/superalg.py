@@ -171,8 +171,9 @@ def _chain_roots(chain, sp, tail=""):
     """Positive roots with parities of the simple-root chain u_a - u_{a+1},
     closed by u_r (tail "B"), by u_{r-1} + u_r ("D") or by nothing: the
     u_a - u_b (a < b) by height; in B the u_a from u_r up; in B and D the
-    u_a + u_b and the 2 u_a of the u_a in sp, the symplectic side.  A root
-    is odd where its u's lie on different sides, u_a where u_a lies in sp."""
+    u_a + u_b and the 2 u_a of the u_a in sp.  The u's lie on two sides,
+    sp one of them (the symplectic one in B and D): a root is odd where its
+    u's lie on different sides, and u_a where u_a lies in sp."""
     side = [u in sp for u in chain]
     pairs = [(a, a + h) for h in range(1, len(chain)) for a in range(len(chain) - h)]
     roots = [(_sub(chain[a], chain[b]), int(side[a] != side[b])) for a, b in pairs]
