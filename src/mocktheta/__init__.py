@@ -20,7 +20,6 @@ _PUBLIC = {
         "gauss_E",
         "gauss_E_complement",
         "gauss_E_complement_scaled",
-        "q_pow",
     ),
     "errors": (
         "ConditionViolation",

@@ -17,6 +17,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from importlib import import_module
 
 from .core import VARIANTS, require_tau
 from .errors import MockThetaError
@@ -38,7 +39,7 @@ def parse_complex(text: str) -> complex:
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"error: cannot parse rational {text!r}") from exc
 
 
@@ -65,9 +66,9 @@ def _parse_points(text: str) -> int:
 
 
 def _parse_tol(text: str) -> float:
-    """A --tol: a float > 0."""
+    """A --tol: a finite float > 0."""
     try:
-        if float(text) > 0:
+        if 0 < float(text) < float("inf"):
             return float(text)
     except ValueError:
         pass
@@ -95,42 +96,52 @@ def _emit(doc, fmt: str, out_path: str = None):
         sys.stdout.write(payload)
 
 
-def cmd_eval(args) -> int:
-    from .mock import SIGNS, MockIndex, phi
-    from .modifier import phi_add, phi_tilde, r_jm, r_jm_signed
-    from .theta import eta, theta_ab, theta_jm, theta_jm_signed
+# eval's functions: the module that defines each, then the options it reads
+# in call order with their parsers: those before tau, what makes its leading
+# arguments of their values, and those after tau.  mock is imported when a
+# parser runs, so loading cli imports no numerical layer.
+_PHI = ({"m": parse_rational, "s": parse_rational, "sign": str},
+        lambda values: (import_module(".mock", __package__).MockIndex(*values),))
+_JM = {"j": int, "m": int}
+_SIGNED = {"sign": lambda label: import_module(".mock", __package__).SIGNS[label],
+           "j": parse_rational, "m": parse_rational}
+_Z, _Z2 = {"z": parse_complex}, {"z1": parse_complex, "z2": parse_complex}
+_EVAL = {
+    "phi": ("mock", *_PHI, _Z2),
+    "phi-tilde": ("modifier", *_PHI, _Z2),
+    "phi-add": ("modifier", *_PHI, _Z2),
+    "theta-jm": ("theta", _JM, tuple, _Z),
+    "theta-jm-signed": ("theta", _SIGNED, tuple, _Z),
+    "theta-ab": ("theta", {"a": int, "b": int}, tuple, _Z),
+    "eta": ("theta", {}, tuple, {}),
+    "r-jm": ("modifier", _JM, tuple, _Z),
+    "r-jm-signed": ("modifier", _SIGNED, tuple, _Z),
+}
+# the options' defaults, in argparse's order
+_EVAL_DEFAULTS = {"m": "1", "s": "0", "j": "0", "a": "0", "b": "0", "sign": "unsigned",
+                  "z": "0", "z1": "0", "z2": "0"}
 
+
+def cmd_eval(args) -> int:
     tau = require_tau(parse_complex(args.tau))
-    name = args.function.replace("-", "_")
+    key = args.function.replace("_", "-")
+    if key not in _EVAL:
+        raise ValueError(f"unknown function {args.function!r}; valid: {', '.join(_EVAL)}")
+    module, head, pack, tail = _EVAL[key]
+    text = {k: getattr(args, k) for k in _EVAL_DEFAULTS}
+    unread = [f"--{k}" for k, v in text.items() if v is not None and k not in {**head, **tail}]
+    if unread:
+        raise ValueError(f"eval {args.function} takes no {', '.join(unread)}")
+    text = {k: _EVAL_DEFAULTS[k] if v is None else v for k, v in text.items()}
+    fn = getattr(import_module(f".{module}", __package__), key.replace("-", "_"))
     try:
-        if name == "phi" or name == "phi_tilde" or name == "phi_add":
-            idx = MockIndex(parse_rational(args.m), parse_rational(args.s), args.sign)
-            fn = {"phi": phi, "phi_tilde": phi_tilde, "phi_add": phi_add}[name]
-            val = fn(idx, tau, parse_complex(args.z1), parse_complex(args.z2))
-        elif name == "theta_jm":
-            val = theta_jm(int(args.j), int(args.m), tau, parse_complex(args.z))
-        elif name == "theta_jm_signed" or name == "r_jm_signed":
-            fn = theta_jm_signed if name == "theta_jm_signed" else r_jm_signed
-            val = fn(SIGNS[args.sign], parse_rational(args.j), parse_rational(args.m), tau,
-                     parse_complex(args.z))
-        elif name == "theta_ab":
-            val = theta_ab(int(args.a), int(args.b), tau, parse_complex(args.z))
-        elif name == "eta":
-            val = eta(tau)
-        elif name == "r_jm":
-            val = r_jm(int(args.j), int(args.m), tau, parse_complex(args.z))
-        else:
-            raise ValueError(f"unknown function {args.function!r}; valid: phi, phi-tilde, "
-                             "phi-add, theta-jm, theta-jm-signed, theta-ab, eta, r-jm, r-jm-signed")
+        val = fn(*pack([parse(text[k]) for k, parse in head.items()]), tau,
+                 *[parse(text[k]) for k, parse in tail.items()])
     except MockThetaError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.output, args.out)
         return 1
-    doc = {
-        "value": {"re": val.value.real, "im": val.value.imag},
-        "err_bound": val.err_bound,
-        "terms_used": val.terms_used,
-    }
-    _emit(doc, args.output, args.out)
+    _emit({"value": {"re": val.value.real, "im": val.value.imag}, "err_bound": val.err_bound,
+           "terms_used": val.terms_used}, args.output, args.out)
     return 0
 
 
@@ -144,7 +155,7 @@ def cmd_verify(args) -> int:
     if bad:
         raise ValueError(f"unknown suite(s) {bad}; valid ids: {', '.join(sorted(SUITES))}")
     accepted = {sid: inspect.signature(_suite_function(sid)).parameters for sid in ids}
-    given = {k: v for k, v in vars(args).items() if k in ("p", "q", "n", "m") and v is not None}
+    given = {k: v for k in ("seed", "p", "q", "n", "m") if (v := getattr(args, k)) is not None}
     unused = [f"--{key}" for key in given if not any(key in acc for acc in accepted.values())]
     if unused:
         raise ValueError(f"no selected suite takes {', '.join(unused)}")
@@ -152,7 +163,7 @@ def cmd_verify(args) -> int:
     ok = True
     for sid in ids:
         kwargs = {key: val for key, val in given.items() if key in accepted[sid]}
-        rep = run_suite(sid, seed=args.seed, tol=args.tol, **kwargs)
+        rep = run_suite(sid, tol=args.tol, **kwargs)
         if not args.full:
             rep = {k: v for k, v in rep.items() if k != "checks"}
         reports.append(rep)
@@ -293,16 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate one function at a point")
     pe.add_argument("function")
-    pe.add_argument("--m", default="1")
-    pe.add_argument("--s", default="0")
-    pe.add_argument("--j", default="0")
-    pe.add_argument("--a", default="0")
-    pe.add_argument("--b", default="0")
-    pe.add_argument("--sign", default="unsigned", choices=("minus", "plus", "unsigned"))
+    for opt in ("m", "s", "j", "a", "b"):  # None unless set; _EVAL_DEFAULTS has the defaults
+        pe.add_argument(f"--{opt}")
+    pe.add_argument("--sign", choices=("minus", "plus", "unsigned"))
     pe.add_argument("--tau", required=True)
-    pe.add_argument("--z", default="0")
-    pe.add_argument("--z1", default="0")
-    pe.add_argument("--z2", default="0")
+    for opt in ("z", "z1", "z2"):
+        pe.add_argument(f"--{opt}")
     pe.add_argument("--output", default="json", choices=("json", "csv"))
     pe.add_argument("--out", default=None)
     pe.set_defaults(func=cmd_eval)

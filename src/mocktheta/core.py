@@ -179,11 +179,6 @@ def gauss_E_complement_scaled(x: float) -> float:
     return math.erfc(a) * math.exp(ah * ah) * math.exp((a - ah) * (a + ah))
 
 
-def q_pow(tau: complex, a) -> complex:
-    """q**a = exp(2 pi i tau a) for the nome q attached to tau."""
-    return cmath.exp(2j * math.pi * complex(tau) * complex(a))
-
-
 def exp_overflow(w: complex) -> NonConvergent:
     """The error for an exponent w with Re(w) above _EXP_GUARD."""
     return NonConvergent(f"exponent overflow: Re(w) = {w.real:.3g}")

@@ -325,7 +325,7 @@ def suite_thm614(seed=51, tol=1e-7, p=1, q=1, n=1):
     return out
 
 
-def suite_d21a_omega(tol=0.5, **_):
+def suite_d21a_omega(tol=0.5):
     pre = preset("d21a", (1, 1))
     om = enumerate_omega(pre, F(-1, 2))
     got_T = {tuple(int(x) for x in w.labels) for w in om if w.side == "T"}

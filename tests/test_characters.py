@@ -244,6 +244,23 @@ def test_denominators_follow_the_sign_characters(case):
                 assert abs(got - eps * base) < 1e-12 * max(1.0, abs(base)), (sign, m)
 
 
+@pytest.mark.parametrize("case,w", [
+    ("sl21", WeightSpec(1, (0,))),
+    ("osp32", WeightSpec(1, (0,))),
+    ("osp42", WeightSpec(1, (F(1, 2), F(1, 2)))),
+    pytest.param("d21a", WeightSpec(F(-1, 2), (0, 1)), marks=pytest.mark.xfail(
+        strict=True, reason="the d21a numerator does not follow eps^- of its own W#")),
+])
+def test_numerators_follow_the_minus_sign_character(case, w):
+    # numerator(w, w' z) = eps^-(w') numerator(w, z) for each w' of W#
+    sys = system(case)
+    pt = next(_law_points(sys.n_z, 81))
+    base = sys.numerator(w, pt).value
+    for zw, eps in sys.images(pt.z):
+        got = sys.numerator(w, ModularPoint(pt.tau, tuple(zw), pt.t)).value
+        assert abs(got - eps * base) < 1e-12 * abs(base), zw
+
+
 class TestOsp42:
     def test_numerator_vs_closed_form(self):
         sys = system("osp42")

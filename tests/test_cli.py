@@ -54,12 +54,23 @@ class TestParsing:
         assert captured.err.startswith(f"error: {message}") and captured.out == ""
 
     @pytest.mark.parametrize("command", [("verify", "lem2.3")], ids=lambda c: c[0])
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "abc"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "abc", "inf"])
     def test_tol_must_be_positive(self, command, tol, capsys):
         assert main([*command, "--tol", tol]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: --tol must be a positive number, got {tol!r}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ("eval", "phi", "--m=1/0", "--tau=0.1+1.1i", "--z1=0.3+0.05i"),
+        ("table", "omega", "--case", "sl21", "--k=1/0"),
+        ("chartable", "--case", "sl21", "--k=1/0"),
+        ("smatrix", "--case", "sl21", "--k=1/0"),
+    ], ids=lambda a: a[0])
+    def test_zero_denominator_exits_2(self, args, capsys):
+        assert main(list(args)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot parse rational '1/0'\n" and captured.out == ""
 
     def test_eval_takes_no_tol(self, capsys):
         # every series truncates at core.ABS_TOL
@@ -113,6 +124,25 @@ class TestEval:
         assert main(["eval", "phi", "--tau", "i", "--z1", "0.3", f"--sign={sign}"]) == 2
         captured = capsys.readouterr()
         assert "argument --sign: invalid choice" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("function,unread", [
+        ("phi", "--j=1"), ("phi-tilde", "--z=0.1"), ("phi-add", "--a=1"),
+        ("theta-jm", "--s=1"), ("theta-jm-signed", "--b=1"), ("theta-ab", "--j=1"),
+        ("eta", "--z1=3"), ("r-jm", "--sign=plus"), ("r-jm-signed", "--z2=0.2"),
+    ])
+    def test_unread_option_exits_2_naming_it(self, function, unread, capsys):
+        # the option is set to a value the function would accept if it read it
+        assert main(["eval", function, "--tau=0.1+1.1i", unread]) == 2
+        captured = capsys.readouterr()
+        option = unread.split("=")[0]
+        assert captured.err == f"error: eval {function} takes no {option}\n"
+        assert captured.out == ""
+
+    def test_every_unread_option_is_named(self, capsys):
+        assert main(["eval", "eta", "--tau=1i", "--m=5", "--sign=minus", "--z1=3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eval eta takes no --m, --sign, --z1\n"
+        assert captured.out == ""
 
     def test_unknown_function(self):
         rc, _, err = run_cli("eval", "zeta", "--tau", "i")
@@ -172,6 +202,7 @@ class TestVerify:
         (("thm6.14", "--m", "1"), "--m"),
         (("cor1.2", "--q", "1"), "--q"),
         (("thm1.1a", "--m", "1", "--p", "2"), "--p"),
+        (("d21a-omega", "--seed", "7"), "--seed"),
     ])
     def test_option_no_selected_suite_takes_exits_2(self, argv, unused, capsys, monkeypatch):
         import mocktheta.suites
@@ -202,6 +233,13 @@ class TestVerify:
         capsys.readouterr()
         assert set(calls) == set(SUITES)
         assert {sid: kw for sid, kw in calls.items() if kw} == taken
+
+    def test_seed_reaches_only_a_suite_that_takes_one(self):
+        # d21a-omega draws no points; verify all --seed 7 still runs it
+        from mocktheta.suites import run_suite
+
+        assert run_suite("d21a-omega", seed=7) == run_suite("d21a-omega")
+        assert "seed" not in run_suite("d21a-omega", seed=7)
 
     def test_byte_stability(self):
         rc1, out1, _ = run_cli("verify", "theta-quasi", "--seed", "5")

@@ -20,7 +20,6 @@ from mocktheta.core import (
     gauss_E_complement_scaled,
     gaussian_window,
     outward,
-    q_pow,
     require_tau,
     sum_ladder,
 )
@@ -195,33 +194,6 @@ class TestGaussE:
                 * mpmath.quad(lambda v: mpmath.exp(-pi * (v * v + 2 * x * v)), [0, mpmath.inf])
             )
         assert abs(gauss_E_complement(x) - 2 * tail) / (2 * tail) < 1e-12
-
-
-class TestQPow:
-    def test_direct(self):
-        assert abs(q_pow(1j, 1) - math.exp(-2 * math.pi)) < 1e-16
-
-    def test_zero_exponent(self):
-        assert q_pow(0.37 + 1.1j, 0) == 1.0
-
-    def test_half_exponent(self):
-        want = 1j * math.exp(-math.pi)
-        assert abs(q_pow(0.5 + 1j, 0.5) - want) < 1e-15
-
-    def test_magnitude(self, rng):
-        for _ in range(20):
-            tau = complex(rng.uniform(-1, 1), rng.uniform(0.1, 2))
-            a = rng.uniform(-4, 4)
-            want = math.exp(-2 * math.pi * a * tau.imag)
-            assert abs(abs(q_pow(tau, a)) - want) < 1e-12 * want
-
-    def test_additivity(self, rng):
-        tau = 0.23 + 1.3j
-        for _ in range(40):
-            a, b = rng.uniform(-4, 4, size=2)
-            lhs = q_pow(tau, a + b)
-            rhs = q_pow(tau, a) * q_pow(tau, b)
-            assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
 
 
 def _walker(term):

@@ -4,7 +4,8 @@ Every ``def`` or ``class`` in ``src/mocktheta`` (dunders excepted) must
 have its name appear as a whole word somewhere else in ``src/``,
 ``tests/``, ``demos/`` or ``bench/``: in another file, or in its own
 file outside its definition line.  Every library error type must be
-raised somewhere in ``src/mocktheta``.
+raised somewhere in ``src/mocktheta``, and every public name must be read
+by the library or by the programs around it.
 """
 
 import ast
@@ -67,3 +68,37 @@ def test_every_error_is_raised():
     }
     never_raised = sorted(subclasses - set(_raised_names()))
     assert not never_raised, never_raised
+
+
+def _home_line(module, name):
+    """The line of ``module.py`` that defines ``name`` at its top level."""
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        targets = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+        if getattr(node, "name", None) == name or name in targets:
+            return PACKAGE / f"{module}.py", node.lineno
+    raise AssertionError(f"{module}.py defines no {name}")
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    """Every name of ``mocktheta._PUBLIC`` appears as a whole word in
+    ``src`` (outside ``__init__.py`` and its own definition line), or in
+    ``bench``, ``tools`` or ``demos``: a public name only its tests read is
+    dead code with a pinned spelling."""
+    import mocktheta
+
+    init = PACKAGE / "__init__.py"
+    lines = [
+        (path, i, line)
+        for top in ("src", "bench", "tools", "demos")
+        for path in (ROOT / top).rglob("*.py")
+        if path != init
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+    ]
+    unread = []
+    for module, names in mocktheta._PUBLIC.items():
+        for name in names:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            own = _home_line(module, name)
+            if not any(word.search(line) for path, i, line in lines if (path, i) != own):
+                unread.append(name)
+    assert not unread, unread

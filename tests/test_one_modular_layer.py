@@ -10,8 +10,8 @@ only code that builds the factor of a law it holds.  This walks the AST of
   is ``-1 / x`` or ``x + 1``;
 - a ``SeriesValue(...)`` call outside ``core.py`` whose value argument
   divides by, or divides, a ``.value``;
-- a ``cmath`` call, ``cexp`` or ``q_pow`` in a suite whose law is in the
-  table, or in either residual helper of ``mock``.
+- a ``cmath`` call or ``cexp`` in a suite whose law is in the table, or
+  in either residual helper of ``mock``.
 """
 
 import ast
@@ -102,7 +102,7 @@ TABLE_READERS = {
     ),
     "mock.py": ("phi_shift_residual_a", "phi_elliptic_residual"),
 }
-FACTOR_BUILDERS = {"cexp", "q_pow"}
+FACTOR_BUILDERS = {"cexp"}
 
 
 def _builds_factor(call):
@@ -119,7 +119,7 @@ def _builds_factor(call):
 def test_table_readers_write_no_factor():
     """No law factor is built outside the table: a suite whose law is in
     ``modular.LAWS``, or a residual helper of ``mock``, calls no
-    ``cmath`` function, ``cexp`` or ``q_pow``."""
+    ``cmath`` function or ``cexp``."""
     sites = []
     for fname, names in TABLE_READERS.items():
         tree = ast.parse((PACKAGE / fname).read_text())

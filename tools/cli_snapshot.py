@@ -26,10 +26,13 @@ point counts below 1, which it refuses; the
 ``eval``/``verify`` configuration errors, an ``eval`` below the Im tau
 floor or at an inf or nan argument (``inf`` written out too), the
 ``--tol`` that ``eval`` does not take and the ``--tol`` values ``verify``
-refuses;
-and the ``--p``/``--q``/``--n`` spellings of ``--params`` and ``--k``
+refuses (``inf`` among them);
+the ``--p``/``--q``/``--n`` spellings of ``--params`` and ``--k``
 that ``table``, ``chartable`` and ``smatrix`` refuse, with a ``verify``
-option that no selected suite takes.
+option that no selected suite takes (``--seed`` on ``d21a-omega``); an
+``eval`` option the chosen function does not read (``eta`` given ``--m``
+and ``--z1``, ``theta-ab`` given ``--j``); and a rational with a zero
+denominator (``eval phi --m=1/0``).
 """
 
 from __future__ import annotations
@@ -147,6 +150,12 @@ def _commands():
         ("verify_lem23_tol_0", ["verify", "lem2.3", "--tol", "0"]),
         ("verify_lem23_tol_neg", ["verify", "lem2.3", "--tol", "-1"]),
         ("verify_theta_quasi_p3_n2", ["verify", "theta-quasi", "--p", "3", "--n", "2"]),
+        ("verify_theta_quasi_tol_inf", ["verify", "theta-quasi", "--tol", "inf"]),
+        ("verify_d21a_omega_seed7", ["verify", "d21a-omega", "--seed", "7"]),
+        # options the chosen function does not read, and a zero denominator
+        ("eval_eta_unread_m_z1", ["eval", "eta", "--tau=1i", "--m=5", "--z1=3"]),
+        ("eval_theta_ab_unread_j", ["eval", "theta-ab", "--a=1", "--b=1", "--j=1"] + ONE_Z),
+        ("eval_phi_m_1_over_0", ["eval", "phi", "--m=1/0", "--s=0"] + POINT),
         # the --p/--q/--n spellings of --params and --k
         ("flag_chartable_d21a_p", ["chartable", "--case", "d21a", "--k=-1/2", "--labels", "0,1",
                                    "--params", "1,2", "--p", "1", "--points", "1"]),
