@@ -98,8 +98,8 @@ def _emit(doc, fmt: str, out_path: str = None):
 
 # eval's functions: the module that defines each, then the options it reads
 # in call order with their parsers: those before tau, what makes its leading
-# arguments of their values, and those after tau.  mock is imported when a
-# parser runs, so loading cli imports no numerical layer.
+# arguments of their values, and those after tau.  The lambdas import mock
+# only when they run, so loading cli imports no numerical layer.
 _PHI = ({"m": parse_rational, "s": parse_rational, "sign": str},
         lambda values: (import_module(".mock", __package__).MockIndex(*values),))
 _JM = {"j": int, "m": int}
