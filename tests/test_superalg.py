@@ -474,7 +474,8 @@ class TestEnumerations:
 #
 #     PYTHONPATH=src python tests/test_superalg.py --write   # re-pin
 #
-# Re-pin only when a change is meant to move an Omega list or a preset.
+# Re-pin only when a change is meant to move an Omega list or a preset's
+# export or positive roots.
 
 PINS = Path(__file__).with_name("data") / "superalg.json"
 ALIASES = ("sl21", "sl32", "osp32", "osp32_sub", "osp42", "d21a", "f4", "g3")
@@ -514,6 +515,21 @@ def pinned_values():
     return {"omega": omega, "errors": errors, "preset_json": presets}
 
 
+PRESET_PINS = Path(__file__).with_name("data") / "presets.json"
+
+
+def _preset_data(pre):
+    return {"to_json": pre.to_json(),
+            "pos_roots": [" ".join([*map(str, root), ("even", "odd")[parity]])
+                          for root, parity in pre.pos_roots]}
+
+
+def pinned_presets():
+    """The export and positive roots of every ``ALL_PRESETS`` entry."""
+    return {f"{name}{tuple(params)}": _preset_data(preset(name, params))
+            for name, params in ALL_PRESETS}
+
+
 class TestPinned:
     """Omega lists, level errors and preset exports against
     ``tests/data/superalg.json``."""
@@ -536,6 +552,11 @@ class TestPinned:
     @pytest.mark.parametrize("alias", ALIASES)
     def test_preset_json(self, pinned, alias):
         assert preset(alias).to_json() == pinned["preset_json"][alias]
+
+    @pytest.mark.parametrize("name,params", ALL_PRESETS)
+    def test_preset_data(self, name, params):
+        pinned = json.loads(PRESET_PINS.read_text())
+        assert _preset_data(preset(name, params)) == pinned[f"{name}{tuple(params)}"]
 
 
 def _label_box(omega):
@@ -614,4 +635,5 @@ def test_answers_do_not_depend_on_the_display_name(name, params):
 if __name__ == "__main__":
     if "--write" in sys.argv[1:]:
         PINS.write_text(json.dumps(pinned_values(), indent=1, sort_keys=True) + "\n")
-        print(f"wrote {PINS}")
+        PRESET_PINS.write_text(json.dumps(pinned_presets(), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {PINS} and {PRESET_PINS}")
