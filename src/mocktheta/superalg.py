@@ -167,22 +167,30 @@ def _sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _chain_roots(chain, sp, tail=""):
-    """Positive roots with parities of the simple-root chain u_a - u_{a+1},
-    closed by u_r (tail "B"), by u_{r-1} + u_r ("D") or by nothing: the
-    u_a - u_b (a < b) by height; in B the u_a from u_r up; in B and D the
-    u_a + u_b and the 2 u_a of the u_a in sp.  The u's lie on two sides,
-    sp one of them (the symplectic one in B and D): a root is odd where its
-    u's lie on different sides, and u_a where u_a lies in sp."""
+def _chain(chain, sp, tail=""):
+    """Simple roots, positive roots (both as (vector, parity) pairs) and rho
+    of a chain u_1, ..., u_r.  The simple roots are the u_a - u_{a+1},
+    closed by u_r (tail "B"), by u_{r-1} + u_r ("D") or by nothing.  The
+    positive roots are the u_a - u_b (a < b) by height; in B the u_a from
+    u_r up; in B and D the u_a + u_b and the 2 u_a of the u_a in sp.  The
+    u's lie on two sides, sp one of them (the symplectic one in B and D):
+    a root is odd where its u's lie on different sides, and u_a where u_a
+    lies in sp.  rho is half the even positive roots minus half the odd."""
     side = [u in sp for u in chain]
-    pairs = [(a, a + h) for h in range(1, len(chain)) for a in range(len(chain) - h)]
+    r = len(chain)
+    pairs = [(a, a + h) for h in range(1, r) for a in range(r - h)]
     roots = [(_sub(chain[a], chain[b]), int(side[a] != side[b])) for a, b in pairs]
+    simple = roots[: r - 1]
     if tail == "B":
+        simple.append((chain[-1], int(side[-1])))
         roots += [(u, int(s)) for u, s in zip(chain[::-1], side[::-1])]
+    if tail == "D":
+        simple.append((_add(chain[-2], chain[-1]), int(side[-2] != side[-1])))
     if tail:
         roots += [(_add(chain[a], chain[b]), int(side[a] != side[b])) for a, b in sorted(pairs)]
         roots += [(tuple(2 * x for x in u), 0) for u, s in zip(chain, side) if s]
-    return tuple(roots)
+    rho = tuple(sum(F(1 - 2 * odd, 2) * v[i] for v, odd in roots) for i in range(len(chain[0])))
+    return tuple(simple), tuple(roots), rho
 
 
 def _osp_basis(m: int, n: int, eps_norm: Fraction):
@@ -204,33 +212,23 @@ def _preset_sl(m: int, n: int) -> SuperalgebraPreset:
     if not (m >= n >= 1):
         raise UnsupportedCase("sl(m+1|n) needs m >= n >= 1")
     gram, eps, delta = _osp_basis(m + 1, n, F(1))
-    simple = []
-    for i in range(1, n + 1):
-        simple.append((_sub(eps(i), delta(i)), 1))
-        simple.append((_sub(delta(i), eps(i + 1)), 1))
-    for i in range(2 * n + 1, m + n + 1):
-        simple.append((_sub(eps(i - n), eps(i - n + 1)), 0))
-    gammas = tuple(_sub(eps(m + 1), eps(i)) for i in range(1, m + 1))
-    ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
-    rho = tuple(
-        sum((F(m - n) * t[r] for t in ts), start=F(0))
-        + sum((F(m + 1 - i) * eps(i)[r] for i in range(n + 1, m + 1)), start=F(0))
-        for r in range(m + 1 + n)
-    )
-    gens = tuple((_sub(eps(i), eps(i + 1)), -1) for i in range(1, m + 1))
     chain = [v for i in range(1, n + 1) for v in (eps(i), delta(i))]
     chain += [eps(i) for i in range(n + 1, m + 2)]
+    simple, pos, rho = _chain(chain, [delta(i) for i in range(1, n + 1)])
+    # rho is fixed up to the form's radical (1, ..., 1, -1, ..., -1), the
+    # Gram diagonal: take the representative with eps_{m+1} coordinate 0
+    rho = tuple(x - rho[m] * gram[r][r] for r, x in enumerate(rho))
     return SuperalgebraPreset(
         name=f"sl({m+1}|{n})",
         gram=gram,
-        simple_roots=tuple(simple),
+        simple_roots=simple,
         rho=rho,
         h_dual=F(m + 1 - n),
         g_shriek=f"sl({m+1-n})" if m + 1 - n > 1 else "0",
-        gamma_basis=gammas,
-        isotropic_t=ts,
-        weyl_gens=gens,
-        pos_roots=_chain_roots(chain, [delta(i) for i in range(1, n + 1)]),
+        gamma_basis=tuple(_sub(eps(m + 1), eps(i)) for i in range(1, m + 1)),
+        isotropic_t=tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1)),
+        weyl_gens=tuple((_sub(eps(i), eps(i + 1)), -1) for i in range(1, m + 1)),
+        pos_roots=pos,
     )
 
 
@@ -239,33 +237,22 @@ def _preset_osp_even_low(n: int, m: int) -> SuperalgebraPreset:
     if not (m >= n >= 1):
         raise UnsupportedCase("osp(2n|2m) preset needs m >= n >= 1")
     gram, eps, delta = _osp_basis(m, n, F(1, 2))
-    gammas = tuple(tuple(-2 * x for x in eps(i)) for i in range(1, m + 1))
-    ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
-    rho = tuple(
-        sum((F(i - n) * eps(i)[r] for i in range(n + 1, m + 1)), start=F(0))
-        for r in range(m + n)
-    )
-    simple = []
-    for i in range(1, m - n + 1):
-        simple.append((_sub(eps(m - i + 1), eps(m - i)), 0))
-    # alternating odd tail down to eps_1 +- delta_1
-    for j in range(n, 1, -1):
-        simple.append((_sub(eps(j), delta(j)), 1))
-        simple.append((_sub(delta(j), eps(j - 1)), 1))
-    simple.append((_sub(eps(1), delta(1)), 1))
-    simple.append((_add(eps(1), delta(1)), 1))
+    chain = [eps(i) for i in range(m, n, -1)]
+    chain += [v for j in range(n, 0, -1) for v in (eps(j), delta(j))]
+    simple, pos, rho = _chain(chain, [eps(i) for i in range(1, m + 1)], "D")
     gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
     gens.append((tuple(2 * x for x in eps(m)), -1))
     return SuperalgebraPreset(
         name=f"osp({2*n}|{2*m})",
         gram=gram,
-        simple_roots=tuple(simple),
+        simple_roots=simple,
         rho=rho,
         h_dual=F(m + 1 - n),
         g_shriek=f"sp({2*(m-n)})" if m > n else "0",
-        gamma_basis=gammas,
-        isotropic_t=ts,
+        gamma_basis=tuple(tuple(-2 * x for x in eps(i)) for i in range(1, m + 1)),
+        isotropic_t=tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1)),
         weyl_gens=tuple(gens),
+        pos_roots=pos,
     )
 
 
@@ -275,33 +262,15 @@ def _preset_osp_odd_low(n: int, m: int) -> SuperalgebraPreset:
         raise UnsupportedCase("osp(2n+1|2m) preset needs m >= n >= 1")
     base = _preset_osp_even_low(n, m)
     gram, eps, delta = _osp_basis(m, n, F(1, 2))
-    # simple roots per the alternating chain ending at the short odd eps_1
-    simple = []
-    for i in range(1, m - n):
-        simple.append((_sub(eps(m - i + 1), eps(m - i)), 0))
-    if m > n:
-        simple.append((_sub(eps(n + 1), delta(n)), 1))
-    for j in range(n, 0, -1):
-        simple.append((_sub(delta(j), eps(j)), 1))
-        if j > 1:
-            simple.append((_sub(eps(j), delta(j - 1)), 1))
-    simple.append((eps(1), 1))
-    rho = tuple(
-        F(1, 2) * sum((t[r] for t in base.isotropic_t), start=F(0))
-        + sum(
-            ((F(i) - F(1, 2)) * eps(n + i)[r] for i in range(1, m - n + 1)),
-            start=F(0),
-        )
-        for r in range(m + n)
-    )
-    gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
-    gens.append((tuple(2 * x for x in eps(m)), 1))  # half 2eps is the odd eps
     chain = [eps(i) for i in range(m, n, -1)]
     chain += [v for j in range(n, 0, -1) for v in (delta(j), eps(j))]
+    simple, pos, rho = _chain(chain, [eps(i) for i in range(1, m + 1)], "B")
+    gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
+    gens.append((tuple(2 * x for x in eps(m)), 1))  # half 2eps is the odd eps
     return SuperalgebraPreset(
         name=f"osp({2*n+1}|{2*m})",
         gram=gram,
-        simple_roots=tuple(simple),
+        simple_roots=simple,
         rho=rho,
         h_dual=F(2 * (m - n) + 1, 2),
         g_shriek=f"osp(1|{2*(m-n)})" if m > n else "0",
@@ -309,7 +278,7 @@ def _preset_osp_odd_low(n: int, m: int) -> SuperalgebraPreset:
         isotropic_t=base.isotropic_t,
         weyl_gens=tuple(gens),
         eps_minus_translations="parity_of_halfnorm",
-        pos_roots=_chain_roots(chain, [eps(i) for i in range(1, m + 1)], "B"),
+        pos_roots=pos,
     )
 
 
@@ -321,31 +290,23 @@ def _preset_osp_odd_high(m: int, n: int) -> SuperalgebraPreset:
     gammas = [_sub(eps(n + 1), eps(i)) for i in range(1, n + 1)]
     gammas.append(tuple(2 * x for x in eps(n + 1)))
     gammas.extend(_sub(eps(i), eps(i - 1)) for i in range(n + 2, m + 1))
-    ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
-    rho = tuple(
-        sum(((F(i - n) - F(1, 2)) * eps(i)[r] for i in range(n + 1, m + 1)), start=F(0))
-        - F(1, 2) * sum((t[r] for t in ts), start=F(0))
-        for r in range(m + n)
-    )
-    simple = [(_sub(eps(m - i + 1), eps(m - i)), 0) for i in range(1, m - n + 1)]
-    for j in range(n, 1, -1):
-        simple.append((_sub(eps(j), delta(j)), 1))
-        simple.append((_sub(delta(j), eps(j - 1)), 1))
-    simple.append((_sub(eps(1), delta(1)), 1))
-    simple.append((delta(1), 1))
+    chain = [eps(i) for i in range(m, n, -1)]
+    chain += [v for j in range(n, 0, -1) for v in (eps(j), delta(j))]
+    simple, pos, rho = _chain(chain, [delta(j) for j in range(1, n + 1)], "B")
     gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
     gens.append((eps(m), -1))
     return SuperalgebraPreset(
         name=f"osp({2*m+1}|{2*n})",
         gram=gram,
-        simple_roots=tuple(simple),
+        simple_roots=simple,
         rho=rho,
         h_dual=F(2 * (m - n) - 1),
         g_shriek=f"so({2*(m-n)+1})",
         gamma_basis=tuple(gammas),
-        isotropic_t=ts,
+        isotropic_t=tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1)),
         weyl_gens=tuple(gens),
         eps_minus_translations="parity_of_halfnorm",
+        pos_roots=pos,
     )
 
 
@@ -357,30 +318,22 @@ def _preset_osp_even_high(m: int, n: int) -> SuperalgebraPreset:
     gammas = [_sub(eps(i), eps(m)) for i in range(1, n + 1)]
     gammas.append(_add(eps(n + 2), eps(n + 1)))
     gammas.extend(_sub(eps(i), eps(i - 1)) for i in range(n + 2, m + 1))
-    ts = tuple(_sub(delta(i), eps(i)) for i in range(1, n + 1))
-    rho = tuple(
-        sum((F(i - n - 1) * eps(i)[r] for i in range(n + 2, m + 1)), start=F(0))
-        for r in range(m + n)
-    )
-    simple = [(_sub(eps(m - i + 1), eps(m - i)), 0) for i in range(1, m - n - 1)]
-    simple.append((_sub(eps(n + 1), delta(n)), 1))
-    for j in range(n, 1, -1):
-        simple.append((_sub(delta(j), eps(j)), 1))
-        simple.append((_sub(eps(j), delta(j - 1)), 1))
-    simple.append((_sub(delta(1), eps(1)), 1))
-    simple.append((_add(delta(1), eps(1)), 1))
+    chain = [eps(i) for i in range(m, n, -1)]
+    chain += [v for j in range(n, 0, -1) for v in (delta(j), eps(j))]
+    simple, pos, rho = _chain(chain, [delta(j) for j in range(1, n + 1)], "D")
     gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
     gens.append((_add(eps(m - 1), eps(m)), -1))
     return SuperalgebraPreset(
         name=f"osp({2*m}|{2*n})",
         gram=gram,
-        simple_roots=tuple(simple),
+        simple_roots=simple,
         rho=rho,
         h_dual=F(2 * (m - n - 1)),
         g_shriek=f"so({2*(m-n)})",
         gamma_basis=tuple(gammas),
-        isotropic_t=ts,
+        isotropic_t=tuple(_sub(delta(i), eps(i)) for i in range(1, n + 1)),
         weyl_gens=tuple(gens),
+        pos_roots=pos,
     )
 
 
@@ -392,29 +345,21 @@ def _preset_osp_h0(n: int) -> SuperalgebraPreset:
     gram, eps, delta = _osp_basis(m, n, F(1))
     gammas = [_sub(eps(n + 1), eps(i)) for i in range(1, n + 1)]
     gammas.append(tuple(2 * x for x in eps(n + 1)))
-    ts = tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1))
-    rho = tuple(F(0) for _ in range(m + n))
-    simple = []
-    simple.append((_sub(eps(1), delta(1)), 1))
-    for j in range(1, n):
-        simple.append((_sub(delta(j), eps(j + 1)), 1))
-        simple.append((_sub(eps(j + 1), delta(j + 1)), 1))
-    simple.append((_sub(delta(n), eps(n + 1)), 1))
-    simple.append((_add(delta(n), eps(n + 1)), 1))
+    chain = [v for j in range(1, n + 1) for v in (eps(j), delta(j))] + [eps(n + 1)]
+    simple, pos, rho = _chain(chain, [delta(j) for j in range(1, n + 1)], "D")
     gens = [(_sub(eps(i), eps(i + 1)), -1) for i in range(1, m)]
     gens.append((_add(eps(m - 1), eps(m)), -1))
-    chain = [v for j in range(1, n + 1) for v in (eps(j), delta(j))] + [eps(n + 1)]
     return SuperalgebraPreset(
         name=f"osp({2*n+2}|{2*n})",
         gram=gram,
-        simple_roots=tuple(simple),
+        simple_roots=simple,
         rho=rho,
         h_dual=F(0),
         g_shriek="0",
         gamma_basis=tuple(gammas),
-        isotropic_t=ts,
+        isotropic_t=tuple(_sub(eps(i), delta(i)) for i in range(1, n + 1)),
         weyl_gens=tuple(gens),
-        pos_roots=_chain_roots(chain, [delta(j) for j in range(1, n + 1)], "D"),
+        pos_roots=pos,
     )
 
 
@@ -508,25 +453,17 @@ def _preset_g3() -> SuperalgebraPreset:
 
 
 def _preset_osp32_sub() -> SuperalgebraPreset:
-    """osp(3|2) with the subprincipal sl(2) inside the even part."""
+    """osp(3|2) with the subprincipal sl(2) inside the even part: the form,
+    roots and rho of osp(3|2), with its own Weyl group, T and gamma."""
     # negative definite subprincipal lattice; characters go through the
     # half-modulus rank-1 functions
-    gram, eps, delta = _osp_basis(1, 1, F(1, 2))
-    a1 = _sub(delta(1), eps(1))
-    a2 = eps(1)
-    delta1 = delta(1)
-    return SuperalgebraPreset(
+    _, eps, delta = _osp_basis(1, 1, F(1, 2))
+    return replace(
+        _preset_osp_odd_low(1, 1),
         name="osp(3|2)-subprincipal",
-        gram=gram,
-        simple_roots=((a1, 1), (a2, 1)),
-        rho=tuple(-F(1, 2) * x for x in a1),
-        h_dual=F(1, 2),
-        g_shriek="0",
-        gamma_basis=(tuple(4 * x for x in delta1),),
-        isotropic_t=(a1,),
-        weyl_gens=((delta1, -1),),
-        eps_minus_translations="parity_of_halfnorm",
-        pos_roots=_preset_osp_odd_low(1, 1).pos_roots,  # the same simple roots
+        gamma_basis=(tuple(4 * x for x in delta(1)),),
+        isotropic_t=(_sub(delta(1), eps(1)),),
+        weyl_gens=((delta(1), -1),),
     )
 
 
