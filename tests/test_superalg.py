@@ -154,6 +154,9 @@ class TestPositiveRoots:
         ("osp42", None, (9, 8)), ("d21a", None, (9, 8)), ("d21a", (1, 2), (9, 8)),
         ("sl", (2, 1), (9, 6)), ("sl", (3, 2), (19, 16)), ("osp_odd_low", (1, 2), (13, 12)),
         ("osp_odd_low", (2, 2), (20, 20)), ("osp_h0", (2,), (25, 24)),
+        ("osp_even_low", (1, 2), (11, 8)), ("osp_even_low", (2, 3), (27, 24)),
+        ("osp_odd_high", (2, 1), (13, 10)), ("osp_odd_high", (3, 1), (24, 14)),
+        ("osp_even_high", (4, 1), (31, 16)), ("osp_even_high", (6, 2), (76, 48)),
     ])
     def test_positive_roots_lie_on_the_simple_roots_and_fill_g(self, name, params, dims):
         # each positive root is a non-negative integer combination of the
@@ -174,6 +177,19 @@ class TestPositiveRoots:
         odd = sum(parity for _, parity in pre.pos_roots)
         even = len(pre.pos_roots) - odd
         assert (len(simple) + 2 * even, 2 * odd) == dims
+
+    @pytest.mark.parametrize("name,params", ALL_PRESETS)
+    def test_simple_roots_are_independent_and_fill_the_rank(self, name, params):
+        # one simple root per ambient coordinate, one fewer for sl, whose
+        # ambient space also holds the radical of the form; independent
+        # exactly when their Euclidean Gram matrix is invertible
+        from mocktheta.lattice import _eliminate
+
+        pre = preset(name, params)
+        simple = [v for v, _ in pre.simple_roots]
+        assert len(simple) == len(pre.gram) - (name == "sl")
+        det, _ = _eliminate([[sum(a * b for a, b in zip(u, v)) for v in simple] for u in simple])
+        assert det != 0
 
 
 class TestIntegrable:
