@@ -82,7 +82,7 @@ def _emit(doc, fmt: str, out_path: str = None):
         import csv
 
         buf = io.StringIO()
-        rows = doc if isinstance(doc, list) else doc.get("rows", [doc])
+        rows = doc if isinstance(doc, list) else [doc]
         if rows:
             writer = csv.DictWriter(buf, fieldnames=sorted(rows[0].keys()))
             writer.writeheader()
@@ -123,6 +123,8 @@ _EVAL_DEFAULTS = {"m": "1", "s": "0", "j": "0", "a": "0", "b": "0", "sign": "uns
 
 
 def cmd_eval(args) -> int:
+    if args.output != "json":  # the value is a nested {re, im} object
+        raise ValueError("eval writes JSON only")
     tau = require_tau(parse_complex(args.tau))
     key = args.function.replace("_", "-")
     if key not in _EVAL:
@@ -150,6 +152,8 @@ def cmd_verify(args) -> int:
 
     from .suites import SUITES, _suite_function, run_suite
 
+    if args.full and args.output != "json":  # each report nests its checks
+        raise ValueError("verify --full writes JSON only")
     ids = sorted(SUITES) if args.suite == "all" else [args.suite]
     bad = [s for s in ids if s not in SUITES]
     if bad:

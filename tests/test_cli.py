@@ -144,6 +144,12 @@ class TestEval:
         assert captured.err == "error: eval eta takes no --m, --sign, --z1\n"
         assert captured.out == ""
 
+    def test_writes_json_only(self, capsys):
+        # refused before tau is checked: a tau below the floor is not reached
+        assert main(["eval", "eta", "--tau=0.01i", "--output", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eval writes JSON only\n" and captured.out == ""
+
     def test_unknown_function(self):
         rc, _, err = run_cli("eval", "zeta", "--tau", "i")
         assert rc == 2 and "unknown function" in err
@@ -162,6 +168,18 @@ class TestVerify:
         assert rc == 0
         doc = json.loads(out)
         assert doc["pass"] and doc["anchor"] == "cor1.2"
+
+    def test_full_writes_json_only(self, capsys, monkeypatch):
+        # refused before any suite runs; without --full each report is one flat row
+        import mocktheta.suites
+
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(mocktheta.suites, "run_suite", never)
+        assert main(["verify", "theta-quasi", "--full", "--output", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: verify --full writes JSON only\n" and captured.out == ""
 
     def test_unknown_suite_exit_two(self):
         rc, _, err = run_cli("verify", "does-not-exist")
