@@ -18,8 +18,9 @@ suite at its own seed and at the ends 0 and 2**32 - 1 of the seed range;
 default sign, and a sign spelling ``eval`` refuses; the README and benchmark
 ``chartable`` rows; the benchmark's cold-start commands; ``smatrix`` for
 every wired case, with parameters and levels it honours or refuses;
-``table omega``/``preset`` for every case alias, and the CSV output
-``table preset`` refuses; seeds, D(2,1;a)
+``table omega``/``preset`` for every case alias, ``table preset`` for
+each family no alias reaches, and the CSV output ``table preset``
+refuses; seeds, D(2,1;a)
 parameters and alias parameters the CLI honours or refuses, the last
 on ``table preset``, ``chartable`` and ``smatrix`` alike; ``chartable``
 point counts below 1, which it refuses; the
@@ -78,6 +79,10 @@ ALIASES = (
     ("sl21", "2"), ("sl32", "1"), ("osp32", "1"), ("osp32_sub", "-3/4"),
     ("osp42", "1"), ("d21a", "-1/2"), ("f4", "1"), ("g3", "1"),
 )
+
+# (family, parameters) of the families no alias reaches
+FAMILIES = (("osp_even_low", "1,2"), ("osp_odd_high", "2,1"), ("osp_even_high", "4,1"),
+            ("osp_h0", "2"))
 
 
 def _commands():
@@ -200,6 +205,9 @@ def _commands():
     for alias, k in ALIASES:
         cmds.append((f"table_preset_{alias}", ["table", "preset", "--case", alias]))
         cmds.append((f"table_omega_{alias}", ["table", "omega", "--case", alias, f"--k={k}"]))
+    for family, params in FAMILIES:
+        cmds.append((f"table_preset_{family}_{params.replace(',', '_')}",
+                     ["table", "preset", "--case", family, "--params", params]))
     return cmds
 
 
