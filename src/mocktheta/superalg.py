@@ -60,7 +60,7 @@ class SuperalgebraPreset:
     gamma_basis: tuple
     isotropic_t: tuple
     weyl_gens: tuple = ()  # (root vector, eps_minus) pairs; eps_plus = -1
-    pos_roots: tuple = ()  # (vector, parity) pairs; stated for the wired families
+    pos_roots: tuple = ()  # (vector, parity) pairs; every family but f4 and g3
     eps_minus_translations: str = "trivial"
     family: str = ""  # the _FAMILIES key preset() built this from
     params: tuple = ()  # the family parameters preset() built this with
