@@ -84,6 +84,18 @@ CHARACTERS = (
     ("d21a", (1, 1), F(-1, 2), (0, 0)),
     ("d21a", (1, 2), F(-2, 3), (0, 1)),
 )
+# Fixed points where the minus-sign R walk takes its scaled branch
+# (sp >= 6) at l < 0, which none of the seeded points reaches:
+# (j, m, tau, z) of r_jm_signed(-1, ...) and (m, s, tau, z1, z2) of
+# phi_add at the minus index.
+R_MINUS = (
+    (1, F(3, 2), 0.19 + 1.01j, 0.34 - 0.9j),
+    (F(3, 2), F(3, 2), -0.44 + 1.64j, 0.4 - 0.71j),
+)
+PHI_ADD_MINUS = (
+    (F(1, 2), F(1, 2), 0.22 + 1.01j, -0.28 - 0.31j, -0.09 + 0.08j),
+    (1, 0, 0.49 + 1.58j, -0.03 - 1.28j, 0.36 - 1.2j),
+)
 LEVEL1 = {(3, 2): ("sum01", "diff01", "twisted"),
           (4, 2): ("sum01", "diff01", "twisted", "diff_top")}
 
@@ -208,6 +220,13 @@ def cases():
             for combo in combos:
                 add(f"level1({M}|{N},{combo})#{rep}",
                     lambda f=mt.level1_osp_supercharacter(M, N, combo), p=p: f(p))
+    for j, m, tau, z in R_MINUS:
+        add(f"r_jm_signed(-1,{j},{m})@{tau}",
+            lambda j=j, m=m, tau=tau, z=z: mt.r_jm_signed(-1, j, m, tau, z))
+    for m, s, tau, z1, z2 in PHI_ADD_MINUS:
+        idx = mt.MockIndex(m, s, "minus")
+        add(f"phi_add({m},{s},minus)@{tau}",
+            lambda i=idx, tau=tau, z1=z1, z2=z2: mt.phi_add(i, tau, z1, z2))
     return out
 
 

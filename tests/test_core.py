@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 from fractions import Fraction as F
 
 import mpmath
@@ -275,3 +276,49 @@ class TestSeriesValue:
         assert q.terms_used == 12
         # an exact dividend keeps the divisor's relative error
         assert (SeriesValue(1.0, 0.0, 0) / b).err_bound >= b.err_bound / abs(b.value) ** 2
+
+    A = SeriesValue(2.0 + 1.0j, 1e-12, 5)
+    B = SeriesValue(0.3 - 0.7j, 3e-13, 7)
+
+    @staticmethod
+    def bits(sv):
+        assert type(sv) is SeriesValue
+        v = complex(sv.value)
+        return v.real.hex(), v.imag.hex(), float(sv.err_bound).hex(), sv.terms_used
+
+    def test_fields_are_read_only(self):
+        for name in ("value", "err_bound", "terms_used"):
+            with pytest.raises(AttributeError):
+                setattr(self.A, name, 0)
+
+    def test_series_arithmetic_bits(self):
+        a, b = self.A, self.B
+        quot = a.value / b.value
+        expected = [
+            (a + b, (a.value + b.value, a.err_bound + b.err_bound, 12)),
+            (a - b, (a.value - b.value, a.err_bound + b.err_bound, 12)),
+            (a * b, (
+                a.value * b.value,
+                abs(a.value) * b.err_bound + abs(b.value) * a.err_bound
+                + a.err_bound * b.err_bound,
+                12,
+            )),
+            (a / b, (quot, (a.err_bound + abs(quot) * b.err_bound) / abs(b.value), 12)),
+        ]
+        for got, want in expected:
+            assert self.bits(got) == self.bits(SeriesValue(*want))
+
+    @pytest.mark.parametrize(
+        "c", [3, -0.7, 0.25 - 1.5j, np.float64(-2.5), np.complex128(0.5 + 2j)]
+    )
+    def test_scalar_product_bits_on_either_side(self, c):
+        # a numpy scalar on the left defers to SeriesValue, not to an array
+        a = self.A
+        want = self.bits(SeriesValue(a.value * c, abs(c) * a.err_bound, a.terms_used))
+        assert self.bits(a * c) == want
+        assert self.bits(c * a) == want
+
+    def test_complex_and_pickle(self):
+        assert complex(self.A) == 2.0 + 1.0j
+        back = pickle.loads(pickle.dumps(self.A))
+        assert back == self.A and self.bits(back) == self.bits(self.A)

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -43,7 +44,7 @@ class TestMockIndex:
         assert MockIndex(1, 0).flipped().sign == "unsigned"
 
     @pytest.mark.parametrize("forms", [
-        [(1, 0), (F(1), F(0)), (1.0, 0.0), (1, F(0, 7))],
+        [(1, 0), (F(1), F(0)), (1.0, 0.0), (1, F(0, 7)), (1.0, F(0)), (F(1), 0)],
         [(F(3, 2), F(1, 2), "minus"), (1.5, 0.5, "minus"), (F(6, 4), 0.5, "minus")],
     ])
     def test_hash_agrees_with_equality(self, forms):
@@ -53,6 +54,16 @@ class TestMockIndex:
             for b in indices:
                 assert a == b and hash(a) == hash(b)
         assert {indices[0]: "x"}[indices[-1]] == "x"
+
+    def test_invalid_index_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                MockIndex(1, F(1, 2))
+
+    def test_pickle_keeps_equality_and_hash(self):
+        for idx in (MockIndex(2, -1), MockIndex(F(3, 2), F(1, 2), "minus")):
+            back = pickle.loads(pickle.dumps(idx))
+            assert back == idx and hash(back) == hash(idx)
 
     def test_hash_tells_the_sign_apart(self):
         plus, minus = MockIndex(F(1, 2), 0, "plus"), MockIndex(F(1, 2), 0, "minus")
