@@ -74,13 +74,19 @@ def require_tau(tau: complex) -> complex:
     return tau
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    """A complex value paired with a truncation-error bound."""
+class SeriesValue(NamedTuple):
+    """A complex value paired with a truncation-error bound.
+
+    An immutable NamedTuple, cheap to build.  ``__array_ufunc__ = None``
+    makes a numpy scalar on the left of ``*`` defer to ``__rmul__``
+    instead of reading the tuple as a length-3 array.
+    """
 
     value: complex
     err_bound: float
     terms_used: int
+
+    __array_ufunc__ = None
 
     def __complex__(self) -> complex:
         return self.value
@@ -219,9 +225,10 @@ def gaussian_window(log_peak, a, centre, core=None):
             f"ladder window of {hi - lo + 1} terms exceeds "
             f"max_terms={MAX_TERMS} at abs_tol={ABS_TOL}"
         )
-    err = 0.0
-    for d in (hi + 1 - centre, centre - lo + 1):
-        err += 2.0 * math.exp(log_peak - a * d * d) / -math.expm1(-2.0 * a * d)
+    d1 = hi + 1 - centre
+    d2 = centre - lo + 1
+    err = (2.0 * math.exp(log_peak - a * d1 * d1) / -math.expm1(-2.0 * a * d1)
+           + 2.0 * math.exp(log_peak - a * d2 * d2) / -math.expm1(-2.0 * a * d2))
     return lo, hi, err
 
 
@@ -232,10 +239,6 @@ class LadderSum(NamedTuple):
     sums: list
     err_bound: float
     terms_used: int
-
-    def series(self) -> SeriesValue:
-        """The sum of a period-1 ladder as a SeriesValue."""
-        return SeriesValue(self.sums[0], self.err_bound, self.terms_used)
 
 
 @lru_cache(maxsize=512)
@@ -258,6 +261,8 @@ def sum_ladder(walk, window, period: int = 1) -> LadderSum:
     ladder bounds each class's tail.
     """
     lo, hi, err = window
+    if period == 1:
+        return LadderSum([walk(0, lo, hi)], err, hi - lo + 1)
     sums = [walk(r, -((r - lo) // period), (hi - r) // period) for r in range(period)]
     return LadderSum(sums, err, hi - lo + 1)
 

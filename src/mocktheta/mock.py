@@ -52,33 +52,49 @@ _MEMO_SIZE = 32
 SIGNS = {"unsigned": 1, "plus": 1, "minus": -1}
 
 
+@lru_cache(maxsize=256, typed=True)
+def _checked_index(m, s, sign: str) -> tuple:
+    """(m, s, float(m), float(s), hash) of a valid index; ValueError, raised
+    again on every call, for an invalid one.  ``typed``, so that a float
+    and a Fraction of equal value each go through ``as_fraction``."""
+    m = as_fraction(m)
+    s = as_fraction(s)
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be one of {sorted(SIGNS)}")
+    if m.numerator <= 0:
+        raise ValueError("degree m must be positive")
+    # in lowest terms, 2x is an integer exactly when x's denominator divides 2
+    if sign == "unsigned":
+        if m.denominator != 1 or s.denominator != 1:
+            raise ValueError("unsigned index needs integer m and s")
+    elif 2 % m.denominator or 2 % s.denominator:
+        raise ValueError("signed index needs half-integer m and s")
+    # integers: Fraction.__hash__ is a modular inverse; once, since every
+    # memo lookup of phi and phi_add hashes the index
+    key = (m.numerator, m.denominator, s.numerator, s.denominator, sign)
+    return m, s, float(m), float(s), hash(key)
+
+
 @dataclass(frozen=True)
 class MockIndex:
-    """Degree m, shift s, and sign label of a rank-1 mock theta function."""
+    """Degree m, shift s, and sign label of a rank-1 mock theta function.
+
+    Each distinct (m, s, sign) argument triple is checked once; the index
+    also carries ``m_float`` and ``s_float``, the floats the ladders read.
+    """
 
     m: Fraction
     s: Fraction
     sign: str = "unsigned"
 
     def __post_init__(self):
-        m = as_fraction(self.m)
-        s = as_fraction(self.s)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
-        if self.sign not in SIGNS:
-            raise ValueError(f"sign must be one of {sorted(SIGNS)}")
-        if m.numerator <= 0:
-            raise ValueError("degree m must be positive")
-        # in lowest terms, 2x is an integer exactly when x's denominator divides 2
-        if self.sign == "unsigned":
-            if m.denominator != 1 or s.denominator != 1:
-                raise ValueError("unsigned index needs integer m and s")
-        elif 2 % m.denominator or 2 % s.denominator:
-            raise ValueError("signed index needs half-integer m and s")
-        # integers: Fraction.__hash__ is a modular inverse; once, since
-        # every memo lookup of phi and phi_add hashes the index
-        key = (m.numerator, m.denominator, s.numerator, s.denominator, self.sign)
-        object.__setattr__(self, "_hash", hash(key))
+        m, s, m_float, s_float, h = _checked_index(self.m, self.s, self.sign)
+        put = object.__setattr__
+        put(self, "m", m)
+        put(self, "s", s)
+        put(self, "m_float", m_float)
+        put(self, "s_float", s_float)
+        put(self, "_hash", h)
 
     def __hash__(self):
         return self._hash
@@ -126,13 +142,14 @@ def _phi(idx: MockIndex, tau: complex, z1: complex, z2: complex) -> SeriesValue:
     """phi at checked arguments; a PoleAtZ1 is raised again on every call."""
     if distance_to_lattice(z1, tau) < POLE_THRESHOLD:
         raise PoleAtZ1(f"z1 = {z1} within {POLE_THRESHOLD} of Z + Z tau")
-    return sum_ladder(*_phi_window(idx, tau, z1, z2)).series()
+    (value,), err, terms = sum_ladder(*_phi_window(idx, tau, z1, z2))
+    return SeriesValue(value, err, terms)
 
 
 def _phi_window(idx: MockIndex, tau: complex, z1: complex, z2: complex):
     """(walk, window) of the Phi ladder at a checked point off the poles."""
-    m = float(idx.m)
-    s = float(idx.s)
+    m = idx.m_float
+    s = idx.s_float
     sgn = idx.sign_value
     # The numerator e^(2 pi i (m n u + s z1 + tau (m n^2 + s n))), u = z1 + z2,
     # has modulus exp(a n*^2 - 2 pi s Im z1 - a (n - n*)^2) with a = 2 pi m y

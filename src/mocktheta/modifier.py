@@ -18,12 +18,12 @@ from functools import lru_cache
 
 from .core import (
     _EXP_GUARD,
+    SQRT_PI,
     TWO_PI,
     SeriesValue,
     _finite,
     as_fraction,
     exp_overflow,
-    gauss_E_complement,
     gauss_E_complement_scaled,
     gaussian_window,
     outward,
@@ -44,7 +44,8 @@ _PSI_SWITCH = 6.0
 def _r_ladder(sign: int, j: float, m: float, tau: complex, z: complex) -> SeriesValue:
     """Shared ladder for R_{j,m} and its signed analogues."""
     tau = require_tau(tau)
-    return sum_ladder(*_r_window(sign, (j,), m, tau, _finite("z", z))).series()
+    (value,), err, terms = sum_ladder(*_r_window(sign, (j,), m, tau, _finite("z", z)))
+    return SeriesValue(value, err, terms)
 
 
 def _r_window(sign, js, m: float, tau: complex, z: complex):
@@ -75,8 +76,8 @@ def _r_window(sign, js, m: float, tau: complex, z: complex):
     )
 
     two_m = 2.0 * m
-    comp = gauss_E_complement
     comp_scaled = gauss_E_complement_scaled
+    erfc = math.erfc
     exp = cmath.exp
 
     def walk(r: int, l_lo: int, l_hi: int) -> complex:
@@ -84,18 +85,20 @@ def _r_window(sign, js, m: float, tau: complex, z: complex):
         total = 0j
         for ell in outward(l_lo, l_hi):
             n = j + step * ell
-            sign_step = 1.0 if ell >= 0 else -1.0
             psi = (n - centre) * scale
             w = _NEG_I_PI * n * n * tau / two_m + _2PI_I * n * z
-            # sign_step - E(psi) == sign_step * erfc(sqrt(pi) sign_step psi),
-            # which keeps full relative accuracy where the weight is tiny but
-            # the phase factor is exponentially large.
-            sp = sign_step * psi
+            # With sg = sign(l) (+1 at l = 0), sg - E(psi) equals
+            # sg * erfc(sqrt(pi) sg psi), which keeps full relative accuracy
+            # where the weight is tiny but the phase factor is exponentially
+            # large; sp = sg * psi, and the erfc is gauss_E_complement.
+            sp = psi if ell >= 0 else -psi
             if sp >= _PSI_SWITCH:
-                weight = sign_step * comp_scaled(sp)
+                weight = comp_scaled(sp)
                 w = w - math.pi * psi * psi
             else:
-                weight = sign_step * comp(sp)
+                weight = erfc(SQRT_PI * sp)
+            if ell < 0:
+                weight = -weight
             if w.real > _EXP_GUARD:
                 raise exp_overflow(w)
             if sign == -1 and ell % 2:
@@ -167,14 +170,12 @@ def _phi_add_walks(idx: MockIndex, tau: complex, z1, z2):
     """The (walk, window) pairs of phi_add's R and Theta walks, and their
     period 2m: class r of each walk is j = s + r."""
     sgn = idx.sign_value
-    m = float(idx.m)
-    # 2s and 4m are integers (MockIndex keeps s and m in (1/2)Z), so
-    # j = s + r and j / 2m = 2j / 4m round exactly as their Fractions do
-    s2 = 2 * idx.s.numerator // idx.s.denominator
-    m4 = 4 * idx.m.numerator // idx.m.denominator
-    p = m4 // 2
-    js = [(s2 + 2 * r) / 2 for r in range(p)]
-    c0s = [(s2 + 2 * r) / m4 for r in range(p)]
+    m = idx.m_float
+    # s and m lie in (1/2)Z, so their floats, 2m and each j = s + r are
+    # exact, and j / 2m rounds once, exactly as the Fraction j / 2m does
+    p = int(2.0 * m)
+    js = [idx.s_float + r for r in range(p)]
+    c0s = [j / (2.0 * m) for j in js]
     return (
         _r_window(sgn, js, m, tau, (z1 - z2) / 2.0),
         _theta_window(sgn, c0s, m, tau, z1 + z2),

@@ -107,7 +107,8 @@ def theta_jm_signed(sign: int, j, m, tau: complex, z: complex) -> SeriesValue:
 def _theta_ladder(sign: int, c0: float, m: float, tau: complex, z: complex) -> SeriesValue:
     """sum_n sign^n e^(2 pi i m (z c + tau c^2)), c = n + c0, for checked
     arguments: m > 0, sign = +-1, tau already through ``require_tau``."""
-    return sum_ladder(*_theta_window(sign, (c0,), m, tau, z)).series()
+    (value,), err, terms = sum_ladder(*_theta_window(sign, (c0,), m, tau, z))
+    return SeriesValue(value, err, terms)
 
 
 def _theta_window(sign, c0s, m: float, tau: complex, z: complex):
