@@ -494,7 +494,17 @@ class TestEnumerations:
 # export or positive roots.
 
 PINS = Path(__file__).with_name("data") / "superalg.json"
-ALIASES = ("sl21", "sl32", "osp32", "osp32_sub", "osp42", "d21a", "f4", "g3")
+# alias -> the family preset it names
+ALIASES = {
+    "sl21": ("sl", (1, 1)),
+    "sl32": ("sl", (2, 1)),
+    "osp32": ("osp_odd_low", (1, 1)),
+    "osp32_sub": ("osp32_sub", ()),
+    "osp42": ("osp_h0", (1,)),
+    "d21a": ("d21a", (1, 1)),
+    "f4": ("f4", ()),
+    "g3": ("g3", ()),
+}
 
 
 def _levels(name, params):
@@ -527,7 +537,9 @@ def pinned_values():
             enumerate_omega(pre, bad)
         except MockThetaError as exc:
             errors[_pin_key(name, params, bad)] = f"{type(exc).__name__}: {exc}"
-    presets = {alias: preset(alias).to_json() for alias in ALIASES}
+    # presets.json already pins the family presets of ALL_PRESETS
+    presets = {alias: preset(alias).to_json()
+               for alias, named in ALIASES.items() if named not in ALL_PRESETS}
     return {"omega": omega, "errors": errors, "preset_json": presets}
 
 
@@ -567,7 +579,16 @@ class TestPinned:
 
     @pytest.mark.parametrize("alias", ALIASES)
     def test_preset_json(self, pinned, alias):
-        assert preset(alias).to_json() == pinned["preset_json"][alias]
+        # an alias exports its family preset, pinned in presets.json when
+        # ALL_PRESETS holds it and here otherwise
+        name, params = ALIASES[alias]
+        out = preset(alias).to_json()
+        assert out == preset(name, params).to_json()
+        if (name, params) in ALL_PRESETS:
+            assert alias not in pinned["preset_json"]
+            assert out == json.loads(PRESET_PINS.read_text())[f"{name}{params}"]["to_json"]
+        else:
+            assert out == pinned["preset_json"][alias]
 
     @pytest.mark.parametrize("name,params", ALL_PRESETS)
     def test_preset_data(self, name, params):
