@@ -10,6 +10,9 @@ residue class, so every returned value carries an honest ``err_bound``
 and no term is evaluated past the window.  A walker sums its class in one
 local loop over ``outward``, with the summand written out inline and the
 overflow guard of ``cexp`` (``exp_overflow``) applied to each exponent.
+``sum_ladder`` is the one kernel every ladder passes through; a period-1
+evaluator unpacks its one sum into a ``SeriesValue``, the immutable
+NamedTuple (value, err_bound, terms_used) every evaluator returns.
 """
 
 from __future__ import annotations
