@@ -8,7 +8,7 @@ import pytest
 from mocktheta import _oracles as oracle
 from mocktheta.core import gauss_E
 from mocktheta.mock import MockIndex
-from mocktheta.modifier import phi_add, phi_tilde, r_jm, r_jm_signed
+from mocktheta.modifier import _r_window, phi_add, phi_tilde, r_jm, r_jm_signed
 from mocktheta.theta import theta_ab, theta_jm, theta_jm_signed
 import refs
 from conftest import random_points
@@ -53,6 +53,32 @@ class TestRSeries:
         lhs = r_jm(j, m, t, v).value - cmath.exp(2j * math.pi * m * (2 * v - t)) * r_jm(j, m, t, v - t).value
         rhs = 2 * cmath.exp(-2j * math.pi * t * j * j / (4 * m)) * cmath.exp(2j * math.pi * j * v)
         assert abs(lhs - rhs) < 1e-9
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_scaled_branch_summands(self, sign):
+        # Summands with sign(l) psi >= 6 lie more than 18 pi below the
+        # ladder's peak, under the last bit of any sum, so they are checked
+        # alone: l = -5, -4 and l = 2, 3 of R^(sign)_(1, 3/2), one odd l
+        # each, against 30-digit terms.
+        tau, z, j, m = 0.19 + 1.01j, 0.34 - 0.9j, 1, 1.5
+        walk, _ = _r_window(sign, (float(j),), m, tau, z)
+        centre, scale = 2 * m * z.imag / tau.imag, math.sqrt(tau.imag / m)
+        with mp.workdps(30):
+            mtau, mz, rpi = mp.mpc(tau), mp.mpc(z), mp.sqrt(mp.pi)
+
+            def term(ell):
+                n = j + 2 * m * ell
+                sg = 1 if ell >= 0 else -1
+                assert sg * (n - centre) * scale >= 6
+                psi = (n - mp.mpf(2 * m) * mz.imag / mtau.imag) * mp.sqrt(mtau.imag / m)
+                val = sg * mp.erfc(rpi * sg * psi) * mp.exp(
+                    -1j * mp.pi * n * n * mtau / (2 * m) + 2j * mp.pi * n * mz
+                )
+                return -val if sign == -1 and ell % 2 else val
+
+            for lo, hi in ((-5, -4), (2, 3)):
+                want = complex(sum(term(ell) for ell in range(lo, hi + 1)))
+                assert abs(walk(0, lo, hi) - want) <= 1e-12 * abs(want)
 
     def test_weight_profile(self):
         # the sigmoid weight is bounded by 2 and collapses past |psi| > 4
