@@ -6,9 +6,9 @@ Both commits are exported with ``git archive``, as ``tools/bench_pairs.py``
 does.  Each tree's ``src/mocktheta`` is imported under its own package
 name, and each side's ops are built by executing that tree's
 ``bench/workloads.py`` with its package bound as ``mocktheta``.  Pass
-after pass, every slot runs on both sides back to back, A first on even
-slots and B first on odd ones, so drifts of the host's speed fall on both
-sides alike.  It prints each side's ops/s from its fastest time per slot,
+after pass, every slot runs on both sides back to back, A first and B
+first in turn from slot to slot and, for each slot, from pass to pass, so
+drifts of the host's speed fall on both sides alike.  It prints each side's ops/s from its fastest time per slot,
 as ``bench/worker.py`` computes ``ops_per_s``, and the ratio B / A.
 
 Separate benchmark processes of one tree can differ by tens of percent on
@@ -52,7 +52,6 @@ def load_side(tree, tag):
 
     path = os.path.join(tree, "bench", "workloads.py")
     workloads = types.ModuleType(f"workloads_{tag}")
-    workloads.__file__ = path
     saved = sys.modules.get("mocktheta")
     sys.modules["mocktheta"] = package
     try:
@@ -76,7 +75,7 @@ def race(sides, workload, seed, passes):
     for p in range(passes):
         specs = [side.make_inputs(workload, seed, pass_no=p) for side in sides]
         for slot in range(n):
-            order = (0, 1) if slot % 2 == 0 else (1, 0)
+            order = (0, 1) if (p + slot) % 2 == 0 else (1, 0)
             for k in order:
                 t0 = clock()
                 sides[k].run_op(specs[k][slot])
