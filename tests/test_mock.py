@@ -61,7 +61,8 @@ class TestMockIndex:
                 MockIndex(1, F(1, 2))
 
     def test_carried_floats(self):
-        for idx in (MockIndex(3, -2), MockIndex(F(3, 2), F(-1, 2), "minus"), MockIndex(0.5, 1, "plus")):
+        for idx in (MockIndex(3, -2), MockIndex(F(3, 2), F(-1, 2), "minus"),
+                    MockIndex(0.5, 1, "plus")):
             assert idx.m_float == float(idx.m) and idx.s_float == float(idx.s)
             assert type(idx.m_float) is float and type(idx.s_float) is float
 

@@ -8,8 +8,9 @@ name, and each side's ops are built by executing that tree's
 ``bench/workloads.py`` with its package bound as ``mocktheta``.  Pass
 after pass, every slot runs on both sides back to back, A first and B
 first in turn from slot to slot and, for each slot, from pass to pass, so
-drifts of the host's speed fall on both sides alike.  It prints each side's ops/s from its fastest time per slot,
-as ``bench/worker.py`` computes ``ops_per_s``, and the ratio B / A.
+drifts of the host's speed fall on both sides alike.  It prints each
+side's ops/s from its fastest time per slot, as ``bench/worker.py``
+computes ``ops_per_s``, and the ratio B / A.
 
 Separate benchmark processes of one tree can differ by tens of percent on
 a shared host; two sides in one process see the same host.  A run with
