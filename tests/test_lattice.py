@@ -11,7 +11,7 @@ from conftest import random_points
 from mocktheta import lattice
 from mocktheta.characters import WeightSpec, ch_tilde
 from mocktheta.core import ModularPoint
-from mocktheta.errors import ConditionViolation, PoleProximity
+from mocktheta.errors import ConditionViolation, NonConvergent, PoleProximity
 from mocktheta.lattice import (
     LatticeContext,
     LatticeData,
@@ -603,3 +603,74 @@ class TestPlans:
         assert build_modification(a, Weight(1, (0, 0, -1))) is build_modification(
             b, Weight(1.0, (0.0, 0, -1))
         )
+
+
+# Each refused input and the exact error the direct sums raise for it.  The
+# messages name the first offending summand in window order (its exponent,
+# its |c|^2, its denominator factor), so a change to how a window is summed
+# must keep which summand offends first.
+_A1 = LatticeData(gram=((2.0,),))
+_A2 = LatticeData(gram=((2.0, -1.0), (-1.0, 2.0)))
+_THIRD = SignCharacter("parity_of_norm", F(1, 3))
+_SL2 = (LatticeContext(((2,),), 1, 1), Weight(1, (0, -1)))
+_A1A1_T2 = (LatticeContext(((2, 0), (0, 2)), 2, 1), Weight(1, (0, 0, -1, -1)))
+_ODD = (LatticeContext(((2,),), 1, F(3, 2), "minus"), Weight(F(3, 2), (0, 1)))
+_TAU1 = 0.1 + 1j
+REFUSED = {
+    "pole sl2": (lambda: lattice_mock_theta(*_SL2, ModularPoint(_TAU1, (0, 0.3))),
+                 PoleProximity, "denominator factor 1 vanishes"),
+    "pole factor 1 of 2": (
+        lambda: lattice_mock_theta(*_A1A1_T2, ModularPoint(_TAU1, (0, 0.3, 0.1, 0.2))),
+        PoleProximity, "denominator factor 1 vanishes"),
+    "pole factor 2 of 2": (
+        lambda: lattice_mock_theta(*_A1A1_T2, ModularPoint(_TAU1, (0.3, 0, 0.1, 0.2))),
+        PoleProximity, "denominator factor 2 vanishes"),
+    "overflow theta A1": (
+        lambda: lattice_theta((0.5,), 1, _A1, SignCharacter(), ModularPoint(_TAU1, (12j,))),
+        NonConvergent, "exponent overflow: Re(w) = 715"),
+    "overflow theta A1 below": (
+        lambda: lattice_theta((0.5,), 1, _A1, SignCharacter(), ModularPoint(_TAU1, (-12j,))),
+        NonConvergent, "exponent overflow: Re(w) = 715"),
+    "overflow theta A2": (
+        lambda: lattice_theta((0.5, 0.0), 1, _A2, SignCharacter(),
+                              ModularPoint(_TAU1, (0.2, 12j))),
+        NonConvergent, "exponent overflow: Re(w) = 702"),
+    "overflow mock sl2": (
+        lambda: lattice_mock_theta(*_SL2, ModularPoint(_TAU1, (12j, 0.3))),
+        NonConvergent, "exponent overflow: Re(w) = 716"),
+    "overflow mock odd": (
+        lambda: lattice_mock_theta(*_ODD, ModularPoint(_TAU1, (12j, 0.3))),
+        NonConvergent, "exponent overflow: Re(w) = 807"),
+    "parity A1": (
+        lambda: lattice_theta((0.5,), 1, _A1, _THIRD, ModularPoint(_TAU1, (0.2,))),
+        ValueError, "parity_of_norm exponent 8/3 is not an integer"),
+    "parity A2": (
+        lambda: lattice_theta((0.5, 0.0), 1, _A2, _THIRD, ModularPoint(_TAU1, (0.2, 0.1))),
+        ValueError, "parity_of_norm exponent 14/3 is not an integer"),
+    "max terms A1": (
+        lambda: lattice_theta((0.5,), 1, LatticeData(gram=((1e-7,),)), SignCharacter(),
+                              ModularPoint(_TAU1, (0.2,))),
+        NonConvergent, "lattice enumeration exceeds max_terms"),
+    "max terms A2": (
+        lambda: lattice_theta((0.5, 0.0), 1, LatticeData(gram=((1e-4, 0.0), (0.0, 1e-4))),
+                              SignCharacter(), ModularPoint(_TAU1, (0.2, 0.1))),
+        NonConvergent, "lattice enumeration exceeds max_terms"),
+    "max terms mock sl2": (
+        lambda: lattice_mock_theta(*_SL2, ModularPoint(_TAU1, (3000j, 0.3))),
+        NonConvergent, "lattice enumeration exceeds max_terms"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_input_raises_its_error(case):
+    call, exc, message = REFUSED[case]
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message
+
+
+def test_a_parity_sign_that_no_summand_reads_is_not_refused():
+    # at Im tau = 30 the A1 window holds c = 0 alone, whose |c|^2 = 0 is
+    # integral for any multiplier
+    out = lattice_theta((0.0,), 1, _A1, _THIRD, ModularPoint(0.1 + 30j, (0.2,)))
+    assert out.value == 1 and out.terms_used == 1
