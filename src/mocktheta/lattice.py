@@ -18,8 +18,13 @@ M.  What a Gram, context and weight fix is planned once per key: the
 Gram's symmetry, definiteness and smallest eigenvalue per Gram, the
 validation and the modification per (context, weight), the direct
 sum's constants per (context, weight), the factored evaluator's and the
-M*/kM classes per modification.  Per point remain z's pairings and each
-summand's reductions (v @ G @ z), which a batch would round differently.
+M*/kM classes per modification.  Per point, each window is summed as one
+batch: its exponents come from one (V @ G) @ z product, its sign
+characters from exact integer arithmetic, and its refusals (a vanishing
+denominator factor, an exponent past the overflow guard, a sign the
+lattice does not carry) are raised for the first offending summand in
+window order.  A rank-1 ``lattice_theta`` whose sign is a character of Z
+runs on the rank-1 theta ladder instead.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from itertools import product
 import numpy as np
 
 from .core import (
+    _EXP_GUARD,
     _LOG_WINDOW_TOL,
     ABS_TOL,
     MAX_TERMS,
@@ -41,6 +47,7 @@ from .core import (
     _dot_gram,
     as_fraction,
     cexp,
+    exp_overflow,
     require_tau,
 )
 from .errors import (
@@ -52,6 +59,7 @@ from .errors import (
 )
 from .mock import SIGNS, MockIndex
 from .modifier import phi_tilde
+from .theta import _theta_ladder
 
 _I_PI = 1j * math.pi
 _2PI_I = 2j * math.pi
@@ -177,18 +185,15 @@ def enumerate_ellipsoid(gram: np.ndarray, center: np.ndarray, radius2: float):
 
 
 def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
-    """Sum the summands ``terms(coords, norms)`` yields, one per integer
-    vector c of one lattice window, in the window's order.
+    """Sum the summands of one lattice window, added one at a time in the
+    window's order.
 
-    ``norms`` holds |centre + c|^2 in the Gram metric.  The summands must
-    be bounded by exp(-pi y r^2 / k + growth * r) in r = k |centre + c|;
-    the window radius r* makes that bound ABS_TOL / _WINDOW_MARGIN.  The
-    err_bound is eight times the largest summand in the outer shell
-    r^2 >= 0.7 r*^2, and at least ABS_TOL / 100.
-
-    ``terms`` may do elementwise work on the whole window at once, but
-    each summand's reductions (its v @ gram @ z) stay per vector: a
-    batched product rounds differently in the last bits.
+    ``terms(coords, norms)`` returns them as one complex array, one per
+    row c of ``coords``, with ``norms`` holding |centre + c|^2 in the Gram
+    metric.  The summands must be bounded by exp(-pi y r^2 / k + growth * r)
+    in r = k |centre + c|; the window radius r* makes that bound
+    ABS_TOL / _WINDOW_MARGIN.  The err_bound is eight times the largest
+    summand in the outer shell r^2 >= 0.7 r*^2, and at least ABS_TOL / 100.
     """
     a_coef = math.pi * tau.imag / k
     r_star = (growth + math.sqrt(growth * growth - 4.0 * a_coef * _LOG_WINDOW_TOL)) / (
@@ -201,14 +206,59 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
         norms = np.array([float(centre @ gram @ centre)])
     if coords.shape[0] > MAX_TERMS:
         raise NonConvergent("lattice enumeration exceeds max_terms")
+    summands = terms(coords, norms)
     total = 0.0 + 0.0j
-    boundary = 0.0
-    for t, n2 in zip(terms(coords, norms), norms.tolist()):
+    for t in summands.tolist():
         total += t
-        if n2 * k * k >= 0.7 * radius2:
-            boundary = max(boundary, abs(t))
+    shell = summands[norms * k * k >= 0.7 * radius2]
+    boundary = float(np.abs(shell).max()) if shell.size else 0.0
     err = max(boundary * 8.0, ABS_TOL * 0.01)
     return SeriesValue(total, err, coords.shape[0])
+
+
+def _first_refusal(masks):
+    """(row, check) of the first refused summand in window order, a
+    summand's checks taken in the order of ``masks`` (None: nothing to
+    refuse); None if no summand is refused."""
+    hits = [(int(np.argmax(m)), j) for j, m in enumerate(masks) if m is not None and m.any()]
+    return min(hits) if hits else None
+
+
+def _signs(eps: SignCharacter, plan: GramPlan, coords):
+    """eps at every row of ``coords`` in exact integer arithmetic, as
+    (signs, refused, refuse): ``refused`` masks the rows eps cannot sign
+    (None if there are none) and ``refuse(row)`` raises eps's error there."""
+    if eps.kind == "trivial":
+        return 1, None, None
+    if eps.kind == "custom_vector":
+        vec = [int(x) for x in eps.vector][: coords.shape[1]]
+        dot = coords[:, : len(vec)] @ np.array(vec, dtype=np.int64)
+        return 1 - 2 * (dot % 2), None, None
+    if eps.kind != "parity_of_norm":
+        return 1, np.ones(len(coords), dtype=bool), lambda i: eps(coords[i].tolist(), None)
+    g, d = plan.scaled
+    mult = as_fraction(eps.mult)
+    # mult |c|^2 = mult.numerator c.g.c / (mult.denominator d), in int64
+    # while every product fits, in Python integers past that
+    reach = int(np.abs(coords).max()) * coords.shape[1]
+    big = max(abs(x) for row in g for x in row) * reach * reach * abs(mult.numerator)
+    dtype = np.int64 if max(big, mult.denominator * d) < 2**62 else object
+    c = coords.astype(dtype)
+    num = ((c @ np.array(g, dtype=dtype)) * c).sum(axis=1)
+    e, r = np.divmod(mult.numerator * num, mult.denominator * d)
+    return 1 - 2 * (e % 2), r != 0, lambda i: eps.parity(int(num[i]), d)
+
+
+def _ladder_sign(eps: SignCharacter, plan: GramPlan):
+    """eps(1) on a rank-1 lattice, where eps(n) = eps(1)^n; None when eps
+    is no character of Z there (a non-integral parity, an unknown kind)."""
+    try:
+        if eps.kind == "parity_of_norm":
+            ((g,),), d = plan.scaled
+            return eps.parity(g, d)
+        return eps((1,), None)
+    except ValueError:
+        return None
 
 
 def lattice_theta(
@@ -232,21 +282,36 @@ def lattice_theta(
     tau = require_tau(point.tau)
     gram = lattice.gram
     lam = np.asarray([float(x) for x in lambda_bar], dtype=float)
-    z = np.asarray(point.z, dtype=complex)
     kf = float(k)
+    if gram.shape == (1, 1) and len(lam) == len(point.z) == 1:
+        # sum_n eps(n) e^(pi i tau g v^2 / k + 2 pi i g v z), v = lam + k n, is
+        # the rank-1 theta of degree g k / 2 at c0 = lam / k and 2 z
+        sign = _ladder_sign(eps, plan)
+        if sign is not None:
+            try:
+                value, err, used = _theta_ladder(
+                    sign, float(lam[0]) / kf, float(gram[0, 0]) * kf / 2.0, tau, 2.0 * point.z[0]
+                )
+            except NonConvergent:
+                pass  # the lattice window refuses it with its own error, or sums it
+            else:
+                out = SeriesValue(value, max(err, ABS_TOL * 0.01), used)
+                return cexp(_2PI_I * kf * complex(point.t)) * out
+    z = np.asarray(point.z, dtype=complex)
     im_norm = math.sqrt(max(float(z.imag @ gram @ z.imag), 0.0))
     i_pi_tau = _I_PI * tau
-    # only the parity character reads |c|^2, and it needs it exactly
-    g, d = plan.scaled if eps.kind == "parity_of_norm" else (None, 1)
 
     def terms(coords, norms):
         # |term| = exp(-pi y |v|^2 / k - 2 pi Im (v|z)), v = lam + k c
-        for c, v, n2 in zip(coords.tolist(), lam + kf * coords, (norms * kf * kf).tolist()):
-            if g is None:
-                s = eps(c, None)
-            else:  # |c|^2 = c.g.c / d
-                s = eps.parity(sum(a * x * b for r, a in zip(g, c) for x, b in zip(r, c)), d)
-            yield s * cexp(i_pi_tau * n2 / kf + _2PI_I * complex(v @ gram @ z))
+        w = i_pi_tau * (norms * kf * kf) / kf + _2PI_I * (((lam + kf * coords) @ gram) @ z)
+        signs, refused, refuse = _signs(eps, plan, coords)
+        hit = _first_refusal((refused, w.real > _EXP_GUARD))
+        if hit is not None:
+            i, check = hit
+            if check == 0:
+                refuse(i)
+            raise exp_overflow(complex(w[i]))
+        return signs * np.exp(w)
 
     out = _lattice_sum(gram, lam / kf, kf, tau, 2.0 * math.pi * im_norm, terms)
     return cexp(_2PI_I * kf * complex(point.t)) * out
@@ -447,7 +512,7 @@ def _mock_plan(ctx: LatticeContext, weight: Weight):
     lam = np.asarray([float(x) for x in weight.coords], dtype=float)
     lam_min = float(np.linalg.eigvalsh(G[:m, :m])[0])
     centre = np.linalg.solve(G[:m, :m], lam @ G[:, :m]) / float(ctx.k)
-    return G, lam, lam_min, centre, [G[:m, m + j] for j in range(n)], translation_sign(ctx)
+    return G, lam, lam_min, centre, G[:m, m:], translation_sign(ctx)
 
 
 def lattice_mock_theta(
@@ -479,22 +544,31 @@ def lattice_mock_theta(
     i_pi_tau = _I_PI * tau
 
     def terms(coords, norms):
-        pad = np.zeros((coords.shape[0], n))
-        for c, v in zip(coords, lam + k * np.concatenate([coords.astype(float), pad], axis=1)):
-            w = i_pi_tau * float(v @ G @ v) / k + _2PI_I * complex(v @ G @ z)
-            den = 1.0 + 0.0j
-            for j, (col, bz) in enumerate(zip(beta_cols, beta_z)):
-                d = _2PI_I * (-float(c @ col) * tau - bz)
-                # 1 -+ e^d = -+e^d (1 -+ e^-d): once e^d is large, e^-d folds into w
-                fold = d.real > 40.0
-                e = cexp(-d if fold else d)
-                dj = (1.0 + e) if denominator_plus else (1.0 - e)
-                if fold:
-                    w, dj = w - d, (dj if denominator_plus else -dj)
-                if abs(dj) < 1e-8:
-                    raise PoleProximity(f"denominator factor {j+1} vanishes")
-                den *= dj
-            yield sign(c.tolist(), None) * cexp(w) / den
+        v = lam + k * np.concatenate([coords, np.zeros((coords.shape[0], n))], axis=1)
+        vg = v @ G
+        w = i_pi_tau * (vg * v).sum(axis=1) / k + _2PI_I * (vg @ z)
+        cb = coords @ beta_cols
+        den = 1.0
+        poles = []
+        for j, bz in enumerate(beta_z):
+            d = _2PI_I * (-cb[:, j] * tau - bz)
+            # 1 -+ e^d = -+e^d (1 -+ e^-d): once e^d is large, e^-d folds into w
+            fold = d.real > 40.0
+            e = np.exp(np.where(fold, -d, d))
+            dj = (1.0 + e) if denominator_plus else (1.0 - e)
+            w = np.where(fold, w - d, w)
+            if not denominator_plus:
+                dj = np.where(fold, -dj, dj)
+            poles.append(np.abs(dj) < 1e-8)
+            den = den * dj
+        hit = _first_refusal((*poles, w.real > _EXP_GUARD))
+        if hit is not None:
+            i, check = hit
+            if check < n:
+                raise PoleProximity(f"denominator factor {check + 1} vanishes")
+            raise exp_overflow(complex(w[i]))
+        signs, _, _ = _signs(sign, None, coords)
+        return signs * np.exp(w) / den
 
     out = _lattice_sum(G[:m, :m], centre, k, tau, growth, terms)
     return cexp(_2PI_I * k * complex(point.t)) * out
@@ -601,7 +675,8 @@ def build_modification(ctx: LatticeContext, weight: Weight) -> ModificationResul
 
 def _eval_plan(res: ModificationResult, xi_shift: bool):
     """``eval_modified``'s constants for one xi_shift: eps, |lambda_perp|^2,
-    the M-side (lambda_M, basis.G, Gram, lattice) and each factor's a.G, index."""
+    the M-side (lambda_M, the projection Gram^-1 basis.G of z onto M,
+    lattice) and each factor's a.G, index."""
     ctx = res.ctx
     G = ctx.full_gram_float()
     if xi_shift and res.xi0 is None:
@@ -616,7 +691,7 @@ def _eval_plan(res: ModificationResult, xi_shift: bool):
         gram_m = np.asarray([[float(x) for x in row] for row in res.m_gram])
         lam_m = np.linalg.solve(gram_m, basis_g @ lamf)
         perp2 -= float(lam_m @ gram_m @ lam_m)
-        m_part = lam_m, basis_g, gram_m, LatticeData(gram_m)
+        m_part = lam_m, np.linalg.solve(gram_m, basis_g), LatticeData(gram_m)
     factors = []
     for fac in res.phi_factors:
         s = fac.shift + ctx.pair(res.xi0, ctx.gamma_vec(fac.p)) if xi_shift else fac.shift
@@ -641,8 +716,8 @@ def eval_modified(
     k = float(res.k)
     z = np.asarray(point.z, dtype=complex)
     if m_part:
-        lam_m, basis_g, gram_m, lattice = m_part
-        pt_m = ModularPoint(tau, np.linalg.solve(gram_m, basis_g @ z), point.t)
+        lam_m, proj, lattice = m_part
+        pt_m = ModularPoint(tau, proj @ z, point.t)
         theta = lattice_theta(lam_m, res.k, lattice, eps, pt_m)
     else:
         # z^(1) = 0 when the residual lattice is trivial
