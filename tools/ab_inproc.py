@@ -10,7 +10,11 @@ after pass, every slot runs on both sides back to back, A first and B
 first in turn from slot to slot and, for each slot, from pass to pass, so
 drifts of the host's speed fall on both sides alike.  It prints each
 side's ops/s from its fastest time per slot, as ``bench/worker.py``
-computes ``ops_per_s``, and the ratio B / A.
+computes ``ops_per_s``, and the ratio B / A.  Then, per op kind, it
+prints both sides' fastest times summed over the kind's slots and their
+ratio B / A (below 1: B is faster).  The kind is the spec's first field,
+with the case, Gram or context added for ``ch``, ``apply``, ``ltheta``,
+``lmock`` and ``emod``.
 
 Separate benchmark processes of one tree can differ by tens of percent on
 a shared host; two sides in one process see the same host.  A run with
@@ -37,6 +41,14 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 from bench_pairs import export, git  # noqa: E402
 
 WORKLOADS = ("suite_sweep", "rank1_grid", "lattice_char_table")
+# the spec field that names the case, Gram or context of an op kind
+CASE_FIELD = {"ch": 1, "apply": 2, "ltheta": 1, "lmock": 1, "emod": 1}
+
+
+def op_kind(spec):
+    """An op's kind: its first field, plus its case, Gram or context."""
+    field = CASE_FIELD.get(spec[0])
+    return spec[0] if field is None else f"{spec[0]} {spec[field]}"
 
 
 def load_side(tree, tag):
@@ -105,6 +117,15 @@ def main(argv=None):
     for tag, rev, rate in zip("AB", revs, rates):
         print(f"  {tag} {rev}  {rate:10.2f} ops/s")
     print(f"  B / A  {rates[1] / rates[0]:.3f}")
+    kinds = {}
+    for slot, spec in enumerate(sides[0].make_inputs(args.workload, args.seed)):
+        totals = kinds.setdefault(op_kind(spec), [0.0, 0.0])
+        for k in (0, 1):
+            totals[k] += fastest[k][slot]
+    width = max(len(kind) for kind in kinds)
+    print(f"  {'op kind':<{width}}  {'A ms':>9}  {'B ms':>9}  B / A")
+    for kind, (a, b) in sorted(kinds.items()):
+        print(f"  {kind:<{width}}  {a * 1e3:9.3f}  {b * 1e3:9.3f}  {b / a:.3f}")
     return 0
 
 
