@@ -89,6 +89,11 @@ class GramPlan:
         return float(np.linalg.eigvalsh(self.gram)[0])
 
     @cached_property
+    def inv_diag(self) -> list:
+        """(G^-1)_ii: the ellipsoid |x|^2 <= R^2 reaches |x_i| <= R sqrt((G^-1)_ii)."""
+        return np.linalg.inv(self.gram).diagonal().tolist()
+
+    @cached_property
     def scaled(self):
         """(G, d), G integral, G / d the Gram to 9 places: |c|^2 = c.G.c / d."""
         exact = [[as_fraction(round(float(x), 9)) for x in row] for row in self.gram]
@@ -153,31 +158,36 @@ class SignCharacter:
         return -1 if e % 2 else 1
 
 
-@lru_cache(maxsize=32)
-def _box(rank: int, n_max: int) -> np.ndarray:
-    """The integer vectors of [-n_max, n_max]^rank, in meshgrid order."""
-    grids = np.meshgrid(*[range(-n_max, n_max + 1)] * rank, indexing="ij")
+@lru_cache(maxsize=64)
+def _box(lo: tuple, hi: tuple) -> np.ndarray:
+    """The integer vectors c with lo <= c <= hi, in lexicographic order."""
+    grids = np.meshgrid(*(range(a, b + 1) for a, b in zip(lo, hi)), indexing="ij")
     box = np.stack([g.ravel() for g in grids], axis=1)
     box.flags.writeable = False
     return box
 
 
 def enumerate_ellipsoid(gram: np.ndarray, center: np.ndarray, radius2: float):
-    """Integer vectors c with |center + c|^2 <= radius2 in the Gram metric.
+    """Integer vectors c with |center + c|^2 <= radius2 in the Gram metric,
+    in lexicographic order.
 
-    Box-bounds the coordinates through the smallest Gram eigenvalue, then
+    Bounds each coordinate by the ellipsoid's extent along it, then
     filters; adequate for the small ranks this library works at.  Only
-    the filter is per call: the eigenvalue and the box are kept.
+    the filter is per call: the Gram's inverse and the boxes are kept.
     """
     gram = np.asarray(gram, dtype=float)
-    lam_min = _gram_plan(gram.shape, gram.tobytes()).lam_min
-    if lam_min <= 0:
+    plan = _gram_plan(gram.shape, gram.tobytes())
+    if plan.lam_min <= 0:
         raise NotPositiveDefinite("ellipsoid enumeration needs a definite Gram")
-    # |c| <= |c + center| + |center| in the Gram norm, and coordinate-wise
-    # |c_i| <= |c|_gram / sqrt(lam_min).
-    center_norm = math.sqrt(max(0.0, float(center @ gram @ center)))
-    bound = (math.sqrt(max(radius2, 0.0)) + center_norm) / math.sqrt(lam_min)
-    coords = _box(gram.shape[0], int(math.floor(bound + 1e-9)))
+    # |c_i + center_i| <= sqrt(radius2 (G^-1)_ii) on the ellipsoid; the
+    # margin keeps the filter's 1e-9 slack and the rounding inside the box
+    r2 = max(radius2, 0.0) + 1e-9
+    reach = [math.sqrt(r2 * d) + 1e-6 for d in plan.inv_diag]
+    cen = center.tolist()
+    coords = _box(
+        tuple(math.ceil(-c - e) for c, e in zip(cen, reach)),
+        tuple(math.floor(-c + e) for c, e in zip(cen, reach)),
+    )
     shifted = coords + center
     norms = np.einsum("ij,jk,ik->i", shifted, gram, shifted)
     keep = norms <= radius2 + 1e-9
@@ -210,18 +220,22 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
     total = 0.0 + 0.0j
     for t in summands.tolist():
         total += t
-    shell = summands[norms * k * k >= 0.7 * radius2]
-    boundary = float(np.abs(shell).max()) if shell.size else 0.0
+    shell = norms * (k * k) >= 0.7 * radius2
+    boundary = float(np.max(np.abs(summands), where=shell, initial=0.0))
     err = max(boundary * 8.0, ABS_TOL * 0.01)
     return SeriesValue(total, err, coords.shape[0])
 
 
-def _first_refusal(masks):
-    """(row, check) of the first refused summand in window order, a
-    summand's checks taken in the order of ``masks`` (None: nothing to
-    refuse); None if no summand is refused."""
-    hits = [(int(np.argmax(m)), j) for j, m in enumerate(masks) if m is not None and m.any()]
-    return min(hits) if hits else None
+def _first_refusal(*checks):
+    """(row, column) of the first refused summand in window order, or None.
+
+    Each check is a bool array with one row per summand (and one column
+    per sub-check); a summand's checks run in the order of their columns
+    across ``checks``."""
+    if not any(c.any() for c in checks):
+        return None
+    table = np.concatenate([c.reshape(len(c), -1) for c in checks], axis=1)
+    return divmod(int(np.argmax(table)), table.shape[1])
 
 
 def _signs(eps: SignCharacter, plan: GramPlan, coords):
@@ -299,16 +313,17 @@ def lattice_theta(
                 return cexp(_2PI_I * kf * complex(point.t)) * out
     z = np.asarray(point.z, dtype=complex)
     im_norm = math.sqrt(max(float(z.imag @ gram @ z.imag), 0.0))
-    i_pi_tau = _I_PI * tau
+    i_pi_k = _I_PI * tau * kf  # pi i tau |v|^2 / k = pi i tau k |c + lam / k|^2
 
     def terms(coords, norms):
         # |term| = exp(-pi y |v|^2 / k - 2 pi Im (v|z)), v = lam + k c
-        w = i_pi_tau * (norms * kf * kf) / kf + _2PI_I * (((lam + kf * coords) @ gram) @ z)
+        w = i_pi_k * norms + _2PI_I * (((lam + kf * coords) @ gram) @ z)
         signs, refused, refuse = _signs(eps, plan, coords)
-        hit = _first_refusal((refused, w.real > _EXP_GUARD))
+        over = w.real > _EXP_GUARD
+        hit = _first_refusal(over) if refused is None else _first_refusal(refused, over)
         if hit is not None:
             i, check = hit
-            if check == 0:
+            if refused is not None and check == 0:
                 refuse(i)
             raise exp_overflow(complex(w[i]))
         return signs * np.exp(w)
@@ -512,7 +527,8 @@ def _mock_plan(ctx: LatticeContext, weight: Weight):
     lam = np.asarray([float(x) for x in weight.coords], dtype=float)
     lam_min = float(np.linalg.eigvalsh(G[:m, :m])[0])
     centre = np.linalg.solve(G[:m, :m], lam @ G[:, :m]) / float(ctx.k)
-    return G, lam, lam_min, centre, G[:m, m:], translation_sign(ctx)
+    embed = np.eye(m, m + n) * float(ctx.k)  # c -> k c in the frame
+    return G, lam, lam_min, centre, embed, G[:m, m:], translation_sign(ctx)
 
 
 def lattice_mock_theta(
@@ -527,7 +543,7 @@ def lattice_mock_theta(
     replaces the (1 - ...) factors by (1 + ...), the shape the character
     (rather than supercharacter) numerators use.
     """
-    G, lam, lam_min, centre, beta_cols, sign = _mock_plan(ctx, weight)
+    G, lam, lam_min, centre, embed, beta_cols, sign = _mock_plan(ctx, weight)
     tau = require_tau(point.tau)
     m, n = ctx.rank, ctx.n_isotropic
     if len(point.z) != ctx.ambient_dim:
@@ -540,35 +556,35 @@ def lattice_mock_theta(
     # denominator growth per unit of |lam + k gamma|: each factor can
     # amplify by exp(2 pi y |c_j|) and |c_j| <= r / (k sqrt(lam_min)).
     growth = 2.0 * math.pi * im_norm + 2.0 * math.pi * n * tau.imag / math.sqrt(lam_min)
-    beta_z = [complex(G[m + j] @ z) for j in range(n)]
     i_pi_tau = _I_PI * tau
+    # d_j = 2 pi i (-(c|beta_j) tau - (beta_j|z)), the exponent of factor j
+    d_c = beta_cols * (-_2PI_I * tau)
+    d_0 = _2PI_I * (G[m:] @ z)
 
     def terms(coords, norms):
-        v = lam + k * np.concatenate([coords, np.zeros((coords.shape[0], n))], axis=1)
+        v = coords @ embed + lam  # lam + k c, c padded with zeros
         vg = v @ G
         w = i_pi_tau * (vg * v).sum(axis=1) / k + _2PI_I * (vg @ z)
-        cb = coords @ beta_cols
-        den = 1.0
-        poles = []
-        for j, bz in enumerate(beta_z):
-            d = _2PI_I * (-cb[:, j] * tau - bz)
-            # 1 -+ e^d = -+e^d (1 -+ e^-d): once e^d is large, e^-d folds into w
-            fold = d.real > 40.0
-            e = np.exp(np.where(fold, -d, d))
-            dj = (1.0 + e) if denominator_plus else (1.0 - e)
-            w = np.where(fold, w - d, w)
-            if not denominator_plus:
-                dj = np.where(fold, -dj, dj)
-            poles.append(np.abs(dj) < 1e-8)
-            den = den * dj
-        hit = _first_refusal((*poles, w.real > _EXP_GUARD))
+        d = coords @ d_c - d_0
+        # 1 -+ e^d = -+e^d (1 -+ e^-d): once e^d is large, e^-d folds into w
+        fold = d.real > 40.0
+        folded = fold.any()
+        if folded:
+            for j in range(n):
+                w = np.where(fold[:, j], w - d[:, j], w)
+            d = np.where(fold, -d, d)
+        e = np.exp(d)
+        dj = (1.0 + e) if denominator_plus else (1.0 - e)
+        if folded and not denominator_plus:
+            dj = np.where(fold, -dj, dj)
+        hit = _first_refusal(np.abs(dj) < 1e-8, w.real > _EXP_GUARD)
         if hit is not None:
             i, check = hit
             if check < n:
                 raise PoleProximity(f"denominator factor {check + 1} vanishes")
             raise exp_overflow(complex(w[i]))
         signs, _, _ = _signs(sign, None, coords)
-        return signs * np.exp(w) / den
+        return signs * np.exp(w) / dj.prod(axis=1)
 
     out = _lattice_sum(G[:m, :m], centre, k, tau, growth, terms)
     return cexp(_2PI_I * k * complex(point.t)) * out

@@ -53,12 +53,14 @@ SIGNS = {"unsigned": 1, "plus": 1, "minus": -1}
 
 
 @lru_cache(maxsize=256, typed=True)
-def _checked_index(m, s, sign: str) -> tuple:
+def _checked_index(m, s, sign: str, pairs: int = 0) -> tuple:
     """(m, s, float(m), float(s), hash) of a valid index; ValueError, raised
     again on every call, for an invalid one.  ``typed``, so that a float
-    and a Fraction of equal value each go through ``as_fraction``."""
-    m = as_fraction(m)
-    s = as_fraction(s)
+    and a Fraction of equal value each go through ``as_fraction``.  Bit 1
+    (2) of ``pairs`` marks m (s) as a Fraction's (numerator, denominator):
+    tuples of ints hash far faster than the Fractions themselves."""
+    m = Fraction(*m) if pairs & 1 else as_fraction(m)
+    s = Fraction(*s) if pairs & 2 else as_fraction(s)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {sorted(SIGNS)}")
     if m.numerator <= 0:
@@ -88,7 +90,17 @@ class MockIndex:
     sign: str = "unsigned"
 
     def __post_init__(self):
-        m, s, m_float, s_float, h = _checked_index(self.m, self.s, self.sign)
+        m, s = self.m, self.s
+        fm, fs = type(m) is Fraction, type(s) is Fraction
+        if fm or fs:
+            m, s, m_float, s_float, h = _checked_index(
+                m.as_integer_ratio() if fm else m,
+                s.as_integer_ratio() if fs else s,
+                self.sign,
+                fm + 2 * fs,
+            )
+        else:
+            m, s, m_float, s_float, h = _checked_index(m, s, self.sign)
         put = object.__setattr__
         put(self, "m", m)
         put(self, "s", s)
