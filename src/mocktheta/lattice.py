@@ -227,13 +227,12 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
 
 
 def _first_refusal(*checks):
-    """(row, column) of the first refused summand in window order, or None.
+    """(row, column) of the first refused summand in window order, for
+    checks that refuse some summand.
 
     Each check is a bool array with one row per summand (and one column
     per sub-check); a summand's checks run in the order of their columns
     across ``checks``."""
-    if not any(c.any() for c in checks):
-        return None
     table = np.concatenate([c.reshape(len(c), -1) for c in checks], axis=1)
     return divmod(int(np.argmax(table)), table.shape[1])
 
@@ -259,8 +258,9 @@ def _signs(eps: SignCharacter, plan: GramPlan, coords):
     dtype = np.int64 if max(big, mult.denominator * d) < 2**62 else object
     c = coords.astype(dtype)
     num = ((c @ np.array(g, dtype=dtype)) * c).sum(axis=1)
-    e, r = np.divmod(mult.numerator * num, mult.denominator * d)
-    return 1 - 2 * (e % 2), r != 0, lambda i: eps.parity(int(num[i]), d)
+    top, den = mult.numerator * num, mult.denominator * d
+    signs = np.asarray(1 - 2 * (top // den % 2), dtype=np.int64)
+    return signs, np.asarray(top % den != 0, dtype=bool), lambda i: eps.parity(int(num[i]), d)
 
 
 def _ladder_sign(eps: SignCharacter, plan: GramPlan):
@@ -319,12 +319,14 @@ def lattice_theta(
         # |term| = exp(-pi y |v|^2 / k - 2 pi Im (v|z)), v = lam + k c
         w = i_pi_k * norms + _2PI_I * (((lam + kf * coords) @ gram) @ z)
         signs, refused, refuse = _signs(eps, plan, coords)
-        over = w.real > _EXP_GUARD
-        hit = _first_refusal(over) if refused is None else _first_refusal(refused, over)
-        if hit is not None:
-            i, check = hit
-            if refused is not None and check == 0:
-                refuse(i)
+        if w.real.max() > _EXP_GUARD or (refused is not None and refused.any()):
+            over = w.real > _EXP_GUARD
+            if refused is None:
+                i, check = _first_refusal(over)
+            else:
+                i, check = _first_refusal(refused, over)
+                if check == 0:
+                    refuse(i)
             raise exp_overflow(complex(w[i]))
         return signs * np.exp(w)
 
@@ -556,7 +558,7 @@ def lattice_mock_theta(
     # denominator growth per unit of |lam + k gamma|: each factor can
     # amplify by exp(2 pi y |c_j|) and |c_j| <= r / (k sqrt(lam_min)).
     growth = 2.0 * math.pi * im_norm + 2.0 * math.pi * n * tau.imag / math.sqrt(lam_min)
-    i_pi_tau = _I_PI * tau
+    i_pi_k = _I_PI * tau / k
     # d_j = 2 pi i (-(c|beta_j) tau - (beta_j|z)), the exponent of factor j
     d_c = beta_cols * (-_2PI_I * tau)
     d_0 = _2PI_I * (G[m:] @ z)
@@ -564,22 +566,21 @@ def lattice_mock_theta(
     def terms(coords, norms):
         v = coords @ embed + lam  # lam + k c, c padded with zeros
         vg = v @ G
-        w = i_pi_tau * (vg * v).sum(axis=1) / k + _2PI_I * (vg @ z)
+        w = i_pi_k * (vg * v).sum(axis=1) + _2PI_I * (vg @ z)
         d = coords @ d_c - d_0
         # 1 -+ e^d = -+e^d (1 -+ e^-d): once e^d is large, e^-d folds into w
-        fold = d.real > 40.0
-        folded = fold.any()
-        if folded:
+        fold = d.real > 40.0 if d.size and d.real.max() > 40.0 else None
+        if fold is not None:
             for j in range(n):
                 w = np.where(fold[:, j], w - d[:, j], w)
             d = np.where(fold, -d, d)
         e = np.exp(d)
         dj = (1.0 + e) if denominator_plus else (1.0 - e)
-        if folded and not denominator_plus:
+        if fold is not None and not denominator_plus:
             dj = np.where(fold, -dj, dj)
-        hit = _first_refusal(np.abs(dj) < 1e-8, w.real > _EXP_GUARD)
-        if hit is not None:
-            i, check = hit
+        poles = np.abs(dj) < 1e-8
+        if poles.any() or w.real.max() > _EXP_GUARD:
+            i, check = _first_refusal(poles, w.real > _EXP_GUARD)
             if check < n:
                 raise PoleProximity(f"denominator factor {check + 1} vanishes")
             raise exp_overflow(complex(w[i]))

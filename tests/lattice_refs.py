@@ -149,9 +149,50 @@ def _norm(gram):
     return lambda c: sum(gram[i][j] * c[i] * c[j] for i in range(len(c)) for j in range(len(c)))
 
 
+def _parity(gram_name, c):
+    """(-1)^(PARITY_MULT |c|^2), exact."""
+    e = PARITY_MULT * _norm(GRAMS[gram_name])(c)
+    if e.denominator != 1:
+        raise ValueError(f"parity exponent {e} is not an integer")
+    return -1 if e.numerator % 2 else 1
+
+
+def _theta_exponent(gram_name, lam, k, tau, z):
+    """c -> pi i tau |lam + k c|^2 / k + 2 pi i (lam + k c | z); call it
+    at DPS digits."""
+    gram = [[F(x) for x in row] for row in GRAMS[gram_name]]
+    r = len(gram)
+    norm = _norm(gram)
+    ipt = 1j * mpmath.pi * _mpc(tau)
+    zz = [_mpc(w) for w in z[:r]]
+    lam_q = [_frac(x) for x in lam]
+
+    def exponent(c):
+        v = [lam_q[i] + k * c[i] for i in range(r)]
+        vz = sum(_mpf(gram[i][j]) * _mpf(v[i]) * zz[j] for i in range(r) for j in range(r))
+        return ipt * _mpf(norm(v)) / k + 2j * mpmath.pi * vz
+
+    return exponent
+
+
+def theta_summand(gram_name, lam, k, sign, tau, z):
+    """c -> (t, w): the lattice theta's summand t at c, without
+    e^(2 pi i k t), and the exponent w of its exponential."""
+    with mpmath.workdps(DPS):
+        exponent = _theta_exponent(gram_name, lam, k, tau, z)
+
+    def summand(c):
+        with mpmath.workdps(DPS):
+            eps = 1 if sign == "trivial" else _parity(gram_name, c)
+            w = exponent(c)
+            return eps * mpmath.exp(w), w
+
+    return summand
+
+
 def theta_ref(gram_name, lam, k, sign, tau, z, t):
     """The lattice theta of ``GRAMS[gram_name]`` at (tau, z, t), z in lattice coordinates."""
-    gram = [[F(x) for x in row] for row in GRAMS[gram_name]]
+    gram = GRAMS[gram_name]
     r = len(gram)
     g = np.asarray(gram, dtype=float)
     lamf = np.asarray(lam, dtype=float)
@@ -159,30 +200,20 @@ def theta_ref(gram_name, lam, k, sign, tau, z, t):
     y = tau.imag
     # |numerator| = exp(-pi y k |c + lam/k + Im z / y|^2 + const)
     c0 = -(lamf / k + zi / y)
-    norm = _norm(gram)
     with mpmath.workdps(DPS):
-        ipt = 1j * mpmath.pi * _mpc(tau)
-        zz = [_mpc(w) for w in z[:r]]
-        lam_q = [_frac(x) for x in lam]
-
-        def exponent(c):
-            v = [lam_q[i] + k * c[i] for i in range(r)]
-            vz = sum(_mpf(gram[i][j]) * _mpf(v[i]) * zz[j]
-                     for i in range(r) for j in range(r))
-            return ipt * _mpf(norm(v)) / k + 2j * mpmath.pi * vz
+        exponent = _theta_exponent(gram_name, lam, k, tau, z)
 
         def line_eps(outer):
             """n -> eps(n, *outer); None for the trivial sign."""
             if sign == "trivial":
                 return None
-            gi = GRAMS[gram_name]
             # |c|^2 = g00 n^2 + 2 b n + a on the line, in integers
-            b = sum(gi[0][j] * outer[j - 1] for j in range(1, r))
-            a = sum(gi[i][j] * outer[i - 1] * outer[j - 1]
+            b = sum(gram[0][j] * outer[j - 1] for j in range(1, r))
+            a = sum(gram[i][j] * outer[i - 1] * outer[j - 1]
                     for i in range(1, r) for j in range(1, r))
 
             def eps(n):
-                e = PARITY_MULT * (gi[0][0] * n * n + 2 * b * n + a)
+                e = PARITY_MULT * (gram[0][0] * n * n + 2 * b * n + a)
                 if e.denominator != 1:
                     raise ValueError(f"parity exponent {e} is not an integer")
                 return -1 if e.numerator % 2 else 1
@@ -193,7 +224,7 @@ def theta_ref(gram_name, lam, k, sign, tau, z, t):
         for outer, lo, hi in _lines(math.pi * y * k * g, c0, REACH):
             total += _line_sum(
                 lambda n: exponent((n,) + outer),
-                2 * ipt * k * _mpf(gram[0][0]),
+                2j * mpmath.pi * _mpc(tau) * k * gram[0][0],
                 lo, hi,
                 line_eps(outer),
             )
@@ -224,11 +255,53 @@ def _minus_sign(full, m, n, k, c):
     return -1 if e.numerator % 2 else 1
 
 
+def _mock_parts(ctx_name, tau, z):
+    """(exponent, weight) of a context's summands at c: the numerator's
+    exponent pi i tau |v|^2 / k + 2 pi i (v|z) and eps(c) over the
+    denominator; call them at DPS digits."""
+    full, m, n, k, mode, lam = _frame(ctx_name)
+    dim = m + n
+    ipt = 1j * mpmath.pi * _mpc(tau)
+    q = mpmath.exp(2j * mpmath.pi * _mpc(tau))
+    zz = [_mpc(w) for w in z[:dim]]
+    # e^(-2 pi i (beta_j|z)), (beta_j|z) = sum_i (beta_j|e_i) z_i
+    bz = [mpmath.exp(-2j * mpmath.pi * sum(_mpf(full[m + j][i]) * zz[i] for i in range(dim)))
+          for j in range(n)]
+
+    def exponent(c):
+        v = [lam[i] + (k * c[i] if i < m else 0) for i in range(dim)]
+        norm = sum(full[i][j] * v[i] * v[j] for i in range(dim) for j in range(dim))
+        vz = sum(_mpf(full[i][j]) * _mpf(v[i]) * zz[j] for i in range(dim) for j in range(dim))
+        return ipt * _mpf(norm) / _mpf(k) + 2j * mpmath.pi * vz
+
+    def weight(c):
+        s = _minus_sign(full, m, n, k, c) if mode == "minus" else 1
+        den = mpmath.mpc(1)
+        for j in range(n):  # (gamma | beta_j) = -c_j
+            den *= 1 - bz[j] * q ** c[j]
+        return s / den
+
+    return exponent, weight
+
+
+def mock_summand(ctx_name, tau, z):
+    """c -> (t, w): the lattice mock theta's summand t at c, without
+    e^(2 pi i k t), and the exponent w of its numerator."""
+    with mpmath.workdps(DPS):
+        exponent, weight = _mock_parts(ctx_name, tau, z)
+
+    def summand(c):
+        with mpmath.workdps(DPS):
+            w = exponent(c)
+            return weight(c) * mpmath.exp(w), w
+
+    return summand
+
+
 def mock_ref(ctx_name, tau, z, t):
     """The lattice mock theta function of ``CONTEXTS[ctx_name]`` at its weight."""
     full, m, n, k, mode, lam = _frame(ctx_name)
-    dim = m + n
-    z = z[:dim]
+    z = z[: m + n]
     g = np.asarray(full, dtype=float)
     y = tau.imag
     kf = float(k)
@@ -239,35 +312,14 @@ def mock_ref(ctx_name, tau, z, t):
     A = math.pi * y * kf * g[:m, :m]
     c0 = np.linalg.solve(2 * A, -lin)
     with mpmath.workdps(DPS):
-        ipt = 1j * mpmath.pi * _mpc(tau)
-        q = mpmath.exp(2j * mpmath.pi * _mpc(tau))
-        zz = [_mpc(w) for w in z]
-        # e^(-2 pi i (beta_j|z)), (beta_j|z) = sum_i (beta_j|e_i) z_i
-        bz = [mpmath.exp(-2j * mpmath.pi * sum(_mpf(full[m + j][i]) * zz[i]
-                                                for i in range(dim)))
-              for j in range(n)]
-
-        def exponent(c):
-            v = [lam[i] + (k * c[i] if i < m else 0) for i in range(dim)]
-            norm = sum(full[i][j] * v[i] * v[j] for i in range(dim) for j in range(dim))
-            vz = sum(_mpf(full[i][j]) * _mpf(v[i]) * zz[j]
-                     for i in range(dim) for j in range(dim))
-            return ipt * _mpf(norm) / _mpf(k) + 2j * mpmath.pi * vz
-
-        def weight(c):
-            s = _minus_sign(full, m, n, k, c) if mode == "minus" else 1
-            den = mpmath.mpc(1)
-            for j in range(n):  # (gamma | beta_j) = -c_j
-                den *= 1 - bz[j] * q ** c[j]
-            return s / den
+        exponent, weight = _mock_parts(ctx_name, tau, z)
+        d2 = 2j * mpmath.pi * _mpc(tau) * _mpf(k) * _mpf(full[0][0])
 
         def total(reach):
             out = mpmath.mpc(0)
             for outer, lo, hi in _lines(A, c0, reach):
                 out += _line_sum(
-                    lambda nn: exponent((nn,) + outer),
-                    2 * ipt * _mpf(k) * _mpf(full[0][0]),
-                    lo, hi,
+                    lambda nn: exponent((nn,) + outer), d2, lo, hi,
                     lambda nn: weight((nn,) + outer),
                 )
             return out

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -674,3 +675,27 @@ def test_a_parity_sign_that_no_summand_reads_is_not_refused():
     # integral for any multiplier
     out = lattice_theta((0.0,), 1, _A1, _THIRD, ModularPoint(0.1 + 30j, (0.2,)))
     assert out.value == 1 and out.terms_used == 1
+
+
+@pytest.mark.parametrize("mult", [F(1, 2), F(1), F(3, 2), F(3 * 10**17)])
+@pytest.mark.parametrize("gram", [((2.0,),), ((2.0, -1.0), (-1.0, 2.0)), ((0.5, 0.25), (0.25, 1.0))])
+def test_window_signs_match_the_character(gram, mult):
+    # the batched parity signs against SignCharacter.parity row by row; the
+    # largest multiplier takes the Python-integer route past int64
+    lat = LatticeData(gram=gram)
+    plan = lattice._gram_plan(lat.gram.shape, lat.gram.tobytes())
+    g, d = plan.scaled
+    eps = SignCharacter("parity_of_norm", mult)
+    coords = np.array(list(itertools.product(range(-7, 8), repeat=len(gram))))
+    signs, refused, refuse = lattice._signs(eps, plan, coords)
+    assert signs.dtype == np.int64 and refused.dtype == bool
+    for i, c in enumerate(coords.tolist()):
+        num = sum(a * x * b for r, a in zip(g, c) for x, b in zip(r, c))
+        try:
+            want = eps.parity(num, d)
+        except ValueError as exc:
+            assert refused[i]
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                refuse(i)
+        else:
+            assert not refused[i] and signs[i] == want

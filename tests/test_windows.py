@@ -144,3 +144,95 @@ def test_phi_add_is_its_definition(m, s, sign):
             want += rr.value * th.value
         got = mt.phi_add(idx, tau, z1, z2).value
         assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (tau, z1, z2, got, want)
+
+
+# ---------------------------------------------------------------------------
+# lattice windows
+#
+# lattice_theta and lattice_mock_theta sum one window of lattice vectors c
+# (a rank-1 lattice_theta: one rank-1 theta ladder window).  Each value is
+# the defining summand t_c summed over that window, to 4 ulps of
+# sum |t_c|, and the next shell, every vector one step outside the window,
+# sums to at most err_bound.  The summands are the 40-digit ones of
+# lattice_refs; the points have t = 0, so no phase multiplies the sum.
+#
+# A summand's float exponent w_c carries a rounding error of a few ulps of
+# |w_c|.  In the level-1/2 context "half" the largest summands reach
+# |t_c| ~ 1e4 with |w_c| ~ 20, which puts the sum up to 5 ulps of
+# sum |t_c| from the exact one, evaluated per summand or in one batch
+# alike; there the bound is 4 ulps of sum |t_c| max(1, |w_c|).
+
+import itertools  # noqa: E402
+import math  # noqa: E402
+
+import mpmath  # noqa: E402
+
+from mocktheta import lattice  # noqa: E402
+from lattice_refs import (  # noqa: E402
+    CONTEXTS,
+    THETA_ROWS,
+    library_mock,
+    library_theta,
+    mock_summand,
+    points,
+    theta_summand,
+)
+
+LATTICE_POINTS = [(tau, z, 0.0) for tau, z, _ in points(2015, 4)]
+
+
+@pytest.fixture
+def window(monkeypatch):
+    """The list of vectors the next lattice sum runs over, as tuples."""
+    seen = []
+    lattice_sum, theta_ladder = lattice._lattice_sum, lattice._theta_ladder
+
+    def spy_sum(gram, centre, k, tau, growth, terms):
+        def spy_terms(coords, norms):
+            seen[:] = [tuple(c) for c in coords.tolist()]
+            return terms(coords, norms)
+
+        return lattice_sum(gram, centre, k, tau, growth, spy_terms)
+
+    def spy_ladder(sign, c0, m, tau, z):
+        lo, hi, _ = _theta_window(sign, (c0,), m, tau, z)[1]
+        seen[:] = [(n,) for n in range(lo, hi + 1)]
+        return theta_ladder(sign, c0, m, tau, z)
+
+    monkeypatch.setattr(lattice, "_lattice_sum", spy_sum)
+    monkeypatch.setattr(lattice, "_theta_ladder", spy_ladder)
+    return seen
+
+
+def _next_shell(vectors):
+    inside = set(vectors)
+    steps = itertools.product((-1, 0, 1), repeat=len(vectors[0]))
+    shell = {tuple(a + b for a, b in zip(c, s)) for s in steps for c in vectors}
+    return sorted(shell - inside)
+
+
+def _audit(out, summand, vectors, exponent_scale=False):
+    with mpmath.workdps(40):
+        terms = [summand(c) for c in vectors]
+        exact = complex(mpmath.fsum(t for t, _ in terms))
+        scale = float(mpmath.fsum(
+            abs(t) * (max(1, abs(w)) if exponent_scale else 1) for t, w in terms
+        ))
+        outside = float(mpmath.fsum(abs(summand(c)[0]) for c in _next_shell(vectors)))
+    assert out.terms_used == len(vectors)
+    assert abs(out.value - exact) <= 4 * math.ulp(scale), (out, exact, scale)
+    assert outside <= out.err_bound, (out, outside)
+
+
+@pytest.mark.parametrize("row", THETA_ROWS, ids=lambda r: f"{r[0]}-{r[3]}-k{r[2]}")
+def test_lattice_theta_is_its_window(row, window):
+    for p in LATTICE_POINTS:
+        out = library_theta(mt, *row, *p)
+        _audit(out, theta_summand(*row, *p[:2]), list(window))
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_lattice_mock_theta_is_its_window(name, window):
+    for p in LATTICE_POINTS:
+        out = library_mock(mt, name, *p)
+        _audit(out, mock_summand(name, *p[:2]), list(window), exponent_scale=name == "half")
