@@ -178,7 +178,7 @@ from lattice_refs import (  # noqa: E402
     theta_summand,
 )
 
-LATTICE_POINTS = [(tau, z, 0.0) for tau, z, _ in points(2015, 4)]
+LATTICE_POINTS = [(tau, z, 0.0) for tau, z, _ in points(2015, 2)]
 
 
 @pytest.fixture
