@@ -227,12 +227,13 @@ def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
 
 
 def _first_refusal(*checks):
-    """(row, column) of the first refused summand in window order, for
-    checks that refuse some summand.
+    """(row, column) of the first refused summand in window order, or None.
 
     Each check is a bool array with one row per summand (and one column
     per sub-check); a summand's checks run in the order of their columns
     across ``checks``."""
+    if not any(c.any() for c in checks):
+        return None
     table = np.concatenate([c.reshape(len(c), -1) for c in checks], axis=1)
     return divmod(int(np.argmax(table)), table.shape[1])
 
@@ -319,14 +320,12 @@ def lattice_theta(
         # |term| = exp(-pi y |v|^2 / k - 2 pi Im (v|z)), v = lam + k c
         w = i_pi_k * norms + _2PI_I * (((lam + kf * coords) @ gram) @ z)
         signs, refused, refuse = _signs(eps, plan, coords)
-        if w.real.max() > _EXP_GUARD or (refused is not None and refused.any()):
-            over = w.real > _EXP_GUARD
-            if refused is None:
-                i, check = _first_refusal(over)
-            else:
-                i, check = _first_refusal(refused, over)
-                if check == 0:
-                    refuse(i)
+        over = w.real > _EXP_GUARD
+        hit = _first_refusal(over) if refused is None else _first_refusal(refused, over)
+        if hit is not None:
+            i, check = hit
+            if refused is not None and check == 0:
+                refuse(i)
             raise exp_overflow(complex(w[i]))
         return signs * np.exp(w)
 
@@ -569,18 +568,19 @@ def lattice_mock_theta(
         w = i_pi_k * (vg * v).sum(axis=1) + _2PI_I * (vg @ z)
         d = coords @ d_c - d_0
         # 1 -+ e^d = -+e^d (1 -+ e^-d): once e^d is large, e^-d folds into w
-        fold = d.real > 40.0 if d.size and d.real.max() > 40.0 else None
-        if fold is not None:
+        fold = d.real > 40.0
+        folded = fold.any()
+        if folded:
             for j in range(n):
                 w = np.where(fold[:, j], w - d[:, j], w)
             d = np.where(fold, -d, d)
         e = np.exp(d)
         dj = (1.0 + e) if denominator_plus else (1.0 - e)
-        if fold is not None and not denominator_plus:
+        if folded and not denominator_plus:
             dj = np.where(fold, -dj, dj)
-        poles = np.abs(dj) < 1e-8
-        if poles.any() or w.real.max() > _EXP_GUARD:
-            i, check = _first_refusal(poles, w.real > _EXP_GUARD)
+        hit = _first_refusal(np.abs(dj) < 1e-8, w.real > _EXP_GUARD)
+        if hit is not None:
+            i, check = hit
             if check < n:
                 raise PoleProximity(f"denominator factor {check + 1} vanishes")
             raise exp_overflow(complex(w[i]))

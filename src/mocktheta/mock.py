@@ -50,17 +50,17 @@ _MEMO_SIZE = 32
 
 # sign label -> the (+-1)^n of the series; unsigned is the + series
 SIGNS = {"unsigned": 1, "plus": 1, "minus": -1}
+# the argument types whose integer ratio is their exact value
+_EXACT = (Fraction, int)
 
 
 @lru_cache(maxsize=256, typed=True)
-def _checked_index(m, s, sign: str, pairs: int = 0) -> tuple:
+def _checked_index(m, s, sign: str) -> tuple:
     """(m, s, float(m), float(s), hash) of a valid index; ValueError, raised
     again on every call, for an invalid one.  ``typed``, so that a float
-    and a Fraction of equal value each go through ``as_fraction``.  Bit 1
-    (2) of ``pairs`` marks m (s) as a Fraction's (numerator, denominator):
-    tuples of ints hash far faster than the Fractions themselves."""
-    m = Fraction(*m) if pairs & 1 else as_fraction(m)
-    s = Fraction(*s) if pairs & 2 else as_fraction(s)
+    and a Fraction of equal value each go through ``as_fraction``."""
+    m = as_fraction(m)
+    s = as_fraction(s)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {sorted(SIGNS)}")
     if m.numerator <= 0:
@@ -77,6 +77,13 @@ def _checked_index(m, s, sign: str, pairs: int = 0) -> tuple:
     return m, s, float(m), float(s), hash(key)
 
 
+@lru_cache(maxsize=256)
+def _checked_ratio(m_num: int, m_den: int, s_num: int, s_den: int, sign: str) -> tuple:
+    """``_checked_index`` of m = m_num / m_den and s = s_num / s_den, kept
+    by those integers: Fraction.__hash__ runs in Python, ten times slower."""
+    return _checked_index.__wrapped__(Fraction(m_num, m_den), Fraction(s_num, s_den), sign)
+
+
 @dataclass(frozen=True)
 class MockIndex:
     """Degree m, shift s, and sign label of a rank-1 mock theta function.
@@ -91,16 +98,12 @@ class MockIndex:
 
     def __post_init__(self):
         m, s = self.m, self.s
-        fm, fs = type(m) is Fraction, type(s) is Fraction
-        if fm or fs:
-            m, s, m_float, s_float, h = _checked_index(
-                m.as_integer_ratio() if fm else m,
-                s.as_integer_ratio() if fs else s,
-                self.sign,
-                fm + 2 * fs,
-            )
+        tm, ts = type(m), type(s)
+        if (tm is Fraction or ts is Fraction) and tm in _EXACT and ts in _EXACT:
+            checked = _checked_ratio(*m.as_integer_ratio(), *s.as_integer_ratio(), self.sign)
         else:
-            m, s, m_float, s_float, h = _checked_index(m, s, self.sign)
+            checked = _checked_index(m, s, self.sign)
+        m, s, m_float, s_float, h = checked
         put = object.__setattr__
         put(self, "m", m)
         put(self, "s", s)

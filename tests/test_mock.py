@@ -71,6 +71,20 @@ class TestMockIndex:
             back = pickle.loads(pickle.dumps(idx))
             assert back == idx and hash(back) == hash(idx)
 
+    def test_fraction_arguments_keep_the_checks(self):
+        # a Fraction is looked up by its integer pair; a pair given as such
+        # is still no rational, and each refusal keeps its message
+        with pytest.raises(TypeError, match="cannot interpret"):
+            MockIndex((1, 2), 0, "plus")
+        with pytest.raises(ValueError, match="half-integer"):
+            MockIndex(F(1, 4), F(1, 2), "minus")
+        with pytest.raises(ValueError, match="integer m and s"):
+            MockIndex(1, F(1, 2))
+        with pytest.raises(ValueError, match="positive"):
+            MockIndex(F(-1, 2), 0, "plus")
+        idx = MockIndex(F(3, 2), F(-1, 2), "minus")
+        assert (idx.m, idx.s) == (F(3, 2), F(-1, 2)) and type(idx.m) is F
+
     def test_hash_tells_the_sign_apart(self):
         plus, minus = MockIndex(F(1, 2), 0, "plus"), MockIndex(F(1, 2), 0, "minus")
         assert plus != minus and len({plus, minus, MockIndex(0.5, 0.0, "plus")}) == 2
