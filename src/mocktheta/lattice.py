@@ -241,13 +241,13 @@ def _first_refusal(*checks):
 def _signs(eps: SignCharacter, plan: GramPlan, coords):
     """eps at every row of ``coords`` in exact integer arithmetic, as
     (signs, refused, refuse): ``refused`` masks the rows eps cannot sign
-    (None if there are none) and ``refuse(row)`` raises eps's error there."""
+    and ``refuse(row)`` raises eps's error there."""
     if eps.kind == "trivial":
-        return 1, None, None
+        return 1, np.zeros(len(coords), dtype=bool), None
     if eps.kind == "custom_vector":
         vec = [int(x) for x in eps.vector][: coords.shape[1]]
         dot = coords[:, : len(vec)] @ np.array(vec, dtype=np.int64)
-        return 1 - 2 * (dot % 2), None, None
+        return 1 - 2 * (dot % 2), np.zeros(len(coords), dtype=bool), None
     if eps.kind != "parity_of_norm":
         return 1, np.ones(len(coords), dtype=bool), lambda i: eps(coords[i].tolist(), None)
     g, d = plan.scaled
@@ -320,11 +320,10 @@ def lattice_theta(
         # |term| = exp(-pi y |v|^2 / k - 2 pi Im (v|z)), v = lam + k c
         w = i_pi_k * norms + _2PI_I * (((lam + kf * coords) @ gram) @ z)
         signs, refused, refuse = _signs(eps, plan, coords)
-        over = w.real > _EXP_GUARD
-        hit = _first_refusal(over) if refused is None else _first_refusal(refused, over)
+        hit = _first_refusal(refused, w.real > _EXP_GUARD)
         if hit is not None:
             i, check = hit
-            if refused is not None and check == 0:
+            if check == 0:
                 refuse(i)
             raise exp_overflow(complex(w[i]))
         return signs * np.exp(w)
