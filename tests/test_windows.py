@@ -236,3 +236,16 @@ def test_lattice_mock_theta_is_its_window(name, window):
     for p in LATTICE_POINTS:
         out = library_mock(mt, name, *p)
         _audit(out, mock_summand(name, *p[:2]), list(window), exponent_scale=name == "half")
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "odd"])
+def test_lattice_mock_theta_folds_large_factors(name, window):
+    # at Im z1 = -4 Im tau the factors 1 - e^d of the window's most negative
+    # c have Re d > 40, so their e^-d is folded into the exponent; the
+    # summands reach |w| ~ 100, hence the exponent-scaled bound
+    tau = 0.1 + 1j
+    z = (0.3 - 4j, 0.17 + 0.8j, 0.21 - 0.1j)
+    out = library_mock(mt, name, tau, z, 0.0)
+    vectors = list(window)
+    assert min(c[0] for c in vectors) * tau.imag + z[0].imag < -40 / (2 * math.pi)
+    _audit(out, mock_summand(name, tau, z), vectors, exponent_scale=True)
