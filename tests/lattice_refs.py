@@ -19,7 +19,7 @@ until a wider window moves it by less than 1e-35.  Nothing here calls
 its own, and along the innermost coordinate the exponentials are advanced
 by their exact first and second differences.
 
-    PYTHONPATH=src python tests/lattice_refs.py [--points N]
+    PYTHONPATH=src python tests/lattice_refs.py [--points N] [--seed S]
 
 prints each function's worst and median error against these references
 in the mixed metric |value - ref| / max(1, |ref|), and how often the
