@@ -615,7 +615,9 @@ _A2 = LatticeData(gram=((2.0, -1.0), (-1.0, 2.0)))
 _THIRD = SignCharacter("parity_of_norm", F(1, 3))
 _SL2 = (LatticeContext(((2,),), 1, 1), Weight(1, (0, -1)))
 _A1A1_T2 = (LatticeContext(((2, 0), (0, 2)), 2, 1), Weight(1, (0, 0, -1, -1)))
+_SL2_K2 = (LatticeContext(((2,),), 1, 2), Weight(2, (0, -1)))
 _ODD = (LatticeContext(((2,),), 1, F(3, 2), "minus"), Weight(F(3, 2), (0, 1)))
+_HALF = (LatticeContext(((2,),), 1, F(1, 2), "minus"), Weight(F(1, 2), (0, F(3, 2))))
 _TAU1 = 0.1 + 1j
 REFUSED = {
     "pole sl2": (lambda: lattice_mock_theta(*_SL2, ModularPoint(_TAU1, (0, 0.3))),
@@ -660,6 +662,19 @@ REFUSED = {
         lambda: lattice_mock_theta(*_SL2, ModularPoint(_TAU1, (3000j, 0.3))),
         NonConvergent, "lattice enumeration exceeds max_terms"),
 }
+# the other rank-1 contexts of lattice_refs, each refused in all three ways
+for _name, _args, _over in (("sl2_k2", _SL2_K2, (12j, 792)), ("odd", _ODD, None),
+                            ("half", _HALF, (16j, 716))):
+    REFUSED[f"pole {_name}"] = (
+        lambda a=_args: lattice_mock_theta(*a, ModularPoint(_TAU1, (0, 0.3))),
+        PoleProximity, "denominator factor 1 vanishes")
+    REFUSED[f"max terms mock {_name}"] = (
+        lambda a=_args: lattice_mock_theta(*a, ModularPoint(_TAU1, (3000j, 0.3))),
+        NonConvergent, "lattice enumeration exceeds max_terms")
+    if _over:
+        REFUSED[f"overflow mock {_name}"] = (
+            lambda a=_args, z=_over[0]: lattice_mock_theta(*a, ModularPoint(_TAU1, (z, 0.3))),
+            NonConvergent, f"exponent overflow: Re(w) = {_over[1]}")
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
