@@ -33,13 +33,11 @@ import functools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .core import VARIANTS, ModularPoint, SeriesValue, as_fraction, cexp
 from .errors import UnsupportedCase, ZeroDivisorProximity
 from .lattice import (
-    LatticeContext, Weight, _eliminate, build_modification, eval_modified, lattice_mock_theta,
-    validate_context,
+    LatticeContext, Weight, _apply, _eliminate, build_modification, eval_modified,
+    lattice_mock_theta, validate_context,
 )
 from .mock import MockIndex, phi
 from .modifier import phi_tilde
@@ -64,21 +62,10 @@ def _coords(pre, basis, vectors) -> tuple:
     return tuple(tuple(_num(col[i]) for col in cols) for i in range(len(basis)))
 
 
-def _apply(matrix, z) -> tuple:
-    """matrix . z, skipping the zero entries (exact where both are)."""
-    return tuple(sum(c * x for c, x in zip(row, z) if c) for row in matrix)
-
-
 def gram_quad(gram):
     """Quadratic form from a full Gram matrix on the coordinate frame."""
-    g = np.asarray(gram, dtype=complex)
-
-    def quad(za, zb):
-        va = np.asarray(za, dtype=complex)
-        vb = np.asarray(zb, dtype=complex)
-        return complex(va @ g @ vb)
-
-    return quad
+    g = tuple(tuple(map(float, row)) for row in gram)
+    return lambda za, zb: complex(sum(a * b for a, b in zip(za, _apply(g, zb))))
 
 
 class CharacterSystem:
@@ -117,7 +104,7 @@ class CharacterSystem:
         dim = len(pre.gram)
         self.frame = cols = self.frame or tuple(
             tuple(int(i == j) for i in range(dim)) for j in range(dim))
-        self.frame_gram = np.array([[float(pre.pair(u, v)) for v in cols] for u in cols])
+        self.frame_gram = tuple(tuple(float(pre.pair(u, v)) for v in cols) for u in cols)
         self.quad = gram_quad(self.frame_gram)  # callable (za, zb) -> (za|zb)
         self.pos_roots = tuple(
             (tuple(_num(pre.pair(root, c)) for c in cols), parity)
@@ -328,9 +315,13 @@ class D21aSystem(CharacterSystem):
         super().__init__(params)  # the preset refuses p, q that are not coprime and positive
         self.p, self.q = self.pre.params
         self.a = F(-self.p, self.p + self.q)
+        self._rows = {}  # coeffs -> the row coeffs^T G F, G F = frame_gram (F the identity)
 
     def functional(self, coeffs, z):
-        return complex(np.asarray(coeffs, dtype=float) @ self.frame_gram @ np.asarray(z))
+        """(alpha|z) for alpha = coeffs in the simple roots."""
+        if coeffs not in self._rows:
+            self._rows[coeffs] = _apply(self.frame_gram, coeffs)
+        return complex(sum(r * x for r, x in zip(self._rows[coeffs], z)))
 
     def check_level(self, k) -> None:
         d21a_level(self.p, self.q, k)
@@ -516,7 +507,8 @@ def level1_osp_supercharacter(M: int, N: int, combo: str):
 
 
 def level1_quad(M: int, N: int):
-    return gram_quad(np.diag([1.0] * (M // 2) + [-1.0] * (N // 2)))
+    diag = [1.0] * (M // 2) + [-1.0] * (N // 2)
+    return gram_quad([[x if i == j else 0.0 for j in range(len(diag))] for i, x in enumerate(diag)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Positive definite lattice theta sums; multivariable (signed) mock theta
 functions over a lattice with an isotropic set, and the step-by-step
 modification that factors them into a residual lattice theta times
-modified rank-1 factors.  The library's numpy code lives here.
+modified rank-1 factors.
 
 Packaging of the data: a context fixes a basis gamma_1..gamma_m of the
 lattice and isotropic vectors beta_1..beta_n with (gamma_i|beta_j) =
@@ -10,21 +10,12 @@ carried as coordinate tuples in the combined {gamma_1..gamma_m,
 beta_1..beta_n} frame, with every pairing going through the full Gram
 matrix, which keeps the arithmetic exact until series evaluation.
 
-Every lattice series runs over one window, ``_lattice_sum``, which fixes
-its radius, term cap and error bound: ``lattice_theta``, the direct sum
-over gamma, and the residual-lattice theta factor of the modification,
-which is ``lattice_theta`` on M at the parts of lambda and z that lie in
-M.  What a Gram, context and weight fix is planned once per key: the
-Gram's symmetry, definiteness and smallest eigenvalue per Gram, the
-validation and the modification per (context, weight), the direct
-sum's constants per (context, weight), the factored evaluator's and the
-M*/kM classes per modification.  Per point, each window is summed as one
-batch: its exponents come from one (V @ G) @ z product, its sign
-characters from exact integer arithmetic, and its refusals (a vanishing
-denominator factor, an exponent past the overflow guard, a sign the
-lattice does not carry) are raised for the first offending summand in
-window order.  A rank-1 ``lattice_theta`` whose sign is a character of Z
-runs on the rank-1 theta ladder instead.
+Plain Python runs here: the exact validation, Phi route and modification
+per (context, weight), the factored evaluator's plans and M*/kM classes
+per modification, and the sums a rank-1 ladder takes: a rank-1
+``lattice_theta`` whose sign is a character of Z, and a
+``lattice_mock_theta`` of one gamma and one beta (Phi, eq 3.5).  Every
+other sum, and one its ladder refuses, runs over ``lattice_window``.
 """
 
 from __future__ import annotations
@@ -35,29 +26,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 
-import numpy as np
-
-from .core import (
-    _EXP_GUARD,
-    _LOG_WINDOW_TOL,
-    ABS_TOL,
-    MAX_TERMS,
-    ModularPoint,
-    SeriesValue,
-    _dot_gram,
-    as_fraction,
-    cexp,
-    exp_overflow,
-    require_tau,
-)
-from .errors import (
-    ConditionViolation,
-    NonConvergent,
-    NotPositiveDefinite,
-    PoleProximity,
-    SingularDecomposition,
-)
-from .mock import SIGNS, MockIndex
+from .core import ABS_TOL, ModularPoint, SeriesValue, _dot_gram, as_fraction, cexp, require_tau
+from .errors import ConditionViolation, NonConvergent, PoleAtZ1, SingularDecomposition
+from .mock import SIGNS, MockIndex, phi
 from .modifier import phi_tilde
 from .theta import _theta_ladder
 
@@ -67,62 +38,29 @@ _2PI_I = 2j * math.pi
 MODES = ("unsigned", "plus", "minus")
 
 
-class GramPlan:
-    """What a Gram fixes for every lattice sum over it, kept per shape and
-    bytes by ``_gram_plan``: a Gram edited in place gets a plan of its own."""
-
-    def __init__(self, gram: np.ndarray):
-        self.gram = gram
-        self.symmetric = bool(np.allclose(gram, gram.T, atol=1e-12))
-
-    # on demand, so that a symmetry check asks for no factorization
-    @cached_property
-    def positive_definite(self) -> bool:
-        try:
-            np.linalg.cholesky(self.gram)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    @cached_property
-    def lam_min(self) -> float:
-        return float(np.linalg.eigvalsh(self.gram)[0])
-
-    @cached_property
-    def inv_diag(self) -> list:
-        """(G^-1)_ii: the ellipsoid |x|^2 <= R^2 reaches |x_i| <= R sqrt((G^-1)_ii)."""
-        return np.linalg.inv(self.gram).diagonal().tolist()
-
-    @cached_property
-    def scaled(self):
-        """(G, d), G integral, G / d the Gram to 9 places: |c|^2 = c.G.c / d."""
-        exact = [[as_fraction(round(float(x), 9)) for x in row] for row in self.gram]
-        d = math.lcm(*(x.denominator for row in exact for x in row))
-        return [[int(x * d) for x in row] for row in exact], d
-
-
-@lru_cache(maxsize=64)
-def _gram_plan(shape, data: bytes) -> GramPlan:
-    return GramPlan(np.frombuffer(data).reshape(shape))
-
-
 @dataclass(frozen=True)
 class LatticeData:
-    """A free abelian group with real Gram data in some ambient space."""
+    """A free abelian group with real Gram data in some ambient space, the
+    Gram kept as a tuple of float rows."""
 
-    gram: np.ndarray
+    gram: tuple
 
     def __post_init__(self):
-        g = np.asarray(self.gram, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        try:
+            g = tuple(tuple(map(float, row)) for row in self.gram)
+        except TypeError:
+            raise ValueError("gram must be a square matrix") from None
+        if any(len(row) != len(g) for row in g):
             raise ValueError("gram must be a square matrix")
-        if not _gram_plan(g.shape, g.tobytes()).symmetric:
+        # np.allclose(G, G^T, atol=1e-12): |a - b| <= 1e-12 + 1e-5 |b|
+        if not all(a == b or abs(a - b) <= 1e-12 + 1e-5 * abs(b)
+                   for row, col in zip(g, zip(*g)) for a, b in zip(row, col)):
             raise ValueError("gram must be symmetric")
         object.__setattr__(self, "gram", g)
 
     @property
     def rank(self) -> int:
-        return self.gram.shape[0]
+        return len(self.gram)
 
 
 @dataclass(frozen=True)
@@ -158,124 +96,6 @@ class SignCharacter:
         return -1 if e % 2 else 1
 
 
-@lru_cache(maxsize=64)
-def _box(lo: tuple, hi: tuple) -> np.ndarray:
-    """The integer vectors c with lo <= c <= hi, in lexicographic order."""
-    grids = np.meshgrid(*(range(a, b + 1) for a, b in zip(lo, hi)), indexing="ij")
-    box = np.stack([g.ravel() for g in grids], axis=1)
-    box.flags.writeable = False
-    return box
-
-
-def enumerate_ellipsoid(gram: np.ndarray, center: np.ndarray, radius2: float):
-    """Integer vectors c with |center + c|^2 <= radius2 in the Gram metric,
-    in lexicographic order.
-
-    Bounds each coordinate by the ellipsoid's extent along it, then
-    filters; adequate for the small ranks this library works at.  Only
-    the filter is per call: the Gram's inverse and the boxes are kept.
-    """
-    gram = np.asarray(gram, dtype=float)
-    plan = _gram_plan(gram.shape, gram.tobytes())
-    if plan.lam_min <= 0:
-        raise NotPositiveDefinite("ellipsoid enumeration needs a definite Gram")
-    # |c_i + center_i| <= sqrt(radius2 (G^-1)_ii) on the ellipsoid; the
-    # margin keeps the filter's 1e-9 slack and the rounding inside the box
-    r2 = max(radius2, 0.0) + 1e-9
-    reach = [math.sqrt(r2 * d) + 1e-6 for d in plan.inv_diag]
-    cen = center.tolist()
-    coords = _box(
-        tuple(math.ceil(-c - e) for c, e in zip(cen, reach)),
-        tuple(math.floor(-c + e) for c, e in zip(cen, reach)),
-    )
-    shifted = coords + center
-    norms = np.einsum("ij,jk,ik->i", shifted, gram, shifted)
-    keep = norms <= radius2 + 1e-9
-    return coords[keep], norms[keep]
-
-
-def _lattice_sum(gram, centre, k: float, tau: complex, growth: float, terms):
-    """Sum the summands of one lattice window, added one at a time in the
-    window's order.
-
-    ``terms(coords, norms)`` returns them as one complex array, one per
-    row c of ``coords``, with ``norms`` holding |centre + c|^2 in the Gram
-    metric.  The summands must be bounded by exp(-pi y r^2 / k + growth * r)
-    in r = k |centre + c|; the window radius r* makes that bound
-    ABS_TOL / _WINDOW_MARGIN.  The err_bound is eight times the largest
-    summand in the outer shell r^2 >= 0.7 r*^2, and at least ABS_TOL / 100.
-    """
-    a_coef = math.pi * tau.imag / k
-    r_star = (growth + math.sqrt(growth * growth - 4.0 * a_coef * _LOG_WINDOW_TOL)) / (
-        2.0 * a_coef
-    )
-    radius2 = r_star * r_star
-    coords, norms = enumerate_ellipsoid(gram, centre, radius2 / (k * k))
-    if coords.shape[0] == 0:
-        coords = np.zeros((1, gram.shape[0]), dtype=int)
-        norms = np.array([float(centre @ gram @ centre)])
-    if coords.shape[0] > MAX_TERMS:
-        raise NonConvergent("lattice enumeration exceeds max_terms")
-    summands = terms(coords, norms)
-    total = 0.0 + 0.0j
-    for t in summands.tolist():
-        total += t
-    shell = norms * (k * k) >= 0.7 * radius2
-    boundary = float(np.max(np.abs(summands), where=shell, initial=0.0))
-    err = max(boundary * 8.0, ABS_TOL * 0.01)
-    return SeriesValue(total, err, coords.shape[0])
-
-
-def _first_refusal(*checks):
-    """(row, column) of the first refused summand in window order, or None.
-
-    Each check is a bool array with one row per summand (and one column
-    per sub-check); a summand's checks run in the order of their columns
-    across ``checks``."""
-    if not any(c.any() for c in checks):
-        return None
-    table = np.concatenate([c.reshape(len(c), -1) for c in checks], axis=1)
-    return divmod(int(np.argmax(table)), table.shape[1])
-
-
-def _signs(eps: SignCharacter, plan: GramPlan, coords):
-    """eps at every row of ``coords`` in exact integer arithmetic, as
-    (signs, refused, refuse): ``refused`` masks the rows eps cannot sign
-    and ``refuse(row)`` raises eps's error there."""
-    if eps.kind == "trivial":
-        return 1, np.zeros(len(coords), dtype=bool), None
-    if eps.kind == "custom_vector":
-        vec = [int(x) for x in eps.vector][: coords.shape[1]]
-        dot = coords[:, : len(vec)] @ np.array(vec, dtype=np.int64)
-        return 1 - 2 * (dot % 2), np.zeros(len(coords), dtype=bool), None
-    if eps.kind != "parity_of_norm":
-        return 1, np.ones(len(coords), dtype=bool), lambda i: eps(coords[i].tolist(), None)
-    g, d = plan.scaled
-    mult = as_fraction(eps.mult)
-    # mult |c|^2 = mult.numerator c.g.c / (mult.denominator d), in int64
-    # while every product fits, in Python integers past that
-    reach = int(np.abs(coords).max()) * coords.shape[1]
-    big = max(abs(x) for row in g for x in row) * reach * reach * abs(mult.numerator)
-    dtype = np.int64 if max(big, mult.denominator * d) < 2**62 else object
-    c = coords.astype(dtype)
-    num = ((c @ np.array(g, dtype=dtype)) * c).sum(axis=1)
-    top, den = mult.numerator * num, mult.denominator * d
-    signs = np.asarray(1 - 2 * (top // den % 2), dtype=np.int64)
-    return signs, np.asarray(top % den != 0, dtype=bool), lambda i: eps.parity(int(num[i]), d)
-
-
-def _ladder_sign(eps: SignCharacter, plan: GramPlan):
-    """eps(1) on a rank-1 lattice, where eps(n) = eps(1)^n; None when eps
-    is no character of Z there (a non-integral parity, an unknown kind)."""
-    try:
-        if eps.kind == "parity_of_norm":
-            ((g,),), d = plan.scaled
-            return eps.parity(g, d)
-        return eps((1,), None)
-    except ValueError:
-        return None
-
-
 def lattice_theta(
     lambda_bar,
     k,
@@ -289,47 +109,29 @@ def lattice_theta(
     basis; ``point.z`` holds coordinates of z in the same basis, so that
     all pairings go through the Gram matrix.
     """
-    if k <= 0:
-        raise ValueError("degree k must be positive")
-    plan = _gram_plan(lattice.gram.shape, lattice.gram.tobytes())
-    if not plan.positive_definite:
-        raise NotPositiveDefinite("lattice_theta requires positive definite Gram")
-    tau = require_tau(point.tau)
     gram = lattice.gram
-    lam = np.asarray([float(x) for x in lambda_bar], dtype=float)
-    kf = float(k)
-    if gram.shape == (1, 1) and len(lam) == len(point.z) == 1:
-        # sum_n eps(n) e^(pi i tau g v^2 / k + 2 pi i g v z), v = lam + k n, is
-        # the rank-1 theta of degree g k / 2 at c0 = lam / k and 2 z
-        sign = _ladder_sign(eps, plan)
+    if len(gram) == len(lambda_bar) == len(point.z) == 1 and k > 0 and gram[0][0] > 0:
+        tau = require_tau(point.tau)
+        try:  # eps(n) = eps(1)^n, with |1|^2 = g read to 9 places as the window reads it
+            sign = eps((1,), round(gram[0][0], 9))
+        except ValueError:  # eps is no character of Z: a non-integral parity, an unknown kind
+            sign = None
         if sign is not None:
+            # sum_n eps(n) e^(pi i tau g v^2 / k + 2 pi i g v z), v = lam + k n, is
+            # the rank-1 theta of degree g k / 2 at c0 = lam / k and 2 z
+            kf = float(k)
             try:
                 value, err, used = _theta_ladder(
-                    sign, float(lam[0]) / kf, float(gram[0, 0]) * kf / 2.0, tau, 2.0 * point.z[0]
+                    sign, float(lambda_bar[0]) / kf, gram[0][0] * kf / 2.0, tau, 2.0 * point.z[0]
                 )
             except NonConvergent:
                 pass  # the lattice window refuses it with its own error, or sums it
             else:
                 out = SeriesValue(value, max(err, ABS_TOL * 0.01), used)
                 return cexp(_2PI_I * kf * complex(point.t)) * out
-    z = np.asarray(point.z, dtype=complex)
-    im_norm = math.sqrt(max(float(z.imag @ gram @ z.imag), 0.0))
-    i_pi_k = _I_PI * tau * kf  # pi i tau |v|^2 / k = pi i tau k |c + lam / k|^2
+    from .lattice_window import window_theta
 
-    def terms(coords, norms):
-        # |term| = exp(-pi y |v|^2 / k - 2 pi Im (v|z)), v = lam + k c
-        w = i_pi_k * norms + _2PI_I * (((lam + kf * coords) @ gram) @ z)
-        signs, refused, refuse = _signs(eps, plan, coords)
-        hit = _first_refusal(refused, w.real > _EXP_GUARD)
-        if hit is not None:
-            i, check = hit
-            if check == 0:
-                refuse(i)
-            raise exp_overflow(complex(w[i]))
-        return signs * np.exp(w)
-
-    out = _lattice_sum(gram, lam / kf, kf, tau, 2.0 * math.pi * im_norm, terms)
-    return cexp(_2PI_I * kf * complex(point.t)) * out
+    return window_theta(lambda_bar, k, lattice, eps, point)
 
 
 def _eliminate(A, columns=()):
@@ -427,7 +229,10 @@ class LatticeContext:
             col + row for col, row in zip(zip(*gb), bb)
         )
 
-    def full_gram_float(self) -> np.ndarray:
+    def full_gram_float(self):
+        """The full Gram as a float ndarray, for numpy callers; loads numpy."""
+        import numpy as np
+
         return np.asarray(
             [[float(x) for x in row] for row in self.full_gram], dtype=float
         )
@@ -468,8 +273,8 @@ def validate_context(ctx: LatticeContext, weight: Weight = None):
 def _violations(ctx: LatticeContext, weight: Weight) -> tuple:
     out = []
     m, n = ctx.rank, ctx.n_isotropic
-    gf = np.asarray([[float(x) for x in row] for row in ctx.gamma_gram])
-    if m and np.linalg.eigvalsh(gf)[0] <= 0:
+    # exact: elimination's pivots, the ratios of leading minors, are positive
+    if not all(_eliminate([row[:i] for row in ctx.gamma_gram[:i]])[0] > 0 for i in range(1, m + 1)):
         out.append("gamma Gram is not positive definite")
     for i in range(1, n + 1):
         norm2 = ctx.gamma_gram[i - 1][i - 1]
@@ -517,18 +322,20 @@ def translation_sign(ctx: LatticeContext) -> SignCharacter:
 
 
 @lru_cache(maxsize=128)
-def _mock_plan(ctx: LatticeContext, weight: Weight):
-    """``lattice_mock_theta``'s constants, once per validated (context, weight)."""
+def _phi_route(ctx: LatticeContext, weight: Weight):
+    """Validate (context, weight), once per pair; for one gamma and one beta,
+    eq 3.5's index [k|gamma|^2/2; (lambda|gamma)] in the context's sign and
+    2/|gamma|^2, else (or for a shift no index takes) None."""
     bad = validate_context(ctx, weight=weight)
     if bad:
         raise ConditionViolation(bad)
-    m, n = ctx.rank, ctx.n_isotropic
-    G = ctx.full_gram_float()
-    lam = np.asarray([float(x) for x in weight.coords], dtype=float)
-    lam_min = float(np.linalg.eigvalsh(G[:m, :m])[0])
-    centre = np.linalg.solve(G[:m, :m], lam @ G[:, :m]) / float(ctx.k)
-    embed = np.eye(m, m + n) * float(ctx.k)  # c -> k c in the frame
-    return G, lam, lam_min, centre, embed, G[:m, m:], translation_sign(ctx)
+    if (ctx.rank, ctx.n_isotropic) != (1, 1):
+        return None
+    ((g,),) = ctx.gamma_gram
+    s = ctx.pair(weight.coords, ctx.gamma_vec(1))
+    if (2 * s).denominator != 1:
+        return None
+    return MockIndex(ctx.k * g / 2, s, ctx.mode), float(2 / g)
 
 
 def lattice_mock_theta(
@@ -541,53 +348,26 @@ def lattice_mock_theta(
 
     ``point.z`` holds frame coordinates of z.  ``denominator_plus``
     replaces the (1 - ...) factors by (1 + ...), the shape the character
-    (rather than supercharacter) numerators use.
+    (rather than supercharacter) numerators use.  One gamma and one beta
+    give e^(2 pi i k t) Phi(tau, z_gamma, z_gamma - 2 z_beta / |gamma|^2).
     """
-    G, lam, lam_min, centre, embed, beta_cols, sign = _mock_plan(ctx, weight)
+    route = _phi_route(ctx, weight)
     tau = require_tau(point.tau)
-    m, n = ctx.rank, ctx.n_isotropic
     if len(point.z) != ctx.ambient_dim:
         raise ValueError("z needs one coordinate per frame vector")
-    k = float(ctx.k)
-    z = np.asarray(point.z, dtype=complex)
+    if route and not denominator_plus:
+        idx, two_over_g = route
+        z1 = point.z[0]
+        try:
+            value, err, used = phi(idx, tau, z1, z1 - two_over_g * point.z[1])
+        except (PoleAtZ1, NonConvergent):
+            pass  # the lattice window refuses it with its own error, or sums it
+        else:
+            out = SeriesValue(value, max(err, ABS_TOL * 0.01), used)  # the window's floor
+            return cexp(_2PI_I * float(ctx.k) * complex(point.t)) * out
+    from .lattice_window import window_mock_theta
 
-    im_n2 = float(z.imag @ G @ z.imag)
-    im_norm = math.sqrt(im_n2) if im_n2 > 0 else 0.0
-    # denominator growth per unit of |lam + k gamma|: each factor can
-    # amplify by exp(2 pi y |c_j|) and |c_j| <= r / (k sqrt(lam_min)).
-    growth = 2.0 * math.pi * im_norm + 2.0 * math.pi * n * tau.imag / math.sqrt(lam_min)
-    i_pi_k = _I_PI * tau / k
-    # d_j = 2 pi i (-(c|beta_j) tau - (beta_j|z)), the exponent of factor j
-    d_c = beta_cols * (-_2PI_I * tau)
-    d_0 = _2PI_I * (G[m:] @ z)
-
-    def terms(coords, norms):
-        v = coords @ embed + lam  # lam + k c, c padded with zeros
-        vg = v @ G
-        w = i_pi_k * (vg * v).sum(axis=1) + _2PI_I * (vg @ z)
-        d = coords @ d_c - d_0
-        # 1 -+ e^d = -+e^d (1 -+ e^-d): once e^d is large, e^-d folds into w
-        fold = d.real > 40.0
-        folded = fold.any()
-        if folded:
-            for j in range(n):
-                w = np.where(fold[:, j], w - d[:, j], w)
-            d = np.where(fold, -d, d)
-        e = np.exp(d)
-        dj = (1.0 + e) if denominator_plus else (1.0 - e)
-        if folded and not denominator_plus:
-            dj = np.where(fold, -dj, dj)
-        hit = _first_refusal(np.abs(dj) < 1e-8, w.real > _EXP_GUARD)
-        if hit is not None:
-            i, check = hit
-            if check < n:
-                raise PoleProximity(f"denominator factor {check + 1} vanishes")
-            raise exp_overflow(complex(w[i]))
-        signs, _, _ = _signs(sign, None, coords)
-        return signs * np.exp(w) / dj.prod(axis=1)
-
-    out = _lattice_sum(G[:m, :m], centre, k, tau, growth, terms)
-    return cexp(_2PI_I * k * complex(point.t)) * out
+    return window_mock_theta(ctx, weight, tau, point, denominator_plus)
 
 
 @dataclass(frozen=True)
@@ -689,31 +469,37 @@ def build_modification(ctx: LatticeContext, weight: Weight) -> ModificationResul
     return ModificationResult(ctx, weight, m_basis, m_gram, tuple(lam_n), tuple(factors), xi0)
 
 
+def _apply(matrix, z) -> tuple:
+    """matrix . z, skipping the zero entries (exact where both are)."""
+    return tuple(sum(c * x for c, x in zip(row, z) if c) for row in matrix)
+
+
 def _eval_plan(res: ModificationResult, xi_shift: bool):
-    """``eval_modified``'s constants for one xi_shift: eps, |lambda_perp|^2,
-    the M-side (lambda_M, the projection Gram^-1 basis.G of z onto M,
-    lattice) and each factor's a.G, index."""
+    """``eval_modified``'s constants for one xi_shift, exact until each is
+    rounded once: eps, |lambda_perp|^2, the M-side (lambda_M, the
+    projection Gram^-1 basis.G of z onto M, lattice) and each factor's
+    a.G, index."""
     ctx = res.ctx
-    G = ctx.full_gram_float()
+    G = ctx.full_gram
     if xi_shift and res.xi0 is None:
         raise ValueError("context has no xi0 shift (unsigned mode)")
-    lam_frame = [a + b for a, b in zip(res.lambda_n, res.xi0)] if xi_shift else res.lambda_n
+    lam = [a + b for a, b in zip(res.lambda_n, res.xi0)] if xi_shift else res.lambda_n
     eps = SignCharacter("parity_of_norm", ctx.k) if SIGNS[ctx.mode] == -1 else SignCharacter()
-    lamf = np.asarray([float(x) for x in lam_frame])
-    perp2 = float(lamf @ G @ lamf)
+    perp2 = ctx.pair(lam, lam)
     m_part = None
     if res.m_basis:
-        basis_g = np.asarray([[float(x) for x in vec] for vec in res.m_basis]) @ G
-        gram_m = np.asarray([[float(x) for x in row] for row in res.m_gram])
-        lam_m = np.linalg.solve(gram_m, basis_g @ lamf)
-        perp2 -= float(lam_m @ gram_m @ lam_m)
-        m_part = lam_m, np.linalg.solve(gram_m, basis_g), LatticeData(gram_m)
+        basis_g = [_apply(G, b) for b in res.m_basis]  # rows b.G; G is symmetric
+        bg_lam = _apply(basis_g, lam)
+        _, (lam_m, *proj) = _eliminate(res.m_gram, [bg_lam, *zip(*basis_g)])
+        perp2 -= sum(a * b for a, b in zip(lam_m, bg_lam))
+        m_part = (tuple(map(float, lam_m)), tuple(tuple(map(float, row)) for row in zip(*proj)),
+                  LatticeData(res.m_gram))
     factors = []
     for fac in res.phi_factors:
         s = fac.shift + ctx.pair(res.xi0, ctx.gamma_vec(fac.p)) if xi_shift else fac.shift
-        a1, a2 = (np.asarray([float(x) for x in a]) @ G for a in (fac.arg1, fac.arg2))
+        a1, a2 = (tuple(map(float, _apply(G, a))) for a in (fac.arg1, fac.arg2))
         factors.append((a1, a2, MockIndex(fac.degree, s, ctx.mode)))
-    return eps, perp2, m_part, factors
+    return eps, float(perp2), m_part, factors
 
 
 def eval_modified(
@@ -726,21 +512,22 @@ def eval_modified(
     in M (a xi0 shift need not lie in M) times e^(pi i tau |lambda_perp|^2 / k),
     times the phi_tilde factors."""
     tau = require_tau(point.tau)
+    if len(point.z) != res.ctx.ambient_dim:
+        raise ValueError("z needs one coordinate per frame vector")
     if xi_shift not in res._plans:
         res._plans[xi_shift] = _eval_plan(res, xi_shift)
     eps, perp2, m_part, factors = res._plans[xi_shift]
     k = float(res.k)
-    z = np.asarray(point.z, dtype=complex)
     if m_part:
         lam_m, proj, lattice = m_part
-        pt_m = ModularPoint(tau, proj @ z, point.t)
+        pt_m = ModularPoint(tau, _apply(proj, point.z), point.t)
         theta = lattice_theta(lam_m, res.k, lattice, eps, pt_m)
     else:
         # z^(1) = 0 when the residual lattice is trivial
         theta = SeriesValue(cexp(_2PI_I * k * complex(point.t)), 0.0, 1)
     out = cexp(_I_PI * tau * perp2 / k) * theta
     for a1, a2, idx in factors:
-        out = out * phi_tilde(idx, tau, complex(a1 @ z), complex(a2 @ z))
+        out = out * phi_tilde(idx, tau, *_apply((a1, a2), point.z))
     return out
 
 

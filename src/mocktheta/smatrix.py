@@ -33,9 +33,8 @@ F = Fraction
 
 @dataclass(frozen=True)
 class SMatrix:
-    """S- and T-matrix of one span, each a tuple of row tuples of complex.
-    d21a, osp32_sub and osp_level1 are built without numpy; sl21 and osp42
-    load it, through ``characters``, for their lattice level rule.
+    """S- and T-matrix of one span, each a tuple of row tuples of complex,
+    built without numpy, ``lattice`` or ``characters``.
     ``unitarity_defect`` is a plain double-precision sum: its value may
     differ from a BLAS product's at the 1e-16 level."""
 
@@ -86,10 +85,18 @@ def _matrix(rows):
     return tuple(tuple(complex(v) for v in row) for row in rows)
 
 
-def _sl21(k, params):
-    from .characters import system
+def _level_rule(case, k, params, least: int) -> None:
+    """Refuse the case's parameters, then a level off its closed-form rule
+    (docs/formats.md), an integer k >= least, naming the lattice's violations."""
+    preset(case, params)
+    if k.denominator != 1 or k < least:
+        from .characters import system
 
-    system("sl21", params).check_level(k)
+        system(case, params).check_level(k)
+
+
+def _sl21(k, params):
+    _level_rule("sl21", k, params, 0)
     return SMatrix(
         "sl21",
         k,
@@ -124,9 +131,7 @@ def _d21a_first_level(params):
 
 
 def _osp42(k, params):
-    from .characters import system
-
-    system("osp42", params).check_level(k)
+    _level_rule("osp42", k, params, 1)
     kk = int(k)
     js = list(range(-kk, 3 * kk))  # complete residues mod 4k
     S, T = _weil(js, 2 * kk)

@@ -17,9 +17,9 @@ from . import _oracles as oracle
 from .characters import ch_tilde, gram_quad, psi_fn, system
 from .core import ModularPoint
 from .lattice import (
-    LatticeContext, Weight, build_modification, eval_modified, lattice_mock_theta,
-    mu_class_representatives,
+    LatticeContext, Weight, build_modification, eval_modified, mu_class_representatives,
 )
+from .lattice_window import window_mock_theta
 from .mock import MockIndex, phi
 from .modifier import r_jm, r_jm_signed
 from .modular import LAWS, S, T, _stream, act, check_pair, check_residual, verify_law
@@ -52,11 +52,10 @@ def suite_eq35(seed=31, tol=1e-9):
             ctx = _ctx_sl2(k)
             w = Weight(k, (0, F(-1)))
             pt = ModularPoint(tau, (z1, z2), 0.05)
-            direct = lattice_mock_theta(ctx, w, pt).value
-            G = ctx.full_gram_float()
-            z = np.array(pt.z)
-            beta_z = complex(G[1] @ z)
-            gam_z = complex(G[0] @ z)
+            # the lattice window's direct sum, not the Phi route eq 3.5 gives
+            direct = window_mock_theta(ctx, w, tau, pt, False).value
+            quad = gram_quad(ctx.full_gram)
+            beta_z, gam_z = quad(ctx.beta_vec(1), pt.z), quad(ctx.gamma_vec(1), pt.z)
             s = ctx.pair(w.coords, ctx.gamma_vec(1))
             orc = cmath.exp(2j * PI * k * pt.t) * phi(
                 MockIndex(k, s), tau, -beta_z, beta_z + gam_z

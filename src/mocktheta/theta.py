@@ -1,6 +1,6 @@
 """Classical building blocks: eta, the four level-2 Jacobi thetas and
 the rank-1 theta ladders.  The positive definite lattice theta sums live
-in ``lattice``, with the rest of the numpy code.
+in ``lattice``, and their numpy window in ``lattice_window``.
 
 Convention for the level-2 thetas (fixed so that the denominator-identity
 pin tests in the verification suite hold; see tests/test_characters.py):
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from importlib import import_module
 
 from .core import (
     _EXP_GUARD,
@@ -149,10 +150,9 @@ def _theta_window(sign, c0s, m: float, tau: complex, z: complex):
 
 def __getattr__(name):
     """``lattice_theta`` and ``enumerate_ellipsoid`` by their former home,
-    which ``bench/tracing.py`` still names; the library calls them in
-    ``lattice``.  Importing ``lattice`` here loads numpy."""
-    if name in ("lattice_theta", "enumerate_ellipsoid"):
-        from . import lattice
-
-        return getattr(lattice, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    which ``bench/tracing.py`` still names: the objects the library calls,
+    from ``lattice`` and ``lattice_window``.  Only the second loads numpy."""
+    home = {"lattice_theta": "lattice", "enumerate_ellipsoid": "lattice_window"}.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{home}", __package__), name)

@@ -579,7 +579,7 @@ def test_derived_constants_equal_the_literals(case, params):
     if case == "d21a":
         a = sys.a
         literal = [[0, a, -(a + 1)], [a, 0, 1], [-(a + 1), 1, 0]]
-        assert sys.frame_gram.tolist() == [[float(x) for x in row] for row in literal]
+        assert sys.frame_gram == tuple(tuple(float(x) for x in row) for row in literal)
 
 
 @pytest.mark.parametrize("case,params", [

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from conftest import random_points
 
-from mocktheta import lattice
+from mocktheta import lattice, lattice_window
 from mocktheta.characters import WeightSpec, ch_tilde
 from mocktheta.core import ModularPoint
-from mocktheta.errors import ConditionViolation, NonConvergent, PoleProximity
+from mocktheta.errors import (
+    ConditionViolation, NonConvergent, NotPositiveDefinite, PoleProximity,
+)
 from mocktheta.lattice import (
     LatticeContext,
     LatticeData,
@@ -59,7 +61,7 @@ class TestMockTheta:
             ctx = LatticeContext(((2,),), 1, k)
             w = Weight(k, (0, F(-2)))
             pt = ModularPoint(TAU, (0.21, 0.33), 0.05)
-            direct = lattice_mock_theta(ctx, w, pt).value
+            direct = lattice_window.window_mock_theta(ctx, w, pt.tau, pt, False).value
             G = ctx.full_gram_float()
             z = np.array(pt.z)
             beta_z = complex(G[1] @ z)
@@ -81,13 +83,15 @@ class TestMockTheta:
         G = ctx.full_gram_float()
         for tau, z1, z2 in random_points(35, 3):
             pt = ModularPoint(tau, (z1, z2), 0.07)
-            direct = lattice_mock_theta(ctx, w, pt).value
             beta_z = complex(G[1] @ np.array(pt.z))
             gam_z = complex(G[0] @ np.array(pt.z))
             ref = cmath.exp(2j * math.pi * k * pt.t) * phi(
                 MockIndex(k, s, mode), tau, -beta_z, beta_z + gam_z
             ).value
-            assert abs(direct - ref) / max(1.0, abs(ref)) < 1e-12
+            # the lattice window's direct sum, and the public function (eq 3.5's Phi)
+            for direct in (lattice_window.window_mock_theta(ctx, w, tau, pt, False).value,
+                           lattice_mock_theta(ctx, w, pt).value):
+                assert abs(direct - ref) / max(1.0, abs(ref)) < 1e-12
 
     def test_rank2_naive_oracle(self):
         w = Weight(1, (0, 0, 1))
@@ -425,10 +429,11 @@ def test_translation_sign_is_trivial_outside_minus_mode(mode):
 
 
 PLAN_CACHES = (
-    lattice._gram_plan,
-    lattice._box,
+    lattice_window._gram_plan,
+    lattice_window._box,
     lattice._violations,
-    lattice._mock_plan,
+    lattice._phi_route,
+    lattice_window._mock_plan,
     lattice.build_modification,
 )
 # the benchmark's lattice Grams and contexts
@@ -512,8 +517,8 @@ class TestPlans:
 
     def test_grams_of_one_shape_keep_their_own_plans(self):
         a2, a1a1 = (np.array(GRAMS[g][0]) for g in ("A2", "A1A1"))
-        plan_a2 = lattice._gram_plan(a2.shape, a2.tobytes())
-        plan_a1a1 = lattice._gram_plan(a1a1.shape, a1a1.tobytes())
+        plan_a2 = lattice_window._gram_plan(a2.shape, a2.tobytes())
+        plan_a1a1 = lattice_window._gram_plan(a1a1.shape, a1a1.tobytes())
         assert plan_a2 is not plan_a1a1
         assert (plan_a2.lam_min, plan_a1a1.lam_min) == (1.0, 2.0)
         eps = SIGNS["parity_of_norm"]
@@ -524,16 +529,19 @@ class TestPlans:
         ]
         assert values[0] == values[2] != values[1]
 
-    def test_gram_edited_in_place_gets_its_own_value(self):
+    def test_gram_edited_in_place_leaves_the_lattice_as_built(self):
+        # the lattice keeps its own tuple of the Gram, which takes no edit
         eps = SIGNS["parity_of_norm"]
-        lat = LatticeData(gram=np.array(GRAMS["A2"][0]))
+        rows = np.array(GRAMS["A2"][0])
+        lat = LatticeData(gram=rows)
         before = lattice_theta((0.5, 0.0), 1, lat, eps, _point(2))
-        lat.gram[:] = GRAMS["A1A1"][0]
-        after = lattice_theta((0.5, 0.0), 1, lat, eps, _point(2))
+        rows[:] = GRAMS["A1A1"][0]
+        with pytest.raises(TypeError):
+            lat.gram[0] = GRAMS["A1A1"][0][0]
         fresh, _ = _cold_then_warm(lambda: lattice_theta(
-            (0.5, 0.0), 1, LatticeData(gram=np.array(GRAMS["A1A1"][0])), eps, _point(2)
+            (0.5, 0.0), 1, LatticeData(gram=np.array(GRAMS["A2"][0])), eps, _point(2)
         ))
-        assert _bits(after) == fresh != _bits(before)
+        assert _bits(lattice_theta((0.5, 0.0), 1, lat, eps, _point(2))) == fresh == _bits(before)
 
     def test_caches_stay_bounded(self):
         eps = SIGNS["trivial"]
@@ -677,6 +685,21 @@ for _name, _args, _over in (("sl2_k2", _SL2_K2, (12j, 792)), ("odd", _ODD, None)
             NonConvergent, f"exponent overflow: Re(w) = {_over[1]}")
 
 
+def test_a_gram_definite_only_in_exact_arithmetic_is_refused_by_the_window():
+    # det = 1e-20 > 0, so validation (exact) passes; in floats the Gram is
+    # ((1, 1), (1, 1)), singular, and every window over it refuses loudly
+    ctx = LatticeContext(((1, 1), (1, 1 + F(1, 10**20))), 0, 10**20)
+    w = Weight(ctx.k, (0, 0))
+    assert validate_context(ctx, weight=w) == []
+    pt = ModularPoint(_TAU1, (0.1, 0.2), 0.0)
+    lat = LatticeData(gram=ctx.gamma_gram)
+    for call in (lambda: lattice_mock_theta(ctx, w, pt),
+                 lambda: eval_modified(build_modification(ctx, w), pt),
+                 lambda: lattice_theta((0.0, 0.0), 1, lat, SignCharacter(), pt)):
+        with pytest.raises(NotPositiveDefinite):
+            call()
+
+
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_refused_input_raises_its_error(case):
     call, exc, message = REFUSED[case]
@@ -697,12 +720,12 @@ def test_a_parity_sign_that_no_summand_reads_is_not_refused():
 def test_window_signs_match_the_character(gram, mult):
     # the batched parity signs against SignCharacter.parity row by row; the
     # largest multiplier takes the Python-integer route past int64
-    lat = LatticeData(gram=gram)
-    plan = lattice._gram_plan(lat.gram.shape, lat.gram.tobytes())
+    lat = np.array(LatticeData(gram=gram).gram)
+    plan = lattice_window._gram_plan(lat.shape, lat.tobytes())
     g, d = plan.scaled
     eps = SignCharacter("parity_of_norm", mult)
     coords = np.array(list(itertools.product(range(-7, 8), repeat=len(gram))))
-    signs, refused, refuse = lattice._signs(eps, plan, coords)
+    signs, refused, refuse = lattice_window._signs(eps, plan, coords)
     assert signs.dtype == np.int64 and refused.dtype == bool
     for i, c in enumerate(coords.tolist()):
         num = sum(a * x * b for r, a in zip(g, c) for x, b in zip(r, c))

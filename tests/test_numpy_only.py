@@ -1,10 +1,15 @@
-"""numpy is the only runtime dependency, and the rank-1, Omega, rank-1
-verification and closed-form S-matrix paths do not load it.
+"""numpy is the only runtime dependency, and only a lattice window (a
+lattice sum of rank >= 2, or of rank 1 where its ladder refuses) loads it:
+the rank-1, Omega and rank-1 verification paths, every S-matrix command,
+the exact lattice algebra and the character tables of the wired cases
+(whose lattices have rank <= 1 after the modification) do not.
 
 Each check runs in a fresh interpreter, so modules that other tests (or
 the test runner) imported cannot hide an import made by the library.
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -125,13 +130,15 @@ print(json.dumps([code, [m for m in {SUITE_HEAVY!r} if m in sys.modules]]))
     assert (code, loaded) == (0, [])
 
 
-# what building a closed-form S-matrix never needs; sl21 and osp42 load the
-# character layer for their lattice level rule
+# what building a closed-form S-matrix never needs; sl21 and osp42 read
+# their level rule in closed form
 SMATRIX_HEAVY = ("numpy", "mocktheta.lattice", "mocktheta.characters")
 CLOSED_FORM_SMATRIX_COMMANDS = [
     ["smatrix", "--case", "d21a", "--output", "csv"],
     ["smatrix", "--case", "osp_level1"],
     ["smatrix", "--case", "osp32_sub", "--k=-3/4"],
+    ["smatrix", "--case", "osp42", "--k", "1"],
+    ["smatrix", "--case", "sl21", "--k", "1"],
 ]
 
 
@@ -158,3 +165,57 @@ print(json.dumps([code, [m for m in {SMATRIX_HEAVY!r} if m in sys.modules]]))
 """
     )
     assert (code, loaded) == (0, [])
+
+
+# what the exact lattice algebra and the wired character tables never need
+WINDOW = ("numpy", "mocktheta.lattice_window")
+CHARTABLE_COMMANDS = [
+    ["chartable", "--case", "sl21", "--k", "1", "--points", "2"],
+    ["chartable", "--case", "sl21", "--k", "1", "--points", "2", "--variant", "ch_minus"],
+    ["chartable", "--case", "osp32", "--k", "1", "--points", "2"],
+    ["chartable", "--case", "osp42", "--k", "1", "--labels", "1/2,1/2", "--points", "2"],
+    ["chartable", "--case", "d21a", "--k=-1/2", "--labels", "0,1", "--points", "2"],
+]
+
+
+def test_lattice_and_character_modules_load_no_numpy():
+    loaded = _run_child(
+        f"""
+import json
+import mocktheta.lattice, mocktheta.characters
+print(json.dumps([m for m in {WINDOW!r} if m in sys.modules]))
+"""
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv", CHARTABLE_COMMANDS, ids=lambda argv: "-".join(argv[2::2]))
+def test_chartable_commands_load_no_numpy(argv):
+    code, out, loaded = _run_child(
+        f"""
+import contextlib, io, json
+from mocktheta.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = main({argv!r})
+print(json.dumps([code, buf.getvalue(), [m for m in {WINDOW!r} if m in sys.modules]]))
+"""
+    )
+    assert (code, loaded) == (0, [])
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows and all(row["re"] for row in rows)  # no row was refused
+
+
+def test_a_rank2_lattice_mock_theta_loads_numpy():
+    value, loaded = _run_child(
+        """
+import json
+import mocktheta as mt
+ctx = mt.LatticeContext(((2, -1), (-1, 2)), 1, 1)
+out = mt.lattice_mock_theta(ctx, mt.Weight(1, (0, 0, -1)),
+                            mt.ModularPoint(0.1 + 1.1j, (0.3 + 0.05j, -0.13, 0.2 - 0.03j)))
+print(json.dumps([abs(out.value), [m for m in ("numpy", "mocktheta.lattice_window")
+                                   if m in sys.modules]]))
+"""
+    )
+    assert value > 0 and loaded == ["numpy", "mocktheta.lattice_window"]

@@ -150,7 +150,8 @@ def test_phi_add_is_its_definition(m, s, sign):
 # lattice windows
 #
 # lattice_theta and lattice_mock_theta sum one window of lattice vectors c
-# (a rank-1 lattice_theta: one rank-1 theta ladder window).  Each value is
+# (a rank-1 lattice_theta: one rank-1 theta ladder window; a rank-1
+# lattice_mock_theta: one Phi ladder window, n = c).  Each value is
 # the defining summand t_c summed over that window, to 4 ulps of
 # sum |t_c|, and the next shell, every vector one step outside the window,
 # sums to at most err_bound.  The summands are the 40-digit ones of
@@ -167,7 +168,7 @@ import math  # noqa: E402
 
 import mpmath  # noqa: E402
 
-from mocktheta import lattice  # noqa: E402
+from mocktheta import lattice, lattice_window  # noqa: E402
 from lattice_refs import (  # noqa: E402
     CONTEXTS,
     THETA_ROWS,
@@ -185,7 +186,7 @@ LATTICE_POINTS = [(tau, z, 0.0) for tau, z, _ in points(2015, 2)]
 def window(monkeypatch):
     """The list of vectors the next lattice sum runs over, as tuples."""
     seen = []
-    lattice_sum, theta_ladder = lattice._lattice_sum, lattice._theta_ladder
+    lattice_sum, theta_ladder, phi = lattice_window._lattice_sum, lattice._theta_ladder, lattice.phi
 
     def spy_sum(gram, centre, k, tau, growth, terms):
         def spy_terms(coords, norms):
@@ -199,8 +200,14 @@ def window(monkeypatch):
         seen[:] = [(n,) for n in range(lo, hi + 1)]
         return theta_ladder(sign, c0, m, tau, z)
 
-    monkeypatch.setattr(lattice, "_lattice_sum", spy_sum)
+    def spy_phi(idx, tau, z1, z2):
+        lo, hi, _ = _phi_window(idx, tau, complex(z1), complex(z2))[1]
+        seen[:] = [(n,) for n in range(lo, hi + 1)]
+        return phi(idx, tau, z1, z2)
+
+    monkeypatch.setattr(lattice_window, "_lattice_sum", spy_sum)
     monkeypatch.setattr(lattice, "_theta_ladder", spy_ladder)
+    monkeypatch.setattr(lattice, "phi", spy_phi)
     return seen
 
 
@@ -238,13 +245,19 @@ def test_lattice_mock_theta_is_its_window(name, window):
         _audit(out, mock_summand(name, *p[:2]), list(window), exponent_scale=name == "half")
 
 
+# at Im z1 = -4 Im tau the factors 1 - e^d of the window's most negative
+# c have Re d > 40, so their e^-d is folded into the exponent; the
+# summands reach |w| ~ 100, hence the exponent-scaled bound.  The rank-1
+# contexts sum on the Phi ladder, whose window sits at the peak of its
+# numerator: Im z2 = -15 Im tau moves that peak to c ~ -4, where Re d > 40.
+FOLD_Z = {"sl3": (0.3 - 4j, 0.17 + 0.8j, 0.21 - 0.1j), "sl2": (0.3 - 4j, 0.17 - 15j),
+          "odd": (0.3 - 4j, 0.17 - 15j)}
+
+
 @pytest.mark.parametrize("name", ["sl2", "sl3", "odd"])
 def test_lattice_mock_theta_folds_large_factors(name, window):
-    # at Im z1 = -4 Im tau the factors 1 - e^d of the window's most negative
-    # c have Re d > 40, so their e^-d is folded into the exponent; the
-    # summands reach |w| ~ 100, hence the exponent-scaled bound
     tau = 0.1 + 1j
-    z = (0.3 - 4j, 0.17 + 0.8j, 0.21 - 0.1j)
+    z = FOLD_Z[name]
     out = library_mock(mt, name, tau, z, 0.0)
     vectors = list(window)
     assert min(c[0] for c in vectors) * tau.imag + z[0].imag < -40 / (2 * math.pi)
