@@ -3,8 +3,8 @@ affine superalgebra supercharacter assembly, with a verification suite for
 every transformation law the library claims.
 
 Importing the package loads no layer: each public name below is imported
-from its module on first use (PEP 562), so the rank-1 layers run without
-numpy, which only ``lattice`` and the layers above it load.
+from its module on first use (PEP 562), and only ``lattice_window``, which
+sums a lattice window of rank >= 2, loads numpy.
 """
 
 import sys as _sys

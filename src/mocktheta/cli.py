@@ -1,7 +1,7 @@
 """Command-line surface: evaluate functions, run named verification
 suites, emit weight tables and S-matrices.  Each command imports the
-layers it uses, so ``eval`` of a rank-1 function, ``table``,
-``list-suites`` and ``verify`` of a rank-1 suite load no numpy.
+layers it uses: numpy loads only for ``verify`` of a suite of sections
+3-6 (``suites_lattice``) and for a lattice sum no rank-1 ladder takes.
 
 Complex arguments use decimal ``a+bi`` syntax; a bare ``i`` means
 ``0+1i``.  Exit status: 0 on success / all residuals in tolerance, 1 on

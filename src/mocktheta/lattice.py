@@ -53,8 +53,9 @@ class LatticeData:
         if any(len(row) != len(g) for row in g):
             raise ValueError("gram must be a square matrix")
         # np.allclose(G, G^T, atol=1e-12): |a - b| <= 1e-12 + 1e-5 |b|
-        if not all(a == b or abs(a - b) <= 1e-12 + 1e-5 * abs(b)
-                   for row, col in zip(g, zip(*g)) for a, b in zip(row, col)):
+        close = (a == b or abs(a - b) <= 1e-12 + 1e-5 * abs(b)
+                 for row, col in zip(g, zip(*g)) for a, b in zip(row, col))
+        if g != tuple(zip(*g)) and not all(close):
             raise ValueError("gram must be symmetric")
         object.__setattr__(self, "gram", g)
 
@@ -171,9 +172,10 @@ class Weight:
     def __post_init__(self):
         object.__setattr__(self, "k", as_fraction(self.k))
         object.__setattr__(self, "coords", tuple(as_fraction(c) for c in self.coords))
+        object.__setattr__(self, "_hash", hash(_ints((self.k, *self.coords))))
 
-    def __hash__(self):
-        return hash(_ints((self.k, *self.coords)))
+    def __hash__(self):  # of ints only, so a copy in another process hashes alike
+        return self._hash
 
 
 def _ints(fracs) -> tuple:
@@ -209,9 +211,11 @@ class LatticeContext:
             raise ValueError(f"mode must be one of {MODES}")
         if n > m:
             raise ValueError("need n <= m isotropic directions")
+        key = (_ints((self.k, *sum(gg, ()))), n, MODES.index(self.mode))
+        object.__setattr__(self, "_hash", hash(key))
 
-    def __hash__(self):
-        return hash((_ints((self.k, *sum(self.gamma_gram, ()))), self.n_isotropic, self.mode))
+    def __hash__(self):  # of ints only, so a copy in another process hashes alike
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -230,8 +234,7 @@ class LatticeContext:
         )
 
     def full_gram_float(self):
-        """The full Gram as a float ndarray, for numpy callers; loads numpy."""
-        import numpy as np
+        import numpy as np  # a float ndarray, for numpy callers: loads numpy
 
         return np.asarray(
             [[float(x) for x in row] for row in self.full_gram], dtype=float
@@ -323,17 +326,15 @@ def translation_sign(ctx: LatticeContext) -> SignCharacter:
 
 @lru_cache(maxsize=128)
 def _phi_route(ctx: LatticeContext, weight: Weight):
-    """Validate (context, weight), once per pair; for one gamma and one beta,
-    eq 3.5's index [k|gamma|^2/2; (lambda|gamma)] in the context's sign and
-    2/|gamma|^2, else (or for a shift no index takes) None."""
+    """Validate (context, weight), once per pair; for one gamma and one beta, eq 3.5's
+    Phi index [k|gamma|^2/2; (lambda|gamma)] and 2/|gamma|^2, else None."""
     bad = validate_context(ctx, weight=weight)
     if bad:
         raise ConditionViolation(bad)
     if (ctx.rank, ctx.n_isotropic) != (1, 1):
         return None
-    ((g,),) = ctx.gamma_gram
-    s = ctx.pair(weight.coords, ctx.gamma_vec(1))
-    if (2 * s).denominator != 1:
+    ((g,),), s = ctx.gamma_gram, ctx.pair(weight.coords, ctx.gamma_vec(1))
+    if (2 * s).denominator != 1:  # a shift no Phi index takes
         return None
     return MockIndex(ctx.k * g / 2, s, ctx.mode), float(2 / g)
 
