@@ -53,9 +53,8 @@ class LatticeData:
         if any(len(row) != len(g) for row in g):
             raise ValueError("gram must be a square matrix")
         # np.allclose(G, G^T, atol=1e-12): |a - b| <= 1e-12 + 1e-5 |b|
-        close = (a == b or abs(a - b) <= 1e-12 + 1e-5 * abs(b)
-                 for row, col in zip(g, zip(*g)) for a, b in zip(row, col))
-        if g != tuple(zip(*g)) and not all(close):
+        if g != tuple(zip(*g)) and not all(a == b or abs(a - b) <= 1e-12 + 1e-5 * abs(b)
+                                           for r, c in zip(g, zip(*g)) for a, b in zip(r, c)):
             raise ValueError("gram must be symmetric")
         object.__setattr__(self, "gram", g)
 
@@ -172,10 +171,9 @@ class Weight:
     def __post_init__(self):
         object.__setattr__(self, "k", as_fraction(self.k))
         object.__setattr__(self, "coords", tuple(as_fraction(c) for c in self.coords))
-        object.__setattr__(self, "_hash", hash(_ints((self.k, *self.coords))))
 
-    def __hash__(self):  # of ints only, so a copy in another process hashes alike
-        return self._hash
+    def __hash__(self):
+        return hash(_ints((self.k, *self.coords)))
 
 
 def _ints(fracs) -> tuple:
@@ -211,11 +209,9 @@ class LatticeContext:
             raise ValueError(f"mode must be one of {MODES}")
         if n > m:
             raise ValueError("need n <= m isotropic directions")
-        key = (_ints((self.k, *sum(gg, ()))), n, MODES.index(self.mode))
-        object.__setattr__(self, "_hash", hash(key))
 
-    def __hash__(self):  # of ints only, so a copy in another process hashes alike
-        return self._hash
+    def __hash__(self):
+        return hash((_ints((self.k, *sum(self.gamma_gram, ()))), self.n_isotropic, self.mode))
 
     @property
     def rank(self) -> int:
@@ -326,13 +322,11 @@ def translation_sign(ctx: LatticeContext) -> SignCharacter:
 
 @lru_cache(maxsize=128)
 def _phi_route(ctx: LatticeContext, weight: Weight):
-    """Validate (context, weight), once per pair; for one gamma and one beta, eq 3.5's
-    Phi index [k|gamma|^2/2; (lambda|gamma)] and 2/|gamma|^2, else None."""
+    """Validate a (context, weight) of one gamma and one beta, once per pair;
+    eq 3.5's Phi index [k|gamma|^2/2; (lambda|gamma)] and 2/|gamma|^2, or None."""
     bad = validate_context(ctx, weight=weight)
     if bad:
         raise ConditionViolation(bad)
-    if (ctx.rank, ctx.n_isotropic) != (1, 1):
-        return None
     ((g,),), s = ctx.gamma_gram, ctx.pair(weight.coords, ctx.gamma_vec(1))
     if (2 * s).denominator != 1:  # a shift no Phi index takes
         return None
@@ -352,11 +346,11 @@ def lattice_mock_theta(
     (rather than supercharacter) numerators use.  One gamma and one beta
     give e^(2 pi i k t) Phi(tau, z_gamma, z_gamma - 2 z_beta / |gamma|^2).
     """
-    route = _phi_route(ctx, weight)
-    tau = require_tau(point.tau)
-    if len(point.z) != ctx.ambient_dim:
-        raise ValueError("z needs one coordinate per frame vector")
+    route = _phi_route(ctx, weight) if (ctx.rank, ctx.n_isotropic) == (1, 1) else None
     if route and not denominator_plus:
+        tau = require_tau(point.tau)
+        if len(point.z) != ctx.ambient_dim:
+            raise ValueError("z needs one coordinate per frame vector")
         idx, two_over_g = route
         z1 = point.z[0]
         try:
@@ -368,7 +362,7 @@ def lattice_mock_theta(
             return cexp(_2PI_I * float(ctx.k) * complex(point.t)) * out
     from .lattice_window import window_mock_theta
 
-    return window_mock_theta(ctx, weight, tau, point, denominator_plus)
+    return window_mock_theta(ctx, weight, point, denominator_plus)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from .core import (
     _EXP_GUARD, _LOG_WINDOW_TOL, ABS_TOL, MAX_TERMS, SeriesValue, as_fraction, cexp, exp_overflow,
     require_tau,
 )
-from .errors import NonConvergent, NotPositiveDefinite, PoleProximity
-from .lattice import _2PI_I, _I_PI, translation_sign
+from .errors import ConditionViolation, NonConvergent, NotPositiveDefinite, PoleProximity
+from .lattice import _2PI_I, _I_PI, translation_sign, validate_context
 
 
 class GramPlan:
@@ -198,7 +198,10 @@ def window_theta(lambda_bar, k, lattice, eps, point) -> SeriesValue:
 
 @lru_cache(maxsize=128)
 def _mock_plan(ctx, weight):
-    """``window_mock_theta``'s constants, once per validated (context, weight)."""
+    """``window_mock_theta``'s constants, once per (context, weight), validated."""
+    bad = validate_context(ctx, weight=weight)
+    if bad:
+        raise ConditionViolation(bad)
     m, n = ctx.rank, ctx.n_isotropic
     G = ctx.full_gram_float()
     lam = np.asarray([float(x) for x in weight.coords], dtype=float)
@@ -210,10 +213,13 @@ def _mock_plan(ctx, weight):
     return G, lam, lam_min, centre, embed, G[:m, m:], translation_sign(ctx)
 
 
-def window_mock_theta(ctx, weight, tau: complex, point, denominator_plus: bool) -> SeriesValue:
-    """``lattice.lattice_mock_theta`` over its window, at its checked z and tau."""
+def window_mock_theta(ctx, weight, point, denominator_plus: bool) -> SeriesValue:
+    """``lattice.lattice_mock_theta`` summed over its lattice window."""
     G, lam, lam_min, centre, embed, beta_cols, sign = _mock_plan(ctx, weight)
+    tau = require_tau(point.tau)
     m, n = ctx.rank, ctx.n_isotropic
+    if len(point.z) != ctx.ambient_dim:
+        raise ValueError("z needs one coordinate per frame vector")
     k = float(ctx.k)
     z = np.asarray(point.z, dtype=complex)
 

@@ -53,7 +53,7 @@ def suite_eq35(seed=31, tol=1e-9):
             w = Weight(k, (0, F(-1)))
             pt = ModularPoint(tau, (z1, z2), 0.05)
             # the lattice window's direct sum, not the Phi route eq 3.5 gives
-            direct = window_mock_theta(ctx, w, tau, pt, False).value
+            direct = window_mock_theta(ctx, w, pt, False).value
             quad = gram_quad(ctx.full_gram)
             beta_z, gam_z = quad(ctx.beta_vec(1), pt.z), quad(ctx.gamma_vec(1), pt.z)
             s = ctx.pair(w.coords, ctx.gamma_vec(1))

@@ -61,7 +61,7 @@ class TestMockTheta:
             ctx = LatticeContext(((2,),), 1, k)
             w = Weight(k, (0, F(-2)))
             pt = ModularPoint(TAU, (0.21, 0.33), 0.05)
-            direct = lattice_window.window_mock_theta(ctx, w, pt.tau, pt, False).value
+            direct = lattice_window.window_mock_theta(ctx, w, pt, False).value
             G = ctx.full_gram_float()
             z = np.array(pt.z)
             beta_z = complex(G[1] @ z)
@@ -89,7 +89,7 @@ class TestMockTheta:
                 MockIndex(k, s, mode), tau, -beta_z, beta_z + gam_z
             ).value
             # the lattice window's direct sum, and the public function (eq 3.5's Phi)
-            for direct in (lattice_window.window_mock_theta(ctx, w, tau, pt, False).value,
+            for direct in (lattice_window.window_mock_theta(ctx, w, pt, False).value,
                            lattice_mock_theta(ctx, w, pt).value):
                 assert abs(direct - ref) / max(1.0, abs(ref)) < 1e-12
 
