@@ -3,8 +3,8 @@ affine superalgebra supercharacter assembly, with a verification suite for
 every transformation law the library claims.
 
 Importing the package loads no layer: each public name below is imported
-from its module on first use (PEP 562), and only ``lattice_window``, which
-sums a lattice window of rank >= 2, loads numpy.
+from its module on first use (PEP 562); numpy loads only with the lattice
+windows no rank-1 ladder takes (``lattice_window``) and the section 3-6 suites.
 """
 
 import sys as _sys
