@@ -26,42 +26,37 @@ from importlib import import_module
 
 from .core import (
     _EXP_GUARD,
-    ABS_TOL,
-    MAX_TERMS,
     TWO_PI,
     SeriesValue,
     _finite,
     as_fraction,
-    cexp,
     exp_overflow,
     gaussian_window,
     outward,
     require_tau,
     sum_ladder,
 )
-from .errors import NonConvergent
 
 _2PI_I = 2j * math.pi
 
 
 def eta(tau: complex) -> SeriesValue:
-    """Dedekind eta q^(1/24) prod_(n>=1) (1 - q^n)."""
+    """Dedekind eta q^(1/24) prod_(n>=1) (1 - q^n), summed as Euler's
+    pentagonal series sum_n (-1)^n q^((3/2)(n + 1/6)^2): the rank-1 ladder
+    of sign -1 at c0 = 1/6, m = 3/2 and z = 0.
+
+    err_bound adds to the ladder's tail a bound on the rounding: with
+    y = Im tau and r = 1/sqrt(3 y), the summands t_n and their exponents
+    w_n have sum |t_n| <= 1 + r and sum |w_n| |t_n| <= (|tau|/y)(2/e + r/2),
+    so N summands added one by one, each from an exponent a few ulps off,
+    round by at most 2^-52 ((N + 1)(1 + r) + 3 (|tau|/y)(2/e + r/2)).
+    """
     tau = require_tau(tau)
-    q = cexp(_2PI_I * tau)
-    absq = abs(q)
-    value = cexp(_2PI_I * tau / 24.0)
-    qn = 1.0 + 0j
-    n = 0
-    while True:
-        n += 1
-        if n > MAX_TERMS:
-            raise NonConvergent("eta product hit max_terms")
-        qn *= q
-        value *= 1.0 - qn
-        # relative tail of log-product is sum_{m>n} |q|^m / (1-|q|)
-        tail = absq ** (n + 1) / (1.0 - absq) ** 2
-        if tail < ABS_TOL:
-            return SeriesValue(value, abs(value) * tail * 2.0, n)
+    value, tail, terms = _theta_ladder(-1, 1 / 6, 1.5, tau, 0)
+    y = tau.imag
+    r = 1.0 / math.sqrt(3.0 * y)
+    rounding = (terms + 1) * (1.0 + r) + 3.0 * abs(tau) / y * (2.0 / math.e + 0.5 * r)
+    return SeriesValue(value, tail + 2.0**-52 * rounding, terms)
 
 
 def theta_ab(a: int, b: int, tau: complex, z: complex) -> SeriesValue:
