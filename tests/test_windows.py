@@ -1,6 +1,6 @@
 """The closed-form ladder windows against the same sums widened.
 
-Every rank-1 ladder (theta_jm, theta_jm_signed, theta_ab, phi, r_jm,
+Every rank-1 ladder (eta, theta_jm, theta_jm_signed, theta_ab, phi, r_jm,
 r_jm_signed and both walks of phi_add) is summed over the window that
 ``core.gaussian_window`` solves from its envelope.  Each public value is
 exactly the sum over that window, and widening the window by 30 terms per
@@ -122,6 +122,12 @@ def test_theta_ab_within_err_bound():
                     *_theta_window(-1 if b else 1, (0.5 * a,), 0.5, tau, 2.0 * z),
                     scale=1j if (a, b) == (1, 1) else 1,
                 )
+
+
+def test_eta_within_err_bound():
+    # Euler's pentagonal series: sum_n (-1)^n q^((3/2)(n + 1/6)^2)
+    for tau, _, _ in POINTS:
+        _check(mt.eta(tau), *_theta_window(-1, (1 / 6,), 1.5, tau, 0))
 
 
 @pytest.mark.parametrize("m,s,sign", INDICES)
