@@ -77,6 +77,9 @@ class SignCharacter:
     mult: Fraction = Fraction(0)
     vector: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "vector", tuple(self.vector))
+
     def __call__(self, coords, norm2) -> int:
         if self.kind == "trivial":
             return 1
@@ -96,6 +99,14 @@ class SignCharacter:
         return -1 if e % 2 else 1
 
 
+@lru_cache(maxsize=64)
+def _ladder_sign(eps: SignCharacter, g: float) -> int:
+    """eps(1) on the rank-1 lattice of Gram g, with |1|^2 = g read to 9
+    places as the window reads it, so that eps(n) = eps(1)^n.  The
+    ValueError of an eps that is no character of Z is not cached."""
+    return eps((1,), round(g, 9))
+
+
 def lattice_theta(
     lambda_bar,
     k,
@@ -112,8 +123,8 @@ def lattice_theta(
     gram = lattice.gram
     if len(gram) == len(lambda_bar) == len(point.z) == 1 and k > 0 and gram[0][0] > 0:
         tau = require_tau(point.tau)
-        try:  # eps(n) = eps(1)^n, with |1|^2 = g read to 9 places as the window reads it
-            sign = eps((1,), round(gram[0][0], 9))
+        try:
+            sign = _ladder_sign(eps, gram[0][0])
         except ValueError:  # eps is no character of Z: a non-integral parity, an unknown kind
             sign = None
         if sign is not None:

@@ -189,6 +189,21 @@ class TestSignCharacter:
     def test_trivial(self):
         assert SignCharacter()((3, 4), 7) == 1
 
+    def test_rank1_ladder_sign_memo(self):
+        # the rank-1 lattice_theta keeps eps(1) per (eps, Gram); an eps that
+        # is no character of Z is refused on every call, not only the first
+        lat = LatticeData(gram=((2.0,),))
+        pt = ModularPoint(TAU, (0.23,), 0.0)
+        third = SignCharacter("parity_of_norm", F(1, 3))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exponent 8/3 is not an integer"):
+                lattice_theta((0.5,), 1, lat, third, pt)
+        # a vector given as a list is kept as a tuple, so eps hashes
+        as_list = SignCharacter("custom_vector", vector=[1])
+        as_tuple = SignCharacter("custom_vector", vector=(1,))
+        assert as_list == as_tuple
+        assert lattice_theta((0.5,), 1, lat, as_list, pt) == lattice_theta((0.5,), 1, lat, as_tuple, pt)
+
 
 class TestLatticeTheta:
     def test_rank1_reduces_to_theta_jm(self):
