@@ -15,7 +15,8 @@ With these choices theta11 is odd in z and theta11(tau, z + 1/2) equals
 
 One ladder, ``_theta_window``, sums every rank-1 theta
 Theta^(sign)_(j,m)(tau, z) = sum_n sign^n e^(2 pi i m (z c + tau c^2)),
-c = n + j/2m; theta_ab(tau, z) is i^(ab) Theta^((-1)^b)_(a/2, 1/2)(tau, 2z).
+c = n + j/2m; theta_ab(tau, z) is i^(ab) Theta^((-1)^b)_(a/2, 1/2)(tau, 2z),
+and eta(tau) is Euler's pentagonal series Theta^(-)_(1/2, 3/2)(tau, 0).
 """
 
 from __future__ import annotations
