@@ -2,9 +2,9 @@
 
 Every rank-1 series in the library, eta included, is a sum over an
 integer ladder whose summands are bounded, outside a short core of
-indices, by a Gaussian envelope exp(P - a (n - n*)^2).  ``gaussian_window`` solves that envelope
-up front for the index window outside which it stays below
-ABS_TOL / _WINDOW_MARGIN, together with the closed-form bound on the
+indices, by a Gaussian envelope exp(P - a (n - n*)^2).  ``gaussian_window``
+solves that envelope up front for the index window outside which it stays
+below ABS_TOL / _WINDOW_MARGIN, together with the closed-form bound on the
 discarded tails; ``sum_ladder`` then sums the window, one walker call per
 residue class, so every returned value carries an honest ``err_bound``
 and no term is evaluated past the window.  A walker sums its class in one

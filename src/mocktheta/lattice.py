@@ -101,9 +101,7 @@ class SignCharacter:
 
 @lru_cache(maxsize=64)
 def _ladder_sign(eps: SignCharacter, g: float) -> int:
-    """eps(1) on the rank-1 lattice of Gram g, with |1|^2 = g read to 9
-    places as the window reads it, so that eps(n) = eps(1)^n.  The
-    ValueError of an eps that is no character of Z is not cached."""
+    """eps(1) at |1|^2 = g, read to 9 places as the window reads it; a ValueError is not kept."""
     return eps((1,), round(g, 9))
 
 
@@ -123,7 +121,7 @@ def lattice_theta(
     gram = lattice.gram
     if len(gram) == len(lambda_bar) == len(point.z) == 1 and k > 0 and gram[0][0] > 0:
         tau = require_tau(point.tau)
-        try:
+        try:  # eps(n) = eps(1)^n
             sign = _ladder_sign(eps, gram[0][0])
         except ValueError:  # eps is no character of Z: a non-integral parity, an unknown kind
             sign = None

@@ -42,21 +42,15 @@ _2PI_I = 2j * math.pi
 
 
 def eta(tau: complex) -> SeriesValue:
-    """Dedekind eta q^(1/24) prod_(n>=1) (1 - q^n), summed as Euler's
-    pentagonal series sum_n (-1)^n q^((3/2)(n + 1/6)^2): the rank-1 ladder
-    of sign -1 at c0 = 1/6, m = 3/2 and z = 0.
-
-    err_bound adds to the ladder's tail a bound on the rounding: with
-    y = Im tau and r = 1/sqrt(3 y), the summands t_n and their exponents
-    w_n have sum |t_n| <= 1 + r and sum |w_n| |t_n| <= (|tau|/y)(2/e + r/2),
-    so N summands added one by one, each from an exponent a few ulps off,
-    round by at most 2^-52 ((N + 1)(1 + r) + 3 (|tau|/y)(2/e + r/2)).
-    """
+    """Dedekind eta q^(1/24) prod_(n>=1) (1 - q^n) as Euler's pentagonal
+    series sum_n (-1)^n q^((3/2)(n + 1/6)^2).  err_bound adds to the tail
+    the rounding of N summands t_n = e^(w_n), each w_n a few ulps off: with
+    y = Im tau and r = 1/sqrt(3 y), sum |t_n| <= 1 + r and
+    sum |w_n| |t_n| <= (|tau|/y)(2/e + r/2)."""
     tau = require_tau(tau)
     value, tail, terms = _theta_ladder(-1, 1 / 6, 1.5, tau, 0)
-    y = tau.imag
-    r = 1.0 / math.sqrt(3.0 * y)
-    rounding = (terms + 1) * (1.0 + r) + 3.0 * abs(tau) / y * (2.0 / math.e + 0.5 * r)
+    r = 1.0 / math.sqrt(3.0 * tau.imag)
+    rounding = (terms + 1) * (1.0 + r) + 3.0 * abs(tau) / tau.imag * (2.0 / math.e + 0.5 * r)
     return SeriesValue(value, tail + 2.0**-52 * rounding, terms)
 
 
