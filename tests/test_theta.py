@@ -49,8 +49,8 @@ class TestEta:
     def test_err_bound_covers_reference(self):
         # err_bound bounds the rounding as well as the tail: against the
         # 40-digit product of bench/refs.py at 300 seeded tau, Im tau
-        # log-uniform in [0.05, 3], it is never exceeded and stays within
-        # 1e-12 of |eta|
+        # log-uniform in [0.05, 3], it is never exceeded and stays below
+        # 1e-12 |eta|
         rng = random.Random(2015)
         for _ in range(300):
             y = math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
