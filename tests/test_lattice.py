@@ -430,7 +430,6 @@ def test_translation_sign_is_trivial_outside_minus_mode(mode):
 
 PLAN_CACHES = (
     lattice_window._gram_plan,
-    lattice_window._box,
     lattice._violations,
     lattice._phi_route,
     lattice_window._mock_plan,
@@ -516,9 +515,9 @@ class TestPlans:
         assert cold == warm
 
     def test_grams_of_one_shape_keep_their_own_plans(self):
-        a2, a1a1 = (np.array(GRAMS[g][0]) for g in ("A2", "A1A1"))
-        plan_a2 = lattice_window._gram_plan(a2.shape, a2.tobytes())
-        plan_a1a1 = lattice_window._gram_plan(a1a1.shape, a1a1.tobytes())
+        a2, a1a1 = (LatticeData(gram=GRAMS[g][0]).gram for g in ("A2", "A1A1"))
+        plan_a2 = lattice_window._gram_plan(a2)
+        plan_a1a1 = lattice_window._gram_plan(a1a1)
         assert plan_a2 is not plan_a1a1
         assert (plan_a2.lam_min, plan_a1a1.lam_min) == (1.0, 2.0)
         eps = SIGNS["parity_of_norm"]
@@ -718,22 +717,55 @@ def test_a_parity_sign_that_no_summand_reads_is_not_refused():
 @pytest.mark.parametrize("mult", [F(1, 2), F(1), F(3, 2), F(3 * 10**17)])
 @pytest.mark.parametrize("gram", [((2.0,),), ((2.0, -1.0), (-1.0, 2.0)), ((0.5, 0.25), (0.25, 1.0))])
 def test_window_signs_match_the_character(gram, mult):
-    # the batched parity signs against SignCharacter.parity row by row; the
-    # largest multiplier takes the Python-integer route past int64
-    lat = np.array(LatticeData(gram=gram).gram)
-    plan = lattice_window._gram_plan(lat.shape, lat.tobytes())
+    # the window's parity signs, read run by run, against SignCharacter.parity
+    # vector by vector; the largest multiplier's products pass 2^63
+    plan = lattice_window._gram_plan(LatticeData(gram=gram).gram)
     g, d = plan.scaled
     eps = SignCharacter("parity_of_norm", mult)
-    coords = np.array(list(itertools.product(range(-7, 8), repeat=len(gram))))
-    signs, refused, refuse = lattice_window._signs(eps, plan, coords)
-    assert signs.dtype == np.int64 and refused.dtype == bool
-    for i, c in enumerate(coords.tolist()):
+    # the box -7 <= c_i <= 7 as runs of its last coordinate
+    runs = [(p, -7, [0.0] * 15) for p in itertools.product(range(-7, 8), repeat=len(gram) - 1)]
+    coords = [(*p, x) for p, first, run in runs for x in range(first, first + len(run))]
+    signs, refuse = lattice_window._signs(eps, plan, runs)
+    assert len(signs) == len(coords) == 15 ** len(gram) and all(type(s) is int for s in signs)
+    for i, c in enumerate(coords):
         num = sum(a * x * b for r, a in zip(g, c) for x, b in zip(r, c))
         try:
             want = eps.parity(num, d)
         except ValueError as exc:
-            assert refused[i]
+            assert signs[i] == 0
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 refuse(i)
         else:
-            assert not refused[i] and signs[i] == want
+            assert signs[i] == want
+
+
+# the Grams the benchmark sums over by the window, and one far from diagonal
+ELLIPSOID_GRAMS = {
+    "A1A1": ((2.0, 0.0), (0.0, 2.0)),
+    "A2": ((2.0, -1.0), (-1.0, 2.0)),
+    "A3": ((2.0, -1.0, 0.0), (-1.0, 2.0, -1.0), (0.0, -1.0, 2.0)),
+    "skewed": ((1.0, 0.95, 0.3), (0.95, 1.0, 0.2), (0.3, 0.2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELLIPSOID_GRAMS))
+def test_enumeration_is_the_box_filter(name):
+    # the Fincke-Pohst walk against every vector of a box around the
+    # ellipsoid, filtered by its norm: the same vectors, in the same order,
+    # with the same norms to rounding
+    gram = ELLIPSOID_GRAMS[name]
+    G = np.array(gram)
+    inv = np.linalg.inv(G)
+    rng = np.random.RandomState(1505)
+    for _ in range(25):
+        center = rng.uniform(-2.0, 2.0, size=len(gram))
+        radius2 = rng.uniform(0.0, 12.0)
+        runs = lattice_window.enumerate_ellipsoid(gram, center.tolist(), radius2)
+        got = [((*p, x), n) for p, first, run in runs for x, n in enumerate(run, first)]
+        reach = np.ceil(np.sqrt(radius2 * inv.diagonal())).astype(int) + 2
+        box = itertools.product(*(range(math.floor(-c) - r, math.ceil(-c) + r + 1)
+                                  for c, r in zip(center, reach)))
+        want = [(c, float((center + c) @ G @ (center + c))) for c in box]
+        want = [(c, n) for c, n in want if n <= radius2 + 1e-9]
+        assert [c for c, _ in got] == [c for c, _ in want]
+        assert all(abs(a - b) <= 1e-12 * max(1.0, radius2) for (_, a), (_, b) in zip(got, want))

@@ -166,7 +166,7 @@ class TestSignCharacter:
         # lattice_theta reads the parity sign off the Gram's plan, scaled to
         # integers; the Fraction norm of the same vector is the reference
         gram = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -0.5], [0.0, -0.5, 1.5]])
-        g, d = _gram_plan(gram.shape, gram.tobytes()).scaled
+        g, d = _gram_plan(LatticeData(gram=gram).gram).scaled
         exact = [[F(x) for x in row] for row in gram.tolist()]
         for mult in (F(2), F(1)):
             eps = SignCharacter("parity_of_norm", mult=mult)

@@ -195,9 +195,9 @@ def window(monkeypatch):
     lattice_sum, theta_ladder, phi = lattice_window._lattice_sum, lattice._theta_ladder, lattice.phi
 
     def spy_sum(gram, centre, k, tau, growth, terms):
-        def spy_terms(coords, norms):
-            seen[:] = [tuple(c) for c in coords.tolist()]
-            return terms(coords, norms)
+        def spy_terms(runs):
+            seen[:] = [(*p, x) for p, first, run in runs for x in range(first, first + len(run))]
+            return terms(runs)
 
         return lattice_sum(gram, centre, k, tau, growth, spy_terms)
 
