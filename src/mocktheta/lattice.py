@@ -15,7 +15,8 @@ per (context, weight), the factored evaluator's plans and M*/kM classes
 per modification, and the sums a rank-1 ladder takes: a rank-1
 ``lattice_theta`` whose sign is a character of Z, and a
 ``lattice_mock_theta`` of one gamma and one beta (Phi, eq 3.5).  Every
-other sum, and one its ladder refuses, runs over ``lattice_window``.
+other sum, and one its ladder refuses, runs over ``lattice_window``, plain
+Python too, imported by the first such sum.
 """
 
 from __future__ import annotations
@@ -138,9 +139,17 @@ def lattice_theta(
             else:
                 out = SeriesValue(value, max(err, ABS_TOL * 0.01), used)
                 return cexp(_2PI_I * kf * complex(point.t)) * out
-    from .lattice_window import window_theta
+    return _window_theta(lambda_bar, k, lattice, eps, point)
 
-    return window_theta(lambda_bar, k, lattice, eps, point)
+
+def _window_theta(*args):
+    """``lattice_window.window_theta``, which this name is rebound to on the
+    first call: a ladder's caller never imports the window, and after that
+    first call no call pays for the import."""
+    global _window_theta
+    from .lattice_window import window_theta as _window_theta
+
+    return _window_theta(*args)
 
 
 def _eliminate(A, columns=()):
@@ -369,9 +378,15 @@ def lattice_mock_theta(
         else:
             out = SeriesValue(value, max(err, ABS_TOL * 0.01), used)  # the window's floor
             return cexp(_2PI_I * float(ctx.k) * complex(point.t)) * out
-    from .lattice_window import window_mock_theta
+    return _window_mock_theta(ctx, weight, point, denominator_plus)
 
-    return window_mock_theta(ctx, weight, point, denominator_plus)
+
+def _window_mock_theta(*args):
+    """``lattice_window.window_mock_theta``, bound as ``_window_theta`` is."""
+    global _window_mock_theta
+    from .lattice_window import window_mock_theta as _window_mock_theta
+
+    return _window_mock_theta(*args)
 
 
 @dataclass(frozen=True)
