@@ -1,8 +1,8 @@
-"""numpy is the only runtime dependency, and only a lattice window (a
-lattice sum of rank >= 2, or of rank 1 where its ladder refuses) loads it:
-the rank-1, Omega and rank-1 verification paths, every S-matrix command,
-the exact lattice algebra and the character tables of the wired cases
-(whose lattices have rank <= 1 after the modification) do not.
+"""numpy is the only runtime dependency, and no evaluation loads it: the
+rank-1, Omega and rank-1 verification paths, every S-matrix command, the
+exact lattice algebra, the character tables of the wired cases and the
+lattice windows (a lattice sum of rank >= 2, or of rank 1 where its ladder
+refuses) run without it.  Only verifying a suite of sections 3-6 does.
 
 Each check runs in a fresh interpreter, so modules that other tests (or
 the test runner) imported cannot hide an import made by the library.
@@ -20,6 +20,7 @@ import pytest
 import mocktheta
 
 SRC = str(Path(mocktheta.__file__).resolve().parent.parent)
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 
 # eval r-jm at this point reaches the continued-fraction branch of
 # core.gauss_E_complement_scaled (sqrt(pi) x >= 26)
@@ -206,7 +207,7 @@ print(json.dumps([code, buf.getvalue(), [m for m in {WINDOW!r} if m in sys.modul
     assert rows and all(row["re"] for row in rows)  # no row was refused
 
 
-def test_a_rank2_lattice_mock_theta_loads_numpy():
+def test_a_rank2_lattice_mock_theta_loads_no_numpy():
     value, loaded = _run_child(
         """
 import json
@@ -218,4 +219,39 @@ print(json.dumps([abs(out.value), [m for m in ("numpy", "mocktheta.lattice_windo
                                    if m in sys.modules]]))
 """
     )
-    assert value > 0 and loaded == ["numpy", "mocktheta.lattice_window"]
+    assert value > 0 and loaded == ["mocktheta.lattice_window"]
+
+
+def _table_rows(select):
+    """(rows run, window modules loaded): the rows of one pass of the
+    benchmark's lattice_char_table that ``select`` picks, each run in turn."""
+    return _run_child(
+        f"""
+import json
+sys.path.insert(0, {BENCH!r})
+import workloads
+rows = [s for s in workloads.make_inputs("lattice_char_table", 0) if {select}]
+for spec in rows:
+    workloads.run_op(spec)
+print(json.dumps([len(rows), [m for m in {WINDOW!r} if m in sys.modules]]))
+"""
+    )
+
+
+# the table's rows that run over the lattice window: the lattice thetas of
+# rank >= 2 with either sign and the direct sl3 mock sum; its factored
+# form sums a rank-1 theta on the ladder, and loads neither
+TABLE_ROWS = [(f"s[:2] == ('ltheta', {gram!r}) and s[4] == {sign!r}", WINDOW[1:])
+              for gram in ("A2", "A3", "A1A1") for sign in ("trivial", "parity_of_norm")]
+TABLE_ROWS += [("s[:2] == ('lmock', 'sl3')", WINDOW[1:]), ("s[:2] == ('emod', 'sl3')", ())]
+
+
+@pytest.mark.parametrize("select, modules", TABLE_ROWS)
+def test_lattice_windows_load_no_numpy(select, modules):
+    count, loaded = _table_rows(select)
+    assert count > 0 and loaded == list(modules)
+
+
+def test_every_chartable_row_loads_no_numpy():
+    count, loaded = _table_rows("True")
+    assert count > 200 and loaded == ["mocktheta.lattice_window"]
