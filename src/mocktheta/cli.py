@@ -1,7 +1,7 @@
 """Command-line surface: evaluate functions, run named verification
 suites, emit weight tables and S-matrices.  Each command imports the
 layers it uses: numpy loads only for ``verify`` of a suite of sections
-3-6 (``suites_lattice``) and for a lattice sum no rank-1 ladder takes.
+3-6 (``suites_lattice``).
 
 Complex arguments use decimal ``a+bi`` syntax; a bare ``i`` means
 ``0+1i``.  Exit status: 0 on success / all residuals in tolerance, 1 on
@@ -84,7 +84,8 @@ def _emit(doc, fmt: str, out_path: str = None):
         buf = io.StringIO()
         rows = doc if isinstance(doc, list) else [doc]
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=sorted(rows[0].keys()))
+            # every row's keys: a row without one of them leaves its cell empty
+            writer = csv.DictWriter(buf, fieldnames=sorted(set().union(*rows)))
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -180,6 +182,14 @@ class TestVerify:
         assert main(["verify", "theta-quasi", "--full", "--output", "csv"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: verify --full writes JSON only\n" and captured.out == ""
+
+    def test_all_as_csv(self):
+        # the header is every report's keys: eq1.19's report has one the others lack
+        rc, out, err = run_cli("verify", "all", "--output", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rc == 0 and len(rows) == len(SUITES) == 40
+        assert {row["suite"] for row in rows} == set(SUITES)
+        assert [r["suite"] for r in rows if r["single_product_residuals"]] == ["eq1.19"]
 
     def test_unknown_suite_exit_two(self):
         rc, _, err = run_cli("verify", "does-not-exist")
