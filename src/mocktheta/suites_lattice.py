@@ -1,7 +1,8 @@
 """The verification suites of sections 3-6 and the naive-oracle suite.
 
 These suites reach the lattice, character, S-matrix and superalgebra
-layers (and so numpy), which the rank-1 suites never need.  ``suites``
+layers, which the rank-1 suites never need, and numpy, which no
+evaluation loads: this module and its oracles use it.  ``suites``
 registers them in its one ``SUITES`` table and imports this module the
 first time one of them runs.
 """

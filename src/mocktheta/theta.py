@@ -1,6 +1,6 @@
 """Classical building blocks: eta, the four level-2 Jacobi thetas and
 the rank-1 theta ladders.  The positive definite lattice theta sums live
-in ``lattice``, and their numpy window in ``lattice_window``.
+in ``lattice``, and their window in ``lattice_window``.
 
 Convention for the level-2 thetas (fixed so that the denominator-identity
 pin tests in the verification suite hold; see tests/test_characters.py):
@@ -141,7 +141,7 @@ def _theta_window(sign, c0s, m: float, tau: complex, z: complex):
 def __getattr__(name):
     """``lattice_theta`` and ``enumerate_ellipsoid`` by their former home,
     which ``bench/tracing.py`` still names: the objects the library calls,
-    from ``lattice`` and ``lattice_window``.  Only the second loads numpy."""
+    from ``lattice`` and ``lattice_window``."""
     home = {"lattice_theta": "lattice", "enumerate_ellipsoid": "lattice_window"}.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
