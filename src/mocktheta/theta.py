@@ -17,12 +17,23 @@ One ladder, ``_theta_window``, sums every rank-1 theta
 Theta^(sign)_(j,m)(tau, z) = sum_n sign^n e^(2 pi i m (z c + tau c^2)),
 c = n + j/2m; theta_ab(tau, z) is i^(ab) Theta^((-1)^b)_(a/2, 1/2)(tau, 2z),
 and eta(tau) is Euler's pentagonal series Theta^(-)_(1/2, 3/2)(tau, 0).
+
+``_theta_ladder``, the one entry to that ladder for eta, the thetas, the
+rank-1 ``lattice.lattice_theta`` and ``mock.phi_shift_residual_a``, is
+memoized: an ``lru_cache`` of its last _MEMO_SIZE distinct
+(sign, c0, m, tau, z) arguments, reached after the callers' argument
+checks.  A repeat returns the very SeriesValue the first call computed,
+with the same bits; a refusal (``NonConvergent``) is not kept and is
+raised on every call.  Code that patches a layer below the memo
+(``sum_ladder``, ``_theta_window``, ``gaussian_window``) must call
+``theta._theta_ladder.cache_clear()``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from importlib import import_module
 
 from .core import (
@@ -39,6 +50,15 @@ from .core import (
 )
 
 _2PI_I = 2j * math.pi
+
+# _theta_ladder keeps its last _MEMO_SIZE distinct arguments.  In one
+# benchmark pass (seed 0) the share of its calls that repeat one of the
+# last 32 / 64 / 128 distinct arguments is 21.9 / 35.6 / 35.6% on
+# suite_sweep (osp-level1-S's even and odd spans share their points),
+# 19.2 / 28.5 / 40.6% on lattice_char_table and 10.9% at every size on
+# rank1_grid (eta at a tau shared by its z pairs); 128 ran
+# lattice_char_table 2.6% faster than 64.
+_MEMO_SIZE = 128
 
 
 def eta(tau: complex) -> SeriesValue:
@@ -95,9 +115,11 @@ def theta_jm_signed(sign: int, j, m, tau: complex, z: complex) -> SeriesValue:
     return _theta_ladder(sign, c0, mn / md, tau, _finite("z", z))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _theta_ladder(sign: int, c0: float, m: float, tau: complex, z: complex) -> SeriesValue:
     """sum_n sign^n e^(2 pi i m (z c + tau c^2)), c = n + c0, for checked
-    arguments: m > 0, sign = +-1, tau already through ``require_tau``."""
+    arguments: m > 0, sign = +-1, tau already through ``require_tau``.
+    Memoized; a NonConvergent is raised again on every call."""
     (value,), err, terms = sum_ladder(*_theta_window(sign, (c0,), m, tau, z))
     return SeriesValue(value, err, terms)
 

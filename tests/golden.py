@@ -14,8 +14,9 @@ Re-pin only when a change is meant to move these numbers, and say so.
 ``tests/test_golden.py`` holds every value to 1e-13 in the mixed metric
 |new - old| / max(1, |old|).
 
-Each case is evaluated cold, with the memos of ``phi`` and ``phi_add``
-emptied, and at once again warm, when they hold its rank-1 values; the
+Each case is evaluated cold, with the memos of ``phi``, ``phi_add`` and
+the rank-1 theta ladder emptied, and at once again warm, when they hold
+its rank-1 values; the
 report counts the warm values whose bits (value, err_bound, terms_used)
 differ from the cold ones.
 """
@@ -33,6 +34,7 @@ import mocktheta as mt
 from mocktheta.characters import VARIANTS
 from mocktheta.mock import _phi
 from mocktheta.modifier import _phi_add
+from mocktheta.theta import _theta_ladder
 
 DATA = Path(__file__).with_name("data") / "golden.json"
 SEED = 1505_01047
@@ -242,6 +244,7 @@ def evaluate():
     for name, fn in cases():
         _phi.cache_clear()
         _phi_add.cache_clear()
+        _theta_ladder.cache_clear()
         cold = fn()
         out[name] = cold, fn()
     return out

@@ -13,8 +13,8 @@ side's ops/s from its fastest time per slot, as ``bench/worker.py``
 computes ``ops_per_s``, and the ratio B / A.  Then, per op kind, it
 prints both sides' fastest times summed over the kind's slots and their
 ratio B / A (below 1: B is faster).  The kind is the spec's first field,
-with the case, Gram or context added for ``ch``, ``apply``, ``ltheta``,
-``lmock`` and ``emod``.
+with the suite id added for ``suite`` and the case, Gram or context for
+``ch``, ``apply``, ``ltheta``, ``lmock`` and ``emod``.
 
 Separate benchmark processes of one tree can differ by tens of percent on
 a shared host; two sides in one process see the same host.  A run with
@@ -41,12 +41,12 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 from bench_pairs import export, git  # noqa: E402
 
 WORKLOADS = ("suite_sweep", "rank1_grid", "lattice_char_table")
-# the spec field that names the case, Gram or context of an op kind
-CASE_FIELD = {"ch": 1, "apply": 2, "ltheta": 1, "lmock": 1, "emod": 1}
+# the spec field that names the suite, case, Gram or context of an op kind
+CASE_FIELD = {"suite": 1, "ch": 1, "apply": 2, "ltheta": 1, "lmock": 1, "emod": 1}
 
 
 def op_kind(spec):
-    """An op's kind: its first field, plus its case, Gram or context."""
+    """An op's kind: its first field, plus its suite, case, Gram or context."""
     field = CASE_FIELD.get(spec[0])
     return spec[0] if field is None else f"{spec[0]} {spec[field]}"
 
