@@ -57,7 +57,7 @@ _2PI_I = 2j * math.pi
 # suite_sweep (osp-level1-S's even and odd spans share their points),
 # 19.2 / 28.5 / 40.6% on lattice_char_table and 10.9% at every size on
 # rank1_grid (eta at a tau shared by its z pairs); 128 ran
-# lattice_char_table 2.6% faster than 64.
+# lattice_char_table 2.0-2.1% faster than 64 (tools/ab_inproc.py).
 _MEMO_SIZE = 128
 
 
