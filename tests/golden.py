@@ -16,9 +16,8 @@ Re-pin only when a change is meant to move these numbers, and say so.
 
 Each case is evaluated cold, with the memos of ``phi``, ``phi_add`` and
 the rank-1 theta ladder emptied, and at once again warm, when they hold
-its rank-1 values; the
-report counts the warm values whose bits (value, err_bound, terms_used)
-differ from the cold ones.
+its rank-1 values; the report counts the warm values whose bits (value,
+err_bound, terms_used) differ from the cold ones.
 """
 
 from __future__ import annotations

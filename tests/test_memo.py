@@ -38,7 +38,7 @@ from mocktheta.theta import _theta_ladder
 
 
 def test_warm_values_are_the_cold_ones():
-    # every golden case, cold with both memos empty and then warm
+    # every golden case, cold with all three memos empty and then warm
     moved = [name for name, (cold, warm) in evaluate().items()
              if warm is not cold and bits(warm) != bits(cold)]
     assert not moved
