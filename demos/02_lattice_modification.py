@@ -57,7 +57,7 @@ for r in reps:
 
 print()
 print("== S-law with both sides evaluated independently ==")
-quad = gram_quad(ctx.full_gram_float())
+quad = gram_quad(ctx.full_gram)
 lhs = eval_modified(res, act(S, pt, quad)).value
 pref = 1j * (-1j * tau) ** 1.5 * res.mu_group_order() ** -0.5
 rhs = 0j

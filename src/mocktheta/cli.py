@@ -1,7 +1,7 @@
 """Command-line surface: evaluate functions, run named verification
 suites, emit weight tables and S-matrices.  Each command imports the
 layers it uses: numpy loads only for ``verify`` of a suite of sections
-3-6 (``suites_lattice``).
+3-6, with the naive oracles (``_oracles``) that ``suites_lattice`` imports.
 
 Complex arguments use decimal ``a+bi`` syntax; a bare ``i`` means
 ``0+1i``.  Exit status: 0 on success / all residuals in tolerance, 1 on

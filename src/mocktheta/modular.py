@@ -7,6 +7,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .core import ModularPoint, cexp
@@ -268,12 +269,12 @@ def _lattice_tau(idx, tau, z, v):
     """prop3.7(ii), prop3.8(ii): f(z + tau v) = (-1)^((beta|v)) (minus mode
     only) e(-k (z|v)) e^(-pi i tau k |v|^2) f(z)."""
     ctx = idx[0].ctx
-    G = ctx.full_gram_float()
+    G = [[float(x) for x in row] for row in ctx.full_gram]
     kf = float(ctx.k)
-    # G is an ndarray, so z @ G converts z as np.asarray(z) would
-    zv = complex(z @ G @ v)
-    v2 = float(v @ G @ v)
-    sgn = (-1) ** abs(int(round(float(G[ctx.rank] @ v)))) if ctx.mode == "minus" else 1
+    # (z.G).v and (v.G).v, each sum left to right from zero: numpy's z @ G @ v
+    zv = complex(sum(map(mul, [sum(map(mul, z, col)) for col in zip(*G)], v)))
+    v2 = float(sum(map(mul, [sum(map(mul, v, col)) for col in zip(*G)], v)))
+    sgn = (-1) ** abs(int(round(sum(map(mul, G[ctx.rank], v))))) if ctx.mode == "minus" else 1
     return _single(sgn * cexp(-2j * PI * kf * zv) * cexp(-1j * PI * tau * kf * v2), idx)
 
 

@@ -1,8 +1,8 @@
 """The verification suites of sections 3-6 and the naive-oracle suite.
 
 These suites reach the lattice, character, S-matrix and superalgebra
-layers, which the rank-1 suites never need, and numpy, which no
-evaluation loads: this module and its oracles use it.  ``suites``
+layers, which the rank-1 suites never need, and the naive oracles of
+``_oracles``, which load numpy, as no evaluation does.  ``suites``
 registers them in its one ``SUITES`` table and imports this module the
 first time one of them runs.
 """
@@ -12,15 +12,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import replace
 
-import numpy as np
-
 from . import _oracles as oracle
 from .characters import ch_tilde, gram_quad, psi_fn, system
 from .core import ModularPoint
 from .lattice import (
     LatticeContext, Weight, build_modification, eval_modified, mu_class_representatives,
+    window_mock_theta,
 )
-from .lattice_window import window_mock_theta
 from .mock import MockIndex, phi
 from .modifier import r_jm, r_jm_signed
 from .modular import LAWS, S, T, _stream, act, check_pair, check_residual, verify_law
@@ -76,7 +74,7 @@ def suite_prop32b(seed=32, tol=1e-7):
             w = Weight(ctx.k, (0,) * ctx.rank + (F(-1),))
             res = build_modification(ctx, w)
             pt = ModularPoint(tau, zc, 0.06)
-            quad = gram_quad(ctx.full_gram_float())
+            quad = gram_quad(ctx.full_gram)
             lhs = eval_modified(res, act(S, pt, quad)).value
             law = LAWS["lattice", "S"]((res, False), tau, pt.z, mu_class_representatives(res))
             rhs = law.apply(lambda t: eval_modified(build_modification(ctx, t[0]), pt).value)
@@ -101,7 +99,7 @@ def _signed_pair(k):
 def suite_prop33b(seed=33, tol=1e-7):
     checks = []
     ctxs, res = _signed_pair(F(3, 2))
-    quad = gram_quad(ctxs["minus"].full_gram_float())
+    quad = gram_quad(ctxs["minus"].full_gram)
     reps = mu_class_representatives(res["minus"])
     for tau, z1, z2 in _points(seed, 4):
         pt = ModularPoint(tau, (z1, z2), 0.04)
@@ -122,7 +120,7 @@ def suite_prop33b(seed=33, tol=1e-7):
 def suite_prop33c(seed=34, tol=1e-7):
     checks = []
     ctxs, res = _signed_pair(F(3, 2))
-    quad = gram_quad(ctxs["minus"].full_gram_float())
+    quad = gram_quad(ctxs["minus"].full_gram)
     for tau, z1, z2 in _points(seed, 5):
         pt = ModularPoint(tau, (z1, z2), 0.04)
         ptT = act(T, pt, quad)
@@ -140,18 +138,19 @@ def _lattice_shifts(checks, idx, pt, vectors):
     """prop3.7/3.8 (i) and (ii): f(z + v) and f(z + tau v) for each vector v."""
     res, xi = idx
     tau = pt.tau
-    z = np.array(pt.z)
+    z = pt.z
     base = eval_modified(res, pt, xi_shift=xi).value
     for vname, v in vectors:
-        for kind, move, zv in (("(i)", "int", z + v), ("(ii)", "tau", z + tau * v)):
-            lhs = eval_modified(res, ModularPoint(tau, tuple(zv), pt.t), xi_shift=xi).value
+        for kind, move, zv in (("(i)", "int", [a + b for a, b in zip(z, v)]),
+                               ("(ii)", "tau", [a + tau * b for a, b in zip(z, v)])):
+            lhs = eval_modified(res, ModularPoint(tau, zv, pt.t), xi_shift=xi).value
             rhs = LAWS["lattice", move](idx, tau, z, v).apply(lambda _: base)
             checks.append(check_pair(f"{kind} v={vname}", lhs, rhs, tau))
 
 
 def suite_prop37(seed=35, tol=1e-8):
     checks = []
-    vectors = (("|g|^2 beta", np.array([0.0, 2.0])), ("gamma~", np.array([1.0, 0.0])))
+    vectors = (("|g|^2 beta", (0.0, 2.0)), ("gamma~", (1.0, 0.0)))
     for tau, z1, z2 in _points(seed, 4):
         res = build_modification(_ctx_odd(F(3, 2)), Weight(F(3, 2), (0, F(1))))
         _lattice_shifts(checks, (res, True), ModularPoint(tau, (z1, z2), 0.04), vectors)
@@ -161,9 +160,9 @@ def suite_prop37(seed=35, tol=1e-8):
 def suite_prop38(seed=36, tol=1e-8):
     checks = []
     vectors = (
-        ("m-basis", np.array([0.0, 1.0, -1.0])),
-        ("(|g|^2/2) beta", np.array([0.0, 0.0, 1.0])),
-        ("gamma~_1", np.array([1.0, 0.0, 0.0])),
+        ("m-basis", (0.0, 1.0, -1.0)),
+        ("(|g|^2/2) beta", (0.0, 0.0, 1.0)),
+        ("gamma~_1", (1.0, 0.0, 0.0)),
     )
     for tau, z1, z2 in _points(seed, 4):
         res = build_modification(_ctx_sl3(1), Weight(1, (0, 0, F(-1))))

@@ -1,6 +1,6 @@
 """Classical building blocks: eta, the four level-2 Jacobi thetas and
-the rank-1 theta ladders.  The positive definite lattice theta sums live
-in ``lattice``, and their window in ``lattice_window``.
+the rank-1 theta ladders.  The positive definite lattice theta sums and
+their window live in ``lattice``.
 
 Convention for the level-2 thetas (fixed so that the denominator-identity
 pin tests in the verification suite hold; see tests/test_characters.py):
@@ -163,8 +163,7 @@ def _theta_window(sign, c0s, m: float, tau: complex, z: complex):
 def __getattr__(name):
     """``lattice_theta`` and ``enumerate_ellipsoid`` by their former home,
     which ``bench/tracing.py`` still names: the objects the library calls,
-    from ``lattice`` and ``lattice_window``."""
-    home = {"lattice_theta": "lattice", "enumerate_ellipsoid": "lattice_window"}.get(name)
-    if home is None:
+    from ``lattice``."""
+    if name not in ("lattice_theta", "enumerate_ellipsoid"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{home}", __package__), name)
+    return getattr(import_module(".lattice", __package__), name)

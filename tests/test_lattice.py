@@ -1,15 +1,20 @@
 import cmath
 import itertools
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_points
 
-from mocktheta import lattice, lattice_window
+from mocktheta import lattice
 from mocktheta.characters import WeightSpec, ch_tilde
 from mocktheta.core import ModularPoint
 from mocktheta.errors import (
@@ -34,6 +39,11 @@ from mocktheta.modifier import phi_tilde
 TAU = 0.13 + 0.92j
 CTX1 = LatticeContext(gamma_gram=((2,),), n_isotropic=1, k=1)
 CTX2 = LatticeContext(gamma_gram=((2, -1), (-1, 2)), n_isotropic=1, k=1)
+
+
+def _float_gram(ctx):
+    """The context's exact frame Gram as a float ndarray."""
+    return np.array(ctx.full_gram, dtype=float)
 
 
 class TestValidate:
@@ -61,8 +71,8 @@ class TestMockTheta:
             ctx = LatticeContext(((2,),), 1, k)
             w = Weight(k, (0, F(-2)))
             pt = ModularPoint(TAU, (0.21, 0.33), 0.05)
-            direct = lattice_window.window_mock_theta(ctx, w, pt, False).value
-            G = ctx.full_gram_float()
+            direct = lattice.window_mock_theta(ctx, w, pt, False).value
+            G = _float_gram(ctx)
             z = np.array(pt.z)
             beta_z = complex(G[1] @ z)
             gam_z = complex(G[0] @ z)
@@ -80,7 +90,7 @@ class TestMockTheta:
         ctx = LatticeContext(((2,),), 1, k, mode)
         w = Weight(k, (0, lam1))
         s = ctx.pair(w.coords, ctx.gamma_vec(1))
-        G = ctx.full_gram_float()
+        G = _float_gram(ctx)
         for tau, z1, z2 in random_points(35, 3):
             pt = ModularPoint(tau, (z1, z2), 0.07)
             beta_z = complex(G[1] @ np.array(pt.z))
@@ -89,7 +99,7 @@ class TestMockTheta:
                 MockIndex(k, s, mode), tau, -beta_z, beta_z + gam_z
             ).value
             # the lattice window's direct sum, and the public function (eq 3.5's Phi)
-            for direct in (lattice_window.window_mock_theta(ctx, w, pt, False).value,
+            for direct in (lattice.window_mock_theta(ctx, w, pt, False).value,
                            lattice_mock_theta(ctx, w, pt).value):
                 assert abs(direct - ref) / max(1.0, abs(ref)) < 1e-12
 
@@ -97,7 +107,7 @@ class TestMockTheta:
         w = Weight(1, (0, 0, 1))
         pt = ModularPoint(TAU, (0.21, -0.17, 0.33), 0.0)
         mine = lattice_mock_theta(CTX2, w, pt).value
-        G = CTX2.full_gram_float()
+        G = _float_gram(CTX2)
         lam = np.array([0.0, 0.0, 1.0])
         z = np.array(pt.z)
         tot = 0j
@@ -117,7 +127,7 @@ class TestMockTheta:
         w = Weight(1, (0, F(1, 2), 1))
         pt = ModularPoint(TAU, (0.21, -0.17, 0.33), 0.0)
         mine = lattice_mock_theta(MINUS2, w, pt).value
-        G = MINUS2.full_gram_float()
+        G = _float_gram(MINUS2)
         lam = np.array([float(x) for x in w.coords])
         z = np.array(pt.z)
         tot = 0j
@@ -186,7 +196,7 @@ class TestModification:
         res = build_modification(CTX1, w)
         pt = ModularPoint(TAU, (0.21, 0.33), 0.05)
         got = eval_modified(res, pt).value
-        G = CTX1.full_gram_float()
+        G = _float_gram(CTX1)
         z = np.array(pt.z)
         beta_z = complex(G[1] @ z)
         gam_z = complex(G[0] @ z)
@@ -243,7 +253,7 @@ class TestRankTwoSigned:
         res_p = build_modification(ctxs["plus"], w)
         reps = mu_class_representatives(res_m)
         pt = ModularPoint(TAU, (0.21, -0.14, 0.33), 0.04)
-        G = ctx.full_gram_float()
+        G = _float_gram(ctx)
         z = np.array(pt.z)
         zz = complex(z @ G @ z)
         ptS = ModularPoint(-1 / TAU, tuple(z / TAU), pt.t - zz / (2 * TAU))
@@ -282,7 +292,7 @@ class TestRankTwoSigned:
         assert res.mu_group_order() == 4
         reps = mu_class_representatives(res)
         pt = ModularPoint(TAU, (0.21, -0.14, 0.33), 0.04)
-        G = ctx.full_gram_float()
+        G = _float_gram(ctx)
         z = np.array(pt.z)
         zz = complex(z @ G @ z)
         ptS = ModularPoint(-1 / TAU, tuple(z / TAU), pt.t - zz / (2 * TAU))
@@ -319,7 +329,7 @@ class TestTwoStepModification:
 
         res = build_modification(self.CTX, self.W)
         pt = ModularPoint(TAU, (0.21, -0.14, 0.33, 0.11), 0.04)
-        G = self.CTX.full_gram_float()
+        G = _float_gram(self.CTX)
         z = np.array(pt.z)
         got = eval_modified(res, pt).value
         prod = cmath.exp(2j * math.pi * pt.t)
@@ -338,7 +348,7 @@ class TestTwoStepModification:
 
         pt = ModularPoint(TAU, (0.21, -0.14, 0.33, 0.11), 0.04)
         mine = lattice_mock_theta(self.CTX, self.W, pt).value
-        G = self.CTX.full_gram_float()
+        G = _float_gram(self.CTX)
         lam = np.array([float(x) for x in self.W.coords])
         z = np.array(pt.z)
         tot = 0j
@@ -364,7 +374,7 @@ class TestTwoStepModification:
 
         res = build_modification(self.CTX, self.W)
         pt = ModularPoint(TAU, (0.21, -0.14, 0.33, 0.11), 0.04)
-        G = self.CTX.full_gram_float()
+        G = _float_gram(self.CTX)
         z = np.array(pt.z)
         zz = complex(z @ G @ z)
         ptS = ModularPoint(-1 / TAU, tuple(z / TAU), pt.t - zz / (2 * TAU))
@@ -429,10 +439,10 @@ def test_translation_sign_is_trivial_outside_minus_mode(mode):
 
 
 PLAN_CACHES = (
-    lattice_window._gram_plan,
+    lattice._gram_plan,
     lattice._violations,
     lattice._phi_route,
-    lattice_window._mock_plan,
+    lattice._mock_plan,
     lattice.build_modification,
 )
 # the benchmark's lattice Grams and contexts
@@ -516,8 +526,8 @@ class TestPlans:
 
     def test_grams_of_one_shape_keep_their_own_plans(self):
         a2, a1a1 = (LatticeData(gram=GRAMS[g][0]).gram for g in ("A2", "A1A1"))
-        plan_a2 = lattice_window._gram_plan(a2)
-        plan_a1a1 = lattice_window._gram_plan(a1a1)
+        plan_a2 = lattice._gram_plan(a2)
+        plan_a1a1 = lattice._gram_plan(a1a1)
         assert plan_a2 is not plan_a1a1
         assert (plan_a2.lam_min, plan_a1a1.lam_min) == (1.0, 2.0)
         eps = SIGNS["parity_of_norm"]
@@ -611,6 +621,32 @@ class TestPlans:
         assert build_modification(a, Weight(1, (0, 0, -1))) is build_modification(
             b, Weight(1.0, (0.0, 0, -1))
         )
+
+    def test_equal_contexts_built_apart_share_one_phi_route(self):
+        lattice._phi_route.cache_clear()
+        a = LatticeContext(((2,),), 1, 1, "plus")
+        b = LatticeContext(((2.0,),), 1, F(2, 2), "plus")
+        route = lattice._phi_route(a, Weight(1, (0, -1)))
+        assert lattice._phi_route(b, Weight(1.0, (0.0, F(-1)))) is route
+        assert lattice._phi_route.cache_info()[:4] == (1, 1, 128, 1)  # hits, misses, max, size
+
+    def test_a_pickled_copy_hashes_like_a_fresh_one_in_another_process(self):
+        objs = (LatticeContext(((2, -1), (-1, 2)), 1, 1),
+                LatticeContext(((2,),), 1, F(3, 2), "minus"), Weight(F(3, 2), (0, F(1, 2))))
+        for obj in objs:
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and hash(back) == hash(obj)
+        # the same bytes read where str hashes differ: each copy hashes as a fresh equal object
+        src = str(Path(lattice.__file__).resolve().parent.parent)
+        code = (f"import pickle, sys; sys.path.insert(0, {src!r})\n"
+                "from mocktheta.lattice import LatticeContext, Weight\n"
+                "from fractions import Fraction\n"
+                f"copies = pickle.loads({pickle.dumps(objs)!r})\n"
+                "print(all(hash(x) == hash(eval(repr(x))) for x in copies))")
+        for seed in ("1", "2"):
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONHASHSEED": seed}, check=True).stdout
+            assert out.split() == ["True"]
 
 
 # Each refused input and the exact error the direct sums raise for it.  The
@@ -719,13 +755,13 @@ def test_a_parity_sign_that_no_summand_reads_is_not_refused():
 def test_window_signs_match_the_character(gram, mult):
     # the window's parity signs, read run by run, against SignCharacter.parity
     # vector by vector; the largest multiplier's products pass 2^63
-    plan = lattice_window._gram_plan(LatticeData(gram=gram).gram)
+    plan = lattice._gram_plan(LatticeData(gram=gram).gram)
     g, d = plan.scaled
     eps = SignCharacter("parity_of_norm", mult)
     # the box -7 <= c_i <= 7 as runs of its last coordinate
     runs = [(p, -7, [0.0] * 15) for p in itertools.product(range(-7, 8), repeat=len(gram) - 1)]
     coords = [(*p, x) for p, first, run in runs for x in range(first, first + len(run))]
-    signs, refuse = lattice_window._signs(eps, plan, runs)
+    signs, refuse = lattice._signs(eps, plan, runs)
     assert len(signs) == len(coords) == 15 ** len(gram) and all(type(s) is int for s in signs)
     for i, c in enumerate(coords):
         num = sum(a * x * b for r, a in zip(g, c) for x, b in zip(r, c))
@@ -760,7 +796,7 @@ def test_enumeration_is_the_box_filter(name):
     for _ in range(25):
         center = rng.uniform(-2.0, 2.0, size=len(gram))
         radius2 = rng.uniform(0.0, 12.0)
-        runs = lattice_window.enumerate_ellipsoid(gram, center.tolist(), radius2)
+        runs = lattice.enumerate_ellipsoid(gram, center.tolist(), radius2)
         got = [((*p, x), n) for p, first, run in runs for x, n in enumerate(run, first)]
         reach = np.ceil(np.sqrt(radius2 * inv.diagonal())).astype(int) + 2
         box = itertools.product(*(range(math.floor(-c) - r, math.ceil(-c) + r + 1)

@@ -1,8 +1,8 @@
 """numpy is the only runtime dependency, and no evaluation loads it: the
 rank-1, Omega and rank-1 verification paths, every S-matrix command, the
 exact lattice algebra, the character tables of the wired cases and the
-lattice windows (a lattice sum of rank >= 2, or of rank 1 where its ladder
-refuses) run without it.  Only verifying a suite of sections 3-6 does.
+lattice sums of every rank run without it.  Only verifying a suite of
+sections 3-6 does.
 
 Each check runs in a fresh interpreter, so modules that other tests (or
 the test runner) imported cannot hide an import made by the library.
@@ -168,8 +168,9 @@ print(json.dumps([code, [m for m in {SMATRIX_HEAVY!r} if m in sys.modules]]))
     assert (code, loaded) == (0, [])
 
 
-# what the exact lattice algebra and the wired character tables never need
-WINDOW = ("numpy", "mocktheta.lattice_window")
+# what the exact lattice algebra, the wired character tables and the
+# lattice sums never need
+NUMPY = ("numpy",)
 CHARTABLE_COMMANDS = [
     ["chartable", "--case", "sl21", "--k", "1", "--points", "2"],
     ["chartable", "--case", "sl21", "--k", "1", "--points", "2", "--variant", "ch_minus"],
@@ -184,7 +185,7 @@ def test_lattice_and_character_modules_load_no_numpy():
         f"""
 import json
 import mocktheta.lattice, mocktheta.characters
-print(json.dumps([m for m in {WINDOW!r} if m in sys.modules]))
+print(json.dumps([m for m in {NUMPY!r} if m in sys.modules]))
 """
     )
     assert loaded == []
@@ -199,7 +200,7 @@ from mocktheta.cli import main
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     code = main({argv!r})
-print(json.dumps([code, buf.getvalue(), [m for m in {WINDOW!r} if m in sys.modules]]))
+print(json.dumps([code, buf.getvalue(), [m for m in {NUMPY!r} if m in sys.modules]]))
 """
     )
     assert (code, loaded) == (0, [])
@@ -209,49 +210,28 @@ print(json.dumps([code, buf.getvalue(), [m for m in {WINDOW!r} if m in sys.modul
 
 def test_a_rank2_lattice_mock_theta_loads_no_numpy():
     value, loaded = _run_child(
-        """
+        f"""
 import json
 import mocktheta as mt
 ctx = mt.LatticeContext(((2, -1), (-1, 2)), 1, 1)
 out = mt.lattice_mock_theta(ctx, mt.Weight(1, (0, 0, -1)),
                             mt.ModularPoint(0.1 + 1.1j, (0.3 + 0.05j, -0.13, 0.2 - 0.03j)))
-print(json.dumps([abs(out.value), [m for m in ("numpy", "mocktheta.lattice_window")
-                                   if m in sys.modules]]))
+print(json.dumps([abs(out.value), [m for m in {NUMPY!r} if m in sys.modules]]))
 """
     )
-    assert value > 0 and loaded == ["mocktheta.lattice_window"]
+    assert value > 0 and loaded == []
 
 
-def _table_rows(select):
-    """(rows run, window modules loaded): the rows of one pass of the
-    benchmark's lattice_char_table that ``select`` picks, each run in turn."""
-    return _run_child(
+def test_every_chartable_row_loads_no_numpy():
+    count, loaded = _run_child(
         f"""
 import json
 sys.path.insert(0, {BENCH!r})
 import workloads
-rows = [s for s in workloads.make_inputs("lattice_char_table", 0) if {select}]
+rows = workloads.make_inputs("lattice_char_table", 0)
 for spec in rows:
     workloads.run_op(spec)
-print(json.dumps([len(rows), [m for m in {WINDOW!r} if m in sys.modules]]))
+print(json.dumps([len(rows), [m for m in {NUMPY!r} if m in sys.modules]]))
 """
     )
-
-
-# the table's rows that run over the lattice window: the lattice thetas of
-# rank >= 2 with either sign and the direct sl3 mock sum; its factored
-# form sums a rank-1 theta on the ladder, and loads neither
-TABLE_ROWS = [(f"s[:2] == ('ltheta', {gram!r}) and s[4] == {sign!r}", WINDOW[1:])
-              for gram in ("A2", "A3", "A1A1") for sign in ("trivial", "parity_of_norm")]
-TABLE_ROWS += [("s[:2] == ('lmock', 'sl3')", WINDOW[1:]), ("s[:2] == ('emod', 'sl3')", ())]
-
-
-@pytest.mark.parametrize("select, modules", TABLE_ROWS)
-def test_lattice_windows_load_no_numpy(select, modules):
-    count, loaded = _table_rows(select)
-    assert count > 0 and loaded == list(modules)
-
-
-def test_every_chartable_row_loads_no_numpy():
-    count, loaded = _table_rows("True")
-    assert count > 200 and loaded == ["mocktheta.lattice_window"]
+    assert count > 200 and loaded == []

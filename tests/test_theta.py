@@ -13,7 +13,7 @@ from mocktheta import _oracles as oracle
 from mocktheta.core import ABS_TOL, ModularPoint
 from mocktheta.errors import NotPositiveDefinite
 from mocktheta.lattice import LatticeData, SignCharacter, lattice_theta
-from mocktheta.lattice_window import _gram_plan
+from mocktheta.lattice import _gram_plan
 from mocktheta.theta import eta, theta_ab, theta_jm, theta_jm_signed
 from conftest import random_points
 

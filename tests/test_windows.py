@@ -162,6 +162,8 @@ def test_phi_add_is_its_definition(m, s, sign):
 # sum |t_c|, and the next shell, every vector one step outside the window,
 # sums to at most err_bound.  The summands are the 40-digit ones of
 # lattice_refs; the points have t = 0, so no phase multiplies the sum.
+# Each route applies e^(2 pi i k t) once: at t = PHASE_T the value is that
+# phase times the value at t = 0, to 4 ulps of its modulus.
 #
 # A summand's float exponent w_c carries a rounding error of a few ulps of
 # |w_c|.  In the level-1/2 context "half" the largest summands reach
@@ -169,12 +171,13 @@ def test_phi_add_is_its_definition(m, s, sign):
 # sum |t_c| from the exact one, evaluated per summand or in one batch
 # alike; there the bound is 4 ulps of sum |t_c| max(1, |w_c|).
 
+import cmath  # noqa: E402
 import itertools  # noqa: E402
 import math  # noqa: E402
 
 import mpmath  # noqa: E402
 
-from mocktheta import lattice, lattice_window  # noqa: E402
+from mocktheta import lattice  # noqa: E402
 from lattice_refs import (  # noqa: E402
     CONTEXTS,
     THETA_ROWS,
@@ -186,13 +189,14 @@ from lattice_refs import (  # noqa: E402
 )
 
 LATTICE_POINTS = [(tau, z, 0.0) for tau, z, _ in points(2015, 2)]
+PHASE_T = 0.0731  # real, so the phase has modulus 1
 
 
 @pytest.fixture
 def window(monkeypatch):
     """The list of vectors the next lattice sum runs over, as tuples."""
     seen = []
-    lattice_sum, theta_ladder, phi = lattice_window._lattice_sum, lattice._theta_ladder, lattice.phi
+    lattice_sum, theta_ladder, phi = lattice._lattice_sum, lattice._theta_ladder, lattice.phi
 
     def spy_sum(gram, centre, k, tau, growth, terms):
         def spy_terms(runs):
@@ -211,7 +215,7 @@ def window(monkeypatch):
         seen[:] = [(n,) for n in range(lo, hi + 1)]
         return phi(idx, tau, z1, z2)
 
-    monkeypatch.setattr(lattice_window, "_lattice_sum", spy_sum)
+    monkeypatch.setattr(lattice, "_lattice_sum", spy_sum)
     monkeypatch.setattr(lattice, "_theta_ladder", spy_ladder)
     monkeypatch.setattr(lattice, "phi", spy_phi)
     return seen
@@ -237,11 +241,19 @@ def _audit(out, summand, vectors, exponent_scale=False):
     assert outside <= out.err_bound, (out, outside)
 
 
+def _audit_phase(base, evaluate, k):
+    """evaluate(PHASE_T) against e^(2 pi i k PHASE_T) times base, the value at t = 0."""
+    want = cmath.exp(2j * math.pi * float(k) * PHASE_T) * base.value
+    out = evaluate(PHASE_T)
+    assert abs(out.value - want) <= 4 * math.ulp(abs(base.value)), (out, want)
+
+
 @pytest.mark.parametrize("row", THETA_ROWS, ids=lambda r: f"{r[0]}-{r[3]}-k{r[2]}")
 def test_lattice_theta_is_its_window(row, window):
     for p in LATTICE_POINTS:
         out = library_theta(mt, *row, *p)
         _audit(out, theta_summand(*row, *p[:2]), list(window))
+        _audit_phase(out, lambda t: library_theta(mt, *row, *p[:2], t), row[2])
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -249,6 +261,7 @@ def test_lattice_mock_theta_is_its_window(name, window):
     for p in LATTICE_POINTS:
         out = library_mock(mt, name, *p)
         _audit(out, mock_summand(name, *p[:2]), list(window), exponent_scale=name == "half")
+        _audit_phase(out, lambda t: library_mock(mt, name, *p[:2], t), CONTEXTS[name][2])
 
 
 # at Im z1 = -4 Im tau the factors 1 - e^d of the window's most negative

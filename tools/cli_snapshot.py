@@ -16,7 +16,9 @@ is empty.  The list covers ``verify all`` at the default seeds, at
 suite at its own seed and at the ends 0 and 2**32 - 1 of the seed range;
 ``list-suites``; one ``eval`` per function, the signed ones also at the
 default sign, and a sign spelling ``eval`` refuses; the README and benchmark
-``chartable`` rows; the benchmark's cold-start commands; ``smatrix`` for
+``chartable`` rows; ``chartable --variant ch_minus`` at k = 1 and at
+k = 2 with ``--labels 1``, the CLI's only path into
+``lattice_mock_theta``; the benchmark's cold-start commands; ``smatrix`` for
 every wired case, with parameters and levels it honours or refuses;
 ``table omega``/``preset`` for every case alias, ``table preset`` for
 each family no alias reaches, and the CSV output ``table preset``
@@ -117,6 +119,11 @@ def _commands():
         ("bench_chartable",
          ["chartable", "--case", "sl21", "--k", "1", "--points", "2", "--seed", "12345"]),
         ("bench_smatrix", ["smatrix", "--case", "d21a", "--output", "csv"]),
+        # the Phi route of lattice_mock_theta
+        ("chartable_ch_minus_k1", ["chartable", "--case", "sl21", "--k", "1",
+                                   "--variant", "ch_minus"]),
+        ("chartable_ch_minus_k2", ["chartable", "--case", "sl21", "--k", "2", "--labels", "1",
+                                   "--variant", "ch_minus"]),
         # seeds outside [0, 2**32), p = 0 and alias parameters, honoured or refused
         ("verify_seed_neg", ["verify", "theta-quasi", "--seed", "-1"]),
         ("verify_seed_2_32", ["verify", "theta-quasi", "--seed", "4294967296"]),
