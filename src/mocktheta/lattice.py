@@ -146,7 +146,7 @@ def lattice_theta(
             except NonConvergent:
                 pass  # the lattice window refuses it with its own error, or sums it
             else:
-                out = SeriesValue(value, max(err, ABS_TOL * 0.01), used)  # the window's floor
+                out = SeriesValue(value, max(err, ABS_TOL * 0.01), used)
     if out is None:
         if k <= 0:
             raise ValueError("degree k must be positive")
