@@ -10,9 +10,19 @@ Run:  python demos/04_smatrices.py
 
 from fractions import Fraction as F
 
-import numpy as np
-
 from mocktheta import ModularPoint, apply_smatrix_check, apply_tmatrix_check, smatrix
+
+
+def entry(z, digits=4):
+    """One complex entry, rounded, with no negative zeros."""
+    return f"{round(z.real, digits) + 0.0:+.{digits}f}{round(z.imag, digits) + 0.0:+.{digits}f}j"
+
+
+def show(rows):
+    """A matrix, one row a line."""
+    for row in rows:
+        print("  ".join(entry(z) for z in row))
+
 
 tau = 0.13 + 0.92j
 
@@ -20,9 +30,9 @@ print("== the exceptional one-parameter family at (p, q, n) = (1, 1, 1) ==")
 sm = smatrix("d21a", F(-1, 2), (1, 1))
 print("labels:", sm.labels)
 print("S:")
-print(np.array2string(np.array(sm.entries), precision=4, suppress_small=True))
+show(sm.entries)
 print(f"unitarity defect: {sm.unitarity_defect():.3e}")
-print("T-phases:", np.round(np.diag(np.array(sm.t_matrix)), 6))
+print("T-phases:", "  ".join(entry(row[i], 6) for i, row in enumerate(sm.t_matrix)))
 pts = [ModularPoint(tau, (0.21, 0.17, 0.33), 0.07)]
 rep = apply_smatrix_check("d21a", F(-1, 2), pts, (1, 1))
 print(f"apply-check max residual: {rep['max_residual']:.3e}")
@@ -40,9 +50,9 @@ print()
 print("== subprincipal span: a permutation with phases ==")
 sm = smatrix("osp32_sub", F(-3, 4))
 print("S:")
-print(np.array(sm.entries).real.astype(int))
+show(sm.entries)
 print("T:")
-print(np.round(np.array(sm.t_matrix), 4))
+show(sm.t_matrix)
 pts = [ModularPoint(tau, (0.27, 0.43), 0.11)]
 print("S apply:", f"{apply_smatrix_check('osp32_sub', F(-3,4), pts)['max_residual']:.3e}")
 print("T apply:", f"{apply_tmatrix_check('osp32_sub', F(-3,4), pts)['max_residual']:.3e}")

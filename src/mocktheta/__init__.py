@@ -3,8 +3,8 @@ affine superalgebra supercharacter assembly, with a verification suite for
 every transformation law the library claims.
 
 Importing the package loads no layer: each public name below is imported
-from its module on first use (PEP 562).  No evaluation loads numpy; only
-the section 3-6 suites and the naive oracles they check against do.
+from its module on first use (PEP 562).  The library is plain Python on
+the standard library, with no runtime dependency.
 """
 
 import sys as _sys

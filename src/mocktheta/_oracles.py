@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+from functools import cache
 
 # exp(-pi u^2) < 1e-49 past |u| = 6, and the complement's scaled integrand
 # exp(-pi (v^2 + 2 x v)) < e^-46 past v^2 + 2 x v = 46 / pi.
@@ -20,16 +17,47 @@ _E_CLIP = 6.0
 _TAIL_EXPONENT = 46.0 / math.pi
 
 
+def _legendre(n: int, x: float):
+    """(P_n(x), P_n'(x)) by the three-term recurrence."""
+    p, p_prev = x, 1.0
+    for k in range(2, n + 1):
+        p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+@cache
+def _rule():
+    """Nodes and weights of the 64-point Gauss-Legendre rule on [-1, 1].
+
+    Each node is a root of P_n, n = 64, found by Newton's method from the
+    guess cos(pi (i - 1/4) / (n + 1/2)); its weight is
+    2 / ((1 - x^2) P_n'(x)^2) (Press et al., Numerical Recipes, section 4.6).
+    """
+    n = 64
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        step = 1.0
+        while abs(step) > 1e-15:
+            p, dp = _legendre(n, x)
+            step = p / dp
+            x -= step
+        dp = _legendre(n, x)[1]
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return nodes, weights
+
+
 def _gauss_legendre(f, a: float, b: float) -> float:
-    """int_a^b f(u) du by the 64-node Gauss-Legendre rule; f maps arrays."""
-    half = 0.5 * (b - a)
-    return half * float(_GL_WEIGHTS @ f(0.5 * (a + b) + half * _GL_NODES))
+    """int_a^b f(u) du by the 64-node Gauss-Legendre rule; f maps floats."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * sum(w * f(mid + half * x) for x, w in zip(*_rule()))
 
 
 def gauss_E_quad(x: float) -> float:
     """2 int_0^x exp(-pi u^2) du by Gauss-Legendre quadrature."""
     end = max(-_E_CLIP, min(_E_CLIP, x))
-    return 2.0 * _gauss_legendre(lambda u: np.exp(-math.pi * u * u), 0.0, end)
+    return 2.0 * _gauss_legendre(lambda u: math.exp(-math.pi * u * u), 0.0, end)
 
 
 def gauss_E_complement_quad(x: float) -> float:
@@ -42,7 +70,7 @@ def gauss_E_complement_quad(x: float) -> float:
         return 1.0 - gauss_E_quad(x)
     v_max = math.sqrt(x * x + _TAIL_EXPONENT) - x
     val = _gauss_legendre(
-        lambda v: np.exp(-math.pi * (v * v + 2.0 * x * v)), 0.0, v_max
+        lambda v: math.exp(-math.pi * (v * v + 2.0 * x * v)), 0.0, v_max
     )
     return 2.0 * val * math.exp(-math.pi * x * x)
 

@@ -34,7 +34,7 @@ F = Fraction
 @dataclass(frozen=True)
 class SMatrix:
     """S- and T-matrix of one span, each a tuple of row tuples of complex,
-    built without numpy, ``lattice`` or ``characters``.
+    built without ``lattice`` or ``characters``.
     ``unitarity_defect`` is a plain double-precision sum: its value may
     differ from a BLAS product's at the 1e-16 level."""
 

@@ -8,10 +8,11 @@ residual against its registered tolerance through ``modular.verify_law``.
 ``verify`` command and the acceptance tests both dispatch through
 :func:`run_suite`, so there is a single source of truth for every check.
 
-This module holds the rank-1 suites and loads only the rank-1 layers, so
-``list-suites`` and ``verify`` of a rank-1 suite load no numpy.  The
-suites of sections 3-6 and the oracle suite live in ``suites_lattice``,
-which is imported the first time one of them runs.
+This module holds the rank-1 suites and the naive-oracle suite, and loads
+only the rank-1 layers and ``_oracles``, so ``list-suites`` and ``verify``
+of one of these suites load no lattice layer.  The suites of sections 3-6
+live in ``suites_lattice``, which is imported the first time one of them
+runs.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from fractions import Fraction
 from functools import cache
 from importlib import import_module
 
+from . import _oracles as oracle
 from .core import gauss_E_complement, gauss_E_complement_scaled
 from .mock import MockIndex, phi, phi_elliptic_residual, phi_shift_residual_a
-from .modifier import phi_tilde, r_jm_signed
+from .modifier import phi_tilde, r_jm, r_jm_signed
 from .modular import LAWS, _stream, check_pair, verify_law
-from .theta import theta_ab, theta_jm, theta_jm_signed
+from .theta import eta, theta_ab, theta_jm, theta_jm_signed
 
 F = Fraction
 PI = math.pi
@@ -378,6 +380,40 @@ def suite_theta_quasi(seed=62, tol=1e-11):
                 lhs = theta_jm(j, m, tau, zs).value
                 rhs = LAWS["theta", move]((j, m), tau, (z,), 1).apply(value)
                 checks.append(check_pair(f"{label} j={j} m={m}", lhs, rhs, tau))
+    return verify_law(tol, checks)
+
+
+def suite_oracles(seed=63, tol=1e-10):
+    checks = []
+    rng = _stream(seed)
+    for i in range(30):
+        tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 2.0))
+        z1 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.05, 0.05))
+        z2 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.05, 0.05))
+        if abs(z1) < 0.04:
+            z1 += 0.1
+        mine = phi(MockIndex(1, 0), tau, z1, z2).value
+        checks.append(check_pair("phi", mine, oracle.phi_naive(1, 1, 0, tau, z1, z2), tau))
+        mine = phi(MockIndex(F(1, 2), F(1, 2), "minus"), tau, z1, z2).value
+        checks.append(
+            check_pair("phi minus", mine, oracle.phi_naive(-1, 0.5, 0.5, tau, z1, z2), tau)
+        )
+        mine = theta_jm(1, 2, tau, z1).value
+        checks.append(check_pair("theta_jm", mine, oracle.theta_jm_naive(1, 1, 2, tau, z1), tau))
+        mine = theta_jm_signed(-1, F(1, 2), F(1, 2), tau, z1).value
+        checks.append(
+            check_pair("theta_jm signed", mine, oracle.theta_jm_naive(-1, 0.5, 0.5, tau, z1), tau)
+        )
+        mine = r_jm(0, 1, tau, z1).value
+        checks.append(check_pair("r_jm", mine, oracle.r_naive(1, 0, 1, tau, z1), tau))
+        mine = r_jm_signed(-1, F(1, 2), F(1, 2), tau, z1).value
+        checks.append(
+            check_pair("r_jm signed", mine, oracle.r_naive(-1, 0.5, 0.5, tau, z1), tau)
+        )
+        mine = eta(tau).value
+        checks.append(check_pair("eta", mine, oracle.eta_product(tau), tau))
+        mine = theta_ab(1, 1, tau, z1).value
+        checks.append(check_pair("theta_ab", mine, oracle.theta_ab_naive(1, 1, tau, z1), tau))
     return verify_law(tol, checks)
 
 

@@ -1,10 +1,9 @@
-"""The verification suites of sections 3-6 and the naive-oracle suite.
+"""The verification suites of sections 3-6.
 
 These suites reach the lattice, character, S-matrix and superalgebra
-layers, which the rank-1 suites never need, and the naive oracles of
-``_oracles``, which load numpy, as no evaluation does.  ``suites``
-registers them in its one ``SUITES`` table and imports this module the
-first time one of them runs.
+layers, which the rank-1 suites never need.  ``suites`` registers them in
+its one ``SUITES`` table and imports this module the first time one of
+them runs.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import replace
 
-from . import _oracles as oracle
 from .characters import ch_tilde, gram_quad, psi_fn, system
 from .core import ModularPoint
 from .lattice import (
@@ -20,12 +18,11 @@ from .lattice import (
     window_mock_theta,
 )
 from .mock import MockIndex, phi
-from .modifier import r_jm, r_jm_signed
-from .modular import LAWS, S, T, _stream, act, check_pair, check_residual, verify_law
+from .modular import LAWS, S, T, act, check_pair, check_residual, verify_law
 from .smatrix import _apply_residuals, apply_smatrix_check, apply_tmatrix_check
 from .suites import PI, F, _points
 from .superalg import WeightSpec, d21a_nu_range, enumerate_omega, preset
-from .theta import eta, theta_ab, theta_jm, theta_jm_signed
+from .theta import eta, theta_ab
 
 
 # ---------------------------------------------------------------------------
@@ -453,37 +450,3 @@ def suite_prop622(seed=58, tol=1e-7):
 
 def suite_eq66(seed=59, tol=1e-7):
     return verify_law(tol, _span_checks("osp42", 1, None, seed))
-
-
-def suite_oracles(seed=63, tol=1e-10):
-    checks = []
-    rng = _stream(seed)
-    for i in range(30):
-        tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 2.0))
-        z1 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.05, 0.05))
-        z2 = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.05, 0.05))
-        if abs(z1) < 0.04:
-            z1 += 0.1
-        mine = phi(MockIndex(1, 0), tau, z1, z2).value
-        checks.append(check_pair("phi", mine, oracle.phi_naive(1, 1, 0, tau, z1, z2), tau))
-        mine = phi(MockIndex(F(1, 2), F(1, 2), "minus"), tau, z1, z2).value
-        checks.append(
-            check_pair("phi minus", mine, oracle.phi_naive(-1, 0.5, 0.5, tau, z1, z2), tau)
-        )
-        mine = theta_jm(1, 2, tau, z1).value
-        checks.append(check_pair("theta_jm", mine, oracle.theta_jm_naive(1, 1, 2, tau, z1), tau))
-        mine = theta_jm_signed(-1, F(1, 2), F(1, 2), tau, z1).value
-        checks.append(
-            check_pair("theta_jm signed", mine, oracle.theta_jm_naive(-1, 0.5, 0.5, tau, z1), tau)
-        )
-        mine = r_jm(0, 1, tau, z1).value
-        checks.append(check_pair("r_jm", mine, oracle.r_naive(1, 0, 1, tau, z1), tau))
-        mine = r_jm_signed(-1, F(1, 2), F(1, 2), tau, z1).value
-        checks.append(
-            check_pair("r_jm signed", mine, oracle.r_naive(-1, 0.5, 0.5, tau, z1), tau)
-        )
-        mine = eta(tau).value
-        checks.append(check_pair("eta", mine, oracle.eta_product(tau), tau))
-        mine = theta_ab(1, 1, tau, z1).value
-        checks.append(check_pair("theta_ab", mine, oracle.theta_ab_naive(1, 1, tau, z1), tau))
-    return verify_law(tol, checks)

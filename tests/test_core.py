@@ -183,6 +183,31 @@ class TestGaussE:
                 err = abs(_oracles.gauss_E_complement_quad(float(x)) - comp)
                 assert err <= 1e-12 * comp
 
+    def test_gauss_legendre_rule_against_mpmath(self):
+        # 40-digit Newton roots of P_64 from the same cosine guesses, with
+        # P_64' from mpmath's own Legendre function
+        nodes, weights = _oracles._rule()
+        n = len(nodes)
+        assert n == 64
+        with mpmath.workdps(40):
+
+            def p_and_dp(x):
+                p = mpmath.legendre(n, x)
+                return p, n * (x * p - mpmath.legendre(n - 1, x)) / (x * x - 1)
+
+            for i, (node, weight) in enumerate(zip(nodes, weights), start=1):
+                x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+                step = 1
+                while abs(step) > mpmath.mpf(10) ** -38:
+                    p, dp = p_and_dp(x)
+                    step = p / dp
+                    x -= step
+                dp = p_and_dp(x)[1]
+                ref = 2 / ((1 - x * x) * dp * dp)
+                assert abs(node - x) <= 1e-15
+                assert abs(weight - ref) <= 1e-12 * ref
+        assert abs(math.fsum(weights) - 2.0) <= 1e-15
+
     def test_complement_relative_accuracy_large_x(self):
         # the complement must not lose relative accuracy where it is tiny;
         # u = x + v keeps the reference integrand O(1), which mpmath.quad

@@ -68,12 +68,13 @@ def test_prop622_evaluates_each_variant_once_per_point(monkeypatch):
     assert len(calls) == 9 * 4
 
 
-def test_registry_splits_at_the_numpy_boundary():
+def test_registry_splits_at_the_lattice_layers():
     """Every registered suite resolves to a function of ``suites`` (the
-    rank-1 laws) or of ``suites_lattice`` (sections 3-6 and the oracles)."""
+    rank-1 laws and the naive oracles) or of ``suites_lattice`` (sections
+    3-6, the suites that need the lattice layers and above)."""
     homes = {sid: _suite_function(sid).__module__ for sid in SUITES}
     rank1 = {sid for sid, home in homes.items() if home == "mocktheta.suites"}
-    assert len(SUITES) == 40 and len(rank1) == 16
+    assert len(SUITES) == 40 and len(rank1) == 17
     assert set(homes.values()) == {"mocktheta.suites", "mocktheta.suites_lattice"}
     assert all(_suite_function(sid).__name__ == SUITES[sid][0] for sid in SUITES)
 
