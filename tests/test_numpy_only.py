@@ -237,15 +237,20 @@ COMMANDS = [
 
 
 def test_cli_runs_with_scipy_unimportable():
-    codes = _run_child(
+    """Every command succeeds, and all they import beyond the standard
+    library is the package itself."""
+    codes, loaded = _run_child(
         f"""
 import contextlib, io, json
+before = set(sys.modules)
 from mocktheta.cli import main
 codes = []
 for argv in {COMMANDS!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps(codes))
+top = {{m.split(".")[0] for m in set(sys.modules) - before}}
+print(json.dumps([codes, sorted(top - set(sys.stdlib_module_names))]))
 """
     )
     assert codes == [0] * len(COMMANDS)
+    assert loaded == ["mocktheta"]
